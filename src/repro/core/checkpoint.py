@@ -73,8 +73,11 @@ class CheckpointChaCore(ChaCore):
         if history is None:
             history = self.current_history()
         state = self.checkpoint_state
+        # One pass over the fold: ``history(k)`` walks from the tip, so
+        # reading it per instance would be quadratic in the gap.
+        at = dict(history.items())
         for k in range(self.checkpoint_instance + 1, green + 1):
-            state = self._reducer(state, k, history(k))
+            state = self._reducer(state, k, at.get(k, BOTTOM))
         self.checkpoint_state = state
         self.checkpoint_instance = green
         # Garbage-collect: keep only entries after the checkpoint.  The

@@ -25,10 +25,12 @@ Interning (type-exact, so ``True``/``1``/``1.0`` never swap objects)
 resolves equal same-typed paths to the same chain node, so ``extends`` /
 ``agrees_with`` / ``prefix`` short-circuit positively on chain identity
 instead of rebuilding and comparing prefix dictionaries; distinct spines
-fall back to entry comparison.  Entry tuples, lookup dicts and hashes
-are materialised lazily (and cached on the shared chain), so runs that
-never inspect a history's contents — the common case on the bench hot
-path — never pay for them.
+fall back to entry comparison.  Point reads (``h(k)``, ``includes``) walk
+the chain and allocate nothing; entry tuples and hashes are materialised
+only when something asks for a history's whole contents (``items``,
+``==`` across spines, ``hash``, ``repr``, pickling), one tuple for the
+link that was asked.  ``docs/ARCHITECTURE.md`` tabulates what each read
+costs.
 
 Set ``REPRO_REFERENCE_HISTORY=1`` in the environment (or pass
 ``use_reference_history=True`` to the cores / the experiment spec) to pin
@@ -229,7 +231,7 @@ class HistoryChain:
         return node
 
     def prefix(self, cut: Instance) -> "HistoryChain":
-        """The deepest link whose anchor is at most ``cut``."""
+        """The deepest link whose anchor is at most ``cut`` (``cut >= 0``)."""
         node = self
         while node.anchor > cut:
             node = node.parent  # root anchors at 0, so this terminates
@@ -238,21 +240,21 @@ class HistoryChain:
     def entries(self) -> tuple[tuple[Instance, Value], ...]:
         """The (instance, value) pairs of this fold, ascending.
 
-        Materialised lazily and cached per link, so every history over a
-        shared spine amortises one tuple per link.
+        Materialised lazily and cached on the link that was asked only:
+        one walk down to the nearest link that already holds its tuple.
+        Links in between stay bare, so a spine read at every instance
+        does not pin a tuple per link.
         """
         cached = self._entries
         if cached is not None:
             return cached
-        stack = []
+        tail = []
         node = self
         while node._entries is None:
-            stack.append(node)
+            tail.append((node.anchor, node.value))
             node = node.parent
-        cached = node._entries
-        for pending in reversed(stack):
-            cached = cached + ((pending.anchor, pending.value),)
-            pending._entries = cached
+        tail.reverse()
+        cached = self._entries = node._entries + tuple(tail)
         return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -290,8 +292,9 @@ class History:
         """Internal O(1) constructor over an already-folded chain.
 
         The chain is trusted to lie within ``1..length`` (the fold walk
-        guarantees it), so the dict-form validation is skipped and
-        entries/lookup/hash stay unmaterialised until something asks.
+        guarantees it), so the dict-form validation is skipped, entries
+        and hash stay unmaterialised until something asks for them, and
+        no lookup table is ever built (point reads walk the chain).
         """
         h = object.__new__(cls)
         h.length = length
@@ -310,12 +313,6 @@ class History:
         if entries is None:
             entries = self._entries = self._chain.entries()
         return entries
-
-    def _lookup_table(self) -> dict[Instance, Value]:
-        lookup = self._lookup
-        if lookup is None:
-            lookup = self._lookup = dict(self._materialized())
-        return lookup
 
     def _as_chain(self) -> HistoryChain:
         """This history's fold chain, derived (and interned) on demand."""
@@ -337,15 +334,28 @@ class History:
     # ------------------------------------------------------------------
 
     def __call__(self, k: Instance) -> Value:
-        """``h(k)``: the value at instance ``k``, or bottom."""
-        return self._lookup_table().get(k, BOTTOM)
+        """``h(k)``: the value at instance ``k``, or bottom.
+
+        The chain form walks the shared spine from its tip (its own last
+        instance is O(1)); only the dict form holds a lookup table.
+        """
+        lookup = self._lookup
+        if lookup is not None:
+            return lookup.get(k, BOTTOM)
+        if not 1 <= k <= self.length:
+            return BOTTOM
+        link = self._chain.prefix(k)
+        return link.value if link.anchor == k else BOTTOM
 
     def value_at(self, k: Instance) -> Value:
         return self(k)
 
     def includes(self, k: Instance) -> bool:
         """The paper's "history ``h`` includes instance ``k``": h(k) != ⊥."""
-        return k in self._lookup_table()
+        lookup = self._lookup
+        if lookup is not None:
+            return k in lookup
+        return 1 <= k <= self.length and self._chain.prefix(k).anchor == k
 
     @property
     def included_instances(self) -> tuple[Instance, ...]:

@@ -691,8 +691,11 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         if history is None:
             history = self.current_history()
         state = self.checkpoint_state
+        # One pass over the fold: ``history(k)`` walks from the tip, so
+        # reading it per instance would be quadratic in the gap.
+        at = dict(history.items())
         for k in range(self.checkpoint_instance + 1, green + 1):
-            state = self._reducer(state, k, history(k))
+            state = self._reducer(state, k, at.get(k, BOTTOM))
         self.checkpoint_state = state
         self.checkpoint_instance = green
         arr = self._status_arr

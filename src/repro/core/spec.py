@@ -18,11 +18,12 @@ measurement rather than a pass/fail property.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Mapping, Sequence
 
 from ..errors import SpecViolation
 from ..types import BOTTOM, Instance, NodeId, Value
-from .history import History, reference_history_forced
+from .history import History, HistoryChain, reference_history_forced
 
 #: The per-node output sequence type: (instance, History or BOTTOM) pairs.
 OutputLog = Sequence[tuple[Instance, History | None]]
@@ -30,16 +31,33 @@ OutputLog = Sequence[tuple[Instance, History | None]]
 
 def check_validity(outputs: Mapping[NodeId, OutputLog],
                    proposals: Mapping[NodeId, Mapping[Instance, Value]]) -> None:
-    """Raise :class:`SpecViolation` on any non-proposed history value."""
+    """Raise :class:`SpecViolation` on any non-proposed history value.
+
+    Outputs are visited in log order and each output's entries ascending,
+    so the violation reported is the first one in that order.  Chain-form
+    histories share their spine, so each link is checked once: a link
+    enters ``valid`` only after every entry of its fold passed.
+    """
     proposed_at: dict[Instance, set[Value]] = {}
     for node_proposals in proposals.values():
         for k, v in node_proposals.items():
             proposed_at.setdefault(k, set()).add(v)
+    valid: set[HistoryChain] = set()
     for node, log in outputs.items():
         for k, out in log:
             if out is BOTTOM:
                 continue
-            for k_prime, value in out.items():
+            fresh = []
+            link = out._chain
+            if link is None:
+                entries = out.items()
+            else:
+                while link.parent is not None and link not in valid:
+                    fresh.append(link)
+                    link = link.parent
+                fresh.reverse()
+                entries = ((new.anchor, new.value) for new in fresh)
+            for k_prime, value in entries:
                 if value not in proposed_at.get(k_prime, ()):
                     raise SpecViolation(
                         f"validity: node {node}'s output at instance {k} "
@@ -48,6 +66,7 @@ def check_validity(outputs: Mapping[NodeId, OutputLog],
                         context={"node": node, "instance": k,
                                  "at": k_prime, "value": value},
                     )
+            valid.update(fresh)
 
 
 def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
@@ -66,6 +85,12 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
     environment switch) pins the agreement relation to the seed
     prefix-rebuild derivation instead of the chain-identity short
     circuit — the two are pinned together by the differential suite.
+
+    The witness comparison walks the witness's spine once, down to the
+    shortest history's length, and places every history on it by
+    bisecting the anchors; a history whose own chain *is* the link found
+    there agrees.  Identity is only a positive witness, so anything else
+    falls back to :meth:`History.agrees_with`.
     """
     if use_reference is None:
         use_reference = reference_history_forced()
@@ -88,8 +113,10 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
     def _fail(a, b) -> None:
         (node_a, k_a, h_a), (node_b, k_b, h_b) = a, b
         cut = min(k_a, k_b)
+        at_a, at_b = dict(h_a.items()), dict(h_b.items())
         diverging = [
-            k for k in range(1, cut + 1) if h_a(k) != h_b(k)
+            k for k in range(1, cut + 1)
+            if at_a.get(k, BOTTOM) != at_b.get(k, BOTTOM)
         ]
         raise SpecViolation(
             f"agreement: node {node_a}'s output at instance {k_a} and node "
@@ -107,6 +134,21 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
         return
 
     witness = max(histories, key=lambda item: item[1])
+    if not use_reference:
+        # Every k below is that history's length: at most the witness's,
+        # and at least its own chain's anchor.
+        shortest = min(k for _, k, _ in histories)
+        link = witness[2]._as_chain()
+        spine = [link]
+        while link.anchor > shortest:
+            link = link.parent
+            spine.append(link)
+        spine.reverse()
+        anchors = [link.anchor for link in spine]
+        histories = [
+            (node, k, history) for node, k, history in histories
+            if history._as_chain() is not spine[bisect_right(anchors, k) - 1]
+        ]
     for item in histories:
         if not agrees(item[2], witness[2]):
             _fail(item, witness)
@@ -130,28 +172,58 @@ def find_liveness_point(outputs: Mapping[NodeId, OutputLog],
     last_instance = min(
         (max(log) if (log := per_node[node]) else 0) for node in nodes
     )
-    if last_instance == 0:
-        return None
-
     # kst works iff for every k in [kst, last]: every node output a
     # non-bottom history at k that includes every instance in [kst, k].
-    def works(kst: Instance) -> bool:
-        for node in nodes:
-            for k in range(kst, last_instance + 1):
-                out = per_node[node].get(k, BOTTOM)
-                if out is BOTTOM:
-                    return False
-                if any(not out.includes(k2) for k2 in range(kst, k + 1)):
-                    return False
-        return True
+    # So a bottom output at k rules out every kst <= k, an output at k
+    # that excludes j <= k rules out every kst <= j, and nothing else
+    # rules anything out: the answer is one past the largest such bound.
+    # An output at or below the bound found so far cannot raise it.
+    ruled_out = 0
+    gaps: dict[HistoryChain, Instance] = {}
+    for node in nodes:
+        log = per_node[node]
+        k = last_instance
+        while k > ruled_out:
+            out = log.get(k, BOTTOM)
+            ruled_out = max(ruled_out, k if out is BOTTOM
+                            else _largest_excluded(out, k, gaps))
+            k -= 1
+    kst = ruled_out + 1
+    return kst if kst <= last_instance else None
 
-    # Scan from the smallest candidate upward; the property is monotone in
-    # practice but not by definition (a bottom at instance j only blocks
-    # kst <= j), so we simply test candidates in order.
-    for kst in range(1, last_instance + 1):
-        if works(kst):
-            return kst
-    return None
+
+def _largest_excluded(out, k: Instance,
+                      gaps: dict[HistoryChain, Instance]) -> Instance:
+    """The largest instance in ``1..k`` that ``out`` excludes, else 0.
+
+    ``out`` is any output with ``includes`` (checkpoint-CHA's
+    ``CheckpointOutput`` has no chain of its own); only a chain-form
+    :class:`History` takes the memoised walk.
+    """
+    link = out._chain if isinstance(out, History) else None
+    if link is None or k > out.length:
+        while k >= 1 and out.includes(k):
+            k -= 1
+        return k
+    link = link.prefix(k)
+    if link.anchor < k:
+        return k
+    # ``gaps`` memoises, per link, the largest instance below the link's
+    # anchor that its fold skips; a run of consecutive anchors shares it.
+    run = []
+    while (gap := gaps.get(link)) is None:
+        parent = link.parent
+        if parent is None:
+            gap = 0
+            break
+        run.append(link)
+        if parent.anchor < link.anchor - 1:
+            gap = link.anchor - 1
+            break
+        link = parent
+    for link in run:
+        gaps[link] = gap
+    return gap
 
 
 def check_liveness(outputs: Mapping[NodeId, OutputLog],

@@ -273,6 +273,9 @@ class WorldDriver:
         self.result: ExperimentResult | None = None
         self.decisions_published = 0
         self._decision_log: deque[dict] = deque(maxlen=decision_log_limit)
+        #: instance -> its event in ``_decision_log``, pruned as the
+        #: bounded deque drops its oldest.
+        self._decision_index: dict[Instance, dict] = {}
         self._harvested = 0
 
     # -- introspection -------------------------------------------------
@@ -313,11 +316,10 @@ class WorldDriver:
         state: dict = {"instance": instance}
         if instance <= self._harvested:
             state["state"] = "decided"
-            for event in self._decision_log:
-                if event["instance"] == instance:
-                    state["value"] = event["value"]
-                    state["agreement"] = event["agreement"]
-                    break
+            event = self._decision_index.get(instance)
+            if event is not None:
+                state["value"] = event["value"]
+                state["agreement"] = event["agreement"]
         elif instance <= self.ledger.frozen_through:
             state["state"] = "running"
         else:
@@ -391,21 +393,25 @@ class WorldDriver:
     # -- harvesting ----------------------------------------------------
 
     def _harvest(self) -> list[dict]:
-        logs = {node: proc.outputs
-                for node, proc in self.stepper.processes.items()}
-        ready = min((len(log) for log in logs.values()), default=0)
+        logs = [(node, proc.outputs)
+                for node, proc in self.stepper.processes.items()]
+        ready = min((len(log) for _, log in logs), default=0)
         events = []
+        # One row per node, refilled per instance: the shape
+        # ``check_agreement`` takes, without a fresh dict of lists each.
+        rows = {node: [None] for node, _ in logs}
         for idx in range(self._harvested, ready):
-            per_node = {node: log[idx] for node, log in logs.items()}
-            instance = next(iter(per_node.values()))[0]
-            decided = {node: out for node, (_, out) in per_node.items()
-                       if out is not BOTTOM}
-            value = None
-            if decided:
-                value = decided[min(decided)](instance)
+            instance = logs[0][1][idx][0]
+            speaker = value = None  # lowest-numbered decided node's h(k)
+            decided = 0
+            for node, log in logs:
+                _, out = rows[node][0] = log[idx]
+                if out is not BOTTOM:
+                    decided += 1
+                    if speaker is None or node < speaker:
+                        speaker, value = node, out(instance)
             try:
-                check_agreement({node: [entry]
-                                 for node, entry in per_node.items()},
+                check_agreement(rows,
                                 use_reference=self.spec.use_reference_history)
             except SpecViolation as exc:
                 verdict = f"violated: {exc}"
@@ -417,14 +423,20 @@ class WorldDriver:
                 "instance": instance,
                 "round": self.current_round,
                 "value": value,
-                "decided": len(decided),
-                "bottom": len(per_node) - len(decided),
+                "decided": decided,
+                "bottom": len(logs) - decided,
                 "agreement": verdict,
             })
         if events:
             self._harvested = ready
-            self._decision_log.extend(events)
             self.decisions_published += len(events)
+            self._decision_log.extend(events)
+            index = self._decision_index
+            index.update((event["instance"], event) for event in events)
+            # Insertion order is harvest order, so the index's oldest
+            # keys are exactly what the bounded deque just dropped.
+            while len(index) > len(self._decision_log):
+                del index[next(iter(index))]
         return events
 
     def _finalize(self) -> dict:

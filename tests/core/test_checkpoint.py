@@ -5,6 +5,8 @@ import pytest
 from repro.contention import LeaderElectionCM
 from repro.core import CheckpointCHAProcess, run_cha
 from repro.core.checkpoint import CheckpointChaCore, CheckpointOutput
+from repro.core.history import HistoryChain
+from repro.core.slotted import SlottedCheckpointChaCore
 from repro.detectors import EventuallyAccurateDetector
 from repro.net import RandomLossAdversary
 from repro.types import BOTTOM, Color
@@ -178,6 +180,28 @@ class TestFoldCallCounts:
         run_instance(core, clean=False)           # red: bottom output
         run_instance(core, veto2_collision=True)  # yellow: bottom output
         assert counter["calls"] == 0
+
+    @pytest.mark.parametrize("core_type", [CheckpointChaCore,
+                                           SlottedCheckpointChaCore])
+    def test_fold_across_a_gap_reads_the_chain_once(self, monkeypatch,
+                                                    core_type):
+        """A green instance after ``d`` yellow ones folds ``d + 1``
+        instances; reading each with ``history(k)`` would walk from the
+        tip every time (quadratic in ``d``)."""
+        core = core_type(propose=lambda k: f"v{k}", reducer=tuple_reducer,
+                         initial_state=())
+        run_instance(core)
+        for _ in range(30):
+            run_instance(core, veto2_collision=True)
+        walks = []
+        prefix = HistoryChain.prefix
+        monkeypatch.setattr(HistoryChain, "prefix",
+                            lambda self, cut: walks.append(cut)
+                            or prefix(self, cut))
+        k, out = run_instance(core)
+        assert walks == []
+        assert out.checkpoint_state == tuple(
+            (i, f"v{i}") for i in range(1, k + 1))
 
     def test_restore_and_reset_invalidate_without_refolding(self, monkeypatch):
         donor = make_core()

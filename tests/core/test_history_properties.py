@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core import ChaCore, CheckpointChaCore, History
 from repro.core.ballot import Ballot
 from repro.core.cha import calculate_history, calculate_history_reference
+from repro.core.history import ROOT_CHAIN
 from repro.errors import ProtocolError
 
 pytestmark = pytest.mark.fast
@@ -255,3 +256,59 @@ def test_interning_makes_equal_folds_identical():
     p = h1.prefix(2)
     assert p._chain is h1._as_chain().parent
     assert p == h2.prefix(2)
+
+
+#: Ways something other than a point read touches a chain-form history,
+#: each of which materialises its entry tuple (or, for the last, plants
+#: a lookup table the way a dict-form history carries one).
+MATERIALISERS = {
+    "items": lambda h: tuple(h.items()),
+    "hash": hash,
+    "repr": repr,
+    "pickle": lambda h: h.__reduce__(),
+    "descendant": lambda h: History._from_chain(
+        h.length + 1, h._chain.child(h.length + 1, "z")).items(),
+    "lookup": lambda h: setattr(h, "_lookup", dict(h.items())),
+}
+
+
+@settings(max_examples=150)
+@given(st.lists(st.one_of(st.none(), VALUES), max_size=12),
+       st.integers(0, 2),
+       st.sampled_from(sorted(MATERIALISERS)))
+def test_chain_point_reads_match_dict_form(values, slack, materialiser):
+    """``h(k)`` / ``includes(k)`` answer from the chain exactly as the
+    dict form does over ``k in [-2, length + 2]`` — ⊥ below 1 and above
+    the length, trailing ⊥ instances included — both on a bare chain
+    and after something else materialised entries or a lookup table."""
+    entries = {k: v for k, v in enumerate(values, 1) if v is not None}
+    length = len(values) + slack
+    plain = History(length, entries)
+    link = ROOT_CHAIN
+    for k, v in sorted(entries.items()):
+        link = link.child(k, v)
+    chained = History._from_chain(length, link)
+    assert chained._lookup is None and chained._entries is None
+
+    def same_reads():
+        for k in range(-2, length + 3):
+            assert chained.includes(k) is plain.includes(k), k
+            assert chained(k) is plain(k), k
+            assert chained.value_at(k) is plain(k), k
+
+    same_reads()
+    assert chained._lookup is None and chained._entries is None
+    MATERIALISERS[materialiser](chained)
+    same_reads()
+
+
+def test_entries_cache_only_the_link_that_was_asked():
+    """Reading the tip's contents stamps one tuple on the tip, none on
+    the links below it; a later read further up reuses that tuple."""
+    link = ROOT_CHAIN
+    spine = [link := link.child(k, f"s{k}") for k in range(1, 9)]
+    assert spine[5].entries() == tuple((k, f"s{k}") for k in range(1, 7))
+    assert [node._entries is not None for node in spine] == [
+        False, False, False, False, False, True, False, False]
+    assert spine[7].entries()[:6] == spine[5].entries()
+    assert spine[6]._entries is None

@@ -53,6 +53,31 @@ class TestClusterProtocols:
         checkpoint = result.processes[0].checkpoint
         assert checkpoint.checkpoint_state == checkpoint.checkpoint_instance
 
+    def test_checkpoint_cha_serves_every_cha_metric(self):
+        """Checkpoint outputs answer ``includes`` only; the liveness
+        measurement must get by on that."""
+        from repro.experiment.runner import _CHA_METRICS
+
+        instances = 30
+        result = (scenario().nodes(4).instances(instances)
+                  .checkpoint_cha(reducer=count_reducer, initial_state=0)
+                  .adversary(RandomLossAdversary(p_drop=0.3, seed=5))
+                  .radio(rcf=40)
+                  .metrics(*_CHA_METRICS).invariants("all").run())
+        result.assert_ok()
+        logs = [dict(log) for log in result.outputs.values()]
+        assert any(out is BOTTOM for log in logs for out in log.values())
+
+        def works(kst):
+            return all(
+                log[k] is not BOTTOM
+                and all(log[k].includes(j) for j in range(kst, k + 1))
+                for log in logs for k in range(kst, instances + 1))
+
+        kst = result.metrics["convergence_instance"]
+        assert 1 < kst <= instances
+        assert works(kst) and not any(works(j) for j in range(1, kst))
+
     def test_naive_rsm_messages_grow(self):
         result = (scenario().nodes(3).instances(12).naive_rsm()
                   .metrics("max_message_size")

@@ -139,6 +139,39 @@ def test_reference_switch_doc_names_every_switch():
         assert f"`{field}`" in text, f"spec field {field} missing"
 
 
+def test_history_read_cost_table_matches_the_code():
+    """docs/ARCHITECTURE.md's "what a History read costs" table: every
+    backticked read in it is evaluated on a fresh chain-form history,
+    and builds the entry tuple exactly when its row says so."""
+    import pickle
+
+    from repro.core.history import ROOT_CHAIN, History, HistoryChain
+
+    text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+    section = text[text.index("## What a `History` read costs"):]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.split("\n## ")[0].splitlines()
+            if line.startswith("| `")]
+    reads = [(read, row[-1]) for row in rows
+             for read in re.findall(r"`([^`]+)`", row[0])]
+    assert {builds for _, builds in reads} == {"yes", "no"}
+    assert len(reads) >= 15
+    for number, (read, builds) in enumerate(reads):
+        entries = [(k, f"doc{number}.{k}") for k in range(1, 6)]
+        link, private = ROOT_CHAIN, ROOT_CHAIN
+        for k, v in entries:
+            link = link.child(k, v)
+            private = HistoryChain(private, k, v, interned=False)
+        h = History._from_chain(5, link)
+        names = {"h": h, "k": 3, "pickle": pickle,
+                 "same": History._from_chain(5, link),
+                 "other": History._from_chain(5, private)}
+        eval(read, names)  # noqa: S307 - expressions from our own docs
+        assert (h._entries is not None) == (builds == "yes"), (
+            f"`{read}` is documented as builds={builds}")
+        assert h._lookup is None
+
+
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)]*)?\)")
 
 

@@ -78,6 +78,30 @@ def test_watching_ack_reports_current_state_mid_run_and_after():
     assert ack["agreement"] == "ok"
 
 
+@pytest.mark.parametrize("limit", [0, 1, 3, 64])
+def test_watching_ack_tracks_the_bounded_decision_log(limit):
+    """The ack carries value/agreement exactly while the decision is
+    still inside the bounded log — answered from an index that is
+    pruned in step with it, not by scanning the log."""
+    service = _service(instances=8, decision_log_limit=limit)
+    client = service.connect()
+    _run_out(service)
+    client.drain()
+    driver = service.driver
+    logged = {e["instance"]: e for e in driver.snapshot()["recent_decisions"]}
+    assert sorted(logged) == list(range(9 - min(limit, 8), 9))
+    assert driver._decision_index == logged
+    for instance in range(1, 9):
+        client.watch_instance(instance)
+        ack = client.drain()[-1]
+        assert ack["type"] == "watching" and ack["state"] == "decided"
+        if instance in logged:
+            assert ack["value"] == logged[instance]["value"]
+            assert ack["agreement"] == "ok"
+        else:  # fell out of the log: decided, details gone
+            assert "value" not in ack and "agreement" not in ack
+
+
 def test_non_watchers_receive_no_instance_state_events():
     service = _service()
     watcher = service.connect()
