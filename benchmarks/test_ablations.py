@@ -8,7 +8,7 @@ accurate and shows liveness stalls while safety holds (§5 open question
 shows ballots never land — the decoupling argument of §1.1.
 """
 
-from repro.baselines.two_phase_cha import run_two_phase
+import repro
 from repro.contention import LeaderElectionCM
 from repro.core import check_agreement, check_validity, run_cha
 from repro.detectors import CompleteOnlyDetector, EventuallyAccurateDetector
@@ -29,12 +29,16 @@ def a1_run():
     # veto round; leader crashes before instance 2.
     violations_2p = 0
     try:
-        run = run_two_phase(
-            2, 4,
-            adversary=ScriptedAdversary(false_script=[(1, 1)]),
-            detector=EventuallyAccurateDetector(racc=100),
-            crashes=CrashSchedule([Crash(0, 2, CrashPoint.BEFORE_SEND)]),
-        )
+        run = repro.run(repro.ExperimentSpec(
+            protocol=repro.TwoPhaseCHA(),
+            world=repro.ClusterWorld(n=2),
+            environment=repro.EnvironmentSpec(
+                adversary=ScriptedAdversary(false_script=[(1, 1)]),
+                detector=EventuallyAccurateDetector(racc=100),
+                crashes=CrashSchedule([Crash(0, 2, CrashPoint.BEFORE_SEND)]),
+            ),
+            workload=repro.WorkloadSpec(instances=4),
+        )).cha_run
         check_agreement(run.outputs)
     except SpecViolation:
         violations_2p += 1

@@ -24,9 +24,9 @@ A complete Python reproduction of Chockler, Gilbert & Lynch (PODC 2008):
 * :mod:`repro.bench` — the performance layer: seeded benchmark
   scenarios over every protocol family (``python -m repro.bench``
   emits ``BENCH_results.json``), with regression gating against the
-  committed baseline.  The engine's indexed fast path is proven
-  byte-identical to the reference channel by the differential suite;
-  ``REPRO_REFERENCE_CHANNEL=1`` re-runs anything on the slow path.
+  committed baseline.  Every fast path is proven byte-identical to its
+  reference twin by a differential suite; a :class:`Switches` value
+  (:mod:`repro.switches`) re-runs anything on the twins.
 * :mod:`repro.service` — consensus as a service: an asyncio session
   front-end over one live world (``python -m repro.service``), with a
   newline-delimited-JSON wire protocol, per-session backpressure, and
@@ -55,8 +55,8 @@ or, fully declaratively::
     result = repro.run(spec)
     points = repro.sweep(spec, {"world__n": (3, 5, 9)}, workers=4)
 
-The classic entrypoints (:func:`run_cha`, :class:`repro.vi.VIWorld`, the
-baseline runners) remain as thin shims over the same machinery.
+The classic entrypoints (:func:`run_cha`, :class:`repro.vi.VIWorld`)
+remain as thin shims over the same machinery.
 """
 
 from .core import (
@@ -97,6 +97,7 @@ from .experiment import (
     scenario,
     sweep,
 )
+from .switches import Switches
 from .types import BOTTOM, Color
 from . import net, detectors, contention, core, experiment
 # Imported last: these layers sit on top of experiment.
@@ -128,6 +129,7 @@ __all__ = [
     "ROUNDS_PER_INSTANCE",
     "ScenarioBuilder",
     "SweepPoint",
+    "Switches",
     "ThreePhaseCommit",
     "TwoPhaseCHA",
     "VIEmulation",

@@ -148,33 +148,3 @@ class MajorityRSMProcess(Process):
     def decided_count(self) -> int:
         return len(self.decided)
 
-
-def run_majority_rsm(n: int, rounds: int, *, adversary=None, detector=None,
-                     rcf: int = 0, r1: float = 1.0, r2: float = 1.5):
-    """Run a majority-RSM ensemble in the Section 3 single-hop setting.
-
-    Returns ``(simulator, processes)``; node 0 is the leader.  Mirrors
-    :func:`repro.core.runner.run_cha` so experiment E8 can drive both
-    protocols through identical environments.
-
-    Compatibility shim over the declarative experiment API
-    (:class:`~repro.experiment.MajorityRSM` on a cluster world).
-    """
-    from ..core.runner import DEFAULT_R1
-    from ..experiment import (
-        ClusterWorld,
-        EnvironmentSpec,
-        ExperimentSpec,
-        MajorityRSM,
-        WorkloadSpec,
-    )
-    from ..experiment.runner import run as run_experiment
-
-    result = run_experiment(ExperimentSpec(
-        protocol=MajorityRSM(),
-        world=ClusterWorld(n=n, r1=r1, r2=r2, rcf=rcf,
-                           cluster_radius=DEFAULT_R1 / 4),
-        environment=EnvironmentSpec(adversary=adversary, detector=detector),
-        workload=WorkloadSpec(rounds=rounds),
-    ))
-    return result.simulator, result.processes

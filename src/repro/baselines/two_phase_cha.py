@@ -24,6 +24,7 @@ from ..core.ballot import BallotPayload, VetoPayload
 from ..core.cha import ChaCore, _NO_PAYLOADS
 from ..net.messages import MIXED_TAGS, Message
 from ..net.node import Process
+from ..switches import Switches
 from ..types import Instance, Round, Value
 
 #: Rounds per instance for the ablated protocol.
@@ -35,21 +36,15 @@ class TwoPhaseChaProcess(Process):
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  cm_name: str = "C", tag: Any = "2pc-cha",
-                 use_reference_history: bool | None = None,
-                 use_reference_core: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
-        if use_reference_core is None:
-            from ..core.slotted import reference_core_forced
-            use_reference_core = reference_core_forced()
-        self.use_reference_core = use_reference_core
-        if use_reference_core:
-            self.core = ChaCore(propose=propose, tag=tag,
-                                use_reference_history=use_reference_history)
+        switches = Switches.resolve(switches)
+        if switches.core:
+            self.core = ChaCore(propose=propose, tag=tag, switches=switches)
         else:
             from ..core.slotted import SlottedChaCore
             self.core = SlottedChaCore(
-                propose=propose, tag=tag,
-                use_reference_history=use_reference_history,
+                propose=propose, tag=tag, switches=switches,
                 pool_payloads=pool_payloads,
             )
         self.cm_name = cm_name
@@ -118,28 +113,3 @@ class TwoPhaseChaProcess(Process):
     def proposals_made(self):
         return self.core.proposals_made
 
-
-def run_two_phase(n: int, instances: int, *, adversary=None, detector=None,
-                  cm=None, crashes=None, rcf: int = 0):
-    """Two-phase ensemble runner mirroring :func:`repro.core.runner.run_cha`.
-
-    Compatibility shim over the declarative experiment API
-    (:class:`~repro.experiment.TwoPhaseCHA` on a cluster world).
-    """
-    from ..experiment import (
-        ClusterWorld,
-        EnvironmentSpec,
-        ExperimentSpec,
-        TwoPhaseCHA,
-        WorkloadSpec,
-    )
-    from ..experiment.runner import run as run_experiment
-
-    result = run_experiment(ExperimentSpec(
-        protocol=TwoPhaseCHA(),
-        world=ClusterWorld(n=n, rcf=rcf),
-        environment=EnvironmentSpec(adversary=adversary, detector=detector,
-                                    cm=cm, crashes=crashes),
-        workload=WorkloadSpec(instances=instances),
-    ))
-    return result.cha_run

@@ -3,9 +3,9 @@
 Seeded, deterministic benchmark scenarios over every protocol family
 (plain CHA, checkpoint-CHA, two-phase-CHA, the naive and majority RSM
 baselines, and the full virtual-infrastructure emulation) at 50-400
-nodes, a runner that times them on the indexed fast path *and* on the
-reference channel (``REPRO_REFERENCE_CHANNEL``-equivalent), and a
-comparison mode that fails on regressions against a committed baseline.
+nodes, a runner that times them on the fast stack *and* on the full
+reference stack (``Switches.REFERENCE``), and a comparison mode that
+fails on regressions against a committed baseline.
 
 Usage::
 

@@ -8,20 +8,14 @@ break each round's wall time into the *channel* phase, the *history*
 phase (``calculate-history`` folding) and the *protocol + engine*
 remainder.
 
-Reference timings re-run the same scenario on the full reference stack:
-the channel pinned to its all-pairs path, the simulator's caches
-disabled *and* its round loop pinned to the seed per-node engine,
-every protocol core pinned to the seed dict-based core *and* its
-re-walking history fold, and VI emulations pinned to the seed
-per-device phase dispatch — the same five switches
-``REPRO_REFERENCE_CHANNEL=1`` / ``REPRO_REFERENCE_HISTORY=1`` /
-``REPRO_REFERENCE_ENGINE=1`` / ``REPRO_REFERENCE_CORE=1`` /
-``REPRO_REFERENCE_VI=1`` flip globally — giving the machine-independent
+Reference timings re-run the same scenario on the full reference stack
+— :attr:`Switches.REFERENCE <repro.switches.Switches.REFERENCE>`, every
+twin in the axis table at once — giving the machine-independent
 ``speedup_vs_reference`` ratio the regression gate
 (:mod:`repro.bench.compare`) is keyed on.
 
 Scenarios with :attr:`~.scenarios.BenchScenario.serial_baseline` set
-swap that reference trial for the *same* spec pinned to ``shards=1``:
+swap that reference trial for the *same* spec on the default switches:
 their ratio is the sharded engine against its serial twin (mirrored
 into ``extras["speedup_vs_serial"]``), which is machine-*dependent* —
 it needs real cores — so such scenarios ship ungated.
@@ -44,6 +38,7 @@ from typing import Callable, Iterable
 from ..core.history import HISTORY_TIMER
 from ..experiment.runner import run
 from ..experiment.sweep import pool_map
+from ..switches import Switches
 from .scenarios import ALL_SCENARIOS, BenchScenario, LoadScenario, scenario_by_name
 
 #: BENCH_results.json schema version.
@@ -109,24 +104,16 @@ def _time_once(scenario: BenchScenario, *,
                reference: bool) -> tuple[float, int, dict[str, float]]:
     """One trial: returns (wall_s, rounds, phase breakdown)."""
     spec = scenario.make_spec()
-    serial_baseline = scenario.serial_baseline
     if reference:
-        if serial_baseline:
-            # The "reference" trial is the same spec pinned to the
-            # serial engine: speedup_vs_reference becomes sharded vs
-            # serial on an otherwise identical fast-path stack.
-            spec = dataclasses.replace(spec, shards=1)
-        else:
-            spec = dataclasses.replace(spec, use_reference_history=True,
-                                       use_reference_core=True,
-                                       use_reference_vi=True)
+        # For a serial_baseline scenario the "reference" trial is the
+        # same spec on the serial engine: speedup_vs_reference becomes
+        # sharded vs serial on an otherwise identical fast-path stack.
+        spec = dataclasses.replace(
+            spec, switches=(Switches() if scenario.serial_baseline
+                            else Switches.REFERENCE))
     timer_box: list[_ChannelTimer] = []
 
     def instrument(sim) -> None:
-        if reference and not serial_baseline:
-            sim.fast_path = False
-            sim.channel.use_reference = True
-            sim.use_reference_engine = True
         timer = _ChannelTimer(sim.channel)
         sim.channel = timer
         timer_box.append(timer)
@@ -217,7 +204,7 @@ def run_scenario(scenario: BenchScenario | LoadScenario, *, repeats: int = 3,
         phases=phases,
     )
     if scenario.serial_baseline:
-        result.extras["shards"] = scenario.make_spec().shards
+        result.extras["shards"] = scenario.make_spec().switches.shards
     if reference:
         label = ("serial engine" if scenario.serial_baseline
                  else "reference path")

@@ -16,20 +16,9 @@ from .checkpoint import (
     CheckpointChaCore,
     CheckpointOutput,
 )
-from .history import (
-    EMPTY_HISTORY,
-    HISTORY_TIMER,
-    History,
-    HistoryChain,
-    reference_history_forced,
-)
+from .history import EMPTY_HISTORY, HISTORY_TIMER, History, HistoryChain
 from .runner import ChaRun, cluster_positions, default_proposer, run_cha
-from .slotted import (
-    REFERENCE_CORE_ENV,
-    SlottedChaCore,
-    SlottedCheckpointChaCore,
-    reference_core_forced,
-)
+from .slotted import SlottedChaCore, SlottedCheckpointChaCore
 from .spec import (
     check_agreement,
     check_all,
@@ -54,7 +43,6 @@ __all__ = [
     "PHASE_BALLOT",
     "PHASE_VETO1",
     "PHASE_VETO2",
-    "REFERENCE_CORE_ENV",
     "ROUNDS_PER_INSTANCE",
     "SlottedChaCore",
     "SlottedCheckpointChaCore",
@@ -62,8 +50,6 @@ __all__ = [
     "calculate_history",
     "calculate_history_reference",
     "canonical_key",
-    "reference_core_forced",
-    "reference_history_forced",
     "check_agreement",
     "check_all",
     "check_liveness",

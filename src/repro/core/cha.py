@@ -34,6 +34,7 @@ from typing import Any, Callable, Iterable, Mapping
 from ..errors import ProtocolError
 from ..net.messages import MIXED_TAGS, Message
 from ..net.node import Process
+from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Round, Sentinel, Value
 from .ballot import Ballot, BallotPayload, VetoPayload
 from .history import (
@@ -41,7 +42,6 @@ from .history import (
     History,
     HistoryChain,
     ROOT_CHAIN,
-    reference_history_forced,
 )
 
 #: Rounds per CHA instance in the canonical schedule (Theorem 14's constant).
@@ -105,14 +105,13 @@ class ChaCore:
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  tag: Any = "cha",
-                 use_reference_history: bool | None = None) -> None:
+                 switches: Switches | None = None) -> None:
         self._propose = propose
         self.tag = tag
-        if use_reference_history is None:
-            use_reference_history = reference_history_forced()
+        switches = Switches.resolve(switches)
         #: Pin this core to the seed re-walking fold (the incremental
         #: chain engine is the default).
-        self.use_reference_history = use_reference_history
+        self.reference_history = switches.history
         self.k: Instance = NO_INSTANCE
         self.prev_instance: Instance = NO_INSTANCE
         self.status: dict[Instance, Color] = {}
@@ -270,7 +269,7 @@ class ChaCore:
             timer.calls += 1
 
     def _compute_history(self) -> History:
-        if self.use_reference_history:
+        if self.reference_history:
             return calculate_history_reference(
                 self.k, self.prev_instance, self.ballots)
         return History._from_chain(
@@ -371,23 +370,18 @@ class CHAProcess(Process):
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: Round = 0,
                  on_output: Callable[[Instance, History | None], None] | None = None,
-                 use_reference_history: bool | None = None,
-                 use_reference_core: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
-        if use_reference_core is None:
-            from .slotted import reference_core_forced
-            use_reference_core = reference_core_forced()
-        #: Pin this process to the seed dict-based core (the slotted
-        #: array core is the default).
-        self.use_reference_core = use_reference_core
-        if use_reference_core:
-            self.core = ChaCore(propose=propose, tag=tag,
-                                use_reference_history=use_reference_history)
+        switches = Switches.resolve(switches)
+        #: ``core`` picks the seed dict-based core over the slotted array
+        #: core; the value travels on to the core for its ``history``.
+        self.switches = switches
+        if switches.core:
+            self.core = ChaCore(propose=propose, tag=tag, switches=switches)
         else:
             from .slotted import SlottedChaCore
             self.core = SlottedChaCore(
-                propose=propose, tag=tag,
-                use_reference_history=use_reference_history,
+                propose=propose, tag=tag, switches=switches,
                 pool_payloads=pool_payloads,
             )
         self.cm_name = cm_name

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Value
 from .cha import CHAProcess, ChaCore
 from .history import History
@@ -54,9 +55,8 @@ class CheckpointChaCore(ChaCore):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  reducer: Reducer, initial_state: Any,
                  tag: Any = "cha",
-                 use_reference_history: bool | None = None) -> None:
-        super().__init__(propose=propose, tag=tag,
-                         use_reference_history=use_reference_history)
+                 switches: Switches | None = None) -> None:
+        super().__init__(propose=propose, tag=tag, switches=switches)
         self._reducer = reducer
         self.checkpoint_instance: Instance = NO_INSTANCE
         self.checkpoint_state: Any = initial_state
@@ -179,7 +179,7 @@ class CheckpointChaCore(ChaCore):
         the retained suffix and reports bottom below the checkpoint (the
         folded prefix lives in ``checkpoint_state``).
         """
-        if self.use_reference_history:
+        if self.reference_history:
             entries: dict[Instance, Value] = {}
             k = self.k
             prev = self.prev_instance
@@ -207,26 +207,22 @@ class CheckpointCHAProcess(CHAProcess):
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: int = 0,
                  on_output: Callable[[Instance, History | None], None] | None = None,
-                 use_reference_history: bool | None = None,
-                 use_reference_core: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
         super().__init__(propose=propose, cm_name=cm_name, tag=tag,
                          start_round=start_round, on_output=on_output,
-                         use_reference_history=use_reference_history,
-                         use_reference_core=use_reference_core,
-                         pool_payloads=pool_payloads)
-        if self.use_reference_core:
+                         switches=switches, pool_payloads=pool_payloads)
+        switches = self.switches
+        if switches.core:
             self.core = CheckpointChaCore(
                 propose=propose, reducer=reducer,
-                initial_state=initial_state, tag=tag,
-                use_reference_history=use_reference_history,
+                initial_state=initial_state, tag=tag, switches=switches,
             )
         else:
             from .slotted import SlottedCheckpointChaCore
             self.core = SlottedCheckpointChaCore(
                 propose=propose, reducer=reducer,
-                initial_state=initial_state, tag=tag,
-                use_reference_history=use_reference_history,
+                initial_state=initial_state, tag=tag, switches=switches,
                 pool_payloads=pool_payloads,
             )
 

@@ -32,30 +32,19 @@ only when something asks for a history's whole contents (``items``,
 link that was asked.  ``docs/ARCHITECTURE.md`` tabulates what each read
 costs.
 
-Set ``REPRO_REFERENCE_HISTORY=1`` in the environment (or pass
-``use_reference_history=True`` to the cores / the experiment spec) to pin
-every protocol core to the seed fold; the differential suite
+The ``history`` axis of :class:`~repro.switches.Switches`
+(``REPRO_REFERENCE_HISTORY=1`` in the environment) pins every protocol
+core to the seed fold; the differential suite
 (``tests/core/test_history_differential.py``) asserts both engines are
 byte-identical end to end.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import Iterator, Mapping
 
 from ..types import BOTTOM, Instance, Value
-
-#: Environment switch: any value except ``""``/``"0"`` pins every newly
-#: constructed protocol core to the reference (re-walking) history fold.
-REFERENCE_HISTORY_ENV = "REPRO_REFERENCE_HISTORY"
-
-
-def reference_history_forced() -> bool:
-    """Whether the environment pins cores to the reference history fold."""
-    return os.environ.get(REFERENCE_HISTORY_ENV, "0") not in ("", "0")
-
 
 class HistoryTimer:
     """Opt-in accumulator for wall time spent computing histories.

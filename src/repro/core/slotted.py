@@ -21,11 +21,10 @@ the same observable protocol behaviour in flat storage:
   no trace; the experiment runner enables it exactly for
   ``keep_trace=False`` cluster runs.
 
-The dict-based cores remain the executable specification behind
-``REPRO_REFERENCE_CORE=1`` / ``ExperimentSpec.use_reference_core`` /
-``use_reference_core=`` ctor args — the fourth reference switch
-alongside the channel, history and engine switches — and the
-differential suite pins the two byte-identical.
+The dict-based cores remain the executable specification behind the
+``core`` axis of :class:`~repro.switches.Switches`
+(``REPRO_REFERENCE_CORE=1``), and the differential suite pins the two
+byte-identical.
 
 ``status`` and ``ballots`` stay available as live, writable
 dict-style views (tests and glass-box checkers mutate protocol state
@@ -34,12 +33,12 @@ through them); only the hot paths bypass the views.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import MutableMapping
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import ProtocolError
+from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Sentinel, Value
 from .ballot import Ballot, BallotPayload, VetoPayload
 from .cha import calculate_history_reference
@@ -49,19 +48,7 @@ from .history import (
     History,
     HistoryChain,
     ROOT_CHAIN,
-    reference_history_forced,
 )
-
-#: Environment switch pinning every CHA-family process to the dict-based
-#: reference core (mirrors ``REPRO_REFERENCE_CHANNEL``/``_HISTORY``/
-#: ``_ENGINE``).
-REFERENCE_CORE_ENV = "REPRO_REFERENCE_CORE"
-
-
-def reference_core_forced() -> bool:
-    """True when the environment pins the dict-based reference core."""
-    return os.environ.get(REFERENCE_CORE_ENV, "0") not in ("", "0")
-
 
 #: Absent-colour sentinel in the status array (colours are 0..3).
 _NO_STATUS = -1
@@ -193,7 +180,7 @@ class SlottedChaCore:
     """
 
     __slots__ = (
-        "_propose", "tag", "use_reference_history", "pool_payloads",
+        "_propose", "tag", "reference_history", "pool_payloads",
         "k", "prev_instance", "proposals_made", "outputs",
         "_status_arr", "_ballot_vals", "_ballot_prevs", "_ballot_objs",
         "_fold_cache", "_status_count", "_ballot_count",
@@ -203,13 +190,12 @@ class SlottedChaCore:
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  tag: Any = "cha",
-                 use_reference_history: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
         self._propose = propose
         self.tag = tag
-        if use_reference_history is None:
-            use_reference_history = reference_history_forced()
-        self.use_reference_history = use_reference_history
+        switches = Switches.resolve(switches)
+        self.reference_history = switches.history
         #: Reuse one BallotPayload/Ballot and one VetoPayload per phase
         #: across rounds.  Only safe when no trace retains wire objects.
         self.pool_payloads = pool_payloads
@@ -485,7 +471,7 @@ class SlottedChaCore:
             # Inline fast path for the dominant green case: skip the
             # current_history/_compute_history frames when neither the
             # timer nor the reference fold is armed.
-            if HISTORY_TIMER.enabled or self.use_reference_history:
+            if HISTORY_TIMER.enabled or self.reference_history:
                 output = self.current_history()
             else:
                 output = History._from_chain(
@@ -530,7 +516,7 @@ class SlottedChaCore:
             timer.calls += 1
 
     def _compute_history(self) -> History:
-        if self.use_reference_history:
+        if self.reference_history:
             return calculate_history_reference(
                 self.k, self.prev_instance, self._ballot_view)
         return History._from_chain(
@@ -673,10 +659,9 @@ class SlottedCheckpointChaCore(SlottedChaCore):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  reducer: Reducer, initial_state: Any,
                  tag: Any = "cha",
-                 use_reference_history: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
-        super().__init__(propose=propose, tag=tag,
-                         use_reference_history=use_reference_history,
+        super().__init__(propose=propose, tag=tag, switches=switches,
                          pool_payloads=pool_payloads)
         self._reducer = reducer
         self.checkpoint_instance: Instance = NO_INSTANCE
@@ -779,7 +764,7 @@ class SlottedCheckpointChaCore(SlottedChaCore):
 
     def _compute_history(self) -> History:
         """Chain reconstruction that stops at the checkpoint anchor."""
-        if self.use_reference_history:
+        if self.reference_history:
             entries: dict[Instance, Value] = {}
             k = self.k
             prev = self.prev_instance

@@ -22,8 +22,9 @@ from bisect import bisect_right
 from typing import Mapping, Sequence
 
 from ..errors import SpecViolation
+from ..switches import Switches
 from ..types import BOTTOM, Instance, NodeId, Value
-from .history import History, HistoryChain, reference_history_forced
+from .history import History, HistoryChain
 
 #: The per-node output sequence type: (instance, History or BOTTOM) pairs.
 OutputLog = Sequence[tuple[Instance, History | None]]
@@ -71,7 +72,7 @@ def check_validity(outputs: Mapping[NodeId, OutputLog],
 
 def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
                     exhaustive: bool = False,
-                    use_reference: bool | None = None) -> None:
+                    switches: Switches | None = None) -> None:
     """Raise :class:`SpecViolation` on any common-prefix disagreement.
 
     The default check compares every history against a maximal-instance
@@ -81,10 +82,10 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
     ``exhaustive=True`` performs the O(m²) pairwise comparison (useful in
     unit tests of the checker itself).
 
-    ``use_reference`` (default: the ``REPRO_REFERENCE_HISTORY``
-    environment switch) pins the agreement relation to the seed
-    prefix-rebuild derivation instead of the chain-identity short
-    circuit — the two are pinned together by the differential suite.
+    The ``history`` axis of ``switches`` (default: the environment's)
+    pins the agreement relation to the seed prefix-rebuild derivation
+    instead of the chain-identity short circuit — the two are pinned
+    together by the differential suite.
 
     The witness comparison walks the witness's spine once, down to the
     shortest history's length, and places every history on it by
@@ -92,9 +93,8 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
     there agrees.  Identity is only a positive witness, so anything else
     falls back to :meth:`History.agrees_with`.
     """
-    if use_reference is None:
-        use_reference = reference_history_forced()
-    agrees = (History.agrees_with_reference if use_reference
+    reference = Switches.resolve(switches).history
+    agrees = (History.agrees_with_reference if reference
               else History.agrees_with)
     histories: list[tuple[NodeId, Instance, History]] = []
     for node, log in outputs.items():
@@ -134,7 +134,7 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
         return
 
     witness = max(histories, key=lambda item: item[1])
-    if not use_reference:
+    if not reference:
         # Every k below is that history's length: at most the witness's,
         # and at least its own chain's anchor.
         shortest = min(k for _, k, _ in histories)

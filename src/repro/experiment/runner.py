@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 from ..analysis.invariants import GLASS_BOX_CHECKERS
 from ..baselines.majority_rsm import MajorityRSMProcess
@@ -39,7 +40,8 @@ from ..core.spec import check_agreement, check_liveness, check_validity
 from ..detectors import EventuallyAccurateDetector
 from ..errors import ConfigurationError, SimulationError, SpecViolation
 from ..net import RadioSpec, Simulator
-from ..net.shard import ShardedSimulator, shards_forced
+from ..net.shard import ShardedSimulator
+from ..switches import Switches
 from ..types import BOTTOM, NodeId
 from ..vi.world import VIWorld
 from .observers import WireStatsObserver
@@ -63,6 +65,9 @@ class _RunContext:
     """Everything metric/invariant extractors may consult."""
 
     spec: ExperimentSpec
+    #: The stepper's resolved switches (never re-read from the
+    #: environment after the world was built).
+    switches: Switches
     rounds_run: int = 0
     wire: WireStatsObserver | None = None
     sim: Simulator | None = None
@@ -189,8 +194,7 @@ def _inv_validity(ctx: _RunContext) -> None:
 
 
 def _inv_agreement(ctx: _RunContext) -> None:
-    check_agreement(ctx.cha_run.outputs,
-                    use_reference=ctx.spec.use_reference_history)
+    check_agreement(ctx.cha_run.outputs, switches=ctx.switches)
 
 
 def _inv_liveness(ctx: _RunContext) -> None:
@@ -386,6 +390,11 @@ class ExperimentStepper:
             from ..faults.compile import apply_faults
 
             spec = apply_faults(spec)
+        #: The reference switches of this execution, resolved here once
+        #: (whole-value precedence: the spec's, else the environment's)
+        #: and handed down to every layer; never written back into the
+        #: spec, so ``result.spec`` stays independent of the environment.
+        self.switches = Switches.resolve(spec.switches)
         # One execution = one chain-interning generation: a prior run's
         # uncollected chains must never satisfy this run's interning
         # probes (see core.history.new_chain_generation).  The stepper
@@ -401,11 +410,12 @@ class ExperimentStepper:
         started = time.perf_counter()
         protocol = spec.protocol
         if isinstance(protocol, ThreePhaseCommit):
-            self._exec: _Execution = _ThreePhaseExecution(spec, instrument)
+            build = _ThreePhaseExecution
         elif isinstance(protocol, VIEmulation):
-            self._exec = _EmulationExecution(spec, instrument)
+            build = _EmulationExecution
         else:
-            self._exec = _ClusterExecution(spec, instrument)
+            build = _ClusterExecution
+        self._exec: _Execution = build(spec, self.switches, instrument)
         self._active_s += time.perf_counter() - started
         self.spec = spec
 
@@ -434,7 +444,7 @@ class ExperimentStepper:
         return self._exec.simulator
 
     @property
-    def processes(self) -> dict[NodeId, Any]:
+    def processes(self) -> Mapping[NodeId, Any]:
         """The live per-node processes (empty for the comparator)."""
         return self._exec.processes
 
@@ -496,7 +506,9 @@ class _Execution:
     total_ticks: int
     ticks_run: int = 0
     simulator: Simulator | None = None
-    processes: dict[NodeId, Any] = {}
+    #: Read-only: a class-level default is shared by every execution
+    #: that never assigns its own (the off-channel comparator).
+    processes: Mapping[NodeId, Any] = MappingProxyType({})
 
     def step(self, ticks: int) -> int:
         raise NotImplementedError
@@ -506,9 +518,10 @@ class _Execution:
 
 
 class _ClusterExecution(_Execution):
-    def __init__(self, spec: ExperimentSpec,
+    def __init__(self, spec: ExperimentSpec, switches: Switches,
                  instrument: Instrument | None = None) -> None:
         self.spec = spec
+        self.switches = switches
         world: ClusterWorld = spec.world
         env = spec.environment
         protocol = spec.protocol
@@ -521,7 +534,7 @@ class _ClusterExecution(_Execution):
                  else LeaderElectionCM(stable_round=0)},
             crashes=env.crashes,
             record_trace=spec.keep_trace,
-            use_reference_engine=spec.use_reference_engine,
+            switches=switches,
         )
         wire = WireStatsObserver()
         sim.add_observer(wire)
@@ -531,8 +544,6 @@ class _ClusterExecution(_Execution):
         positions = cluster_positions(world.n, radius=radius)
         proposer_factory = getattr(protocol, "proposer_factory", None) or default_proposer
 
-        reference_history = spec.use_reference_history
-        reference_core = spec.use_reference_core
         # Wire-payload pooling is only safe when nothing retains wire
         # objects across rounds; dropping the trace is exactly that
         # promise (see repro.core.slotted).  The reference core ignores
@@ -542,15 +553,13 @@ class _ClusterExecution(_Execution):
         for node_id, position in enumerate(positions):
             if isinstance(protocol, CHA):
                 if protocol.process_factory is not None:
-                    # Custom factories keep their seed signature; the spec
-                    # switch only drives the built-in process classes.
+                    # Custom factories keep their seed signature; the
+                    # switches only drive the built-in process classes.
                     proc = protocol.process_factory(
                         propose=proposer_factory(node_id), cm_name="C")
                 else:
                     proc = CHAProcess(propose=proposer_factory(node_id),
-                                      cm_name="C",
-                                      use_reference_history=reference_history,
-                                      use_reference_core=reference_core,
+                                      cm_name="C", switches=switches,
                                       pool_payloads=pool_payloads)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, CheckpointCHA):
@@ -558,23 +567,18 @@ class _ClusterExecution(_Execution):
                     propose=proposer_factory(node_id),
                     reducer=protocol.reducer,
                     initial_state=protocol.initial_state,
-                    cm_name="C",
-                    use_reference_history=reference_history,
-                    use_reference_core=reference_core,
+                    cm_name="C", switches=switches,
                     pool_payloads=pool_payloads,
                 )
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, NaiveRSM):
                 proc = NaiveRSMProcess(propose=proposer_factory(node_id),
-                                       cm_name="C",
-                                       use_reference_history=reference_history,
-                                       use_reference_core=reference_core,
+                                       cm_name="C", switches=switches,
                                        pool_payloads=pool_payloads)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, TwoPhaseCHA):
                 proc = TwoPhaseChaProcess(propose=proposer_factory(node_id),
-                                          use_reference_history=reference_history,
-                                          use_reference_core=reference_core,
+                                          switches=switches,
                                           pool_payloads=pool_payloads)
                 rpi = TWO_PHASE_ROUNDS
             elif isinstance(protocol, MajorityRSM):
@@ -601,12 +605,10 @@ class _ClusterExecution(_Execution):
         self.wire = wire
         self.rpi = rpi
         self.total_ticks = rounds
-        # The fifth reference-style switch: spec.shards, or REPRO_SHARDS
-        # when the spec leaves it open.  Workers fork lazily on the
-        # first step, so the instrument hook above is inherited.
-        shards = spec.shards if spec.shards is not None else shards_forced()
+        # Workers fork lazily on the first step, so the instrument hook
+        # above is inherited.
         self.shard: ShardedSimulator | None = None
-        if shards is not None and shards > 1:
+        if switches.shards > 1:
             if isinstance(protocol, MajorityRSM) or (
                     isinstance(protocol, CHA)
                     and protocol.process_factory is not None):
@@ -616,8 +618,7 @@ class _ClusterExecution(_Execution):
                     "two-phase-cha); majority-rsm and custom process "
                     "factories run serially"
                 )
-            self.shard = ShardedSimulator(sim, shards,
-                                          plan_positions=positions)
+            self.shard = ShardedSimulator(sim, plan_positions=positions)
 
     def step(self, ticks: int) -> int:
         ran = min(ticks, self.total_ticks - self.ticks_run)
@@ -635,7 +636,8 @@ class _ClusterExecution(_Execution):
         spec, sim, processes = self.spec, self.simulator, self.processes
         protocol, rounds = spec.protocol, self.total_ticks
         trace = sim.trace
-        ctx = _RunContext(spec=spec, rounds_run=rounds, wire=self.wire,
+        ctx = _RunContext(spec=spec, switches=self.switches,
+                          rounds_run=rounds, wire=self.wire,
                           sim=sim, processes=processes)
         cha_run = None
         outputs = proposals = None
@@ -658,9 +660,10 @@ class _ClusterExecution(_Execution):
 
 
 class _EmulationExecution(_Execution):
-    def __init__(self, spec: ExperimentSpec,
+    def __init__(self, spec: ExperimentSpec, switches: Switches,
                  instrument: Instrument | None = None) -> None:
         self.spec = spec
+        self.switches = switches
         world_spec: DeployedWorld = spec.world
         protocol: VIEmulation = spec.protocol
         env = spec.environment
@@ -672,10 +675,7 @@ class _EmulationExecution(_Execution):
             cm_stable_round=world_spec.cm_stable_round,
             min_schedule_length=world_spec.min_schedule_length,
             schedule=world_spec.schedule,
-            use_reference_history=spec.use_reference_history,
-            use_reference_engine=spec.use_reference_engine,
-            use_reference_core=spec.use_reference_core,
-            use_reference_vi=spec.use_reference_vi,
+            switches=switches,
             # Pooled wire payloads are only safe when nothing retains
             # the broadcast objects across rounds (mirrors the cluster
             # executor's gate).
@@ -719,7 +719,8 @@ class _EmulationExecution(_Execution):
         spec, world = self.spec, self.world
         # Device membership can grow mid-run (joins); re-read it here.
         self.processes = dict(world.devices)
-        ctx = _RunContext(spec=spec, rounds_run=world.sim.current_round,
+        ctx = _RunContext(spec=spec, switches=self.switches,
+                          rounds_run=world.sim.current_round,
                           wire=self.wire, sim=world.sim, world=world,
                           processes=dict(world.devices))
         metrics, verdicts, contexts = _extract(ctx)
@@ -737,7 +738,7 @@ class _ThreePhaseExecution(_Execution):
     #: The whole off-channel transaction is one tick.
     total_ticks = 1
 
-    def __init__(self, spec: ExperimentSpec,
+    def __init__(self, spec: ExperimentSpec, switches: Switches,
                  instrument: Instrument | None = None) -> None:
         if instrument is not None:
             raise ConfigurationError(
@@ -745,6 +746,7 @@ class _ThreePhaseExecution(_Execution):
                 "simulator to instrument"
             )
         self.spec = spec
+        self.switches = switches
         protocol: ThreePhaseCommit = spec.protocol
         self.participants = [
             Participant(pid=i, vote_yes=vote)
@@ -766,7 +768,8 @@ class _ThreePhaseExecution(_Execution):
 
     def finalize(self) -> ExperimentResult:
         spec = self.spec
-        ctx = _RunContext(spec=spec, decision=self.decision,
+        ctx = _RunContext(spec=spec, switches=self.switches,
+                          decision=self.decision,
                           participants=self.participants,
                           txn_log=tuple(self.txn.log))
         metrics, verdicts, contexts = _extract(ctx)

@@ -31,6 +31,7 @@ from ..detectors import CollisionDetector
 from ..errors import ConfigurationError
 from ..geometry import Point
 from ..net import Adversary, CrashSchedule, MobilityModel
+from ..switches import Switches
 from ..types import Instance, NodeId, Round, Value
 from ..vi.client import ClientProgram
 from ..vi.program import VNProgram
@@ -236,48 +237,18 @@ class ExperimentSpec:
     #: Retain the full :class:`~repro.net.trace.Trace`?  Sweeps switch
     #: this off: every registry metric is computed online via observers.
     keep_trace: bool = True
-    #: Pin every protocol core (and the agreement checker) of this run to
-    #: the seed re-walking history fold instead of the incremental
-    #: :class:`~repro.core.history.HistoryChain` engine.  ``None`` defers
-    #: to the ``REPRO_REFERENCE_HISTORY`` environment switch at core
-    #: construction time, mirroring ``REPRO_REFERENCE_CHANNEL``.
-    use_reference_history: bool | None = None
-    #: Pin this run's simulator to the seed per-node round loop instead
-    #: of the batched dispatch engine.  ``None`` defers to the
-    #: ``REPRO_REFERENCE_ENGINE`` environment switch at simulator
-    #: construction time.
-    use_reference_engine: bool | None = None
-    #: Pin every CHA-family process of this run to the seed dict-based
-    #: protocol core instead of the slotted array core
-    #: (:mod:`repro.core.slotted`).  ``None`` defers to the
-    #: ``REPRO_REFERENCE_CORE`` environment switch at process
-    #: construction time — the fourth reference switch alongside the
-    #: channel, history and engine axes.
-    use_reference_core: bool | None = None
-    #: Pin this run's VI emulation (deployed worlds) to the seed
-    #: per-device dispatch — one full ``Simulator.step`` per real round —
-    #: instead of the phase-table engine (:mod:`repro.vi.engine`).
-    #: ``None`` defers to the ``REPRO_REFERENCE_VI`` environment switch
-    #: at world construction time — the sixth reference switch alongside
-    #: the channel, history, engine, core and shard axes.
-    use_reference_vi: bool | None = None
-    #: Run this experiment's round engine sharded across that many worker
-    #: processes (:mod:`repro.net.shard`), each owning a contiguous strip
-    #: of grid-cell columns and exchanging only boundary-cell payloads.
-    #: ``None`` defers to the ``REPRO_SHARDS`` environment switch — the
-    #: fifth reference-style axis; ``1`` pins the run serial.  Cluster
-    #: worlds with the built-in CHA-family protocols only.
-    shards: int | None = None
+    #: The reference switches of this run, as one value (see
+    #: :mod:`repro.switches`).  ``None`` defers, whole, to
+    #: :meth:`Switches.from_env`; a value given here ignores the
+    #: environment.  Resolved once by the stepper and never written back,
+    #: so specs and results stay independent of the environment.
+    switches: Switches | None = None
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on inconsistent combinations."""
         protocol, world, workload = self.protocol, self.world, self.workload
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.shards is not None and self.shards > 1 and not isinstance(
-                world, ClusterWorld):
+        if (self.switches is not None and self.switches.shards > 1
+                and not isinstance(world, ClusterWorld)):
             raise ConfigurationError(
                 "sharded execution (shards > 1) currently covers cluster "
                 "worlds only"

@@ -11,13 +11,7 @@ from .adversary import (
     TargetedDropAdversary,
     WindowAdversary,
 )
-from .channel import (
-    Channel,
-    RadioSpec,
-    Reception,
-    REFERENCE_CHANNEL_ENV,
-    reference_channel_forced,
-)
+from .channel import Channel, RadioSpec, Reception
 from .index import SpatialGridIndex
 from .location import LocationService
 from .messages import MIXED_TAGS, Message, RoundBatch, wire_size
@@ -30,12 +24,7 @@ from .mobility import (
     WaypointMobility,
 )
 from .node import Crash, CrashPoint, CrashSchedule, Process
-from .simulator import (
-    REFERENCE_ENGINE_ENV,
-    RoundObserver,
-    Simulator,
-    reference_engine_forced,
-)
+from .simulator import RoundObserver, Simulator
 from .trace import RoundRecord, Trace, canonical_dump
 
 __all__ = [
@@ -56,8 +45,6 @@ __all__ = [
     "PartitionAdversary",
     "Process",
     "RadioSpec",
-    "REFERENCE_CHANNEL_ENV",
-    "REFERENCE_ENGINE_ENV",
     "RandomLossAdversary",
     "RandomWaypointMobility",
     "Reception",
@@ -67,8 +54,6 @@ __all__ = [
     "ScriptedAdversary",
     "Simulator",
     "SpatialGridIndex",
-    "reference_channel_forced",
-    "reference_engine_forced",
     "StaticMobility",
     "TargetedDropAdversary",
     "Trace",

@@ -34,33 +34,23 @@ Two implementations of the reception rule coexist:
 The two paths are guaranteed to produce *identical* reception maps — the
 randomized differential suite (``tests/net/test_differential.py``)
 asserts equality over geometries, radii, adversaries, and mobility, and
-byte-identical trace pickles end to end.  Set ``REPRO_REFERENCE_CHANNEL=1``
-in the environment (or pass ``use_reference=True``) to re-run anything on
-the reference path when debugging.
+byte-identical trace pickles end to end.  The ``channel`` axis of
+:class:`~repro.switches.Switches` (``REPRO_REFERENCE_CHANNEL=1`` in the
+environment) re-runs anything on the reference path when debugging.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import ConfigurationError
 from ..geometry import Point
+from ..switches import Switches
 from ..types import NodeId, Round
 from .adversary import Adversary, NoAdversary
 from .index import SpatialGridIndex
 from .messages import Message
-
-#: Environment switch: any value except ``""``/``"0"`` forces every newly
-#: constructed channel onto the reference (all-pairs) delivery path.
-REFERENCE_CHANNEL_ENV = "REPRO_REFERENCE_CHANNEL"
-
-
-def reference_channel_forced() -> bool:
-    """Whether the environment pins channels to the reference path."""
-    return os.environ.get(REFERENCE_CHANNEL_ENV, "0") not in ("", "0")
-
 
 @dataclass(frozen=True, slots=True)
 class Reception:
@@ -108,12 +98,11 @@ class Channel:
     """Computes per-receiver deliveries for one synchronous round."""
 
     def __init__(self, spec: RadioSpec, adversary: Adversary | None = None,
-                 *, use_reference: bool | None = None) -> None:
+                 *, switches: Switches | None = None) -> None:
         self.spec = spec
         self.adversary = adversary if adversary is not None else NoAdversary()
-        if use_reference is None:
-            use_reference = reference_channel_forced()
-        self.use_reference = use_reference
+        switches = Switches.resolve(switches)
+        self._reference = switches.channel
         self._index = SpatialGridIndex(cell_size=spec.r2)
         self._index_synced = False
         #: Preallocated per-round scratch for the indexed path.  The
@@ -125,28 +114,19 @@ class Channel:
 
     def deliver(self, r: Round,
                 positions: Mapping[NodeId, Point],
-                broadcasts: Mapping[NodeId, Message],
-                *, positions_unchanged: bool = False) -> dict[NodeId, Reception]:
+                broadcasts: Mapping[NodeId, Message]) -> dict[NodeId, Reception]:
         """Resolve one round of the channel.
 
         ``positions`` covers every *alive* node (listeners and
         broadcasters); ``broadcasts`` maps broadcasting node ids to their
         messages.  Returns a :class:`Reception` for every node in
         ``positions``.
-
-        ``positions_unchanged`` is a caller promise that ``positions`` is
-        element-for-element identical to the previous ``deliver`` call on
-        this channel, letting the fast path skip re-synchronising its
-        spatial index (the simulator asserts this from its own caches).
         """
         senders = sorted(broadcasts)
         for s in senders:
             if s not in positions:
                 raise ConfigurationError(f"broadcaster {s} has no position")
-        if self.use_reference:
-            return self._deliver_reference(r, positions, broadcasts, senders)
-        return self._deliver_indexed(r, positions, broadcasts, senders,
-                                     positions_unchanged)
+        return self.deliver_batch(r, positions, broadcasts, senders)
 
     def deliver_batch(self, r: Round,
                       positions: Mapping[NodeId, Point],
@@ -161,8 +141,13 @@ class Channel:
         per-sender position check of :meth:`deliver` are skipped — the
         simulator guarantees every sender is positioned.  Semantics are
         otherwise identical, including the reference-path switch.
+
+        ``positions_unchanged`` is a caller promise that ``positions`` is
+        element-for-element identical to the previous call on this
+        channel, letting the indexed path skip re-synchronising its
+        spatial index (the batched engine asserts this from its caches).
         """
-        if self.use_reference:
+        if self._reference:
             return self._deliver_reference(r, positions, broadcasts, senders)
         return self._deliver_indexed(r, positions, broadcasts, senders,
                                      positions_unchanged)

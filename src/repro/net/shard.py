@@ -70,7 +70,6 @@ equal.
 from __future__ import annotations
 
 import io
-import os
 import pickle
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -86,29 +85,6 @@ from .messages import Message, RoundBatch
 from .mobility import MobilityModel
 from .simulator import Simulator
 from .trace import RoundRecord
-
-#: Environment switch: an integer > 1 runs every experiment-runner
-#: cluster execution sharded across that many worker processes (the
-#: fifth reference-style switch, alongside ``REPRO_REFERENCE_CHANNEL``
-#: / ``_HISTORY`` / ``_ENGINE`` / ``_CORE``).
-SHARDS_ENV = "REPRO_SHARDS"
-
-
-def shards_forced() -> int | None:
-    """The shard count pinned by the environment, if any."""
-    raw = os.environ.get(SHARDS_ENV, "")
-    if raw in ("", "0"):
-        return None
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SHARDS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if shards < 1:
-        raise ConfigurationError(f"{SHARDS_ENV} must be >= 1, got {shards}")
-    return shards
-
 
 # ----------------------------------------------------------------------
 # Strip planning
@@ -435,7 +411,7 @@ def _worker_loop(shard: "ShardedSimulator", strip: int, conn) -> None:
 
         # -- contention (residents only; advice is global) --------------
         crashes = sim.crashes
-        no_crashes = sim.fast_path and not len(crashes)
+        no_crashes = not len(crashes)
         contend_fns = sim._contend_fns
         contenders: dict[str, list[NodeId]] = {}
         for node in residents:
@@ -497,8 +473,7 @@ def _worker_loop(shard: "ShardedSimulator", strip: int, conn) -> None:
 
         # -- detect & deliver (residents) --------------------------------
         flags: dict[NodeId, bool] = {}
-        fast_detect = (sim.fast_path
-                       and type(detector) is EventuallyAccurateDetector
+        fast_detect = (type(detector) is EventuallyAccurateDetector
                        and r >= detector.racc)
         indicate = detector.indicate
         batch = RoundBatch(all_broadcasts)
@@ -539,19 +514,18 @@ def _worker_loop(shard: "ShardedSimulator", strip: int, conn) -> None:
 class ShardedSimulator:
     """Drives a :class:`Simulator` across forked strip workers.
 
-    Wraps an already-configured simulator; undeclared attributes
+    Wraps an already-configured simulator and splits it into
+    ``sim.switches.shards`` strips; undeclared attributes
     (``current_round``, ``alive``, ``trace``, ...) pass through, so the
     facade is a drop-in for the serial engine wherever the experiment
     runner steps one.  Workers fork lazily on the first :meth:`step`, so
     instrumentation applied after construction is inherited.
     """
 
-    def __init__(self, sim: Simulator, shards: int, *,
+    def __init__(self, sim: Simulator, *,
                  plan_positions: Sequence[Point] | None = None) -> None:
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
         self.sim = sim
-        self.shards = shards
+        self.shards = sim.switches.shards
         self._plan_positions = plan_positions
         self._plan: ShardPlan | None = None
         self._workers: list[Any] | None = None
@@ -753,10 +727,8 @@ class ShardedSimulator:
             advice: dict[str, frozenset[NodeId]] | None = None
         else:
             # The serial engine's bookkeeping for the position block.
-            if (sim.fast_path and unchanged
-                    and sim.locations.staleness_bound == 0):
-                pass  # see Simulator._step_batched
-            else:
+            if not (unchanged and sim.locations.staleness_bound == 0):
+                # see Simulator._step_batched
                 sim.locations.observe(r, positions)
                 sim._positions_observed = True
             sim._last_present = present

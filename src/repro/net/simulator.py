@@ -24,36 +24,36 @@ in Section 2, in this order:
 All sources of nondeterminism (mobility, adversary, contention) are owned
 by seeded components, so a run is a pure function of its configuration.
 
-The engine carries a fast path (``fast_path=True``, the default) that
-caches what cannot change between rounds: positions of provably static
-nodes are resolved once instead of through mobility dispatch every round,
-the location service skips re-snapshotting when no position changed, and
-crash bookkeeping short-circuits when no crash schedule exists.  The fast
-path is observably identical to the uncached one — the differential suite
-asserts byte-identical trace pickles — and ``fast_path=False`` (or the
-``REPRO_REFERENCE_CHANNEL`` environment switch, which also pins the
-channel to its reference path) re-runs anything uncached for debugging.
+Two round engines implement that order, selected by the ``engine`` axis
+of :class:`~repro.switches.Switches`:
 
-On top of the caches sits the **batched dispatch engine** (the default):
-one :meth:`Simulator.step` collects every sender's payload in a single
-pass over prebound send methods, hands the channel the whole batch in
-one :meth:`~repro.net.channel.Channel.deliver_batch` call, derives the
-round's position map through the mobility dirty-set protocol
-(:meth:`~repro.net.mobility.MobilityModel.moved_in` — untouched nodes
-never rebuild their position entries), shares one decoded
-:class:`~repro.net.messages.RoundBatch` across every receiver's
-:meth:`~repro.net.node.Process.deliver_batch`, and skips contention
-bookkeeping entirely when no node can ever contend.  The seed per-node
-loop survives verbatim as :meth:`Simulator._step_reference`, selected by
-``use_reference_engine=True`` or the ``REPRO_REFERENCE_ENGINE``
-environment switch; the differential suite pins the two engines
-byte-identical (traces, outputs, metrics, verdicts) across every
-protocol family and switch combination.
+* :meth:`Simulator._step_reference` — the seed per-node loop, kept as
+  the executable specification: every round re-derives liveness and
+  positions from the crash schedule and the mobility models, re-observes
+  the location service, consults every present node for contention, and
+  runs the detector on every reception.  It has no caches.
+* :meth:`Simulator._step_batched` — the default.  It caches what cannot
+  change between rounds (positions of provably static nodes are resolved
+  once, the location service skips re-snapshotting when no position
+  changed, crash bookkeeping short-circuits when no crash schedule
+  exists) and is organised round-at-a-time: one pass over prebound send
+  methods collects every sender's payload, the channel gets the whole
+  batch in one :meth:`~repro.net.channel.Channel.deliver_batch` call,
+  the round's position map comes from the mobility dirty-set protocol
+  (:meth:`~repro.net.mobility.MobilityModel.moved_in` — untouched nodes
+  never rebuild their position entries), one decoded
+  :class:`~repro.net.messages.RoundBatch` is shared across every
+  receiver's :meth:`~repro.net.node.Process.deliver_batch`, and
+  contention bookkeeping is skipped entirely when no node can ever
+  contend.
+
+The differential suite pins the two engines byte-identical (traces,
+outputs, metrics, verdicts) across every protocol family and switch
+combination.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -61,9 +61,10 @@ from ..detectors import CollisionDetector, EventuallyAccurateDetector
 from ..contention import ContentionManager
 from ..errors import ConfigurationError, SimulationError
 from ..geometry import Point
+from ..switches import Switches
 from ..types import NodeId, Round
 from .adversary import Adversary, NoAdversary
-from .channel import Channel, RadioSpec, Reception, reference_channel_forced
+from .channel import Channel, RadioSpec
 from .location import LocationService
 from .messages import Message, RoundBatch
 from .mobility import MobilityModel, StaticMobility
@@ -72,16 +73,6 @@ from .trace import RoundRecord, Trace
 
 #: Per-round hook: called with each completed :class:`RoundRecord`.
 RoundObserver = Callable[[RoundRecord], None]
-
-#: Environment switch: any value except ``""``/``"0"`` pins every newly
-#: constructed simulator to the seed per-node round loop instead of the
-#: batched dispatch engine (mirrors ``REPRO_REFERENCE_CHANNEL``).
-REFERENCE_ENGINE_ENV = "REPRO_REFERENCE_ENGINE"
-
-
-def reference_engine_forced() -> bool:
-    """Whether the environment pins simulators to the reference engine."""
-    return os.environ.get(REFERENCE_ENGINE_ENV, "0") not in ("", "0")
 
 
 @dataclass
@@ -105,19 +96,15 @@ class Simulator:
                  location_update_period: int = 1,
                  observers: Iterable[RoundObserver] = (),
                  record_trace: bool = True,
-                 fast_path: bool | None = None,
-                 use_reference_engine: bool | None = None) -> None:
+                 switches: Switches | None = None) -> None:
         self.spec = spec
         self.adversary = adversary if adversary is not None else NoAdversary()
-        self.channel = Channel(spec, self.adversary)
-        if fast_path is None:
-            fast_path = not reference_channel_forced()
-        self.fast_path = fast_path
-        if use_reference_engine is None:
-            use_reference_engine = reference_engine_forced()
-        #: Pin :meth:`step` to the seed per-node dispatch loop instead of
-        #: the batched engine (read per step, so tests can flip it).
-        self.use_reference_engine = use_reference_engine
+        switches = Switches.resolve(switches)
+        #: The resolved reference switches: this simulator reads
+        #: ``engine``, its channel ``channel``, and a wrapping
+        #: :class:`~repro.net.shard.ShardedSimulator` ``shards``.
+        self.switches = switches
+        self.channel = Channel(spec, self.adversary, switches=switches)
         self.detector = detector if detector is not None else EventuallyAccurateDetector()
         self.cms: dict[str, ContentionManager] = dict(cms or {})
         self.crashes = crashes if crashes is not None else CrashSchedule()
@@ -127,8 +114,8 @@ class Simulator:
         self._observers: list[RoundObserver] = list(observers)
         self._nodes: dict[NodeId, _NodeEntry] = {}
         self._round: Round = 0
-        #: Fast-path caches: last round's present set, and whether the
-        #: location service has observed the current (static) positions.
+        #: Batched-engine caches: last round's present set, and whether
+        #: the location service has observed the current positions.
         self._last_present: list[NodeId] | None = None
         self._positions_observed = False
         #: Steady-state caches (maintained by add_node): sorted node ids,
@@ -257,90 +244,29 @@ class Simulator:
 
     def step(self) -> RoundRecord:
         """Execute one synchronous round and append it to the trace."""
-        if self.use_reference_engine:
+        if self.switches.engine:
             return self._step_reference()
         return self._step_batched()
 
     def _step_reference(self) -> RoundRecord:
         """The seed per-node round loop (executable specification).
 
-        Kept verbatim as the reference the batched engine is proven
-        byte-identical against; ``use_reference_engine=True`` or
-        ``REPRO_REFERENCE_ENGINE=1`` re-runs everything through it.
+        The reference the batched engine is proven byte-identical
+        against: everything is re-derived every round, nothing is
+        cached.  Selected by the ``engine`` axis of the switches.
         """
         r = self._round
-        # With no crash schedule, "alive" reduces to the start_round
-        # check, and every present node both sends and receives.
-        no_crashes = self.fast_path and not len(self.crashes)
-        steady = no_crashes and self._max_start <= r
-        if steady and self._all_static:
-            # Steady state: every node is present and provably immobile,
-            # so the position map is a copy of a once-built cache (same
-            # insertion order, same Point objects as a fresh build).
-            present = self._node_list
-            if self._steady_positions is None:
-                self._steady_positions = {
-                    node: self._nodes[node].static_position
-                    for node in present
-                }
-                unchanged = False
-            else:
-                unchanged = self._positions_observed
-            positions: dict[NodeId, Point] = self._steady_positions.copy()
-        else:
-            if no_crashes:
-                present = [
-                    node for node in self._node_list
-                    if self._nodes[node].start_round <= r
-                ]
-            else:
-                present = [
-                    node for node in self._node_list
-                    if self.alive(node, r)
-                ]
-            positions = {}
-            all_static = True
-            for node in present:
-                entry = self._nodes[node]
-                if entry.static_position is not None:
-                    positions[node] = entry.static_position
-                else:
-                    all_static = False
-                    positions[node] = entry.mobility.position_at(r)
-            unchanged = (all_static
-                         and present == self._last_present
-                         and self._positions_observed)
-        if (self.fast_path and unchanged
-                and self.locations.staleness_bound == 0):
-            # Nothing moved and the service re-snapshots every round: the
-            # current snapshot already equals ``positions`` element for
-            # element, so re-observing would be a no-op dict copy.
-            pass
-        else:
-            self.locations.observe(r, positions)
-            self._positions_observed = True
-        self._last_present = present
+        present = [node for node in self._node_list if self.alive(node, r)]
+        positions: dict[NodeId, Point] = {
+            node: self._nodes[node].mobility.position_at(r)
+            for node in present
+        }
+        self.locations.observe(r, positions)
 
         # -- contention ------------------------------------------------
         contenders: dict[str, list[NodeId]] = {}
-        contended_for: dict[NodeId, str] = {}
-        # Nodes inheriting the base Process.contend can never contend
-        # (it is stateless and returns None), so only nodes overriding it
-        # are consulted; order matches the sorted ``present`` sweep.
-        if not self.fast_path:
-            candidates = present
-        elif steady:
-            candidates = self._contenders_possible
-        elif no_crashes:
-            candidates = [node for node in self._contenders_possible
-                          if self._nodes[node].start_round <= r]
-        elif len(self._contenders_possible) == len(self._nodes):
-            candidates = present
-        else:
-            candidates = [node for node in self._contenders_possible
-                          if self.alive(node, r)]
-        for node in candidates:
-            if not no_crashes and not self.crashes.sends_in(node, r):
+        for node in present:
+            if not self.crashes.sends_in(node, r):
                 continue
             cm_name = self._nodes[node].process.contend(r)
             if cm_name is None:
@@ -350,7 +276,6 @@ class Simulator:
                     f"node {node} contended for unknown manager {cm_name!r}"
                 )
             contenders.setdefault(cm_name, []).append(node)
-            contended_for[node] = cm_name
 
         advice: dict[str, frozenset[NodeId]] = {}
         advised: set[NodeId] = set()
@@ -362,38 +287,24 @@ class Simulator:
         # -- send --------------------------------------------------------
         broadcasts: dict[NodeId, Message] = {}
         for node in present:
-            if not no_crashes and not self.crashes.sends_in(node, r):
+            if not self.crashes.sends_in(node, r):
                 continue
             payload = self._nodes[node].process.send(r, node in advised)
             if payload is not None:
                 broadcasts[node] = Message(node, payload)
 
         # -- channel -----------------------------------------------------
-        receptions = self.channel.deliver(
-            r, positions, broadcasts,
-            positions_unchanged=unchanged and self.fast_path)
+        receptions = self.channel.deliver(r, positions, broadcasts)
 
         # -- detect & deliver ---------------------------------------------
         flags: dict[NodeId, bool] = {}
         delivered: dict[NodeId, tuple[Message, ...]] = {}
-        # NoAdversary.false_collision is stateless-False, so skipping the
-        # call is unobservable; stateful adversaries are always consulted
-        # (their RNG streams must advance exactly as on the slow path).
-        benign = type(self.adversary) is NoAdversary
-        # Past its accuracy round the paper's detector is a pure function
-        # of the reception's R2 ground truth; inline it.
-        fast_detect = (self.fast_path
-                       and type(self.detector) is EventuallyAccurateDetector
-                       and r >= self.detector.racc)
-        indicate = self.detector.indicate
         for node in present:
-            if not no_crashes and not self.crashes.receives_in(node, r):
+            if not self.crashes.receives_in(node, r):
                 continue
             reception = receptions[node]
-            spurious = (False if benign
-                        else self.adversary.false_collision(r, node))
-            flag = (reception.lost_within_r2 if fast_detect
-                    else indicate(r, node, reception, spurious))
+            spurious = self.adversary.false_collision(r, node)
+            flag = self.detector.indicate(r, node, reception, spurious)
             flags[node] = flag
             delivered[node] = reception.messages
             self._nodes[node].process.deliver(r, reception.messages, flag)
@@ -405,17 +316,11 @@ class Simulator:
                 r, active=advice[cm_name], collided=collided
             )
 
-        if no_crashes:
-            # Without a crash schedule, aliveness can only flip at a
-            # node's start_round boundary, which never satisfies
-            # ``start_round <= r`` — so nobody crashed this round.
-            crashed_now = frozenset()
-        else:
-            crashed_now = frozenset(
-                node for node in sorted(self._nodes)
-                if self.alive(node, r) != self.alive(node, r + 1)
-                and self._nodes[node].start_round <= r
-            )
+        crashed_now = frozenset(
+            node for node in sorted(self._nodes)
+            if self.alive(node, r) != self.alive(node, r + 1)
+            and self._nodes[node].start_round <= r
+        )
         record = RoundRecord(
             round=r,
             positions=positions,
@@ -446,10 +351,14 @@ class Simulator:
         bookkeeping.
         """
         nodes = self._nodes
-        fast = self.fast_path
-        no_crashes = fast and not len(self.crashes)
+        # With no crash schedule, "alive" reduces to the start_round
+        # check, and every present node both sends and receives.
+        no_crashes = not len(self.crashes)
         steady = no_crashes and self._max_start <= r
         if steady and self._all_static:
+            # Steady state: every node is present and provably immobile,
+            # so the position map is a copy of a once-built cache (same
+            # insertion order, same Point objects as a fresh build).
             present = self._node_list
             if self._steady_positions is None:
                 self._steady_positions = {
@@ -472,7 +381,7 @@ class Simulator:
                     if self.alive(node, r)
                 ]
             prev = self._batch_prev
-            if fast and prev is not None and prev[0] == r - 1 \
+            if prev is not None and prev[0] == r - 1 \
                     and prev[1] == present:
                 # Dirty set: same membership as last round, so start
                 # from its map and rebuild only the moved entries (the
@@ -529,17 +438,16 @@ class Simulator:
         """
         r = self._round
         nodes = self._nodes
-        fast = self.fast_path
         crashes = self.crashes
-        no_crashes = fast and not len(crashes)
+        no_crashes = not len(crashes)
         steady = no_crashes and self._max_start <= r
 
         # -- mobility & liveness ---------------------------------------
         present, positions, unchanged = self._positions_batched(r)
-        if (fast and unchanged
-                and self.locations.staleness_bound == 0):
-            pass  # see _step_reference: re-observing would be a no-op
-        else:
+        if not (unchanged and self.locations.staleness_bound == 0):
+            # Otherwise nothing moved and the service re-snapshots every
+            # round: the current snapshot already equals ``positions``
+            # element for element, so re-observing would be a no-op copy.
             self.locations.observe(r, positions)
             self._positions_observed = True
         self._last_present = present
@@ -552,9 +460,10 @@ class Simulator:
         advice: dict[str, frozenset[NodeId]] | None = None
         advised: set[NodeId] | None = None
         if possible:
-            if not fast:
-                candidates = present
-            elif steady:
+            # Nodes inheriting the base Process.contend can never contend
+            # (it is stateless and returns None), so only nodes overriding
+            # it are consulted; order matches the sorted ``present`` sweep.
+            if steady:
                 candidates = possible
             elif no_crashes:
                 candidates = [node for node in possible
@@ -615,17 +524,21 @@ class Simulator:
         # -- channel -----------------------------------------------------
         receptions = self.channel.deliver_batch(
             r, positions, broadcasts, senders,
-            positions_unchanged=unchanged and fast)
+            positions_unchanged=unchanged)
 
         # -- detect & deliver ---------------------------------------------
         flags: dict[NodeId, bool] = {}
         delivered: dict[NodeId, tuple[Message, ...]] = {}
         adversary = self.adversary
+        # NoAdversary.false_collision is stateless-False, so skipping the
+        # call is unobservable; stateful adversaries are always consulted
+        # (their RNG streams must advance exactly as in the seed loop).
         benign = type(adversary) is NoAdversary
         false_collision = adversary.false_collision
         detector = self.detector
-        fast_detect = (fast
-                       and type(detector) is EventuallyAccurateDetector
+        # Past its accuracy round the paper's detector is a pure function
+        # of the reception's R2 ground truth; inline it.
+        fast_detect = (type(detector) is EventuallyAccurateDetector
                        and r >= detector.racc)
         indicate = detector.indicate
         batch = RoundBatch(broadcasts)
@@ -664,6 +577,9 @@ class Simulator:
                 )
 
         if no_crashes:
+            # Without a crash schedule, aliveness can only flip at a
+            # node's start_round boundary, which never satisfies
+            # ``start_round <= r`` — so nobody crashed this round.
             crashed_now: frozenset[NodeId] = frozenset()
         else:
             crashed_now = frozenset(

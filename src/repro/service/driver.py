@@ -411,8 +411,7 @@ class WorldDriver:
                     if speaker is None or node < speaker:
                         speaker, value = node, out(instance)
             try:
-                check_agreement(rows,
-                                use_reference=self.spec.use_reference_history)
+                check_agreement(rows, switches=self.stepper.switches)
             except SpecViolation as exc:
                 verdict = f"violated: {exc}"
             else:

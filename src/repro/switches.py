@@ -1,0 +1,139 @@
+"""The reference switches: one frozen value, one resolver.
+
+Every optimised subsystem ships beside a deliberately simple *reference
+twin* that the differential suites pin it byte-identical against.  A
+:class:`Switches` value says, per axis, which of the two runs.  It is
+resolved **once** per execution (:meth:`Switches.resolve`:
+``ExperimentSpec.switches`` if the spec carries one, else
+:meth:`Switches.from_env`) and then handed down
+whole: every layer that builds another layer passes the same value on,
+and a leaf reads the one field it consumes.  Precedence is whole-value:
+a spec that carries a ``Switches`` ignores the environment entirely.
+
+:data:`AXES` is the single declarative table of the axes; it drives
+:meth:`Switches.from_env`, the table in ``docs/REFERENCE_SWITCHES.md``
+(under the ``-m docs`` drift gate) and the table-driven switch tests.
+:meth:`Switches.from_env` is the only function in the library that
+reads a ``REPRO_REFERENCE_*`` / ``REPRO_SHARDS`` variable.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import ClassVar
+
+from .errors import ConfigurationError
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One row of the switch table."""
+
+    #: The :class:`Switches` field.
+    name: str
+    #: The environment variable :meth:`Switches.from_env` reads.
+    env: str
+    #: The optimised path (the default on every boolean axis).
+    fast: str
+    #: The reference twin it is pinned against (``shards`` defaults here).
+    twin: str
+    #: The suite pinning the two byte-identical.
+    suite: str
+
+
+AXES: tuple[Axis, ...] = (
+    Axis("channel", "REPRO_REFERENCE_CHANNEL",
+         "spatial-grid neighbour index (`Channel._deliver_indexed`)",
+         "all-pairs scan (`Channel._deliver_reference`)",
+         "`tests/net/test_differential.py` (`-m fast`)"),
+    Axis("engine", "REPRO_REFERENCE_ENGINE",
+         "batched round dispatch with its position/contender caches "
+         "(`Simulator._step_batched`)",
+         "the seed per-node round loop, no caches "
+         "(`Simulator._step_reference`)",
+         "`tests/net/test_engine_differential.py` (`-m fast`)"),
+    Axis("history", "REPRO_REFERENCE_HISTORY",
+         "interned incremental history chains (`HistoryChain`)",
+         "re-walking fold (`calculate_history_reference`)",
+         "`tests/core/test_history_differential.py` (`-m fast`)"),
+    Axis("core", "REPRO_REFERENCE_CORE",
+         "slotted array core with pooled payloads (`SlottedChaCore`)",
+         "dict-based seed core (`ChaCore`)",
+         "`tests/core/test_core_differential.py` (`-m core_differential`)"),
+    Axis("vi", "REPRO_REFERENCE_VI",
+         "phase-table VI emulation engine (`VIRoundEngine`)",
+         "per-device dispatch, one `Simulator.step` per real round",
+         "`tests/vi/test_vi_differential.py` (`-m vi_differential`)"),
+    Axis("shards", "REPRO_SHARDS",
+         "`N > 1`: `N` forked strip workers (`ShardedSimulator`)",
+         "`1` (the default): the in-process round engine",
+         "`tests/net/test_shard_differential.py` (`-m shard_differential`)"),
+)
+
+
+@dataclass(frozen=True)
+class Switches:
+    """Which twin runs on each axis.
+
+    A boolean field means "use the reference twin"; ``shards`` is the
+    worker-process count of the round engine (``1`` = in-process).  The
+    default value is the production stack.
+    """
+
+    channel: bool = False
+    engine: bool = False
+    history: bool = False
+    core: bool = False
+    vi: bool = False
+    shards: int = 1
+
+    #: Every reference twin at once — the oracle the goldens, the bench
+    #: ratio gate and the differential suites compare against.
+    REFERENCE: ClassVar["Switches"]
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ConfigurationError(
+                f"shards must be >= 1, got {self.shards}")
+
+    @classmethod
+    def resolve(cls, given: "Switches | None") -> "Switches":
+        """``given`` if there is one, else :meth:`from_env`: the
+        whole-value precedence rule, in its one place."""
+        return given if given is not None else cls.from_env()
+
+    @classmethod
+    def from_env(cls) -> "Switches":
+        """The switches the process environment selects.
+
+        A boolean axis is on for any value except ``""``/``"0"``;
+        ``REPRO_SHARDS`` must be an integer (``""``/``"0"`` mean 1).
+        """
+        values: dict[str, bool | int] = {}
+        for axis in AXES:
+            raw = os.environ.get(axis.env, "")
+            if axis.name != "shards":
+                values[axis.name] = raw not in ("", "0")
+            elif raw not in ("", "0"):
+                try:
+                    values["shards"] = int(raw)
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{axis.env} must be an integer, got {raw!r}"
+                    ) from None
+        return cls(**values)
+
+
+Switches.REFERENCE = Switches(channel=True, engine=True, history=True,
+                              core=True, vi=True)
+
+
+def markdown_table() -> str:
+    """The :data:`AXES` table as ``docs/REFERENCE_SWITCHES.md`` carries it."""
+    rows = ["| axis | env var | fast path | reference twin "
+            "| differential suite |",
+            "| --- | --- | --- | --- | --- |"]
+    rows += [f"| `{a.name}` | `{a.env}` | {a.fast} | {a.twin} | {a.suite} |"
+             for a in AXES]
+    return "\n".join(rows)

@@ -2,12 +2,7 @@
 
 from .client import ClientProgram, ClientRuntime, ScriptedClient, SilentClient
 from .device import JoinState, VIDevice
-from .engine import (
-    REFERENCE_VI_ENV,
-    PhaseTable,
-    VIRoundEngine,
-    reference_vi_forced,
-)
+from .engine import PhaseTable, VIRoundEngine
 from .payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
 from .phases import PHASE_COUNT, Phase, PhaseClock, PhasePosition
 from .program import (
@@ -44,7 +39,6 @@ __all__ = [
     "PhaseClock",
     "PhasePosition",
     "PhaseTable",
-    "REFERENCE_VI_ENV",
     "ReplicaRuntime",
     "VIRoundEngine",
     "Schedule",
@@ -61,6 +55,5 @@ __all__ = [
     "build_schedule",
     "conflict_graph",
     "observation_from_value",
-    "reference_vi_forced",
     "verify_schedule",
 ]

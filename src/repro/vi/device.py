@@ -25,6 +25,7 @@ from typing import Any, Callable
 from ..geometry import Point
 from ..net.messages import Message
 from ..net.node import Process
+from ..switches import Switches
 from ..types import Round, VirtualRound
 from .client import ClientProgram, ClientRuntime
 from .payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
@@ -56,8 +57,7 @@ class VIDevice(Process):
                  locate: Callable[[], Point],
                  client: ClientProgram | None = None,
                  initially_active: bool = False,
-                 use_reference_history: bool | None = None,
-                 use_reference_core: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False,
                  role_version: list[int] | None = None) -> None:
         self.sites = {site.vn_id: site for site in sites}
@@ -65,8 +65,10 @@ class VIDevice(Process):
         self.schedule = schedule
         self.clock = clock
         self.region_radius = region_radius
-        self.use_reference_history = use_reference_history
-        self.use_reference_core = use_reference_core
+        switches = Switches.resolve(switches)
+        #: Handed on untouched to every replica runtime this device
+        #: builds (deployment, join, reset).
+        self.switches = switches
         #: Reuse one mutable wire payload per payload kind instead of
         #: allocating fresh ones each virtual round.  Only safe when the
         #: run keeps no trace: receivers extract values immediately and
@@ -134,8 +136,7 @@ class VIDevice(Process):
                 and self.replica is None:
             self.replica = ReplicaRuntime(
                 target, self.programs[target.vn_id], self.schedule,
-                use_reference_history=self.use_reference_history,
-                use_reference_core=self.use_reference_core,
+                switches=self.switches,
                 pool_payloads=self.pool_payloads,
             )
             self.events.append((0, f"deployed:{target.vn_id}"))
@@ -274,8 +275,7 @@ class VIDevice(Process):
                 self._pending_replica = ReplicaRuntime(
                     self.sites[vn], self.programs[vn], self.schedule,
                     snapshot=acks[0].snapshot,
-                    use_reference_history=self.use_reference_history,
-                    use_reference_core=self.use_reference_core,
+                    switches=self.switches,
                     pool_payloads=self.pool_payloads,
                 )
                 self.events.append((vr, f"acked:{vn}"))
@@ -301,8 +301,7 @@ class VIDevice(Process):
                 self._pending_replica = ReplicaRuntime(
                     self.sites[vn], self.programs[vn], self.schedule,
                     reset_at=vr + 1,
-                    use_reference_history=self.use_reference_history,
-                    use_reference_core=self.use_reference_core,
+                    switches=self.switches,
                     pool_payloads=self.pool_payloads,
                 )
                 self.events.append((vr, f"reset:{vn}"))

@@ -1,4 +1,4 @@
-"""Phase-table round engine for the VI emulation (the sixth switch).
+"""Phase-table round engine for the VI emulation.
 
 The per-device dispatch runs every :class:`~repro.vi.device.VIDevice`
 through every real round: each device re-derives the round's
@@ -46,10 +46,9 @@ an aspiration (the ``vi_differential`` suite pins it):
   CLIENT housekeeping, which the all-device send loop runs before the
   rebuild picks them up.
 
-The seed per-device dispatch survives verbatim behind the sixth
-reference switch: ``REPRO_REFERENCE_VI=1`` in the environment,
-``ExperimentSpec(use_reference_vi=True)``, or
-``VIWorld(use_reference_vi=True)``.  The engine also steps aside — per
+The seed per-device dispatch survives verbatim behind the ``vi`` axis
+of :class:`~repro.switches.Switches` (``REPRO_REFERENCE_VI=1`` in the
+environment).  The engine also steps aside — per
 virtual round, falling back to plain ``Simulator.step`` — whenever the
 simulator itself is pinned to its reference engine, the round cursor is
 misaligned with a virtual-round boundary (someone drove ``sim.step()``
@@ -58,7 +57,6 @@ by hand), or the simulator carries nodes the world does not know about.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable
 
 from ..detectors import EventuallyAccurateDetector
@@ -71,18 +69,6 @@ from .phases import PhasePosition
 
 if TYPE_CHECKING:
     from .world import VIWorld
-
-#: Environment switch: any value except ``""``/``"0"`` pins every newly
-#: constructed :class:`~repro.vi.world.VIWorld` to the seed per-device
-#: VI dispatch instead of the phase-table engine (the sixth
-#: ``REPRO_REFERENCE_*`` axis, mirroring ``REPRO_REFERENCE_ENGINE``).
-REFERENCE_VI_ENV = "REPRO_REFERENCE_VI"
-
-
-def reference_vi_forced() -> bool:
-    """Whether the environment pins VI worlds to per-device dispatch."""
-    return os.environ.get(REFERENCE_VI_ENV, "0") not in ("", "0")
-
 
 #: One table row: ``(node, send_at, deliver_at)`` — the device's phase
 #: entry points prebound, mirroring the simulator's dispatch tables.
@@ -270,7 +256,7 @@ class VIRoundEngine:
         clock = self.clock
         rpv = clock.rounds_per_virtual_round
         first = clock.first_round_of(vr)
-        if (sim.use_reference_engine
+        if (sim.switches.engine
                 or sim.current_round != first
                 or len(self.world.devices) != len(sim._node_list)):
             # The simulator is pinned to its own reference loop, the
@@ -321,17 +307,15 @@ class VIRoundEngine:
         proved every send would return ``None`` (quiet-join rounds)."""
         sim = self.sim
         nodes = sim._nodes
-        fast = sim.fast_path
         crashes = sim.crashes
-        no_crashes = fast and not len(crashes)
+        no_crashes = not len(crashes)
         alive = sim.alive
         sends_in = crashes.sends_in
 
         # -- mobility & liveness ---------------------------------------
         present, positions, unchanged = sim._positions_batched(r)
-        if fast and unchanged and sim.locations.staleness_bound == 0:
-            pass  # re-observing the same map would be a no-op
-        else:
+        if not (unchanged and sim.locations.staleness_bound == 0):
+            # see Simulator._step_batched
             sim.locations.observe(r, positions)
             sim._positions_observed = True
         sim._last_present = present
@@ -411,7 +395,7 @@ class VIRoundEngine:
         # -- channel -----------------------------------------------------
         receptions = sim.channel.deliver_batch(
             r, positions, broadcasts, send_list,
-            positions_unchanged=unchanged and fast)
+            positions_unchanged=unchanged)
 
         # -- detect ------------------------------------------------------
         # Flags and delivered tuples are computed for every present node
@@ -425,8 +409,7 @@ class VIRoundEngine:
         benign = type(adversary) is NoAdversary
         false_collision = adversary.false_collision
         detector = sim.detector
-        fast_detect = (fast
-                       and type(detector) is EventuallyAccurateDetector
+        fast_detect = (type(detector) is EventuallyAccurateDetector
                        and r >= detector.racc)
         indicate = detector.indicate
         receives_in = crashes.receives_in

@@ -24,7 +24,8 @@ from typing import Any
 
 from ..core.ballot import BallotPayload, VetoPayload, canonical_key
 from ..core.checkpoint import CheckpointChaCore
-from ..core.slotted import SlottedCheckpointChaCore, reference_core_forced
+from ..core.slotted import SlottedCheckpointChaCore
+from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, VirtualRound
 from .payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
 from .phases import Phase, PhasePosition
@@ -50,8 +51,7 @@ class ReplicaRuntime:
     def __init__(self, site: VNSite, program: VNProgram, schedule: Schedule,
                  *, snapshot: dict | None = None,
                  reset_at: Instance | None = None,
-                 use_reference_history: bool | None = None,
-                 use_reference_core: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
         self.site = site
         self.program = program
@@ -62,9 +62,8 @@ class ReplicaRuntime:
         #: extract values and never retain the payload objects.
         self.pool_payloads = pool_payloads
         self._pooled_vn_msg: VNMsg | None = None
-        if use_reference_core is None:
-            use_reference_core = reference_core_forced()
-        if use_reference_core:
+        switches = Switches.resolve(switches)
+        if switches.core:
             # The reference core has no pooled mode: its seed behaviour
             # (fresh payloads every round) stays verbatim.
             self.core = CheckpointChaCore(
@@ -72,7 +71,7 @@ class ReplicaRuntime:
                 reducer=self._reduce,
                 initial_state=program.init_state(),
                 tag=self.tag,
-                use_reference_history=use_reference_history,
+                switches=switches,
             )
         else:
             self.core = SlottedCheckpointChaCore(
@@ -80,7 +79,7 @@ class ReplicaRuntime:
                 reducer=self._reduce,
                 initial_state=program.init_state(),
                 tag=self.tag,
-                use_reference_history=use_reference_history,
+                switches=switches,
                 pool_payloads=pool_payloads,
             )
         if snapshot is not None and reset_at is not None:

@@ -16,6 +16,7 @@ from ..contention import RegionalCM
 from ..detectors import CollisionDetector
 from ..errors import ConfigurationError
 from ..geometry import Point
+from ..switches import Switches
 from ..net import (
     Adversary,
     CrashSchedule,
@@ -26,7 +27,7 @@ from ..net import (
 from ..types import Color, NodeId, VirtualRound
 from .client import ClientProgram
 from .device import VIDevice
-from .engine import VIRoundEngine, reference_vi_forced
+from .engine import VIRoundEngine
 from .phases import PhaseClock
 from .program import VNProgram
 from .schedule import Schedule, VNSite, build_schedule, verify_schedule
@@ -62,10 +63,7 @@ class VIWorld:
                  cm_stable_round: int = 0,
                  min_schedule_length: int = 1,
                  schedule: Schedule | None = None,
-                 use_reference_history: bool | None = None,
-                 use_reference_engine: bool | None = None,
-                 use_reference_core: bool | None = None,
-                 use_reference_vi: bool | None = None,
+                 switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
         if set(programs) != {site.vn_id for site in sites}:
             raise ConfigurationError(
@@ -73,16 +71,13 @@ class VIWorld:
             )
         self.sites = list(sites)
         self.programs = dict(programs)
-        self.use_reference_history = use_reference_history
-        self.use_reference_core = use_reference_core
-        if use_reference_vi is None:
-            use_reference_vi = reference_vi_forced()
-        #: Pin :meth:`run_virtual_rounds` to the seed per-device VI
-        #: dispatch (one ``sim.step()`` per real round) instead of the
-        #: phase-table engine (read per virtual round, so tests can
-        #: flip it).  The sixth reference switch; see
-        #: :mod:`repro.vi.engine`.
-        self.use_reference_vi = use_reference_vi
+        switches = Switches.resolve(switches)
+        #: Handed on untouched to the simulator and every device; this
+        #: world itself reads ``vi``, which pins
+        #: :meth:`run_virtual_rounds` to the seed per-device dispatch
+        #: (one ``sim.step()`` per real round) instead of the
+        #: phase-table engine (:mod:`repro.vi.engine`).
+        self.switches = switches
         #: Reuse mutable wire payloads across virtual rounds.  Only safe
         #: on trace-free runs (the runner passes ``not keep_trace``).
         self.pool_payloads = pool_payloads
@@ -104,7 +99,7 @@ class VIWorld:
             adversary=adversary,
             detector=detector,
             crashes=crashes,
-            use_reference_engine=use_reference_engine,
+            switches=switches,
         )
         for site in sites:
             self.sim.add_cm(f"vn{site.vn_id}", RegionalCM(
@@ -155,8 +150,7 @@ class VIWorld:
             locate=locate,
             client=client,
             initially_active=initially_active,
-            use_reference_history=self.use_reference_history,
-            use_reference_core=self.use_reference_core,
+            switches=self.switches,
             pool_payloads=self.pool_payloads,
             role_version=self.role_version,
         )
@@ -175,7 +169,7 @@ class VIWorld:
         """Run ``count`` whole virtual rounds, recording outcomes."""
         for _ in range(count):
             vr = self._virtual_rounds_run
-            if self.use_reference_vi:
+            if self.switches.vi:
                 for _ in range(self.clock.rounds_per_virtual_round):
                     self.sim.step()
             else:

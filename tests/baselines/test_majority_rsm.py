@@ -2,9 +2,20 @@
 
 import pytest
 
+import repro
 from repro.baselines import MajorityRSMProcess
-from repro.baselines.majority_rsm import run_majority_rsm
 from repro.net import RandomLossAdversary
+
+
+def run_majority_rsm(n, rounds, *, adversary=None, rcf=0):
+    """``(simulator, processes)`` of an ``n``-node ensemble; node 0 leads."""
+    result = repro.run(repro.ExperimentSpec(
+        protocol=repro.MajorityRSM(),
+        world=repro.ClusterWorld(n=n, rcf=rcf),
+        environment=repro.EnvironmentSpec(adversary=adversary),
+        workload=repro.WorkloadSpec(rounds=rounds),
+    ))
+    return result.simulator, result.processes
 
 
 class TestMajorityRSM:

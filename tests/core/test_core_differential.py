@@ -1,8 +1,8 @@
 """Differential verification of the slotted protocol core.
 
 PR 7 rebuilt the CHA-family hot state as flat parallel arrays
-(:mod:`repro.core.slotted`) behind the fourth reference switch,
-``use_reference_core`` / ``REPRO_REFERENCE_CORE``.  This suite is the
+(:mod:`repro.core.slotted`) behind the ``core`` reference switch
+(``REPRO_REFERENCE_CORE``).  This suite is the
 regression gate for that core: for every protocol family the pickled
 observables of a faulty run must be byte-for-byte identical across the
 **full switch matrix** — core × history engine × simulation engine
@@ -20,15 +20,18 @@ import dataclasses
 import pickle
 
 import pytest
-from test_history_differential import MODES, SPECS, _cha_spec, _vi_spec
+from _switches import observables, run_with
+from test_history_differential import (
+    MODES,
+    SPECS,
+    _cha_spec,
+    _vi_spec,
+    stack,
+)
 
 from repro.core import ChaCore, CheckpointChaCore
-from repro.core.slotted import (
-    SlottedChaCore,
-    SlottedCheckpointChaCore,
-    reference_core_forced,
-)
-from repro.experiment.runner import run
+from repro.core.slotted import SlottedChaCore, SlottedCheckpointChaCore
+from repro.switches import Switches
 
 pytestmark = [pytest.mark.fast, pytest.mark.core_differential]
 
@@ -39,22 +42,9 @@ CORES = [True, False]
 
 def _observables(spec_factory, *, core_ref: bool, history_ref: bool,
                  engine_ref: bool) -> bytes:
-    spec = dataclasses.replace(spec_factory(),
-                               use_reference_core=core_ref,
-                               use_reference_history=history_ref)
-
-    def instrument(sim):
-        sim.fast_path = not engine_ref
-        sim.channel.use_reference = engine_ref
-
-    result = run(spec, instrument=instrument)
-    return pickle.dumps({
-        "trace": result.trace,
-        "outputs": result.outputs,
-        "proposals": result.proposals,
-        "metrics": result.metrics,
-        "invariants": result.invariants,
-    })
+    return observables(run_with(
+        spec_factory(),
+        stack(history=history_ref, engine=engine_ref, core=core_ref)))
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -77,10 +67,9 @@ def test_pooled_run_matches_reference_core():
     """``keep_trace=False`` switches payload pooling on (the runner's
     safety rule); the pooled slotted core must still produce the exact
     observables of the reference core."""
-    def run_with(core_ref):
-        spec = dataclasses.replace(_cha_spec(), keep_trace=False,
-                                   use_reference_core=core_ref)
-        result = run(spec)
+    def pooled(core_ref):
+        spec = dataclasses.replace(_cha_spec(), keep_trace=False)
+        result = run_with(spec, Switches(core=core_ref))
         return pickle.dumps({
             "outputs": result.outputs,
             "proposals": result.proposals,
@@ -88,47 +77,32 @@ def test_pooled_run_matches_reference_core():
             "invariants": result.invariants,
         })
 
-    assert run_with(False) == run_with(True)
+    assert pooled(False) == pooled(True)
 
 
 def test_spec_switch_reaches_every_process():
-    """``use_reference_core`` on the spec pins each constructed core;
-    the default builds the slotted core everywhere."""
+    """The spec's ``core`` switch pins each constructed core; the
+    default builds the slotted core everywhere."""
     for core_ref, base_cls, ckpt_cls in (
             (True, ChaCore, CheckpointChaCore),
-            (None, SlottedChaCore, SlottedCheckpointChaCore)):
+            (False, SlottedChaCore, SlottedCheckpointChaCore)):
+        switches = Switches(core=core_ref)
         from test_history_differential import (
             _checkpoint_spec,
             _two_phase_spec,
         )
         for factory in (_cha_spec, _two_phase_spec):
-            spec = dataclasses.replace(factory(), use_reference_core=core_ref,
-                                       keep_trace=False)
-            result = run(spec)
+            spec = dataclasses.replace(factory(), keep_trace=False)
+            result = run_with(spec, switches)
             assert all(type(proc.core) is base_cls
                        for proc in result.processes.values())
-        spec = dataclasses.replace(_checkpoint_spec(),
-                                   use_reference_core=core_ref,
-                                   keep_trace=False)
-        result = run(spec)
+        spec = dataclasses.replace(_checkpoint_spec(), keep_trace=False)
+        result = run_with(spec, switches)
         assert all(type(proc.core) is ckpt_cls
                    for proc in result.processes.values())
-        vi = dataclasses.replace(_vi_spec(), use_reference_core=core_ref,
-                                 keep_trace=False)
-        result = run(vi)
+        vi = dataclasses.replace(_vi_spec(), keep_trace=False)
+        result = run_with(vi, switches)
         replicas = [dev.replica for dev in result.processes.values()
                     if dev.replica is not None]
         assert replicas
         assert all(type(rep.core) is ckpt_cls for rep in replicas)
-
-
-def test_environment_switch_pins_new_cores(monkeypatch):
-    monkeypatch.setenv("REPRO_REFERENCE_CORE", "1")
-    assert reference_core_forced()
-    from repro.core.cha import CHAProcess
-    proc = CHAProcess(propose=lambda k: k)
-    assert type(proc.core) is ChaCore
-    monkeypatch.setenv("REPRO_REFERENCE_CORE", "0")
-    assert not reference_core_forced()
-    proc = CHAProcess(propose=lambda k: k)
-    assert type(proc.core) is SlottedChaCore

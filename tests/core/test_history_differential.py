@@ -5,9 +5,10 @@ ablation, the naive full-history RSM) and the VI emulation, the run is
 executed in every combination of
 
 * **history engine**: incremental chain fold vs the seed re-walking
-  reference (``use_reference_history``), and
-* **simulation engine**: fast path + indexed channel vs uncached engine
-  + all-pairs reference channel (PR 3's switches),
+  reference (the ``history`` switch), and
+* **simulation engine**: batched engine + indexed channel vs seed loop
+  + all-pairs reference channel (the ``engine`` and ``channel``
+  switches, flipped together),
 
 and the pickled observables — the full wire trace, every node's output
 log (histories pickle canonically, so chain- and dict-backed forms are
@@ -20,10 +21,10 @@ spec checkers' short-circuits.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import pytest
 
+from _switches import observables, run_with
 from repro import CHA, ClusterWorld, ExperimentSpec, MetricsSpec, WorkloadSpec
 from repro.experiment import (
     CheckpointCHA,
@@ -34,7 +35,6 @@ from repro.experiment import (
     TwoPhaseCHA,
     VIEmulation,
 )
-from repro.experiment.runner import run
 from repro.geometry import Point
 from repro.net import (
     Crash,
@@ -43,6 +43,7 @@ from repro.net import (
     RandomLossAdversary,
     WindowAdversary,
 )
+from repro.switches import Switches
 from repro.vi.program import CounterProgram
 from repro.vi.schedule import VNSite
 
@@ -51,6 +52,12 @@ pytestmark = pytest.mark.fast
 #: (history_reference, engine_reference) — the all-reference corner is
 #: the baseline the other three must match byte-for-byte.
 MODES = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def stack(*, history: bool, engine: bool, core: bool = False) -> Switches:
+    """``engine`` flips the round loop and the channel together."""
+    return Switches(history=history, engine=engine, channel=engine,
+                    core=core)
 
 
 def _count_reducer(state, k, value):
@@ -141,48 +148,27 @@ SPECS = {
 }
 
 
-def _observables(spec_factory, *, history_ref: bool,
-                 engine_ref: bool) -> bytes:
-    spec = dataclasses.replace(spec_factory(),
-                               use_reference_history=history_ref)
-
-    def instrument(sim):
-        sim.fast_path = not engine_ref
-        sim.channel.use_reference = engine_ref
-
-    result = run(spec, instrument=instrument)
-    return pickle.dumps({
-        "trace": result.trace,
-        "outputs": result.outputs,
-        "proposals": result.proposals,
-        "metrics": result.metrics,
-        "invariants": result.invariants,
-    })
-
-
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_history_switch_combinations_byte_identical(name):
     spec_factory = SPECS[name]
-    baseline = _observables(spec_factory, history_ref=True, engine_ref=True)
-    for history_ref, engine_ref in MODES[1:]:
-        got = _observables(spec_factory, history_ref=history_ref,
-                           engine_ref=engine_ref)
-        assert got == baseline, (name, history_ref, engine_ref)
+    baseline, *others = (
+        observables(run_with(spec_factory(),
+                             stack(history=history_ref, engine=engine_ref)))
+        for history_ref, engine_ref in MODES)
+    for mode, got in zip(MODES[1:], others):
+        assert got == baseline, (name, mode)
 
 
 def test_spec_switch_reaches_every_core():
-    """use_reference_history= on the spec pins each constructed core."""
-    for factory, attr in ((_cha_spec, "core"), (_checkpoint_spec, "core"),
-                          (_two_phase_spec, "core")):
-        spec = dataclasses.replace(factory(), use_reference_history=True,
-                                   keep_trace=False)
-        result = run(spec)
-        assert all(proc.core.use_reference_history
+    """The spec's ``history`` switch pins each constructed core."""
+    for factory in (_cha_spec, _checkpoint_spec, _two_phase_spec):
+        spec = dataclasses.replace(factory(), keep_trace=False)
+        result = run_with(spec, Switches(history=True))
+        assert all(proc.core.reference_history
                    for proc in result.processes.values())
-    vi = dataclasses.replace(_vi_spec(), use_reference_history=True,
-                             keep_trace=False)
-    result = run(vi)
+    vi = dataclasses.replace(_vi_spec(), keep_trace=False)
+    result = run_with(vi, Switches(history=True))
     replicas = [dev.replica for dev in result.processes.values()
                 if dev.replica is not None]
     assert replicas
-    assert all(rep.core.use_reference_history for rep in replicas)
+    assert all(rep.core.reference_history for rep in replicas)

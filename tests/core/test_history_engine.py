@@ -1,7 +1,6 @@
 """Engine-level tests for the incremental history fold.
 
-Covers the reference switch (environment + spec + constructor), the
-opt-in history timer, and the regression guarantee that motivated the
+Covers the reference switch on a whole run, the opt-in history timer, and the regression guarantee that motivated the
 engine: a protocol run — including its Agreement check — materialises
 *no* per-output history dictionaries (``History.__init__`` is the seed
 dict-form constructor; the chain engine bypasses it entirely).
@@ -12,13 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro import CHA, ClusterWorld, ExperimentSpec, MetricsSpec, WorkloadSpec
-from repro.core import (
-    HISTORY_TIMER,
-    ChaCore,
-    History,
-    reference_history_forced,
-)
+from repro.core import HISTORY_TIMER, ChaCore, History
 from repro.experiment.runner import run
+from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
 
@@ -60,7 +55,7 @@ def test_cha50_reference_run_still_materialises(monkeypatch):
     """Sanity check of the counter itself: the reference engine builds
     one dict-form History per green output, so the count is O(n * k)."""
     counter = _count_inits(monkeypatch)
-    result = run(_cha50_spec(use_reference_history=True))
+    result = run(_cha50_spec(switches=Switches(history=True)))
     assert result.invariants == {"agreement": "ok"}
     assert counter["calls"] >= 50 * 40  # one per node per green instance
 
@@ -73,19 +68,6 @@ def test_prefix_does_not_rebuild_dicts(monkeypatch):
     assert p.length == 3 and p(3) == "c" and not p.includes(5)
     assert h.prefix(4).agrees_with(p)
     assert counter["calls"] == 0
-
-
-def test_environment_switch_pins_new_cores(monkeypatch):
-    monkeypatch.setenv("REPRO_REFERENCE_HISTORY", "1")
-    assert reference_history_forced()
-    assert ChaCore(propose=lambda k: "x").use_reference_history is True
-    monkeypatch.setenv("REPRO_REFERENCE_HISTORY", "0")
-    assert not reference_history_forced()
-    assert ChaCore(propose=lambda k: "x").use_reference_history is False
-    # An explicit constructor argument beats the environment.
-    monkeypatch.setenv("REPRO_REFERENCE_HISTORY", "1")
-    core = ChaCore(propose=lambda k: "x", use_reference_history=False)
-    assert core.use_reference_history is False
 
 
 def test_history_timer_buckets_run_timings():
@@ -112,7 +94,7 @@ def test_history_timer_off_by_default():
 def test_history_pickles_to_canonical_dict_form():
     import pickle
 
-    ballots_core = ChaCore(propose=lambda k: "x", use_reference_history=False)
+    ballots_core = ChaCore(propose=lambda k: "x", switches=Switches())
     from repro.core.ballot import Ballot
     ballots_core.ballots = {1: Ballot("a", 0), 2: Ballot("b", 1)}
     ballots_core.k = 2

@@ -22,6 +22,7 @@ from repro.core.ballot import Ballot
 from repro.core.cha import calculate_history, calculate_history_reference
 from repro.core.history import ROOT_CHAIN
 from repro.errors import ProtocolError
+from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
 
@@ -33,7 +34,7 @@ VALUES = st.sampled_from(["a", "b", "c", "v9", ("t", 1), ("t", True),
 
 def _fast_core(ballots, instance, prev, *, propose=lambda k: "x"):
     """A chain-engine core with hand-planted protocol state."""
-    core = ChaCore(propose=propose, use_reference_history=False)
+    core = ChaCore(propose=propose, switches=Switches())
     core.ballots = dict(ballots)
     core.k = instance
     core.prev_instance = prev
@@ -122,7 +123,7 @@ def test_prefix_algebra_matches_reference(world_a, world_b):
 def test_incremental_fold_tracks_protocol_evolution(data):
     """One core driven through many instances: the cached fold must match
     a from-scratch reference walk after *every* protocol event."""
-    core = ChaCore(propose=lambda k: f"p{k}", use_reference_history=False)
+    core = ChaCore(propose=lambda k: f"p{k}", switches=Switches())
     steps = data.draw(st.integers(1, 30), label="steps")
     for _ in range(steps):
         payload = core.begin_instance()
@@ -182,7 +183,7 @@ def test_checkpoint_fold_matches_reference_core(data):
     for use_reference in (True, False):
         core = CheckpointChaCore(
             propose=lambda k: "x", reducer=lambda s, k, v: s,
-            initial_state=None, use_reference_history=use_reference)
+            initial_state=None, switches=Switches(history=use_reference))
         core.ballots = dict(ballots)
         core.k = instance
         core.prev_instance = prev

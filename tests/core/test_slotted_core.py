@@ -34,6 +34,7 @@ from repro.core.slotted import SlottedChaCore, SlottedCheckpointChaCore
 from repro.net import Simulator
 from repro.net.channel import RadioSpec
 from repro.net.messages import Message, RoundBatch
+from repro.switches import Switches
 from repro.types import BOTTOM, Color
 
 pytestmark = pytest.mark.fast
@@ -167,7 +168,7 @@ class TestPreInstanceInertness:
                                                       start_round):
         """The exact reported repro: round 0 lands on a veto phase."""
         proc = CHAProcess(propose=lambda k: k, start_round=start_round,
-                          use_reference_core=core_ref)
+                          switches=Switches(core=core_ref))
         assert proc.send(0, False) is None
         assert proc.send(0, True) is None
         stray = Message(1, VetoPayload("cha", 3, 1))
@@ -180,7 +181,7 @@ class TestPreInstanceInertness:
     def test_checkpoint_process_survives_pre_instance_rounds(self, core_ref):
         proc = CheckpointCHAProcess(
             propose=lambda k: k, reducer=lambda s, k, v: s, initial_state=0,
-            start_round=1, use_reference_core=core_ref)
+            start_round=1, switches=Switches(core=core_ref))
         assert proc.send(0, False) is None
         proc.deliver(0, (), False)
         assert proc.outputs == []
@@ -188,7 +189,7 @@ class TestPreInstanceInertness:
     @pytest.mark.parametrize("core_ref", BOTH_CORES)
     def test_two_phase_process_survives_pre_instance_rounds(self, core_ref):
         proc = TwoPhaseChaProcess(propose=lambda k: k,
-                                  use_reference_core=core_ref)
+                                  switches=Switches(core=core_ref))
         # Odd round = veto phase; no instance has begun yet.
         assert proc.send(1, False) is None
         proc.deliver(1, (Message(1, VetoPayload("2pc-cha", 1, 1)),), False)
@@ -207,7 +208,7 @@ class TestInstanceScopedVetoes:
         """A veto for another instance (a shifted-grid ensemble's, or a
         stale one) must not demote the current instance."""
         proc = CHAProcess(propose=default_proposer(0),
-                          use_reference_core=core_ref)
+                          switches=Switches(core=core_ref))
         payload = proc.send(0, True)
         proc.deliver(0, (Message(0, payload),), False)
         proc.send(1, False)
@@ -232,7 +233,7 @@ class TestInstanceScopedVetoes:
         """The filter must not be over-broad: a veto for *this* instance
         keeps its seed semantics."""
         proc = CHAProcess(propose=default_proposer(0),
-                          use_reference_core=core_ref)
+                          switches=Switches(core=core_ref))
         payload = proc.send(0, True)
         proc.deliver(0, (Message(0, payload),), False)
         proc.send(1, False)
@@ -269,10 +270,10 @@ def _run_midgrid_cha(core_ref, *, checkpoint=False):
             proc = CheckpointCHAProcess(
                 propose=default_proposer(node),
                 reducer=lambda s, k, v: (s or 0) + 1, initial_state=0,
-                use_reference_core=core_ref)
+                switches=Switches(core=core_ref))
         else:
             proc = CHAProcess(propose=default_proposer(node),
-                              use_reference_core=core_ref)
+                              switches=Switches(core=core_ref))
         start = 10 if node == 3 else 0
         sim.add_node(proc, positions[node], start_round=start)
         procs[node] = proc
@@ -308,7 +309,7 @@ class TestMidGridJoin:
             procs = {}
             for node in range(4):
                 proc = TwoPhaseChaProcess(propose=default_proposer(node),
-                                          use_reference_core=core_ref)
+                                          switches=Switches(core=core_ref))
                 start = 9 if node == 3 else 0  # odd: lands on a veto phase
                 sim.add_node(proc, positions[node], start_round=start)
                 procs[node] = proc
@@ -332,7 +333,7 @@ class TestMidGridJoin:
                 shifted = node >= 3
                 proc = CHAProcess(propose=default_proposer(node),
                                   start_round=1 if shifted else 0,
-                                  use_reference_core=core_ref)
+                                  switches=Switches(core=core_ref))
                 sim.add_node(proc, positions[node],
                              start_round=1 if shifted else 0)
                 procs[node] = proc

@@ -29,6 +29,7 @@ from repro.core import (
 from repro.core.checkpoint import CheckpointOutput
 from repro.core.history import ROOT_CHAIN, HistoryChain
 from repro.errors import SpecViolation
+from repro.switches import Switches
 from repro.types import BOTTOM
 
 pytestmark = pytest.mark.fast
@@ -211,10 +212,10 @@ def test_agreement_matches_the_definition(execution, exhaustive):
     outputs, plain, _ = execution
     want = _outcome(brute_agreement, plain, exhaustive=exhaustive)
     assert _outcome(check_agreement, outputs, exhaustive=exhaustive,
-                    use_reference=False) == want
+                    switches=Switches()) == want
     # The seed derivation stays the oracle and says the same.
     assert _outcome(check_agreement, outputs, exhaustive=exhaustive,
-                    use_reference=True) == want
+                    switches=Switches(history=True)) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,8 +281,8 @@ def test_agreement_accepts_equal_entries_on_distinct_spines():
         2: [(1, _history("private", 1, {1: 1.0}, False))],
         3: [(3, _history("dict", 3, {1: 1, 2: "b", 3: "c"}, False))],
     }
-    check_agreement(outputs, use_reference=False)
-    check_agreement(outputs, exhaustive=True, use_reference=False)
+    check_agreement(outputs, switches=Switches())
+    check_agreement(outputs, exhaustive=True, switches=Switches())
 
 
 def test_liveness_gap_below_a_long_converged_tail():

@@ -9,6 +9,7 @@ from repro.detectors import EventuallyAccurateDetector
 from repro.errors import ConfigurationError
 from repro.experiment import expand_grid
 from repro.net import RandomLossAdversary
+from repro.switches import Switches
 
 
 def seeded_spec():
@@ -140,7 +141,7 @@ class TestEngineSwitchSweep:
     switch itself must produce byte-identical points serially and in
     parallel, and both engine values must yield the same metrics."""
 
-    GRID = {"use_reference_engine": (False, True),
+    GRID = {"switches": (Switches(), Switches(engine=True)),
             "workload__instances": (6, 10)}
 
     def test_serial_and_parallel_byte_identical(self):

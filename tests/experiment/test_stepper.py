@@ -117,6 +117,16 @@ def test_three_phase_commit_goes_through_the_stepper():
     assert result.metrics["decision"] == run(spec).metrics["decision"]
 
 
+def test_three_phase_steppers_share_no_mutable_processes():
+    """The comparator has no processes; what it hands out must not be a
+    mapping one caller can write into every other stepper's view."""
+    spec = ExperimentSpec(protocol=ThreePhaseCommit(votes=(True, True)))
+    first, second = ExperimentStepper(spec), ExperimentStepper(spec)
+    with pytest.raises(TypeError):
+        first.processes["leak"] = object()
+    assert dict(second.processes) == {}
+
+
 def test_tick_accounting_and_partial_finish():
     stepper = ExperimentStepper(_cha_spec())
     assert stepper.total_ticks == 30  # 10 instances x 3 rounds

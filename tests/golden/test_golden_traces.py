@@ -16,6 +16,7 @@ crashes, late joiners and mobility, not just the happy path.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from repro.net import (
     WindowAdversary,
     canonical_dump,
 )
+from repro.switches import Switches
 from repro.vi.client import ScriptedClient
 from repro.vi.program import CounterProgram
 from repro.vi.schedule import VNSite
@@ -216,16 +218,13 @@ def test_golden_trace(name, request):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_trace_reference_path(name, request, monkeypatch):
-    """The goldens hold on the full reference stack too (all-pairs
-    channel, re-walking history fold *and* the seed per-node round
-    loop) — the committed files pin *model* behaviour, not fast-path
-    quirks."""
+def test_golden_trace_reference_path(name, request):
+    """The goldens hold on the full reference stack too (every twin of
+    the switch table at once) — the committed files pin *model*
+    behaviour, not fast-path quirks."""
     if request.config.getoption("--update-golden"):
         pytest.skip("goldens being rewritten")
-    monkeypatch.setenv("REPRO_REFERENCE_CHANNEL", "1")
-    monkeypatch.setenv("REPRO_REFERENCE_HISTORY", "1")
-    monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-    monkeypatch.setenv("REPRO_REFERENCE_VI", "1")
-    dump = canonical_dump(run(SCENARIOS[name]()).trace)
+    spec = dataclasses.replace(SCENARIOS[name](),
+                               switches=Switches.REFERENCE)
+    dump = canonical_dump(run(spec).trace)
     assert dump == (GOLDEN_DIR / f"{name}.golden").read_text()

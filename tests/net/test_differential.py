@@ -1,17 +1,15 @@
 """Differential verification: fast paths are byte-identical to reference.
 
-The headline guarantee of the performance layer.  Three levels:
+The headline guarantee of the performance layer.  Two levels:
 
 1. **Channel** — randomized geometries, radii, broadcast sets and
    adversaries; the indexed path must produce a Reception map equal to
    the reference all-pairs path, key set and all.
 2. **Simulator** — whole protocol executions (CHA family, baselines)
-   under mobility churn, crashes and every adversary class; the cached
+   under mobility churn, crashes and every adversary class; the batched
    engine + indexed channel must produce byte-identical Trace pickles
-   against the uncached engine + reference channel, in every on/off
-   combination of the two switches.
-3. **Environment switch** — ``REPRO_REFERENCE_CHANNEL=1`` must actually
-   pin new channels/simulators to the slow path.
+   against the seed loop + reference channel, in every corner of the
+   ``engine`` × ``channel`` switches.
 
 Everything here is marked ``fast``: this suite is the regression gate
 for any future change to the channel or engine internals.
@@ -26,9 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _switches import corners, run_with
 from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.experiment import EnvironmentSpec, MajorityRSM, NaiveRSM, TwoPhaseCHA
-from repro.experiment.runner import run
 from repro.geometry import Point
 from repro.net import (
     Channel,
@@ -44,11 +42,14 @@ from repro.net import (
     Simulator,
     TargetedDropAdversary,
     WindowAdversary,
-    reference_channel_forced,
 )
-from repro.net.simulator import Simulator as NetSimulator
+from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
+
+#: Bare channels on either twin.
+INDEXED = Switches()
+ALL_PAIRS = Switches(channel=True)
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +101,8 @@ def test_channel_differential_randomized(seed, adversary_kind):
     for trial in range(20):
         spec, positions, broadcasts = _random_world(rng)
         adv_fast, adv_ref = _adversary_pair(adversary_kind, seed * 31 + trial)
-        fast = Channel(spec, adv_fast, use_reference=False)
-        ref = Channel(spec, adv_ref, use_reference=True)
+        fast = Channel(spec, adv_fast, switches=INDEXED)
+        ref = Channel(spec, adv_ref, switches=ALL_PAIRS)
         for r in range(5):
             got = fast.deliver(r, positions, broadcasts)
             want = ref.deliver(r, positions, broadcasts)
@@ -113,8 +114,8 @@ def test_channel_differential_incremental_mobility():
     """The index's incremental updates must track moving geometries."""
     rng = random.Random(42)
     spec = RadioSpec(r1=1.0, r2=1.5, rcf=0)
-    fast = Channel(spec, use_reference=False)
-    ref = Channel(spec, use_reference=True)
+    fast = Channel(spec, switches=INDEXED)
+    ref = Channel(spec, switches=ALL_PAIRS)
     positions = {i: Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
                  for i in range(25)}
     for r in range(40):
@@ -154,20 +155,21 @@ def test_channel_differential_hypothesis(data):
     spec = RadioSpec(r1=r1, r2=max(r1, r2), rcf=0)
     senders = data.draw(st.sets(st.integers(0, n - 1)), label="senders")
     broadcasts = {i: Message(i, f"m{i}") for i in senders}
-    fast = Channel(spec, use_reference=False)
-    ref = Channel(spec, use_reference=True)
+    fast = Channel(spec, switches=INDEXED)
+    ref = Channel(spec, switches=ALL_PAIRS)
     assert fast.deliver(0, positions, broadcasts) == \
         ref.deliver(0, positions, broadcasts)
 
 
 def test_channel_positions_unchanged_hint():
     spec = RadioSpec(r1=1.0, r2=1.5)
-    fast = Channel(spec, use_reference=False)
-    ref = Channel(spec, use_reference=True)
+    fast = Channel(spec, switches=INDEXED)
+    ref = Channel(spec, switches=ALL_PAIRS)
     positions = {i: Point(float(i % 5), float(i // 5)) for i in range(20)}
     broadcasts = {3: Message(3, "x"), 11: Message(11, "y")}
     first = fast.deliver(0, positions, broadcasts)
-    hinted = fast.deliver(1, positions, broadcasts, positions_unchanged=True)
+    hinted = fast.deliver_batch(1, positions, broadcasts, sorted(broadcasts),
+                                positions_unchanged=True)
     assert first == hinted == ref.deliver(0, positions, broadcasts)
 
 
@@ -184,15 +186,13 @@ def _spec_for(protocol, n, instances, environment):
     )
 
 
-def _trace_bytes(spec_factory, *, sim_fast: bool, channel_fast: bool) -> bytes:
-    def instrument(sim):
-        sim.fast_path = sim_fast
-        sim.channel.use_reference = not channel_fast
-    result = run(spec_factory(), instrument=instrument)
-    return pickle.dumps(result.trace)
+def _trace_bytes(spec_factory, switches: Switches) -> bytes:
+    return pickle.dumps(run_with(spec_factory(), switches).trace)
 
 
-_MODES = [(True, True), (True, False), (False, True), (False, False)]
+#: Every (engine, channel) corner; the last — seed loop over the
+#: all-pairs channel — is the anchor the others must match.
+*_MODES, _ANCHOR = corners("engine", "channel")
 
 
 def _environments():
@@ -234,23 +234,20 @@ def test_simulator_traces_byte_identical(protocol_factory, env_name,
             )
         return _spec_for(protocol_factory(), 7, 15, env_factory())
 
-    reference = _trace_bytes(spec_factory, sim_fast=False, channel_fast=False)
-    for sim_fast, channel_fast in _MODES[:-1]:
-        assert _trace_bytes(
-            spec_factory, sim_fast=sim_fast, channel_fast=channel_fast,
-        ) == reference, (sim_fast, channel_fast)
+    reference = _trace_bytes(spec_factory, _ANCHOR)
+    for switches in _MODES:
+        assert _trace_bytes(spec_factory, switches) == reference, switches
 
 
 def test_simulator_traces_byte_identical_under_mobility():
     """Mobility churn: waypoint-roaming nodes join late and crash."""
-    def build(sim_fast: bool, channel_fast: bool) -> bytes:
+    def build(switches: Switches) -> bytes:
         sim = Simulator(
             spec=RadioSpec(r1=1.0, r2=1.5, rcf=10),
             adversary=RandomLossAdversary(p_drop=0.25, seed=3),
             crashes=CrashSchedule.of({2: 25}),
-            fast_path=sim_fast,
+            switches=switches,
         )
-        sim.channel.use_reference = not channel_fast
 
         class Chatter:
             """Minimal process: broadcasts its id every few rounds."""
@@ -269,10 +266,9 @@ def test_simulator_traces_byte_identical_under_mobility():
         sim.run(40)
         return pickle.dumps(sim.trace)
 
-    reference = build(False, False)
-    assert build(True, True) == reference
-    assert build(True, False) == reference
-    assert build(False, True) == reference
+    reference = build(_ANCHOR)
+    for switches in _MODES:
+        assert build(switches) == reference, switches
 
 
 def test_vi_emulation_traces_byte_identical():
@@ -294,16 +290,14 @@ def test_vi_emulation_traces_byte_identical():
             workload=WorkloadSpec(virtual_rounds=8),
         )
 
-    reference = _trace_bytes(spec_factory, sim_fast=False, channel_fast=False)
-    for sim_fast, channel_fast in _MODES[:-1]:
-        assert _trace_bytes(
-            spec_factory, sim_fast=sim_fast, channel_fast=channel_fast,
-        ) == reference, (sim_fast, channel_fast)
+    reference = _trace_bytes(spec_factory, _ANCHOR)
+    for switches in _MODES:
+        assert _trace_bytes(spec_factory, switches) == reference, switches
 
 
 def test_instance_level_contend_override_matches_reference():
     """A process that gains contend() as an *instance* attribute must be
-    seen by the fast path's contender precomputation."""
+    seen by the batched engine's contender precomputation."""
     from repro.contention import LeaderElectionCM
     from repro.net.node import Process
 
@@ -317,11 +311,10 @@ def test_instance_level_contend_override_matches_reference():
             return None
         def deliver(self, r, messages, collision): pass
 
-    def build(fast: bool):
+    def build(switches: Switches):
         sim = Simulator(spec=RadioSpec(r1=1.0, r2=1.5),
                         cms={"C": LeaderElectionCM(stable_round=0)},
-                        fast_path=fast)
-        sim.channel.use_reference = not fast
+                        switches=switches)
         procs = []
         for i in range(3):
             p = Quiet()
@@ -331,27 +324,8 @@ def test_instance_level_contend_override_matches_reference():
         sim.run(6)
         return pickle.dumps(sim.trace), [p.active_rounds for p in procs]
 
-    ref_bytes, ref_active = build(False)
-    fast_bytes, fast_active = build(True)
+    ref_bytes, ref_active = build(_ANCHOR)
+    fast_bytes, fast_active = build(Switches())
     assert fast_bytes == ref_bytes
     assert fast_active == ref_active
     assert any(ref_active), "someone must have been advised active"
-
-
-# ----------------------------------------------------------------------
-# The environment switch
-# ----------------------------------------------------------------------
-
-def test_reference_channel_env_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_REFERENCE_CHANNEL", raising=False)
-    assert not reference_channel_forced()
-    assert not Channel(RadioSpec(r1=1.0, r2=1.5)).use_reference
-    assert NetSimulator(spec=RadioSpec(r1=1.0, r2=1.5)).fast_path
-
-    monkeypatch.setenv("REPRO_REFERENCE_CHANNEL", "1")
-    assert reference_channel_forced()
-    assert Channel(RadioSpec(r1=1.0, r2=1.5)).use_reference
-    assert not NetSimulator(spec=RadioSpec(r1=1.0, r2=1.5)).fast_path
-
-    monkeypatch.setenv("REPRO_REFERENCE_CHANNEL", "0")
-    assert not reference_channel_forced()

@@ -17,6 +17,7 @@ import pickle
 
 import pytest
 
+from _switches import corners, observables, run_with
 from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.experiment import (
     CheckpointCHA,
@@ -29,7 +30,6 @@ from repro.experiment import (
     TwoPhaseCHA,
     VIEmulation,
 )
-from repro.experiment.runner import run
 from repro.faults import CrashWave, DetectorNoise, MessageStorm, plan
 from repro.geometry import Point
 from repro.net import (
@@ -43,8 +43,8 @@ from repro.net import (
     Simulator,
     WaypointMobility,
     WindowAdversary,
-    reference_engine_forced,
 )
+from repro.switches import Switches
 from repro.vi.program import CounterProgram
 from repro.vi.schedule import VNSite
 
@@ -55,28 +55,14 @@ def _count_reducer(state, k, value):
     return (state or 0) + 1
 
 
-def _result_bytes(spec_factory, *, engine_ref: bool,
-                  sim_fast: bool = True, channel_fast: bool = True) -> bytes:
-    """Pickle of everything observable: trace, outputs, metrics,
-    invariant verdicts, and violation contexts."""
-    def instrument(sim):
-        sim.use_reference_engine = engine_ref
-        sim.fast_path = sim_fast
-        sim.channel.use_reference = not channel_fast
-    result = run(spec_factory(), instrument=instrument)
-    return pickle.dumps((result.trace, result.outputs, result.metrics,
-                         result.invariants, result.violation_context))
+def _result_bytes(spec_factory, switches: Switches) -> bytes:
+    return observables(run_with(spec_factory(), switches))
 
 
-#: (engine_ref, sim_fast, channel_fast) combinations; the all-reference
-#: stack is the anchor everything else must match.
-MODES = [
-    (False, True, True),    # the default production stack
-    (False, True, False),
-    (False, False, True),
-    (False, False, False),
-    (True, True, True),
-]
+#: Every (engine, channel) corner, the production stack first; the last
+#: — seed loop over the all-pairs channel — is the anchor everything
+#: else must match.
+*MODES, ANCHOR = corners("engine", "channel")
 
 
 def _environments():
@@ -133,13 +119,9 @@ def _cluster_factory(protocol_factory, env_factory):
 def test_engines_byte_identical_per_family(protocol_factory, env_name,
                                            env_factory):
     spec_factory = _cluster_factory(protocol_factory, env_factory)
-    anchor = _result_bytes(spec_factory, engine_ref=True,
-                           sim_fast=False, channel_fast=False)
-    for engine_ref, sim_fast, channel_fast in MODES:
-        assert _result_bytes(
-            spec_factory, engine_ref=engine_ref,
-            sim_fast=sim_fast, channel_fast=channel_fast,
-        ) == anchor, (engine_ref, sim_fast, channel_fast)
+    anchor = _result_bytes(spec_factory, ANCHOR)
+    for switches in MODES:
+        assert _result_bytes(spec_factory, switches) == anchor, switches
 
 
 @pytest.mark.parametrize("history_ref", [False, True],
@@ -156,10 +138,10 @@ def test_engines_byte_identical_with_history_switch(history_ref):
                                               seed=13)),
             workload=WorkloadSpec(instances=12),
             metrics=MetricsSpec(invariants=("all",)),
-            use_reference_history=history_ref,
         )
-    assert _result_bytes(spec_factory, engine_ref=False) == \
-        _result_bytes(spec_factory, engine_ref=True)
+    batched, seed = corners("engine", history=history_ref)
+    assert _result_bytes(spec_factory, batched) == \
+        _result_bytes(spec_factory, seed)
 
 
 def test_engines_byte_identical_under_fault_plan():
@@ -178,13 +160,9 @@ def test_engines_byte_identical_under_fault_plan():
                 seed=77,
             ),
         )
-    anchor = _result_bytes(spec_factory, engine_ref=True,
-                           sim_fast=False, channel_fast=False)
-    for engine_ref, sim_fast, channel_fast in MODES:
-        assert _result_bytes(
-            spec_factory, engine_ref=engine_ref,
-            sim_fast=sim_fast, channel_fast=channel_fast,
-        ) == anchor, (engine_ref, sim_fast, channel_fast)
+    anchor = _result_bytes(spec_factory, ANCHOR)
+    for switches in MODES:
+        assert _result_bytes(spec_factory, switches) == anchor, switches
 
 
 def test_engines_byte_identical_vi_emulation():
@@ -203,13 +181,9 @@ def test_engines_byte_identical_vi_emulation():
             metrics=MetricsSpec(metrics=("availability", "emulation_gaps"),
                                 invariants=("replica_consistency",)),
         )
-    anchor = _result_bytes(spec_factory, engine_ref=True,
-                           sim_fast=False, channel_fast=False)
-    for engine_ref, sim_fast, channel_fast in MODES:
-        assert _result_bytes(
-            spec_factory, engine_ref=engine_ref,
-            sim_fast=sim_fast, channel_fast=channel_fast,
-        ) == anchor, (engine_ref, sim_fast, channel_fast)
+    anchor = _result_bytes(spec_factory, ANCHOR)
+    for switches in MODES:
+        assert _result_bytes(spec_factory, switches) == anchor, switches
 
 
 def test_engines_byte_identical_under_mobility_dirty_set():
@@ -221,7 +195,7 @@ def test_engines_byte_identical_under_mobility_dirty_set():
             spec=RadioSpec(r1=1.0, r2=1.5, rcf=10),
             adversary=RandomLossAdversary(p_drop=0.25, seed=3),
             crashes=CrashSchedule.of({2: 25}),
-            use_reference_engine=engine_ref,
+            switches=Switches(engine=engine_ref),
         )
 
         class Chatter:
@@ -250,37 +224,3 @@ def test_engines_byte_identical_under_mobility_dirty_set():
         return pickle.dumps(sim.trace)
 
     assert build(False) == build(True)
-
-
-def test_reference_engine_env_switch(monkeypatch):
-    spec = RadioSpec(r1=1.0, r2=1.5)
-    monkeypatch.delenv("REPRO_REFERENCE_ENGINE", raising=False)
-    assert not reference_engine_forced()
-    assert not Simulator(spec=spec).use_reference_engine
-
-    monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-    assert reference_engine_forced()
-    assert Simulator(spec=spec).use_reference_engine
-    # An explicit constructor argument still wins.
-    assert not Simulator(spec=spec,
-                         use_reference_engine=False).use_reference_engine
-
-    monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "0")
-    assert not reference_engine_forced()
-
-
-def test_spec_switch_reaches_simulator():
-    """ExperimentSpec.use_reference_engine pins the built simulator."""
-    seen = []
-    spec = ExperimentSpec(
-        protocol=CHA(), world=ClusterWorld(n=3),
-        workload=WorkloadSpec(instances=2),
-        use_reference_engine=True,
-    )
-    run(spec, instrument=lambda sim: seen.append(sim.use_reference_engine))
-    assert seen == [True]
-
-    seen.clear()
-    run(spec.override(use_reference_engine=False),
-        instrument=lambda sim: seen.append(sim.use_reference_engine))
-    assert seen == [False]

@@ -210,6 +210,7 @@ class TestDirtySetEngineIntegration:
 
     def test_reference_engine_still_consults_everyone(self):
         from repro.net import RadioSpec, Simulator
+        from repro.switches import Switches
 
         class Quiet:
             def contend(self, r): return None
@@ -217,7 +218,7 @@ class TestDirtySetEngineIntegration:
             def deliver(self, r, messages, collision): pass
 
         sim = Simulator(spec=RadioSpec(r1=1.0, r2=1.5),
-                        use_reference_engine=True)
+                        switches=Switches(engine=True))
         model = self._Counting(Point(0, 0), [], speed=1.0)
         sim.add_node(Quiet(), model)
         sim.run(10)

@@ -3,8 +3,8 @@
 PR 8 added :mod:`repro.net.shard`: worker processes own contiguous
 column strips of the spatial grid, run the batched round logic over
 their resident nodes, and exchange only boundary-cell broadcasts —
-behind the fifth reference-style switch (``ExperimentSpec.shards`` /
-``REPRO_SHARDS``).  This suite is the regression gate: the pickled
+behind the ``shards`` axis of :class:`~repro.switches.Switches`
+(``REPRO_SHARDS``).  This suite is the regression gate: the pickled
 observables of a sharded run must be byte-for-byte identical to the
 serial engine's, across shard counts, protocol families, crash waves,
 the full engine/channel/history/core switch matrix, cross-border
@@ -28,6 +28,7 @@ import pickle
 
 import pytest
 
+from _switches import corners, observables, run_with
 from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.contention import LeaderElectionCM
 from repro.core.cha import CHAProcess
@@ -54,12 +55,8 @@ from repro.net import (
     Simulator,
 )
 from repro.net.adversary import RandomLossAdversary
-from repro.net.shard import (
-    ShardedSimulator,
-    ShardPlan,
-    plan_shards,
-    shards_forced,
-)
+from repro.net.shard import ShardedSimulator, ShardPlan, plan_shards
+from repro.switches import Switches
 
 pytestmark = [pytest.mark.fast, pytest.mark.shard_differential]
 
@@ -83,8 +80,8 @@ PROTOCOLS = {
 }
 
 
-def _spec(protocol, *, shards=None, keep_trace=False, crashes=False,
-          **overrides) -> ExperimentSpec:
+def _spec(protocol, *, switches=None, keep_trace=False,
+          crashes=False) -> ExperimentSpec:
     env = (EnvironmentSpec(crashes=CRASH_WAVE) if crashes
            else EnvironmentSpec())
     return ExperimentSpec(
@@ -97,20 +94,12 @@ def _spec(protocol, *, shards=None, keep_trace=False, crashes=False,
         metrics=MetricsSpec(metrics=("rounds", "total_broadcasts"),
                             invariants=("all",)),
         keep_trace=keep_trace,
-        shards=shards,
-        **overrides,
+        switches=switches,
     )
 
 
-def _observables(spec, *, engine_ref=False, channel_ref=False) -> bytes:
-    def instrument(sim):
-        sim.use_reference_engine = engine_ref
-        sim.fast_path = not channel_ref
-        sim.channel.use_reference = channel_ref
-
-    result = run(spec, instrument=instrument)
-    return pickle.dumps((result.trace, result.outputs, result.metrics,
-                         result.invariants, result.violation_context))
+def _observables(spec, switches: Switches = Switches()) -> bytes:
+    return observables(run_with(spec, switches))
 
 
 # ----------------------------------------------------------------------
@@ -123,13 +112,12 @@ def test_shard_matrix_byte_identical(name):
     factory = PROTOCOLS[name]
     for keep_trace in (True, False):
         for crashes in (False, True):
-            anchor = _observables(_spec(factory(), shards=1,
-                                        keep_trace=keep_trace,
-                                        crashes=crashes))
+            def spec():
+                return _spec(factory(), keep_trace=keep_trace,
+                             crashes=crashes)
+            anchor = _observables(spec())
             for shards in SHARDS:
-                got = _observables(_spec(factory(), shards=shards,
-                                         keep_trace=keep_trace,
-                                         crashes=crashes))
+                got = _observables(spec(), Switches(shards=shards))
                 assert got == anchor, (name, keep_trace, crashes, shards)
 
 
@@ -139,36 +127,23 @@ def test_shard_switch_matrix_byte_identical(name):
     (engine, channel, history, core) corner stays byte-identical to the
     same corner run serially."""
     factory = PROTOCOLS[name]
-    for engine_ref in (False, True):
-        for channel_ref in (False, True):
-            for history_ref in (False, True):
-                for core_ref in (False, True):
-                    anchor = _observables(
-                        _spec(factory(), shards=1,
-                              use_reference_history=history_ref,
-                              use_reference_core=core_ref),
-                        engine_ref=engine_ref, channel_ref=channel_ref)
-                    for shards in SHARDS:
-                        got = _observables(
-                            _spec(factory(), shards=shards,
-                                  use_reference_history=history_ref,
-                                  use_reference_core=core_ref),
-                            engine_ref=engine_ref, channel_ref=channel_ref)
-                        assert got == anchor, (
-                            name, shards, engine_ref, channel_ref,
-                            history_ref, core_ref)
+    for serial in corners("engine", "channel", "history", "core"):
+        anchor = _observables(_spec(factory()), serial)
+        for shards in SHARDS:
+            sharded = dataclasses.replace(serial, shards=shards)
+            assert _observables(_spec(factory()), sharded) == anchor, sharded
 
 
 def test_environment_switch_drives_sharding(monkeypatch):
-    """``REPRO_SHARDS`` shard counts apply when the spec leaves
-    ``shards`` unset, and still produce serial-identical bytes."""
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    """``REPRO_SHARDS`` shard counts apply when the spec carries no
+    switches, and still produce serial-identical bytes."""
     anchor = _observables(_spec(CHA()))
     monkeypatch.setenv("REPRO_SHARDS", "2")
-    assert _observables(_spec(CHA())) == anchor
-    # The spec value wins over the environment.
-    monkeypatch.setenv("REPRO_SHARDS", "4")
-    assert _observables(_spec(CHA(), shards=1)) == anchor
+    forks = []
+    result = run(_spec(CHA()),
+                 instrument=lambda sim: forks.append(sim.switches.shards))
+    assert forks == [2]
+    assert observables(result) == anchor
 
 
 # ----------------------------------------------------------------------
@@ -198,11 +173,12 @@ class Chatter:
         self.heard.append((r, tuple(m.payload for m in messages), collision))
 
 
-def _scatter_sim(record_trace):
+def _scatter_sim(record_trace, shards=1):
     """Ten nodes spread over ~6 grid columns; four of them drift."""
     sim = Simulator(spec=RadioSpec(r1=1.0, r2=1.5),
                     cms={"C": LeaderElectionCM(stable_round=0)},
-                    record_trace=record_trace)
+                    record_trace=record_trace,
+                    switches=Switches(shards=shards))
     for i in range(10):
         x = -4.0 + i * 0.9
         if i % 2 == 0:
@@ -214,7 +190,7 @@ def _scatter_sim(record_trace):
     return sim
 
 
-def _cha_sim(record_trace):
+def _cha_sim(record_trace, shards=1):
     """The narrowest shardable fully-connected CHA world.
 
     Two cell columns (width ``r2 = 2``) with every pair within
@@ -223,7 +199,8 @@ def _cha_sim(record_trace):
     """
     sim = Simulator(spec=RadioSpec(r1=2.0, r2=2.0),
                     cms={"C": LeaderElectionCM(stable_round=0)},
-                    record_trace=record_trace)
+                    record_trace=record_trace,
+                    switches=Switches(shards=shards))
     for i in range(8):
         x = -0.9 + i * 0.25
         if i in (1, 4):
@@ -251,7 +228,7 @@ def test_mirror_mode_migration_trace_identical():
     serial = _scatter_sim(True)
     serial.run(60)
     new_chain_generation()
-    sharded = ShardedSimulator(_scatter_sim(True), 3)
+    sharded = ShardedSimulator(_scatter_sim(True, shards=3))
     sharded.run(60)
     sharded.finish()
     assert sharded.mirror is True
@@ -267,7 +244,7 @@ def test_fast_mode_migration_state_identical():
     serial = _cha_sim(False)
     serial.run(120)
     new_chain_generation()
-    sharded = ShardedSimulator(_cha_sim(False), 2)
+    sharded = ShardedSimulator(_cha_sim(False, shards=2))
     sharded.run(120)
     sharded.finish()
     assert sharded.mirror is False
@@ -280,7 +257,7 @@ def test_mirror_mode_migration_cha_trace_identical():
     serial = _cha_sim(True)
     serial.run(120)
     new_chain_generation()
-    sharded = ShardedSimulator(_cha_sim(True), 2)
+    sharded = ShardedSimulator(_cha_sim(True, shards=2))
     sharded.run(120)
     sharded.finish()
     assert sharded.mirror is True
@@ -304,7 +281,7 @@ def test_mid_run_add_node_mirror():
     serial = _cha_sim(True)
     _late_join(serial)
     new_chain_generation()
-    sharded = ShardedSimulator(_cha_sim(True), 2)
+    sharded = ShardedSimulator(_cha_sim(True, shards=2))
     _late_join(sharded)
     sharded.finish()
     assert pickle.dumps(sharded.sim.trace) == pickle.dumps(serial.trace)
@@ -319,7 +296,7 @@ def test_mid_run_add_node_fast():
     serial = _cha_sim(False)
     _late_join(serial)
     new_chain_generation()
-    sharded = ShardedSimulator(_cha_sim(False), 2)
+    sharded = ShardedSimulator(_cha_sim(False, shards=2))
     _late_join(sharded)
     sharded.finish()
     assert sharded.mirror is False
@@ -327,7 +304,7 @@ def test_mid_run_add_node_fast():
 
 
 def test_mid_run_add_node_requires_picklable_process():
-    sharded = ShardedSimulator(_cha_sim(False), 2)
+    sharded = ShardedSimulator(_cha_sim(False, shards=2))
     sharded.step()
     with pytest.raises(ConfigurationError, match="picklable"):
         # a lambda-bearing proposer cannot be registered on the workers
@@ -339,10 +316,11 @@ def test_mid_run_add_node_requires_picklable_process():
 def test_serial_fallback_on_narrow_world():
     """A single-column deployment cannot split: the facade runs the
     plain serial engine and stays byte-identical trivially."""
-    def narrow(record_trace):
+    def narrow(record_trace, shards=1):
         sim = Simulator(spec=RadioSpec(r1=2.0, r2=2.0),
                         cms={"C": LeaderElectionCM(stable_round=0)},
-                        record_trace=record_trace)
+                        record_trace=record_trace,
+                        switches=Switches(shards=shards))
         for i in range(4):
             sim.add_node(CHAProcess(propose=functools.partial(_proposal, i),
                                     cm_name="C"),
@@ -353,7 +331,7 @@ def test_serial_fallback_on_narrow_world():
     serial = narrow(True)
     serial.run(30)
     new_chain_generation()
-    sharded = ShardedSimulator(narrow(True), 4)
+    sharded = ShardedSimulator(narrow(True, shards=4))
     sharded.run(30)
     sharded.finish()
     assert sharded.serial_fallback
@@ -361,7 +339,7 @@ def test_serial_fallback_on_narrow_world():
 
 
 def test_shards_one_is_serial():
-    sharded = ShardedSimulator(_cha_sim(True), 1)
+    sharded = ShardedSimulator(_cha_sim(True))
     sharded.step()
     assert sharded.serial_fallback
 
@@ -373,56 +351,34 @@ def test_shards_one_is_serial():
 def test_rejects_nonbenign_adversary():
     sim = Simulator(spec=RadioSpec(r1=2.0, r2=2.0),
                     adversary=RandomLossAdversary(p_drop=0.5, seed=1),
-                    cms={"C": LeaderElectionCM(stable_round=0)})
+                    cms={"C": LeaderElectionCM(stable_round=0)},
+                    switches=Switches(shards=2))
     for i in range(4):
         sim.add_node(CHAProcess(propose=functools.partial(_proposal, i),
                                 cm_name="C"), Point(-0.9 + i * 0.5, 0.2))
-    sharded = ShardedSimulator(sim, 2)
+    sharded = ShardedSimulator(sim)
     with pytest.raises(ConfigurationError, match="NoAdversary"):
         sharded.step()
 
 
-def test_rejects_invalid_shard_count():
-    with pytest.raises(ConfigurationError, match="shards"):
-        ShardedSimulator(_cha_sim(True), 0)
-
-
 def test_runner_rejects_unsupported_protocols():
     with pytest.raises(ConfigurationError, match="majority-rsm"):
-        run(_spec(MajorityRSM(), shards=2))
+        run(_spec(MajorityRSM(), switches=Switches(shards=2)))
     def factory(*, propose, cm_name):
         return CHAProcess(propose=propose, cm_name=cm_name)
 
     with pytest.raises(ConfigurationError, match="factories"):
-        run(_spec(CHA(process_factory=factory), shards=2))
+        run(_spec(CHA(process_factory=factory),
+                  switches=Switches(shards=2)))
 
 
 def test_spec_validates_shards():
-    with pytest.raises(ConfigurationError, match="shards"):
-        _spec(CHA(), shards=0).validate()
     deployed = dataclasses.replace(
-        _spec(CHA(), shards=2),
+        _spec(CHA(), switches=Switches(shards=2)),
         world=DeployedWorld(sites=(VNSite(vn_id=0,
                                           location=Point(0.0, 0.0)),)))
     with pytest.raises(ConfigurationError, match="cluster"):
         deployed.validate()
-
-
-def test_shards_forced_parses_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    assert shards_forced() is None
-    monkeypatch.setenv("REPRO_SHARDS", "")
-    assert shards_forced() is None
-    monkeypatch.setenv("REPRO_SHARDS", "0")
-    assert shards_forced() is None
-    monkeypatch.setenv("REPRO_SHARDS", "3")
-    assert shards_forced() == 3
-    monkeypatch.setenv("REPRO_SHARDS", "two")
-    with pytest.raises(ConfigurationError):
-        shards_forced()
-    monkeypatch.setenv("REPRO_SHARDS", "-1")
-    with pytest.raises(ConfigurationError):
-        shards_forced()
 
 
 # ----------------------------------------------------------------------

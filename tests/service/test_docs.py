@@ -126,17 +126,24 @@ def test_every_event_table_matches_the_catalog():
             f"event {name!r}: section prose drifted from events.EVENTS"
 
 
-def test_reference_switch_doc_names_every_switch():
-    """docs/REFERENCE_SWITCHES.md must cover the full switch family —
-    the env var *and* the spec field of each one."""
+def test_reference_switch_table_matches_the_axis_table():
+    """docs/REFERENCE_SWITCHES.md carries ``switches.markdown_table()``
+    row for row — an axis added, renamed or re-described in
+    ``repro.switches.AXES`` without regenerating the doc fails here
+    with the stale row named."""
+    from repro import switches
+
     text = (REPO / "docs" / "REFERENCE_SWITCHES.md").read_text()
-    for env in ("REPRO_REFERENCE_CHANNEL", "REPRO_REFERENCE_HISTORY",
-                "REPRO_REFERENCE_ENGINE", "REPRO_REFERENCE_CORE",
-                "REPRO_REFERENCE_VI", "REPRO_SHARDS"):
-        assert env in text, f"switch {env} missing from the table"
-    for field in ("use_reference_history", "use_reference_engine",
-                  "use_reference_core", "use_reference_vi", "shards"):
-        assert f"`{field}`" in text, f"spec field {field} missing"
+    documented = [line for line in text.splitlines()
+                  if line.startswith("|")]
+    expected = switches.markdown_table().splitlines()
+    assert len(documented) == len(expected), (
+        "docs/REFERENCE_SWITCHES.md must hold exactly the generated "
+        "table: regenerate it with "
+        "`python -c 'from repro import switches; "
+        "print(switches.markdown_table())'`")
+    for got, want in zip(documented, expected):
+        assert got == want, f"switch table row drifted:\n{got}\n{want}"
 
 
 def test_history_read_cost_table_matches_the_code():

@@ -11,6 +11,8 @@ links that grows linearly with the number of instances.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import (
@@ -21,9 +23,10 @@ from repro import (
     MetricsSpec,
     WorkloadSpec,
 )
-from repro.core.history import HistoryChain
+from repro.core.history import History, HistoryChain
 from repro.net import RandomLossAdversary
 from repro.service.driver import WorldDriver
+from repro.switches import AXES
 from repro.types import BOTTOM
 
 pytestmark = pytest.mark.fast
@@ -125,3 +128,47 @@ def test_harvest_visits_links_linearly_in_instances(monkeypatch):
     # the count (an O(k) read per decision would quadruple it).
     assert at_2k == 2 * at_k
     assert at_k <= 30 * (NODES + 2)
+
+
+class _RecordingEnviron(dict):
+    """An ``os.environ`` stand-in that remembers which keys were read."""
+
+    def __init__(self, base) -> None:
+        super().__init__(base)
+        self.reads: list[str] = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def test_served_verdicts_stay_on_the_twin_the_world_was_built_on(
+        monkeypatch):
+    """The per-decision agreement checker runs on the stepper's resolved
+    switches.  Flipping ``REPRO_REFERENCE_HISTORY`` after the first tick
+    must neither move the verdicts onto the other history twin nor cost
+    an environment read per decision."""
+    for axis in AXES:
+        monkeypatch.delenv(axis.env, raising=False)
+    driver = _driver(12)
+    events = driver.tick()
+
+    environ = _RecordingEnviron(os.environ)
+    environ["REPRO_REFERENCE_HISTORY"] = "1"
+    monkeypatch.setattr(os, "environ", environ)
+    reference_calls = []
+    monkeypatch.setattr(
+        History, "agrees_with_reference",
+        lambda self, other: reference_calls.append(self) or True)
+    while not driver.complete:
+        events.extend(driver.tick())
+
+    decisions = [e for e in events if e["type"] == "decision"]
+    assert len(decisions) == 12
+    assert all(d["agreement"] == "ok" for d in decisions)
+    assert reference_calls == []
+    assert [key for key in environ.reads if key.startswith("REPRO_")] == []

@@ -13,43 +13,28 @@ engine/channel/history/core reference-switch matrix.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
+from _switches import corners, observables
 from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.experiment import EnvironmentSpec, MetricsSpec
 from repro.experiment.runner import run
 from repro.net import RandomLossAdversary, WindowAdversary
 from repro.service import ConsensusService, ProposalLedger, ServiceConfig
+from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
 
-#: (engine_ref, sim_fast, channel_fast) — the same switch matrix as
+#: Every (engine, channel) corner — the same switch matrix as
 #: tests/net/test_engine_differential.py and the single-world suite.
-MODES = [
-    (False, True, True),    # the default production stack
-    (False, True, False),
-    (False, False, True),
-    (False, False, False),
-    (True, True, True),
-]
+MODES = corners("engine", "channel")
+MODE_IDS = ["default", "ref-channel", "ref-engine", "ref-both"]
 
 WORLDS = 8
 INSTANCES = 10
 
 
-def _instrument(mode):
-    engine_ref, sim_fast, channel_fast = mode
-
-    def instrument(sim):
-        sim.use_reference_engine = engine_ref
-        sim.fast_path = sim_fast
-        sim.channel.use_reference = not channel_fast
-    return instrument
-
-
-def _spec_factory(*, history_ref: bool = False, core_ref: bool = False):
+def _spec_factory(switches: Switches = Switches()):
     def make() -> ExperimentSpec:
         return ExperimentSpec(
             protocol=CHA(),
@@ -62,20 +47,13 @@ def _spec_factory(*, history_ref: bool = False, core_ref: bool = False):
                 metrics=("rounds", "total_broadcasts", "decided_instances"),
                 invariants=("all",),
             ),
-            use_reference_history=history_ref,
-            use_reference_core=core_ref,
+            switches=switches,
         )
     return make
 
 
-def _observable(result) -> bytes:
-    return pickle.dumps((result.trace, result.outputs, result.proposals,
-                         result.metrics, result.invariants,
-                         result.violation_context))
-
-
-def _serve_worlds(spec_factory, *, mode=(False, True, True),
-                  worlds: int = WORLDS, rounds_per_tick: int = 3):
+def _serve_worlds(spec_factory, *, worlds: int = WORLDS,
+                  rounds_per_tick: int = 3):
     """Serve ``worlds`` interleaved worlds under scripted populations.
 
     Every world gets one closed-loop client (seed proposals before
@@ -84,12 +62,11 @@ def _serve_worlds(spec_factory, *, mode=(False, True, True),
     on w1 watching instance 2, hops to w3 mid-run (``attach_world``),
     subscribes to a value prefix there, and lands one proposal — so the
     read models and the session re-binding run *during* the measured
-    interleaving.  Returns ``(observables, schedules)`` by world name.
+    interleaving.  Returns ``(served, schedules)`` by world name.
     """
     service = ConsensusService(
         spec_factory(),
         ServiceConfig(rounds_per_tick=rounds_per_tick, worlds=worlds),
-        instrument=_instrument(mode),
     )
     names = [f"w{i + 1}" for i in range(worlds)]
     clients = {}
@@ -125,34 +102,31 @@ def _serve_worlds(spec_factory, *, mode=(False, True, True),
         rover.drain()
     assert hopped, "the rover must re-bind while worlds are mid-run"
     rover.close()
-    observables = {entry.name: _observable(entry.driver.result)
-                   for entry in service.registry}
+    served = {entry.name: observables(entry.driver.result)
+              for entry in service.registry}
     schedules = {entry.name: entry.driver.ledger.schedule()
                  for entry in service.registry}
-    return observables, schedules
+    return served, schedules
 
 
-def _batch(spec_factory, schedule, *, mode=(False, True, True)) -> bytes:
+def _batch(spec_factory, schedule) -> bytes:
     """The equivalent batch run: one world's accepted schedule replayed."""
     spec = spec_factory().override(
         protocol__proposer_factory=ProposalLedger.scripted(schedule))
-    return _observable(run(spec, instrument=_instrument(mode)))
+    return observables(run(spec))
 
 
-@pytest.mark.parametrize("mode", MODES,
-                         ids=["default", "ref-channel", "no-fastpath",
-                              "ref-stack", "ref-engine"])
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 def test_eight_worlds_each_equal_batch_across_switches(mode):
-    spec_factory = _spec_factory()
-    observables, schedules = _serve_worlds(spec_factory, mode=mode)
-    assert len(observables) == WORLDS
+    spec_factory = _spec_factory(mode)
+    served, schedules = _serve_worlds(spec_factory)
+    assert len(served) == WORLDS
     # The scripts diverge per world (different seed values, different
     # reaction instants), so this is 8 genuinely distinct replays.
     assert len(set(schedules.values())) > 1
-    for name in observables:
+    for name in served:
         assert schedules[name], f"{name}: the script must land proposals"
-        assert observables[name] == _batch(
-            spec_factory, schedules[name], mode=mode), name
+        assert served[name] == _batch(spec_factory, schedules[name]), name
 
 
 @pytest.mark.parametrize(
@@ -161,11 +135,11 @@ def test_eight_worlds_each_equal_batch_across_switches(mode):
     ids=["reference-history", "reference-core", "reference-both"])
 def test_worlds_equal_batch_with_history_and_core_switches(
         history_ref, core_ref):
-    spec_factory = _spec_factory(history_ref=history_ref, core_ref=core_ref)
-    observables, schedules = _serve_worlds(spec_factory, worlds=4)
-    for name in observables:
-        assert observables[name] == _batch(spec_factory, schedules[name]), \
-            name
+    spec_factory = _spec_factory(Switches(history=history_ref,
+                                          core=core_ref))
+    served, schedules = _serve_worlds(spec_factory, worlds=4)
+    for name in served:
+        assert served[name] == _batch(spec_factory, schedules[name]), name
 
 
 def test_interleaved_worlds_match_a_solo_served_world():
@@ -206,4 +180,4 @@ def test_lazily_created_world_replays_batch():
         world__n=4,
         protocol__proposer_factory=ProposalLedger.scripted(
             late.driver.ledger.schedule()))
-    assert _observable(late.driver.result) == _observable(run(batch_spec))
+    assert observables(late.driver.result) == observables(run(batch_spec))

@@ -6,8 +6,8 @@ instances, detaching again — must be byte-identical to a plain batch
 replayed through ``protocol__proposer_factory``.  Identical means the
 pickle of everything observable (trace, outputs, proposals, metrics,
 invariant verdicts, violation contexts) matches byte for byte, across
-the engine/channel/history reference-switch combinations the engine
-differential suite uses.
+the engine/channel/history switch corners the engine differential
+suite uses.
 
 The served side here drives :meth:`WorldDriver.tick` directly (the tick
 is synchronous by design — the asyncio clock only decides *when* ticks
@@ -17,42 +17,27 @@ so the accepted schedule is reproducible.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
+from _switches import corners, observables
 from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.experiment import EnvironmentSpec, MetricsSpec, TwoPhaseCHA
 from repro.experiment.runner import run
 from repro.net import RandomLossAdversary, WindowAdversary
 from repro.service import ConsensusService, ProposalLedger, ServiceConfig
+from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
 
-#: (engine_ref, sim_fast, channel_fast) — the switch matrix of
-#: tests/net/test_engine_differential.py.
-MODES = [
-    (False, True, True),    # the default production stack
-    (False, True, False),
-    (False, False, True),
-    (False, False, False),
-    (True, True, True),
-]
+#: Every (engine, channel) corner — the switch matrix of
+#: tests/net/test_engine_differential.py, production stack first.
+MODES = corners("engine", "channel")
+MODE_IDS = ["default", "ref-channel", "ref-engine", "ref-both"]
 
 INSTANCES = 12
 
 
-def _instrument(mode):
-    engine_ref, sim_fast, channel_fast = mode
-
-    def instrument(sim):
-        sim.use_reference_engine = engine_ref
-        sim.fast_path = sim_fast
-        sim.channel.use_reference = not channel_fast
-    return instrument
-
-
-def _spec_factory(env_name: str, *, history_ref: bool = False,
+def _spec_factory(env_name: str, *, switches: Switches = Switches(),
                   protocol_factory=CHA):
     def make() -> ExperimentSpec:
         if env_name == "lossy":
@@ -72,18 +57,12 @@ def _spec_factory(env_name: str, *, history_ref: bool = False,
                 metrics=("rounds", "total_broadcasts", "decided_instances"),
                 invariants=("all",),
             ),
-            use_reference_history=history_ref,
+            switches=switches,
         )
     return make
 
 
-def _observable(result) -> bytes:
-    return pickle.dumps((result.trace, result.outputs, result.proposals,
-                         result.metrics, result.invariants,
-                         result.violation_context))
-
-
-def _serve(spec_factory, *, mode=(False, True, True),
+def _serve(spec_factory, *,
            rounds_per_tick: int = 3) -> tuple[bytes, tuple]:
     """Run a served world under a scripted client population.
 
@@ -96,7 +75,6 @@ def _serve(spec_factory, *, mode=(False, True, True),
     service = ConsensusService(
         spec_factory(),
         ServiceConfig(rounds_per_tick=rounds_per_tick),
-        instrument=_instrument(mode),
     )
     driver = service.driver
     first = service.connect(client="script-a")
@@ -121,34 +99,31 @@ def _serve(spec_factory, *, mode=(False, True, True),
             late.bye()  # detach mid-run
     schedule = driver.ledger.schedule()
     first.close()
-    return _observable(driver.result), schedule
+    return observables(driver.result), schedule
 
 
-def _batch(spec_factory, schedule, *, mode=(False, True, True)) -> bytes:
+def _batch(spec_factory, schedule) -> bytes:
     """The equivalent batch run: the accepted schedule replayed."""
     spec = spec_factory().override(
         protocol__proposer_factory=ProposalLedger.scripted(schedule))
-    return _observable(run(spec, instrument=_instrument(mode)))
+    return observables(run(spec))
 
 
 @pytest.mark.parametrize("env_name", ["benign", "lossy"])
-@pytest.mark.parametrize("mode", MODES,
-                         ids=["default", "ref-channel", "no-fastpath",
-                              "ref-stack", "ref-engine"])
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 def test_served_equals_batch_across_switches(env_name, mode):
-    spec_factory = _spec_factory(env_name)
-    served, schedule = _serve(spec_factory, mode=mode)
+    spec_factory = _spec_factory(env_name, switches=mode)
+    served, schedule = _serve(spec_factory)
     assert schedule, "the script must actually land proposals"
-    assert served == _batch(spec_factory, schedule, mode=mode)
+    assert served == _batch(spec_factory, schedule)
 
 
 def test_served_schedule_invariant_under_switches():
     """The reference switches change *how* rounds are computed, never
     what decides — so the scripted population must land the identical
     proposal schedule whichever stack serves it."""
-    spec_factory = _spec_factory("lossy")
     schedules = {
-        _serve(spec_factory, mode=mode)[1] for mode in map(tuple, MODES)
+        _serve(_spec_factory("lossy", switches=mode))[1] for mode in MODES
     }
     assert len(schedules) == 1
 
@@ -156,7 +131,8 @@ def test_served_schedule_invariant_under_switches():
 @pytest.mark.parametrize("history_ref", [False, True],
                          ids=["chain-history", "reference-history"])
 def test_served_equals_batch_with_history_switch(history_ref):
-    spec_factory = _spec_factory("lossy", history_ref=history_ref)
+    spec_factory = _spec_factory("lossy",
+                                 switches=Switches(history=history_ref))
     served, schedule = _serve(spec_factory)
     assert served == _batch(spec_factory, schedule)
 
@@ -192,7 +168,7 @@ def test_detach_and_slow_consumers_do_not_perturb_the_world():
         while not service.driver.complete:
             service.driver.tick()
         assert service.driver.ledger.schedule() == ()
-        return _observable(service.driver.result)
+        return observables(service.driver.result)
 
     def nobody(service):
         pass

@@ -2,7 +2,7 @@
 
 The phase-table engine (:class:`repro.vi.engine.VIRoundEngine`, the
 default for deployed worlds) must be *byte-identical* to the seed
-per-device dispatch (``use_reference_vi=True``: one full
+per-device dispatch (``Switches(vi=True)``: one full
 ``Simulator.step`` per real round) — traces, outputs, metrics, and
 invariant verdicts all pickle to the same bytes — across every
 combination with the engine, channel, history and core reference
@@ -21,6 +21,7 @@ import pickle
 
 import pytest
 
+from _switches import observables, run_with
 from repro import ExperimentSpec, WorkloadSpec
 from repro.experiment import (
     DeployedWorld,
@@ -40,47 +41,28 @@ from repro.net import (
     WaypointMobility,
     WindowAdversary,
 )
-from repro.vi import CounterProgram, ScriptedClient, VIWorld, VNSite
-from repro.vi.engine import reference_vi_forced
+from repro.switches import Switches
+from repro.vi import CounterProgram, ScriptedClient, VNSite
 
 pytestmark = [pytest.mark.fast, pytest.mark.vi_differential]
 
 
-def _result_bytes(spec_factory, *, vi_ref: bool,
-                  engine_ref: bool = False, sim_fast: bool = True,
-                  channel_fast: bool = True, history_ref: bool = False,
-                  core_ref: bool = False) -> bytes:
-    """Pickle of everything observable: trace, outputs, metrics,
-    invariant verdicts, and violation contexts."""
-    spec = spec_factory().override(
-        use_reference_vi=vi_ref,
-        use_reference_history=history_ref,
-        use_reference_core=core_ref,
-    )
-
-    def instrument(sim):
-        sim.use_reference_engine = engine_ref
-        sim.fast_path = sim_fast
-        sim.channel.use_reference = not channel_fast
-
-    result = run(spec, instrument=instrument)
-    return pickle.dumps((result.trace, result.outputs, result.metrics,
-                         result.invariants, result.violation_context))
+def _result_bytes(spec_factory, switches: Switches) -> bytes:
+    return observables(run_with(spec_factory(), switches))
 
 
-#: (vi_ref, engine_ref, sim_fast, channel_fast, history_ref, core_ref)
-#: combinations; the all-reference stack is the anchor everything else
-#: must match.  The phase-table engine falls back to per-round stepping
-#: when the simulator itself is pinned reference (engine_ref=True with
-#: vi_ref=False), so that row exercises the fallback path.
+#: The production stack, then each axis flipped alone; the all-reference
+#: stack is the anchor everything else must match.  The phase-table
+#: engine falls back to per-round stepping when the simulator itself is
+#: pinned to its seed loop (``engine`` on, ``vi`` off), so that row
+#: exercises the fallback path.
 MODES = [
-    (False, False, True, True, False, False),   # the production stack
-    (True, False, True, True, False, False),    # reference VI, fast sim
-    (False, True, True, True, False, False),    # engine-pin fallback
-    (False, False, True, False, False, False),  # reference channel
-    (False, False, True, True, True, False),    # reference history
-    (False, False, True, True, False, True),    # reference core
-    (False, False, False, False, False, False),  # slow sim path
+    Switches(),
+    Switches(vi=True),
+    Switches(engine=True),
+    Switches(channel=True),
+    Switches(history=True),
+    Switches(core=True),
 ]
 
 
@@ -161,17 +143,9 @@ def _scenarios():
 @pytest.mark.parametrize("name,spec_factory", list(_scenarios()),
                          ids=[name for name, _ in _scenarios()])
 def test_vi_byte_identical_across_switch_matrix(name, spec_factory):
-    anchor = _result_bytes(spec_factory, vi_ref=True, engine_ref=True,
-                           sim_fast=False, channel_fast=False,
-                           history_ref=True, core_ref=True)
-    for mode in MODES:
-        vi_ref, engine_ref, sim_fast, channel_fast, history_ref, core_ref \
-            = mode
-        assert _result_bytes(
-            spec_factory, vi_ref=vi_ref, engine_ref=engine_ref,
-            sim_fast=sim_fast, channel_fast=channel_fast,
-            history_ref=history_ref, core_ref=core_ref,
-        ) == anchor, mode
+    anchor = _result_bytes(spec_factory, Switches.REFERENCE)
+    for switches in MODES:
+        assert _result_bytes(spec_factory, switches) == anchor, switches
 
 
 def test_vi_pooled_run_matches_traced_run():
@@ -185,45 +159,3 @@ def test_vi_pooled_run_matches_traced_run():
                              result.invariants, result.violation_context))
 
     assert observables(False) == observables(True)
-
-
-def test_reference_vi_env_switch(monkeypatch):
-    site = VNSite(0, Point(0.0, 0.0))
-    programs = {0: CounterProgram()}
-    monkeypatch.delenv("REPRO_REFERENCE_VI", raising=False)
-    assert not reference_vi_forced()
-    assert not VIWorld([site], programs).use_reference_vi
-
-    monkeypatch.setenv("REPRO_REFERENCE_VI", "1")
-    assert reference_vi_forced()
-    assert VIWorld([site], programs).use_reference_vi
-    # An explicit constructor argument still wins.
-    assert not VIWorld([site], programs,
-                       use_reference_vi=False).use_reference_vi
-
-    monkeypatch.setenv("REPRO_REFERENCE_VI", "0")
-    assert not reference_vi_forced()
-
-
-def test_spec_switch_reaches_world(monkeypatch):
-    """ExperimentSpec.use_reference_vi pins the built VIWorld."""
-    import repro.experiment.runner as runner_module
-
-    seen = []
-    real_world = runner_module.VIWorld
-
-    def spy(*args, **kwargs):
-        world = real_world(*args, **kwargs)
-        seen.append(world.use_reference_vi)
-        return world
-
-    monkeypatch.setattr(runner_module, "VIWorld", spy)
-    _, spec_factory = next(_scenarios())
-    run(spec_factory().override(use_reference_vi=True,
-                                workload__virtual_rounds=1))
-    assert seen == [True]
-
-    seen.clear()
-    run(spec_factory().override(use_reference_vi=False,
-                                workload__virtual_rounds=1))
-    assert seen == [False]
