@@ -26,10 +26,37 @@ Two implementations of the reception rule coexist:
   scan, kept as the executable specification.
 * :meth:`Channel._deliver_indexed` — the default fast path: a
   :class:`~repro.net.index.SpatialGridIndex` turns the per-receiver scans
-  into per-sender cell lookups, and the per-receiver ground-truth
-  bookkeeping (the ``lost_within_*`` flags the detector consumes)
-  collapses to constant-time set-size arithmetic whenever no adversarial
-  drop is in play.
+  into per-sender cell lookups that fill one *saturating record* per
+  receiver.
+
+The record.  The reception rule never asks *which* senders a node could
+hear past four facts: none, exactly one (who?) or more than one within
+``R2``, and whether any of them is within ``R1``.  So the indexed path
+keeps, per receiver some sender reached, one of three forms of
+``(sole R2 sender's message, some R2 sender is inside R1)`` — a node no
+sender reached has no entry:
+
+* ``(m, near)`` — one sender so far, its message ``m``, inside ``R1`` or
+  not;
+* ``(None, False)`` — two or more, none inside ``R1`` yet (contended);
+* ``(None, True)`` — two or more, one of them inside ``R1``: **final**.
+
+A final receiver's :class:`Reception` can no longer change: its
+messages are ``()`` (or its own broadcast) and both loss flags are
+already set, and another sender could only set them again.  Each
+receiver's entry is therefore written at most three times a round,
+however many senders there are.  The walk counts the final residents of
+every grid cell and a sender skips a cell in which that count has
+reached the cell's population — exact, because every node the sender
+would test there is one it could not affect — and the walk stops once
+every positioned node is final.  A saturated round (CHAP's veto rounds
+before ``rcf``: dozens of concurrent senders in one cluster) thus costs
+O(receivers + senders x overlapped cells), not O(senders x receivers).
+
+Before ``rcf`` the same record yields the tentative-delivery map the
+adversary is shown (at most one message per receiver: its own, or the
+sole ``R2`` sender's when that one is within ``R1``), and a drop can only
+matter by dooming that one message.
 
 The two paths are guaranteed to produce *identical* reception maps — the
 randomized differential suite (``tests/net/test_differential.py``)
@@ -69,9 +96,17 @@ class Reception:
 #: while sparing the fast path an allocation per idle receiver per round.
 _SILENCE = Reception(messages=(), lost_within_r1=False, lost_within_r2=False)
 
-#: Shared reception for "one audible sender, inside R2 but outside R1":
-#: nothing delivered, nothing R1-lost, the R2 broadcast went undelivered.
+#: Shared receptions for "nothing delivered, something within R2 lost":
+#: no audible sender inside R1 / at least one inside R1.
 _LOST_R2_ONLY = Reception(messages=(), lost_within_r1=False, lost_within_r2=True)
+_LOST_BOTH = Reception(messages=(), lost_within_r1=True, lost_within_r2=True)
+
+#: The two saturated states of the indexed path's per-receiver record
+#: ``(sole R2 sender's message, some R2 sender is inside R1)``: two or
+#: more senders within R2, so no sole sender any more.  ``_FINAL`` is
+#: absorbing.
+_CONTENDED: tuple[Message | None, bool] = (None, False)
+_FINAL: tuple[Message | None, bool] = (None, True)
 
 
 @dataclass(frozen=True)
@@ -105,12 +140,11 @@ class Channel:
         self._reference = switches.channel
         self._index = SpatialGridIndex(cell_size=spec.r2)
         self._index_synced = False
-        #: Preallocated per-round scratch for the indexed path.  The
-        #: ``in_r1``/``in_r2`` maps never escape ``deliver`` (receptions
-        #: carry only booleans derived from them), so one pair of dicts
-        #: is cleared and refilled every round instead of reallocated.
-        self._in_r1_buf: dict[NodeId, list[NodeId]] = {}
-        self._in_r2_buf: dict[NodeId, list[NodeId]] = {}
+        #: Per-round scratch of the indexed path: the saturating record
+        #: of every receiver some sender reached (module docstring).  It
+        #: never escapes ``deliver``, so one dict is cleared and refilled
+        #: every round instead of reallocated.
+        self._heard: dict[NodeId, tuple[Message | None, bool]] = {}
 
     def deliver(self, r: Round,
                 positions: Mapping[NodeId, Point],
@@ -222,11 +256,13 @@ class Channel:
                          positions_unchanged: bool = False) -> dict[NodeId, Reception]:
         """Sender-centric delivery via the spatial grid.
 
-        Instead of scanning all senders per receiver, each sender pushes
-        itself onto the ``in_r1``/``in_r2`` lists of the nodes its cell
-        neighborhood can reach.  Iterating senders in sorted order keeps
-        every per-receiver list sorted by sender id, which is exactly the
-        order the reference path produces.
+        A silent round and a single-sender round past ``rcf`` are
+        answered on the spot.  Otherwise one walk — each sender visits
+        the cells its ``R2`` disk overlaps and advances the saturating
+        record (module docstring) of every node it reaches, skipping
+        cells whose residents are all final — then one resolution: the
+        record decides each reception; before ``rcf`` the adversary sees
+        the tentative deliveries first and its drops are applied on top.
         """
         spec = self.spec
         index = self._index
@@ -246,44 +282,46 @@ class Channel:
             index.update(positions)
             self._index_synced = True
 
-        r1_sq = spec.r1 * spec.r1
-        r2_sq = spec.r2 * spec.r2
         r2 = spec.r2
+        r1_sq = spec.r1 * spec.r1
+        r2_sq = r2 * r2
+        Rec = Reception
         if len(senders) == 1 and r >= spec.rcf:
             # Single audible sender past stabilisation — the dominant
             # round shape of every contention-managed cluster protocol.
-            # One grid walk resolves everything: no contention can
-            # exist, so the in_r1/in_r2 bookkeeping maps are never
-            # needed (each in-R1 receiver still gets its own fresh
-            # message tuple, matching the general path's object graph).
+            # No contention can exist, so each reached receiver's
+            # reception is decided on the spot and the record is never
+            # needed (measured: walking it costs svc-tcp 7 % of its
+            # throughput; CHANGES.md, PR 21).
             s = senders[0]
             message = broadcasts[s]
             sx, sy = index.coords_of(s)
             receptions = dict.fromkeys(positions, _SILENCE)
-            Rec = Reception
-            for cell in index.buckets_overlapping(sx, sy, r2):
+            for _, cell in index.buckets_overlapping(sx, sy, r2):
                 for node, nx, ny in cell.values():
-                    if node == s:
-                        continue
                     dx = nx - sx
                     dy = ny - sy
                     dd = dx * dx + dy * dy
                     if dd <= r2_sq:
                         receptions[node] = (Rec((message,), False, False)
                                             if dd <= r1_sq else _LOST_R2_ONLY)
-            receptions[s] = Rec((message,), False, False)
             return receptions
-        in_r1 = self._in_r1_buf
-        in_r2 = self._in_r2_buf
-        in_r1.clear()
-        in_r2.clear()
-        r1_get = in_r1.get
-        r2_get = in_r2.get
+        heard = self._heard
+        heard.clear()
+        heard_get = heard.get
+        final_in: dict[tuple[int, int], int] = {}
+        final_get = final_in.get
         coords_of = index.coords_of
         buckets_overlapping = index.buckets_overlapping
+        unsettled = len(positions)
         for s in senders:
+            if not unsettled:
+                break
             sx, sy = coords_of(s)
-            for cell in buckets_overlapping(sx, sy, r2):
+            message = broadcasts[s]
+            for key, cell in buckets_overlapping(sx, sy, r2):
+                if final_get(key) == len(cell):
+                    continue
                 for node, nx, ny in cell.values():
                     if node == s:
                         continue
@@ -291,112 +329,53 @@ class Channel:
                     dy = ny - sy
                     dd = dx * dx + dy * dy
                     if dd <= r2_sq:
-                        bucket = r2_get(node)
-                        if bucket is None:
-                            in_r2[node] = [s]
-                        else:
-                            bucket.append(s)
-                        if dd <= r1_sq:
-                            bucket = r1_get(node)
-                            if bucket is None:
-                                in_r1[node] = [s]
-                            else:
-                                bucket.append(s)
+                        state = heard_get(node)
+                        if state is None:
+                            heard[node] = (message, dd <= r1_sq)
+                        elif state is not _FINAL:
+                            if state[1] or dd <= r1_sq:
+                                heard[node] = _FINAL
+                                final_in[key] = final_get(key, 0) + 1
+                                unsettled -= 1
+                            elif state is not _CONTENDED:
+                                heard[node] = _CONTENDED
 
+        dropped: dict[NodeId, frozenset[NodeId]] = {}
         if r < spec.rcf:
-            return self._resolve_with_drops(
-                r, positions, broadcasts, in_r1, in_r2)
+            # The adversary is consulted exactly once per pre-rcf round
+            # (stateful RNG streams must advance as on the reference
+            # path), with the map that path would build.
+            tentative: dict[NodeId, tuple[Message, ...]] = dict.fromkeys(positions, ())
+            for receiver, (sole, near) in heard.items():
+                if near and sole is not None:
+                    tentative[receiver] = (sole,)
+            for s in senders:
+                tentative[s] = (broadcasts[s],)
+            dropped = self.adversary.drops(r, tentative)
 
-        # Post-stabilisation fast route: no adversary consultation, so no
-        # tentative-delivery map is needed at all.  Receivers out of range
-        # of every sender share one silent Reception (value-equal to what
-        # the reference path builds); only nodes actually near a sender do
-        # per-receiver work, and the detector's ground-truth flags reduce
-        # to list-length arithmetic instead of missing-sender set scans.
+        # Receivers out of range of every sender share one silent
+        # Reception, contended ones one per flag pair (all value-equal to
+        # what the reference path builds); each delivered message still
+        # gets its own fresh tuple, matching that path's object graph.
         receptions: dict[NodeId, Reception] = dict.fromkeys(positions, _SILENCE)
-        Rec = Reception
-        for receiver, r2_senders in in_r2.items():
-            if receiver in broadcasts:
-                continue  # handled below
-            if len(r2_senders) <= 1:
-                r1_senders = r1_get(receiver)
-                if r1_senders is None:
-                    # One audible sender, out of R1: its message is lost.
-                    receptions[receiver] = _LOST_R2_ONLY
-                else:
-                    receptions[receiver] = Rec(
-                        (broadcasts[r1_senders[0]],), False, False)
+        for receiver, (sole, near) in heard.items():
+            if near and sole is not None:
+                receptions[receiver] = Rec((sole,), False, False)
             else:
-                # Contention: every in-range broadcast died here.
-                receptions[receiver] = Rec(
-                    (), r1_get(receiver) is not None, True)
+                receptions[receiver] = _LOST_BOTH if near else _LOST_R2_ONLY
         for s in senders:
-            # Transmitting: hears only itself; concurrent in-range
-            # transmissions count as losses at it.
-            receptions[s] = Rec(
-                (broadcasts[s],), r1_get(s) is not None, r2_get(s) is not None)
-        return receptions
-
-    def _resolve_with_drops(self, r: Round,
-                            positions: Mapping[NodeId, Point],
-                            broadcasts: Mapping[NodeId, Message],
-                            in_r1: dict[NodeId, list[NodeId]],
-                            in_r2: dict[NodeId, list[NodeId]]) -> dict[NodeId, Reception]:
-        """Pre-``rcf`` resolution: materialise tentative deliveries for
-        the adversary, then apply its drops (general bookkeeping)."""
-        empty: tuple[NodeId, ...] = ()
-        r1_get = in_r1.get
-        r2_get = in_r2.get
-        tentative: dict[NodeId, tuple[Message, ...]] = {}
-        for receiver in positions:
-            if receiver in broadcasts:
-                tentative[receiver] = (broadcasts[receiver],)
-            else:
-                r2_senders = r2_get(receiver, empty)
-                if len(r2_senders) <= 1:
-                    tentative[receiver] = tuple(
-                        broadcasts[s] for s in r1_get(receiver, empty)
-                    )
-                else:
-                    tentative[receiver] = ()
-
-        dropped = self.adversary.drops(r, tentative)
-
-        receptions: dict[NodeId, Reception] = {}
-        dropped_get = dropped.get
-        for receiver in positions:
-            doomed = dropped_get(receiver)
-            r1_senders = r1_get(receiver, empty)
-            r2_senders = r2_get(receiver, empty)
-            if doomed:
-                delivered = tuple(
-                    m for m in tentative[receiver] if m.sender not in doomed
-                )
-                got = {m.sender for m in delivered}
-                receptions[receiver] = Reception(
-                    messages=delivered,
-                    lost_within_r1=any(s not in got for s in r1_senders),
-                    lost_within_r2=any(s not in got for s in r2_senders),
-                )
-            elif receiver in broadcasts:
-                receptions[receiver] = Reception(
-                    messages=tentative[receiver],
-                    lost_within_r1=bool(r1_senders),
-                    lost_within_r2=bool(r2_senders),
-                )
-            elif len(r2_senders) <= 1:
-                if not r2_senders:
-                    receptions[receiver] = _SILENCE
-                else:
-                    receptions[receiver] = Reception(
-                        messages=tentative[receiver],
-                        lost_within_r1=False,
-                        lost_within_r2=len(r2_senders) > len(r1_senders),
-                    )
-            else:
-                receptions[receiver] = Reception(
-                    messages=(),
-                    lost_within_r1=bool(r1_senders),
-                    lost_within_r2=True,
-                )
+            # Transmitting: hears only itself (whatever the loop above
+            # made of its record); concurrent in-range transmissions
+            # count as losses at it.
+            state = heard_get(s)
+            receptions[s] = (Rec((broadcasts[s],), False, False) if state is None
+                             else Rec((broadcasts[s],), state[1], True))
+        for receiver, doomed in dropped.items():
+            # A receiver holds at most one message: its own broadcast, or
+            # the sole R2 sender's.  Losing a neighbour's is an R1 loss.
+            was = receptions.get(receiver)
+            if was is not None and was.messages and was.messages[0].sender in doomed:
+                foreign = receiver not in broadcasts
+                receptions[receiver] = Rec((), was.lost_within_r1 or foreign,
+                                           was.lost_within_r2 or foreign)
         return receptions

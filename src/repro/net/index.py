@@ -37,6 +37,9 @@ from ..types import NodeId
 #: channel's inner loop.
 _Entry = tuple[NodeId, float, float]
 
+#: A grid cell's integer coordinates.
+_CellKey = tuple[int, int]
+
 
 class SpatialGridIndex:
     """Uniform-grid index over node positions, incrementally maintained."""
@@ -50,7 +53,7 @@ class SpatialGridIndex:
         self._inv_cell = 1.0 / cell_size
         #: (cx, cy) -> {node: (node, x, y)} — the value tuples carry the
         #: coordinates so candidate scans never re-hash into ``_where``.
-        self._cells: dict[tuple[int, int], dict[NodeId, _Entry]] = {}
+        self._cells: dict[_CellKey, dict[NodeId, _Entry]] = {}
         #: node -> (x, y, cx, cy) of its current bucket.
         self._where: dict[NodeId, tuple[float, float, int, int]] = {}
 
@@ -127,13 +130,16 @@ class SpatialGridIndex:
     # Queries
     # ------------------------------------------------------------------
 
-    def buckets_overlapping(self, x: float, y: float,
-                            radius: float) -> Iterator[dict[NodeId, _Entry]]:
-        """Occupied cell buckets overlapping the query disk.
+    def buckets_overlapping(self, x: float, y: float, radius: float
+                            ) -> Iterator[tuple[_CellKey, dict[NodeId, _Entry]]]:
+        """Occupied ``(cell key, bucket)`` pairs overlapping the query disk.
 
         A superset cover of the true neighborhood; callers iterate each
         bucket's ``.values()`` and apply the exact distance predicate
-        themselves (the channel inlines it into unboxed float math).
+        themselves (the channel inlines it into unboxed float math).  The
+        key names the cell for as long as the index is not updated, so a
+        caller can keep per-cell notes across queries (the channel counts
+        each cell's settled residents under it).
         """
         inv = self._inv_cell
         cells = self._cells
@@ -141,13 +147,14 @@ class SpatialGridIndex:
         cy_lo, cy_hi = floor((y - radius) * inv), floor((y + radius) * inv)
         for cx in range(cx_lo, cx_hi + 1):
             for cy in range(cy_lo, cy_hi + 1):
-                bucket = cells.get((cx, cy))
+                key = (cx, cy)
+                bucket = cells.get(key)
                 if bucket is not None:
-                    yield bucket
+                    yield key, bucket
 
     def candidates(self, x: float, y: float, radius: float) -> Iterator[_Entry]:
         """All bucketed nodes in cells overlapping the query disk."""
-        for bucket in self.buckets_overlapping(x, y, radius):
+        for _, bucket in self.buckets_overlapping(x, y, radius):
             yield from bucket.values()
 
     def neighbors_within(self, center: Point, radius: float) -> list[NodeId]:

@@ -35,6 +35,12 @@ CONTAINER_OVERHEAD = 2
 NONE_SIZE = 1
 
 
+#: ``type -> field names`` of every dataclass sized so far.  A class's
+#: fields are fixed when it is defined, so they are derived on first sight
+#: instead of per payload (every broadcast of a run is sized).
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def wire_size(payload: Any) -> int:
     """Deterministic wire-size estimate, in bytes, of a payload.
 
@@ -43,6 +49,14 @@ def wire_size(payload: Any) -> int:
     tuple of their fields.  It is *not* a real serialiser; it exists so
     that "message size" is a well-defined, reproducible metric.
     """
+    names = _FIELD_NAMES.get(type(payload))
+    if names is not None:
+        # Only a type that fell through every branch below is ever
+        # tabled, and those branches test the type alone.
+        size = CONTAINER_OVERHEAD
+        for name in names:
+            size += wire_size(getattr(payload, name))
+        return size
     if payload is None:
         return NONE_SIZE
     if isinstance(payload, bool):
@@ -60,9 +74,8 @@ def wire_size(payload: Any) -> int:
             wire_size(k) + wire_size(v) for k, v in payload.items()
         )
     if is_dataclass(payload) and not isinstance(payload, type):
-        return CONTAINER_OVERHEAD + sum(
-            wire_size(getattr(payload, f.name)) for f in fields(payload)
-        )
+        _FIELD_NAMES[type(payload)] = tuple(f.name for f in fields(payload))
+        return wire_size(payload)
     raise TypeError(f"wire_size: unsupported payload type {type(payload)!r}")
 
 

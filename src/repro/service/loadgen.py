@@ -94,14 +94,28 @@ class _Tally:
 
 def percentiles(samples: list[float],
                 points: tuple[float, ...] = (0.5, 0.9, 0.99)) -> dict[str, float]:
-    """Nearest-rank percentiles plus mean/max/count (empty-safe)."""
+    """Nearest-rank percentiles plus mean/max/count (empty-safe).
+
+    Each point is reported under ``p<integer percent>`` (``0.99`` →
+    ``"p99"``), so two points inside one integer percent — ``0.99`` and
+    ``0.999`` — would share a key: that is a :class:`ValueError` naming
+    both, never a silently dropped percentile.
+    """
+    asked: dict[str, float] = {}
+    for p in points:
+        key = f"p{int(p * 100)}"
+        if key in asked:
+            raise ValueError(
+                f"percentile points {asked[key]!r} and {p!r} both report "
+                f"as {key!r}; ask for points at least one percent apart")
+        asked[key] = p
     if not samples:
         return {"count": 0}
     ordered = sorted(samples)
     out: dict[str, float] = {}
-    for p in points:
+    for key, p in asked.items():
         rank = min(len(ordered) - 1, max(0, int(p * len(ordered) + 0.5) - 1))
-        out[f"p{int(p * 100)}"] = ordered[rank]
+        out[key] = ordered[rank]
     out["mean"] = sum(ordered) / len(ordered)
     out["max"] = ordered[-1]
     out["count"] = len(ordered)

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.geometry import Point
 from repro.net import Message, RadioSpec, ScriptedAdversary
 from repro.net.channel import Channel
+from repro.switches import Switches
 
 
 def deliver(channel, r, positions, broadcasts):
@@ -150,3 +151,55 @@ class TestAdversary:
         ch = Channel(spec)
         with pytest.raises(ConfigurationError):
             ch.deliver(0, {1: Point(0, 0)}, {0: Message(0, "m")})
+
+
+class TestSaturatingRecord:
+    """The indexed path's per-receiver record saturates: work on a
+    crowded round is bounded by receivers, not senders x receivers."""
+
+    class CountingDict(dict):
+        writes = 0
+
+        def __setitem__(self, key, value):
+            self.writes += 1
+            super().__setitem__(key, value)
+
+    @staticmethod
+    def cluster(first_id, x, y, n=100):
+        """``n`` nodes on a 10-wide lattice 0.05 apart: all inside one
+        grid cell and inside R1 of each other."""
+        return {first_id + i: Point(x + 0.05 * (i % 10), y + 0.05 * (i // 10))
+                for i in range(n)}
+
+    def test_record_writes_bounded_by_receivers(self):
+        spec = RadioSpec(r1=1.0, r2=1.5)
+        positions = self.cluster(0, 0.2, 0.2)
+        # Ten listeners in the next cell, in every sender's R1-R2 annulus:
+        # contended by the second sender and never final, so all fifty
+        # senders test them — and must not write their entry again.
+        positions.update({100 + i: Point(1.675, 0.425) for i in range(10)})
+        broadcasts = dict.fromkeys(range(0, 100, 2), "veto")
+        ch = Channel(spec, switches=Switches())
+        record = ch._heard = self.CountingDict()
+        got = deliver(ch, 0, positions, broadcasts)
+        # one sender -> contended -> final, at most; the list-per-receiver
+        # bookkeeping this replaced did 2 x 50 x 99 appends on the cluster.
+        assert 0 < record.writes <= 3 * len(positions)
+        assert not got[100].lost_within_r1 and got[100].lost_within_r2
+        assert got == deliver(Channel(spec, switches=Switches(channel=True)),
+                              0, positions, broadcasts)
+
+    def test_saturation_in_one_cell_does_not_silence_another(self):
+        # Four crowded clusters out of each other's earshot: each must be
+        # walked even after the others' cells are full of final nodes.
+        spec = RadioSpec(r1=1.0, r2=1.5)
+        positions = {}
+        for k, (x, y) in enumerate([(0.2, 0.2), (30.2, 0.2),
+                                    (0.2, 30.2), (30.2, 30.2)]):
+            positions.update(self.cluster(100 * k, x, y, n=20))
+        broadcasts = {s: "veto" for s in positions if s % 100 < 6}
+        got = deliver(Channel(spec, switches=Switches()), 0, positions, broadcasts)
+        assert got == deliver(Channel(spec, switches=Switches(channel=True)),
+                              0, positions, broadcasts)
+        assert all(rec.lost_within_r1 and rec.lost_within_r2
+                   for rec in got.values())

@@ -29,6 +29,7 @@ from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.experiment import EnvironmentSpec, MajorityRSM, NaiveRSM, TwoPhaseCHA
 from repro.geometry import Point
 from repro.net import (
+    Adversary,
     Channel,
     Crash,
     CrashPoint,
@@ -144,21 +145,114 @@ def test_channel_differential_incremental_mobility():
 @given(st.data())
 def test_channel_differential_hypothesis(data):
     """Hypothesis sweep: tight integer-ish geometries hammer the exact
-    boundary cases (distance == radius, shared cells, r1 == r2)."""
-    n = data.draw(st.integers(1, 12), label="n")
+    boundary cases (distance == radius, shared cells, r1 == r2), with
+    enough nodes that four or more senders can share a cell, on either
+    side of ``rcf`` (round 0 under ``rcf=1`` takes the adversary's drops)."""
+    n = data.draw(st.integers(1, 30), label="n")
     coords = st.integers(-4, 4).map(float)
     positions = {
         i: Point(data.draw(coords), data.draw(coords)) for i in range(n)
     }
     r1 = data.draw(st.sampled_from([1.0, 2.0, 3.0]), label="r1")
     r2 = data.draw(st.sampled_from([1.0, 1.5, 2.0]), label="factor") * r1
-    spec = RadioSpec(r1=r1, r2=max(r1, r2), rcf=0)
+    rcf = data.draw(st.sampled_from([0, 1]), label="rcf")
+    spec = RadioSpec(r1=r1, r2=max(r1, r2), rcf=rcf)
     senders = data.draw(st.sets(st.integers(0, n - 1)), label="senders")
     broadcasts = {i: Message(i, f"m{i}") for i in senders}
-    fast = Channel(spec, switches=INDEXED)
-    ref = Channel(spec, switches=ALL_PAIRS)
+    adv_fast, adv_ref = _adversary_pair(
+        "loss", data.draw(st.integers(0, 2**16), label="adversary seed"))
+    fast = Channel(spec, adv_fast, switches=INDEXED)
+    ref = Channel(spec, adv_ref, switches=ALL_PAIRS)
     assert fast.deliver(0, positions, broadcasts) == \
         ref.deliver(0, positions, broadcasts)
+
+
+class _RecordingAdversary(Adversary):
+    """Keeps every tentative map it is handed; dooms by a fixed policy."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.seen: list[tuple[int, dict]] = []
+
+    def drops(self, r, tentative):
+        self.seen.append((r, tentative))
+        return self.policy(r, tentative)
+
+    def false_collision(self, r, node):
+        return False
+
+
+def _doom_own(r, tentative):
+    """Every other broadcaster loses its own message."""
+    return {receiver: frozenset({receiver})
+            for receiver, msgs in tentative.items()
+            if receiver % 2 == r % 2
+            and any(m.sender == receiver for m in msgs)}
+
+
+def _doom_absent(r, tentative):
+    """Every receiver is told to lose senders it was never going to hear
+    (and so is a receiver that is not in the round at all)."""
+    senders = {m.sender for msgs in tentative.values() for m in msgs}
+    out = {receiver: frozenset(senders - {m.sender for m in msgs} | {9999})
+           for receiver, msgs in tentative.items()}
+    out[7777] = frozenset(senders)
+    return out
+
+
+def _doom_everything(r, tentative):
+    senders = frozenset(m.sender for msgs in tentative.values() for m in msgs)
+    return {receiver: senders for receiver in tentative if receiver % 3}
+
+
+def _saturated_world():
+    """Clusters of eight nodes in three adjacent grid cells and one far
+    one (cell size R2 = 1.5), plus a lone sender with one neighbour
+    inside R1 and two in its R1-R2 annulus."""
+    rng = random.Random(21)
+    positions = {}
+    for cx, cy in [(0, 0), (1, 0), (0, 1), (6, 6)]:
+        for _ in range(8):
+            positions[len(positions)] = Point((cx + rng.random()) * 1.5,
+                                              (cy + rng.random()) * 1.5)
+    lone = len(positions)
+    for dx in (0.0, 0.5, 1.2, -1.4):
+        positions[len(positions)] = Point(-20.0 + dx, -20.0)
+    shuffled = list(positions.items())
+    rng.shuffle(shuffled)  # key order is part of the contract
+    return dict(shuffled), lone, rng
+
+
+@pytest.mark.parametrize("policy", [_doom_own, _doom_absent, _doom_everything],
+                         ids=lambda f: f.__name__)
+def test_adversary_sees_identical_tentative_maps(policy):
+    """What ``drops`` is handed is the reference path's map — same keys in
+    the same order, same tuples — once per pre-``rcf`` round, and odd
+    doomed sets (a broadcaster's own id, ids the receiver never heard)
+    resolve as on the reference path."""
+    positions, lone, rng = _saturated_world()
+    rcf = 6
+    fast_adv, ref_adv = _RecordingAdversary(policy), _RecordingAdversary(policy)
+    fast = Channel(RadioSpec(r1=1.0, r2=1.5, rcf=rcf), fast_adv, switches=INDEXED)
+    ref = Channel(RadioSpec(r1=1.0, r2=1.5, rcf=rcf), ref_adv, switches=ALL_PAIRS)
+    for r in range(rcf + 2):
+        if r == 2:
+            senders = []  # a silent round still consults the adversary
+        else:
+            # Five of each cluster's eight: >= 4 senders in every cell.
+            senders = [n for k in range(0, lone, 8)
+                       for n in rng.sample(range(k, k + 8), 5)] + [lone]
+        broadcasts = {s: Message(s, ("p", s, r)) for s in senders}
+        assert fast.deliver(r, positions, broadcasts) == \
+            ref.deliver(r, positions, broadcasts), r
+    assert [r for r, _ in fast_adv.seen] == list(range(rcf))
+    for (_, got), (_, want) in zip(fast_adv.seen, ref_adv.seen, strict=True):
+        assert list(got.items()) == list(want.items())
+        assert list(got) == list(positions)
+        for tentative in (got, want):
+            delivered = [msgs for msgs in tentative.values() if msgs]
+            assert len({id(msgs) for msgs in delivered}) == len(delivered), \
+                "every receiver owns its message tuple"
 
 
 def test_channel_positions_unchanged_hint():

@@ -98,6 +98,21 @@ def test_candidates_superset_of_true_neighbors():
     assert set(brute_force(positions, center, radius)) <= candidates
 
 
+def test_buckets_come_with_their_cell_key():
+    """One distinct key per occupied cell, the same for every query that
+    reaches it — what lets the channel keep per-cell notes for a round."""
+    index = SpatialGridIndex(cell_size=1.5)
+    index.update({0: Point(0.1, 0.1), 1: Point(1.4, 1.4),  # cell (0, 0)
+                  2: Point(1.6, 0.1),                      # cell (1, 0)
+                  3: Point(-0.1, -0.1)})                   # cell (-1, -1)
+    wide = dict(index.buckets_overlapping(0.5, 0.5, 1.5))
+    assert {key: sorted(bucket) for key, bucket in wide.items()} == \
+        {(0, 0): [0, 1], (1, 0): [2], (-1, -1): [3]}
+    narrow = dict(index.buckets_overlapping(1.7, 0.2, 0.3))
+    assert set(narrow) == {(0, 0), (1, 0)}
+    assert all(narrow[key] is wide[key] for key in narrow)
+
+
 def test_clear_resets_everything():
     index = SpatialGridIndex(cell_size=1.0)
     index.update({0: Point(1.0, 1.0)})

@@ -52,6 +52,40 @@ class TestWireSize:
         with pytest.raises(TypeError):
             wire_size(object())
 
+    def test_field_table_sizes_as_fields_did(self):
+        # The per-type field-name table must not change a size: slots and
+        # plain dataclasses, nesting, and repeat calls on a seen type.
+        @dataclass(frozen=True, slots=True)
+        class Slotted:
+            tag: str
+            k: int
+
+        @dataclass
+        class Nested:
+            inner: Slotted
+            extra: tuple
+            flag: bool = False
+
+        slotted = CONTAINER_OVERHEAD + wire_size("ab") + INT_SIZE
+        nested = (CONTAINER_OVERHEAD + slotted
+                  + wire_size((1, None)) + wire_size(False))
+        for _ in range(2):  # first sight, then from the table
+            assert wire_size(Slotted("ab", 7)) == slotted
+            assert wire_size(Nested(Slotted("cd", 0), (1, None))) == nested
+
+    def test_unsupported_types_keep_raising(self):
+        @dataclass
+        class Holder:
+            what: object
+
+        for _ in range(2):
+            with pytest.raises(TypeError, match="unsupported payload type"):
+                wire_size(Holder(object()))  # the field, not the holder
+            with pytest.raises(TypeError, match="unsupported payload type"):
+                wire_size(Holder)  # a dataclass *type* is not a payload
+            with pytest.raises(TypeError, match="unsupported payload type"):
+                wire_size(3 + 4j)
+
     def test_ballot_payload_size_independent_of_instance(self):
         # Theorem 14: instance pointers are constant size.
         small = BallotPayload("t", 1, Ballot("vv", 0))

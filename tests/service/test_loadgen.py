@@ -278,9 +278,12 @@ class TestPercentileProperties:
         st.floats(min_value=0.0, max_value=1e6,
                   allow_nan=False, allow_infinity=False),
         min_size=1, max_size=200)
+    #: Unique by integer percent: two points inside one percent share a
+    #: result key, which ``percentiles`` rejects (tested by name below).
     _points = st.lists(st.floats(min_value=0.0, max_value=1.0,
                                  allow_nan=False),
-                       min_size=1, max_size=5)
+                       min_size=1, max_size=5,
+                       unique_by=lambda p: int(p * 100))
 
     @given(samples=_samples, points=_points)
     @settings(max_examples=200, deadline=None)
@@ -303,6 +306,17 @@ class TestPercentileProperties:
         # Every reported percentile is an actual sample (nearest rank
         # never interpolates).
         assert {result["p0"], result["p50"], result["p100"]} <= set(ordered)
+
+    def test_points_inside_one_percent_are_rejected(self):
+        """The pair Hypothesis found: both points key as ``p78``, and the
+        first used to read back the second's rank."""
+        samples = [0.0] * 12 + [1.0] * 4
+        with pytest.raises(ValueError, match=r"0\.78125.*0\.78094.*'p78'"):
+            percentiles(samples, points=(0.78125, 0.7809448242187501))
+        with pytest.raises(ValueError, match=r"0\.99.*0\.999.*'p99'"):
+            percentiles(samples, points=(0.99, 0.999))
+        with pytest.raises(ValueError):  # checked before the empty shortcut
+            percentiles([], points=(0.5, 0.5))
 
     def test_single_sample_all_points_collapse(self):
         result = percentiles([3.25], points=(0.0, 0.25, 0.5, 0.99, 1.0))
