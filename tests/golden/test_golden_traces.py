@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from _worlds import vi_orbit_spec
 from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.experiment import (
     CheckpointCHA,
@@ -195,6 +196,9 @@ SCENARIOS = {
     "majority-rsm": _majority_spec,
     "vi": _vi_spec,
     "vi-join-reset": _vi_join_reset_spec,
+    # Every device moves (tests/_worlds.py): the trace carries positions,
+    # so this file pins the motion kernel's floats bit for bit.
+    "vi-orbit": vi_orbit_spec,
 }
 
 

@@ -22,6 +22,7 @@ import pickle
 import pytest
 
 from _switches import observables, run_with
+from _worlds import vi_orbit_spec
 from repro import ExperimentSpec, WorkloadSpec
 from repro.experiment import (
     DeployedWorld,
@@ -138,6 +139,10 @@ def _scenarios():
     for s in (1, 3, 7):
         for env_name, env_factory in _environments(s + 12):
             yield f"s{s}-{env_name}", _spec_factory(s, env_factory)
+    # The all-mobile world (schedule length 4): orbiting replicas and
+    # roaming clients, so positions, region lookups and role tables
+    # change every round.
+    yield "orbit", vi_orbit_spec
 
 
 @pytest.mark.parametrize("name,spec_factory", list(_scenarios()),
@@ -146,6 +151,19 @@ def test_vi_byte_identical_across_switch_matrix(name, spec_factory):
     anchor = _result_bytes(spec_factory, Switches.REFERENCE)
     for switches in MODES:
         assert _result_bytes(spec_factory, switches) == anchor, switches
+
+
+def test_vi_orbit_world_roams():
+    """The orbit world is only worth its golden while its roamers really
+    join, hand off and leave, on a schedule longer than one slot."""
+    world = run(vi_orbit_spec()).world
+    assert world.schedule.length > 1
+    for roamer in (12, 13):
+        events = [event for _, event in world.devices[roamer].events]
+        joined = [e for e in events if e.startswith("join-req:")]
+        assert len(set(joined)) >= 2, events          # more than one region
+        assert any(e.startswith("active:") for e in events), events
+        assert any(e.startswith("left:") for e in events), events
 
 
 def test_vi_pooled_run_matches_traced_run():
