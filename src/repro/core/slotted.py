@@ -29,6 +29,18 @@ byte-identical.
 ``status`` and ``ballots`` stay available as live, writable
 dict-style views (tests and glass-box checkers mutate protocol state
 through them); only the hot paths bypass the views.
+
+The checkpoint core's garbage collection is incremental.
+:class:`SlottedCheckpointChaCore` keeps a **GC floor**: every slot below
+``_gc_floor`` holds no status, no ballot and no cached fold.  A green
+instance sweeps ``[floor, green)`` — the instances since the last green
+one, O(1) in steady state — and raises the floor to ``green``; nothing
+else raises it.  The protocol steps write at the current instance or
+above it, never below the floor; every other writer (the views, and
+through them the ``status`` / ``ballots`` setters and ``restore``)
+announces its slot to ``_ensure``, which lowers the floor to it, and
+``_clear_storage`` (``restore``, ``reset_to``) drops it to 0.  The
+plain :class:`SlottedChaCore` never collects and carries no floor.
 """
 
 from __future__ import annotations
@@ -654,7 +666,8 @@ class SlottedChaCore:
 class SlottedCheckpointChaCore(SlottedChaCore):
     """:class:`~repro.core.checkpoint.CheckpointChaCore` over flat arrays."""
 
-    __slots__ = ("_reducer", "checkpoint_instance", "checkpoint_state")
+    __slots__ = ("_reducer", "checkpoint_instance", "checkpoint_state",
+                 "_gc_floor")
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  reducer: Reducer, initial_state: Any,
@@ -666,13 +679,41 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         self._reducer = reducer
         self.checkpoint_instance: Instance = NO_INSTANCE
         self.checkpoint_state: Any = initial_state
+        #: The GC floor: every slot below it holds no status, no ballot
+        #: and no cached fold.  Raised only by :meth:`_fold_to`.
+        self._gc_floor: Instance = 0
+
+    # -- the GC floor ---------------------------------------------------
+
+    def _ensure(self, k: Instance) -> None:
+        """Every write that is not a protocol step — the ``status`` /
+        ``ballots`` views, and through them the setters and
+        :meth:`restore` — announces its slot here first, so this is
+        where a write below the GC floor lowers it.  (The protocol
+        steps write at ``self.k`` or above it, which a fold leaves at or
+        above the floor, and reach here only to grow the arrays.)"""
+        if k < self._gc_floor:
+            self._gc_floor = max(k, 0)
+        super()._ensure(k)
+
+    def _clear_storage(self, length: int) -> None:
+        # restore() refills below any old floor, and after reset_to() a
+        # pre-instance reception may write at ``k`` itself.
+        super()._clear_storage(length)
+        self._gc_floor = 0
 
     # -- folding --------------------------------------------------------
 
     def _fold_to(self, green: Instance, history: History | None = None) -> None:
         """Advance the checkpoint to the green instance ``green`` and
         garbage-collect every entry below it (the ballot *at* the
-        checkpoint survives as the chain anchor)."""
+        checkpoint survives as the chain anchor).
+
+        Slots below ``_gc_floor`` are known empty, so the sweep covers
+        ``[floor, green)`` — the instances since the last green one —
+        and leaves the floor at ``green``; whoever writes below it
+        afterwards lowers it again (:meth:`_ensure`,
+        :meth:`_clear_storage`)."""
         if history is None:
             history = self.current_history()
         state = self.checkpoint_state
@@ -686,7 +727,9 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         arr = self._status_arr
         vals = self._ballot_vals
         objs = self._ballot_objs
-        for k in range(min(green, len(arr))):
+        floor = self._gc_floor
+        swept = min(green, len(arr))
+        for k in range(floor, swept):
             if arr[k] >= 0:
                 arr[k] = _NO_STATUS
                 self._status_count -= 1
@@ -694,9 +737,15 @@ class SlottedCheckpointChaCore(SlottedChaCore):
                 vals[k] = _ABSENT
                 objs[k] = None
                 self._ballot_count -= 1
+        if swept > floor:
+            self._gc_floor = swept
         # Cached folds were anchored at the old checkpoint floor (see
-        # CheckpointChaCore._fold_to); drop them all.
-        self._fold_cache = [None] * len(arr)
+        # CheckpointChaCore._fold_to); drop them all.  A fold is cached
+        # only at an instance that stores a ballot, no later than the
+        # ``k`` it was computed at: nothing sits outside [floor, k].
+        cache = self._fold_cache
+        for k in range(floor, min(self.k + 1, len(cache))):
+            cache[k] = None
 
     def on_veto2_reception(self, veto_seen: bool, collision: bool):
         """End of instance: green instances fold-and-GC and output the

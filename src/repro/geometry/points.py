@@ -60,13 +60,35 @@ class Point:
         """The point reached by moving ``step`` toward ``target``.
 
         Never overshoots: if ``target`` is closer than ``step`` the result
-        is exactly ``target``.  This is the primitive used by the mobility
-        models to honour the ``vmax`` bound of the system model.
+        is exactly ``target`` — the argument itself, not a copy.  This is
+        the primitive used by the mobility models to honour the ``vmax``
+        bound of the system model.
+
+        Defined as the composed vector expression::
+
+            if self.distance_to(target) <= step:
+                return target
+            return self + (target - self).unit().scaled(step)
+
+        and computed as the same IEEE operations in the same order on
+        plain floats — ``hypot`` is symmetric under negating both
+        arguments, so the gap doubles as the direction's norm — building
+        one ``Point`` instead of four.  The composed form lives on in
+        ``tests/_oracles.py``, and
+        ``test_moved_toward_matches_composed_definition``
+        (``tests/geometry/test_points.py``) compares the two bit for bit.
         """
-        gap = self.distance_to(target)
+        sx, sy = self.x, self.y
+        dx = target.x - sx
+        dy = target.y - sy
+        gap = math.hypot(dx, dy)
         if gap <= step:
             return target
-        return self + (target - self).unit().scaled(step)
+        if gap == 0.0:
+            # Only reachable with a negative ``step``: the zero vector's
+            # unit is the zero vector (see :meth:`unit`).
+            return Point(sx + 0.0 * step, sy + 0.0 * step)
+        return Point(sx + dx / gap * step, sy + dy / gap * step)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)

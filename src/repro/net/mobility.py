@@ -11,6 +11,7 @@ models take an explicit seed), so entire executions replay exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from typing import Sequence
@@ -20,7 +21,17 @@ from ..types import Round
 
 
 class MobilityModel(ABC):
-    """Produces one position per round for a single node."""
+    """Produces one position per round for a single node.
+
+    :meth:`position_at` is the one seam between motion and everything
+    else: the simulator calls it once per mover per real round, and the
+    benchmark's traced pass wraps exactly that call
+    (``net.mobility.calls`` / ``net.mobility.position_s``).  So it may
+    cost O(1) arithmetic and at most one new :class:`Point` per call
+    (amortised, for models that generate a walk lazily); anything that
+    depends only on constructor arguments — edge directions, lengths,
+    a finite walk — belongs in ``__init__``.
+    """
 
     @abstractmethod
     def position_at(self, r: Round) -> Point:
@@ -88,8 +99,10 @@ class WaypointMobility(MobilityModel):
     """Piecewise motion through an explicit list of waypoints.
 
     The node moves toward each waypoint in turn at ``speed`` per round and
-    parks at the final waypoint.  Positions are computed eagerly once and
-    cached, keeping ``position_at`` pure.
+    parks at the final waypoint — or wherever a step stops making
+    progress, so a ``speed`` of 0 stores one position, not ``horizon``
+    equal ones.  Positions are computed eagerly once and cached, keeping
+    ``position_at`` pure.
     """
 
     def __init__(self, start: Point, waypoints: Sequence[Point], speed: float,
@@ -98,13 +111,20 @@ class WaypointMobility(MobilityModel):
             raise ValueError("speed must be non-negative")
         self._speed = speed
         self._positions: list[Point] = [start]
-        pending = list(waypoints)
+        waypoints = list(waypoints)
+        reached = 0
         pos = start
-        while pending and len(self._positions) < horizon:
-            target = pending[0]
-            pos = pos.moved_toward(target, speed)
-            if pos == target:
-                pending.pop(0)
+        while reached < len(waypoints) and len(self._positions) < horizon:
+            target = waypoints[reached]
+            ahead = pos.moved_toward(target, speed)
+            if ahead == target:
+                reached += 1
+            elif ahead == pos:
+                # No progress (``speed`` is 0, or smaller than the float
+                # grid here), and the same inputs give the same step
+                # forever: the node parks where it is.
+                break
+            pos = ahead
             self._positions.append(pos)
 
     def position_at(self, r: Round) -> Point:
@@ -173,7 +193,7 @@ class OrbitMobility(MobilityModel):
             raise ValueError("radius must be positive")
         if speed < 0:
             raise ValueError("speed must be non-negative")
-        self._corners = [
+        corners = [
             anchor + Point(radius, radius),
             anchor + Point(-radius, radius),
             anchor + Point(-radius, -radius),
@@ -182,14 +202,27 @@ class OrbitMobility(MobilityModel):
         self._side = 2.0 * radius
         self._perimeter = 4.0 * self._side
         self._speed = speed
+        #: Per edge, the constants of ``start.moved_toward(end, along)``
+        #: — the expressions of :meth:`Point.moved_toward`, evaluated
+        #: once: ``(start.x, start.y, end, gap, ux, uy)``.
+        self._edges = []
+        for start, end in zip(corners, corners[1:] + corners[:1]):
+            dx = end.x - start.x
+            dy = end.y - start.y
+            gap = math.hypot(dx, dy)
+            # A radius below the anchor's float grid collapses the
+            # square; the zero vector's unit is the zero vector.
+            ux, uy = (dx / gap, dy / gap) if gap else (0.0, 0.0)
+            self._edges.append((start.x, start.y, end, gap, ux, uy))
 
     def position_at(self, r: Round) -> Point:
         travelled = (self._speed * r) % self._perimeter if self._speed else 0.0
         edge = int(travelled // self._side) % 4
         along = travelled - edge * self._side
-        start = self._corners[edge]
-        end = self._corners[(edge + 1) % 4]
-        return start.moved_toward(end, along)
+        sx, sy, end, gap, ux, uy = self._edges[edge]
+        if gap <= along:
+            return end
+        return Point(sx + ux * along, sy + uy * along)
 
     def max_speed(self) -> float:
         return self._speed

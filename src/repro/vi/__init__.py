@@ -16,6 +16,7 @@ from .program import (
 from .replica import ReplicaRuntime, observation_from_value
 from .schedule import (
     Schedule,
+    SiteIndex,
     VNSite,
     build_schedule,
     conflict_graph,
@@ -45,6 +46,7 @@ __all__ = [
     "ScriptedClient",
     "SilentClient",
     "SilentProgram",
+    "SiteIndex",
     "VIDevice",
     "VIWorld",
     "VNMsg",

@@ -32,7 +32,7 @@ from .payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
 from .phases import Phase, PhaseClock, PhasePosition
 from .program import VNProgram
 from .replica import ReplicaRuntime
-from .schedule import Schedule, VNSite
+from .schedule import Schedule, SiteIndex, VNSite
 
 
 #: Shared empty decoded-payload sequence for silent rounds (read-only:
@@ -50,7 +50,7 @@ class JoinState(enum.Enum):
 class VIDevice(Process):
     """A mobile device participating in the virtual-infrastructure world."""
 
-    def __init__(self, *, sites: list[VNSite],
+    def __init__(self, *, sites: list[VNSite] | SiteIndex,
                  programs: dict[int, VNProgram],
                  schedule: Schedule, clock: PhaseClock,
                  region_radius: float,
@@ -60,7 +60,10 @@ class VIDevice(Process):
                  switches: Switches | None = None,
                  pool_payloads: bool = False,
                  role_version: list[int] | None = None) -> None:
-        self.sites = {site.vn_id: site for site in sites}
+        #: The deployment's sites by id and by place.  A world hands all
+        #: its devices one index; a bare site list gets a private one.
+        self.sites = (sites if isinstance(sites, SiteIndex)
+                      else SiteIndex(sites, region_radius))
         self.programs = programs
         self.schedule = schedule
         self.clock = clock
@@ -87,11 +90,6 @@ class VIDevice(Process):
         self._join_state = JoinState.IDLE
         self._join_target: int | None = None
         self._pending_replica: ReplicaRuntime | None = None
-        #: Memo for the boundary-housekeeping site scan: nearest-in-region
-        #: is a pure function of the device's position, and positions are
-        #: stationary (or slow) in most worlds, so the full per-site
-        #: distance sweep is only repeated when the device actually moved.
-        self._nearest_cache: tuple[Point, VNSite | None] | None = None
         #: (virtual round, event) log for join/reset experiments.
         self.events: list[tuple[VirtualRound, str]] = []
 
@@ -104,18 +102,7 @@ class VIDevice(Process):
             here = self._locate()
         except KeyError:
             return None
-        cached = self._nearest_cache
-        if cached is not None and cached[0] == here:
-            return cached[1]
-        best: VNSite | None = None
-        best_dist = None
-        for site in self.sites.values():
-            dist = site.location.distance_to(here)
-            if dist <= self.region_radius and (best_dist is None or
-                                               (dist, site.vn_id) < (best_dist, best.vn_id)):
-                best, best_dist = site, dist
-        self._nearest_cache = (here, best)
-        return best
+        return self.sites.nearest_in_region(here)
 
     def _boundary_housekeeping(self, vr: VirtualRound) -> None:
         roles_before = (self.replica, self._join_target)

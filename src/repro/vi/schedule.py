@@ -14,11 +14,13 @@ paper suggests ("based, say, on a coloring of the neighbor graph").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import networkx as nx
 
-from ..errors import ScheduleError
+from ..errors import ConfigurationError, ScheduleError
 from ..geometry import Point
+from ..net.index import SpatialGridIndex
 from ..types import VirtualRound
 
 
@@ -28,6 +30,60 @@ class VNSite:
 
     vn_id: int
     location: Point
+
+
+class SiteIndex:
+    """A deployment's sites by id and by place: whose region is this?
+
+    Sites never move, so a :class:`~repro.vi.world.VIWorld` builds one
+    index and hands the same object to every device.  ``index[vn_id]``
+    is the site; :meth:`nearest_in_region` answers a device's
+    boundary-housekeeping question from the handful of grid cells its
+    position can share with a region instead of a distance test against
+    every site.
+    """
+
+    __slots__ = ("region_radius", "_by_id", "_grid", "_reach")
+
+    def __init__(self, sites: Iterable[VNSite], region_radius: float) -> None:
+        if region_radius <= 0:
+            raise ConfigurationError("region_radius must be positive")
+        self.region_radius = region_radius
+        self._by_id = {site.vn_id: site for site in sites}
+        # Cells one region across: a region-sized disk overlaps 2x2.
+        self._grid = SpatialGridIndex(2.0 * region_radius)
+        self._grid.update({vn_id: site.location
+                           for vn_id, site in self._by_id.items()})
+        #: The grid only preselects; membership stays the rounded
+        #: ``distance_to(...) <= region_radius``, which can admit a site
+        #: an ulp or two beyond the radius.  The cell cover is taken
+        #: wider than that so it cannot miss one.  (The grid's own
+        #: squared-distance ``neighbors_within`` is not the same
+        #: predicate: it and ``hypot`` can disagree on the boundary.)
+        self._reach = region_radius * (1.0 + 1e-9)
+
+    def __getitem__(self, vn_id: int) -> VNSite:
+        return self._by_id[vn_id]
+
+    def nearest_in_region(self, here: Point) -> VNSite | None:
+        """The site whose region contains ``here``, if any.
+
+        ``site.location.distance_to(here) <= region_radius``; where
+        regions overlap, the minimum by ``(distance, vn_id)``.
+        """
+        radius = self.region_radius
+        by_id = self._by_id
+        best: VNSite | None = None
+        best_key = None
+        for _, bucket in self._grid.buckets_overlapping(here.x, here.y,
+                                                        self._reach):
+            for vn_id in bucket:
+                site = by_id[vn_id]
+                dist = site.location.distance_to(here)
+                if dist <= radius and (best is None
+                                       or (dist, vn_id) < best_key):
+                    best, best_key = site, (dist, vn_id)
+        return best
 
 
 class Schedule:

@@ -30,7 +30,13 @@ from .device import VIDevice
 from .engine import VIRoundEngine
 from .phases import PhaseClock
 from .program import VNProgram
-from .schedule import Schedule, VNSite, build_schedule, verify_schedule
+from .schedule import (
+    Schedule,
+    SiteIndex,
+    VNSite,
+    build_schedule,
+    verify_schedule,
+)
 
 
 @dataclass
@@ -50,6 +56,12 @@ class VNRoundOutcome:
     def emulated(self) -> bool:
         """At least one replica ran the round's agreement instance."""
         return bool(self.colors)
+
+
+def _not_yet_located() -> Point:
+    """A device's locator until the simulator has given it a node id:
+    the location service has never seen it (its ``KeyError`` contract)."""
+    raise KeyError("device is not registered with the simulator yet")
 
 
 class VIWorld:
@@ -82,6 +94,8 @@ class VIWorld:
         #: on trace-free runs (the runner passes ``not keep_trace``).
         self.pool_payloads = pool_payloads
         self.region_radius = r1 / 4.0
+        #: Built once, shared by every device (sites never move).
+        self.site_index = SiteIndex(self.sites, self.region_radius)
         if schedule is None:
             schedule = build_schedule(sites, r1=r1, r2=r2,
                                       min_length=min_schedule_length)
@@ -136,27 +150,21 @@ class VIWorld:
         """
         if initially_active is None:
             initially_active = start_round == 0
-        device_holder: list[VIDevice] = []
-
-        def locate() -> Point:
-            return self.sim.locations.locate(device_holder[0]._node_id)  # type: ignore[attr-defined]
-
         device = VIDevice(
-            sites=self.sites,
+            sites=self.site_index,
             programs=self.programs,
             schedule=self.schedule,
             clock=self.clock,
             region_radius=self.region_radius,
-            locate=locate,
+            locate=_not_yet_located,
             client=client,
             initially_active=initially_active,
             switches=self.switches,
             pool_payloads=self.pool_payloads,
             role_version=self.role_version,
         )
-        device_holder.append(device)
         node_id = self.sim.add_node(device, mobility, start_round=start_round)
-        device._node_id = node_id  # type: ignore[attr-defined]
+        device._locate = self.sim.locations.locator_for(node_id)
         self.devices[node_id] = device
         self.role_version[0] += 1
         return node_id

@@ -4,6 +4,7 @@ import pytest
 
 from repro.contention import LeaderElectionCM
 from repro.core import CheckpointCHAProcess, run_cha
+from repro.core.ballot import Ballot
 from repro.core.checkpoint import CheckpointChaCore, CheckpointOutput
 from repro.core.history import HistoryChain
 from repro.core.slotted import SlottedCheckpointChaCore
@@ -233,3 +234,127 @@ class TestFoldCallCounts:
         out = core.current_checkpoint_output()
         assert counter["calls"] == 1
         assert out.checkpoint_instance == 3
+
+
+class _CountingList(list):
+    """A status array that counts element reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return list.__getitem__(self, index)
+
+
+class _FoldProbe(SlottedCheckpointChaCore):
+    """Attributes the status-array reads made inside ``_fold_to``."""
+
+    __slots__ = ("fold_reads",)
+
+    def _fold_to(self, green, history=None):
+        before = self._status_arr.reads
+        super()._fold_to(green, history)
+        self.fold_reads += self._status_arr.reads - before
+
+
+class TestGcFloor:
+    """The slotted core's GC is incremental (work-count pin, in the
+    style of PR 7's counting tests) and its floor never hides a live
+    slot (twin test against the dict core)."""
+
+    @staticmethod
+    def _probe():
+        core = _FoldProbe(propose=lambda k: f"v{k}", reducer=tuple_reducer,
+                          initial_state=())
+        core.fold_reads = 0
+        core._status_arr = _CountingList(core._status_arr)
+        return core
+
+    def test_green_run_reads_a_bounded_number_of_slots_per_fold(self):
+        instances = 2000
+        core = self._probe()
+        cache = core._fold_cache
+        for _ in range(instances):
+            run_instance(core)
+            assert core._fold_cache is cache        # cleared in place
+        assert core.checkpoint_instance == instances
+        assert core.resident_entries() == 2         # the anchor's pair
+        # A sweep from slot 0 on every green instance reads ~2 000 000.
+        assert 0 < core.fold_reads <= 4 * instances
+
+    def test_sweep_is_proportional_to_the_gap_between_green_instances(self):
+        core = self._probe()
+        cache = core._fold_cache
+        total = 0
+        for gap in (1, 5, 40, 2, 300, 1):
+            for _ in range(gap - 1):
+                run_instance(core, veto2_collision=True)    # yellow
+            before = core.fold_reads
+            run_instance(core)                              # green
+            total += gap
+            assert core.fold_reads - before <= gap + 1
+            assert core._fold_cache is cache
+            assert not any(cache[:total + 1])
+            assert core.resident_entries() == 2
+
+    # -- the floor never hides a live slot -------------------------------
+
+    @staticmethod
+    def _twins():
+        make = dict(propose=lambda k: f"v{k}", reducer=tuple_reducer,
+                    initial_state=())
+        return CheckpointChaCore(**make), SlottedCheckpointChaCore(**make)
+
+    @staticmethod
+    def _assert_in_step(dict_core, slotted, instances=3):
+        assert slotted.snapshot() == dict_core.snapshot()
+        for _ in range(instances):
+            assert run_instance(slotted) == run_instance(dict_core)
+            assert slotted.snapshot() == dict_core.snapshot()
+            assert slotted.resident_entries() == dict_core.resident_entries()
+
+    @pytest.mark.parametrize("write", ["views", "setters"])
+    def test_entries_written_below_the_checkpoint_are_collected(self, write):
+        twins = self._twins()
+        for core in twins:
+            for _ in range(8):
+                run_instance(core)
+            assert core.checkpoint_instance == 8
+            if write == "views":
+                core.status[2] = Color.YELLOW
+                core.ballots[3] = Ballot("late", 1)
+                core.status[0] = Color.RED
+            else:
+                core.status = {**core.status, 1: Color.RED, 5: Color.ORANGE}
+                core.ballots = {**core.ballots, 4: Ballot("late", 2)}
+        assert twins[1]._gc_floor <= 1
+        self._assert_in_step(*twins)
+        assert twins[1].resident_entries() == 2
+        assert twins[1]._gc_floor == twins[1].checkpoint_instance
+
+    def test_restoring_an_older_snapshot_lowers_the_floor(self):
+        donor = make_core()
+        for _ in range(3):
+            run_instance(donor)
+        run_instance(donor, veto2_collision=True)
+        run_instance(donor, veto2_collision=True)
+        old = donor.snapshot()          # checkpoint 3, entries at 3, 4, 5
+        twins = self._twins()
+        for core in twins:
+            for _ in range(12):
+                run_instance(core)
+            core.restore(old)
+        assert twins[1]._gc_floor <= 3
+        self._assert_in_step(*twins)
+
+    def test_reset_below_the_floor_then_a_pre_instance_reception(self):
+        twins = self._twins()
+        for core in twins:
+            for _ in range(12):
+                run_instance(core)
+            core.reset_to(5, ())
+            # A ballot heard before the first instance begins lands in
+            # slot ``k`` itself (the reference dicts' quirk).
+            core.on_ballot_reception([Ballot("early", 4)], False)
+        self._assert_in_step(*twins)
+        assert twins[1].resident_entries() == 2

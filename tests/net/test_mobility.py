@@ -3,7 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from _oracles import bits, orbit_position
 from repro.geometry import Point
 from repro.net.mobility import (
     LinearMobility,
@@ -55,6 +57,36 @@ class TestWaypoint:
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
             WaypointMobility(Point(0, 0), [Point(1, 0)], speed=-1.0)
+
+    def test_zero_speed_parks_at_start_with_one_stored_position(self):
+        """A walk that cannot progress used to spin to its 100 000-round
+        horizon, storing 100 000 equal points per node."""
+        start = Point(0, 0)
+        m = WaypointMobility(start, [Point(1, 0)], speed=0.0)
+        assert len(m._positions) == 1
+        assert m.position_at(10**6) is start
+        assert not any(m.moved_in(r) for r in range(1, 20))
+
+    def test_step_below_the_float_grid_parks_where_it_stalls(self):
+        # 1e-20 is far below the spacing of doubles near 1.0: the first
+        # step already rounds back to the start.
+        m = WaypointMobility(Point(1.0, 1.0), [Point(2.0, 1.0)], speed=1e-20)
+        assert len(m._positions) == 1
+        assert m.position_at(5) == Point(1.0, 1.0)
+
+    def test_starting_on_a_waypoint_still_walks_the_rest(self):
+        # "No progress" must not be mistaken for arriving: a step that
+        # lands on the waypoint it was already at consumes the waypoint.
+        m = WaypointMobility(Point(0, 0), [Point(0, 0), Point(2, 0)],
+                             speed=1.0)
+        assert [m.position_at(r) for r in range(4)] == [
+            Point(0, 0), Point(0, 0), Point(1, 0), Point(2, 0)]
+
+    def test_horizon_still_bounds_a_long_walk(self):
+        m = WaypointMobility(Point(0, 0), [Point(100, 0)], speed=1.0,
+                             horizon=10)
+        assert len(m._positions) == 10
+        assert m.position_at(50) == Point(9, 0)
 
 
 class TestRandomWaypoint:
@@ -116,6 +148,56 @@ class TestOrbit:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             OrbitMobility(Point(0, 0), radius=0.0, speed=1.0)
+
+    @staticmethod
+    def _assert_matches_oracle(anchor, radius, speed, rounds):
+        model = OrbitMobility(anchor, radius=radius, speed=speed)
+        for r in rounds:
+            want, want_is_corner = orbit_position(anchor, radius, speed, r)
+            got = model.position_at(r)
+            assert bits(got) == bits(want), (anchor, radius, speed, r)
+            # A corner is a stored object, anything else a fresh Point:
+            # asking twice tells them apart from outside.
+            assert (model.position_at(r) is got) == want_is_corner, \
+                (anchor, radius, speed, r)
+
+    #: (anchor, radius, speed).  Rounds cover four laps (or 60 rounds
+    #: when parked).
+    ORBITS = [
+        (Point(0, 0), 1.0, 0.5),                # exact: corners never "reached"
+        (Point(0, 0), 1.0, 0.0),                # parked
+        (Point(0, 0), 1, 1),                    # int-typed everything
+        (Point(0.7, 0.7), 0.1, 0.03),           # non-representable anchor
+        (Point(-3.3, 12.1), 0.13, 0.017),       # negative coordinate
+        (Point(6.0, 42.0), 0.1173, 0.01),       # the benchmark's shape
+        (Point(1 / 3, -2 / 7), 0.05, 0.23),     # speed > side: corners skipped
+        (Point(1e9, -1e9), 0.125, 0.01),        # coarse float grid at the anchor
+        (Point(1e17, 0.0), 1.0, 0.3),           # radius below the grid: collapsed
+    ]
+
+    @pytest.mark.parametrize("anchor,radius,speed", ORBITS)
+    def test_position_matches_edge_walk_oracle(self, anchor, radius, speed):
+        lap = math.ceil(8.0 * radius / speed) if speed else 15
+        self._assert_matches_oracle(anchor, radius, speed, range(4 * lap + 1))
+
+    def test_rounded_edge_returns_the_corner_object(self):
+        """0.7 + 0.1 rounds down, so the edge is shorter than ``side``
+        and the tail of the walk along it lands on the corner itself —
+        the identity case the sweep above must have met."""
+        anchor, radius, speed = Point(0.7, 0.7), 0.1, 0.03
+        assert any(orbit_position(anchor, radius, speed, r)[1]
+                   for r in range(120))
+
+    @given(ax=st.floats(min_value=-1e3, max_value=1e3),
+           ay=st.floats(min_value=-1e3, max_value=1e3),
+           radius=st.floats(min_value=1e-3, max_value=10.0),
+           speed=st.one_of(st.just(0.0),
+                           st.floats(min_value=1e-4, max_value=30.0)),
+           first=st.integers(min_value=0, max_value=10**6))
+    def test_position_matches_edge_walk_oracle_property(self, ax, ay, radius,
+                                                        speed, first):
+        self._assert_matches_oracle(Point(ax, ay), radius, speed,
+                                    range(first, first + 40))
 
 
 class TestDirtySetProtocol:

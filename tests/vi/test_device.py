@@ -10,7 +10,9 @@ from repro.vi import (
     PhaseClock,
     Schedule,
     SilentClient,
+    SiteIndex,
     VIDevice,
+    VIWorld,
     VNSite,
 )
 
@@ -113,3 +115,46 @@ class TestClientDispatch:
         device.send(0, False)
         assert device.replica is not None
         assert device.client is not None
+
+
+class TestSiteLookup:
+    """Region lookup goes through one per-world :class:`SiteIndex`."""
+
+    @staticmethod
+    def _world(side=8, spacing=6.0):
+        sites = [VNSite(i, Point((i % side) * spacing, (i // side) * spacing))
+                 for i in range(side * side)]
+        world = VIWorld(sites, {s.vn_id: CounterProgram() for s in sites})
+        for site in sites:
+            world.add_device(Point(site.location.x + 0.1, site.location.y))
+        world.add_device(Point(3.0, 3.0))           # in nobody's region
+        return world
+
+    def test_world_devices_share_one_site_index(self):
+        world = self._world(side=3)
+        assert {id(d.sites) for d in world.devices.values()} == \
+            {id(world.site_index)}
+
+    def test_bare_site_list_is_wrapped(self):
+        device, _ = make_device(Point(0.1, 0))
+        assert isinstance(device.sites, SiteIndex)
+        assert device.sites[1] is SITES[1]
+        assert device.sites.region_radius == device.region_radius
+
+    def test_lookup_costs_a_few_distance_tests_not_one_per_site(
+            self, monkeypatch):
+        world = self._world()
+        world.run_virtual_rounds(1)                 # positions are known
+        calls = []
+        real = Point.distance_to
+
+        def counting(self, other):
+            calls.append(None)
+            return real(self, other)
+
+        monkeypatch.setattr(Point, "distance_to", counting)
+        for node_id, device in world.devices.items():
+            del calls[:]
+            target = device._nearest_site_in_region()
+            assert len(calls) <= 4, (node_id, len(calls))   # 64 sites
+            assert (target is None) == (node_id == 64)

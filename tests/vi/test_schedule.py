@@ -1,10 +1,21 @@
 """Unit tests for virtual-node broadcast schedules (Section 4.1)."""
 
-import pytest
+import math
 
-from repro.errors import ScheduleError
+import pytest
+from hypothesis import given, strategies as st
+
+from _oracles import scan_nearest_in_region
+from repro.errors import ConfigurationError, ScheduleError
 from repro.geometry import GridSpec, Point
-from repro.vi import Schedule, VNSite, build_schedule, conflict_graph, verify_schedule
+from repro.vi import (
+    Schedule,
+    SiteIndex,
+    VNSite,
+    build_schedule,
+    conflict_graph,
+    verify_schedule,
+)
 
 R1, R2 = 1.0, 1.5
 CONFLICT = R1 + 2 * R2  # 4.0
@@ -127,3 +138,92 @@ class TestVerifySchedule:
         sites = [VNSite(0, Point(0, 0)), VNSite(1, Point(1.0, 0))]
         schedule = Schedule({0: 0, 1: 1}, length=2)
         verify_schedule(schedule, sites, r1=R1, r2=R2)
+
+
+class TestSiteIndex:
+    """The per-world site index against the all-sites scan it replaced
+    (``_oracles.scan_nearest_in_region``): same site *object* or None."""
+
+    RADIUS = 0.25
+
+    def _check(self, sites, here, radius=RADIUS):
+        want = scan_nearest_in_region(sites, here, radius)
+        got = SiteIndex(sites, radius).nearest_in_region(here)
+        assert got is want, (here, got, want)
+        return got
+
+    def test_lookup_by_id(self):
+        sites = grid_sites(2, 2, 6.0)
+        index = SiteIndex(sites, self.RADIUS)
+        assert all(index[site.vn_id] is site for site in sites)
+        with pytest.raises(KeyError):
+            index[99]
+
+    def test_positions_exactly_on_the_boundary_are_inside(self):
+        sites = [VNSite(0, Point(0.0, 0.0))]
+        # 0.15 / 0.2 / 0.25 is a 3-4-5 triangle: hypot gives 0.25.
+        for here in (Point(0.25, 0.0), Point(0.0, -0.25), Point(-0.25, 0.0),
+                     Point(0.15, 0.2), Point(-0.2, -0.15)):
+            assert here.distance_to(sites[0].location) == self.RADIUS
+            assert self._check(sites, here) is sites[0]
+        beyond = math.nextafter(self.RADIUS, math.inf)
+        assert self._check(sites, Point(beyond, 0.0)) is None
+
+    def test_boundary_across_a_cell_edge(self):
+        # The site sits just inside one grid cell and the device a full
+        # radius away in the next but one: only the padded cover and the
+        # exact predicate together get this right.
+        for x in (0.5, 1.0, -0.5, 3.0000000000000004):
+            sites = [VNSite(7, Point(x, x))]
+            for dx in (self.RADIUS, -self.RADIUS):
+                self._check(sites, Point(x + dx, x))
+                self._check(sites, Point(x, x + dx))
+
+    def test_equidistant_sites_tie_break_by_vn_id(self):
+        sites = [VNSite(5, Point(0.2, 0.0)), VNSite(2, Point(-0.2, 0.0)),
+                 VNSite(9, Point(0.0, 0.2))]
+        assert self._check(sites, Point(0.0, 0.0)).vn_id == 2
+
+    def test_overlapping_regions_pick_the_nearest(self):
+        sites = grid_sites(3, 3, 0.3)       # spacing < 2 * radius
+        assert self._check(sites, Point(0.31, 0.29)).vn_id == 4
+        assert self._check(sites, Point(0.14, 0.0)).vn_id == 0
+
+    def test_negative_coordinates(self):
+        sites = [VNSite(0, Point(-6.0, -6.0)), VNSite(1, Point(-0.1, -12.3))]
+        assert self._check(sites, Point(-6.1, -5.9)).vn_id == 0
+        assert self._check(sites, Point(-0.2, -12.2)).vn_id == 1
+
+    def test_one_site_world(self):
+        sites = [VNSite(3, Point(1.0, 1.0))]
+        assert self._check(sites, Point(1.1, 1.1)).vn_id == 3
+        assert self._check(sites, Point(2.0, 2.0)) is None
+
+    def test_far_from_every_site(self):
+        assert self._check(grid_sites(8, 8, 6.0), Point(1e6, -1e6)) is None
+        assert self._check(grid_sites(8, 8, 6.0), Point(3.0, 3.0)) is None
+
+    def test_non_positive_radius_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SiteIndex([VNSite(0, Point(0, 0))], 0.0)
+
+    @given(spacing=st.sampled_from([0.2, 0.3, 0.5, 0.7, 6.0]),
+           side=st.integers(min_value=1, max_value=4),
+           origin=st.floats(min_value=-50.0, max_value=50.0),
+           near=st.integers(min_value=0, max_value=15),
+           angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+           reach=st.sampled_from([0.0, 0.5, 1.0, 1.0 - 2**-53, 1.0 + 2**-52,
+                                  1.5, 3.0]))
+    def test_matches_scan_on_lattices(self, spacing, side, origin, near,
+                                      angle, reach):
+        """Positions at a chosen multiple of the radius (on it, an ulp
+        either side, well inside, well outside) around one site of a
+        lattice whose regions overlap or not."""
+        sites = [VNSite(i, Point(origin + (i % side) * spacing,
+                                 origin + (i // side) * spacing))
+                 for i in range(side * side)]
+        centre = sites[near % len(sites)].location
+        dist = self.RADIUS * reach
+        here = Point(centre.x + dist * math.cos(angle),
+                     centre.y + dist * math.sin(angle))
+        self._check(sites, here)
