@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..core.runner import ChaRun
+from ..core.spec import log_instances
 from ..errors import SpecViolation
 from ..types import BOTTOM, Color, Instance, NodeId
 
@@ -106,7 +107,7 @@ def check_prev_pointer_discipline(run: ChaRun) -> None:
     """
     for node, proc in run.processes.items():
         core = proc.core
-        completed = {k for k, _ in core.outputs}
+        completed = set(log_instances(core.outputs))
         goods = [
             k for k, c in core.status.items()
             if c.is_good and k in completed

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..core.runner import ChaRun
+from ..core.spec import log_bottoms
 from ..net.trace import Trace
-from ..types import BOTTOM, Color, Instance, NodeId
+from ..types import Color, Instance, NodeId
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ def message_size_stats(trace: Trace, *, first_round: int = 0,
 
 def decided_instances(run: ChaRun, node: NodeId) -> int:
     """Instances for which ``node`` output a history (not bottom)."""
-    return sum(out is not BOTTOM for _, out in run.outputs[node])
+    log = run.processes[node].outputs
+    return len(log) - log_bottoms(log)
 
 
 def decision_throughput(run: ChaRun, node: NodeId) -> float:
@@ -81,10 +83,10 @@ def color_divergence_histogram(run: ChaRun) -> dict[int, int]:
 
 def bottom_rate(run: ChaRun, node: NodeId) -> float:
     """Fraction of instances for which ``node`` output bottom."""
-    log = run.outputs[node]
+    log = run.processes[node].outputs
     if not log:
         return 0.0
-    return sum(out is BOTTOM for _, out in log) / len(log)
+    return log_bottoms(log) / len(log)
 
 
 def convergence_instance(run: ChaRun) -> Instance | None:
@@ -92,7 +94,8 @@ def convergence_instance(run: ChaRun) -> Instance | None:
     from ..core.spec import find_liveness_point
 
     survivors = run.surviving_nodes()
-    outs = {node: run.outputs[node] for node in survivors}
+    outputs = run.outputs
+    outs = {node: outputs[node] for node in survivors}
     return find_liveness_point(outs, alive=survivors)
 
 

@@ -48,6 +48,10 @@ class TwoPhaseChaProcess(Process):
                 pool_payloads=pool_payloads,
             )
         self.cm_name = cm_name
+        #: The end-of-instance step (see ``CHAProcess._adopt_core``).
+        self._end_instance = (self.core.finish_instance_single_veto
+                              if switches.core
+                              else self.core.end_instance_single_veto)
 
     def contend(self, r: Round) -> str | None:
         return self.cm_name
@@ -103,7 +107,7 @@ class TwoPhaseChaProcess(Process):
         # Single veto phase: trouble demotes green straight to orange, and
         # the instance ends here.  Only green advances prev / outputs.
         core.on_veto1_reception(veto, collision)
-        core.finish_instance_single_veto()
+        self._end_instance()
 
     @property
     def outputs(self):

@@ -369,24 +369,35 @@ class CHAProcess(Process):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: Round = 0,
-                 on_output: Callable[[Instance, History | None], None] | None = None,
                  switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
         switches = Switches.resolve(switches)
-        #: ``core`` picks the seed dict-based core over the slotted array
-        #: core; the value travels on to the core for its ``history``.
-        self.switches = switches
         if switches.core:
-            self.core = ChaCore(propose=propose, tag=tag, switches=switches)
+            core = ChaCore(propose=propose, tag=tag, switches=switches)
         else:
             from .slotted import SlottedChaCore
-            self.core = SlottedChaCore(
+            core = SlottedChaCore(
                 propose=propose, tag=tag, switches=switches,
                 pool_payloads=pool_payloads,
             )
+        self._adopt_core(core, switches, cm_name, start_round)
+
+    def _adopt_core(self, core, switches: Switches, cm_name: str,
+                    start_round: Round) -> None:
+        """Everything ``__init__`` does once the core is built
+        (subclasses with another core family build theirs and come
+        here)."""
+        #: ``core`` picks the seed dict-based core over the slotted array
+        #: core; the value travels on to the core for its ``history``.
+        self.switches = switches
+        self.core = core
         self.cm_name = cm_name
         self.start_round = start_round
-        self._on_output = on_output
+        #: The end-of-instance step.  The slotted core's records the
+        #: output and returns nothing; the dict core only has the form
+        #: that also returns the pair.
+        self._end_instance = (core.on_veto2_reception if switches.core
+                              else core.end_instance)
 
     def _phase(self, r: Round) -> int:
         return (r - self.start_round) % ROUNDS_PER_INSTANCE
@@ -425,9 +436,7 @@ class CHAProcess(Process):
         if phase == PHASE_VETO1:
             core.on_veto1_reception(veto, collision)
         else:
-            k, output = core.on_veto2_reception(veto, collision)
-            if self._on_output is not None:
-                self._on_output(k, output)
+            self._end_instance(veto, collision)
 
     def deliver_batch(self, r: Round, messages: tuple[Message, ...],
                       collision: bool, batch) -> None:
@@ -506,9 +515,7 @@ class CHAProcess(Process):
         if phase == PHASE_VETO1:
             core.on_veto1_reception(veto, collision)
         else:
-            k, output = core.on_veto2_reception(veto, collision)
-            if self._on_output is not None:
-                self._on_output(k, output)
+            self._end_instance(veto, collision)
 
     def _decode_mine(self, messages, batch):
         """The round's payloads carrying this core's tag (memoised).

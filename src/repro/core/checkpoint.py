@@ -206,25 +206,22 @@ class CheckpointCHAProcess(CHAProcess):
                  reducer: Reducer, initial_state: Any,
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: int = 0,
-                 on_output: Callable[[Instance, History | None], None] | None = None,
                  switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
-        super().__init__(propose=propose, cm_name=cm_name, tag=tag,
-                         start_round=start_round, on_output=on_output,
-                         switches=switches, pool_payloads=pool_payloads)
-        switches = self.switches
+        switches = Switches.resolve(switches)
         if switches.core:
-            self.core = CheckpointChaCore(
+            core = CheckpointChaCore(
                 propose=propose, reducer=reducer,
                 initial_state=initial_state, tag=tag, switches=switches,
             )
         else:
             from .slotted import SlottedCheckpointChaCore
-            self.core = SlottedCheckpointChaCore(
+            core = SlottedCheckpointChaCore(
                 propose=propose, reducer=reducer,
                 initial_state=initial_state, tag=tag, switches=switches,
                 pool_payloads=pool_payloads,
             )
+        self._adopt_core(core, switches, cm_name, start_round)
 
     @property
     def checkpoint(self) -> CheckpointOutput:

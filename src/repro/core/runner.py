@@ -74,6 +74,9 @@ class ChaRun:
 
     @property
     def outputs(self) -> dict[NodeId, OutputLog]:
+        """Per-node output logs, as the processes hold them: sequences
+        that may be live views (never materialised here).  Builds a
+        fresh dict per read — hoist it out of loops."""
         return {node: proc.outputs for node, proc in self.processes.items()}
 
     @property

@@ -30,6 +30,25 @@ byte-identical.
 dict-style views (tests and glass-box checkers mutate protocol state
 through them); only the hot paths bypass the views.
 
+The output log is two parallel lists: instance numbers and output
+*records*.  The record of a green instance is the interned
+:class:`~repro.core.history.HistoryChain` link its history wraps — after
+``rcf`` the one link every lockstep node shares — and ⊥ is ``BOTTOM``;
+the checkpoint core records the checkpoint state its output wrapped (the
+fold leaves the suffix empty, so the rest is derivable) and a sentinel
+for ⊥.  A decided instance therefore appends two pointers per node and
+leaves no per-node object behind for the cyclic collector to re-walk.
+``outputs`` is a live, writable :class:`~collections.abc.MutableSequence`
+view over the lists that builds a fresh ``(instance, output)`` pair per
+read: a pair shared between reads or between nodes would change which
+objects a pickled log shares, against both reference twins.  Only the
+end-of-instance steps append records; everything else — tests forging
+an output, the shard engine shipping a log home through the ``outputs``
+setter — writes through the view, which keeps what it is given verbatim
+(so does the reference fold's dict-form ``History``).  The view pickles
+as a plain ``list`` and is never stored on the core; byte-identity with
+the dict core is defined on ``list(log)``.
+
 The checkpoint core's garbage collection is incremental.
 :class:`SlottedCheckpointChaCore` keeps a **GC floor**: every slot below
 ``_gc_floor`` holds no status, no ballot and no cached fold.  A green
@@ -46,7 +65,7 @@ plain :class:`SlottedChaCore` never collects and carries no floor.
 from __future__ import annotations
 
 import time
-from collections.abc import MutableMapping
+from collections.abc import MutableMapping, MutableSequence
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import ProtocolError
@@ -181,6 +200,83 @@ class _BallotView(MutableMapping):
         return repr(dict(self))
 
 
+class _OutputLog(MutableSequence):
+    """Live, writable sequence view over a slotted core's output log.
+
+    Reads build a fresh ``(instance, output)`` pair from the parallel
+    instance / record lists (see the module docstring); writes store the
+    given output verbatim.  Compares equal to a list (or another view)
+    of the same pairs and pickles as a plain ``list``.
+    """
+
+    __slots__ = ("_core",)
+
+    def __init__(self, core: "SlottedChaCore") -> None:
+        self._core = core
+
+    def __len__(self) -> int:
+        return len(self._core._out_ks)
+
+    def __getitem__(self, i):
+        core = self._core
+        if isinstance(i, slice):
+            output = core._output_of
+            return [(k, output(k, record)) for k, record
+                    in zip(core._out_ks[i], core._out_recs[i])]
+        k = core._out_ks[i]
+        return k, core._output_of(k, core._out_recs[i])
+
+    def __iter__(self) -> Iterator[tuple[Instance, Any]]:
+        core = self._core
+        output = core._output_of
+        for k, record in zip(core._out_ks, core._out_recs):
+            yield k, output(k, record)
+
+    def __setitem__(self, i, item) -> None:
+        core = self._core
+        if isinstance(i, slice):
+            pairs = list(item)
+            core._out_ks[i] = [k for k, _ in pairs]
+            core._out_recs[i] = [core._record_of(out) for _, out in pairs]
+        else:
+            k, out = item
+            core._out_ks[i] = k
+            core._out_recs[i] = core._record_of(out)
+
+    def __delitem__(self, i) -> None:
+        core = self._core
+        del core._out_ks[i]
+        del core._out_recs[i]
+
+    def insert(self, i: int, item) -> None:
+        core = self._core
+        k, out = item
+        core._out_ks.insert(i, k)
+        core._out_recs.insert(i, core._record_of(out))
+
+    def instances(self) -> list[Instance]:
+        """The logged instance numbers, in log order (no output built)."""
+        return list(self._core._out_ks)
+
+    def bottoms(self) -> int:
+        """How many logged outputs are ⊥ (no output built)."""
+        bottom = self._core._BOTTOM_RECORD
+        return sum(1 for record in self._core._out_recs if record is bottom)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _OutputLog)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # mutable, like the list it stands in for
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class SlottedChaCore:
     """:class:`~repro.core.cha.ChaCore` semantics over flat arrays.
 
@@ -193,7 +289,7 @@ class SlottedChaCore:
 
     __slots__ = (
         "_propose", "tag", "reference_history", "pool_payloads",
-        "k", "prev_instance", "proposals_made", "outputs",
+        "k", "prev_instance", "proposals_made", "_out_ks", "_out_recs",
         "_status_arr", "_ballot_vals", "_ballot_prevs", "_ballot_objs",
         "_fold_cache", "_status_count", "_ballot_count",
         "_status_view", "_ballot_view",
@@ -214,7 +310,9 @@ class SlottedChaCore:
         self.k: Instance = NO_INSTANCE
         self.prev_instance: Instance = NO_INSTANCE
         self.proposals_made: dict[Instance, Value] = {}
-        self.outputs: list[tuple[Instance, History | None]] = []
+        # The output log: parallel lists indexed by log position.
+        self._out_ks: list[Instance] = []
+        self._out_recs: list[Any] = []
         # Parallel arrays indexed by instance (index 0 is the
         # NO_INSTANCE slot: normally empty, but reachable through the
         # same quirks as the reference dicts).
@@ -291,6 +389,32 @@ class SlottedChaCore:
         view = self._ballot_view
         for k, ballot in mapping.items():
             view[k] = ballot
+
+    #: The log record of a ⊥ output.
+    _BOTTOM_RECORD: Any = BOTTOM
+
+    def _output_of(self, k: Instance, record: Any) -> Any:
+        """The output a log record stands for: a chain link is the
+        history of instance ``k`` over it, anything else is itself."""
+        if type(record) is HistoryChain:
+            return History._from_chain(k, record)
+        return record
+
+    def _record_of(self, output: Any) -> Any:
+        """The record a written output is kept as: the output itself."""
+        return output
+
+    @property
+    def outputs(self) -> MutableSequence:
+        """Chronological ``(instance, History or BOTTOM)`` pairs.
+
+        A fresh view per read, not a stored one like ``status``: it
+        pickles as a list, which a core must not do to its own field."""
+        return _OutputLog(self)
+
+    @outputs.setter
+    def outputs(self, pairs: Iterable[tuple[Instance, Any]]) -> None:
+        _OutputLog(self)[:] = pairs
 
     # ------------------------------------------------------------------
     # Ballot phase
@@ -465,9 +589,11 @@ class SlottedChaCore:
             object.__setattr__(payload, "instance", k)
         return payload
 
-    def on_veto2_reception(self, veto_seen: bool,
-                           collision: bool) -> tuple[Instance, History | None]:
-        """Veto-2 reception and end-of-instance bookkeeping (lines 36-45)."""
+    def end_instance(self, veto_seen: bool, collision: bool) -> None:
+        """Veto-2 reception and end-of-instance bookkeeping (lines
+        36-45): records the instance's output and returns nothing — the
+        process wrappers' entry point (:meth:`on_veto2_reception` is
+        this plus a read of the log)."""
         k = self.k
         arr = self._status_arr
         status = arr[k] if k < len(arr) else _NO_STATUS
@@ -478,22 +604,26 @@ class SlottedChaCore:
             arr[k] = _YELLOW
         if status >= _YELLOW:
             self.prev_instance = k
-        output: History | None
-        if status == _GREEN:
+        if status != _GREEN:
+            record = BOTTOM
+        elif HISTORY_TIMER.enabled or self.reference_history:
+            record = self._green_record()
+        else:
             # Inline fast path for the dominant green case: skip the
             # current_history/_compute_history frames when neither the
             # timer nor the reference fold is armed.
-            if HISTORY_TIMER.enabled or self.reference_history:
-                output = self.current_history()
-            else:
-                output = History._from_chain(
-                    k, self._fold_chain(k, self.prev_instance))
-        else:
-            output = BOTTOM
-        self.outputs.append((k, output))
-        return k, output
+            record = self._fold_chain(k, self.prev_instance)
+        self._out_ks.append(k)
+        self._out_recs.append(record)
 
-    def finish_instance_single_veto(self) -> tuple[Instance, History | None]:
+    def on_veto2_reception(self, veto_seen: bool,
+                           collision: bool) -> tuple[Instance, Any]:
+        """:meth:`end_instance`, returning the ``(instance, output)``
+        pair it logged (the dict cores' contract)."""
+        self.end_instance(veto_seen, collision)
+        return self.outputs[-1]
+
+    def end_instance_single_veto(self) -> None:
         """End-of-instance bookkeeping for the single-veto ablation
         (two-phase CHA): no second downgrade opportunity — green outputs
         its history, everything else outputs bottom."""
@@ -502,14 +632,25 @@ class SlottedChaCore:
         status = arr[k] if k < len(arr) else _NO_STATUS
         if status < 0:
             raise KeyError(k)
-        output: History | None
         if status == _GREEN:
             self.prev_instance = k
-            output = self.current_history()
+            record = self._green_record()
         else:
-            output = BOTTOM
-        self.outputs.append((k, output))
-        return k, output
+            record = BOTTOM
+        self._out_ks.append(k)
+        self._out_recs.append(record)
+
+    def finish_instance_single_veto(self) -> tuple[Instance, Any]:
+        """:meth:`end_instance_single_veto`, returning the logged pair."""
+        self.end_instance_single_veto()
+        return self.outputs[-1]
+
+    def _green_record(self) -> Any:
+        """The log record of the current (green) instance's history:
+        its shared chain link, or — under the reference fold, which
+        builds no chain — the dict-form history itself."""
+        history = self.current_history()
+        return history if self.reference_history else history._chain
 
     # ------------------------------------------------------------------
     # Introspection
@@ -609,9 +750,11 @@ class SlottedChaCore:
 
     def decided_history(self) -> History | None:
         """The most recent non-bottom output, if any."""
-        for _, out in reversed(self.outputs):
-            if out is not BOTTOM:
-                return out
+        ks, records = self._out_ks, self._out_recs
+        bottom = self._BOTTOM_RECORD
+        for i in range(len(records) - 1, -1, -1):
+            if records[i] is not bottom:
+                return self._output_of(ks[i], records[i])
         return None
 
     def resident_entries(self) -> int:
@@ -661,6 +804,21 @@ class SlottedChaCore:
         ballot_view = self._ballot_view
         for k, ballot in snapshot["ballots"].items():
             ballot_view[k] = ballot
+
+
+class _Verbatim:
+    """A checkpoint-core log record holding an output as written (a
+    checkpoint state can be any object, so the ones the protocol did not
+    derive are boxed)."""
+
+    __slots__ = ("output",)
+
+    def __init__(self, output: Any) -> None:
+        self.output = output
+
+
+#: The checkpoint core's ⊥ record (``None`` is a legal checkpoint state).
+_LOGGED_BOTTOM = Sentinel(__name__, "_LOGGED_BOTTOM")
 
 
 class SlottedCheckpointChaCore(SlottedChaCore):
@@ -747,7 +905,7 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         for k in range(floor, min(self.k + 1, len(cache))):
             cache[k] = None
 
-    def on_veto2_reception(self, veto_seen: bool, collision: bool):
+    def end_instance(self, veto_seen: bool, collision: bool) -> None:
         """End of instance: green instances fold-and-GC and output the
         ``(checkpoint, suffix)`` pair instead of a full history."""
         k = self.k
@@ -760,17 +918,32 @@ class SlottedCheckpointChaCore(SlottedChaCore):
             arr[k] = _YELLOW
         if status >= _YELLOW:
             self.prev_instance = k
-        output: CheckpointOutput | None
         if status == _GREEN:
-            # One fold serves both the checkpoint advance and the
-            # output derivation.
-            history = self.current_history()
-            self._fold_to(k, history)
-            output = self.current_checkpoint_output(history)
+            # The fold leaves the checkpoint at ``k`` with an empty
+            # suffix, so the new state is the whole output.
+            self._fold_to(k)
+            record = self.checkpoint_state
         else:
-            output = BOTTOM
-        self.outputs.append((k, output))
-        return k, output
+            record = _LOGGED_BOTTOM
+        self._out_ks.append(k)
+        self._out_recs.append(record)
+
+    # -- the output log ---------------------------------------------------
+
+    _BOTTOM_RECORD = _LOGGED_BOTTOM
+
+    def _output_of(self, k: Instance, record: Any) -> Any:
+        """A bare record is the checkpoint state of green instance
+        ``k``, whose output wrapped it with the empty suffix; anything
+        written through the view comes back as it went in."""
+        if record is _LOGGED_BOTTOM:
+            return BOTTOM
+        if type(record) is _Verbatim:
+            return record.output
+        return CheckpointOutput(k, record, History._from_chain(k, ROOT_CHAIN))
+
+    def _record_of(self, output: Any) -> Any:
+        return _LOGGED_BOTTOM if output is BOTTOM else _Verbatim(output)
 
     # -- checkpointed view ----------------------------------------------
 

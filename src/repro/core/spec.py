@@ -27,7 +27,28 @@ from ..types import BOTTOM, Instance, NodeId, Value
 from .history import History, HistoryChain
 
 #: The per-node output sequence type: (instance, History or BOTTOM) pairs.
+#: A log is any sequence of such pairs and may be a live view: the
+#: slotted cores hand out one that builds each pair when it is read, so
+#: readers that only count go through the two helpers below.
 OutputLog = Sequence[tuple[Instance, History | None]]
+
+
+def log_instances(log: OutputLog) -> Sequence[Instance]:
+    """The instance numbers of ``log``, in log order.
+
+    A view answers from its own instance list (``instances()``) without
+    building an output per entry; a plain list is read pair by pair.
+    """
+    instances = getattr(log, "instances", None)
+    return instances() if instances is not None else [k for k, _ in log]
+
+
+def log_bottoms(log: OutputLog) -> int:
+    """How many outputs of ``log`` are ⊥ (same two routes)."""
+    bottoms = getattr(log, "bottoms", None)
+    if bottoms is not None:
+        return bottoms()
+    return sum(out is BOTTOM for _, out in log)
 
 
 def check_validity(outputs: Mapping[NodeId, OutputLog],

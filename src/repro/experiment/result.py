@@ -41,6 +41,8 @@ class ExperimentResult:
     #: horizon hints.
     violation_context: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Per-node output logs (agreement-protocol families; else None).
+    #: Sequences of ``(instance, output)`` pairs that may be live views
+    #: over the cores' logs; ``list(log)`` materialises one.
     outputs: dict[NodeId, OutputLog] | None = None
     #: Per-node proposals (CHA families; else None).
     proposals: dict[NodeId, Mapping[Instance, Value]] | None = None

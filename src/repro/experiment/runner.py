@@ -36,13 +36,18 @@ from ..core.history import (
     new_chain_generation,
 )
 from ..core.runner import ChaRun, cluster_positions, default_proposer
-from ..core.spec import check_agreement, check_liveness, check_validity
+from ..core.spec import (
+    check_agreement,
+    check_liveness,
+    check_validity,
+    log_bottoms,
+)
 from ..detectors import EventuallyAccurateDetector
 from ..errors import ConfigurationError, SimulationError, SpecViolation
 from ..net import RadioSpec, Simulator
 from ..net.shard import ShardedSimulator
 from ..switches import Switches
-from ..types import BOTTOM, NodeId
+from ..types import NodeId
 from ..vi.world import VIWorld
 from .observers import WireStatsObserver
 from .result import OK, ExperimentResult
@@ -101,7 +106,7 @@ def _decided_by_node(ctx: _RunContext) -> dict[NodeId, int]:
     run = ctx.cha_run
     assert run is not None
     return {
-        node: sum(out is not BOTTOM for _, out in log)
+        node: len(log) - log_bottoms(log)
         for node, log in run.outputs.items()
     }
 
@@ -118,7 +123,7 @@ def _bottom_rate_by_node(ctx: _RunContext) -> dict[NodeId, float]:
     run = ctx.cha_run
     assert run is not None
     return {
-        node: (sum(out is BOTTOM for _, out in log) / len(log) if log else 0.0)
+        node: (log_bottoms(log) / len(log) if log else 0.0)
         for node, log in run.outputs.items()
     }
 
@@ -205,8 +210,9 @@ def _inv_liveness(ctx: _RunContext) -> None:
         )
     run = ctx.cha_run
     survivors = run.surviving_nodes()
+    outputs = run.outputs
     check_liveness(
-        {node: run.outputs[node] for node in survivors},
+        {node: outputs[node] for node in survivors},
         by_instance=by, alive=survivors,
     )
 

@@ -82,6 +82,9 @@ class ReplicaRuntime:
                 switches=switches,
                 pool_payloads=pool_payloads,
             )
+        #: The end-of-instance step (see ``CHAProcess._adopt_core``).
+        self._end_instance = (self.core.on_veto2_reception if switches.core
+                              else self.core.end_instance)
         if snapshot is not None and reset_at is not None:
             raise ValueError("pass either a snapshot or a reset anchor, not both")
         if snapshot is not None:
@@ -295,6 +298,6 @@ class ReplicaRuntime:
         if which == 1:
             self.core.on_veto1_reception(veto, collision)
         else:
-            self.core.on_veto2_reception(veto, collision)
+            self._end_instance(veto, collision)
             if vr is not None:
                 self.round_colors[vr] = self.core.color_of(self.core.k)

@@ -32,9 +32,18 @@ def run_with(spec, switches: Switches, **run_kwargs):
     return run(dataclasses.replace(spec, switches=switches), **run_kwargs)
 
 
+def materialised(outputs):
+    """Per-node output logs as plain lists.  The slotted cores hand out
+    live views that pickle through ``list(...)``'s reduce form;
+    byte-identity between switch corners is defined on ``list(log)``."""
+    if outputs is None:
+        return None
+    return {node: list(log) for node, log in outputs.items()}
+
+
 def observables(result) -> bytes:
     """Pickle of everything observable about a result: trace, outputs,
     proposals, metrics, invariant verdicts, and violation contexts."""
-    return pickle.dumps((result.trace, result.outputs, result.proposals,
-                         result.metrics, result.invariants,
+    return pickle.dumps((result.trace, materialised(result.outputs),
+                         result.proposals, result.metrics, result.invariants,
                          result.violation_context))

@@ -1,6 +1,6 @@
 """Unit and regression tests for the slotted protocol core (PR 7).
 
-Three concerns live here:
+Four concerns live here:
 
 * **View semantics** — ``SlottedChaCore.status`` / ``.ballots`` are live
   writable mappings over the parallel arrays and must behave exactly
@@ -14,27 +14,34 @@ Three concerns live here:
 * **Instance-scoped vetoes** — the same-tag grid-shift bugfix: a veto
   payload for a *different* instance (stale, or from a same-tag
   ensemble on a shifted grid) must not demote this instance.
+* **The output log** (PR 23) — ``outputs`` is a view over flat records
+  that reads exactly like the dict core's ``list[tuple]`` log, stays
+  writable, and retains no per-node object per decided instance.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _switches import materialised
 from repro.baselines.two_phase_cha import TwoPhaseChaProcess
 from repro.contention import LeaderElectionCM
 from repro.core import ChaCore, CheckpointChaCore, check_agreement, check_validity
 from repro.core.ballot import Ballot, BallotPayload, VetoPayload
 from repro.core.cha import CHAProcess
-from repro.core.checkpoint import CheckpointCHAProcess
-from repro.core.history import new_chain_generation
+from repro.core.checkpoint import CheckpointCHAProcess, CheckpointOutput
+from repro.core.history import History, new_chain_generation
 from repro.core.runner import cluster_positions, default_proposer
 from repro.core.slotted import SlottedChaCore, SlottedCheckpointChaCore
 from repro.net import Simulator
 from repro.net.channel import RadioSpec
 from repro.net.messages import Message, RoundBatch
 from repro.switches import Switches
+from repro.errors import ProtocolError
 from repro.types import BOTTOM, Color
 
 pytestmark = pytest.mark.fast
@@ -298,7 +305,8 @@ class TestMidGridJoin:
             # must run them without crashing.
             assert procs[3].outputs
             assert all(out is BOTTOM for _, out in procs[3].outputs)
-            observables.append(pickle.dumps((outputs, proposals)))
+            observables.append(pickle.dumps(
+                (materialised(outputs), proposals)))
         assert observables[0] == observables[1]  # cores byte-identical
 
     def test_two_phase_join_runs(self):
@@ -317,8 +325,8 @@ class TestMidGridJoin:
             veterans = {n: procs[n].outputs for n in (0, 1, 2)}
             check_agreement(veterans)
             assert all(out is BOTTOM for _, out in procs[3].outputs)
-            observables.append(pickle.dumps(
-                {n: p.outputs for n, p in procs.items()}))
+            observables.append(pickle.dumps(materialised(
+                {n: p.outputs for n, p in procs.items()})))
         assert observables[0] == observables[1]
 
     def test_shifted_grid_same_tag_ensembles(self):
@@ -341,8 +349,8 @@ class TestMidGridJoin:
             for group in ((0, 1, 2), (3, 4, 5)):
                 check_agreement({n: procs[n].outputs for n in group})
                 assert all(procs[n].outputs for n in group)
-            observables.append(pickle.dumps(
-                {n: p.outputs for n, p in procs.items()}))
+            observables.append(pickle.dumps(materialised(
+                {n: p.outputs for n, p in procs.items()})))
         assert observables[0] == observables[1]
 
 
@@ -387,3 +395,192 @@ def test_pooled_run_allocates_no_wire_objects_in_steady_state(monkeypatch):
     assert counts == warm, "steady-state rounds allocated wire objects"
     result = stepper.finish()
     assert result.invariants == {}
+
+
+# ----------------------------------------------------------------------
+# The output log: a view over flat records (PR 23)
+# ----------------------------------------------------------------------
+
+#: One instance of a schedule: how the ballot phase goes, then the four
+#: veto-phase flags.
+_instances = st.tuples(
+    st.just("instance"),
+    st.sampled_from(["leader", "silence", "collision", "two"]),
+    st.booleans(), st.booleans(), st.booleans(), st.booleans())
+#: Everything else a core can be put through between instances.
+_interludes = st.one_of(
+    st.tuples(st.just("stray-ballot")),    # reception before begin_instance
+    st.tuples(st.just("save")),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("reset"), st.integers(0, 3)),
+)
+_schedules = st.lists(st.one_of(_instances, _instances, _interludes),
+                      min_size=1, max_size=25)
+
+
+def _twin_cores(checkpoint: bool, history_ref: bool):
+    switches = Switches(history=history_ref)
+    kwargs = dict(propose=lambda k: f"v{k:03d}", switches=switches)
+    if checkpoint:
+        kwargs.update(reducer=lambda s, k, v: s + ((k, v),), initial_state=())
+        return (CheckpointChaCore(**kwargs), SlottedCheckpointChaCore(**kwargs))
+    return ChaCore(**kwargs), SlottedChaCore(**kwargs)
+
+
+def _assert_same_log(slot, ref):
+    view, twin = slot.outputs, ref.outputs
+    assert list(view) == twin and view == twin and twin == view
+    assert len(view) == len(twin)
+    assert view.instances() == [k for k, _ in twin]
+    assert view.bottoms() == sum(out is BOTTOM for _, out in twin)
+    if twin:
+        assert view[-1] == twin[-1] and view[0] == twin[0]
+    for i, j in ((0, 2), (-3, None), (1, -1)):
+        assert view[i:j] == twin[i:j]
+    assert pickle.dumps(list(view)) == pickle.dumps(twin)
+    assert type(pickle.loads(pickle.dumps(view))) is list
+    assert pickle.loads(pickle.dumps(view)) == twin
+    assert slot.decided_history() == ref.decided_history()
+
+
+class TestOutputLogMatchesTwin:
+    """(a) The view reads like the dict core's log on any schedule."""
+
+    @pytest.mark.parametrize("history_ref", [False, True])
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @settings(max_examples=60)
+    @given(schedule=_schedules)
+    def test_view_equals_twin_log(self, checkpoint, history_ref, schedule):
+        new_chain_generation()
+        ref, slot = _twin_cores(checkpoint, history_ref)
+        saved = None
+        for op in schedule:
+            if op[0] == "stray-ballot":
+                for core in (ref, slot):
+                    core.on_ballot_reception([Ballot("stray", 0)], False)
+            elif op[0] == "save":
+                saved = ref.snapshot()
+            elif op[0] == "restore":
+                if saved is not None:
+                    for core in (ref, slot):
+                        core.restore(saved)
+            elif op[0] == "reset":
+                if checkpoint:
+                    anchor = ref.k + op[1]
+                    for core in (ref, slot):
+                        core.reset_to(anchor, ())
+            else:
+                _, ballot_phase, *vetoes = op
+                wire = ref.begin_instance().ballot
+                slot.begin_instance()
+                received = {"leader": [wire], "silence": [], "collision": [wire],
+                            "two": [Ballot("zz", wire.prev_instance), wire]}
+                ends = []
+                for core in (ref, slot):
+                    core.on_ballot_reception(received[ballot_phase],
+                                             ballot_phase == "collision")
+                    core.on_veto1_reception(vetoes[0], vetoes[1])
+                    try:
+                        ends.append(core.on_veto2_reception(vetoes[2],
+                                                            vetoes[3]))
+                    except (KeyError, ProtocolError) as exc:
+                        # A restored snapshot can leave the chain without
+                        # a ballot; both cores refuse the same way and
+                        # log nothing.
+                        ends.append(type(exc))
+                assert ends[0] == ends[1]
+            _assert_same_log(slot, ref)
+
+
+class TestOutputLogIsWritable:
+    """(b) Writes through the view land in the core and read back as
+    written — the forged-output idiom of ``tests/analysis``."""
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_write_operations_round_trip(self, checkpoint):
+        ref, slot = _twin_cores(checkpoint, False)
+        for core in (ref, slot):
+            for _ in range(4):
+                wire = core.begin_instance().ballot
+                core.on_ballot_reception([wire], False)
+                core.on_veto1_reception(False, False)
+                core.on_veto2_reception(False, core.k == 2)
+        forged = History(5, {1: "a", 4: "b"})        # dict form
+        other = (CheckpointOutput(9, ("state",), History(9, {3: "c"}))
+                 if checkpoint else History(9, {}))
+        for core in (ref, slot):
+            log = core.outputs
+            log.append((5, forged))
+            assert log[-1] == (5, forged) and log[-1][1] is forged
+            log[1] = (7, other)
+            assert log[1][1] is other
+            log[0] = (1, BOTTOM)
+            del log[2]
+            log.insert(0, (0, forged))
+            log[1:2] = [(11, BOTTOM), (12, other)]
+            assert len(log) == 6
+        _assert_same_log(slot, ref)
+        assert slot.outputs.instances() == [0, 11, 12, 7, 4, 5]
+        assert slot.decided_history() is forged
+        slot.outputs = ref.outputs[:3]               # the setter
+        assert slot.outputs == ref.outputs[:3]
+        assert len(slot.outputs) == 3 and slot.outputs[2][1] is other
+        slot.outputs = []
+        assert slot.outputs == [] and not slot.outputs
+        assert slot.decided_history() is None
+
+    def test_view_is_live_and_unhashable(self):
+        _, slot = _twin_cores(False, False)
+        log = slot.outputs
+        assert log == [] and repr(log) == "[]"
+        _drive_instance(slot)
+        assert len(log) == 1 and log == slot.outputs
+        assert log != [(1, BOTTOM)] and log != ((1, BOTTOM),)
+        with pytest.raises(TypeError):
+            hash(log)
+        with pytest.raises(IndexError):
+            log[5]
+
+    def test_failed_fold_logs_nothing(self):
+        """The record is computed before either list grows."""
+        _, slot = _twin_cores(False, False)
+        slot.begin_instance()
+        slot.on_ballot_reception([], False)           # red: no ballot kept
+        slot.on_veto1_reception(True, False)
+        slot.on_veto2_reception(True, False)
+        slot.begin_instance()
+        slot.on_ballot_reception([Ballot("x", 1)], False)   # points at it
+        slot.on_veto1_reception(False, False)
+        with pytest.raises(ProtocolError):
+            slot.on_veto2_reception(False, False)
+        assert slot.outputs == [(1, BOTTOM)]
+        assert slot.outputs.instances() == [1]
+
+
+def _tracked_objects_per_instance(n: int) -> float:
+    """GC-tracked objects a ``keep_trace=False`` cluster run of ``n``
+    nodes retains per instance, between instance 100 and instance 400."""
+    from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
+    from repro.experiment.runner import ExperimentStepper
+
+    stepper = ExperimentStepper(ExperimentSpec(
+        protocol=CHA(), world=ClusterWorld(n=n),
+        workload=WorkloadSpec(instances=400), keep_trace=False))
+    stepper.step(3 * 100)
+    gc.collect()
+    before = len(gc.get_objects())
+    stepper.step(3 * 300)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert all(len(p.outputs) == 400 for p in stepper.processes.values())
+    return grown / 300
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_decided_instance_retains_no_per_node_object(n):
+    """(c) Work is proportional (PR 7 / PR 22 counting style): a decided
+    instance keeps its one shared chain link and that link's interning
+    table — about ten tracked objects — and two untracked pointers per
+    node.  A core that wraps per node again (a ``History`` and a pair
+    each) reads 50 at n = 20 and 130 at n = 60."""
+    assert _tracked_objects_per_instance(n) <= 15
