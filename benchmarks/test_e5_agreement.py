@@ -12,9 +12,9 @@ from repro.contention import LeaderElectionCM
 from repro.core import check_agreement, check_validity, run_cha
 from repro.detectors import EventuallyAccurateDetector
 from repro.errors import SpecViolation
-from repro.net import RandomLossAdversary
+from repro.faults import CrashWave
+from repro.net import CrashSchedule, RandomLossAdversary
 from repro.types import BOTTOM
-from repro.workloads import random_crash_schedule
 
 SEEDS = 30
 
@@ -32,10 +32,9 @@ def soak():
             ),
             detector=EventuallyAccurateDetector(racc=70),
             cm=LeaderElectionCM(stable_round=70, chaos="random", seed=seed),
-            crashes=random_crash_schedule(
-                5, fraction=0.4, horizon=60, seed=seed,
-                spare=frozenset({4}),
-            ),
+            crashes=CrashSchedule(CrashWave(
+                fraction=0.4, horizon=60, spare=frozenset({4}),
+            ).crashes(5, seed)),
             rcf=70,
         )
         try:

@@ -14,12 +14,6 @@ twin in the axis table at once — giving the machine-independent
 ``speedup_vs_reference`` ratio the regression gate
 (:mod:`repro.bench.compare`) is keyed on.
 
-Scenarios with :attr:`~.scenarios.BenchScenario.serial_baseline` set
-swap that reference trial for the *same* spec on the default switches:
-their ratio is the sharded engine against its serial twin (mirrored
-into ``extras["speedup_vs_serial"]``), which is machine-*dependent* —
-it needs real cores — so such scenarios ship ungated.
-
 ``run_benchmarks(..., workers=N)`` fans whole scenarios out over
 :func:`repro.experiment.sweep.pool_map` (the sweep subsystem's worker
 pool); each scenario is still timed inside its own dedicated process, so
@@ -105,12 +99,7 @@ def _time_once(scenario: BenchScenario, *,
     """One trial: returns (wall_s, rounds, phase breakdown)."""
     spec = scenario.make_spec()
     if reference:
-        # For a serial_baseline scenario the "reference" trial is the
-        # same spec on the serial engine: speedup_vs_reference becomes
-        # sharded vs serial on an otherwise identical fast-path stack.
-        spec = dataclasses.replace(
-            spec, switches=(Switches() if scenario.serial_baseline
-                            else Switches.REFERENCE))
+        spec = dataclasses.replace(spec, switches=Switches.REFERENCE)
     timer_box: list[_ChannelTimer] = []
 
     def instrument(sim) -> None:
@@ -203,12 +192,8 @@ def run_scenario(scenario: BenchScenario | LoadScenario, *, repeats: int = 3,
         rounds_per_sec=rounds / wall if wall > 0 else 0.0,
         phases=phases,
     )
-    if scenario.serial_baseline:
-        result.extras["shards"] = scenario.make_spec().switches.shards
     if reference:
-        label = ("serial engine" if scenario.serial_baseline
-                 else "reference path")
-        say(f"  {scenario.name}: {label} x{repeats} ...")
+        say(f"  {scenario.name}: reference path x{repeats} ...")
         ref_trials = [_time_once(scenario, reference=True)
                       for _ in range(repeats)]
         ref_wall, ref_rounds, _ = min(ref_trials, key=lambda t: t[0])
@@ -217,11 +202,6 @@ def run_scenario(scenario: BenchScenario | LoadScenario, *, repeats: int = 3,
             ref_rounds / ref_wall if ref_wall > 0 else 0.0)
         if wall > 0:
             result.speedup_vs_reference = ref_wall / wall
-        if scenario.serial_baseline:
-            # The acceptance metric for the sharded engine: the same
-            # fast-path stack, shards=N vs shards=1.
-            result.extras["speedup_vs_serial"] = result.speedup_vs_reference
-            result.extras["serial_wall_s"] = ref_wall
     return result
 
 

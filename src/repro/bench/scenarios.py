@@ -40,7 +40,6 @@ from ..geometry import Point
 from ..net import RandomLossAdversary
 from ..service.loadgen import LoadProfile
 from ..service.server import ServiceConfig
-from ..switches import Switches
 from ..vi.program import CounterProgram
 from ..vi.schedule import VNSite
 
@@ -71,12 +70,6 @@ class BenchScenario:
     #: run-to-run noise (adversary-RNG-bound, or GC'd folds that never
     #: grow) are reported but not gated.
     gated: bool = False
-    #: When true, the "reference" trial is the *same* spec on the
-    #: default switches (``shards=1``, the serial engine) instead of
-    #: the reference stack: ``speedup_vs_reference`` then measures the
-    #: sharded engine against its serial twin, and the runner mirrors it
-    #: into ``extras["speedup_vs_serial"]``.
-    serial_baseline: bool = False
 
 
 @dataclass(frozen=True)
@@ -112,15 +105,14 @@ class LoadScenario:
 
 def _cluster(protocol: Any, n: int, *, instances: int | None = None,
              rounds: int | None = None, adversary=None,
-             rcf: int = 0, cluster_radius: float | None = None,
-             switches: Switches | None = None) -> Callable[[], ExperimentSpec]:
+             rcf: int = 0,
+             cluster_radius: float | None = None) -> Callable[[], ExperimentSpec]:
     def make() -> ExperimentSpec:
         spec = ExperimentSpec(
             protocol=protocol,
             world=ClusterWorld(n=n, rcf=rcf, cluster_radius=cluster_radius),
             workload=WorkloadSpec(instances=instances, rounds=rounds),
             keep_trace=False,
-            switches=switches,
         )
         if adversary is not None:
             spec = spec.override(environment__adversary=adversary())
@@ -220,27 +212,6 @@ ALL_SCENARIOS: tuple[BenchScenario | LoadScenario, ...] = (
                     "Informational: the ~10x ratio swings with world-"
                     "build overhead on the short 18-round run",
         make_spec=_cluster(CHA(), 1000, instances=6, cluster_radius=40.0),
-    ),
-    BenchScenario(
-        name="cha-10k-shard", family="cha", n=10000, serial_baseline=True,
-        description="10000-node spread-out ring on the sharded engine "
-                    "(shards=4) vs its serial twin. Informational: "
-                    "speedup_vs_serial needs >=4 real cores; on the "
-                    "single-core CI class the workers time-slice one "
-                    "CPU and the ratio sits below 1",
-        make_spec=_cluster(CHA(), 10000, instances=6,
-                           cluster_radius=126.0,
-                           switches=Switches(shards=4)),
-    ),
-    BenchScenario(
-        name="cha-100k-shard", family="cha", n=100000, serial_baseline=True,
-        description="100000-node spread-out ring on the sharded engine "
-                    "(shards=4), 2 instances — the scale headliner. "
-                    "Informational for the same reason as cha-10k-shard "
-                    "(speedup_vs_serial needs real cores)",
-        make_spec=_cluster(CHA(), 100000, instances=2,
-                           cluster_radius=1260.0,
-                           switches=Switches(shards=4)),
     ),
     BenchScenario(
         name="e8-majority-200", family="majority-rsm", n=200, quick=True,

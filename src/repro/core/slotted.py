@@ -43,8 +43,8 @@ view over the lists that builds a fresh ``(instance, output)`` pair per
 read: a pair shared between reads or between nodes would change which
 objects a pickled log shares, against both reference twins.  Only the
 end-of-instance steps append records; everything else — tests forging
-an output, the shard engine shipping a log home through the ``outputs``
-setter — writes through the view, which keeps what it is given verbatim
+an output or replacing a whole log through the ``outputs`` setter —
+writes through the view, which keeps what it is given verbatim
 (so does the reference fold's dict-form ``History``).  The view pickles
 as a plain ``list`` and is never stored on the core; byte-identity with
 the dict core is defined on ``list(log)``.
@@ -93,8 +93,8 @@ _COLORS = (Color.RED, Color.ORANGE, Color.YELLOW, Color.GREEN)
 
 #: Absent-ballot sentinel in the ballot-value array (``None`` is a legal
 #: value in V's Python realisation, so absence needs its own object).
-#: Pickle-stable: fresh cores carry it in their arrays, and a process
-#: shipped to a shard worker must keep satisfying ``is _ABSENT`` checks.
+#: Pickle-stable: fresh cores carry it in their arrays, and a core that
+#: is pickled or deep-copied must keep satisfying ``is _ABSENT`` checks.
 _ABSENT = Sentinel(__name__, "_ABSENT")
 
 

@@ -36,24 +36,6 @@ class WireStatsObserver:
             if flag:
                 self.collision_flags[node] = self.collision_flags.get(node, 0) + 1
 
-    def observe_summary(self, r: int, *, n_broadcasts: int, size_sum: int,
-                        size_max: int, flagged: list[NodeId]) -> None:
-        """Record-free ingestion for the sharded fast path.
-
-        The sharded coordinator (:mod:`repro.net.shard`) builds no
-        :class:`RoundRecord` in fast mode; it feeds the already-reduced
-        per-round aggregates instead.  ``flagged`` arrives in ascending
-        node order, matching the serial flag-map insertion order, so the
-        resulting counters — and their pickles — are identical.
-        """
-        self.rounds += 1
-        self.total_broadcasts += n_broadcasts
-        self._size_sum += size_sum
-        if size_max > self.max_message_size:
-            self.max_message_size = size_max
-        for node in flagged:
-            self.collision_flags[node] = self.collision_flags.get(node, 0) + 1
-
     @property
     def mean_message_size(self) -> float:
         if self.total_broadcasts == 0:

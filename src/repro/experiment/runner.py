@@ -45,7 +45,6 @@ from ..core.spec import (
 from ..detectors import EventuallyAccurateDetector
 from ..errors import ConfigurationError, SimulationError, SpecViolation
 from ..net import RadioSpec, Simulator
-from ..net.shard import ShardedSimulator
 from ..switches import Switches
 from ..types import NodeId
 from ..vi.world import VIWorld
@@ -611,34 +610,16 @@ class _ClusterExecution(_Execution):
         self.wire = wire
         self.rpi = rpi
         self.total_ticks = rounds
-        # Workers fork lazily on the first step, so the instrument hook
-        # above is inherited.
-        self.shard: ShardedSimulator | None = None
-        if switches.shards > 1:
-            if isinstance(protocol, MajorityRSM) or (
-                    isinstance(protocol, CHA)
-                    and protocol.process_factory is not None):
-                raise ConfigurationError(
-                    "sharded execution covers the built-in CHA-family "
-                    "protocols (cha, checkpoint-cha, naive-rsm, "
-                    "two-phase-cha); majority-rsm and custom process "
-                    "factories run serially"
-                )
-            self.shard = ShardedSimulator(sim, plan_positions=positions)
 
     def step(self, ticks: int) -> int:
         ran = min(ticks, self.total_ticks - self.ticks_run)
-        stepper = self.shard if self.shard is not None else self.simulator
+        sim = self.simulator
         for _ in range(ran):
-            stepper.step()
+            sim.step()
         self.ticks_run += ran
         return ran
 
     def finalize(self) -> ExperimentResult:
-        if self.shard is not None:
-            # Fast-mode workers hold the authoritative protocol state
-            # until it is shipped home here; mirror mode cross-checks.
-            self.shard.finish()
         spec, sim, processes = self.spec, self.simulator, self.processes
         protocol, rounds = spec.protocol, self.total_ticks
         trace = sim.trace

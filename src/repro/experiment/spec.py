@@ -247,12 +247,6 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on inconsistent combinations."""
         protocol, world, workload = self.protocol, self.world, self.workload
-        if (self.switches is not None and self.switches.shards > 1
-                and not isinstance(world, ClusterWorld)):
-            raise ConfigurationError(
-                "sharded execution (shards > 1) currently covers cluster "
-                "worlds only"
-            )
         if isinstance(protocol, ThreePhaseCommit):
             if world is not None:
                 raise ConfigurationError(

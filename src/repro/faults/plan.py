@@ -181,8 +181,7 @@ class MessageStorm(FaultPrimitive):
     """Seeded i.i.d. message loss in a round window.
 
     ``intensity`` in [0, 1] scales the per-delivery drop probability up
-    to 0.7 (the calibration of the classic ``storm_adversary`` helper);
-    ``detector_noise`` is an additional per-round false-collision
+    to 0.7; ``detector_noise`` is an additional per-round false-collision
     probability riding on the same storm.  ``until=None`` means the
     storm never abates by itself.
     """

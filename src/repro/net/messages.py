@@ -103,7 +103,7 @@ _UNRESOLVED = Sentinel(__name__, "_UNRESOLVED")
 #: broadcasts carry no single common ``tag`` (or there are none at all).
 #: Distinct from any real tag, including ``None``-tagged payloads.
 #: Pickle-stable so ``is MIXED_TAGS`` keeps working for any state that
-#: crosses a process boundary (e.g. the sharded engine's workers).
+#: is pickled or deep-copied.
 MIXED_TAGS = Sentinel(__name__, "MIXED_TAGS")
 
 

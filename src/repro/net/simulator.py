@@ -101,8 +101,8 @@ class Simulator:
         self.adversary = adversary if adversary is not None else NoAdversary()
         switches = Switches.resolve(switches)
         #: The resolved reference switches: this simulator reads
-        #: ``engine``, its channel ``channel``, and a wrapping
-        #: :class:`~repro.net.shard.ShardedSimulator` ``shards``.
+        #: ``engine`` and its channel ``channel``; the VI round engine
+        #: (:mod:`repro.vi.engine`) reads ``engine`` here too.
         self.switches = switches
         self.channel = Channel(spec, self.adversary, switches=switches)
         self.detector = detector if detector is not None else EventuallyAccurateDetector()
@@ -344,9 +344,9 @@ class Simulator:
         Returns ``(present, positions, unchanged)`` for round ``r``
         exactly as :meth:`_step_batched` computes them (steady-state
         cache, dirty-set protocol, identical mobility call sequences).
-        Factored out so the sharded executor (:mod:`repro.net.shard`)
-        can derive every process's position map with byte-identical
-        semantics; callers are responsible for the follow-up
+        Factored out of :meth:`_step_batched` so the VI round engine
+        (:mod:`repro.vi.engine`) derives its position map with
+        byte-identical semantics; callers are responsible for the follow-up
         ``locations.observe`` / ``_last_present`` / ``_batch_prev``
         bookkeeping.
         """

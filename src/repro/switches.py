@@ -14,7 +14,7 @@ a spec that carries a ``Switches`` ignores the environment entirely.
 :meth:`Switches.from_env`, the table in ``docs/REFERENCE_SWITCHES.md``
 (under the ``-m docs`` drift gate) and the table-driven switch tests.
 :meth:`Switches.from_env` is the only function in the library that
-reads a ``REPRO_REFERENCE_*`` / ``REPRO_SHARDS`` variable.
+reads a ``REPRO_REFERENCE_*`` variable.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import ClassVar
-
-from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -34,9 +32,9 @@ class Axis:
     name: str
     #: The environment variable :meth:`Switches.from_env` reads.
     env: str
-    #: The optimised path (the default on every boolean axis).
+    #: The optimised path (the default).
     fast: str
-    #: The reference twin it is pinned against (``shards`` defaults here).
+    #: The reference twin it is pinned against.
     twin: str
     #: The suite pinning the two byte-identical.
     suite: str
@@ -65,10 +63,6 @@ AXES: tuple[Axis, ...] = (
          "phase-table VI emulation engine (`VIRoundEngine`)",
          "per-device dispatch, one `Simulator.step` per real round",
          "`tests/vi/test_vi_differential.py` (`-m vi_differential`)"),
-    Axis("shards", "REPRO_SHARDS",
-         "`N > 1`: `N` forked strip workers (`ShardedSimulator`)",
-         "`1` (the default): the in-process round engine",
-         "`tests/net/test_shard_differential.py` (`-m shard_differential`)"),
 )
 
 
@@ -76,9 +70,8 @@ AXES: tuple[Axis, ...] = (
 class Switches:
     """Which twin runs on each axis.
 
-    A boolean field means "use the reference twin"; ``shards`` is the
-    worker-process count of the round engine (``1`` = in-process).  The
-    default value is the production stack.
+    A field set to ``True`` means "use the reference twin".  The default
+    value is the production stack.
     """
 
     channel: bool = False
@@ -86,16 +79,10 @@ class Switches:
     history: bool = False
     core: bool = False
     vi: bool = False
-    shards: int = 1
 
     #: Every reference twin at once — the oracle the goldens, the bench
     #: ratio gate and the differential suites compare against.
     REFERENCE: ClassVar["Switches"]
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}")
 
     @classmethod
     def resolve(cls, given: "Switches | None") -> "Switches":
@@ -105,28 +92,13 @@ class Switches:
 
     @classmethod
     def from_env(cls) -> "Switches":
-        """The switches the process environment selects.
-
-        A boolean axis is on for any value except ``""``/``"0"``;
-        ``REPRO_SHARDS`` must be an integer (``""``/``"0"`` mean 1).
-        """
-        values: dict[str, bool | int] = {}
-        for axis in AXES:
-            raw = os.environ.get(axis.env, "")
-            if axis.name != "shards":
-                values[axis.name] = raw not in ("", "0")
-            elif raw not in ("", "0"):
-                try:
-                    values["shards"] = int(raw)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{axis.env} must be an integer, got {raw!r}"
-                    ) from None
-        return cls(**values)
+        """The switches the process environment selects: an axis is on
+        for any value of its variable except ``""``/``"0"``."""
+        return cls(**{axis.name: os.environ.get(axis.env, "") not in ("", "0")
+                      for axis in AXES})
 
 
-Switches.REFERENCE = Switches(channel=True, engine=True, history=True,
-                              core=True, vi=True)
+Switches.REFERENCE = Switches(**{axis.name: True for axis in AXES})
 
 
 def markdown_table() -> str:

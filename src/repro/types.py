@@ -40,11 +40,11 @@ class Sentinel:
     """A unique marker whose identity survives pickling.
 
     Bare ``object()`` sentinels break every ``is`` check the moment they
-    cross a process boundary: each unpickle manufactures a fresh object,
-    so state shipped between the sharded engine's workers (or through any
-    other serialisation) stops matching its module's singleton.  A
-    ``Sentinel`` instead pickles as a reference to the module-level name
-    it is bound to, so every process resolves it back to the same object.
+    are pickled or deep-copied: each copy manufactures a fresh object, so
+    state that travels to a sweep worker, or through any other
+    serialisation, stops matching its module's singleton.  A ``Sentinel``
+    instead pickles as a reference to the module-level name it is bound
+    to, so every process resolves it back to the same object.
     """
 
     __slots__ = ("_module", "_name")

@@ -1,11 +1,5 @@
-"""Workload generators and canned deployment scenarios."""
+"""Canned deployment scenarios."""
 
-from .generators import (
-    periodic_client_script,
-    poisson_client_script,
-    random_crash_schedule,
-    storm_adversary,
-)
 from .scenarios import (
     R1,
     R2,
@@ -18,12 +12,8 @@ from .scenarios import (
 __all__ = [
     "R1",
     "R2",
-    "periodic_client_script",
-    "poisson_client_script",
-    "random_crash_schedule",
     "roaming_devices",
     "single_region",
-    "storm_adversary",
     "vn_grid",
     "vn_line",
 ]

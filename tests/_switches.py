@@ -20,7 +20,7 @@ def corners(*axes: str, **fixed) -> list[Switches]:
     """Every on/off corner of the named boolean axes.
 
     Axes not named stay at their defaults unless ``fixed`` pins them
-    (``corners("engine", "channel", shards=2)``).  The all-off corner
+    (``corners("engine", "channel", history=True)``).  The all-off corner
     comes first, the all-on corner last.
     """
     return [Switches(**fixed, **dict(zip(axes, bits)))

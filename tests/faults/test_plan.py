@@ -83,6 +83,14 @@ class TestCrashWave:
         assert wave.crashes(8, 3) == wave.crashes(8, 3)
         assert wave.crashes(8, 3) != wave.crashes(8, 4)
 
+    def test_fraction_sets_victim_count(self):
+        wave = CrashWave(fraction=0.4, horizon=100, spare=frozenset())
+        assert len(wave.crashes(10, 1)) == 4
+
+    def test_rounds_within_horizon(self):
+        wave = CrashWave(fraction=1.0, horizon=30, spare=frozenset())
+        assert all(1 <= c.round < 30 for c in wave.crashes(10, 5))
+
     def test_spare_nodes_survive(self):
         wave = CrashWave(fraction=1.0, horizon=30, spare=frozenset({0, 1}))
         assert all(c.node not in (0, 1) for c in wave.crashes(6, 5))

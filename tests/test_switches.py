@@ -22,11 +22,9 @@ import pytest
 import repro
 from repro.core import ChaCore, SlottedChaCore
 from repro.core.cha import CHAProcess
-from repro.errors import ConfigurationError
 from repro.experiment import ExperimentStepper
 from repro.geometry import Point
 from repro.net import Channel, RadioSpec, Simulator
-from repro.net.shard import ShardedSimulator
 from repro.switches import AXES, Switches
 from repro.vi import CounterProgram, VIWorld, VNSite
 
@@ -39,8 +37,6 @@ AXIS_IDS = [axis.name for axis in AXES]
 
 def _on(axis) -> tuple[str, Switches]:
     """The env text that turns ``axis`` on, and the value it selects."""
-    if axis.name == "shards":
-        return "3", Switches(shards=3)
     return "1", Switches(**{axis.name: True})
 
 
@@ -57,8 +53,6 @@ BARE = {
     "history": lambda **kw: ChaCore(propose=str, **kw).reference_history,
     "core": lambda **kw: type(CHAProcess(propose=str, **kw).core) is ChaCore,
     "vi": lambda **kw: _vi_world(**kw).switches.vi,
-    "shards": lambda **kw: ShardedSimulator(Simulator(spec=RADIO,
-                                                      **kw)).shards,
 }
 
 
@@ -79,8 +73,7 @@ def test_table_covers_every_field_and_reference_is_every_twin():
     assert [axis.name for axis in AXES] == fields
     assert len({axis.env for axis in AXES}) == len(AXES)
     assert Switches.from_env() == Switches()
-    assert Switches.REFERENCE == Switches(
-        **{name: True for name in fields if name != "shards"})
+    assert Switches.REFERENCE == Switches(**{name: True for name in fields})
     assert set(BARE) == set(fields)
 
 
@@ -143,20 +136,11 @@ def test_switch_values_reach_the_twins_they_name():
                             and r.core.reference_history for r in replicas)
 
 
-@pytest.mark.parametrize("raw", ["two", "-1", "1.5"])
-def test_bad_shard_counts_are_rejected(raw, monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDS", raw)
-    with pytest.raises(ConfigurationError, match="REPRO_SHARDS|shards"):
-        Switches.from_env()
-    with pytest.raises(ConfigurationError, match="shards"):
-        Switches(shards=0)
-
-
 def test_switches_pickle_and_hash_stably_across_processes():
-    values = [Switches(), Switches.REFERENCE, Switches(core=True, shards=4)]
+    values = [Switches(), Switches.REFERENCE, Switches(core=True, vi=True)]
     probe = ("import pickle, sys; from repro.switches import Switches; "
              "vs = [Switches(), Switches.REFERENCE, "
-             "Switches(core=True, shards=4)]; "
+             "Switches(core=True, vi=True)]; "
              "sys.stdout.write(repr([(hash(v), pickle.dumps(v)) "
              "for v in vs]))")
     here = repr([(hash(v), pickle.dumps(v)) for v in values])

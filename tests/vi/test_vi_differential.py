@@ -12,7 +12,7 @@ change to the phase tables: role partitioning, quiet-round skips,
 sender/receiver prebinding, or the role-version table reuse.
 
 Run it alone with ``pytest -m vi_differential`` (the PR CI pre-gate,
-next to ``core_differential`` and ``shard_differential``).
+next to ``core_differential``).
 """
 
 from __future__ import annotations

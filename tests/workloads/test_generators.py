@@ -1,93 +1,6 @@
-"""Unit tests for workload generators."""
+"""Unit tests for the canned deployment scenarios."""
 
 import pytest
-
-from repro.net import CrashPoint
-from repro.workloads import (
-    periodic_client_script,
-    poisson_client_script,
-    random_crash_schedule,
-    storm_adversary,
-)
-
-
-class TestCrashSchedules:
-    def test_fraction_respected(self):
-        cs = random_crash_schedule(10, fraction=0.4, horizon=100, seed=1)
-        assert len(cs) == 4
-
-    def test_spare_nodes_never_crash(self):
-        cs = random_crash_schedule(6, fraction=1.0, horizon=50, seed=2,
-                                   spare=frozenset({0}))
-        assert all(crash.node != 0 for crash in cs)
-
-    def test_deterministic(self):
-        a = random_crash_schedule(8, fraction=0.5, horizon=40, seed=3)
-        b = random_crash_schedule(8, fraction=0.5, horizon=40, seed=3)
-        assert {(c.node, c.round, c.point) for c in a} == \
-               {(c.node, c.round, c.point) for c in b}
-
-    def test_after_send_crashes_present(self):
-        cs = random_crash_schedule(40, fraction=1.0, horizon=100, seed=4,
-                                   after_send_fraction=0.5)
-        points = [c.point for c in cs]
-        assert CrashPoint.AFTER_SEND in points
-        assert CrashPoint.BEFORE_SEND in points
-
-    def test_rounds_within_horizon(self):
-        cs = random_crash_schedule(10, fraction=1.0, horizon=30, seed=5)
-        assert all(1 <= c.round < 30 for c in cs)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            random_crash_schedule(5, fraction=1.5, horizon=10, seed=0)
-
-
-class TestStormAdversary:
-    def test_zero_intensity_is_lossless(self):
-        adv = storm_adversary(intensity=0.0, seed=1)
-        assert adv.drops(0, {0: ()}) == {}
-        assert not adv.false_collision(0, 0)
-
-    def test_full_intensity_rates(self):
-        adv = storm_adversary(intensity=1.0, seed=1)
-        assert adv._p_drop == pytest.approx(0.7)
-
-    def test_invalid_intensity(self):
-        with pytest.raises(ValueError):
-            storm_adversary(intensity=-0.1, seed=0)
-
-
-class TestClientScripts:
-    def test_periodic_script(self):
-        script = periodic_client_script(
-            period=3, rounds=10, make_payload=lambda i: ("add", i),
-        )
-        assert script == {0: ("add", 0), 3: ("add", 1),
-                          6: ("add", 2), 9: ("add", 3)}
-
-    def test_periodic_offset(self):
-        script = periodic_client_script(
-            period=4, rounds=9, make_payload=lambda i: i, offset=1,
-        )
-        assert script == {1: 0, 5: 1}
-
-    def test_poisson_deterministic(self):
-        kwargs = dict(rate=0.3, rounds=50, make_payload=lambda i: i, seed=9)
-        assert poisson_client_script(**kwargs) == poisson_client_script(**kwargs)
-
-    def test_poisson_rate_zero_empty(self):
-        assert poisson_client_script(rate=0.0, rounds=20,
-                                     make_payload=lambda i: i, seed=0) == {}
-
-    def test_poisson_rate_one_full(self):
-        script = poisson_client_script(rate=1.0, rounds=10,
-                                       make_payload=lambda i: i, seed=0)
-        assert sorted(script) == list(range(10))
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            periodic_client_script(period=0, rounds=5, make_payload=lambda i: i)
 
 
 class TestScenarios:
