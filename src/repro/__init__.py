@@ -21,16 +21,12 @@ A complete Python reproduction of Chockler, Gilbert & Lynch (PODC 2008):
   :class:`ExperimentSpec` describes world + environment + protocol +
   workload + metrics; :func:`run` executes any of them uniformly and
   :func:`sweep` fans parameter grids out over worker processes.
-* :mod:`repro.bench` — the performance layer: seeded benchmark
-  scenarios over every protocol family (``python -m repro.bench``
-  emits ``BENCH_results.json``), with regression gating against the
-  committed baseline.  Every fast path is proven byte-identical to its
-  reference twin by a differential suite; a :class:`Switches` value
-  (:mod:`repro.switches`) re-runs anything on the twins.
+  Every fast path is proven byte-identical to its reference twin by a
+  differential suite; a :class:`Switches` value (:mod:`repro.switches`)
+  re-runs anything on the twins.
 * :mod:`repro.service` — consensus as a service: an asyncio session
-  front-end over one live world (``python -m repro.service``), with a
-  newline-delimited-JSON wire protocol, per-session backpressure, and
-  a seeded load harness feeding the ``svc-*`` bench scenarios.
+  front-end over many live worlds (``python -m repro.service``), with
+  a newline-delimited-JSON wire protocol and per-session backpressure.
 
 Quickstart::
 

@@ -16,7 +16,7 @@ from .checkpoint import (
     CheckpointChaCore,
     CheckpointOutput,
 )
-from .history import EMPTY_HISTORY, HISTORY_TIMER, History, HistoryChain
+from .history import EMPTY_HISTORY, History, HistoryChain
 from .runner import ChaRun, cluster_positions, default_proposer, run_cha
 from .slotted import SlottedChaCore, SlottedCheckpointChaCore
 from .spec import (
@@ -37,7 +37,6 @@ __all__ = [
     "CheckpointChaCore",
     "CheckpointOutput",
     "EMPTY_HISTORY",
-    "HISTORY_TIMER",
     "History",
     "HistoryChain",
     "PHASE_BALLOT",

@@ -28,7 +28,6 @@ ballot (and later)    red        ⊥, and no ballot is stored
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import ProtocolError
@@ -37,12 +36,7 @@ from ..net.node import Process
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Round, Sentinel, Value
 from .ballot import Ballot, BallotPayload, VetoPayload
-from .history import (
-    HISTORY_TIMER,
-    History,
-    HistoryChain,
-    ROOT_CHAIN,
-)
+from .history import History, HistoryChain, ROOT_CHAIN
 
 #: Rounds per CHA instance in the canonical schedule (Theorem 14's constant).
 ROUNDS_PER_INSTANCE = 3
@@ -258,17 +252,6 @@ class ChaCore:
         Well-defined at any time; emulation replicas use it to derive the
         virtual node's state even in instances whose output is bottom.
         """
-        timer = HISTORY_TIMER
-        if not timer.enabled:
-            return self._compute_history()
-        t0 = time.perf_counter()
-        try:
-            return self._compute_history()
-        finally:
-            timer.seconds += time.perf_counter() - t0
-            timer.calls += 1
-
-    def _compute_history(self) -> History:
         if self.reference_history:
             return calculate_history_reference(
                 self.k, self.prev_instance, self.ballots)

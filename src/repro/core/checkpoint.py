@@ -171,7 +171,7 @@ class CheckpointChaCore(ChaCore):
         self.ballots = {}
         self._fold_cache = {}
 
-    def _compute_history(self) -> History:
+    def current_history(self) -> History:
         """Chain reconstruction that stops at the checkpoint anchor.
 
         Below the checkpoint the ballots are gone; the chain, by the GC

@@ -46,40 +46,6 @@ from typing import Iterator, Mapping
 
 from ..types import BOTTOM, Instance, Value
 
-class HistoryTimer:
-    """Opt-in accumulator for wall time spent computing histories.
-
-    Disabled by default so the hot path pays nothing; the bench runner
-    enables it (``with HISTORY_TIMER: ...``) around a run and the
-    experiment runner folds the delta into
-    :attr:`~repro.experiment.result.ExperimentResult.timings` as the
-    ``history_s`` phase bucket.
-    """
-
-    __slots__ = ("enabled", "seconds", "calls")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.seconds = 0.0
-        self.calls = 0
-
-    def __enter__(self) -> "HistoryTimer":
-        self.enabled = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self.seconds = 0.0
-        self.calls = 0
-
-
-#: The process-wide history timer (one is enough: runs are sequential
-#: within a process, and sweep workers each fork their own copy).
-HISTORY_TIMER = HistoryTimer()
-
-
 #: Current interning generation (see :func:`new_chain_generation`).
 _chain_generation = 0
 

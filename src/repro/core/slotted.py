@@ -64,7 +64,6 @@ plain :class:`SlottedChaCore` never collects and carries no floor.
 
 from __future__ import annotations
 
-import time
 from collections.abc import MutableMapping, MutableSequence
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -74,12 +73,7 @@ from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Sentinel, Value
 from .ballot import Ballot, BallotPayload, VetoPayload
 from .cha import calculate_history_reference
 from .checkpoint import CheckpointOutput, Reducer
-from .history import (
-    HISTORY_TIMER,
-    History,
-    HistoryChain,
-    ROOT_CHAIN,
-)
+from .history import History, HistoryChain, ROOT_CHAIN
 
 #: Absent-colour sentinel in the status array (colours are 0..3).
 _NO_STATUS = -1
@@ -606,12 +600,11 @@ class SlottedChaCore:
             self.prev_instance = k
         if status != _GREEN:
             record = BOTTOM
-        elif HISTORY_TIMER.enabled or self.reference_history:
+        elif self.reference_history:
             record = self._green_record()
         else:
             # Inline fast path for the dominant green case: skip the
-            # current_history/_compute_history frames when neither the
-            # timer nor the reference fold is armed.
+            # current_history frame and the History it would wrap.
             record = self._fold_chain(k, self.prev_instance)
         self._out_ks.append(k)
         self._out_recs.append(record)
@@ -658,17 +651,6 @@ class SlottedChaCore:
 
     def current_history(self) -> History:
         """The history computed from the current chain (line 41)."""
-        timer = HISTORY_TIMER
-        if not timer.enabled:
-            return self._compute_history()
-        t0 = time.perf_counter()
-        try:
-            return self._compute_history()
-        finally:
-            timer.seconds += time.perf_counter() - t0
-            timer.calls += 1
-
-    def _compute_history(self) -> History:
         if self.reference_history:
             return calculate_history_reference(
                 self.k, self.prev_instance, self._ballot_view)
@@ -984,7 +966,7 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         self.checkpoint_state = state
         self._clear_storage(instance + 1)
 
-    def _compute_history(self) -> History:
+    def current_history(self) -> History:
         """Chain reconstruction that stops at the checkpoint anchor."""
         if self.reference_history:
             entries: dict[Instance, Value] = {}

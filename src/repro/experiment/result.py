@@ -61,10 +61,10 @@ class ExperimentResult:
     #: The 3PC comparator's decision / participants.
     decision: Any = None
     participants: list[Any] = field(default_factory=list)
-    #: Execution timings filled in by the runner: ``wall_s`` (seconds
-    #: spent building + driving the run) and, for channel-driven
-    #: protocols, ``rounds`` and ``rounds_per_sec``.  The bench subsystem
-    #: (:mod:`repro.bench`) consumes these.
+    #: Execution timings filled in by the runner, exactly these keys:
+    #: ``wall_s`` (seconds spent building + driving the run) and, for
+    #: every protocol but the off-channel 3PC comparator, ``rounds``
+    #: and ``rounds_per_sec``.
     timings: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------

@@ -30,11 +30,7 @@ from ..baselines.two_phase_cha import TWO_PHASE_ROUNDS, TwoPhaseChaProcess
 from ..contention import LeaderElectionCM
 from ..core.cha import CHAProcess, ROUNDS_PER_INSTANCE
 from ..core.checkpoint import CheckpointCHAProcess
-from ..core.history import (
-    HISTORY_TIMER,
-    activate_chain_generation,
-    new_chain_generation,
-)
+from ..core.history import activate_chain_generation, new_chain_generation
 from ..core.runner import ChaRun, cluster_positions, default_proposer
 from ..core.spec import (
     check_agreement,
@@ -335,8 +331,9 @@ def _extract(ctx: _RunContext) -> tuple[dict[str, Any], dict[str, str],
 # ----------------------------------------------------------------------
 
 #: Hook called with the freshly built :class:`~repro.net.Simulator`
-#: before any round executes — the bench subsystem uses it to install
-#: timing proxies; tests use it to reach engine internals mid-run.
+#: before any round executes — the benchmark (``perfbench/``) uses it
+#: to install timing proxies; tests use it to reach engine internals
+#: mid-run.
 Instrument = Callable[[Any], None]
 
 
@@ -354,8 +351,9 @@ def run(spec: ExperimentSpec, *,
     ``instrument`` is called with the built simulator (cluster and
     emulation runs; the off-channel 3PC comparator has none) before the
     first round, so callers can attach observers or timing wrappers.
-    The result's :attr:`~.result.ExperimentResult.timings` carries the
-    run's wall time and, where rounds exist, the rounds/sec throughput.
+    The result's :attr:`~.result.ExperimentResult.timings` holds exactly
+    ``wall_s``, ``rounds`` and ``rounds_per_sec`` (only ``wall_s`` for
+    the off-channel comparator, which has no rounds).
 
     This is a thin wrapper over :class:`ExperimentStepper` — building
     the world and driving it to completion in one call.  Callers that
@@ -381,10 +379,10 @@ class ExperimentStepper:
     The identity suite pins stepped and one-shot executions to identical
     results (traces, outputs, metrics, verdicts).
 
-    ``timings["wall_s"]`` accumulates only *active* execution time
-    (construction, stepping, extraction) so a stepper driven on a slow
-    external clock still reports the throughput of the engine rather
-    than of the clock.
+    ``timings`` has the keys :func:`run` documents.  ``wall_s``
+    accumulates only *active* execution time (construction, stepping,
+    extraction), so a stepper driven on a slow external clock still
+    reports the throughput of the engine rather than of the clock.
     """
 
     def __init__(self, spec: ExperimentSpec, *,
@@ -408,8 +406,6 @@ class ExperimentStepper:
         # multi-world service) each keep interning in their own
         # generation exactly as an uninterrupted run would.
         self.generation = new_chain_generation()
-        self._history_t0 = (HISTORY_TIMER.seconds
-                            if HISTORY_TIMER.enabled else None)
         self._active_s = 0.0
         self._result: ExperimentResult | None = None
         started = time.perf_counter()
@@ -489,13 +485,6 @@ class ExperimentStepper:
             activate_chain_generation(previous)
         self._active_s += time.perf_counter() - started
         result.timings["wall_s"] = self._active_s
-        if self._history_t0 is not None:
-            # The history-phase bucket: wall time spent folding/deriving
-            # histories, measured only when the caller armed
-            # HISTORY_TIMER (the bench runner does) so the hot path pays
-            # nothing otherwise.
-            result.timings["history_s"] = (HISTORY_TIMER.seconds
-                                           - self._history_t0)
         if result.simulator is not None:
             rounds = float(result.simulator.current_round)
             result.timings["rounds"] = rounds

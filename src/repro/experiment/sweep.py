@@ -91,26 +91,6 @@ def pool_context(start_method: str | None = None) -> multiprocessing.context.Bas
         multiprocessing.get_all_start_methods()[0])
 
 
-def pool_map(fn, jobs: Sequence[Any], *, workers: int,
-             start_method: str | None = None) -> list[Any]:
-    """Map a picklable function over jobs on the sweep worker pool.
-
-    The shared fan-out plumbing behind :func:`sweep` and
-    :func:`repro.bench.run_benchmarks`: ``workers == 1`` runs serially
-    in-process; otherwise the jobs ship to a ``multiprocessing`` pool
-    under :func:`pool_context` (an explicitly pinned start method)
-    with ``chunksize=1`` so long jobs interleave.
-    """
-    if workers < 1:
-        raise ConfigurationError("workers must be at least 1")
-    jobs = list(jobs)
-    if workers == 1 or not jobs:
-        return [fn(job) for job in jobs]
-    ctx = pool_context(start_method)
-    with ctx.Pool(min(workers, len(jobs))) as pool:
-        return pool.map(fn, jobs, chunksize=1)
-
-
 def _run_point(job: tuple[ExperimentSpec, dict[str, Any]]) -> SweepPoint:
     from .runner import run
 
@@ -132,7 +112,8 @@ def sweep(spec: ExperimentSpec, grid: Mapping[str, Sequence[Any]], *,
     ``start_method`` pins the multiprocessing start method (``"fork"`` /
     ``"spawn"`` / ``"forkserver"``); ``None`` picks the
     :func:`pool_context` default.  Results are byte-identical across
-    methods — the agreement suite runs both where available.
+    methods — the agreement suite runs both where available.  Points
+    ship to the pool with ``chunksize=1`` so long points interleave.
     """
     if workers < 1:
         raise ConfigurationError("workers must be at least 1")
@@ -141,5 +122,5 @@ def sweep(spec: ExperimentSpec, grid: Mapping[str, Sequence[Any]], *,
         # Private copy per point, mirroring what pickling gives workers.
         return [_run_point((copy.deepcopy(base), overrides))
                 for base, overrides in jobs]
-    return pool_map(_run_point, jobs, workers=workers,
-                    start_method=start_method)
+    with pool_context(start_method).Pool(min(workers, len(jobs))) as pool:
+        return pool.map(_run_point, jobs, chunksize=1)

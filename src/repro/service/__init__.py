@@ -10,9 +10,9 @@ Clients open sessions bound to a named world, submit proposals into
 upcoming instances, and stream per-instance ``decision`` events
 carrying live agreement verdicts — over TCP (newline-delimited JSON,
 :mod:`~.events`) or in-process (:class:`InProcessClient`, what the
-tests and the load harness use).  Worlds appear lazily
-(``create_world``), sessions move between them (``attach_world``), and
-idle unpinned worlds retire after a grace window.  Two read models
+tests use).  Worlds appear lazily (``create_world``), sessions move
+between them (``attach_world``), and idle unpinned worlds retire after
+a grace window.  Two read models
 narrow a session's stream: ``watch_instance`` (every state transition
 of one instance) and ``subscribe_prefix`` (decisions whose value
 matches a prefix) — both per-session publish-time filters, so they
@@ -36,11 +36,6 @@ Usage::
     client = svc.connect()
     client.propose("value-1")
     await svc.run_world()
-
-:mod:`~.loadgen` drives seeded client populations (flash-crowd, ramp,
-churny-reconnect) against an in-process service; the ``svc-*`` scenarios
-in :mod:`repro.bench` report its proposals/sec and decision-latency
-percentiles alongside the engine benchmarks.
 """
 
 from .driver import EventBus, ProposalLedger, SessionQueue, WorldDriver
@@ -54,7 +49,6 @@ from .events import (
     parse_request,
     validate_request,
 )
-from .loadgen import LoadProfile, percentiles, run_load, run_load_sync
 from .registry import WorldEntry, WorldRegistry, spec_hash
 from .server import ConsensusService, InProcessClient, ServiceConfig
 from .session import Session, SessionManager
@@ -63,7 +57,6 @@ __all__ = [
     "ConsensusService",
     "EventBus",
     "InProcessClient",
-    "LoadProfile",
     "MAX_LINE_BYTES",
     "ProposalLedger",
     "ServiceConfig",
@@ -79,9 +72,6 @@ __all__ = [
     "decode_event",
     "encode_event",
     "parse_request",
-    "percentiles",
-    "run_load",
-    "run_load_sync",
     "spec_hash",
     "validate_request",
 ]

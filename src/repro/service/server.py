@@ -6,8 +6,8 @@ of :class:`~.driver.WorldDriver`\\ s with a
 
 * **in-process** — :meth:`ConsensusService.connect` returns an
   :class:`InProcessClient` sharing the event loop: the transport the
-  tests and the load harness use, with zero serialization overhead but
-  the exact same session/queue/backpressure machinery as TCP.
+  tests use, with zero serialization overhead but the exact same
+  session/queue/backpressure machinery as TCP.
 * **TCP** — :meth:`ConsensusService.serve_tcp` speaks the NDJSON wire
   protocol of :mod:`~.events` over asyncio streams.  Each connection
   greets with ``hello`` (opening a session bound to one named world),

@@ -80,8 +80,8 @@ class Switches:
     core: bool = False
     vi: bool = False
 
-    #: Every reference twin at once — the oracle the goldens, the bench
-    #: ratio gate and the differential suites compare against.
+    #: Every reference twin at once — the oracle the goldens, the
+    #: fast-path ratio test and the differential suites compare against.
     REFERENCE: ClassVar["Switches"]
 
     @classmethod

@@ -157,13 +157,13 @@ class TestFoldCallCounts:
     @staticmethod
     def _count_folds(monkeypatch, counter=None):
         counter = counter if counter is not None else {"calls": 0}
-        seed = CheckpointChaCore._compute_history
+        seed = CheckpointChaCore.current_history
 
         def counting(self):
             counter["calls"] += 1
             return seed(self)
 
-        monkeypatch.setattr(CheckpointChaCore, "_compute_history", counting)
+        monkeypatch.setattr(CheckpointChaCore, "current_history", counting)
         return counter
 
     def test_green_instance_costs_exactly_one_fold(self, monkeypatch):

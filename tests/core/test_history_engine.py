@@ -1,9 +1,10 @@
 """Engine-level tests for the incremental history fold.
 
-Covers the reference switch on a whole run, the opt-in history timer, and the regression guarantee that motivated the
-engine: a protocol run — including its Agreement check — materialises
-*no* per-output history dictionaries (``History.__init__`` is the seed
-dict-form constructor; the chain engine bypasses it entirely).
+Covers the reference switch on a whole run and the regression guarantee
+that motivated the engine: a protocol run — including its Agreement
+check — materialises *no* per-output history dictionaries
+(``History.__init__`` is the seed dict-form constructor; the chain
+engine bypasses it entirely).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import CHA, ClusterWorld, ExperimentSpec, MetricsSpec, WorkloadSpec
-from repro.core import HISTORY_TIMER, ChaCore, History
+from repro.core import ChaCore, History
 from repro.experiment.runner import run
 from repro.switches import Switches
 
@@ -68,27 +69,6 @@ def test_prefix_does_not_rebuild_dicts(monkeypatch):
     assert p.length == 3 and p(3) == "c" and not p.includes(5)
     assert h.prefix(4).agrees_with(p)
     assert counter["calls"] == 0
-
-
-def test_history_timer_buckets_run_timings():
-    HISTORY_TIMER.reset()
-    with HISTORY_TIMER:
-        result = run(ExperimentSpec(
-            protocol=CHA(), world=ClusterWorld(n=5),
-            workload=WorkloadSpec(instances=6), keep_trace=False,
-        ))
-    assert not HISTORY_TIMER.enabled
-    assert HISTORY_TIMER.calls > 0
-    assert "history_s" in result.timings
-    assert 0.0 <= result.timings["history_s"] <= result.timings["wall_s"]
-
-
-def test_history_timer_off_by_default():
-    result = run(ExperimentSpec(
-        protocol=CHA(), world=ClusterWorld(n=4),
-        workload=WorkloadSpec(instances=4), keep_trace=False,
-    ))
-    assert "history_s" not in result.timings
 
 
 def test_history_pickles_to_canonical_dict_form():

@@ -83,6 +83,21 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep(seeded_spec(), self.GRID, workers=0)
 
+    @pytest.mark.parametrize("workers", [0, -1, -4])
+    def test_bad_worker_count_fails_before_any_pool(self, workers):
+        # An unknown start method would raise ValueError if a pool were
+        # ever built: the worker check must come first.
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            sweep(seeded_spec(), self.GRID, workers=workers,
+                  start_method="telepathy")
+
+    def test_more_workers_than_points_matches_serial(self):
+        grid = {"world__n": (3,)}
+        serial = sweep(seeded_spec(), grid)
+        parallel = sweep(seeded_spec(), grid, workers=4)
+        assert [pickle.dumps(p) for p in serial] \
+            == [pickle.dumps(p) for p in parallel]
+
     def test_missing_override_key_raises(self):
         points = sweep(seeded_spec(), {"world__n": (2,)})
         with pytest.raises(KeyError):

@@ -8,16 +8,20 @@ from __future__ import annotations
 
 import math
 import pickle
+import time
 
 import pytest
 
 from repro import (
     CHA,
+    CheckpointCHA,
     ClusterWorld,
     ExperimentSpec,
     MajorityRSM,
     MetricsSpec,
+    NaiveRSM,
     ThreePhaseCommit,
+    TwoPhaseCHA,
     VIEmulation,
     WorkloadSpec,
 )
@@ -150,9 +154,65 @@ def test_timings_present_on_stepped_runs():
     stepper = ExperimentStepper(_cha_spec())
     stepper.step(5)
     result = stepper.finish()
+    assert set(result.timings) == {"wall_s", "rounds", "rounds_per_sec"}
+    assert set(run(_cha_spec()).timings) == set(result.timings)
     assert result.timings["rounds"] == 30.0
     assert result.timings["wall_s"] > 0.0
     assert result.timings["rounds_per_sec"] > 0.0
+
+
+def _cluster_spec(protocol, **workload) -> ExperimentSpec:
+    return ExperimentSpec(protocol=protocol, world=ClusterWorld(n=4),
+                          workload=WorkloadSpec(**workload), keep_trace=False)
+
+
+#: One small spec per protocol family the stepper builds.
+FAMILIES = {
+    "cha": lambda: _cluster_spec(CHA(), instances=5),
+    "checkpoint-cha": lambda: _cluster_spec(
+        CheckpointCHA(reducer=lambda s, k, v: s + 1, initial_state=0),
+        instances=5),
+    "two-phase-cha": lambda: _cluster_spec(TwoPhaseCHA(), instances=5),
+    "naive-rsm": lambda: _cluster_spec(NaiveRSM(), instances=5),
+    "majority-rsm": lambda: _cluster_spec(MajorityRSM(), rounds=12),
+    "vi-emulation": _vi_spec,
+    "three-phase-commit": lambda: ExperimentSpec(
+        protocol=ThreePhaseCommit(votes=(True, True, False))),
+}
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["one-shot", "stepped"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_timings_hold_exactly_the_documented_keys(family, stepped):
+    """``timings`` is ``{wall_s, rounds, rounds_per_sec}`` for every
+    family with a simulator, and ``{wall_s}`` for the off-channel
+    comparator; ``rounds`` is the simulator's clock and the rate is
+    the one division of the two."""
+    stepper = ExperimentStepper(FAMILIES[family]())
+    if stepped:
+        while stepper.remaining:
+            stepper.step(2)
+    result = stepper.finish()
+    timings = result.timings
+    assert timings["wall_s"] > 0.0
+    if result.simulator is None:
+        assert set(timings) == {"wall_s"}
+        return
+    assert set(timings) == {"wall_s", "rounds", "rounds_per_sec"}
+    assert timings["rounds"] == float(result.simulator.current_round) > 0
+    assert timings["rounds_per_sec"] == timings["rounds"] / timings["wall_s"]
+
+
+def test_wall_s_excludes_time_between_steps():
+    """A stepper driven on a slow outside clock reports engine time."""
+    stepper = ExperimentStepper(_cha_spec())
+    idle = 0.0
+    while stepper.remaining:
+        stepper.step(10)
+        started = time.perf_counter()
+        time.sleep(0.05)
+        idle += time.perf_counter() - started
+    assert 0.0 < stepper.finish().timings["wall_s"] < idle
 
 
 def test_instrument_hook_fires_before_first_round():

@@ -12,6 +12,7 @@ rides along so the docs job catches dead cross-references too.
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -177,6 +178,78 @@ def test_history_read_cost_table_matches_the_code():
         assert (h._entries is not None) == (builds == "yes"), (
             f"`{read}` is documented as builds={builds}")
         assert h._lookup is None
+
+
+DOCS = ["README.md",
+        *sorted(f"docs/{p.name}" for p in (REPO / "docs").glob("*.md"))]
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)")
+_PATH = re.compile(
+    r"`((?:src|tests|benchmarks|examples|perfbench|docs)/[^`\s:]*)")
+
+
+def _resolves(dotted: str) -> bool:
+    """``repro.a.b.C`` names a module, or an attribute chain off the
+    longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _exists(path: str) -> bool:
+    return any(REPO.glob(path.rstrip("/")))
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_named_modules_and_paths_exist(doc):
+    """Every backticked ``repro.*`` name and repo path a doc names is
+    real, so a deleted module cannot linger in the prose."""
+    text = (REPO / doc).read_text()
+    stale = sorted({name for name in _DOTTED.findall(text)
+                    if not _resolves(name)}
+                   | {path for path in _PATH.findall(text)
+                      if not _exists(path)})
+    assert not stale, f"{doc} names what does not exist: {stale}"
+
+
+CI = REPO / ".github" / "workflows" / "ci.yml"
+_CI_PATH = re.compile(r"(?<![\w/.])((?:tests|perfbench)/[\w./*-]*)(?:::(\w+))?")
+_CI_MARKS = re.compile(r'pytest[^\n]* -m (?:"([^"]+)"|(\w+))')
+
+
+def _ci_targets() -> list[str]:
+    """The test paths, test nodes and ``-m`` markers CI selects."""
+    text = "\n".join(line for line in CI.read_text().splitlines()
+                     if not line.lstrip().startswith("#"))
+    nodes ={match.group(0) for match in _CI_PATH.finditer(text)}
+    marks = {word for match in _CI_MARKS.finditer(text)
+             for word in re.findall(r"\w+", match.group(1) or match.group(2))}
+    return sorted(nodes) + sorted(f"-m {mark}" for mark in
+                                  marks - {"and", "or", "not"})
+
+
+@pytest.mark.parametrize("target", _ci_targets())
+def test_ci_selects_existing_tests_and_registered_markers(target, request):
+    """A CI job selecting a deleted test file, test or marker would go
+    green on zero tests."""
+    if target.startswith("-m "):
+        registered = {line.split(":")[0].strip()
+                      for line in request.config.getini("markers")}
+        assert target[3:] in registered, f"CI selects unknown {target}"
+        return
+    path, _, name = target.partition("::")
+    assert _exists(path), f"CI selects missing {path}"
+    if name:
+        assert re.search(rf"^def {name}\(", (REPO / path).read_text(),
+                         re.MULTILINE), f"CI selects missing {target}"
 
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)]*)?\)")

@@ -17,6 +17,8 @@ so the accepted schedule is reproducible.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from _switches import corners, observables
@@ -102,6 +104,57 @@ def _serve(spec_factory, *,
     return observables(driver.result), schedule
 
 
+SESSIONS = 20
+PROPOSALS = 3
+
+
+def _serve_crowd(spec_factory, seed: int) -> tuple[bytes, tuple, int]:
+    """Serve a flash crowd with seeded churn.
+
+    ``SESSIONS`` closed-loop sessions attach before round 1; each
+    proposes, reads its ack, waits for the decision of the instance the
+    ack names, and proposes again, ``PROPOSALS`` times.  After each
+    decision a seeded coin makes the session detach and re-attach as a
+    new session.  Every proposal must be decided.  Returns (observable
+    bytes, the accepted proposal schedule, the reconnect count).
+    """
+    rng = random.Random(seed)
+    service = ConsensusService(spec_factory(), ServiceConfig())
+    driver = service.driver
+    clients = [service.connect(client=f"crowd-{i}")
+               for i in range(SESSIONS)]
+    awaited: dict[int, int] = {}
+    decided = [0] * SESSIONS
+    reconnects = 0
+    for index, client in enumerate(clients):
+        client.drain()  # the catch-up welcome
+        client.propose(f"crowd-{index}.0")
+    while not driver.complete:
+        driver.tick()
+        for index, client in enumerate(clients):
+            for event in client.drain():
+                if event["type"] == "ack":
+                    awaited[index] = event["instance"]
+                elif (event["type"] == "decision"
+                        and event["instance"] == awaited.get(index)):
+                    assert event["agreement"] == "ok"
+                    del awaited[index]
+                    decided[index] += 1
+                    if decided[index] == PROPOSALS:
+                        continue
+                    if rng.random() < 0.5:
+                        client.close()
+                        client = clients[index] = service.connect(
+                            client=f"crowd-{index}")
+                        client.drain()
+                        reconnects += 1
+                    client.propose(f"crowd-{index}.{decided[index]}")
+    assert decided == [PROPOSALS] * SESSIONS and not awaited
+    assert service.sessions.peak == SESSIONS
+    assert service.sessions.opened == SESSIONS + reconnects
+    return observables(driver.result), driver.ledger.schedule(), reconnects
+
+
 def _batch(spec_factory, schedule) -> bytes:
     """The equivalent batch run: the accepted schedule replayed."""
     spec = spec_factory().override(
@@ -144,6 +197,15 @@ def test_served_equals_batch_across_tick_granularity(rounds_per_tick):
     still replays byte-identically against its own accepted schedule."""
     spec_factory = _spec_factory("benign")
     served, schedule = _serve(spec_factory, rounds_per_tick=rounds_per_tick)
+    assert served == _batch(spec_factory, schedule)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_churny_flash_crowd_is_seeded_and_replays_batch(seed):
+    spec_factory = _spec_factory("lossy")
+    served, schedule, reconnects = _serve_crowd(spec_factory, seed)
+    assert reconnects > 0
+    assert _serve_crowd(spec_factory, seed)[1:] == (schedule, reconnects)
     assert served == _batch(spec_factory, schedule)
 
 

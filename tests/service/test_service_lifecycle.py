@@ -4,10 +4,13 @@ the slow-consumer drop policy.
 These drive :class:`WorldDriver.tick` synchronously (the asyncio clock
 only schedules ticks; it never changes what they compute), so every
 assertion is about session-layer state machines rather than timing.
+The one exception awaits events on the live clock, because what it pins
+is that a blocked reader is woken.
 """
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import weakref
 
@@ -187,6 +190,69 @@ def test_slow_consumer_drops_oldest_without_stalling_the_clock():
     assert seqs == [8, 9, 10, 11]
     assert slow.dropped == 8
     assert backlog[-1]["type"] == "world-complete"
+
+
+@pytest.mark.parametrize("rounds_per_tick", [3, 6, 9])
+@pytest.mark.parametrize("queue_limit", [1, 2, 3])
+def test_each_tick_keeps_the_newest_events_of_its_burst(queue_limit,
+                                                        rounds_per_tick):
+    """A reader draining after every tick loses exactly the oldest events
+    of any tick's burst longer than its queue, reads the rest in seq
+    order, and ends on ``world-complete`` — whatever the tick size."""
+    service = ConsensusService(_spec(instances=6), ServiceConfig(
+        queue_limit=queue_limit, rounds_per_tick=rounds_per_tick))
+    driver = service.driver
+    client = service.connect()
+    client.drain()  # the welcome, seq 0
+    published = last_seq = expected_dropped = 0
+    while not driver.complete:
+        driver.tick()
+        burst = driver.decisions_published - published + int(driver.complete)
+        published = driver.decisions_published
+        lost = max(0, burst - queue_limit)
+        kept = client.drain()
+        assert [e["seq"] for e in kept] == list(
+            range(last_seq + 1 + lost, last_seq + burst + 1))
+        last_seq += burst
+        expected_dropped += lost
+        assert client.dropped == expected_dropped
+    assert kept[-1]["type"] == "world-complete"
+    assert driver.current_round == 18 and published == 6
+    assert expected_dropped == sum(
+        max(0, b - queue_limit)
+        for b in [rounds_per_tick // 3] * (18 // rounds_per_tick - 1)
+        + [rounds_per_tick // 3 + 1])
+
+
+def test_burst_eviction_counts_as_dropped_and_world_complete_releases():
+    """Two decisions per tick into a one-slot queue: each tick's second
+    decision evicts its first before any reader can run, and
+    ``world-complete`` evicts the last one.  A client awaiting the
+    decision of its own (evicted) instance on the live clock sees the
+    loss as ``dropped`` and is released by ``world-complete`` — it never
+    hangs."""
+
+    async def scenario():
+        service = ConsensusService(_spec(instances=4), ServiceConfig(
+            queue_limit=1, rounds_per_tick=6))
+        client = service.connect()
+        client.drain()  # the welcome
+        client.propose("mine")
+        ack = client.next_event_nowait()
+        service.start_world()
+        seen = []
+        while not seen or seen[-1]["type"] != "world-complete":
+            seen.append(await asyncio.wait_for(client.next_event(), 10))
+        await service.run_worlds()
+        await service.shutdown()
+        return ack, seen, client.dropped
+
+    ack, seen, dropped = asyncio.run(scenario())
+    assert ack["type"] == "ack" and ack["instance"] == 1
+    decided = [e["instance"] for e in seen if e["type"] == "decision"]
+    assert 1 not in decided
+    assert dropped == 4 - len(decided) >= 3
+    assert seen[-1]["seq"] == 6  # welcome, ack, 4 decisions, complete
 
 
 def test_seq_stamps_are_per_session_and_gapless_for_fast_consumers():

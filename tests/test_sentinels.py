@@ -54,5 +54,4 @@ def test_walk_finds_every_known_sentinel():
         "repro.core.slotted._LOGGED_BOTTOM",
         "repro.net.messages._UNRESOLVED",
         "repro.net.messages.MIXED_TAGS",
-        "repro.service.loadgen._TIMED_OUT",
     }
