@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from ..core.ballot import BallotPayload, VetoPayload
 from ..core.cha import ChaCore, _NO_PAYLOADS
-from ..net.messages import MIXED_TAGS, Message
+from ..net.messages import MIXED_TAGS, Message, RoundBatch
 from ..net.node import Process
 from ..switches import Switches
 from ..types import Instance, Round, Value
@@ -63,15 +63,21 @@ class TwoPhaseChaProcess(Process):
         # instance has begun (mid-grid power-up).
         return self.core.veto1_payload()
 
+    def deliver(self, r: Round, messages: tuple[Message, ...],
+                collision: bool) -> None:
+        self.deliver_batch(r, messages, collision,
+                           RoundBatch(dict(enumerate(messages))))
+
     def deliver_batch(self, r: Round, messages: tuple[Message, ...],
                       collision: bool, batch) -> None:
-        """Batched delivery: tag filtering amortised through the round
-        batch exactly as in :meth:`repro.core.cha.CHAProcess.deliver_batch`;
-        both entrypoints share :meth:`_deliver_decoded`."""
+        """Delivery, with tag filtering amortised through the round
+        batch as in :meth:`repro.core.cha.CHAProcess.deliver_batch`
+        (:meth:`deliver` hands it a private one)."""
+        core = self.core
         if not messages:
             mine = _NO_PAYLOADS
         else:
-            tag = self.core.tag
+            tag = core.tag
             uniform = batch.uniform_tag()
             if uniform == tag:
                 mine = [m.payload for m in messages]
@@ -80,18 +86,6 @@ class TwoPhaseChaProcess(Process):
             else:
                 mine = [m.payload for m in messages
                         if getattr(m.payload, "tag", None) == tag]
-        self._deliver_decoded(r, mine, collision)
-
-    def deliver(self, r: Round, messages: tuple[Message, ...],
-                collision: bool) -> None:
-        mine = [
-            m.payload for m in messages
-            if getattr(m.payload, "tag", None) == self.core.tag
-        ]
-        self._deliver_decoded(r, mine, collision)
-
-    def _deliver_decoded(self, r: Round, mine, collision: bool) -> None:
-        core = self.core
         if r % TWO_PHASE_ROUNDS == 0:
             ballots = [
                 p.ballot for p in mine

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import ProtocolError
-from ..net.messages import MIXED_TAGS, Message
+from ..net.messages import MIXED_TAGS, Message, RoundBatch
 from ..net.node import Process
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Round, Sentinel, Value
@@ -88,6 +88,36 @@ def calculate_history_reference(instance: Instance, prev: Instance,
 calculate_history = calculate_history_reference
 
 
+class _InstanceMap(dict):
+    """A ``status`` / ``ballots`` dict that refuses negative instances
+    (instances are ``>= 0``; ``NO_INSTANCE`` is 0): every write goes
+    through ``__setitem__``, item by item, as in the slotted views."""
+
+    __slots__ = ()
+
+    def __init__(self, items: Mapping[Instance, Any] = ()) -> None:
+        super().__init__()
+        self.update(items)
+
+    def __setitem__(self, k: Instance, v: Any) -> None:
+        if k < 0:
+            raise KeyError(k)
+        dict.__setitem__(self, k, v)
+
+    def update(self, items: Any = (), /, **kw: Any) -> None:
+        for k, v in dict(items, **kw).items():
+            self[k] = v
+
+    def setdefault(self, k: Instance, default: Any = None) -> Any:
+        if k not in self:
+            self[k] = default
+        return self[k]
+
+    def __ior__(self, items: Any) -> "_InstanceMap":
+        self.update(items)
+        return self
+
+
 class ChaCore:
     """Protocol state machine for one CHAP participant.
 
@@ -108,14 +138,19 @@ class ChaCore:
         self.reference_history = switches.history
         self.k: Instance = NO_INSTANCE
         self.prev_instance: Instance = NO_INSTANCE
-        self.status: dict[Instance, Color] = {}
-        self.ballots: dict[Instance, Ballot] = {}
+        self.status = {}
+        self.ballots = {}
         self.proposals_made: dict[Instance, Value] = {}
         #: Completed folds by chain-head instance: extending the chain by
         #: one good instance reuses the whole fold below it.
         self._fold_cache: dict[Instance, HistoryChain] = {}
         #: Chronological outputs: (instance, History or BOTTOM).
         self.outputs: list[tuple[Instance, History | None]] = []
+
+    status = property(lambda self: self._status, lambda self, mapping:
+                      setattr(self, "_status", _InstanceMap(mapping)))
+    ballots = property(lambda self: self._ballots, lambda self, mapping:
+                       setattr(self, "_ballots", _InstanceMap(mapping)))
 
     # ------------------------------------------------------------------
     # Ballot phase
@@ -334,8 +369,8 @@ class ChaCore:
         """Adopt a snapshot produced by :meth:`snapshot`."""
         self.k = snapshot["k"]
         self.prev_instance = snapshot["prev_instance"]
-        self.status = dict(snapshot["status"])
-        self.ballots = dict(snapshot["ballots"])
+        self.status = snapshot["status"]
+        self.ballots = snapshot["ballots"]
         # The adopted ballots may disagree with locally cached folds.
         self._fold_cache = {}
 
@@ -401,49 +436,24 @@ class CHAProcess(Process):
         return core.veto2_payload()
 
     def deliver(self, r: Round, messages: tuple[Message, ...], collision: bool) -> None:
-        phase = self._phase(r)
-        core = self.core
-        mine = [m.payload for m in messages if getattr(m.payload, "tag", None) == core.tag]
-        if phase == PHASE_BALLOT:
-            ballots = [
-                p.ballot for p in mine
-                if isinstance(p, BallotPayload) and p.instance == core.k
-            ]
-            core.on_ballot_reception(ballots, collision)
-            return
-        if not core.has_instance():
-            return  # pre-instance veto phase (mid-grid power-up): inert
-        k = core.k
-        veto = any(isinstance(p, VetoPayload) and p.instance == k
-                   for p in mine)
-        if phase == PHASE_VETO1:
-            core.on_veto1_reception(veto, collision)
-        else:
-            self._end_instance(veto, collision)
+        # The reference engine's entry point: one body, over a private batch.
+        self.deliver_batch(r, messages, collision,
+                           RoundBatch(dict(enumerate(messages))))
 
     def deliver_batch(self, r: Round, messages: tuple[Message, ...],
                       collision: bool, batch) -> None:
-        """Batched delivery — :meth:`deliver` with the per-receiver work
-        amortised through the shared round batch.
+        """Delivery, with the per-receiver work amortised through the
+        shared round batch (:meth:`deliver` hands it a private one).
 
-        The batch already knows the round's tag census, so the common
-        single-ensemble case skips the per-message ``getattr`` scan
-        (every payload is ours), a foreign ensemble's round is discarded
-        wholesale, and empty receptions skip decoding entirely.  The
-        derived reception values — the ballot extraction, the veto scan
-        — are memoised on the batch keyed by ``(tag, instance, phase)``,
-        so the round's first eligible receiver computes them and its
-        lockstep peers reuse them (receivers at another instance, e.g. a
-        mid-grid joiner, get their own entry).  Eligibility is the
-        point: only a receiver whose reception covers the *whole*
-        broadcast set may touch the memo, because receptions are
-        per-receiver (a transmitter hears only itself; range and drops
-        prune others) and two full-coverage receptions are guaranteed
-        identical — same messages, same sender-sorted order.  Partial
-        receptions take a private unshared scan.  The phase dispatch is
-        kept inline (not shared with :meth:`deliver`) on purpose: this
-        runs once per node per round and the extra frame is measurable —
-        keep the two bodies in lockstep.
+        The batch knows the round's tag census, so a single-ensemble
+        round skips the per-message ``getattr`` scan and a foreign one is
+        discarded wholesale.  The derived reception values (the ballot
+        list, the veto scan) are memoised on the batch under ``(tag,
+        instance, phase)`` — but only by a receiver whose reception
+        covers the *whole* broadcast set: receptions are per receiver
+        (a transmitter hears only itself; range and drops prune others),
+        and two full-coverage receptions are identical.  Partial
+        receptions take a private scan.
         """
         core = self.core
         phase = (r - self.start_round) % ROUNDS_PER_INSTANCE
@@ -471,8 +481,6 @@ class CHAProcess(Process):
                 ]
             core.on_ballot_reception(ballots, collision)
             return
-        if not core.has_instance():
-            return  # pre-instance veto phase (mid-grid power-up): inert
         if not messages:
             veto = False
         elif len(messages) == len(batch.broadcasts):
@@ -495,10 +503,13 @@ class CHAProcess(Process):
                 and m.payload.tag == tag and m.payload.instance == k
                 for m in messages
             )
-        if phase == PHASE_VETO1:
+        # Veto phases are inert before the first instance has begun (a
+        # mid-grid power-up); a quiet veto-1 reception changes nothing.
+        if phase == PHASE_VETO2:
+            if core.has_instance():
+                self._end_instance(veto, collision)
+        elif (veto or collision) and core.has_instance():
             core.on_veto1_reception(veto, collision)
-        else:
-            self._end_instance(veto, collision)
 
     def _decode_mine(self, messages, batch):
         """The round's payloads carrying this core's tag (memoised).

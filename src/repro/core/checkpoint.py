@@ -28,7 +28,9 @@ from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Value
 from .cha import CHAProcess, ChaCore
 from .history import History
 
-#: Folds ``(state, instance, value_or_bottom) -> state``.
+#: Folds ``(state, instance, value_or_bottom) -> state``.  Must be a pure
+#: function of ``(state, k, value)``: the slotted core folds once per
+#: cohort of lockstep nodes, whose members then share the state returned.
 Reducer = Callable[[Any, Instance, Value], Any]
 
 

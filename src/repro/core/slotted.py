@@ -1,65 +1,40 @@
-"""Slotted/flat-array protocol cores for the CHA family.
+"""Flat-array protocol cores for the CHA family, over a cohort store.
 
-The dict-based :class:`~repro.core.cha.ChaCore` indexes every piece of
-per-instance state (colour, adopted ballot, cached fold) through hash
-lookups and allocates a fresh ``Ballot`` + ``BallotPayload`` pair per
-node per instance.  After PR 5 pushed engine dispatch down to ~15% of
-wall time, that per-instance churn *is* the profile.  This module keeps
-the same observable protocol behaviour in flat storage:
+The same observable protocol as the dict-based
+:class:`~repro.core.cha.ChaCore` (the executable specification behind
+the ``core`` axis of :class:`~repro.switches.Switches`; the differential
+suites pin the two byte-identical), in flat storage: colours in a
+``list[int]`` indexed by instance (``-1`` = absent), adopted ballots as
+parallel ``(value, prev_instance)`` rows (the ``Ballot`` object
+materialised only at wire/snapshot boundaries, or the wire object kept
+when a trace may hold it), the fold cache as a parallel list, and the
+output log as parallel instance / record lists: a green instance's
+record is the interned :class:`~repro.core.history.HistoryChain` link
+(the checkpoint core's, the checkpoint state), ⊥ a sentinel.  Wire
+payloads can be pooled across rounds (``pool_payloads=True``), which is
+only safe when nothing retains them: the runner enables it exactly for
+``keep_trace=False`` cluster runs.
 
-* colours live in a ``list[int]`` indexed by instance (``-1`` = absent),
-* adopted ballots are parallel ``(value, prev_instance)`` rows, with the
-  ``Ballot`` object materialised only at wire/snapshot boundaries (and
-  the exact wire object retained when traces may hold it, so pickled
-  traces keep their object-sharing structure),
-* the fold cache is a parallel ``list[HistoryChain | None]`` — an array
-  fast path for :meth:`_fold_chain`'s cache probe,
-* wire payloads can be pooled across rounds (``pool_payloads=True``):
-  one ``BallotPayload``/``Ballot`` and one ``VetoPayload`` per veto
-  phase are mutated in place each round.  Pooling is only safe when
-  nothing retains wire objects across rounds, i.e. when the run keeps
-  no trace; the experiment runner enables it exactly for
-  ``keep_trace=False`` cluster runs.
+**The cohort store.**  After stabilisation every node of a cluster makes
+the same transition each round, so that storage lives in a
+:class:`_Cohort` shared by the member cores whose state equals it; a
+member keeps its proposer, ``proposals_made``, pooled payloads, ``k`` /
+``prev_instance`` and step count ``_t``.  The first member to take a
+step applies it once, keeping its outcome and the slots it overwrote as
+a one-step undo record; a member with the same outcome only advances
+``_t``.  A member whose outcome differs, read while lagging, written at
+all, or still behind when the next step begins (a crash) forks into a
+private copy, the step undone.  The runner forms one cohort per cluster
+(:func:`form_cohort`); ``docs/ARCHITECTURE.md`` ("The protocol core")
+has the whole contract.
 
-The dict-based cores remain the executable specification behind the
-``core`` axis of :class:`~repro.switches.Switches`
-(``REPRO_REFERENCE_CORE=1``), and the differential suite pins the two
-byte-identical.
-
-``status`` and ``ballots`` stay available as live, writable
-dict-style views (tests and glass-box checkers mutate protocol state
-through them); only the hot paths bypass the views.
-
-The output log is two parallel lists: instance numbers and output
-*records*.  The record of a green instance is the interned
-:class:`~repro.core.history.HistoryChain` link its history wraps — after
-``rcf`` the one link every lockstep node shares — and ⊥ is ``BOTTOM``;
-the checkpoint core records the checkpoint state its output wrapped (the
-fold leaves the suffix empty, so the rest is derivable) and a sentinel
-for ⊥.  A decided instance therefore appends two pointers per node and
-leaves no per-node object behind for the cyclic collector to re-walk.
-``outputs`` is a live, writable :class:`~collections.abc.MutableSequence`
-view over the lists that builds a fresh ``(instance, output)`` pair per
-read: a pair shared between reads or between nodes would change which
-objects a pickled log shares, against both reference twins.  Only the
-end-of-instance steps append records; everything else — tests forging
-an output or replacing a whole log through the ``outputs`` setter —
-writes through the view, which keeps what it is given verbatim
-(so does the reference fold's dict-form ``History``).  The view pickles
-as a plain ``list`` and is never stored on the core; byte-identity with
-the dict core is defined on ``list(log)``.
-
-The checkpoint core's garbage collection is incremental.
-:class:`SlottedCheckpointChaCore` keeps a **GC floor**: every slot below
-``_gc_floor`` holds no status, no ballot and no cached fold.  A green
-instance sweeps ``[floor, green)`` — the instances since the last green
-one, O(1) in steady state — and raises the floor to ``green``; nothing
-else raises it.  The protocol steps write at the current instance or
-above it, never below the floor; every other writer (the views, and
-through them the ``status`` / ``ballots`` setters and ``restore``)
-announces its slot to ``_ensure``, which lowers the floor to it, and
-``_clear_storage`` (``restore``, ``reset_to``) drops it to 0.  The
-plain :class:`SlottedChaCore` never collects and carries no floor.
+``status``, ``ballots`` and ``outputs`` are live, writable views (tests
+and glass-box checkers mutate protocol state through them; negative
+instances are refused with ``KeyError``).  ``outputs`` builds a fresh
+``(instance, output)`` pair per read and pickles as a plain ``list``.
+The checkpoint core's GC is incremental: every slot below its GC floor
+is empty, a green instance sweeps ``[floor, green)`` and raises the
+floor, and any other writer lowers it through ``_ensure``.
 """
 
 from __future__ import annotations
@@ -67,12 +42,11 @@ from __future__ import annotations
 from collections.abc import MutableMapping, MutableSequence
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from ..errors import ProtocolError
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Sentinel, Value
 from .ballot import Ballot, BallotPayload, VetoPayload
-from .cha import calculate_history_reference
-from .checkpoint import CheckpointOutput, Reducer
+from .cha import ChaCore, _InstanceMap, calculate_history_reference
+from .checkpoint import CheckpointChaCore, CheckpointOutput, Reducer
 from .history import History, HistoryChain, ROOT_CHAIN
 
 #: Absent-colour sentinel in the status array (colours are 0..3).
@@ -91,17 +65,162 @@ _COLORS = (Color.RED, Color.ORANGE, Color.YELLOW, Color.GREEN)
 #: is pickled or deep-copied must keep satisfying ``is _ABSENT`` checks.
 _ABSENT = Sentinel(__name__, "_ABSENT")
 
+#: Step outcomes that are not an adopted wire ballot.  Every step kind
+#: has its own, so members driven through different steps never match.
+(_BEGIN, _RED_BALLOT, _DEMOTE, _END_QUIET, _END_TROUBLE,
+ _END_SINGLE) = (object() for _ in range(6))
 
-class _StatusView(MutableMapping):
-    """Live dict view over a slotted core's colour array."""
+
+class _Cohort:
+    """One copy of the slotted cores' protocol storage.
+
+    ``T`` counts the steps applied.  While ``shared``, ``members`` lists
+    the member cores, ``done`` how many of them have taken step ``T``
+    (the rest are one step behind), and ``last`` is the undo record of
+    the last step applied.
+    """
+
+    __slots__ = ("status", "vals", "prevs", "objs", "cache", "out_ks",
+                 "out_recs", "status_count", "ballot_count", "ck_inst",
+                 "ck_state", "gc_floor", "shared", "members", "T", "done",
+                 "last")
+
+    def __init__(self) -> None:
+        self.clear(1)
+        self.out_ks: list[Instance] = []
+        self.out_recs: list[Any] = []
+        self.ck_inst: Instance = NO_INSTANCE
+        self.ck_state: Any = None
+        self.shared = False
+        self.members: list[SlottedChaCore] | None = None
+        self.T = self.done = 0
+        self.last: _Step | None = None
+
+    def clear(self, length: int) -> None:
+        # Index 0 is the NO_INSTANCE slot: normally empty, but reachable
+        # through the same quirks as the reference dicts.
+        self.status: list[int] = [_NO_STATUS] * length
+        self.vals: list[Any] = [_ABSENT] * length
+        self.prevs: list[Instance] = [NO_INSTANCE] * length
+        self.objs: list[Ballot | None] = [None] * length
+        self.cache: list[HistoryChain | None] = [None] * length
+        self.status_count = self.ballot_count = 0
+        self.gc_floor: Instance = 0
+
+    def grow(self, k: Instance) -> None:
+        """Grow all parallel arrays to cover instance ``k``.
+
+        Over-allocates (doubling) so the once-per-instance hot paths,
+        which guard with ``k >= len(arr)``, amortise growth to O(1):
+        empty slots hold the same sentinels a fresh array would, so
+        capacity beyond ``k`` is observationally inert.
+        """
+        arr = self.status
+        need = k + 1 - len(arr)
+        if need > 0:
+            grow = max(need, len(arr), 8)
+            arr.extend([_NO_STATUS] * grow)
+            self.vals.extend([_ABSENT] * grow)
+            self.prevs.extend([NO_INSTANCE] * grow)
+            self.objs.extend([None] * grow)
+            self.cache.extend([None] * grow)
+
+    def copy(self, at: int) -> "_Cohort":
+        """A private copy of this storage as of step ``at`` — ``T``, or
+        ``T - 1`` with the last step undone.  The fold cache starts
+        empty: cached links may fold slots the undo restored, and
+        re-folding yields the same interned links."""
+        new = _Cohort()
+        new.status, new.vals = self.status[:], self.vals[:]
+        new.prevs, new.objs = self.prevs[:], self.objs[:]
+        new.cache = [None] * len(new.status)
+        new.out_ks, new.out_recs = self.out_ks[:], self.out_recs[:]
+        new.status_count, new.ballot_count = self.status_count, self.ballot_count
+        new.ck_inst, new.ck_state, new.gc_floor = (
+            self.ck_inst, self.ck_state, self.gc_floor)
+        if at != self.T:
+            e = self.last
+            lo = e.lo
+            hi = lo + len(e.st)
+            new.status[lo:hi], new.vals[lo:hi] = e.st, e.va
+            new.prevs[lo:hi], new.objs[lo:hi] = e.pr, e.ob
+            new.status_count, new.ballot_count = e.sc, e.bc
+            del new.out_ks[e.nout:], new.out_recs[e.nout:]
+            new.ck_inst, new.ck_state, new.gc_floor = e.ck
+        new.T = at
+        return new
+
+
+class _Step:
+    """The undo record of one applied step: its outcome and the storage
+    it overwrote (slots ``lo..hi``, the counts, the log length and the
+    checkpoint fields), taken just before the step mutates; whether slot
+    ``k`` held a colour then (``had``); and, for a ballot step, the
+    decoded reception and collision flag it came from (the same list
+    with the same flag yields the same outcome)."""
+
+    __slots__ = ("outcome", "k", "val", "pv", "good", "had", "src", "flag", "lo",
+                 "st", "va", "pr", "ob", "sc", "bc", "nout", "ck")
+
+    def __init__(self, c: _Cohort, outcome: Any, k: Instance, lo: Instance,
+                 hi: Instance, val: Any, pv: Any, good: bool, src: Any,
+                 flag: Any) -> None:
+        self.outcome, self.k, self.val, self.pv = outcome, k, val, pv
+        self.good, self.had = good, c.status[k] >= 0
+        self.src, self.flag = src, flag
+        self.lo = lo
+        hi += 1
+        self.st, self.va = c.status[lo:hi], c.vals[lo:hi]
+        self.pr, self.ob = c.prevs[lo:hi], c.objs[lo:hi]
+        self.sc, self.bc, self.nout = c.status_count, c.ballot_count, len(c.out_ks)
+        self.ck = (c.ck_inst, c.ck_state, c.gc_floor)
+
+
+def form_cohort(cores: Iterable["SlottedChaCore"]) -> None:
+    """Make fresh slotted cores, built alike, share one cohort store."""
+    cores = list(cores)
+    if len(cores) < 2:
+        return
+
+    def build(core):  # what members must share: class and configuration
+        return (type(core), core.tag, core.reference_history, core.pool_payloads,
+                getattr(core, "_reducer", None), id(core._c.ck_state))
+
+    if any(build(core) != build(cores[0]) or core.k or core._c.T
+           or core._c.out_ks or core._c.status_count or core._c.ballot_count
+           for core in cores):
+        raise ValueError("only fresh cores built alike can share a cohort")
+    shared = cores[0]._c
+    for core in cores:
+        core._c = shared
+    shared.members = cores
+    shared.done = len(cores)
+    shared.shared = True
+
+
+class _View(MutableMapping):
+    """A live dict view over one of a slotted core's arrays."""
 
     __slots__ = ("_core",)
 
     def __init__(self, core: "SlottedChaCore") -> None:
         self._core = core
 
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __ior__(self, items: Any) -> "_View":  # as the dict cores' maps
+        self.update(items)
+        return self
+
+
+class _StatusView(_View):
+    """The colour array as ``{instance: Color}``."""
+
+    __slots__ = ()
+
     def __getitem__(self, k: Instance) -> Color:
-        arr = self._core._status_arr
+        arr = self._core._synced().status
         if isinstance(k, int) and 0 <= k < len(arr):
             code = arr[k]
             if code >= 0:
@@ -112,86 +231,74 @@ class _StatusView(MutableMapping):
         code = int(color)
         if not 0 <= code <= 3:
             raise ValueError(f"not a CHAP colour: {color!r}")
-        core = self._core
-        core._ensure(k)
-        if core._status_arr[k] < 0:
-            core._status_count += 1
-        core._status_arr[k] = code
+        c = self._core._writable(k)
+        if c.status[k] < 0:
+            c.status_count += 1
+        c.status[k] = code
 
     def __delitem__(self, k: Instance) -> None:
-        core = self._core
-        arr = core._status_arr
+        c = self._core._owned()
+        arr = c.status
         if isinstance(k, int) and 0 <= k < len(arr) and arr[k] >= 0:
             arr[k] = _NO_STATUS
-            core._status_count -= 1
+            c.status_count -= 1
             return
         raise KeyError(k)
 
     def __iter__(self) -> Iterator[Instance]:
-        arr = self._core._status_arr
+        arr = self._core._synced().status
         return (k for k in range(len(arr)) if arr[k] >= 0)
 
     def __len__(self) -> int:
-        return self._core._status_count
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
+        return self._core._synced().status_count
 
 
-class _BallotView(MutableMapping):
-    """Live dict view over a slotted core's ballot rows.
+class _BallotView(_View):
+    """The ballot rows as ``{instance: Ballot}``.
 
     Reads materialise (and cache) ``Ballot`` objects on demand; in
     unpooled runs the cached object is the exact wire ballot the core
     adopted, so snapshots preserve the reference core's object sharing.
     """
 
-    __slots__ = ("_core",)
-
-    def __init__(self, core: "SlottedChaCore") -> None:
-        self._core = core
+    __slots__ = ()
 
     def __getitem__(self, k: Instance) -> Ballot:
-        core = self._core
-        vals = core._ballot_vals
+        c = self._core._synced()
+        vals = c.vals
         if isinstance(k, int) and 0 <= k < len(vals):
             value = vals[k]
             if value is not _ABSENT:
-                obj = core._ballot_objs[k]
+                obj = c.objs[k]
                 if obj is None:
-                    obj = Ballot(value, core._ballot_prevs[k])
-                    core._ballot_objs[k] = obj
+                    obj = c.objs[k] = Ballot(value, c.prevs[k])
                 return obj
         raise KeyError(k)
 
     def __setitem__(self, k: Instance, ballot: Ballot) -> None:
-        core = self._core
-        core._ensure(k)
-        if core._ballot_vals[k] is _ABSENT:
-            core._ballot_count += 1
-        core._ballot_vals[k] = ballot.value
-        core._ballot_prevs[k] = ballot.prev_instance
-        core._ballot_objs[k] = ballot
+        c = self._core._writable(k)
+        if c.vals[k] is _ABSENT:
+            c.ballot_count += 1
+        c.vals[k] = ballot.value
+        c.prevs[k] = ballot.prev_instance
+        c.objs[k] = ballot
 
     def __delitem__(self, k: Instance) -> None:
-        core = self._core
-        vals = core._ballot_vals
+        c = self._core._owned()
+        vals = c.vals
         if isinstance(k, int) and 0 <= k < len(vals) and vals[k] is not _ABSENT:
             vals[k] = _ABSENT
-            core._ballot_objs[k] = None
-            core._ballot_count -= 1
+            c.objs[k] = None
+            c.ballot_count -= 1
             return
         raise KeyError(k)
 
     def __iter__(self) -> Iterator[Instance]:
-        vals = self._core._ballot_vals
+        vals = self._core._synced().vals
         return (k for k in range(len(vals)) if vals[k] is not _ABSENT)
 
     def __len__(self) -> int:
-        return self._core._ballot_count
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
+        return self._core._synced().ballot_count
 
 
 class _OutputLog(MutableSequence):
@@ -209,53 +316,58 @@ class _OutputLog(MutableSequence):
         self._core = core
 
     def __len__(self) -> int:
-        return len(self._core._out_ks)
+        return len(self._core._synced().out_ks)
 
     def __getitem__(self, i):
         core = self._core
+        c = core._synced()
         if isinstance(i, slice):
             output = core._output_of
             return [(k, output(k, record)) for k, record
-                    in zip(core._out_ks[i], core._out_recs[i])]
-        k = core._out_ks[i]
-        return k, core._output_of(k, core._out_recs[i])
+                    in zip(c.out_ks[i], c.out_recs[i])]
+        k = c.out_ks[i]
+        return k, core._output_of(k, c.out_recs[i])
 
     def __iter__(self) -> Iterator[tuple[Instance, Any]]:
         core = self._core
+        c = core._synced()
         output = core._output_of
-        for k, record in zip(core._out_ks, core._out_recs):
+        for k, record in zip(c.out_ks, c.out_recs):
             yield k, output(k, record)
 
     def __setitem__(self, i, item) -> None:
         core = self._core
+        c = core._owned()
         if isinstance(i, slice):
             pairs = list(item)
-            core._out_ks[i] = [k for k, _ in pairs]
-            core._out_recs[i] = [core._record_of(out) for _, out in pairs]
+            c.out_ks[i] = [k for k, _ in pairs]
+            c.out_recs[i] = [core._record_of(out) for _, out in pairs]
         else:
             k, out = item
-            core._out_ks[i] = k
-            core._out_recs[i] = core._record_of(out)
+            c.out_ks[i] = k
+            c.out_recs[i] = core._record_of(out)
 
     def __delitem__(self, i) -> None:
-        core = self._core
-        del core._out_ks[i]
-        del core._out_recs[i]
+        c = self._core._owned()
+        del c.out_ks[i]
+        del c.out_recs[i]
 
     def insert(self, i: int, item) -> None:
         core = self._core
+        c = core._owned()
         k, out = item
-        core._out_ks.insert(i, k)
-        core._out_recs.insert(i, core._record_of(out))
+        c.out_ks.insert(i, k)
+        c.out_recs.insert(i, core._record_of(out))
 
     def instances(self) -> list[Instance]:
         """The logged instance numbers, in log order (no output built)."""
-        return list(self._core._out_ks)
+        return list(self._core._synced().out_ks)
 
     def bottoms(self) -> int:
         """How many logged outputs are ⊥ (no output built)."""
         bottom = self._core._BOTTOM_RECORD
-        return sum(1 for record in self._core._out_recs if record is bottom)
+        return sum(1 for record in self._core._synced().out_recs
+                   if record is bottom)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, _OutputLog)):
@@ -271,21 +383,27 @@ class _OutputLog(MutableSequence):
         return repr(list(self))
 
 
-class SlottedChaCore:
-    """:class:`~repro.core.cha.ChaCore` semantics over flat arrays.
+class _Verbatim:
+    """A log record holding an output as written through the view (the
+    protocol's own records are chain links, histories and checkpoint
+    states, so the ones it did not derive are boxed)."""
 
-    Duck-type compatible with the dict-based core — same methods, same
-    quirks (pre-instance ballot receptions still create an entry at
-    instance 0; missing-ballot chains still raise), byte-identical
-    outputs — with per-instance state in parallel arrays and optional
-    wire-payload pooling.
-    """
+    __slots__ = ("output",)
+
+    def __init__(self, output: Any) -> None:
+        self.output = output
+
+
+class SlottedChaCore:
+    """:class:`~repro.core.cha.ChaCore` semantics over a cohort store:
+    the same methods and quirks (pre-instance ballot receptions still
+    create an entry at instance 0; missing-ballot chains still raise)
+    and byte-identical outputs, from flat arrays that the members of one
+    :class:`_Cohort` share, with optional wire-payload pooling."""
 
     __slots__ = (
         "_propose", "tag", "reference_history", "pool_payloads",
-        "k", "prev_instance", "proposals_made", "_out_ks", "_out_recs",
-        "_status_arr", "_ballot_vals", "_ballot_prevs", "_ballot_objs",
-        "_fold_cache", "_status_count", "_ballot_count",
+        "k", "prev_instance", "proposals_made", "_c", "_t",
         "_status_view", "_ballot_view",
         "_pooled_ballot_payload", "_pooled_veto1", "_pooled_veto2",
     )
@@ -304,19 +422,9 @@ class SlottedChaCore:
         self.k: Instance = NO_INSTANCE
         self.prev_instance: Instance = NO_INSTANCE
         self.proposals_made: dict[Instance, Value] = {}
-        # The output log: parallel lists indexed by log position.
-        self._out_ks: list[Instance] = []
-        self._out_recs: list[Any] = []
-        # Parallel arrays indexed by instance (index 0 is the
-        # NO_INSTANCE slot: normally empty, but reachable through the
-        # same quirks as the reference dicts).
-        self._status_arr: list[int] = [_NO_STATUS]
-        self._ballot_vals: list[Any] = [_ABSENT]
-        self._ballot_prevs: list[Instance] = [NO_INSTANCE]
-        self._ballot_objs: list[Ballot | None] = [None]
-        self._fold_cache: list[HistoryChain | None] = [None]
-        self._status_count = 0
-        self._ballot_count = 0
+        #: The cohort store, and the steps this member has taken.
+        self._c = _Cohort()
+        self._t = 0
         self._status_view = _StatusView(self)
         self._ballot_view = _BallotView(self)
         self._pooled_ballot_payload: BallotPayload | None = None
@@ -324,35 +432,85 @@ class SlottedChaCore:
         self._pooled_veto2: VetoPayload | None = None
 
     # ------------------------------------------------------------------
+    # The cohort: following, forking, recording
+    # ------------------------------------------------------------------
+
+    def _follow(self, outcome: Any, k: Instance, val: Any = None,
+                pv: Any = None) -> "_Step | None":
+        """Before a step in a shared cohort: the undo record if the step
+        is applied with this outcome already (this member now follows
+        it), else None — apply it to ``self._c``, the cohort (this
+        member leads) or the private fork of a diverging member."""
+        c = self._c
+        if self._t == c.T:
+            return None
+        e = c.last
+        if (e.outcome is outcome and e.k == k and e.val is val
+                and e.pv == pv):
+            self._t += 1
+            c.done += 1
+            return e
+        self._fork()
+        return None
+
+    def _record(self, c: _Cohort, outcome: Any, k: Instance, lo: Instance,
+                hi: Instance, val: Any = None, pv: Any = None,
+                good: bool = False, src: Any = None,
+                flag: Any = None) -> None:
+        """Record the step about to be applied by the leading member of
+        shared cohort ``c``: first fork whoever did not take the last
+        step (its undo record is about to go), and stop recording once
+        nobody else shares the store."""
+        members = c.members
+        if c.done < len(members):
+            for m in [m for m in members if m._t != c.T]:
+                m._fork()
+        if len(members) == 1:
+            c.shared, c.members, c.last = False, None, None
+            return
+        c.grow(hi)
+        c.last = _Step(c, outcome, k, lo, hi, val, pv, good, src, flag)
+        c.T += 1
+        c.done = 1
+        self._t += 1
+
+    def _fork(self) -> _Cohort:
+        """Leave the cohort for a private copy as of this member's step."""
+        c = self._c
+        new = c.copy(self._t)
+        c.members.remove(self)
+        if self._t == c.T:
+            c.done -= 1
+        self._c = new
+        return new
+
+    def _synced(self) -> _Cohort:
+        """The storage as this member sees it (a lagging member forks)."""
+        c = self._c
+        return c if self._t == c.T else self._fork()
+
+    def _owned(self) -> _Cohort:
+        """The storage, private to this member, for a write."""
+        c = self._c
+        if c.shared:
+            if len(c.members) > 1 or self._t != c.T:
+                return self._fork()
+            c.shared, c.members, c.last = False, None, None
+        return c
+
+    def _writable(self, k: Instance) -> _Cohort:
+        if k < 0:
+            raise KeyError(k)  # instances are >= 0 (NO_INSTANCE is 0)
+        c = self._owned()
+        self._ensure(k)
+        return c
+
+    # ------------------------------------------------------------------
     # Storage plumbing
     # ------------------------------------------------------------------
 
     def _ensure(self, k: Instance) -> None:
-        """Grow all parallel arrays to cover instance ``k``.
-
-        Over-allocates (doubling) so the once-per-instance hot paths,
-        which guard with ``k >= len(arr)``, amortise growth to O(1):
-        empty slots hold the same sentinels a fresh array would, so
-        capacity beyond ``k`` is observationally inert.
-        """
-        arr = self._status_arr
-        need = k + 1 - len(arr)
-        if need > 0:
-            grow = max(need, len(arr), 8)
-            arr.extend([_NO_STATUS] * grow)
-            self._ballot_vals.extend([_ABSENT] * grow)
-            self._ballot_prevs.extend([NO_INSTANCE] * grow)
-            self._ballot_objs.extend([None] * grow)
-            self._fold_cache.extend([None] * grow)
-
-    def _clear_storage(self, length: int) -> None:
-        self._status_arr = [_NO_STATUS] * length
-        self._ballot_vals = [_ABSENT] * length
-        self._ballot_prevs = [NO_INSTANCE] * length
-        self._ballot_objs = [None] * length
-        self._fold_cache = [None] * length
-        self._status_count = 0
-        self._ballot_count = 0
+        self._c.grow(k)  # a view is about to write slot ``k``
 
     @property
     def status(self) -> MutableMapping:
@@ -360,12 +518,12 @@ class SlottedChaCore:
 
     @status.setter
     def status(self, mapping: Mapping[Instance, Color]) -> None:
-        arr = self._status_arr
-        for i in range(len(arr)):
-            arr[i] = _NO_STATUS
-        self._status_count = 0
+        items = _InstanceMap(mapping)
+        c = self._owned()
+        c.status[:] = [_NO_STATUS] * len(c.status)
+        c.status_count = 0
         view = self._status_view
-        for k, color in mapping.items():
+        for k, color in items.items():
             view[k] = color
 
     @property
@@ -374,29 +532,35 @@ class SlottedChaCore:
 
     @ballots.setter
     def ballots(self, mapping: Mapping[Instance, Ballot]) -> None:
-        vals = self._ballot_vals
-        objs = self._ballot_objs
-        for i in range(len(vals)):
-            vals[i] = _ABSENT
-            objs[i] = None
-        self._ballot_count = 0
+        items = _InstanceMap(mapping)
+        c = self._owned()
+        c.vals[:] = [_ABSENT] * len(c.vals)
+        c.objs[:] = [None] * len(c.objs)
+        c.ballot_count = 0
         view = self._ballot_view
-        for k, ballot in mapping.items():
+        for k, ballot in items.items():
             view[k] = ballot
 
     #: The log record of a ⊥ output.
     _BOTTOM_RECORD: Any = BOTTOM
+    #: Green instances fold a checkpoint and garbage-collect below it.
+    _CHECKPOINTED = False
 
     def _output_of(self, k: Instance, record: Any) -> Any:
         """The output a log record stands for: a chain link is the
-        history of instance ``k`` over it, anything else is itself."""
-        if type(record) is HistoryChain:
+        history of instance ``k`` over it, and a reference-fold history
+        is copied — a fresh output per read and per node, as the chain
+        form gives."""
+        kind = type(record)
+        if kind is HistoryChain:
             return History._from_chain(k, record)
-        return record
+        if kind is History:
+            return History(record.length, dict(record._materialized()))
+        return record.output if kind is _Verbatim else record
 
     def _record_of(self, output: Any) -> Any:
-        """The record a written output is kept as: the output itself."""
-        return output
+        """The record a written output is kept as (verbatim)."""
+        return self._BOTTOM_RECORD if output is BOTTOM else _Verbatim(output)
 
     @property
     def outputs(self) -> MutableSequence:
@@ -414,55 +578,55 @@ class SlottedChaCore:
     # Ballot phase
     # ------------------------------------------------------------------
 
-    def _begin(self) -> Value:
-        """Advance ``k``, record the proposal, paint the slot green."""
-        k = self.k + 1
-        self.k = k
-        value = self._propose(k)
-        self.proposals_made[k] = value
-        arr = self._status_arr
-        if k >= len(arr):
-            self._ensure(k)  # extends in place: ``arr`` stays valid
-        if arr[k] < 0:
-            self._status_count += 1
-        arr[k] = _GREEN
-        return value
-
     def begin_instance(self) -> BallotPayload:
         """Start the next instance; always returns a fresh payload
         (compatibility path — the pooled hot path is
         :meth:`begin_instance_send`)."""
-        value = self._begin()
-        return BallotPayload(
-            tag=self.tag,
-            instance=self.k,
-            ballot=Ballot(value, self.prev_instance),
-        )
+        self.begin_instance_send(False)
+        k = self.k
+        return BallotPayload(self.tag, k,
+                             Ballot(self.proposals_made[k], self.prev_instance))
 
     def begin_instance_send(self, active: bool) -> BallotPayload | None:
-        """Start the next instance and produce the wire payload iff the
+        """Start the next instance — advance ``k``, record the proposal,
+        paint the slot green — and produce the wire payload iff the
         contention manager advises broadcasting (lines 14-19).
 
         Inactive nodes advance their state without allocating anything;
         active nodes reuse the pooled payload when pooling is on.
         """
-        value = self._begin()
+        k = self.k + 1
+        self.k = k
+        value = self._propose(k)
+        self.proposals_made[k] = value
+        c = self._c
+        if c.shared:
+            e = c.last if self._t != c.T else None
+            if e is not None and e.outcome is _BEGIN and e.k == k:
+                self._t += 1  # the lockstep case, inline
+                c.done += 1
+                c = None
+            elif self._follow(_BEGIN, k) is not None:
+                c = None
+            else:
+                c = self._c
+                if c.shared:
+                    self._record(c, _BEGIN, k, k, k)
+        if c is not None:
+            arr = c.status
+            if k >= len(arr):
+                c.grow(k)  # extends in place: ``arr`` stays valid
+            if arr[k] < 0:
+                c.status_count += 1
+            arr[k] = _GREEN
         if not active:
             return None
-        if not self.pool_payloads:
-            return BallotPayload(
-                tag=self.tag,
-                instance=self.k,
-                ballot=Ballot(value, self.prev_instance),
-            )
         payload = self._pooled_ballot_payload
-        if payload is None:
-            payload = BallotPayload(
-                tag=self.tag,
-                instance=self.k,
-                ballot=Ballot(value, self.prev_instance),
-            )
-            self._pooled_ballot_payload = payload
+        if payload is None or not self.pool_payloads:
+            payload = BallotPayload(self.tag, self.k,
+                                    Ballot(value, self.prev_instance))
+            if self.pool_payloads:
+                self._pooled_ballot_payload = payload
             return payload
         ballot = payload.ballot
         object.__setattr__(ballot, "value", value)
@@ -479,6 +643,15 @@ class SlottedChaCore:
         (and retained, when wire objects may outlive the round).
         """
         k = self.k
+        c = self._c
+        if c.shared and self._t != c.T:
+            # The lockstep case: the leader adopted from the same
+            # round's decoded list, so its outcome is ours.
+            e = c.last
+            if e.src is ballots and e.flag == collision and e.k == k:
+                self._t += 1
+                c.done += 1
+                return
         best: Ballot | None = None
         if not collision:
             if type(ballots) is list and len(ballots) == 1:
@@ -493,24 +666,36 @@ class SlottedChaCore:
                     if best_key is None or key < best_key:
                         best = b
                         best_key = key
+        if c.shared:
+            if best is None:
+                outcome = _RED_BALLOT
+                val = pv = None
+            else:
+                outcome, val, pv = best, best.value, best.prev_instance
+            if self._follow(outcome, k, val, pv) is not None:
+                return
+            c = self._c
+            if c.shared:
+                self._record(c, outcome, k, k, k, val, pv, src=ballots,
+                             flag=collision)
         if best is None:
-            arr = self._status_arr
+            arr = c.status
             if k >= len(arr):
-                self._ensure(k)
+                c.grow(k)
             if arr[k] < 0:
-                self._status_count += 1
+                c.status_count += 1
             arr[k] = _RED
             return
-        vals = self._ballot_vals
+        vals = c.vals
         if k >= len(vals):
-            self._ensure(k)
+            c.grow(k)
         if vals[k] is _ABSENT:
-            self._ballot_count += 1
+            c.ballot_count += 1
         vals[k] = best.value
-        self._ballot_prevs[k] = best.prev_instance
+        c.prevs[k] = best.prev_instance
         # Pooled wire ballots are mutated next round; only retain the
         # object when the run may hold it (trace/snapshot sharing).
-        self._ballot_objs[k] = None if self.pool_payloads else best
+        c.objs[k] = None if self.pool_payloads else best
 
     # ------------------------------------------------------------------
     # Veto phases
@@ -518,67 +703,76 @@ class SlottedChaCore:
 
     def has_instance(self) -> bool:
         """True once the current instance has ballot-phase state — i.e.
-        veto phases may act.  False before ``begin_instance`` has run
-        (a node powered up mid-grid) and after a checkpoint reset."""
+        veto phases may act (not before the first ``begin_instance``, nor
+        after a checkpoint reset).  A member one step behind answers from
+        the undo record, without forking."""
         k = self.k
-        arr = self._status_arr
+        c = self._c
+        if c.shared and self._t != c.T:  # lagging: as the next step
+            e = c.last                   # found the slot, or fork
+            if e.k == k:
+                return e.had
+            c = self._fork()
+        arr = c.status
         return k < len(arr) and arr[k] >= 0
 
     def wants_veto1(self) -> bool:
-        """Broadcast ⟨veto⟩ in veto-1 iff the instance is red (line 21).
-
-        Inert (False) before the first instance has begun."""
-        k = self.k
-        arr = self._status_arr
-        return k < len(arr) and arr[k] == _RED
+        """Broadcast ⟨veto⟩ in veto-1 iff the instance is red (line 21)."""
+        return self.veto1_payload() is not None
 
     def veto1_payload(self) -> VetoPayload | None:
         """The veto-1 wire payload, or None (pooled hot path)."""
         k = self.k
-        arr = self._status_arr
+        c = self._c
+        arr = (self._fork() if c.shared and self._t != c.T else c).status
         if k >= len(arr) or arr[k] != _RED:
             return None
         if not self.pool_payloads:
             return VetoPayload(self.tag, k, 1)
         payload = self._pooled_veto1
         if payload is None:
-            payload = VetoPayload(self.tag, k, 1)
-            self._pooled_veto1 = payload
+            payload = self._pooled_veto1 = VetoPayload(self.tag, k, 1)
         else:
             object.__setattr__(payload, "instance", k)
         return payload
 
     def on_veto1_reception(self, veto_seen: bool, collision: bool) -> None:
-        """Veto-1 reception (lines 33-35): downgrade green to orange."""
+        """Veto-1 reception (lines 33-35): downgrade green to orange.
+
+        Only a demotion is a cohort step: a quiet reception writes
+        nothing, so a quiet member stays where it is."""
         if veto_seen or collision:
             k = self.k
-            arr = self._status_arr
+            c = self._c
+            if c.shared:
+                if self._follow(_DEMOTE, k) is not None:
+                    return
+                c = self._c
+            arr = c.status
             status = arr[k] if k < len(arr) else _NO_STATUS
             if status < 0:
                 raise KeyError(k)
+            if c.shared:
+                self._record(c, _DEMOTE, k, k, k)
             if status > _ORANGE:
                 arr[k] = _ORANGE
 
     def wants_veto2(self) -> bool:
-        """Broadcast ⟨veto⟩ in veto-2 iff red or orange (line 25).
-
-        Inert (False) before the first instance has begun."""
-        k = self.k
-        arr = self._status_arr
-        return k < len(arr) and 0 <= arr[k] <= _ORANGE
+        """Broadcast ⟨veto⟩ in veto-2 iff red or orange (line 25)."""
+        return self.veto2_payload() is not None
 
     def veto2_payload(self) -> VetoPayload | None:
         """The veto-2 wire payload, or None (pooled hot path)."""
         k = self.k
-        arr = self._status_arr
+        c = self._c
+        arr = (self._fork() if c.shared and self._t != c.T else c).status
         if k >= len(arr) or not 0 <= arr[k] <= _ORANGE:
             return None
         if not self.pool_payloads:
             return VetoPayload(self.tag, k, 2)
         payload = self._pooled_veto2
         if payload is None:
-            payload = VetoPayload(self.tag, k, 2)
-            self._pooled_veto2 = payload
+            payload = self._pooled_veto2 = VetoPayload(self.tag, k, 2)
         else:
             object.__setattr__(payload, "instance", k)
         return payload
@@ -589,25 +783,49 @@ class SlottedChaCore:
         process wrappers' entry point (:meth:`on_veto2_reception` is
         this plus a read of the log)."""
         k = self.k
-        arr = self._status_arr
+        c = self._c
+        if c.shared:
+            outcome = _END_TROUBLE if veto_seen or collision else _END_QUIET
+            e = c.last if self._t != c.T else None
+            if e is None or e.outcome is not outcome or e.k != k:
+                e = self._follow(outcome, k)
+            else:  # the lockstep case, inline
+                self._t += 1
+                c.done += 1
+            if e is not None:
+                if e.good:
+                    self.prev_instance = k
+                return
+            c = self._c
+        arr = c.status
         status = arr[k] if k < len(arr) else _NO_STATUS
         if status < 0:
             raise KeyError(k)
         if (veto_seen or collision) and status > _YELLOW:
             status = _YELLOW
-            arr[k] = _YELLOW
         if status >= _YELLOW:
             self.prev_instance = k
+        # The record is computed before anything is written: a failed
+        # fold logs (and records) nothing.  The checkpoint core's is the
+        # new checkpoint state, the whole output (its suffix is empty).
         if status != _GREEN:
-            record = BOTTOM
+            record = self._BOTTOM_RECORD
+        elif self._CHECKPOINTED:
+            record = self._reduce_to(k, self.current_history())
         elif self.reference_history:
             record = self._green_record()
         else:
             # Inline fast path for the dominant green case: skip the
             # current_history frame and the History it would wrap.
-            record = self._fold_chain(k, self.prev_instance)
-        self._out_ks.append(k)
-        self._out_recs.append(record)
+            record = self._fold_chain(k, k)
+        if c.shared:
+            self._record(c, outcome, k, min(c.gc_floor, k)
+                         if self._CHECKPOINTED else k, k, good=status >= _YELLOW)
+        arr[k] = status
+        if status == _GREEN and self._CHECKPOINTED:
+            self._fold_to(k, record)
+        c.out_ks.append(k)
+        c.out_recs.append(record)
 
     def on_veto2_reception(self, veto_seen: bool,
                            collision: bool) -> tuple[Instance, Any]:
@@ -621,7 +839,15 @@ class SlottedChaCore:
         (two-phase CHA): no second downgrade opportunity — green outputs
         its history, everything else outputs bottom."""
         k = self.k
-        arr = self._status_arr
+        c = self._c
+        if c.shared:
+            e = self._follow(_END_SINGLE, k)
+            if e is not None:
+                if e.good:
+                    self.prev_instance = k
+                return
+            c = self._c
+        arr = c.status
         status = arr[k] if k < len(arr) else _NO_STATUS
         if status < 0:
             raise KeyError(k)
@@ -630,8 +856,10 @@ class SlottedChaCore:
             record = self._green_record()
         else:
             record = BOTTOM
-        self._out_ks.append(k)
-        self._out_recs.append(record)
+        if c.shared:
+            self._record(c, _END_SINGLE, k, k, k, good=status == _GREEN)
+        c.out_ks.append(k)
+        c.out_recs.append(record)
 
     def finish_instance_single_veto(self) -> tuple[Instance, Any]:
         """:meth:`end_instance_single_veto`, returning the logged pair."""
@@ -651,6 +879,7 @@ class SlottedChaCore:
 
     def current_history(self) -> History:
         """The history computed from the current chain (line 41)."""
+        self._synced()
         if self.reference_history:
             return calculate_history_reference(
                 self.k, self.prev_instance, self._ballot_view)
@@ -664,9 +893,10 @@ class SlottedChaCore:
         Same walk as :meth:`ChaCore._fold_chain` with the cache probe
         and ballot lookup turned into array indexing.
         """
-        cache = self._fold_cache
-        vals = self._ballot_vals
-        prevs = self._ballot_prevs
+        c = self._c
+        cache = c.cache
+        vals = c.vals
+        prevs = c.prevs
         n = len(vals)
         # Fast path for the spine shapes that dominate steady state:
         # the start entry is already cached (repeat fold), or it is one
@@ -714,100 +944,75 @@ class SlottedChaCore:
             cache[k] = base
         return base
 
-    def _missing_ballot(self, k: Instance) -> None:
-        """Chain reached an instance with no stored ballot (line 49)."""
-        raise ProtocolError(
-            f"calculate-history reached instance {k} on the chain "
-            "but no ballot is stored for it"
-        )
+    _missing_ballot = ChaCore._missing_ballot
 
     def color_of(self, k: Instance) -> Color:
         """Colour this node assigns instance ``k`` (green if untouched)."""
-        arr = self._status_arr
+        arr = self._synced().status
         if 0 <= k < len(arr):
             code = arr[k]
             if code >= 0:
                 return _COLORS[code]
         return Color.GREEN
 
-    def decided_history(self) -> History | None:
-        """The most recent non-bottom output, if any."""
-        ks, records = self._out_ks, self._out_recs
-        bottom = self._BOTTOM_RECORD
-        for i in range(len(records) - 1, -1, -1):
-            if records[i] is not bottom:
-                return self._output_of(ks[i], records[i])
-        return None
+    decided_history = ChaCore.decided_history
 
     def resident_entries(self) -> int:
         """Stored ballot + status entries (space metric for experiment E9)."""
-        return self._ballot_count + self._status_count
+        c = self._synced()
+        return c.ballot_count + c.status_count
 
     # ------------------------------------------------------------------
     # State transfer (used by the emulation's join protocol)
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A copyable snapshot of the protocol state.
-
-        Dicts are materialised in ascending instance order — the order
-        the reference core's insertion-ordered dicts carry in practice —
-        and ballot objects are the retained/cached ones, so pickled
-        snapshots share structure with the trace exactly as the
-        reference core's do.
-        """
-        arr = self._status_arr
-        status = {}
-        for k in range(len(arr)):
-            code = arr[k]
-            if code >= 0:
-                status[k] = _COLORS[code]
-        vals = self._ballot_vals
-        view = self._ballot_view
-        ballots = {}
-        for k in range(len(vals)):
-            if vals[k] is not _ABSENT:
-                ballots[k] = view[k]
+        """A copyable snapshot of the protocol state: dicts in ascending
+        instance order (the order the reference core's dicts carry in
+        practice), holding the retained / cached ballot objects."""
         return {
             "k": self.k,
             "prev_instance": self.prev_instance,
-            "status": status,
-            "ballots": ballots,
+            "status": dict(self._status_view),
+            "ballots": dict(self._ballot_view),
         }
 
     def restore(self, snapshot: Mapping) -> None:
         """Adopt a snapshot produced by :meth:`snapshot`."""
         self.k = snapshot["k"]
         self.prev_instance = snapshot["prev_instance"]
-        self._clear_storage(self.k + 1)
-        status_view = self._status_view
+        self._owned().clear(self.k + 1)
         for k, color in snapshot["status"].items():
-            status_view[k] = color
-        ballot_view = self._ballot_view
+            self._status_view[k] = color
         for k, ballot in snapshot["ballots"].items():
-            ballot_view[k] = ballot
-
-
-class _Verbatim:
-    """A checkpoint-core log record holding an output as written (a
-    checkpoint state can be any object, so the ones the protocol did not
-    derive are boxed)."""
-
-    __slots__ = ("output",)
-
-    def __init__(self, output: Any) -> None:
-        self.output = output
+            self._ballot_view[k] = ballot
 
 
 #: The checkpoint core's ⊥ record (``None`` is a legal checkpoint state).
 _LOGGED_BOTTOM = Sentinel(__name__, "_LOGGED_BOTTOM")
 
 
-class SlottedCheckpointChaCore(SlottedChaCore):
-    """:class:`~repro.core.checkpoint.CheckpointChaCore` over flat arrays."""
+def _cohort_field(name: str, doc: str) -> property:
+    """A checkpoint field kept on the cohort: read as this member sees
+    it, written on this member's private copy."""
+    def get(self):
+        c = self._c
+        return getattr(c if self._t == c.T else self._fork(), name)
+    return property(get, lambda self, value: setattr(self._owned(), name, value),
+                    doc=doc)
 
-    __slots__ = ("_reducer", "checkpoint_instance", "checkpoint_state",
-                 "_gc_floor")
+
+class SlottedCheckpointChaCore(SlottedChaCore):
+    """:class:`~repro.core.checkpoint.CheckpointChaCore` over a cohort
+    store: the checkpoint is folded once per cohort, so the reducer runs
+    once per cohort per green instance."""
+
+    __slots__ = ("_reducer",)
+
+    checkpoint_instance = _cohort_field(
+        "ck_inst", "Instance up to which the checkpoint folds.")
+    checkpoint_state = _cohort_field(
+        "ck_state", "The application state folded up to the checkpoint.")
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  reducer: Reducer, initial_state: Any,
@@ -817,102 +1022,66 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         super().__init__(propose=propose, tag=tag, switches=switches,
                          pool_payloads=pool_payloads)
         self._reducer = reducer
-        self.checkpoint_instance: Instance = NO_INSTANCE
-        self.checkpoint_state: Any = initial_state
-        #: The GC floor: every slot below it holds no status, no ballot
-        #: and no cached fold.  Raised only by :meth:`_fold_to`.
-        self._gc_floor: Instance = 0
+        self._c.ck_state = initial_state
 
     # -- the GC floor ---------------------------------------------------
 
     def _ensure(self, k: Instance) -> None:
-        """Every write that is not a protocol step — the ``status`` /
-        ``ballots`` views, and through them the setters and
-        :meth:`restore` — announces its slot here first, so this is
-        where a write below the GC floor lowers it.  (The protocol
-        steps write at ``self.k`` or above it, which a fold leaves at or
-        above the floor, and reach here only to grow the arrays.)"""
-        if k < self._gc_floor:
-            self._gc_floor = max(k, 0)
-        super()._ensure(k)
-
-    def _clear_storage(self, length: int) -> None:
-        # restore() refills below any old floor, and after reset_to() a
-        # pre-instance reception may write at ``k`` itself.
-        super()._clear_storage(length)
-        self._gc_floor = 0
+        """A view write below the GC floor lowers it (the protocol steps
+        write at ``k`` or above, and grow the arrays directly)."""
+        c = self._c
+        if k < c.gc_floor:
+            c.gc_floor = k
+        c.grow(k)
 
     # -- folding --------------------------------------------------------
 
-    def _fold_to(self, green: Instance, history: History | None = None) -> None:
-        """Advance the checkpoint to the green instance ``green`` and
-        garbage-collect every entry below it (the ballot *at* the
-        checkpoint survives as the chain anchor).
-
-        Slots below ``_gc_floor`` are known empty, so the sweep covers
-        ``[floor, green)`` — the instances since the last green one —
-        and leaves the floor at ``green``; whoever writes below it
-        afterwards lowers it again (:meth:`_ensure`,
-        :meth:`_clear_storage`)."""
-        if history is None:
-            history = self.current_history()
-        state = self.checkpoint_state
+    def _reduce_to(self, green: Instance, history: History) -> Any:
+        """The checkpoint state folded up to the green instance ``green``."""
+        c = self._c
+        state = c.ck_state
         # One pass over the fold: ``history(k)`` walks from the tip, so
         # reading it per instance would be quadratic in the gap.
         at = dict(history.items())
-        for k in range(self.checkpoint_instance + 1, green + 1):
+        for k in range(c.ck_inst + 1, green + 1):
             state = self._reducer(state, k, at.get(k, BOTTOM))
-        self.checkpoint_state = state
-        self.checkpoint_instance = green
-        arr = self._status_arr
-        vals = self._ballot_vals
-        objs = self._ballot_objs
-        floor = self._gc_floor
+        return state
+
+    def _fold_to(self, green: Instance, state: Any) -> None:
+        """Advance the checkpoint to the green instance ``green`` and
+        sweep ``[floor, green)`` — the instances since the last green
+        one — raising the GC floor to ``green`` (the ballot *at* the
+        checkpoint survives as the chain anchor)."""
+        c = self._c
+        c.ck_state = state
+        c.ck_inst = green
+        arr = c.status
+        vals = c.vals
+        objs = c.objs
+        floor = c.gc_floor
         swept = min(green, len(arr))
         for k in range(floor, swept):
             if arr[k] >= 0:
                 arr[k] = _NO_STATUS
-                self._status_count -= 1
+                c.status_count -= 1
             if vals[k] is not _ABSENT:
                 vals[k] = _ABSENT
                 objs[k] = None
-                self._ballot_count -= 1
+                c.ballot_count -= 1
         if swept > floor:
-            self._gc_floor = swept
+            c.gc_floor = swept
         # Cached folds were anchored at the old checkpoint floor (see
         # CheckpointChaCore._fold_to); drop them all.  A fold is cached
         # only at an instance that stores a ballot, no later than the
         # ``k`` it was computed at: nothing sits outside [floor, k].
-        cache = self._fold_cache
+        cache = c.cache
         for k in range(floor, min(self.k + 1, len(cache))):
             cache[k] = None
-
-    def end_instance(self, veto_seen: bool, collision: bool) -> None:
-        """End of instance: green instances fold-and-GC and output the
-        ``(checkpoint, suffix)`` pair instead of a full history."""
-        k = self.k
-        arr = self._status_arr
-        status = arr[k] if k < len(arr) else _NO_STATUS
-        if status < 0:
-            raise KeyError(k)
-        if (veto_seen or collision) and status > _YELLOW:
-            status = _YELLOW
-            arr[k] = _YELLOW
-        if status >= _YELLOW:
-            self.prev_instance = k
-        if status == _GREEN:
-            # The fold leaves the checkpoint at ``k`` with an empty
-            # suffix, so the new state is the whole output.
-            self._fold_to(k)
-            record = self.checkpoint_state
-        else:
-            record = _LOGGED_BOTTOM
-        self._out_ks.append(k)
-        self._out_recs.append(record)
 
     # -- the output log ---------------------------------------------------
 
     _BOTTOM_RECORD = _LOGGED_BOTTOM
+    _CHECKPOINTED = True
 
     def _output_of(self, k: Instance, record: Any) -> Any:
         """A bare record is the checkpoint state of green instance
@@ -924,24 +1093,19 @@ class SlottedCheckpointChaCore(SlottedChaCore):
             return record.output
         return CheckpointOutput(k, record, History._from_chain(k, ROOT_CHAIN))
 
-    def _record_of(self, output: Any) -> Any:
-        return _LOGGED_BOTTOM if output is BOTTOM else _Verbatim(output)
+    # -- the dict core's walk, over this core's views and fields --------
 
-    # -- checkpointed view ----------------------------------------------
+    current_history = CheckpointChaCore.current_history
+    _missing_ballot = CheckpointChaCore._missing_ballot
 
     def current_checkpoint_output(self, history: History | None = None
                                   ) -> CheckpointOutput:
         """The (checkpoint, suffix) pair for the current chain."""
         if history is None:
             history = self.current_history()
-        suffix_entries = {
-            k: v for k, v in history.items() if k > self.checkpoint_instance
-        }
-        return CheckpointOutput(
-            checkpoint_instance=self.checkpoint_instance,
-            checkpoint_state=self.checkpoint_state,
-            suffix=History(history.length, suffix_entries),
-        )
+        c = self._synced()
+        return CheckpointOutput(c.ck_inst, c.ck_state, History(
+            history.length, {k: v for k, v in history.items() if k > c.ck_inst}))
 
     # -- state transfer -------------------------------------------------
 
@@ -962,28 +1126,7 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         stay inert until the next ballot phase begins an instance."""
         self.k = instance
         self.prev_instance = instance
-        self.checkpoint_instance = instance
-        self.checkpoint_state = state
-        self._clear_storage(instance + 1)
-
-    def current_history(self) -> History:
-        """Chain reconstruction that stops at the checkpoint anchor."""
-        if self.reference_history:
-            entries: dict[Instance, Value] = {}
-            k = self.k
-            prev = self.prev_instance
-            ballots = self._ballot_view
-            while k > self.checkpoint_instance:
-                if k == prev:
-                    ballot = ballots[k]
-                    entries[k] = ballot.value
-                    prev = ballot.prev_instance
-                k -= 1
-            return History(self.k, entries)
-        return History._from_chain(self.k, self._fold_chain(
-            self.k, self.prev_instance, floor=self.checkpoint_instance))
-
-    def _missing_ballot(self, k: Instance) -> None:
-        # The seed checkpoint walk indexes ballots directly, so a broken
-        # chain surfaces as a KeyError rather than a ProtocolError.
-        raise KeyError(k)
+        c = self._owned()
+        c.ck_inst = instance
+        c.ck_state = state
+        c.clear(instance + 1)

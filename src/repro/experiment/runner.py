@@ -32,6 +32,7 @@ from ..core.cha import CHAProcess, ROUNDS_PER_INSTANCE
 from ..core.checkpoint import CheckpointCHAProcess
 from ..core.history import activate_chain_generation, new_chain_generation
 from ..core.runner import ChaRun, cluster_positions, default_proposer
+from ..core.slotted import form_cohort
 from ..core.spec import (
     check_agreement,
     check_liveness,
@@ -544,6 +545,8 @@ class _ClusterExecution(_Execution):
         # the flag.
         pool_payloads = not spec.keep_trace
         processes: dict[NodeId, Any] = {}
+        # The cores of the processes built here: one cohort store.
+        cohort: list[Any] = []
         for node_id, position in enumerate(positions):
             if isinstance(protocol, CHA):
                 if protocol.process_factory is not None:
@@ -555,6 +558,7 @@ class _ClusterExecution(_Execution):
                     proc = CHAProcess(propose=proposer_factory(node_id),
                                       cm_name="C", switches=switches,
                                       pool_payloads=pool_payloads)
+                    cohort.append(proc.core)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, CheckpointCHA):
                 proc = CheckpointCHAProcess(
@@ -564,16 +568,19 @@ class _ClusterExecution(_Execution):
                     cm_name="C", switches=switches,
                     pool_payloads=pool_payloads,
                 )
+                cohort.append(proc.core)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, NaiveRSM):
                 proc = NaiveRSMProcess(propose=proposer_factory(node_id),
                                        cm_name="C", switches=switches,
                                        pool_payloads=pool_payloads)
+                cohort.append(proc.core)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, TwoPhaseCHA):
                 proc = TwoPhaseChaProcess(propose=proposer_factory(node_id),
                                           switches=switches,
                                           pool_payloads=pool_payloads)
+                cohort.append(proc.core)
                 rpi = TWO_PHASE_ROUNDS
             elif isinstance(protocol, MajorityRSM):
                 proc = MajorityRSMProcess(
@@ -589,6 +596,10 @@ class _ClusterExecution(_Execution):
                     f"simulator assigned node id {assigned}, expected {node_id}"
                 )
             processes[assigned] = proc
+        if not switches.core:
+            # Lockstep nodes step and store their shared state once
+            # (repro.core.slotted); the dict cores stay per node.
+            form_cohort(cohort)
 
         rounds = (spec.workload.rounds if spec.workload.rounds is not None
                   else spec.workload.instances * rpi)

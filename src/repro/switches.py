@@ -56,9 +56,11 @@ AXES: tuple[Axis, ...] = (
          "re-walking fold (`calculate_history_reference`)",
          "`tests/core/test_history_differential.py` (`-m fast`)"),
     Axis("core", "REPRO_REFERENCE_CORE",
-         "slotted array core with pooled payloads (`SlottedChaCore`)",
-         "dict-based seed core (`ChaCore`)",
-         "`tests/core/test_core_differential.py` (`-m core_differential`)"),
+         "slotted array core over a cohort store, one per lockstep "
+         "cluster, with pooled payloads (`SlottedChaCore`)",
+         "dict-based seed core (`ChaCore`), one per node",
+         "`tests/core/test_core_differential.py`, "
+         "`tests/core/test_cohort.py` (`-m core_differential`)"),
     Axis("vi", "REPRO_REFERENCE_VI",
          "phase-table VI emulation engine (`VIRoundEngine`)",
          "per-device dispatch, one `Simulator.step` per real round",

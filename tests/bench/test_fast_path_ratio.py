@@ -2,9 +2,8 @@
 ``Switches.REFERENCE`` (every reference twin at once).
 
 Both sides run back to back in one process, so their ratio cancels the
-machine's speed and the floor holds on any box.  The anchors are the
-conservative ratios the fast paths were first gated at; a row fails
-when its ratio falls more than 15 % under its anchor.
+machine's speed and the floor holds on any box.  A row fails when its
+ratio falls more than 15 % under its anchor.
 """
 
 from __future__ import annotations
@@ -24,10 +23,13 @@ from repro import (
 )
 
 #: Row name -> (spec, anchored fast-vs-reference wall-time ratio).
+#: ``cha-400`` is anchored so that a fast side without the slotted
+#: cohort core (``Switches(core=True)``, about x4.1-5.3 on a 2-CPU box,
+#: against x8.7-9.6 for the whole stack) falls under its floor.
 ROWS = {
     "cha-400": (ExperimentSpec(
         protocol=CHA(), world=ClusterWorld(n=400),
-        workload=WorkloadSpec(instances=60), keep_trace=False), 5.0),
+        workload=WorkloadSpec(instances=60), keep_trace=False), 7.5),
     "e8-majority-200": (ExperimentSpec(
         protocol=MajorityRSM(), world=ClusterWorld(n=200),
         workload=WorkloadSpec(rounds=600), keep_trace=False), 2.0),

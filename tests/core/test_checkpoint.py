@@ -251,10 +251,10 @@ class _FoldProbe(SlottedCheckpointChaCore):
 
     __slots__ = ("fold_reads",)
 
-    def _fold_to(self, green, history=None):
-        before = self._status_arr.reads
-        super()._fold_to(green, history)
-        self.fold_reads += self._status_arr.reads - before
+    def _fold_to(self, green, state):
+        before = self._c.status.reads
+        super()._fold_to(green, state)
+        self.fold_reads += self._c.status.reads - before
 
 
 class TestGcFloor:
@@ -267,16 +267,16 @@ class TestGcFloor:
         core = _FoldProbe(propose=lambda k: f"v{k}", reducer=tuple_reducer,
                           initial_state=())
         core.fold_reads = 0
-        core._status_arr = _CountingList(core._status_arr)
+        core._c.status = _CountingList(core._c.status)
         return core
 
     def test_green_run_reads_a_bounded_number_of_slots_per_fold(self):
         instances = 2000
         core = self._probe()
-        cache = core._fold_cache
+        cache = core._c.cache
         for _ in range(instances):
             run_instance(core)
-            assert core._fold_cache is cache        # cleared in place
+            assert core._c.cache is cache        # cleared in place
         assert core.checkpoint_instance == instances
         assert core.resident_entries() == 2         # the anchor's pair
         # A sweep from slot 0 on every green instance reads ~2 000 000.
@@ -284,7 +284,7 @@ class TestGcFloor:
 
     def test_sweep_is_proportional_to_the_gap_between_green_instances(self):
         core = self._probe()
-        cache = core._fold_cache
+        cache = core._c.cache
         total = 0
         for gap in (1, 5, 40, 2, 300, 1):
             for _ in range(gap - 1):
@@ -293,7 +293,7 @@ class TestGcFloor:
             run_instance(core)                              # green
             total += gap
             assert core.fold_reads - before <= gap + 1
-            assert core._fold_cache is cache
+            assert core._c.cache is cache
             assert not any(cache[:total + 1])
             assert core.resident_entries() == 2
 
@@ -327,10 +327,10 @@ class TestGcFloor:
             else:
                 core.status = {**core.status, 1: Color.RED, 5: Color.ORANGE}
                 core.ballots = {**core.ballots, 4: Ballot("late", 2)}
-        assert twins[1]._gc_floor <= 1
+        assert twins[1]._c.gc_floor <= 1
         self._assert_in_step(*twins)
         assert twins[1].resident_entries() == 2
-        assert twins[1]._gc_floor == twins[1].checkpoint_instance
+        assert twins[1]._c.gc_floor == twins[1].checkpoint_instance
 
     def test_restoring_an_older_snapshot_lowers_the_floor(self):
         donor = make_core()
@@ -344,7 +344,7 @@ class TestGcFloor:
             for _ in range(12):
                 run_instance(core)
             core.restore(old)
-        assert twins[1]._gc_floor <= 3
+        assert twins[1]._c.gc_floor <= 3
         self._assert_in_step(*twins)
 
     def test_reset_below_the_floor_then_a_pre_instance_reception(self):

@@ -492,6 +492,40 @@ class TestOutputLogMatchesTwin:
             _assert_same_log(slot, ref)
 
 
+class TestNegativeInstanceKeys:
+    """Instances are ``>= 0`` (``NO_INSTANCE`` is 0): a negative key
+    written through ``status`` / ``ballots`` is refused with ``KeyError``
+    by every core, instead of landing in an array's last capacity slot
+    (a phantom entry the dict twin never shows)."""
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @pytest.mark.parametrize("view", ["status", "ballots"])
+    def test_every_core_refuses_a_negative_key(self, checkpoint, view):
+        ref, slot = _twin_cores(checkpoint, False)
+        value = Color.RED if view == "status" else Ballot("x", 0)
+        for core in (ref, slot):
+            for _ in range(3):
+                _drive_instance(core)
+            before = core.snapshot()
+            mapping = getattr(core, view)
+            with pytest.raises(KeyError):
+                mapping[-1] = value
+            with pytest.raises(KeyError):
+                mapping.update({-1: value})
+            with pytest.raises(KeyError):
+                mapping.setdefault(-1, value)
+            with pytest.raises(KeyError):
+                mapping |= {-1: value}
+            with pytest.raises(KeyError):
+                setattr(core, view, {**before[view], -1: value})
+            assert core.color_of(-1) is Color.GREEN
+            assert -1 not in core.status and -1 not in core.ballots
+            assert core.snapshot() == before
+        assert dict(slot.status) == dict(ref.status)
+        assert dict(slot.ballots) == dict(ref.ballots)
+        assert pickle.dumps(slot.snapshot()) == pickle.dumps(ref.snapshot())
+
+
 class TestOutputLogIsWritable:
     """(b) Writes through the view land in the core and read back as
     written — the forged-output idiom of ``tests/analysis``."""
@@ -557,14 +591,19 @@ class TestOutputLogIsWritable:
         assert slot.outputs.instances() == [1]
 
 
-def _tracked_objects_per_instance(n: int) -> float:
+def _tracked_objects_per_instance(n: int, crashed: tuple[int, ...] = ()) -> float:
     """GC-tracked objects a ``keep_trace=False`` cluster run of ``n``
-    nodes retains per instance, between instance 100 and instance 400."""
+    nodes retains per instance, between instance 100 and instance 400;
+    the ``crashed`` nodes stop after sending in round 30."""
     from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
+    from repro.experiment import EnvironmentSpec
     from repro.experiment.runner import ExperimentStepper
+    from repro.net import Crash, CrashPoint, CrashSchedule
 
     stepper = ExperimentStepper(ExperimentSpec(
         protocol=CHA(), world=ClusterWorld(n=n),
+        environment=EnvironmentSpec(crashes=CrashSchedule(
+            [Crash(node, 30, CrashPoint.AFTER_SEND) for node in crashed])),
         workload=WorkloadSpec(instances=400), keep_trace=False))
     stepper.step(3 * 100)
     gc.collect()
@@ -572,7 +611,8 @@ def _tracked_objects_per_instance(n: int) -> float:
     stepper.step(3 * 300)
     gc.collect()
     grown = len(gc.get_objects()) - before
-    assert all(len(p.outputs) == 400 for p in stepper.processes.values())
+    assert all(len(p.outputs) == 400 for node, p in stepper.processes.items()
+               if node not in crashed)
     return grown / 300
 
 
@@ -584,3 +624,52 @@ def test_decided_instance_retains_no_per_node_object(n):
     node.  A core that wraps per node again (a ``History`` and a pair
     each) reads 50 at n = 20 and 130 at n = 60."""
     assert _tracked_objects_per_instance(n) <= 15
+
+
+def test_crashed_members_leave_the_cohort_store_bounded():
+    """(c) A member that stops being driven is forked out of the cohort
+    when the next step begins, so the store keeps one step's undo record
+    and nothing per step for it: the crash run holds the same per-instance
+    bound.  A multi-step undo log that the crashed members pin reads
+    about 26."""
+    assert _tracked_objects_per_instance(20, crashed=(3, 11)) <= 15
+
+
+def _lockstep_stepper(n: int, instances: int):
+    from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
+    from repro.experiment.runner import ExperimentStepper
+
+    return ExperimentStepper(ExperimentSpec(
+        protocol=CHA(), world=ClusterWorld(n=n),
+        workload=WorkloadSpec(instances=instances), keep_trace=False))
+
+
+def test_lockstep_run_is_one_cohort():
+    """(d) The cohort store: a lockstep run's cores share one store."""
+    stepper = _lockstep_stepper(20, 50)
+    stepper.finish()
+    cohorts = {id(p.core._c) for p in stepper.processes.values()}
+    assert len(cohorts) == 1
+
+
+def test_transitions_per_instance_do_not_grow_with_n(monkeypatch):
+    """(e) A lockstep cohort applies each transition once: folds and
+    recorded steps per instance are the same at n = 20 and n = 60."""
+    counts = {}
+    for n in (20, 60):
+        calls = [0]
+        fold = SlottedChaCore._fold_chain
+
+        def counting(self, *args, _fold=fold, **kwargs):
+            calls[0] += 1
+            return _fold(self, *args, **kwargs)
+
+        monkeypatch.setattr(SlottedChaCore, "_fold_chain", counting)
+        stepper = _lockstep_stepper(n, 100)
+        stepper.step(3 * 10)
+        cohort = stepper.processes[0].core._c
+        steps, calls[0] = cohort.T, 0
+        stepper.step(3 * 90)
+        counts[n] = (calls[0] / 90, (cohort.T - steps) / 90)
+        monkeypatch.undo()
+    assert counts[20] == counts[60] == (1.0, 3.0)

@@ -187,7 +187,8 @@ def _tracked() -> int:
 
 def test_served_world_holds_its_tracked_objects_flat():
     """The ROADMAP memory item's plateau, for what a served world can
-    bound: 24 nodes, 20 000 instances, a bounded decision log.  A plain
+    bound: 24 nodes in one cohort store, 20 000 instances, a bounded
+    decision log.  A plain
     CHA core keeps one interned chain link per instance by definition
     (it never collects), so the count is taken net of that one shared
     spine — measured here, not assumed — and everything else (per-node
@@ -219,3 +220,6 @@ def test_served_world_holds_its_tracked_objects_flat():
                for proc in driver.stepper.processes.values())
     assert abs(late - grown * per_link - early) <= 0.05 * early, (
         early, late, per_link)
+    # The 24 lockstep cores keep one cohort store.
+    cohorts = {id(proc.core._c) for proc in driver.stepper.processes.values()}
+    assert len(cohorts) == 1
