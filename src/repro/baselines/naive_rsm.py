@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.ballot import Ballot, BallotPayload
-from ..core.cha import CHAProcess, PHASE_BALLOT
-from ..types import Instance, Round, Value
+from ..core.cha import CHAProcess
+from ..types import Instance, Value
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,13 @@ class NaiveBallotPayload(BallotPayload):
 class NaiveRSMProcess(CHAProcess):
     """CHAP with naive full-history ballots."""
 
-    def send(self, r: Round, active: bool) -> Any | None:
-        if self._phase(r) != PHASE_BALLOT:
-            return super().send(r, active)
-        payload = self.core.begin_instance()
-        if not active:
-            return None
-        history = self.core.current_history()
+    def _ballot_payload(self, value: Value) -> Any:
+        core = self.core
+        history = core.current_history()
         return NaiveBallotPayload(
-            tag=payload.tag,
-            instance=payload.instance,
-            ballot=payload.ballot,
+            tag=core.tag,
+            instance=core.k,
+            ballot=Ballot(value, core.prev_instance),
             # Repacked pair-by-pair so the wire encoding is structure-
             # canonical: chain-backed histories share entry tuples across
             # outputs, and leaking that sharing onto the wire would make

@@ -2,6 +2,7 @@
 
 from .ballot import Ballot, BallotPayload, VetoPayload, canonical_key
 from .cha import (
+    CHAEnsemble,
     CHAProcess,
     ChaCore,
     PHASE_BALLOT,
@@ -30,6 +31,7 @@ from .spec import (
 __all__ = [
     "Ballot",
     "BallotPayload",
+    "CHAEnsemble",
     "CHAProcess",
     "ChaCore",
     "ChaRun",

@@ -28,13 +28,14 @@ ballot (and later)    red        ⊥, and no ballot is stored
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import ProtocolError
 from ..net.messages import MIXED_TAGS, Message, RoundBatch
-from ..net.node import Process
+from ..net.node import Ensemble, Process
 from ..switches import Switches
-from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Round, Sentinel, Value
+from ..types import BOTTOM, Color, Instance, NO_INSTANCE, NodeId, Round, Sentinel, Value
 from .ballot import Ballot, BallotPayload, VetoPayload
 from .history import History, HistoryChain, ROOT_CHAIN
 
@@ -48,6 +49,10 @@ PHASE_VETO2 = 2
 #: Shared empty decoded-payload sequence (read-only by construction:
 #: the deliver paths only ever iterate the decoded list).
 _NO_PAYLOADS: tuple = ()
+
+#: A lone step's group: the process itself, at a placeholder node id
+#: (also its advice when active).
+_ALONE = (0,)
 
 #: Batch-memo miss sentinel (``None`` and ``False`` are real values).
 _UNDECODED = Sentinel(__name__, "_UNDECODED")
@@ -159,15 +164,27 @@ class ChaCore:
     def begin_instance(self) -> BallotPayload:
         """Start the next instance; returns the ballot this node *would*
         broadcast if the contention manager advises it to (lines 14-19)."""
+        k = self.step_begin()
+        value = self._propose(k)
+        self.proposals_made[k] = value
+        return self.ballot_payload(value)
+
+    def step_begin(self) -> Instance:
+        """Advance ``k`` and paint it green: :meth:`begin_instance` minus
+        the proposal, which each caller records itself (the slotted
+        core applies this once for a whole cohort)."""
         self.k += 1
-        value = self._propose(self.k)
-        self.proposals_made[self.k] = value
         self.status[self.k] = Color.GREEN
-        return BallotPayload(
-            tag=self.tag,
-            instance=self.k,
-            ballot=Ballot(value, self.prev_instance),
-        )
+        return self.k
+
+    def ballot_payload(self, value: Value) -> BallotPayload:
+        """The ballot-phase wire payload for this node's proposal."""
+        return BallotPayload(tag=self.tag, instance=self.k,
+                             ballot=Ballot(value, self.prev_instance))
+
+    def detach(self) -> None:
+        """Prepare a lone step.  A dict core never shares its storage;
+        the slotted core leaves a shared cohort store here."""
 
     def begin_instance_send(self, active: bool) -> BallotPayload | None:
         """Start the next instance and produce the ballot-phase wire
@@ -225,6 +242,15 @@ class ChaCore:
         if veto_seen or collision:
             self.status[self.k] = min(Color.ORANGE, self.status[self.k])
 
+    def veto_due(self, phase: int) -> bool:
+        """Whether this node vetoes in veto phase ``phase`` (1 or 2):
+        :meth:`wants_veto1` / :meth:`wants_veto2`."""
+        return self.wants_veto1() if phase == 1 else self.wants_veto2()
+
+    def veto_payload(self, phase: int) -> VetoPayload:
+        """The veto payload for veto phase ``phase``."""
+        return VetoPayload(self.tag, self.k, phase)
+
     def wants_veto2(self) -> bool:
         """Broadcast ⟨veto⟩ in veto-2 iff red or orange (line 25).
 
@@ -276,6 +302,14 @@ class ChaCore:
             output = BOTTOM
         self.outputs.append((k, output))
         return k, output
+
+    #: The protocol steps under the names the phase machine
+    #: (:class:`CHAProcess`) drives; the slotted core's apply each step
+    #: once to a store its cohort shares.
+    step_ballot = on_ballot_reception
+    step_veto1 = on_veto1_reception
+    step_end = on_veto2_reception
+    step_end_single = finish_instance_single_veto
 
     # ------------------------------------------------------------------
     # Introspection
@@ -411,29 +445,63 @@ class CHAProcess(Process):
         self.core = core
         self.cm_name = cm_name
         self.start_round = start_round
-        #: The end-of-instance step.  The slotted core's records the
-        #: output and returns nothing; the dict core only has the form
-        #: that also returns the pair.
-        self._end_instance = (core.on_veto2_reception if switches.core
-                              else core.end_instance)
 
-    def _phase(self, r: Round) -> int:
-        return (r - self.start_round) % ROUNDS_PER_INSTANCE
+    #: Rounds per instance of the schedule: ballot, veto-1, veto-2.
+    rounds_per_instance = ROUNDS_PER_INSTANCE
+    #: Whether the last veto phase is veto-1's, ending the instance
+    #: (the two-phase ablation) rather than veto-2.
+    single_veto = False
 
     def contend(self, r: Round) -> str | None:
         return self.cm_name
 
+    # -- the phase machine, over runs of processes -----------------------
+    #
+    # ``send`` / ``deliver_batch`` run it over this process alone (a lone
+    # step: a slotted core leaves a shared store first); the ensemble
+    # (:class:`CHAEnsemble`) runs it once per round over its members, a
+    # lockstep cohort's store stepped once for all of them.
+
     def send(self, r: Round, active: bool) -> Any | None:
-        phase = (r - self.start_round) % ROUNDS_PER_INSTANCE
-        core = self.core
+        self.core.detach()
+        out = self._send_runs(r, (((self,), _ALONE, True),),
+                              _ALONE if active else ())
+        return out[0][1] if out else None
+
+    def _send_runs(self, r: Round, runs, advised) -> list[tuple[Any, Any]]:
+        """The send step of ``runs`` as ``(node, payload)`` pairs in node
+        order; ``advised`` holds the advised node ids.
+
+        A run is ``(processes, node ids, first)``: processes, in node
+        order, that share one store, and whether the run is that store's
+        first (a store split by another's member runs in several).  The
+        store's part of a step is applied once; each member calls its
+        own proposer and builds its own payload, in node order."""
+        phase = (r - self.start_round) % self.rounds_per_instance
+        out = []
         if phase == PHASE_BALLOT:
-            return core.begin_instance_send(active)
+            for group, nodes, first in runs:
+                core = group[0].core
+                k = core.step_begin() if first else core.k
+                for proc, node in zip(group, nodes):
+                    member = proc.core
+                    value = member._propose(k)
+                    member.proposals_made[k] = value
+                    if advised and node in advised:
+                        out.append((node, proc._ballot_payload(value)))
+            return out
         # The veto payload producers are inert before the first instance
         # has begun (a node powered up mid-grid sends nothing until its
         # first ballot phase comes around).
-        if phase == PHASE_VETO1:
-            return core.veto1_payload()
-        return core.veto2_payload()
+        for group, nodes, _ in runs:
+            if group[0].core.veto_due(phase):
+                for proc, node in zip(group, nodes):
+                    out.append((node, proc.core.veto_payload(phase)))
+        return out
+
+    def _ballot_payload(self, value: Value) -> Any:
+        """This node's ballot-phase wire payload for its proposal."""
+        return self.core.ballot_payload(value)
 
     def deliver(self, r: Round, messages: tuple[Message, ...], collision: bool) -> None:
         # The reference engine's entry point: one body, over a private batch.
@@ -442,8 +510,15 @@ class CHAProcess(Process):
 
     def deliver_batch(self, r: Round, messages: tuple[Message, ...],
                       collision: bool, batch) -> None:
-        """Delivery, with the per-receiver work amortised through the
-        shared round batch (:meth:`deliver` hands it a private one).
+        self.core.detach()
+        self._deliver_group(r, messages, collision, batch)
+
+    def _deliver_group(self, r: Round, messages: tuple[Message, ...],
+                       collision: bool, batch) -> None:
+        """The deliver step of this process's store — of every member
+        sharing it, whose receptions all equal ``messages`` with flag
+        ``collision`` — with the decoding amortised through the shared
+        round batch (:meth:`deliver` hands it a private one).
 
         The batch knows the round's tag census, so a single-ensemble
         round skips the per-message ``getattr`` scan and a foreign one is
@@ -456,7 +531,7 @@ class CHAProcess(Process):
         receptions take a private scan.
         """
         core = self.core
-        phase = (r - self.start_round) % ROUNDS_PER_INSTANCE
+        phase = (r - self.start_round) % self.rounds_per_instance
         if phase == PHASE_BALLOT:
             if not messages:
                 ballots = _NO_PAYLOADS
@@ -479,7 +554,7 @@ class CHAProcess(Process):
                     if isinstance(m.payload, BallotPayload)
                     and m.payload.tag == tag and m.payload.instance == k
                 ]
-            core.on_ballot_reception(ballots, collision)
+            core.step_ballot(ballots, collision)
             return
         if not messages:
             veto = False
@@ -505,11 +580,17 @@ class CHAProcess(Process):
             )
         # Veto phases are inert before the first instance has begun (a
         # mid-grid power-up); a quiet veto-1 reception changes nothing.
-        if phase == PHASE_VETO2:
-            if core.has_instance():
-                self._end_instance(veto, collision)
-        elif (veto or collision) and core.has_instance():
-            core.on_veto1_reception(veto, collision)
+        if phase != self.rounds_per_instance - 1:
+            if (veto or collision) and core.has_instance():
+                core.step_veto1(veto, collision)
+        elif core.has_instance():
+            if self.single_veto:
+                # No second chance: trouble demotes green straight to
+                # orange, and only green advances prev and outputs.
+                core.step_veto1(veto, collision)
+                core.step_end_single()
+            else:
+                core.step_end(veto, collision)
 
     def _decode_mine(self, messages, batch):
         """The round's payloads carrying this core's tag (memoised).
@@ -543,3 +624,109 @@ class CHAProcess(Process):
     @property
     def proposals_made(self) -> dict[Instance, Value]:
         return self.core.proposals_made
+
+
+class CHAEnsemble(Ensemble):
+    """A lockstep cohort of CHA-family processes, stepped as one.
+
+    ``processes`` — fresh processes of one class and schedule with
+    slotted cores built alike, in node order — are made to share one
+    cohort store
+    (:func:`~repro.core.slotted.form_cohort`), and each round the phase
+    machine runs once over the members still on it.  Before a step, a
+    member that does not take part (a crash, ``AFTER_SEND`` included),
+    hears less than the whole broadcast set or gets the minority's
+    collision flag is forked out to a private store; it never rejoins,
+    and is stepped on its own, in its place in node order.
+    """
+
+    def __init__(self, processes: Iterable[CHAProcess]) -> None:
+        from .slotted import form_cohort
+
+        procs = list(processes)
+        lead = procs[0]
+        if len(procs) < 2 or any(
+                type(p) is not type(lead) or p.start_round != lead.start_round
+                or p.cm_name != lead.cm_name for p in procs):
+            raise ValueError("an ensemble is two or more processes of one "
+                             "class and schedule")
+        form_cohort([p.core for p in procs])
+        self.processes = procs
+        self.nodes = range(len(procs))  # until add_ensemble sets the ids
+        self._store = lead.core._c
+        self._last: tuple = (None, 0, None)
+
+    def contend(self, r: Round) -> str | None:
+        return self.processes[0].cm_name
+
+    def _split(self, members: list[NodeId]) -> tuple:
+        """This sweep's ``(runs, lead, solo (process, node) pairs, nodes
+        on the store, their item getter)``, after forking out every
+        member on the store that does not take part.  ``runs`` are the
+        machine's (:meth:`CHAProcess._send_runs`): the store's members
+        in runs between forked members, each forked member a run of its
+        own.  Cached while ``members`` is the same list and nobody left."""
+        store = self._store
+        last = self._last
+        if last[0] is members and last[1] == len(store.members):
+            return last[2]
+        procs = self.processes
+        first = self.nodes.start
+        taking = set(members)
+        for node in self.nodes:
+            if node not in taking:
+                procs[node - first].core.detach()
+        runs: list[tuple] = []
+        shared: list[NodeId] = []
+        solo: list[tuple] = []
+        for node in members:
+            proc = procs[node - first]
+            if proc.core._c is not store:
+                solo.append((proc, node))
+                runs.append(((proc,), (node,), True))
+            elif runs and runs[-1][0][0].core._c is store:
+                runs[-1][0].append(proc)
+                runs[-1][1].append(node)
+                shared.append(node)
+            else:
+                runs.append(([proc], [node], not shared))
+                shared.append(node)
+        split = (runs, procs[shared[0] - first] if shared else None, solo,
+                 shared, itemgetter(*shared) if len(shared) > 1 else None)
+        self._last = (members, len(store.members), split)
+        return split
+
+    def send_round(self, r: Round, members: list[NodeId],
+                   advised) -> list[tuple[NodeId, Any]]:
+        return self.processes[0]._send_runs(r, self._split(members)[0], advised)
+
+    def deliver_round(self, r: Round, members: list[NodeId], delivered,
+                      flags, batch: RoundBatch) -> None:
+        split = self._split(members)
+        shared, get = split[3], split[4]
+        if get is not None:
+            nb = len(batch.broadcasts)
+            heard = get(flags)
+            if ((True in heard and False in heard)
+                    or (nb and min(map(len, get(delivered))) < nb)):
+                self._fork_odd(shared, delivered, flags, nb)
+                split = self._split(members)
+        lead, solo, shared = split[1], split[2], split[3]
+        if lead is not None:
+            node = shared[0]
+            lead._deliver_group(r, delivered[node], flags[node], batch)
+        for proc, node in solo:
+            proc._deliver_group(r, delivered[node], flags[node], batch)
+
+    def _fork_odd(self, shared: list[NodeId], delivered, flags,
+                  nb: int) -> None:
+        """Fork out the members on the store whose input leaves the
+        common path: a partial reception, or the minority's flag among
+        the full ones."""
+        full = [node for node in shared if len(delivered[node]) == nb]
+        flag = 2 * sum(1 for node in full if flags[node]) > len(full)
+        procs = self.processes
+        first = self.nodes.start
+        for node in shared:
+            if len(delivered[node]) != nb or flags[node] != flag:
+                procs[node - first].core.detach()

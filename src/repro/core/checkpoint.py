@@ -124,6 +124,8 @@ class CheckpointChaCore(ChaCore):
         self.outputs.append((self.k, output))
         return self.k, output
 
+    step_end = on_veto2_reception
+
     # -- checkpointed view ----------------------------------------------
 
     def current_checkpoint_output(self, history: History | None = None) -> CheckpointOutput:

@@ -16,17 +16,18 @@ only safe when nothing retains them: the runner enables it exactly for
 ``keep_trace=False`` cluster runs.
 
 **The cohort store.**  After stabilisation every node of a cluster makes
-the same transition each round, so that storage lives in a
-:class:`_Cohort` shared by the member cores whose state equals it; a
-member keeps its proposer, ``proposals_made``, pooled payloads, ``k`` /
-``prev_instance`` and step count ``_t``.  The first member to take a
-step applies it once, keeping its outcome and the slots it overwrote as
-a one-step undo record; a member with the same outcome only advances
-``_t``.  A member whose outcome differs, read while lagging, written at
-all, or still behind when the next step begins (a crash) forks into a
-private copy, the step undone.  The runner forms one cohort per cluster
-(:func:`form_cohort`); ``docs/ARCHITECTURE.md`` ("The protocol core")
-has the whole contract.
+the same transition each round, so that storage — ``k`` and
+``prev_instance`` included — lives in a :class:`_Cohort` shared by the
+member cores of one lockstep cohort; a member keeps only its proposer,
+``proposals_made`` and pooled payloads.  A shared store advances only
+through the ``step_*`` methods, which the ensemble
+(:class:`~repro.core.cha.CHAEnsemble`) calls once per round for the
+whole cohort after forking out every member whose input differs.  Any
+other step or write — the seed method names, a view write, ``restore``,
+``reset_to`` — is a lone step: the member first leaves the store for a
+plain copy of it (members of one store are never at different steps, so
+no undo is needed), and never rejoins.  ``docs/ARCHITECTURE.md`` ("The
+protocol core") has the whole contract.
 
 ``status``, ``ballots`` and ``outputs`` are live, writable views (tests
 and glass-box checkers mutate protocol state through them; negative
@@ -40,6 +41,7 @@ floor, and any other writer lowers it through ``_ensure``.
 from __future__ import annotations
 
 from collections.abc import MutableMapping, MutableSequence
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..switches import Switches
@@ -65,25 +67,14 @@ _COLORS = (Color.RED, Color.ORANGE, Color.YELLOW, Color.GREEN)
 #: is pickled or deep-copied must keep satisfying ``is _ABSENT`` checks.
 _ABSENT = Sentinel(__name__, "_ABSENT")
 
-#: Step outcomes that are not an adopted wire ballot.  Every step kind
-#: has its own, so members driven through different steps never match.
-(_BEGIN, _RED_BALLOT, _DEMOTE, _END_QUIET, _END_TROUBLE,
- _END_SINGLE) = (object() for _ in range(6))
-
-
 class _Cohort:
-    """One copy of the slotted cores' protocol storage.
-
-    ``T`` counts the steps applied.  While ``shared``, ``members`` lists
-    the member cores, ``done`` how many of them have taken step ``T``
-    (the rest are one step behind), and ``last`` is the undo record of
-    the last step applied.
-    """
+    """One copy of the slotted cores' protocol storage, ``k`` and
+    ``prev_instance`` included.  ``members`` lists the member cores
+    that share it (``None`` for a private store)."""
 
     __slots__ = ("status", "vals", "prevs", "objs", "cache", "out_ks",
                  "out_recs", "status_count", "ballot_count", "ck_inst",
-                 "ck_state", "gc_floor", "shared", "members", "T", "done",
-                 "last")
+                 "ck_state", "gc_floor", "k", "prev", "members")
 
     def __init__(self) -> None:
         self.clear(1)
@@ -91,10 +82,9 @@ class _Cohort:
         self.out_recs: list[Any] = []
         self.ck_inst: Instance = NO_INSTANCE
         self.ck_state: Any = None
-        self.shared = False
+        self.k: Instance = NO_INSTANCE
+        self.prev: Instance = NO_INSTANCE
         self.members: list[SlottedChaCore] | None = None
-        self.T = self.done = 0
-        self.last: _Step | None = None
 
     def clear(self, length: int) -> None:
         # Index 0 is the NO_INSTANCE slot: normally empty, but reachable
@@ -125,55 +115,19 @@ class _Cohort:
             self.objs.extend([None] * grow)
             self.cache.extend([None] * grow)
 
-    def copy(self, at: int) -> "_Cohort":
-        """A private copy of this storage as of step ``at`` — ``T``, or
-        ``T - 1`` with the last step undone.  The fold cache starts
-        empty: cached links may fold slots the undo restored, and
-        re-folding yields the same interned links."""
+    def copy(self) -> "_Cohort":
+        """A private copy of this storage (members of a shared store
+        are always at the same step, so a plain copy is exact)."""
         new = _Cohort()
         new.status, new.vals = self.status[:], self.vals[:]
         new.prevs, new.objs = self.prevs[:], self.objs[:]
-        new.cache = [None] * len(new.status)
+        new.cache = self.cache[:]
         new.out_ks, new.out_recs = self.out_ks[:], self.out_recs[:]
         new.status_count, new.ballot_count = self.status_count, self.ballot_count
         new.ck_inst, new.ck_state, new.gc_floor = (
             self.ck_inst, self.ck_state, self.gc_floor)
-        if at != self.T:
-            e = self.last
-            lo = e.lo
-            hi = lo + len(e.st)
-            new.status[lo:hi], new.vals[lo:hi] = e.st, e.va
-            new.prevs[lo:hi], new.objs[lo:hi] = e.pr, e.ob
-            new.status_count, new.ballot_count = e.sc, e.bc
-            del new.out_ks[e.nout:], new.out_recs[e.nout:]
-            new.ck_inst, new.ck_state, new.gc_floor = e.ck
-        new.T = at
+        new.k, new.prev = self.k, self.prev
         return new
-
-
-class _Step:
-    """The undo record of one applied step: its outcome and the storage
-    it overwrote (slots ``lo..hi``, the counts, the log length and the
-    checkpoint fields), taken just before the step mutates; whether slot
-    ``k`` held a colour then (``had``); and, for a ballot step, the
-    decoded reception and collision flag it came from (the same list
-    with the same flag yields the same outcome)."""
-
-    __slots__ = ("outcome", "k", "val", "pv", "good", "had", "src", "flag", "lo",
-                 "st", "va", "pr", "ob", "sc", "bc", "nout", "ck")
-
-    def __init__(self, c: _Cohort, outcome: Any, k: Instance, lo: Instance,
-                 hi: Instance, val: Any, pv: Any, good: bool, src: Any,
-                 flag: Any) -> None:
-        self.outcome, self.k, self.val, self.pv = outcome, k, val, pv
-        self.good, self.had = good, c.status[k] >= 0
-        self.src, self.flag = src, flag
-        self.lo = lo
-        hi += 1
-        self.st, self.va = c.status[lo:hi], c.vals[lo:hi]
-        self.pr, self.ob = c.prevs[lo:hi], c.objs[lo:hi]
-        self.sc, self.bc, self.nout = c.status_count, c.ballot_count, len(c.out_ks)
-        self.ck = (c.ck_inst, c.ck_state, c.gc_floor)
 
 
 def form_cohort(cores: Iterable["SlottedChaCore"]) -> None:
@@ -186,16 +140,14 @@ def form_cohort(cores: Iterable["SlottedChaCore"]) -> None:
         return (type(core), core.tag, core.reference_history, core.pool_payloads,
                 getattr(core, "_reducer", None), id(core._c.ck_state))
 
-    if any(build(core) != build(cores[0]) or core.k or core._c.T
-           or core._c.out_ks or core._c.status_count or core._c.ballot_count
-           for core in cores):
+    if any(build(core) != build(cores[0]) or core._c.members is not None
+           or core.k or core._c.out_ks or core._c.status_count
+           or core._c.ballot_count for core in cores):
         raise ValueError("only fresh cores built alike can share a cohort")
     shared = cores[0]._c
     for core in cores:
         core._c = shared
     shared.members = cores
-    shared.done = len(cores)
-    shared.shared = True
 
 
 class _View(MutableMapping):
@@ -220,7 +172,7 @@ class _StatusView(_View):
     __slots__ = ()
 
     def __getitem__(self, k: Instance) -> Color:
-        arr = self._core._synced().status
+        arr = self._core._c.status
         if isinstance(k, int) and 0 <= k < len(arr):
             code = arr[k]
             if code >= 0:
@@ -246,11 +198,11 @@ class _StatusView(_View):
         raise KeyError(k)
 
     def __iter__(self) -> Iterator[Instance]:
-        arr = self._core._synced().status
+        arr = self._core._c.status
         return (k for k in range(len(arr)) if arr[k] >= 0)
 
     def __len__(self) -> int:
-        return self._core._synced().status_count
+        return self._core._c.status_count
 
 
 class _BallotView(_View):
@@ -264,7 +216,7 @@ class _BallotView(_View):
     __slots__ = ()
 
     def __getitem__(self, k: Instance) -> Ballot:
-        c = self._core._synced()
+        c = self._core._c
         vals = c.vals
         if isinstance(k, int) and 0 <= k < len(vals):
             value = vals[k]
@@ -294,11 +246,11 @@ class _BallotView(_View):
         raise KeyError(k)
 
     def __iter__(self) -> Iterator[Instance]:
-        vals = self._core._synced().vals
+        vals = self._core._c.vals
         return (k for k in range(len(vals)) if vals[k] is not _ABSENT)
 
     def __len__(self) -> int:
-        return self._core._synced().ballot_count
+        return self._core._c.ballot_count
 
 
 class _OutputLog(MutableSequence):
@@ -316,11 +268,11 @@ class _OutputLog(MutableSequence):
         self._core = core
 
     def __len__(self) -> int:
-        return len(self._core._synced().out_ks)
+        return len(self._core._c.out_ks)
 
     def __getitem__(self, i):
         core = self._core
-        c = core._synced()
+        c = core._c
         if isinstance(i, slice):
             output = core._output_of
             return [(k, output(k, record)) for k, record
@@ -330,7 +282,7 @@ class _OutputLog(MutableSequence):
 
     def __iter__(self) -> Iterator[tuple[Instance, Any]]:
         core = self._core
-        c = core._synced()
+        c = core._c
         output = core._output_of
         for k, record in zip(c.out_ks, c.out_recs):
             yield k, output(k, record)
@@ -361,12 +313,12 @@ class _OutputLog(MutableSequence):
 
     def instances(self) -> list[Instance]:
         """The logged instance numbers, in log order (no output built)."""
-        return list(self._core._synced().out_ks)
+        return list(self._core._c.out_ks)
 
     def bottoms(self) -> int:
         """How many logged outputs are ⊥ (no output built)."""
         bottom = self._core._BOTTOM_RECORD
-        return sum(1 for record in self._core._synced().out_recs
+        return sum(1 for record in self._core._c.out_recs
                    if record is bottom)
 
     def __eq__(self, other: object) -> bool:
@@ -394,6 +346,14 @@ class _Verbatim:
         self.output = output
 
 
+def _store_field(name: str, doc: str) -> property:
+    """A field kept on the cohort store: read there, written on this
+    member's private copy (a write on a shared store forks first)."""
+    return property(attrgetter("_c." + name),
+                    lambda self, value: setattr(self._owned(), name, value),
+                    doc=doc)
+
+
 class SlottedChaCore:
     """:class:`~repro.core.cha.ChaCore` semantics over a cohort store:
     the same methods and quirks (pre-instance ballot receptions still
@@ -403,9 +363,8 @@ class SlottedChaCore:
 
     __slots__ = (
         "_propose", "tag", "reference_history", "pool_payloads",
-        "k", "prev_instance", "proposals_made", "_c", "_t",
-        "_status_view", "_ballot_view",
-        "_pooled_ballot_payload", "_pooled_veto1", "_pooled_veto2",
+        "proposals_made", "_c", "_status_view", "_ballot_view",
+        "_pooled_ballot_payload", "_pooled_vetoes",
     )
 
     def __init__(self, *, propose: Callable[[Instance], Value],
@@ -419,84 +378,34 @@ class SlottedChaCore:
         #: Reuse one BallotPayload/Ballot and one VetoPayload per phase
         #: across rounds.  Only safe when no trace retains wire objects.
         self.pool_payloads = pool_payloads
-        self.k: Instance = NO_INSTANCE
-        self.prev_instance: Instance = NO_INSTANCE
         self.proposals_made: dict[Instance, Value] = {}
-        #: The cohort store, and the steps this member has taken.
+        #: The cohort store: private, or shared by a lockstep cohort.
         self._c = _Cohort()
-        self._t = 0
         self._status_view = _StatusView(self)
         self._ballot_view = _BallotView(self)
         self._pooled_ballot_payload: BallotPayload | None = None
-        self._pooled_veto1: VetoPayload | None = None
-        self._pooled_veto2: VetoPayload | None = None
+        #: This member's pooled veto payloads, by veto phase (1 and 2).
+        self._pooled_vetoes: list[VetoPayload | None] = [None, None, None]
 
     # ------------------------------------------------------------------
-    # The cohort: following, forking, recording
+    # The cohort store: a lone step or a write forks first
     # ------------------------------------------------------------------
 
-    def _follow(self, outcome: Any, k: Instance, val: Any = None,
-                pv: Any = None) -> "_Step | None":
-        """Before a step in a shared cohort: the undo record if the step
-        is applied with this outcome already (this member now follows
-        it), else None — apply it to ``self._c``, the cohort (this
-        member leads) or the private fork of a diverging member."""
-        c = self._c
-        if self._t == c.T:
-            return None
-        e = c.last
-        if (e.outcome is outcome and e.k == k and e.val is val
-                and e.pv == pv):
-            self._t += 1
-            c.done += 1
-            return e
-        self._fork()
-        return None
-
-    def _record(self, c: _Cohort, outcome: Any, k: Instance, lo: Instance,
-                hi: Instance, val: Any = None, pv: Any = None,
-                good: bool = False, src: Any = None,
-                flag: Any = None) -> None:
-        """Record the step about to be applied by the leading member of
-        shared cohort ``c``: first fork whoever did not take the last
-        step (its undo record is about to go), and stop recording once
-        nobody else shares the store."""
-        members = c.members
-        if c.done < len(members):
-            for m in [m for m in members if m._t != c.T]:
-                m._fork()
-        if len(members) == 1:
-            c.shared, c.members, c.last = False, None, None
-            return
-        c.grow(hi)
-        c.last = _Step(c, outcome, k, lo, hi, val, pv, good, src, flag)
-        c.T += 1
-        c.done = 1
-        self._t += 1
-
-    def _fork(self) -> _Cohort:
-        """Leave the cohort for a private copy as of this member's step."""
-        c = self._c
-        new = c.copy(self._t)
-        c.members.remove(self)
-        if self._t == c.T:
-            c.done -= 1
-        self._c = new
-        return new
-
-    def _synced(self) -> _Cohort:
-        """The storage as this member sees it (a lagging member forks)."""
-        c = self._c
-        return c if self._t == c.T else self._fork()
+    k = _store_field("k", "The current instance.")
+    prev_instance = _store_field("prev", "The last good instance.")
 
     def _owned(self) -> _Cohort:
-        """The storage, private to this member, for a write."""
+        """The storage, private to this member: a member stepped or
+        written on its own leaves a shared store for a copy of it."""
         c = self._c
-        if c.shared:
-            if len(c.members) > 1 or self._t != c.T:
-                return self._fork()
-            c.shared, c.members, c.last = False, None, None
+        members = c.members
+        if members is not None and len(members) > 1:
+            members.remove(self)
+            c = self._c = c.copy()
         return c
+
+    #: Prepare a lone step: leave a shared store.
+    detach = _owned
 
     def _writable(self, k: Instance) -> _Cohort:
         if k < 0:
@@ -575,7 +484,10 @@ class SlottedChaCore:
         _OutputLog(self)[:] = pairs
 
     # ------------------------------------------------------------------
-    # Ballot phase
+    # Protocol steps.  A ``step_*`` method applies one step to the store
+    # once, for every member sharing it (the ensemble's entry point,
+    # :class:`~repro.core.cha.CHAEnsemble`); the seed method names are
+    # lone steps, which fork a member out of a shared store first.
     # ------------------------------------------------------------------
 
     def begin_instance(self) -> BallotPayload:
@@ -583,75 +495,67 @@ class SlottedChaCore:
         (compatibility path — the pooled hot path is
         :meth:`begin_instance_send`)."""
         self.begin_instance_send(False)
-        k = self.k
-        return BallotPayload(self.tag, k,
-                             Ballot(self.proposals_made[k], self.prev_instance))
+        c = self._c
+        return BallotPayload(self.tag, c.k,
+                             Ballot(self.proposals_made[c.k], c.prev))
 
     def begin_instance_send(self, active: bool) -> BallotPayload | None:
-        """Start the next instance — advance ``k``, record the proposal,
-        paint the slot green — and produce the wire payload iff the
-        contention manager advises broadcasting (lines 14-19).
-
-        Inactive nodes advance their state without allocating anything;
-        active nodes reuse the pooled payload when pooling is on.
-        """
-        k = self.k + 1
-        self.k = k
+        """Start the next instance — advance ``k``, paint the slot
+        green, record the proposal — and produce the wire payload iff
+        the contention manager advises broadcasting (lines 14-19)."""
+        if self._c.members:  # shared: fork first
+            self._owned()
+        k = self.step_begin()
         value = self._propose(k)
         self.proposals_made[k] = value
+        return self.ballot_payload(value) if active else None
+
+    def step_begin(self) -> Instance:
+        """The store's part of starting the next instance: advance
+        ``k`` and paint its slot green.  Returns the new ``k``; each
+        member then records its own proposal."""
         c = self._c
-        if c.shared:
-            e = c.last if self._t != c.T else None
-            if e is not None and e.outcome is _BEGIN and e.k == k:
-                self._t += 1  # the lockstep case, inline
-                c.done += 1
-                c = None
-            elif self._follow(_BEGIN, k) is not None:
-                c = None
-            else:
-                c = self._c
-                if c.shared:
-                    self._record(c, _BEGIN, k, k, k)
-        if c is not None:
-            arr = c.status
-            if k >= len(arr):
-                c.grow(k)  # extends in place: ``arr`` stays valid
-            if arr[k] < 0:
-                c.status_count += 1
-            arr[k] = _GREEN
-        if not active:
-            return None
+        k = c.k = c.k + 1
+        arr = c.status
+        if k >= len(arr):
+            c.grow(k)  # extends in place: ``arr`` stays valid
+        if arr[k] < 0:
+            c.status_count += 1
+        arr[k] = _GREEN
+        return k
+
+    def ballot_payload(self, value: Value) -> BallotPayload:
+        """This member's ballot-phase payload for its proposal
+        ``value``: the pooled one, rewritten, when pooling is on."""
+        c = self._c
         payload = self._pooled_ballot_payload
         if payload is None or not self.pool_payloads:
-            payload = BallotPayload(self.tag, self.k,
-                                    Ballot(value, self.prev_instance))
+            payload = BallotPayload(self.tag, c.k, Ballot(value, c.prev))
             if self.pool_payloads:
                 self._pooled_ballot_payload = payload
             return payload
         ballot = payload.ballot
         object.__setattr__(ballot, "value", value)
-        object.__setattr__(ballot, "prev_instance", self.prev_instance)
-        object.__setattr__(payload, "instance", self.k)
+        object.__setattr__(ballot, "prev_instance", c.prev)
+        object.__setattr__(payload, "instance", c.k)
         return payload
 
     def on_ballot_reception(self, ballots: Iterable[Ballot],
                             collision: bool) -> None:
-        """Ballot-phase reception (lines 29-32): adopt ``min(M)``.
+        """Ballot-phase reception (lines 29-32), as a lone step."""
+        if self._c.members:  # shared: fork first
+            self._owned()
+        self.step_ballot(ballots, collision)
+
+    def step_ballot(self, ballots: Iterable[Ballot], collision: bool) -> None:
+        """Ballot-phase reception: adopt ``min(M)``, or paint red.
 
         Matches the reference's ``sorted(...)[0]`` including its stable
         tie-break: the *first* minimal wire ballot is the one adopted
         (and retained, when wire objects may outlive the round).
         """
-        k = self.k
         c = self._c
-        if c.shared and self._t != c.T:
-            # The lockstep case: the leader adopted from the same
-            # round's decoded list, so its outcome is ours.
-            e = c.last
-            if e.src is ballots and e.flag == collision and e.k == k:
-                self._t += 1
-                c.done += 1
-                return
+        k = c.k
         best: Ballot | None = None
         if not collision:
             if type(ballots) is list and len(ballots) == 1:
@@ -666,18 +570,6 @@ class SlottedChaCore:
                     if best_key is None or key < best_key:
                         best = b
                         best_key = key
-        if c.shared:
-            if best is None:
-                outcome = _RED_BALLOT
-                val = pv = None
-            else:
-                outcome, val, pv = best, best.value, best.prev_instance
-            if self._follow(outcome, k, val, pv) is not None:
-                return
-            c = self._c
-            if c.shared:
-                self._record(c, outcome, k, k, k, val, pv, src=ballots,
-                             flag=collision)
         if best is None:
             arr = c.status
             if k >= len(arr):
@@ -704,99 +596,87 @@ class SlottedChaCore:
     def has_instance(self) -> bool:
         """True once the current instance has ballot-phase state — i.e.
         veto phases may act (not before the first ``begin_instance``, nor
-        after a checkpoint reset).  A member one step behind answers from
-        the undo record, without forking."""
-        k = self.k
+        after a checkpoint reset)."""
         c = self._c
-        if c.shared and self._t != c.T:  # lagging: as the next step
-            e = c.last                   # found the slot, or fork
-            if e.k == k:
-                return e.had
-            c = self._fork()
+        k = c.k
         arr = c.status
         return k < len(arr) and arr[k] >= 0
 
-    def wants_veto1(self) -> bool:
-        """Broadcast ⟨veto⟩ in veto-1 iff the instance is red (line 21)."""
-        return self.veto1_payload() is not None
-
-    def veto1_payload(self) -> VetoPayload | None:
-        """The veto-1 wire payload, or None (pooled hot path)."""
-        k = self.k
+    def veto_due(self, phase: int) -> bool:
+        """Whether this node vetoes in veto phase ``phase``: red in
+        veto-1 (line 21), red or orange in veto-2 (line 25); never
+        before the first instance."""
         c = self._c
-        arr = (self._fork() if c.shared and self._t != c.T else c).status
-        if k >= len(arr) or arr[k] != _RED:
-            return None
+        k = c.k
+        arr = c.status
+        if k >= len(arr):
+            return False
+        code = arr[k]
+        return code == _RED if phase == 1 else 0 <= code <= _ORANGE
+
+    def veto_payload(self, phase: int) -> VetoPayload:
+        """This member's veto payload for veto phase ``phase`` (pooled
+        when pooling is on)."""
+        k = self._c.k
         if not self.pool_payloads:
-            return VetoPayload(self.tag, k, 1)
-        payload = self._pooled_veto1
+            return VetoPayload(self.tag, k, phase)
+        pooled = self._pooled_vetoes
+        payload = pooled[phase]
         if payload is None:
-            payload = self._pooled_veto1 = VetoPayload(self.tag, k, 1)
+            payload = pooled[phase] = VetoPayload(self.tag, k, phase)
         else:
             object.__setattr__(payload, "instance", k)
         return payload
 
-    def on_veto1_reception(self, veto_seen: bool, collision: bool) -> None:
-        """Veto-1 reception (lines 33-35): downgrade green to orange.
+    def wants_veto1(self) -> bool:
+        """Broadcast ⟨veto⟩ in veto-1 iff the instance is red (line 21)."""
+        return self.veto_due(1)
 
-        Only a demotion is a cohort step: a quiet reception writes
-        nothing, so a quiet member stays where it is."""
+    def veto1_payload(self) -> VetoPayload | None:
+        """The veto-1 wire payload, or None."""
+        return self.veto_payload(1) if self.veto_due(1) else None
+
+    def on_veto1_reception(self, veto_seen: bool, collision: bool) -> None:
+        """Veto-1 reception (lines 33-35), as a lone step: a quiet
+        reception writes nothing, so it is no step."""
         if veto_seen or collision:
-            k = self.k
+            self._owned()
+            self.step_veto1(veto_seen, collision)
+
+    def step_veto1(self, veto_seen: bool, collision: bool) -> None:
+        """Veto-1 reception: downgrade green to orange."""
+        if veto_seen or collision:
             c = self._c
-            if c.shared:
-                if self._follow(_DEMOTE, k) is not None:
-                    return
-                c = self._c
+            k = c.k
             arr = c.status
             status = arr[k] if k < len(arr) else _NO_STATUS
             if status < 0:
                 raise KeyError(k)
-            if c.shared:
-                self._record(c, _DEMOTE, k, k, k)
             if status > _ORANGE:
                 arr[k] = _ORANGE
 
     def wants_veto2(self) -> bool:
         """Broadcast ⟨veto⟩ in veto-2 iff red or orange (line 25)."""
-        return self.veto2_payload() is not None
+        return self.veto_due(2)
 
     def veto2_payload(self) -> VetoPayload | None:
-        """The veto-2 wire payload, or None (pooled hot path)."""
-        k = self.k
-        c = self._c
-        arr = (self._fork() if c.shared and self._t != c.T else c).status
-        if k >= len(arr) or not 0 <= arr[k] <= _ORANGE:
-            return None
-        if not self.pool_payloads:
-            return VetoPayload(self.tag, k, 2)
-        payload = self._pooled_veto2
-        if payload is None:
-            payload = self._pooled_veto2 = VetoPayload(self.tag, k, 2)
-        else:
-            object.__setattr__(payload, "instance", k)
-        return payload
+        """The veto-2 wire payload, or None."""
+        return self.veto_payload(2) if self.veto_due(2) else None
 
     def end_instance(self, veto_seen: bool, collision: bool) -> None:
+        """Veto-2 reception and end-of-instance bookkeeping, as a lone
+        step (:meth:`step_end`)."""
+        if self._c.members:  # shared: fork first
+            self._owned()
+        self.step_end(veto_seen, collision)
+
+    def step_end(self, veto_seen: bool, collision: bool) -> None:
         """Veto-2 reception and end-of-instance bookkeeping (lines
         36-45): records the instance's output and returns nothing — the
         process wrappers' entry point (:meth:`on_veto2_reception` is
         this plus a read of the log)."""
-        k = self.k
         c = self._c
-        if c.shared:
-            outcome = _END_TROUBLE if veto_seen or collision else _END_QUIET
-            e = c.last if self._t != c.T else None
-            if e is None or e.outcome is not outcome or e.k != k:
-                e = self._follow(outcome, k)
-            else:  # the lockstep case, inline
-                self._t += 1
-                c.done += 1
-            if e is not None:
-                if e.good:
-                    self.prev_instance = k
-                return
-            c = self._c
+        k = c.k
         arr = c.status
         status = arr[k] if k < len(arr) else _NO_STATUS
         if status < 0:
@@ -804,7 +684,7 @@ class SlottedChaCore:
         if (veto_seen or collision) and status > _YELLOW:
             status = _YELLOW
         if status >= _YELLOW:
-            self.prev_instance = k
+            c.prev = k
         # The record is computed before anything is written: a failed
         # fold logs (and records) nothing.  The checkpoint core's is the
         # new checkpoint state, the whole output (its suffix is empty).
@@ -818,9 +698,6 @@ class SlottedChaCore:
             # Inline fast path for the dominant green case: skip the
             # current_history frame and the History it would wrap.
             record = self._fold_chain(k, k)
-        if c.shared:
-            self._record(c, outcome, k, min(c.gc_floor, k)
-                         if self._CHECKPOINTED else k, k, good=status >= _YELLOW)
         arr[k] = status
         if status == _GREEN and self._CHECKPOINTED:
             self._fold_to(k, record)
@@ -835,29 +712,25 @@ class SlottedChaCore:
         return self.outputs[-1]
 
     def end_instance_single_veto(self) -> None:
+        """:meth:`step_end_single`, as a lone step."""
+        self._owned()
+        self.step_end_single()
+
+    def step_end_single(self) -> None:
         """End-of-instance bookkeeping for the single-veto ablation
         (two-phase CHA): no second downgrade opportunity — green outputs
         its history, everything else outputs bottom."""
-        k = self.k
         c = self._c
-        if c.shared:
-            e = self._follow(_END_SINGLE, k)
-            if e is not None:
-                if e.good:
-                    self.prev_instance = k
-                return
-            c = self._c
+        k = c.k
         arr = c.status
         status = arr[k] if k < len(arr) else _NO_STATUS
         if status < 0:
             raise KeyError(k)
         if status == _GREEN:
-            self.prev_instance = k
+            c.prev = k
             record = self._green_record()
         else:
             record = BOTTOM
-        if c.shared:
-            self._record(c, _END_SINGLE, k, k, k, good=status == _GREEN)
         c.out_ks.append(k)
         c.out_recs.append(record)
 
@@ -879,7 +752,6 @@ class SlottedChaCore:
 
     def current_history(self) -> History:
         """The history computed from the current chain (line 41)."""
-        self._synced()
         if self.reference_history:
             return calculate_history_reference(
                 self.k, self.prev_instance, self._ballot_view)
@@ -948,7 +820,7 @@ class SlottedChaCore:
 
     def color_of(self, k: Instance) -> Color:
         """Colour this node assigns instance ``k`` (green if untouched)."""
-        arr = self._synced().status
+        arr = self._c.status
         if 0 <= k < len(arr):
             code = arr[k]
             if code >= 0:
@@ -959,7 +831,7 @@ class SlottedChaCore:
 
     def resident_entries(self) -> int:
         """Stored ballot + status entries (space metric for experiment E9)."""
-        c = self._synced()
+        c = self._c
         return c.ballot_count + c.status_count
 
     # ------------------------------------------------------------------
@@ -979,9 +851,10 @@ class SlottedChaCore:
 
     def restore(self, snapshot: Mapping) -> None:
         """Adopt a snapshot produced by :meth:`snapshot`."""
-        self.k = snapshot["k"]
-        self.prev_instance = snapshot["prev_instance"]
-        self._owned().clear(self.k + 1)
+        c = self._owned()
+        c.k = snapshot["k"]
+        c.prev = snapshot["prev_instance"]
+        c.clear(c.k + 1)
         for k, color in snapshot["status"].items():
             self._status_view[k] = color
         for k, ballot in snapshot["ballots"].items():
@@ -992,16 +865,6 @@ class SlottedChaCore:
 _LOGGED_BOTTOM = Sentinel(__name__, "_LOGGED_BOTTOM")
 
 
-def _cohort_field(name: str, doc: str) -> property:
-    """A checkpoint field kept on the cohort: read as this member sees
-    it, written on this member's private copy."""
-    def get(self):
-        c = self._c
-        return getattr(c if self._t == c.T else self._fork(), name)
-    return property(get, lambda self, value: setattr(self._owned(), name, value),
-                    doc=doc)
-
-
 class SlottedCheckpointChaCore(SlottedChaCore):
     """:class:`~repro.core.checkpoint.CheckpointChaCore` over a cohort
     store: the checkpoint is folded once per cohort, so the reducer runs
@@ -1009,9 +872,9 @@ class SlottedCheckpointChaCore(SlottedChaCore):
 
     __slots__ = ("_reducer",)
 
-    checkpoint_instance = _cohort_field(
+    checkpoint_instance = _store_field(
         "ck_inst", "Instance up to which the checkpoint folds.")
-    checkpoint_state = _cohort_field(
+    checkpoint_state = _store_field(
         "ck_state", "The application state folded up to the checkpoint.")
 
     def __init__(self, *, propose: Callable[[Instance], Value],
@@ -1103,7 +966,7 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         """The (checkpoint, suffix) pair for the current chain."""
         if history is None:
             history = self.current_history()
-        c = self._synced()
+        c = self._c
         return CheckpointOutput(c.ck_inst, c.ck_state, History(
             history.length, {k: v for k, v in history.items() if k > c.ck_inst}))
 
@@ -1124,9 +987,8 @@ class SlottedCheckpointChaCore(SlottedChaCore):
         """Re-anchor a fresh core at ``instance`` (the emulation's
         reset).  Leaves the core in a pre-instance state: veto phases
         stay inert until the next ballot phase begins an instance."""
-        self.k = instance
-        self.prev_instance = instance
         c = self._owned()
+        c.k = c.prev = instance
         c.ck_inst = instance
         c.ck_state = state
         c.clear(instance + 1)

@@ -32,9 +32,12 @@ class WireStatsObserver:
             self._size_sum += size
             if size > self.max_message_size:
                 self.max_message_size = size
-        for node, flag in record.collisions.items():
-            if flag:
-                self.collision_flags[node] = self.collision_flags.get(node, 0) + 1
+        collisions = record.collisions
+        if any(collisions.values()):  # most rounds raise no flag at all
+            counts = self.collision_flags
+            for node, flag in collisions.items():
+                if flag:
+                    counts[node] = counts.get(node, 0) + 1
 
     @property
     def mean_message_size(self) -> float:

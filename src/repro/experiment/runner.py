@@ -28,11 +28,10 @@ from ..baselines.three_phase_commit import (
 )
 from ..baselines.two_phase_cha import TWO_PHASE_ROUNDS, TwoPhaseChaProcess
 from ..contention import LeaderElectionCM
-from ..core.cha import CHAProcess, ROUNDS_PER_INSTANCE
+from ..core.cha import CHAEnsemble, CHAProcess, ROUNDS_PER_INSTANCE
 from ..core.checkpoint import CheckpointCHAProcess
 from ..core.history import activate_chain_generation, new_chain_generation
 from ..core.runner import ChaRun, cluster_positions, default_proposer
-from ..core.slotted import form_cohort
 from ..core.spec import (
     check_agreement,
     check_liveness,
@@ -545,7 +544,7 @@ class _ClusterExecution(_Execution):
         # the flag.
         pool_payloads = not spec.keep_trace
         processes: dict[NodeId, Any] = {}
-        # The cores of the processes built here: one cohort store.
+        # The processes built here: one lockstep ensemble.
         cohort: list[Any] = []
         for node_id, position in enumerate(positions):
             if isinstance(protocol, CHA):
@@ -558,7 +557,7 @@ class _ClusterExecution(_Execution):
                     proc = CHAProcess(propose=proposer_factory(node_id),
                                       cm_name="C", switches=switches,
                                       pool_payloads=pool_payloads)
-                    cohort.append(proc.core)
+                    cohort.append(proc)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, CheckpointCHA):
                 proc = CheckpointCHAProcess(
@@ -568,19 +567,19 @@ class _ClusterExecution(_Execution):
                     cm_name="C", switches=switches,
                     pool_payloads=pool_payloads,
                 )
-                cohort.append(proc.core)
+                cohort.append(proc)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, NaiveRSM):
                 proc = NaiveRSMProcess(propose=proposer_factory(node_id),
                                        cm_name="C", switches=switches,
                                        pool_payloads=pool_payloads)
-                cohort.append(proc.core)
+                cohort.append(proc)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, TwoPhaseCHA):
                 proc = TwoPhaseChaProcess(propose=proposer_factory(node_id),
                                           switches=switches,
                                           pool_payloads=pool_payloads)
-                cohort.append(proc.core)
+                cohort.append(proc)
                 rpi = TWO_PHASE_ROUNDS
             elif isinstance(protocol, MajorityRSM):
                 proc = MajorityRSMProcess(
@@ -596,10 +595,11 @@ class _ClusterExecution(_Execution):
                     f"simulator assigned node id {assigned}, expected {node_id}"
                 )
             processes[assigned] = proc
-        if not switches.core:
-            # Lockstep nodes step and store their shared state once
-            # (repro.core.slotted); the dict cores stay per node.
-            form_cohort(cohort)
+        if not switches.core and len(cohort) > 1:
+            # Lockstep nodes share one store and the batched engine steps
+            # them once per round (repro.core.cha.CHAEnsemble); the dict
+            # cores stay per node.
+            sim.add_ensemble(CHAEnsemble(cohort))
 
         rounds = (spec.workload.rounds if spec.workload.rounds is not None
                   else spec.workload.instances * rpi)

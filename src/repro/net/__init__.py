@@ -23,7 +23,7 @@ from .mobility import (
     StaticMobility,
     WaypointMobility,
 )
-from .node import Crash, CrashPoint, CrashSchedule, Process
+from .node import Crash, CrashPoint, CrashSchedule, Ensemble, Process
 from .simulator import RoundObserver, Simulator
 from .trace import RoundRecord, Trace, canonical_dump
 
@@ -34,6 +34,7 @@ __all__ = [
     "Crash",
     "CrashPoint",
     "CrashSchedule",
+    "Ensemble",
     "LinearMobility",
     "LocationService",
     "MIXED_TAGS",

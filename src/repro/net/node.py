@@ -72,6 +72,48 @@ class Process(ABC):
         self.deliver(r, messages, collision)
 
 
+class Ensemble(ABC):
+    """Processes the batched round engine steps as one.
+
+    An ensemble stands for ``processes``, registered at a contiguous run
+    of node ids — ``nodes``, which
+    :meth:`~repro.net.simulator.Simulator.add_ensemble` finds and sets —
+    that may share state: a lockstep cohort.  The batched engine calls it
+    once per round in place of its members' own ``contend`` / ``send``
+    / ``deliver_batch``, at its first member's position in each
+    node-ordered sweep; ``members`` are the member node ids, ascending,
+    that take part in that sweep (present, and still sending or
+    receiving).  Everything around the calls — the contention managers,
+    the channel, the adversary and the detector, ``flags``,
+    ``delivered`` and the round record — stays per node.  The reference
+    engine ignores ensembles and calls every process on its own, so an
+    ensemble must leave its processes correct when stepped alone.
+    """
+
+    #: The members' processes, in node order.
+    processes: list[Process]
+    #: The node ids they are registered at.
+    nodes: range
+
+    @abstractmethod
+    def contend(self, r: Round) -> str | None:
+        """The contention manager every member contends for in ``r``."""
+
+    @abstractmethod
+    def send_round(self, r: Round, members: list[NodeId],
+                   advised: "set[NodeId] | frozenset[NodeId]") -> list[tuple[NodeId, Any]]:
+        """The members' broadcasts, as ``(node, payload)`` pairs in node
+        order; ``advised`` holds the node ids advised to broadcast."""
+
+    @abstractmethod
+    def deliver_round(self, r: Round, members: list[NodeId],
+                      delivered: Mapping[NodeId, tuple[Message, ...]],
+                      flags: Mapping[NodeId, bool],
+                      batch: RoundBatch) -> None:
+        """Deliver round ``r`` to the members: each member's messages
+        are ``delivered[node]`` and its collision flag ``flags[node]``."""
+
+
 class CrashPoint(enum.Enum):
     """When within a round a crash takes effect."""
 

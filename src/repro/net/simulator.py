@@ -43,9 +43,13 @@ of :class:`~repro.switches.Switches`:
   (:meth:`~repro.net.mobility.MobilityModel.moved_in` — untouched nodes
   never rebuild their position entries), one decoded
   :class:`~repro.net.messages.RoundBatch` is shared across every
-  receiver's :meth:`~repro.net.node.Process.deliver_batch`, and
+  receiver's :meth:`~repro.net.node.Process.deliver_batch`,
   contention bookkeeping is skipped entirely when no node can ever
-  contend.
+  contend, and an :class:`~repro.net.node.Ensemble` registered with
+  :meth:`Simulator.add_ensemble` is called once per sweep for all its
+  members (a lockstep cohort steps once per round; proposers, flags,
+  receptions and the record stay per node).  The reference loop ignores
+  ensembles.
 
 The differential suite pins the two engines byte-identical (traces,
 outputs, metrics, verdicts) across every protocol family and switch
@@ -68,11 +72,14 @@ from .channel import Channel, RadioSpec
 from .location import LocationService
 from .messages import Message, RoundBatch
 from .mobility import MobilityModel, StaticMobility
-from .node import CrashSchedule, Process
+from .node import CrashSchedule, Ensemble, Process
 from .trace import RoundRecord, Trace
 
 #: Per-round hook: called with each completed :class:`RoundRecord`.
 RoundObserver = Callable[[RoundRecord], None]
+
+#: The advice of a round in which nobody contended.
+_NOBODY: frozenset[NodeId] = frozenset()
 
 
 @dataclass
@@ -135,6 +142,13 @@ class Simulator:
         self._deliver_fns: list[Callable] = []
         self._deliver_batch_fns: list[Callable | None] = []
         self._contend_fns: list[Callable] = []
+        #: Ensemble dispatch (:meth:`add_ensemble`): each node's
+        #: ensemble (``None`` for a lone node), each lone node's sweep
+        #: unit, and — built lazily — the steady-state sweeps over every
+        #: node and over every possible contender.
+        self._ensemble_of: list[Ensemble | None] = []
+        self._lone_units: list[tuple[None, tuple[NodeId]]] = []
+        self._steady_units: tuple[list, list] | None = None
         #: Dirty-set cache: ``(round, present, positions)`` of the last
         #: batched round, the base the next round's position map is
         #: copied from when nothing joined, crashed, or moved.
@@ -200,11 +214,53 @@ class Simulator:
             self._deliver_batch_fns.append(process.deliver_batch)
         else:
             self._deliver_batch_fns.append(None)
+        self._ensemble_of.append(None)
+        self._lone_units.append((None, (node_id,)))
+        self._steady_units = None
         self._steady_positions = None
         # New nodes invalidate the positions-unchanged caches.
         self._last_present = None
         self._batch_prev = None
         return node_id
+
+    def add_ensemble(self, ensemble: Ensemble) -> None:
+        """Dispatch ``ensemble.processes`` — registered at a contiguous,
+        ascending run of node ids outside any other ensemble — through
+        ``ensemble`` in the batched engine, and set ``ensemble.nodes`` to
+        that run (:class:`~repro.net.node.Ensemble`).  The reference
+        engine keeps calling each of their processes on its own."""
+        where = {id(entry.process): node for node, entry in self._nodes.items()}
+        nodes = [where.get(id(process), -1) for process in ensemble.processes]
+        run = range(nodes[0], nodes[0] + len(nodes)) if nodes else range(0)
+        if (not nodes or nodes[0] < 0 or nodes != list(run)
+                or any(self._ensemble_of[node] is not None for node in nodes)):
+            raise ConfigurationError(
+                f"ensemble processes at nodes {nodes} are not a contiguous "
+                "run of registered ids outside any other ensemble")
+        for node in run:
+            self._ensemble_of[node] = ensemble
+        ensemble.nodes = run
+        self._steady_units = None
+
+    def _units(self, nodes: list[NodeId]) -> list[tuple]:
+        """The node-ordered sweep over ``nodes``: a lone node's unit
+        ``(None, (node,))``, or ``(ensemble, members)`` once per
+        ensemble, at its first member's position."""
+        ensemble_of = self._ensemble_of
+        lone = self._lone_units
+        units: list[tuple] = []
+        last = None
+        for node in nodes:
+            ensemble = ensemble_of[node]
+            if ensemble is None:
+                units.append(lone[node])
+            elif last is not None and last[0] is ensemble:
+                last[1].append(node)
+                continue
+            else:
+                units.append((ensemble, [node]))
+            last = units[-1]
+        return units
 
     def add_cm(self, name: str, cm: ContentionManager) -> None:
         if name in self.cms:
@@ -434,7 +490,9 @@ class Simulator:
           protocols with a ``deliver_batch`` override decode the round's
           broadcasts once for all receivers;
         * contention bookkeeping is skipped outright when no registered
-          process can ever contend.
+          process can ever contend;
+        * an ensemble's members are swept as one unit, at the first
+          member's position (:meth:`add_ensemble`).
         """
         r = self._round
         nodes = self._nodes
@@ -453,6 +511,20 @@ class Simulator:
         self._last_present = present
         self._batch_prev = (r, present, positions)
 
+        # -- sweep units -----------------------------------------------
+        # Lone nodes one by one, each ensemble once (add_ensemble).  When
+        # every present node both sends and receives, one sweep serves
+        # all three phases; in steady state it is built once.
+        if steady:
+            if self._steady_units is None:
+                self._steady_units = (self._units(self._node_list),
+                                      self._units(self._contenders_possible))
+            units, possible_units = self._steady_units
+        elif no_crashes:
+            units = self._units(present)
+        else:
+            units = None
+
         # -- contention ------------------------------------------------
         cms = self.cms
         possible = self._contenders_possible
@@ -464,32 +536,32 @@ class Simulator:
             # (it is stateless and returns None), so only nodes overriding
             # it are consulted; order matches the sorted ``present`` sweep.
             if steady:
-                candidates = possible
+                candidate_units = possible_units
+            elif len(possible) == len(nodes) and units is not None:
+                candidate_units = units
             elif no_crashes:
-                candidates = [node for node in possible
-                              if nodes[node].start_round <= r]
-            elif len(possible) == len(nodes):
-                candidates = present
+                candidate_units = self._units(
+                    [node for node in possible if nodes[node].start_round <= r])
             else:
-                candidates = [node for node in possible
-                              if self.alive(node, r)]
+                candidate_units = self._units(
+                    [node for node in possible
+                     if self.alive(node, r) and crashes.sends_in(node, r)])
             contenders = {}
             contend_fns = self._contend_fns
-            for node in candidates:
-                if not no_crashes and not crashes.sends_in(node, r):
-                    continue
-                cm_name = contend_fns[node](r)
+            for ensemble, group in candidate_units:
+                cm_name = (contend_fns[group[0]](r) if ensemble is None
+                           else ensemble.contend(r))
                 if cm_name is None:
                     continue
                 if cm_name not in cms:
                     raise SimulationError(
-                        f"node {node} contended for unknown manager {cm_name!r}"
+                        f"node {group[0]} contended for unknown manager {cm_name!r}"
                     )
                 bucket = contenders.get(cm_name)
                 if bucket is None:
-                    contenders[cm_name] = [node]
+                    contenders[cm_name] = list(group)
                 else:
-                    bucket.append(node)
+                    bucket.extend(group)
             if contenders:
                 advice = {}
                 advised = set()
@@ -504,20 +576,17 @@ class Simulator:
         broadcasts: dict[NodeId, Message] = {}
         senders: list[NodeId] = []
         send_fns = self._send_fns
-        if advised:
-            for node in present:
-                if not no_crashes and not crashes.sends_in(node, r):
-                    continue
-                payload = send_fns[node](r, node in advised)
+        chosen = advised if advised else _NOBODY
+        for ensemble, group in (units if units is not None else self._units(
+                [node for node in present if crashes.sends_in(node, r)])):
+            if ensemble is None:
+                node = group[0]
+                payload = send_fns[node](r, node in chosen)
                 if payload is not None:
                     broadcasts[node] = Message(node, payload)
                     senders.append(node)
-        else:
-            for node in present:
-                if not no_crashes and not crashes.sends_in(node, r):
-                    continue
-                payload = send_fns[node](r, False)
-                if payload is not None:
+            else:
+                for node, payload in ensemble.send_round(r, group, chosen):
                     broadcasts[node] = Message(node, payload)
                     senders.append(node)
 
@@ -545,23 +614,28 @@ class Simulator:
         deliver_fns = self._deliver_fns
         batch_fns = self._deliver_batch_fns
         any_flag = False
-        for node in present:
-            if not no_crashes and not crashes.receives_in(node, r):
-                continue
-            reception = receptions[node]
-            spurious = False if benign else false_collision(r, node)
-            flag = (reception.lost_within_r2 if fast_detect
-                    else indicate(r, node, reception, spurious))
-            flags[node] = flag
-            if flag:
-                any_flag = True
-            messages = reception.messages
-            delivered[node] = messages
-            bfn = batch_fns[node]
-            if bfn is not None:
-                bfn(r, messages, flag, batch)
-            else:
-                deliver_fns[node](r, messages, flag)
+        for ensemble, group in (units if units is not None else self._units(
+                [node for node in present if crashes.receives_in(node, r)])):
+            # An ensemble's members are detected one by one, in node
+            # order, then delivered to in one call.
+            for node in group:
+                reception = receptions[node]
+                spurious = False if benign else false_collision(r, node)
+                flag = (reception.lost_within_r2 if fast_detect
+                        else indicate(r, node, reception, spurious))
+                flags[node] = flag
+                if flag:
+                    any_flag = True
+                messages = reception.messages
+                delivered[node] = messages
+                if ensemble is None:
+                    bfn = batch_fns[node]
+                    if bfn is not None:
+                        bfn(r, messages, flag, batch)
+                    else:
+                        deliver_fns[node](r, messages, flag)
+            if ensemble is not None:
+                ensemble.deliver_round(r, group, delivered, flags, batch)
 
         # -- contention feedback ------------------------------------------
         if contenders:

@@ -46,11 +46,14 @@ AXES: tuple[Axis, ...] = (
          "all-pairs scan (`Channel._deliver_reference`)",
          "`tests/net/test_differential.py` (`-m fast`)"),
     Axis("engine", "REPRO_REFERENCE_ENGINE",
-         "batched round dispatch with its position/contender caches "
+         "batched round dispatch with its position/contender caches, "
+         "a lockstep cohort stepped once per round as one ensemble "
          "(`Simulator._step_batched`)",
-         "the seed per-node round loop, no caches "
-         "(`Simulator._step_reference`)",
-         "`tests/net/test_engine_differential.py` (`-m fast`)"),
+         "the seed per-node round loop, no caches, no ensembles: "
+         "cohort members fork into singletons (`Simulator._step_reference`)",
+         "`tests/net/test_engine_differential.py` (`-m fast`), "
+         "`tests/core/test_ensemble_differential.py` "
+         "(`-m core_differential`)"),
     Axis("history", "REPRO_REFERENCE_HISTORY",
          "interned incremental history chains (`HistoryChain`)",
          "re-walking fold (`calculate_history_reference`)",

@@ -1,18 +1,17 @@
-"""The cohort store: members of one cohort against independent dict twins.
+"""The cohort store, driven through the ensemble, against dict twins.
 
-:mod:`repro.core.slotted` keeps one copy of the protocol storage per
-*cohort* of member cores whose state is equal; a member whose step
-outcome differs forks (copies the storage, with the step it did not
-take undone), a member read or written while lagging forks before it
-answers, and a member still behind when the next step begins is forked
-then.  This suite drives ``N`` members of one cohort and ``N``
-independently built :class:`~repro.core.cha.ChaCore` twins through the
-same per-member schedules — shared and divergent ballots, collisions,
-vetoes heard by some members, members that stop being driven (crashes),
-snapshot / restore, ``reset_to``, stray pre-instance receptions, view
-writes, folds that fail — and after every operation compares each
-member with its twin: output log, ``status``, ``ballots``, ``k``,
-``prev_instance``, proposals and the pickled snapshot.
+A :class:`~repro.core.cha.CHAEnsemble` steps ``N`` member processes
+whose slotted cores share one store; ``N`` independently built
+dict-core twins are stepped one by one with the same per-member inputs.
+Each round a member takes part through the ensemble, is stepped on its
+own (a lone step forks it out of the store first), or not at all (a
+crash, before or after its send); it hears the whole broadcast set,
+nothing, or only itself, and gets its own collision flag — every way a
+member leaves the common path.  Between rounds: snapshot / restore,
+``reset_to``, stray receptions and view writes on one member.  After
+every operation each member is compared with its twin: output log,
+``status``, ``ballots``, ``k``, ``prev_instance``, proposals, resident
+entries and the pickled snapshot.
 
 Marked ``core_differential`` so the PR pre-gate runs it with the rest of
 the slotted core's byte-identity gate.
@@ -28,76 +27,48 @@ from hypothesis import given, settings, strategies as st
 
 from _switches import materialised
 from repro import ClusterWorld, ExperimentSpec, Switches, WorkloadSpec, run
-from repro.core import ChaCore, CheckpointChaCore
-from repro.core.ballot import Ballot
+from repro.baselines.naive_rsm import NaiveRSMProcess
+from repro.baselines.two_phase_cha import TwoPhaseChaProcess
+from repro.core import CHAEnsemble, CHAProcess
+from repro.core.ballot import Ballot, BallotPayload
+from repro.core.checkpoint import CheckpointCHAProcess
 from repro.core.history import new_chain_generation
-from repro.core.slotted import (
-    SlottedChaCore,
-    SlottedCheckpointChaCore,
-    form_cohort,
-)
+from repro.core.slotted import SlottedChaCore, form_cohort
 from repro.errors import ProtocolError
 from repro.experiment import CheckpointCHA
+from repro.net import Message, RoundBatch
 from repro.types import Color
 
 pytestmark = [pytest.mark.fast, pytest.mark.core_differential]
 
-#: How one member's ballot phase goes.
-_BALLOTS = ("leader", "leader", "two", "mine", "collision", "silence", "stale")
-
-_member_ops = st.tuples(
-    st.sampled_from(_BALLOTS),
-    st.booleans(), st.booleans(),   # veto-1 heard, veto-1 collision
-    st.booleans(), st.booleans())   # veto-2 heard, veto-2 collision
-
-
-def _instance_op(n: int):
-    return st.tuples(st.just("instance"), st.booleans(), st.booleans(),
-                     st.lists(_member_ops, min_size=n, max_size=n))
-
-
-def _member_op(n: int):
-    member = st.integers(0, n - 1)
-    return st.one_of(
-        st.tuples(st.just("crash"), member),
-        st.tuples(st.just("save"), member),
-        st.tuples(st.just("restore"), member),
-        st.tuples(st.just("reset"), member, st.integers(0, 3)),
-        st.tuples(st.just("stray"), member, st.booleans()),
-        st.tuples(st.just("status"), member, st.integers(0, 6),
-                  st.sampled_from(list(Color))),
-        st.tuples(st.just("ballot"), member, st.integers(0, 6), st.just(0)),
-    )
-
-
-def _schedules(n: int):
-    step = _instance_op(n)
-    return st.lists(st.one_of(step, step, step, _member_op(n)),
-                    min_size=1, max_size=20)
+_DICT = Switches(core=True)
 
 
 def _reducer(state, k, value):
-    return state + ((k, value),)
+    # An int state: tuple states would share their entries between a
+    # log's records in a pattern a restore breaks on one side only.
+    return (state * 1_000_003 + k * 7 + len(repr(value))) % (1 << 61)
 
 
-def _pairs(n: int, checkpoint: bool):
-    """``n`` members of one cohort and their ``n`` dict twins."""
-    members, twins = [], []
-    for i in range(n):
-        kwargs = dict(propose=lambda k, i=i: f"v{i}.{k:03d}")
-        if checkpoint:
-            kwargs.update(reducer=_reducer, initial_state=())
-            members.append(SlottedCheckpointChaCore(**kwargs))
-            twins.append(CheckpointChaCore(**kwargs))
-        else:
-            members.append(SlottedChaCore(**kwargs))
-            twins.append(ChaCore(**kwargs))
-    form_cohort(members)
-    return members, twins
+_KINDS = {
+    "cha": lambda **kw: CHAProcess(**kw),
+    "checkpoint-cha": lambda **kw: CheckpointCHAProcess(
+        reducer=_reducer, initial_state=0, **kw),
+    "naive-rsm": lambda **kw: NaiveRSMProcess(**kw),
+    "two-phase-cha": lambda **kw: TwoPhaseChaProcess(**kw),
+}
+
+
+def _world(kind: str, n: int):
+    """An ensemble of ``n`` members and the members' ``n`` dict twins."""
+    build = _KINDS[kind]
+    members = [build(propose=lambda k, i=i: f"v{i}.{k:03d}") for i in range(n)]
+    twins = [build(propose=lambda k, i=i: f"v{i}.{k:03d}", switches=_DICT)
+             for i in range(n)]
+    return CHAEnsemble(members), members, twins
 
 
 def _same(member, twin) -> None:
-    # First, while a lagging member is still lagging: answered unforked.
     assert member.has_instance() == twin.has_instance()
     log = list(member.outputs)
     assert log == twin.outputs
@@ -110,196 +81,267 @@ def _same(member, twin) -> None:
     assert member.resident_entries() == twin.resident_entries()
 
 
-def _both(pair, call):
-    """Apply ``call`` to a member and its twin; both raise alike or not."""
-    outcomes = []
-    for core in pair:
-        try:
-            call(core)
-            outcomes.append(None)
-        except (KeyError, ProtocolError) as exc:
-            outcomes.append(type(exc))
-    assert outcomes[0] == outcomes[1]
+def _all_same(members, twins) -> None:
+    for member, twin in zip(members, twins):
+        _same(member.core, twin.core)
 
 
-def _run_instance(pairs, live, phase_major, peek, plan):
-    """One instance for every live member: ballot, veto-1, veto-2."""
-    leader = pairs[live[0]][1] if live else None
-    begun: dict[int, Ballot] = {}
+def _deliveries(sent: dict, plans, receivers):
+    """Each receiver's reception (whole set, nothing, or only its own
+    broadcast) over ``sent``, and the round's batch."""
+    messages = {i: Message(i, payload) for i, payload in sent.items()}
+    every = tuple(messages.values())
+    delivered = {}
+    for i in receivers:
+        hears = plans[i][1]
+        delivered[i] = (every if hears == "all" else () if hears == "none"
+                        else (messages[i],) if i in messages else ())
+    return delivered, RoundBatch(messages)
 
-    def begin(i):
-        member, twin = pairs[i]
-        member.begin_instance_send(False)
-        begun[i] = twin.begin_instance().ballot
 
-    def ballot(i):
-        wire = begun[live[0]]
-        kind = plan[i][0]
-        # One list object per kind, as one round's batch memo hands out;
-        # a collision flag on the leader's list is a receiver's own.
-        shared = {"leader": [wire], "silence": [],
-                  "two": [Ballot("zz", wire.prev_instance), wire],
-                  "mine": [begun[i]],
-                  "stale": [Ballot("a", max(0, leader.k - 2))]}
-        received = lists.setdefault(
-            "leader" if kind == "collision" else kind,
-            shared["leader" if kind == "collision" else kind])
-        _both(pairs[i], lambda core: core.on_ballot_reception(
-            received, kind == "collision"))
-
-    def veto1(i):
-        _, heard, coll, _, _ = plan[i]
-        for core in pairs[i]:
-            if core.has_instance() and (heard or coll):
-                core.on_veto1_reception(heard, coll)
-
-    def veto2(i):
-        _, _, _, heard, coll = plan[i]
-        member, twin = pairs[i]
-        assert member.has_instance() == twin.has_instance()
-        if twin.has_instance():
-            _both(pairs[i], lambda core: (
-                core.end_instance(heard, coll)
-                if isinstance(core, SlottedChaCore)
-                else core.on_veto2_reception(heard, coll)))
-
-    lists: dict[str, list] = {}
-    if not live:
+def _round(r, ens, members, twins, live, dying, plans, two_advised):
+    """Round ``r``: ``live`` members send (``dying`` ones then crash
+    before receiving); each member's plan is ``(mode, hears, flag)``."""
+    senders = sorted(live)
+    if not senders:
         return
-    if phase_major:  # the simulator's order: one phase for all, in turn
-        for phase in (begin, ballot, veto1, veto2):
-            for i in live:
-                phase(i)
-    else:  # one member runs its whole instance before the next starts
-        for i in live:
-            if peek and i != live[0]:
-                _same(*pairs[i])  # read while lagging: forks, same answer
-            for phase in (begin, ballot, veto1, veto2):
-                phase(i)
+    advised = {senders[0], senders[-1]} if two_advised else {senders[0]}
+    alone = [i for i in senders if plans[i][0] == "alone"]
+    through = [i for i in senders if plans[i][0] != "alone"]
+    sent = {}
+    for i in alone:  # a lone step: forks out of the store first
+        payload = members[i].send(r, i in advised)
+        if payload is not None:
+            sent[i] = payload
+    if through:
+        sent.update(ens.send_round(r, through, advised))
+    twin_sent = {}
+    for i in senders:
+        payload = twins[i].send(r, i in advised)
+        if payload is not None:
+            twin_sent[i] = payload
+    assert sorted(sent) == sorted(twin_sent)
+    assert all(sent[i] == twin_sent[i] for i in sent)
+
+    # Both sides hear the twins' wire objects (as one channel would
+    # carry them), so adopted ballots and the interned chain links
+    # folded from them are the same objects on both.
+    receivers = [i for i in senders if i not in dying]
+    flags = {i: plans[i][2] for i in receivers}
+    delivered, batch = _deliveries(twin_sent, plans, receivers)
+    twin_delivered, twin_batch = _deliveries(twin_sent, plans, receivers)
+    for i in receivers:
+        if plans[i][0] == "alone":
+            members[i].deliver_batch(r, delivered[i], flags[i], batch)
+    taking = [i for i in receivers if plans[i][0] != "alone"]
+    if taking:
+        ens.deliver_round(r, taking, delivered, flags, batch)
+    for i in receivers:
+        twins[i].deliver_batch(r, twin_delivered[i], flags[i], twin_batch)
 
 
-@pytest.mark.parametrize("checkpoint", [False, True])
+_plan = st.tuples(
+    st.sampled_from(("ensemble", "ensemble", "ensemble", "alone")),
+    st.sampled_from(("all", "all", "all", "none", "own")),
+    st.sampled_from((False, False, False, True)))
+
+
+def _schedules(n: int):
+    member = st.integers(0, n - 1)
+    step = st.tuples(st.just("round"), st.booleans(),
+                     st.lists(_plan, min_size=n, max_size=n))
+    uniform = st.tuples(st.just("round"), st.just(False),
+                        st.just([("ensemble", "all", False)] * n))
+    other = st.one_of(
+        st.tuples(st.just("crash"), member, st.booleans()),
+        st.tuples(st.just("save"), member),
+        st.tuples(st.just("restore"), member),
+        st.tuples(st.just("reset"), member, st.integers(0, 3)),
+        st.tuples(st.just("stray"), member, st.booleans()),
+        st.tuples(st.just("status"), member, st.integers(0, 6),
+                  st.sampled_from(list(Color))),
+        st.tuples(st.just("ballot"), member, st.integers(0, 6)),
+    )
+    return st.lists(st.one_of(uniform, uniform, step, step, other),
+                    min_size=1, max_size=30)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
-@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_members_match_their_twins(n, checkpoint, data):
+def test_members_match_their_twins(kind, n, data):
     new_chain_generation()
     schedule = data.draw(_schedules(n))
-    members, twins = _pairs(n, checkpoint)
-    pairs = list(zip(members, twins))
-    live = list(range(n))
+    ens, members, twins = _world(kind, n)
+    live, dying = set(range(n)), set()
     saved = None
+    r = 0
     for op in schedule:
-        kind = op[0]
-        if kind == "instance":
-            _run_instance(pairs, live, op[1], op[2], op[3])
-        elif kind == "crash":
-            if op[1] in live:
-                live.remove(op[1])  # stops being driven: lags from now on
-        elif kind == "save":
-            saved = twins[op[1]].snapshot()
-        elif kind == "restore":
-            if saved is not None:
-                for core in pairs[op[1]]:
-                    core.restore(saved)
-        elif kind == "reset":
-            if checkpoint:
-                anchor = twins[op[1]].k + op[2]
-                for core in pairs[op[1]]:
-                    core.reset_to(anchor, ())
-        elif kind == "stray":  # a reception before any instance began
+        what = op[0]
+        if what == "round":
+            _round(r, ens, members, twins, live, dying, op[2], op[1])
+            live -= dying
+            dying.clear()
+            r += 1
+        elif what == "crash" and op[1] in live:
+            # After its send: it sends next round, then never receives.
+            (dying.add if op[2] else live.discard)(op[1])
+        elif what == "save":
+            saved = twins[op[1]].core.snapshot()
+        elif what == "restore" and saved is not None:
+            for proc in (members[op[1]], twins[op[1]]):
+                proc.core.restore(saved)
+        elif what == "reset" and kind == "checkpoint-cha":
+            anchor = twins[op[1]].core.k + op[2]
+            for proc in (members[op[1]], twins[op[1]]):
+                proc.core.reset_to(anchor, 0)
+        elif what == "stray":  # a reception outside the phase grid
             heard = [] if op[2] else [Ballot("stray", 0)]
-            for core in pairs[op[1]]:
-                core.on_ballot_reception(heard, False)
-        elif kind in ("status", "ballot"):
-            # An existing slot: the slotted views list instances in
-            # ascending order, the dicts in insertion order, so pickled
-            # snapshots only agree while writes keep the two orders equal.
-            twin = twins[op[1]]
-            held = sorted(twin.status if kind == "status" else twin.ballots)
+            for proc in (members[op[1]], twins[op[1]]):
+                proc.core.on_ballot_reception(heard, False)
+        elif what in ("status", "ballot"):
+            # A past slot that exists: the slotted views list instances
+            # in ascending order, the dicts in insertion order, so
+            # pickled snapshots only agree while writes keep the two
+            # orders equal; a past colour or a root-anchored ballot
+            # never breaks a later fold.
+            twin = twins[op[1]].core
+            held = sorted(k for k in (twin.status if what == "status"
+                                      else twin.ballots) if k < twin.k)
             if not held:
                 continue
             slot = held[op[2] % len(held)]
-            for core in pairs[op[1]]:
-                if kind == "status":
-                    core.status[slot] = op[3]
+            for proc in (members[op[1]], twins[op[1]]):
+                if what == "status":
+                    proc.core.status[slot] = op[3]
                 else:
-                    core.ballots[slot] = Ballot("late", max(0, slot - 1))
-        for pair in pairs:
-            _same(*pair)
+                    proc.core.ballots[slot] = Ballot("late", 0)
+        _all_same(members, twins)
 
 
-def _lockstep(members, twins, instances, *, red_at=()):
-    for k in range(1, instances + 1):
-        wires = [twin.begin_instance().ballot for twin in twins]
-        for member in members:
-            member.begin_instance_send(False)
-        received = [] if k in red_at else [wires[0]]
-        for core in (*members, *twins):
-            core.on_ballot_reception(received, False)
-        for member in members:
-            member.end_instance(False, False)
-        for twin in twins:
-            twin.on_veto2_reception(False, False)
+def _lockstep(ens, members, twins, rounds, start=0, **plan):
+    plans = [(plan.get("mode", "ensemble"), plan.get("hears", "all"),
+              plan.get("flag", False))] * len(members)
+    for r in range(start, start + rounds):
+        _round(r, ens, members, twins, set(range(len(members))), set(),
+               plans, False)
 
 
-@pytest.mark.parametrize("checkpoint", [False, True])
-def test_failed_fold_logs_nothing_per_member(checkpoint):
-    """A fold that reaches a missing ballot raises before anything is
-    logged, for every member, whether it leads or follows."""
-    members, twins = _pairs(3, checkpoint)
-    _lockstep(members, twins, 2, red_at={2})
-    bad = Ballot("x", 2)   # points at the red instance: no ballot there
-    for core in (*members, *twins):
-        core.begin_instance_send(False) if core in members \
-            else core.begin_instance()
-        core.on_ballot_reception([bad], False)
-    for member, twin in zip(members, twins):
-        _both((member, twin), lambda core: (
-            core.end_instance(False, False) if core is member
-            else core.on_veto2_reception(False, False)))
-        assert len(member.outputs) == 2
-        _same(member, twin)
-
-
-def test_lockstep_members_share_one_store_and_step_once(monkeypatch):
-    """A lockstep cohort stays one cohort, and each transition is
-    applied once per cohort, not once per member."""
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_lockstep_members_share_one_store_and_step_once(kind, monkeypatch):
+    """A lockstep cohort stays one store, and each transition is
+    applied to it once per round, not once per member."""
     folds = []
     fold = SlottedChaCore._fold_chain
     monkeypatch.setattr(SlottedChaCore, "_fold_chain",
                         lambda self, *a, **kw: folds.append(1)
                         or fold(self, *a, **kw))
-    members, twins = _pairs(5, False)
-    _lockstep(members, twins, 30)
-    assert len({id(member._c) for member in members}) == 1
-    assert len(folds) == 30
-    for pair in zip(members, twins):
-        _same(*pair)
+    ens, members, twins = _world(kind, 5)
+    rpi = members[0].rounds_per_instance
+    _lockstep(ens, members, twins, 30 * rpi)
+    assert len({id(p.core._c) for p in members}) == 1
+    # NaiveRSM's leader also folds the history it ships.
+    assert len(folds) == (60 if kind == "naive-rsm" else 30)
+    _all_same(members, twins)
 
 
-def test_diverging_members_fork_into_private_stores():
-    """Members whose outcome differs from the leader's each fork into a
-    store of their own; the members that agree stay one cohort."""
-    members, twins = _pairs(6, False)
-    _lockstep(members, twins, 3)
-    for core in (*members, *twins):
-        (core.begin_instance_send(False) if core in members
-         else core.begin_instance())
-    wire = Ballot("w", 3)
-    for i, core in enumerate(members):
-        core.on_ballot_reception([] if i % 2 else [wire], False)
-    for i, core in enumerate(twins):
-        core.on_ballot_reception([] if i % 2 else [wire], False)
-    assert len({id(m._c) for m in members}) == 4
-    assert len({id(m._c) for m in members[0::2]}) == 1
-    assert not any(m._c.shared for m in members[1::2])
-    for member in members:
-        member.end_instance(False, False)
+def test_members_off_the_common_path_fork_into_private_stores():
+    """A member with a partial reception or the minority's collision
+    flag is forked out before the step; the rest stay one store."""
+    ens, members, twins = _world("cha", 6)
+    _lockstep(ens, members, twins, 9)
+    store = members[0].core._c
+    plans = [("ensemble", "all", False)] * 6
+    plans[2] = ("ensemble", "all", True)       # the minority's flag
+    plans[4] = ("ensemble", "none", False)     # hears less than the set
+    _round(9, ens, members, twins, set(range(6)), set(), plans, False)
+    assert store.members == [members[i].core for i in (0, 1, 3, 5)]
+    assert len({id(p.core._c) for p in members}) == 3
+    _lockstep(ens, members, twins, 9, start=10)
+    assert store.members == [members[i].core for i in (0, 1, 3, 5)]
+    _all_same(members, twins)
+
+
+def test_a_lone_step_forks_first_and_the_ensemble_steps_it_alone():
+    """A member stepped outside the ensemble leaves the store for a
+    plain copy before its step (no undo: members of one store are never
+    at different steps); the ensemble then steps it on its own, in its
+    place in node order, and its proposer calls keep node order."""
+    calls = []
+    members = [CHAProcess(propose=lambda k, i=i: calls.append(i) or f"v{i}.{k}")
+               for i in range(4)]
+    twins = [CHAProcess(propose=lambda k, i=i: f"v{i}.{k}", switches=_DICT)
+             for i in range(4)]
+    ens = CHAEnsemble(members)
+    _lockstep(ens, members, twins, 3)
+    store = members[0].core._c
+    plans = [("ensemble", "all", False)] * 4
+    plans[1] = ("alone", "all", False)
+    _round(3, ens, members, twins, set(range(4)), set(), plans, False)
+    assert members[1].core._c is not store and members[1].core._c.members is None
+    assert store.members == [members[i].core for i in (0, 2, 3)]
+    calls.clear()
+    _lockstep(ens, members, twins, 6, start=4)
+    assert calls == [0, 1, 2, 3] * 2
+    _all_same(members, twins)
+    members[3].core.status[1] = Color.RED       # a write forks first, too
+    twins[3].core.status[1] = Color.RED
+    assert store.members == [members[i].core for i in (0, 2)]
+    _all_same(members, twins)
+
+
+def test_a_crashed_member_is_forked_before_the_next_step():
+    """A member that stops taking part (a crash before or after its
+    send) is forked out before the step it misses, at its own state."""
+    ens, members, twins = _world("checkpoint-cha", 4)
+    _lockstep(ens, members, twins, 6)
+    store = members[0].core._c
+    plans = [("ensemble", "all", False)] * 4
+    _round(6, ens, members, twins, {0, 1, 3}, set(), plans, False)
+    _round(7, ens, members, twins, {0, 1, 3}, {3}, plans, False)
+    assert store.members == [members[0].core, members[1].core]
+    for r in range(8, 38):
+        _round(r, ens, members, twins, {0, 1}, set(), plans, False)
+    _all_same(members, twins)
+
+
+@pytest.mark.parametrize("kind", ["cha", "checkpoint-cha"])
+def test_failed_fold_logs_nothing_per_member(kind):
+    """A fold that reaches a missing ballot raises before anything is
+    logged, on the shared store and on every twin."""
+    ens, members, twins = _world(kind, 3)
+    _lockstep(ens, members, twins, 3)
+    _lockstep(ens, members, twins, 3, start=3, flag=True)   # red: no ballot
+    bad = BallotPayload("cha", 3, Ballot("x", 2))   # points at instance 2
+    batch = RoundBatch({9: Message(9, bad)})
+    heard = {i: (Message(9, bad),) for i in range(3)}
+    quiet = {i: False for i in range(3)}
+    ens.send_round(6, [0, 1, 2], {0})
+    ens.deliver_round(6, [0, 1, 2], heard, quiet, batch)
     for twin in twins:
-        twin.on_veto2_reception(False, False)
-    for pair in zip(members, twins):
-        _same(*pair)
+        twin.send(6, False)
+        twin.deliver_batch(6, heard[0], False, batch)
+    for r in (7, 8):
+        ens.send_round(r, [0, 1, 2], set())
+        for twin in twins:
+            twin.send(r, False)
+        silent = RoundBatch({})
+        if r == 8:
+            with pytest.raises((ProtocolError, KeyError)):
+                ens.deliver_round(r, [0, 1, 2], dict.fromkeys(range(3), ()),
+                                  quiet, silent)
+            for twin in twins:
+                with pytest.raises((ProtocolError, KeyError)):
+                    twin.deliver_batch(r, (), False, silent)
+        else:
+            ens.deliver_round(r, [0, 1, 2], dict.fromkeys(range(3), ()),
+                              quiet, silent)
+            for twin in twins:
+                twin.deliver_batch(r, (), False, silent)
+    for member in members:
+        assert len(member.outputs) == 2
+    _all_same(members, twins)
 
 
 def test_a_checkpoint_cohort_reduces_once_per_green_instance():
@@ -327,49 +369,24 @@ def test_a_checkpoint_cohort_reduces_once_per_green_instance():
     assert counts == [10, 6 * 10]
 
 
-def test_only_fresh_cores_built_alike_form_a_cohort():
-    members, _ = _pairs(2, False)        # already one cohort: not fresh
-    members[0].begin_instance_send(False)
+def test_only_fresh_alike_processes_form_an_ensemble():
+    _, members, _ = _world("cha", 2)           # already one cohort
     with pytest.raises(ValueError):
-        form_cohort(members)
-    plain, _ = _pairs(1, False)
-    checkpoint, _ = _pairs(1, True)
+        form_cohort([p.core for p in members])
+    fresh = [CHAProcess(propose=str) for _ in range(2)]
+    fresh[0].core.begin_instance_send(False)
     with pytest.raises(ValueError):
-        form_cohort(plain + checkpoint)
-
-
-@pytest.mark.parametrize("checkpoint", [False, True])
-def test_a_stopped_member_is_forked_when_the_next_step_begins(checkpoint):
-    """A member that stops being driven (a crash) is forked out of the
-    cohort as soon as the others begin a step it has not followed (the
-    undo record it needs is about to go), so the cohort never keeps
-    more than one step for it; read many steps later, it answers at its
-    own step."""
-    members, twins = _pairs(3, checkpoint)
-    _lockstep(members, twins, 2)
-    cohort = members[0]._c
-    _lockstep(members[:2], twins[:2], 1)
-    assert members[2]._c is not cohort and not members[2]._c.shared
-    assert cohort.members == members[:2]
-    _lockstep(members[:2], twins[:2], 30)
-    assert members[0]._c is cohort and cohort.members == members[:2]
-    for pair in zip(members, twins):
-        _same(*pair)
-
-
-def test_a_write_between_steps_still_detaches_a_lagging_member():
-    """A member that leaves at the current step (a view write) is no
-    longer counted as having taken it, so a member one step behind is
-    still forked out before the next step replaces its undo record."""
-    members, twins = _pairs(3, False)
-    _lockstep(members, twins, 2)
-    for i in (0, 1):
-        members[i].begin_instance_send(False)
-        twins[i].begin_instance()
-    for core in (members[1], twins[1]):
-        core.status[1] = Color.RED
-    for core in (members[0], twins[0]):
-        core.on_ballot_reception([], False)
-    assert not members[2]._c.shared
-    for pair in zip(members, twins):
-        _same(*pair)
+        CHAEnsemble(fresh)
+    with pytest.raises(ValueError):
+        CHAEnsemble([CHAProcess(propose=str), TwoPhaseChaProcess(propose=str)])
+    with pytest.raises(ValueError):
+        CHAEnsemble([CHAProcess(propose=str)])
+    # Cores of different builds: refused by the store, whether or not
+    # their processes are of one class.
+    plain = CHAProcess(propose=str).core
+    checkpoint = _KINDS["checkpoint-cha"](propose=str).core
+    with pytest.raises(ValueError):
+        form_cohort([plain, checkpoint])
+    with pytest.raises(ValueError):
+        CHAEnsemble([CHAProcess(propose=str, pool_payloads=pooled)
+                     for pooled in (True, False)])

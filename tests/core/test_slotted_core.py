@@ -627,11 +627,10 @@ def test_decided_instance_retains_no_per_node_object(n):
 
 
 def test_crashed_members_leave_the_cohort_store_bounded():
-    """(c) A member that stops being driven is forked out of the cohort
-    when the next step begins, so the store keeps one step's undo record
-    and nothing per step for it: the crash run holds the same per-instance
-    bound.  A multi-step undo log that the crashed members pin reads
-    about 26."""
+    """(c) A member that stops taking part is forked out of the cohort
+    before the step it misses, and the store keeps nothing per step for
+    it: the crash run holds the same per-instance bound.  A multi-step
+    undo log that the crashed members pin reads about 26."""
     assert _tracked_objects_per_instance(20, crashed=(3, 11)) <= 15
 
 
@@ -652,24 +651,58 @@ def test_lockstep_run_is_one_cohort():
     assert len(cohorts) == 1
 
 
+def _count_calls(monkeypatch, owner, names, counts):
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(self, *args, _original=original, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+
 def test_transitions_per_instance_do_not_grow_with_n(monkeypatch):
     """(e) A lockstep cohort applies each transition once: folds and
-    recorded steps per instance are the same at n = 20 and n = 60."""
-    counts = {}
+    store steps per instance are the same at n = 20 and n = 60 (a quiet
+    veto-1 reception is no step at all)."""
+    steps = ("_fold_chain", "step_begin", "step_ballot", "step_veto1",
+             "step_end")
+    per_instance = {}
     for n in (20, 60):
-        calls = [0]
-        fold = SlottedChaCore._fold_chain
-
-        def counting(self, *args, _fold=fold, **kwargs):
-            calls[0] += 1
-            return _fold(self, *args, **kwargs)
-
-        monkeypatch.setattr(SlottedChaCore, "_fold_chain", counting)
+        counts: dict[str, int] = {}
+        _count_calls(monkeypatch, SlottedChaCore, steps, counts)
         stepper = _lockstep_stepper(n, 100)
         stepper.step(3 * 10)
-        cohort = stepper.processes[0].core._c
-        steps, calls[0] = cohort.T, 0
+        counts.clear()
         stepper.step(3 * 90)
-        counts[n] = (calls[0] / 90, (cohort.T - steps) / 90)
+        per_instance[n] = {name: calls / 90 for name, calls in counts.items()}
         monkeypatch.undo()
-    assert counts[20] == counts[60] == (1.0, 3.0)
+    assert per_instance[20] == per_instance[60] == {
+        "_fold_chain": 1.0, "step_begin": 1.0, "step_ballot": 1.0,
+        "step_end": 1.0}
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_lockstep_rounds_dispatch_the_ensemble_once(n, monkeypatch):
+    """(f) Ensemble dispatch: after round 0, a lockstep run calls no
+    process's own ``send`` / ``deliver_batch`` / ``contend``, and the
+    ensemble once per round for each; the history folds once per
+    instance.  Per-node dispatch reads n calls of each per round."""
+    from repro.core import CHAEnsemble, CHAProcess
+
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, CHAProcess, ("send", "deliver_batch", "contend"),
+                 counts)
+    _count_calls(monkeypatch, CHAEnsemble,
+                 ("send_round", "deliver_round", "contend"), counts)
+    _count_calls(monkeypatch, SlottedChaCore, ("_fold_chain",), counts)
+    stepper = _lockstep_stepper(n, 40)
+    stepper.step(1)
+    counts.clear()
+    stepper.step(3 * 39)
+    rounds = 3 * 39
+    per_round = {name: calls / rounds for name, calls in counts.items()}
+    assert per_round.pop("_fold_chain") * rounds == 39
+    assert per_round == {"send_round": 1.0, "deliver_round": 1.0,
+                         "contend": 1.0}

@@ -63,3 +63,22 @@ class TestRecordTraceSwitch:
         assert wire.total_broadcasts == sim.trace.total_broadcasts()
         assert wire.max_message_size == sim.trace.max_message_size()
         assert wire.mean_message_size == sim.trace.mean_message_size()
+
+    def test_collision_flags_count_only_the_rounds_that_raise_them(self):
+        """Flags fire in some rounds only: the counts (and their node
+        order, first flagged first) match a walk over every round."""
+        rounds = [{0: False, 1: False, 2: False}, {0: False, 1: True, 2: False},
+                  {0: False, 1: False, 2: False}, {0: True, 1: True, 2: False},
+                  {}, {2: True}]
+        wire = WireStatsObserver()
+        expected: dict[int, int] = {}
+        for r, flags in enumerate(rounds):
+            wire(RoundRecord(round=r, positions={}, broadcasts={},
+                             receptions={}, collisions=flags,
+                             advised_active=frozenset(), crashed=frozenset()))
+            for node, flag in flags.items():
+                if flag:
+                    expected[node] = expected.get(node, 0) + 1
+        assert wire.collision_flags == expected == {1: 2, 0: 1, 2: 1}
+        assert list(wire.collision_flags) == [1, 0, 2]
+        assert wire.rounds == len(rounds)

@@ -10,6 +10,7 @@ from repro.net import (
     Crash,
     CrashPoint,
     CrashSchedule,
+    Ensemble,
     LinearMobility,
     Message,
     Process,
@@ -308,3 +309,49 @@ class TestMidRunJoin:
         # Six simultaneous chatters collide; the joiner still observes the
         # round (a collision flag), proving it receives only once present.
         assert [r for r, _, _ in listener.received] == [5]
+
+
+class _Echo(Process):
+    def send(self, r, active):
+        return None
+
+    def deliver(self, r, messages, collision):
+        pass
+
+
+class _Nobody(Ensemble):
+    def __init__(self, processes):
+        self.processes = processes
+        self.nodes = None
+
+    def contend(self, r):
+        return None
+
+    def send_round(self, r, members, advised):
+        return []
+
+    def deliver_round(self, r, members, delivered, flags, batch):
+        pass
+
+
+def _three_nodes():
+    sim = Simulator(spec=RadioSpec(r1=1.0, r2=1.5))
+    procs = [_Echo() for _ in range(4)]     # the fourth is never registered
+    for i, proc in enumerate(procs[:3]):
+        sim.add_node(proc, Point(0.1 * i, 0.0))
+    return sim, procs
+
+
+def test_add_ensemble_sets_the_ids_it_finds_the_processes_at():
+    sim, procs = _three_nodes()
+    ensemble = _Nobody(procs[1:3])
+    sim.add_ensemble(ensemble)
+    assert ensemble.nodes == range(1, 3)
+
+
+@pytest.mark.parametrize("picks", [[], [1, 0], [0, 2], [2, 3], [3], [0, 1]])
+def test_add_ensemble_refuses_a_run_that_is_not_contiguous_and_free(picks):
+    sim, procs = _three_nodes()
+    sim.add_ensemble(_Nobody([procs[0]]))
+    with pytest.raises(ConfigurationError):
+        sim.add_ensemble(_Nobody([procs[i] for i in picks]))
