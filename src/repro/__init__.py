@@ -62,7 +62,6 @@ from .core import (
     CheckpointCHAProcess,
     History,
     ROUNDS_PER_INSTANCE,
-    calculate_history,
     calculate_history_reference,
     check_agreement,
     check_all,
@@ -130,7 +129,6 @@ __all__ = [
     "TwoPhaseCHA",
     "VIEmulation",
     "WorkloadSpec",
-    "calculate_history",
     "calculate_history_reference",
     "check_agreement",
     "check_all",

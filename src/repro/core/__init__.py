@@ -9,7 +9,6 @@ from .cha import (
     PHASE_VETO1,
     PHASE_VETO2,
     ROUNDS_PER_INSTANCE,
-    calculate_history,
     calculate_history_reference,
 )
 from .checkpoint import (
@@ -48,7 +47,6 @@ __all__ = [
     "SlottedChaCore",
     "SlottedCheckpointChaCore",
     "VetoPayload",
-    "calculate_history",
     "calculate_history_reference",
     "canonical_key",
     "check_agreement",

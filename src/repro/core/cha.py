@@ -3,10 +3,14 @@
 The protocol is factored in two layers:
 
 * :class:`ChaCore` is the pure protocol state machine: colours, ballots,
-  the ``prev-instance`` pointer and ``calculate-history``.  It exposes one
-  method per protocol event (begin instance, ballot reception, veto
-  decisions/receptions) and is driven explicitly.  The virtual-
-  infrastructure emulation (Section 4) reuses this core with its own
+  the ``prev-instance`` pointer and ``calculate-history``.  It is driven
+  explicitly through the step surface every core shares: ``step_begin``
+  and ``propose`` (with ``ballot_payload``), ``step_ballot``,
+  ``veto_due`` / ``veto_payload`` and ``step_veto1``, then ``step_end``
+  (``step_end_single`` for the two-phase ablation), plus
+  ``has_instance`` and ``detach``.  :func:`build_core` picks the core
+  a process or emulation replica runs.  The virtual-infrastructure
+  emulation (Section 4) drives the same surface on its own
   eleven-phase schedule.
 * :class:`CHAProcess` adapts the core to the simulator's
   :class:`~repro.net.node.Process` interface with the canonical
@@ -88,11 +92,6 @@ def calculate_history_reference(instance: Instance, prev: Instance,
     return History(instance, entries)
 
 
-#: Public alias: the stateless fold *is* the reference implementation —
-#: the incremental engine needs per-core state and lives in ChaCore.
-calculate_history = calculate_history_reference
-
-
 class _InstanceMap(dict):
     """A ``status`` / ``ballots`` dict that refuses negative instances
     (instances are ``>= 0``; ``NO_INSTANCE`` is 0): every write goes
@@ -158,24 +157,22 @@ class ChaCore:
                        setattr(self, "_ballots", _InstanceMap(mapping)))
 
     # ------------------------------------------------------------------
-    # Ballot phase
+    # Protocol steps (the surface every core shares)
     # ------------------------------------------------------------------
 
-    def begin_instance(self) -> BallotPayload:
-        """Start the next instance; returns the ballot this node *would*
-        broadcast if the contention manager advises it to (lines 14-19)."""
-        k = self.step_begin()
-        value = self._propose(k)
-        self.proposals_made[k] = value
-        return self.ballot_payload(value)
-
     def step_begin(self) -> Instance:
-        """Advance ``k`` and paint it green: :meth:`begin_instance` minus
-        the proposal, which each caller records itself (the slotted
-        core applies this once for a whole cohort)."""
+        """Start the next instance: advance ``k`` and paint it green
+        (lines 14-16).  Each node then records its own proposal
+        (:meth:`propose`)."""
         self.k += 1
         self.status[self.k] = Color.GREEN
         return self.k
+
+    def propose(self, k: Instance) -> Value:
+        """Call the proposer for instance ``k`` and record the proposal
+        (line 15; the record is what the Validity checker reads)."""
+        value = self.proposals_made[k] = self._propose(k)
+        return value
 
     def ballot_payload(self, value: Value) -> BallotPayload:
         """The ballot-phase wire payload for this node's proposal."""
@@ -186,18 +183,7 @@ class ChaCore:
         """Prepare a lone step.  A dict core never shares its storage;
         the slotted core leaves a shared cohort store here."""
 
-    def begin_instance_send(self, active: bool) -> BallotPayload | None:
-        """Start the next instance and produce the ballot-phase wire
-        payload iff the contention manager advises broadcasting.
-
-        The slotted core overrides this with a pooled, allocation-free
-        path; the reference core keeps the seed behaviour verbatim
-        (the payload is built either way and discarded when inactive).
-        """
-        payload = self.begin_instance()
-        return payload if active else None
-
-    def on_ballot_reception(self, ballots: Iterable[Ballot], collision: bool) -> None:
+    def step_ballot(self, ballots: Iterable[Ballot], collision: bool) -> None:
         """Ballot-phase reception (lines 29-32).
 
         An empty reception or a collision indication paints the instance
@@ -209,68 +195,41 @@ class ChaCore:
         else:
             self.ballots[self.k] = received[0]
 
-    # ------------------------------------------------------------------
-    # Veto phases
-    # ------------------------------------------------------------------
-
     def has_instance(self) -> bool:
         """True once the current instance has ballot-phase state — i.e.
-        veto phases may act.  False before ``begin_instance`` has run (a
+        veto phases may act.  False before ``step_begin`` has run (a
         node powered up mid-grid whose first active round lands in a
         veto phase) and after a checkpoint reset; both are *pre-instance*
         states in which veto phases are inert (send and receive nothing).
         """
         return self.k in self.status
 
-    def wants_veto1(self) -> bool:
-        """Broadcast ⟨veto⟩ in veto-1 iff the instance is red (line 21).
-
-        Inert (False) before the first instance has begun."""
-        return self.status.get(self.k) is Color.RED
-
-    def veto1_payload(self) -> VetoPayload | None:
-        """The veto-1 wire payload, or None when not vetoing.
-
-        The payload-producing twin of :meth:`wants_veto1`; the slotted
-        core overrides it with a pooled path."""
-        if self.status.get(self.k) is Color.RED:
-            return VetoPayload(self.tag, self.k, 1)
-        return None
-
-    def on_veto1_reception(self, veto_seen: bool, collision: bool) -> None:
-        """Veto-1 reception (lines 33-35): downgrade green to orange."""
-        if veto_seen or collision:
-            self.status[self.k] = min(Color.ORANGE, self.status[self.k])
-
     def veto_due(self, phase: int) -> bool:
-        """Whether this node vetoes in veto phase ``phase`` (1 or 2):
-        :meth:`wants_veto1` / :meth:`wants_veto2`."""
-        return self.wants_veto1() if phase == 1 else self.wants_veto2()
+        """Whether this node broadcasts ⟨veto⟩ in veto phase ``phase``:
+        in veto-1 iff the instance is red (line 21), in veto-2 iff red
+        or orange (line 25).  Inert (False) before the first instance
+        has begun."""
+        status = self.status.get(self.k)
+        if phase == 1:
+            return status is Color.RED
+        return status is not None and status <= Color.ORANGE
 
     def veto_payload(self, phase: int) -> VetoPayload:
         """The veto payload for veto phase ``phase``."""
         return VetoPayload(self.tag, self.k, phase)
 
-    def wants_veto2(self) -> bool:
-        """Broadcast ⟨veto⟩ in veto-2 iff red or orange (line 25).
+    def step_veto1(self, veto_seen: bool, collision: bool) -> None:
+        """Veto-1 reception (lines 33-35): downgrade green to orange."""
+        if veto_seen or collision:
+            self.status[self.k] = min(Color.ORANGE, self.status[self.k])
 
-        Inert (False) before the first instance has begun."""
-        status = self.status.get(self.k)
-        return status is not None and status <= Color.ORANGE
-
-    def veto2_payload(self) -> VetoPayload | None:
-        """The veto-2 wire payload, or None when not vetoing."""
-        status = self.status.get(self.k)
-        if status is not None and status <= Color.ORANGE:
-            return VetoPayload(self.tag, self.k, 2)
-        return None
-
-    def on_veto2_reception(self, veto_seen: bool, collision: bool) -> tuple[Instance, History | None]:
+    def step_end(self, veto_seen: bool, collision: bool) -> None:
         """Veto-2 reception and end-of-instance bookkeeping (lines 36-45).
 
         Downgrades green to yellow on trouble, advances ``prev-instance``
-        for good instances, computes the history, and produces the
-        instance's output: the history when green, bottom otherwise.
+        for good instances, computes the history, and logs the
+        instance's output (read it as ``outputs[-1]``): the history when
+        green, bottom otherwise.
         """
         k = self.k
         status = self.status[k]
@@ -285,13 +244,12 @@ class ChaCore:
         else:
             output = BOTTOM
         self.outputs.append((k, output))
-        return k, output
 
-    def finish_instance_single_veto(self) -> tuple[Instance, History | None]:
+    def step_end_single(self) -> None:
         """End-of-instance bookkeeping for the single-veto ablation
         (two-phase CHA): no second downgrade opportunity — green
-        advances ``prev-instance`` and outputs its history, everything
-        else outputs bottom."""
+        advances ``prev-instance`` and logs its history, everything
+        else logs bottom."""
         k = self.k
         status = self.status[k]
         output: History | None
@@ -301,15 +259,6 @@ class ChaCore:
         else:
             output = BOTTOM
         self.outputs.append((k, output))
-        return k, output
-
-    #: The protocol steps under the names the phase machine
-    #: (:class:`CHAProcess`) drives; the slotted core's apply each step
-    #: once to a store its cohort shares.
-    step_ballot = on_ballot_reception
-    step_veto1 = on_veto1_reception
-    step_end = on_veto2_reception
-    step_end_single = finish_instance_single_veto
 
     # ------------------------------------------------------------------
     # Introspection
@@ -409,6 +358,29 @@ class ChaCore:
         self._fold_cache = {}
 
 
+def build_core(*, propose: Callable[[Instance], Value], tag: Any = "cha",
+               switches: Switches | None = None, pool_payloads: bool = False,
+               reducer: Callable[[Any, Instance, Value], Any] | None = None,
+               initial_state: Any = None):
+    """The protocol core a process or emulation replica runs.
+
+    ``switches.core`` picks the dict core (the reference twin, which has
+    no pooled mode) over the slotted one; a ``reducer`` picks the
+    checkpoint variant of Section 3.5, folding from ``initial_state``.
+    """
+    from .checkpoint import CheckpointChaCore
+    from .slotted import SlottedChaCore, SlottedCheckpointChaCore
+
+    switches = Switches.resolve(switches)
+    kwargs: dict[str, Any] = dict(propose=propose, tag=tag, switches=switches)
+    if reducer is not None:
+        kwargs.update(reducer=reducer, initial_state=initial_state)
+    if switches.core:
+        return (ChaCore if reducer is None else CheckpointChaCore)(**kwargs)
+    return (SlottedChaCore if reducer is None else SlottedCheckpointChaCore)(
+        pool_payloads=pool_payloads, **kwargs)
+
+
 class CHAProcess(Process):
     """CHAP on the canonical 3-round schedule, as a simulator process.
 
@@ -423,26 +395,8 @@ class CHAProcess(Process):
                  start_round: Round = 0,
                  switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
-        switches = Switches.resolve(switches)
-        if switches.core:
-            core = ChaCore(propose=propose, tag=tag, switches=switches)
-        else:
-            from .slotted import SlottedChaCore
-            core = SlottedChaCore(
-                propose=propose, tag=tag, switches=switches,
-                pool_payloads=pool_payloads,
-            )
-        self._adopt_core(core, switches, cm_name, start_round)
-
-    def _adopt_core(self, core, switches: Switches, cm_name: str,
-                    start_round: Round) -> None:
-        """Everything ``__init__`` does once the core is built
-        (subclasses with another core family build theirs and come
-        here)."""
-        #: ``core`` picks the seed dict-based core over the slotted array
-        #: core; the value travels on to the core for its ``history``.
-        self.switches = switches
-        self.core = core
+        self.core = build_core(propose=propose, tag=tag, switches=switches,
+                               pool_payloads=pool_payloads)
         self.cm_name = cm_name
         self.start_round = start_round
 
@@ -484,9 +438,7 @@ class CHAProcess(Process):
                 core = group[0].core
                 k = core.step_begin() if first else core.k
                 for proc, node in zip(group, nodes):
-                    member = proc.core
-                    value = member._propose(k)
-                    member.proposals_made[k] = value
+                    value = proc.core.propose(k)
                     if advised and node in advised:
                         out.append((node, proc._ballot_payload(value)))
             return out
@@ -644,16 +596,17 @@ class CHAEnsemble(Ensemble):
         from .slotted import form_cohort
 
         procs = list(processes)
-        lead = procs[0]
+        # The size first: an empty list has no lead to compare with.
         if len(procs) < 2 or any(
-                type(p) is not type(lead) or p.start_round != lead.start_round
-                or p.cm_name != lead.cm_name for p in procs):
+                type(p) is not type(procs[0])
+                or p.start_round != procs[0].start_round
+                or p.cm_name != procs[0].cm_name for p in procs):
             raise ValueError("an ensemble is two or more processes of one "
                              "class and schedule")
         form_cohort([p.core for p in procs])
         self.processes = procs
         self.nodes = range(len(procs))  # until add_ensemble sets the ids
-        self._store = lead.core._c
+        self._store = procs[0].core._c
         self._last: tuple = (None, 0, None)
 
     def contend(self, r: Round) -> str | None:

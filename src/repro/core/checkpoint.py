@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Value
-from .cha import CHAProcess, ChaCore
+from .cha import CHAProcess, ChaCore, build_core
 from .history import History
 
 #: Folds ``(state, instance, value_or_bottom) -> state``.  Must be a pure
@@ -99,12 +99,12 @@ class CheckpointChaCore(ChaCore):
         # chains; the fold-count regression test pins all three paths.)
         self._fold_cache.clear()
 
-    def on_veto2_reception(self, veto_seen: bool, collision: bool):
-        """End of instance: green instances fold-and-GC and output the
+    def step_end(self, veto_seen: bool, collision: bool) -> None:
+        """End of instance: green instances fold-and-GC and log the
         ``(checkpoint, suffix)`` pair instead of a full history.
 
-        Mirrors :meth:`ChaCore.on_veto2_reception` (lines 36-45 of Figure
-        1) with the Section 3.5 output interface.
+        Mirrors :meth:`ChaCore.step_end` (lines 36-45 of Figure 1) with
+        the Section 3.5 output interface.
         """
         if veto_seen or collision:
             self.status[self.k] = min(Color.YELLOW, self.status[self.k])
@@ -122,9 +122,6 @@ class CheckpointChaCore(ChaCore):
         else:
             output = BOTTOM
         self.outputs.append((self.k, output))
-        return self.k, output
-
-    step_end = on_veto2_reception
 
     # -- checkpointed view ----------------------------------------------
 
@@ -212,20 +209,11 @@ class CheckpointCHAProcess(CHAProcess):
                  start_round: int = 0,
                  switches: Switches | None = None,
                  pool_payloads: bool = False) -> None:
-        switches = Switches.resolve(switches)
-        if switches.core:
-            core = CheckpointChaCore(
-                propose=propose, reducer=reducer,
-                initial_state=initial_state, tag=tag, switches=switches,
-            )
-        else:
-            from .slotted import SlottedCheckpointChaCore
-            core = SlottedCheckpointChaCore(
-                propose=propose, reducer=reducer,
-                initial_state=initial_state, tag=tag, switches=switches,
-                pool_payloads=pool_payloads,
-            )
-        self._adopt_core(core, switches, cm_name, start_round)
+        self.core = build_core(
+            propose=propose, reducer=reducer, initial_state=initial_state,
+            tag=tag, switches=switches, pool_payloads=pool_payloads)
+        self.cm_name = cm_name
+        self.start_round = start_round
 
     @property
     def checkpoint(self) -> CheckpointOutput:

@@ -22,12 +22,13 @@ member cores of one lockstep cohort; a member keeps only its proposer,
 ``proposals_made`` and pooled payloads.  A shared store advances only
 through the ``step_*`` methods, which the ensemble
 (:class:`~repro.core.cha.CHAEnsemble`) calls once per round for the
-whole cohort after forking out every member whose input differs.  Any
-other step or write — the seed method names, a view write, ``restore``,
-``reset_to`` — is a lone step: the member first leaves the store for a
-plain copy of it (members of one store are never at different steps, so
-no undo is needed), and never rejoins.  ``docs/ARCHITECTURE.md`` ("The
-protocol core") has the whole contract.
+whole cohort after forking out every member whose input differs.  A
+step taken for one member alone (``CHAProcess.send`` /
+``deliver_batch``, or any driver) calls ``detach`` first, and a view
+write, ``restore`` or ``reset_to`` forks by itself: the member leaves
+the store for a plain copy of it (members of one store are never at
+different steps, so no undo is needed), and never rejoins.
+``docs/ARCHITECTURE.md`` ("The protocol core") has the whole contract.
 
 ``status``, ``ballots`` and ``outputs`` are live, writable views (tests
 and glass-box checkers mutate protocol state through them; negative
@@ -394,18 +395,19 @@ class SlottedChaCore:
     k = _store_field("k", "The current instance.")
     prev_instance = _store_field("prev", "The last good instance.")
 
-    def _owned(self) -> _Cohort:
-        """The storage, private to this member: a member stepped or
-        written on its own leaves a shared store for a copy of it."""
+    def detach(self) -> None:
+        """Prepare a lone step: a member stepped or written on its own
+        leaves a shared store for a copy of it."""
         c = self._c
         members = c.members
         if members is not None and len(members) > 1:
             members.remove(self)
-            c = self._c = c.copy()
-        return c
+            self._c = c.copy()
 
-    #: Prepare a lone step: leave a shared store.
-    detach = _owned
+    def _owned(self) -> _Cohort:
+        """The storage, private to this member (:meth:`detach` first)."""
+        self.detach()
+        return self._c
 
     def _writable(self, k: Instance) -> _Cohort:
         if k < 0:
@@ -486,29 +488,9 @@ class SlottedChaCore:
     # ------------------------------------------------------------------
     # Protocol steps.  A ``step_*`` method applies one step to the store
     # once, for every member sharing it (the ensemble's entry point,
-    # :class:`~repro.core.cha.CHAEnsemble`); the seed method names are
-    # lone steps, which fork a member out of a shared store first.
+    # :class:`~repro.core.cha.CHAEnsemble`); a step for one member alone
+    # is preceded by :meth:`detach`.
     # ------------------------------------------------------------------
-
-    def begin_instance(self) -> BallotPayload:
-        """Start the next instance; always returns a fresh payload
-        (compatibility path — the pooled hot path is
-        :meth:`begin_instance_send`)."""
-        self.begin_instance_send(False)
-        c = self._c
-        return BallotPayload(self.tag, c.k,
-                             Ballot(self.proposals_made[c.k], c.prev))
-
-    def begin_instance_send(self, active: bool) -> BallotPayload | None:
-        """Start the next instance — advance ``k``, paint the slot
-        green, record the proposal — and produce the wire payload iff
-        the contention manager advises broadcasting (lines 14-19)."""
-        if self._c.members:  # shared: fork first
-            self._owned()
-        k = self.step_begin()
-        value = self._propose(k)
-        self.proposals_made[k] = value
-        return self.ballot_payload(value) if active else None
 
     def step_begin(self) -> Instance:
         """The store's part of starting the next instance: advance
@@ -523,6 +505,8 @@ class SlottedChaCore:
             c.status_count += 1
         arr[k] = _GREEN
         return k
+
+    propose = ChaCore.propose
 
     def ballot_payload(self, value: Value) -> BallotPayload:
         """This member's ballot-phase payload for its proposal
@@ -539,13 +523,6 @@ class SlottedChaCore:
         object.__setattr__(ballot, "prev_instance", c.prev)
         object.__setattr__(payload, "instance", c.k)
         return payload
-
-    def on_ballot_reception(self, ballots: Iterable[Ballot],
-                            collision: bool) -> None:
-        """Ballot-phase reception (lines 29-32), as a lone step."""
-        if self._c.members:  # shared: fork first
-            self._owned()
-        self.step_ballot(ballots, collision)
 
     def step_ballot(self, ballots: Iterable[Ballot], collision: bool) -> None:
         """Ballot-phase reception: adopt ``min(M)``, or paint red.
@@ -595,7 +572,7 @@ class SlottedChaCore:
 
     def has_instance(self) -> bool:
         """True once the current instance has ballot-phase state — i.e.
-        veto phases may act (not before the first ``begin_instance``, nor
+        veto phases may act (not before the first ``step_begin``, nor
         after a checkpoint reset)."""
         c = self._c
         k = c.k
@@ -628,21 +605,6 @@ class SlottedChaCore:
             object.__setattr__(payload, "instance", k)
         return payload
 
-    def wants_veto1(self) -> bool:
-        """Broadcast ⟨veto⟩ in veto-1 iff the instance is red (line 21)."""
-        return self.veto_due(1)
-
-    def veto1_payload(self) -> VetoPayload | None:
-        """The veto-1 wire payload, or None."""
-        return self.veto_payload(1) if self.veto_due(1) else None
-
-    def on_veto1_reception(self, veto_seen: bool, collision: bool) -> None:
-        """Veto-1 reception (lines 33-35), as a lone step: a quiet
-        reception writes nothing, so it is no step."""
-        if veto_seen or collision:
-            self._owned()
-            self.step_veto1(veto_seen, collision)
-
     def step_veto1(self, veto_seen: bool, collision: bool) -> None:
         """Veto-1 reception: downgrade green to orange."""
         if veto_seen or collision:
@@ -655,26 +617,9 @@ class SlottedChaCore:
             if status > _ORANGE:
                 arr[k] = _ORANGE
 
-    def wants_veto2(self) -> bool:
-        """Broadcast ⟨veto⟩ in veto-2 iff red or orange (line 25)."""
-        return self.veto_due(2)
-
-    def veto2_payload(self) -> VetoPayload | None:
-        """The veto-2 wire payload, or None."""
-        return self.veto_payload(2) if self.veto_due(2) else None
-
-    def end_instance(self, veto_seen: bool, collision: bool) -> None:
-        """Veto-2 reception and end-of-instance bookkeeping, as a lone
-        step (:meth:`step_end`)."""
-        if self._c.members:  # shared: fork first
-            self._owned()
-        self.step_end(veto_seen, collision)
-
     def step_end(self, veto_seen: bool, collision: bool) -> None:
         """Veto-2 reception and end-of-instance bookkeeping (lines
-        36-45): records the instance's output and returns nothing — the
-        process wrappers' entry point (:meth:`on_veto2_reception` is
-        this plus a read of the log)."""
+        36-45): logs the instance's output (read it as ``outputs[-1]``)."""
         c = self._c
         k = c.k
         arr = c.status
@@ -704,18 +649,6 @@ class SlottedChaCore:
         c.out_ks.append(k)
         c.out_recs.append(record)
 
-    def on_veto2_reception(self, veto_seen: bool,
-                           collision: bool) -> tuple[Instance, Any]:
-        """:meth:`end_instance`, returning the ``(instance, output)``
-        pair it logged (the dict cores' contract)."""
-        self.end_instance(veto_seen, collision)
-        return self.outputs[-1]
-
-    def end_instance_single_veto(self) -> None:
-        """:meth:`step_end_single`, as a lone step."""
-        self._owned()
-        self.step_end_single()
-
     def step_end_single(self) -> None:
         """End-of-instance bookkeeping for the single-veto ablation
         (two-phase CHA): no second downgrade opportunity — green outputs
@@ -733,11 +666,6 @@ class SlottedChaCore:
             record = BOTTOM
         c.out_ks.append(k)
         c.out_recs.append(record)
-
-    def finish_instance_single_veto(self) -> tuple[Instance, Any]:
-        """:meth:`end_instance_single_veto`, returning the logged pair."""
-        self.end_instance_single_veto()
-        return self.outputs[-1]
 
     def _green_record(self) -> Any:
         """The log record of the current (green) instance's history:

@@ -5,7 +5,7 @@ Three pieces, composed by :class:`~repro.service.server.ConsensusService`:
 * :class:`ProposalLedger` — the determinism seam.  Client proposals land
   in a per-instance assignment table *before* the world begins that
   instance (the watermark freezes exactly when the protocol's
-  ``begin_instance`` pulls the proposal), and the accepted schedule can
+  ``propose`` pulls the proposal), and the accepted schedule can
   be replayed through :meth:`ProposalLedger.scripted` as a plain
   ``proposer_factory`` — which is how the differential suite proves a
   served world and a batch :func:`repro.run` are byte-identical.

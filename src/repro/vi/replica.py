@@ -2,7 +2,8 @@
 
 A :class:`ReplicaRuntime` exists only while its device is *active* in the
 emulation (it has completed the join protocol, or was present at
-deployment).  It embeds a :class:`~repro.core.checkpoint.CheckpointChaCore`
+deployment).  It embeds a checkpoint core
+(:func:`~repro.core.cha.build_core`, dict or slotted per ``switches``)
 whose reducer is the virtual-node program's transition function — so the
 CHA checkpoint *is* the virtual node's state — and drives it through the
 eleven-phase structure of :mod:`repro.vi.phases`.
@@ -10,6 +11,12 @@ eleven-phase structure of :mod:`repro.vi.phases`.
 Alignment invariant: CHA instance ``k`` decides virtual round ``k - 1``
 (instances are 1-based, virtual rounds 0-based).  At the CLIENT phase of
 virtual round ``vr`` an active replica's core satisfies ``core.k == vr``.
+
+The core is driven through the step surface
+:class:`~repro.core.cha.CHAProcess` uses (``step_begin`` / ``propose``,
+``step_ballot``, ``veto_due`` / ``veto_payload``, ``step_veto1``,
+``step_end``), on the emulation's grid.  A replica's core is never in a
+cohort, so no step needs ``detach``.
 
 Externally visible actions are gated on green (Section 3.3): a replica
 offers a VN-phase broadcast only when its most recent instance was green,
@@ -23,8 +30,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.ballot import BallotPayload, VetoPayload, canonical_key
-from ..core.checkpoint import CheckpointChaCore
-from ..core.slotted import SlottedCheckpointChaCore
+from ..core.cha import build_core
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, VirtualRound
 from .payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
@@ -62,29 +68,10 @@ class ReplicaRuntime:
         #: extract values and never retain the payload objects.
         self.pool_payloads = pool_payloads
         self._pooled_vn_msg: VNMsg | None = None
-        switches = Switches.resolve(switches)
-        if switches.core:
-            # The reference core has no pooled mode: its seed behaviour
-            # (fresh payloads every round) stays verbatim.
-            self.core = CheckpointChaCore(
-                propose=self._propose,
-                reducer=self._reduce,
-                initial_state=program.init_state(),
-                tag=self.tag,
-                switches=switches,
-            )
-        else:
-            self.core = SlottedCheckpointChaCore(
-                propose=self._propose,
-                reducer=self._reduce,
-                initial_state=program.init_state(),
-                tag=self.tag,
-                switches=switches,
-                pool_payloads=pool_payloads,
-            )
-        #: The end-of-instance step (see ``CHAProcess._adopt_core``).
-        self._end_instance = (self.core.on_veto2_reception if switches.core
-                              else self.core.end_instance)
+        self.core = build_core(
+            propose=self._propose, reducer=self._reduce,
+            initial_state=program.init_state(), tag=self.tag,
+            switches=switches, pool_payloads=pool_payloads)
         if snapshot is not None and reset_at is not None:
             raise ValueError("pass either a snapshot or a reset anchor, not both")
         if snapshot is not None:
@@ -179,26 +166,24 @@ class ReplicaRuntime:
             return self._make_vn_msg(vn, vr, message)
 
         if phase is Phase.SCHED_BALLOT:
-            if not scheduled:
-                return None
-            return self.core.begin_instance_send(active)
+            return self._begin(active) if scheduled else None
 
         if phase is Phase.SCHED_VETO1:
-            return self.core.veto1_payload() if scheduled else None
+            return self._veto(1) if scheduled else None
 
         if phase is Phase.SCHED_VETO2:
-            return self.core.veto2_payload() if scheduled else None
+            return self._veto(2) if scheduled else None
 
         if phase is Phase.UNSCHED_BALLOT:
             if scheduled or pos.slot != self.schedule.slot_of(vn):
                 return None
-            return self.core.begin_instance_send(active)
+            return self._begin(active)
 
         if phase is Phase.UNSCHED_VETO1:
-            return None if scheduled else self.core.veto1_payload()
+            return None if scheduled else self._veto(1)
 
         if phase is Phase.UNSCHED_VETO2:
-            return None if scheduled else self.core.veto2_payload()
+            return None if scheduled else self._veto(2)
 
         if phase is Phase.JOIN_ACK:
             # Conditions of Section 4.3: already joined (we exist), join
@@ -274,13 +259,24 @@ class ReplicaRuntime:
 
     # -- CHA plumbing -----------------------------------------------------
 
+    def _begin(self, active: bool) -> BallotPayload | None:
+        """Start the next instance; the ballot iff advised to send."""
+        core = self.core
+        value = core.propose(core.step_begin())
+        return core.ballot_payload(value) if active else None
+
+    def _veto(self, phase: int) -> VetoPayload | None:
+        """The veto payload for veto phase ``phase``, iff one is due."""
+        core = self.core
+        return core.veto_payload(phase) if core.veto_due(phase) else None
+
     def _on_ballot(self, payloads, collision) -> None:
         ballots = [
             p.ballot for p in payloads
             if isinstance(p, BallotPayload)
             and p.tag == self.tag and p.instance == self.core.k
         ]
-        self.core.on_ballot_reception(ballots, collision)
+        self.core.step_ballot(ballots, collision)
 
     def _on_veto(self, payloads, collision, *, which: int,
                  vr: VirtualRound | None = None) -> None:
@@ -296,8 +292,8 @@ class ReplicaRuntime:
             isinstance(p, VetoPayload) and p.tag == self.tag for p in payloads
         )
         if which == 1:
-            self.core.on_veto1_reception(veto, collision)
+            self.core.step_veto1(veto, collision)
         else:
-            self._end_instance(veto, collision)
+            self.core.step_end(veto, collision)
             if vr is not None:
                 self.round_colors[vr] = self.core.color_of(self.core.k)

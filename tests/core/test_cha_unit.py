@@ -6,7 +6,8 @@ table, without any simulator: the channel is played by hand.
 
 import pytest
 
-from repro.core import Ballot, ChaCore, calculate_history
+from _cores import begin, end
+from repro.core import Ballot, ChaCore, calculate_history_reference
 from repro.core.history import History
 from repro.errors import ProtocolError
 from repro.types import BOTTOM, Color
@@ -22,13 +23,13 @@ def run_instance(core, *, ballots=None, ballot_collision=False,
                  veto2=False, veto2_collision=False,
                  include_own=True):
     """Drive one full instance; returns (instance, output)."""
-    own = core.begin_instance()
+    own = begin(core)
     received = list(ballots or [])
     if include_own and not ballots:
         received = [own.ballot]
-    core.on_ballot_reception(received, ballot_collision)
-    core.on_veto1_reception(veto1, veto1_collision)
-    return core.on_veto2_reception(veto2, veto2_collision)
+    core.step_ballot(received, ballot_collision)
+    core.step_veto1(veto1, veto1_collision)
+    return end(core, veto2, veto2_collision)
 
 
 class TestFigure2ColorTable:
@@ -64,8 +65,8 @@ class TestFigure2ColorTable:
 
     def test_empty_ballot_reception_is_red(self):
         core = make_core()
-        core.begin_instance()
-        core.on_ballot_reception([], collision=False)
+        begin(core)
+        core.step_ballot([], collision=False)
         assert core.color_of(1) is Color.RED
 
     def test_veto_message_downgrades_like_collision(self):
@@ -98,27 +99,27 @@ class TestColorLattice:
 class TestVetoDecisions:
     def test_red_vetoes_in_both_phases(self):
         core = make_core()
-        core.begin_instance()
-        core.on_ballot_reception([], collision=True)
-        assert core.wants_veto1()
-        core.on_veto1_reception(False, False)
-        assert core.wants_veto2()
+        begin(core)
+        core.step_ballot([], collision=True)
+        assert core.veto_due(1)
+        core.step_veto1(False, False)
+        assert core.veto_due(2)
 
     def test_orange_vetoes_only_in_veto2(self):
         core = make_core()
-        own = core.begin_instance()
-        core.on_ballot_reception([own.ballot], collision=False)
-        assert not core.wants_veto1()
-        core.on_veto1_reception(True, False)
-        assert core.wants_veto2()
+        own = begin(core)
+        core.step_ballot([own.ballot], collision=False)
+        assert not core.veto_due(1)
+        core.step_veto1(True, False)
+        assert core.veto_due(2)
 
     def test_green_never_vetoes(self):
         core = make_core()
-        own = core.begin_instance()
-        core.on_ballot_reception([own.ballot], collision=False)
-        assert not core.wants_veto1()
-        core.on_veto1_reception(False, False)
-        assert not core.wants_veto2()
+        own = begin(core)
+        core.step_ballot([own.ballot], collision=False)
+        assert not core.veto_due(1)
+        core.step_veto1(False, False)
+        assert not core.veto_due(2)
 
 
 class TestPrevInstancePointer:
@@ -140,23 +141,23 @@ class TestPrevInstancePointer:
     def test_ballot_carries_prev_pointer(self):
         core = make_core()
         run_instance(core)
-        payload = core.begin_instance()
+        payload = begin(core)
         assert payload.ballot.prev_instance == 1
 
 
 class TestBallotAdoption:
     def test_min_ballot_adopted(self):
         core = make_core()
-        core.begin_instance()
-        core.on_ballot_reception(
+        begin(core)
+        core.step_ballot(
             [Ballot("zz", 0), Ballot("aa", 0)], collision=False,
         )
         assert core.ballots[1] == Ballot("aa", 0)
 
     def test_red_instance_stores_no_ballot(self):
         core = make_core()
-        core.begin_instance()
-        core.on_ballot_reception([Ballot("aa", 0)], collision=True)
+        begin(core)
+        core.step_ballot([Ballot("aa", 0)], collision=True)
         assert 1 not in core.ballots
 
     def test_proposals_recorded(self):
@@ -173,7 +174,7 @@ class TestCalculateHistory:
             2: Ballot("b", 1),
             3: Ballot("c", 2),
         }
-        h = calculate_history(3, 3, ballots)
+        h = calculate_history_reference(3, 3, ballots)
         assert h == History(3, {1: "a", 2: "b", 3: "c"})
 
     def test_chain_skips_bad_instances(self):
@@ -182,26 +183,26 @@ class TestCalculateHistory:
             1: Ballot("a", 0),
             3: Ballot("c", 1),
         }
-        h = calculate_history(3, 3, ballots)
+        h = calculate_history_reference(3, 3, ballots)
         assert h == History(3, {1: "a", 3: "c"})
         assert h(2) is BOTTOM
 
     def test_prev_below_instance(self):
         # Current instance is bad; chain starts at the last good one.
         ballots = {1: Ballot("a", 0), 2: Ballot("b", 1)}
-        h = calculate_history(4, 2, ballots)
+        h = calculate_history_reference(4, 2, ballots)
         assert h == History(4, {1: "a", 2: "b"})
 
     def test_prev_zero_yields_all_bottom(self):
-        h = calculate_history(3, 0, {})
+        h = calculate_history_reference(3, 0, {})
         assert h == History(3, {})
 
     def test_missing_chain_ballot_raises(self):
         with pytest.raises(ProtocolError):
-            calculate_history(2, 2, {})
+            calculate_history_reference(2, 2, {})
 
     def test_instance_zero(self):
-        assert calculate_history(0, 0, {}) == History(0, {})
+        assert calculate_history_reference(0, 0, {}) == History(0, {})
 
 
 class TestSnapshotRestore:

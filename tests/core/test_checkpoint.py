@@ -2,6 +2,7 @@
 
 import pytest
 
+from _cores import begin, end
 from repro.contention import LeaderElectionCM
 from repro.core import CheckpointCHAProcess, run_cha
 from repro.core.ballot import Ballot
@@ -31,10 +32,10 @@ def make_core(values=None):
 
 
 def run_instance(core, *, clean=True, veto2_collision=False):
-    own = core.begin_instance()
-    core.on_ballot_reception([own.ballot], collision=not clean)
-    core.on_veto1_reception(False, not clean and False)
-    return core.on_veto2_reception(False, veto2_collision)
+    own = begin(core)
+    core.step_ballot([own.ballot], collision=not clean)
+    core.step_veto1(False, not clean and False)
+    return end(core, False, veto2_collision)
 
 
 class TestCoreFolding:
@@ -90,10 +91,10 @@ class TestCoreFolding:
         core = make_core()
         run_instance(core)
         # Orange instance: bad, not folded, then a green one folds over it.
-        own = core.begin_instance()
-        core.on_ballot_reception([own.ballot], collision=False)
-        core.on_veto1_reception(True, False)
-        core.on_veto2_reception(True, False)
+        own = begin(core)
+        core.step_ballot([own.ballot], collision=False)
+        core.step_veto1(True, False)
+        core.step_end(True, False)
         run_instance(core)
         assert core.checkpoint_state == ((1, "v1"), (3, "v3"))
 
@@ -355,6 +356,6 @@ class TestGcFloor:
             core.reset_to(5, ())
             # A ballot heard before the first instance begins lands in
             # slot ``k`` itself (the reference dicts' quirk).
-            core.on_ballot_reception([Ballot("early", 4)], False)
+            core.step_ballot([Ballot("early", 4)], False)
         self._assert_in_step(*twins)
         assert twins[1].resident_entries() == 2

@@ -199,7 +199,8 @@ def test_members_match_their_twins(kind, n, data):
         elif what == "stray":  # a reception outside the phase grid
             heard = [] if op[2] else [Ballot("stray", 0)]
             for proc in (members[op[1]], twins[op[1]]):
-                proc.core.on_ballot_reception(heard, False)
+                proc.core.detach()
+                proc.core.step_ballot(heard, False)
         elif what in ("status", "ballot"):
             # A past slot that exists: the slotted views list instances
             # in ascending order, the dicts in insertion order, so
@@ -374,13 +375,14 @@ def test_only_fresh_alike_processes_form_an_ensemble():
     with pytest.raises(ValueError):
         form_cohort([p.core for p in members])
     fresh = [CHAProcess(propose=str) for _ in range(2)]
-    fresh[0].core.begin_instance_send(False)
+    fresh[0].core.step_begin()
     with pytest.raises(ValueError):
         CHAEnsemble(fresh)
     with pytest.raises(ValueError):
         CHAEnsemble([CHAProcess(propose=str), TwoPhaseChaProcess(propose=str)])
-    with pytest.raises(ValueError):
-        CHAEnsemble([CHAProcess(propose=str)])
+    for few in ([], [CHAProcess(propose=str)]):
+        with pytest.raises(ValueError):
+            CHAEnsemble(few)
     # Cores of different builds: refused by the store, whether or not
     # their processes are of one class.
     plain = CHAProcess(propose=str).core

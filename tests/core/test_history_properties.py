@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _cores import begin
 from repro.core import ChaCore, CheckpointChaCore, History
 from repro.core.ballot import Ballot
-from repro.core.cha import calculate_history, calculate_history_reference
+from repro.core.cha import calculate_history_reference
 from repro.core.history import ROOT_CHAIN
 from repro.errors import ProtocolError
 from repro.switches import Switches
@@ -126,22 +127,22 @@ def test_incremental_fold_tracks_protocol_evolution(data):
     core = ChaCore(propose=lambda k: f"p{k}", switches=Switches())
     steps = data.draw(st.integers(1, 30), label="steps")
     for _ in range(steps):
-        payload = core.begin_instance()
+        payload = begin(core)
         k = core.k
         scenario = data.draw(
             st.sampled_from(["own", "foreign", "silence"]), label=f"b{k}")
         if scenario == "own":
-            core.on_ballot_reception([payload.ballot], collision=False)
+            core.step_ballot([payload.ballot], collision=False)
         elif scenario == "foreign":
             # A lagging peer's ballot: arbitrary downward prev pointer,
             # possibly aimed at an instance that stored no ballot.
             foreign = Ballot(data.draw(VALUES, label=f"v{k}"),
                              data.draw(st.integers(0, k - 1), label=f"fp{k}"))
-            core.on_ballot_reception([payload.ballot, foreign],
-                                     collision=False)
+            core.step_ballot([payload.ballot, foreign],
+                             collision=False)
         else:
-            core.on_ballot_reception([], collision=False)
-        core.on_veto1_reception(
+            core.step_ballot([], collision=False)
+        core.step_veto1(
             data.draw(st.booleans(), label=f"veto1@{k}"), collision=False)
         # End-of-instance bookkeeping, minus the output call so that a
         # broken foreign chain surfaces through current_history below.
@@ -201,7 +202,9 @@ def test_checkpoint_fold_matches_reference_core(data):
 
 
 def test_public_calculate_history_is_the_reference_fold():
-    assert calculate_history is calculate_history_reference
+    import repro
+    assert repro.calculate_history_reference is calculate_history_reference
+    assert repro.core.calculate_history_reference is calculate_history_reference
 
 
 def test_missing_ballot_messages_are_identical():

@@ -2,7 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Ballot, History, calculate_history, canonical_key
+from _cores import begin, end
+from repro.core import (Ballot, History, calculate_history_reference,
+                        canonical_key)
 from repro.core.cha import ChaCore
 from repro.types import BOTTOM, Color
 
@@ -116,7 +118,7 @@ class TestCalculateHistoryProperties:
     @given(ballot_chains())
     def test_chain_reconstruction_matches_pointers(self, chain):
         length, prev, ballots = chain
-        h = calculate_history(length, prev, ballots)
+        h = calculate_history_reference(length, prev, ballots)
         # Walk the pointers manually and compare.
         expected = {}
         k = prev
@@ -128,7 +130,7 @@ class TestCalculateHistoryProperties:
     @given(ballot_chains())
     def test_included_instances_form_descending_pointer_chain(self, chain):
         length, prev, ballots = chain
-        h = calculate_history(length, prev, ballots)
+        h = calculate_history_reference(length, prev, ballots)
         inc = list(h.included_instances)
         for later, earlier in zip(reversed(inc), list(reversed(inc))[1:]):
             assert ballots[later].prev_instance == earlier
@@ -138,8 +140,8 @@ class TestCalculateHistoryProperties:
         """Two nodes starting calculate-history at the same good instance
         compute identical values on the common domain (the Lemma 8 core)."""
         length, prev, ballots = chain
-        h1 = calculate_history(length, prev, ballots)
-        h2 = calculate_history(length + 5, prev, ballots)
+        h1 = calculate_history_reference(length, prev, ballots)
+        h2 = calculate_history_reference(length + 5, prev, ballots)
         for k in range(1, length + 1):
             assert h1(k) == h2(k)
 
@@ -158,15 +160,15 @@ class TestChaCoreProperties:
     def test_colors_monotone_and_outputs_well_formed(self, script):
         core = ChaCore(propose=lambda k: f"v{k:04d}")
         for (ballot_ok, v1_veto, v1_col, v2_veto, v2_col) in script:
-            own = core.begin_instance()
+            own = begin(core)
             colors = [core.color_of(core.k)]
-            core.on_ballot_reception(
+            core.step_ballot(
                 [own.ballot] if ballot_ok else [], collision=not ballot_ok,
             )
             colors.append(core.color_of(core.k))
-            core.on_veto1_reception(v1_veto, v1_col)
+            core.step_veto1(v1_veto, v1_col)
             colors.append(core.color_of(core.k))
-            k, out = core.on_veto2_reception(v2_veto, v2_col)
+            k, out = end(core, v2_veto, v2_col)
             colors.append(core.color_of(core.k))
             # Colour never increases within an instance.
             assert all(a >= b for a, b in zip(colors, colors[1:]))
@@ -181,12 +183,12 @@ class TestChaCoreProperties:
         core = ChaCore(propose=lambda k: f"v{k:04d}")
         last = None
         for (ballot_ok, v1_veto, v1_col, v2_veto, v2_col) in script:
-            own = core.begin_instance()
-            core.on_ballot_reception(
+            own = begin(core)
+            core.step_ballot(
                 [own.ballot] if ballot_ok else [], collision=not ballot_ok,
             )
-            core.on_veto1_reception(v1_veto, v1_col)
-            _, out = core.on_veto2_reception(v2_veto, v2_col)
+            core.step_veto1(v1_veto, v1_col)
+            _, out = end(core, v2_veto, v2_col)
             if out is not BOTTOM:
                 if last is not None:
                     assert out.extends(last)

@@ -8,7 +8,7 @@ Four concerns live here:
   state through them).
 * **Pre-instance inertness** — the mid-grid power-up bugfix: a process
   whose first simulated round lands on a veto phase used to crash with
-  ``KeyError: 0``; now veto phases before the first ``begin_instance``
+  ``KeyError: 0``; now veto phases before the first ``step_begin``
   send nothing and receive nothing, in both cores, end to end through
   ``Simulator.add_node(start_round=...)``.
 * **Instance-scoped vetoes** — the same-tag grid-shift bugfix: a veto
@@ -27,6 +27,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _cores import begin, end
 from _switches import materialised
 from repro.baselines.two_phase_cha import TwoPhaseChaProcess
 from repro.contention import LeaderElectionCM
@@ -57,11 +58,11 @@ def _core(core_ref: bool, **kwargs):
 def _drive_instance(core, *, ballot: Ballot | None = None,
                     veto1: bool = False, veto2: bool = False):
     """One full instance: ballot reception, then both veto receptions."""
-    payload = core.begin_instance()
+    payload = begin(core)
     received = ballot if ballot is not None else payload.ballot
-    core.on_ballot_reception([received], False)
-    core.on_veto1_reception(veto1, False)
-    return core.on_veto2_reception(veto2, False)
+    core.step_ballot([received], False)
+    core.step_veto1(veto1, False)
+    return end(core, veto2, False)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +121,8 @@ class TestBallotView:
         for core in (ref, slot):
             _drive_instance(core)
             _drive_instance(core, veto1=True)   # orange: ballot kept
-            core.begin_instance()
-            core.on_ballot_reception([], False)  # red: no ballot stored
+            begin(core)
+            core.step_ballot([], False)  # red: no ballot stored
         assert slot.resident_entries() == ref.resident_entries()
 
 
@@ -164,10 +165,8 @@ class TestPreInstanceInertness:
     def test_fresh_core_wants_no_veto(self, core_ref):
         core = _core(core_ref)
         assert not core.has_instance()
-        assert not core.wants_veto1()
-        assert not core.wants_veto2()
-        assert core.veto1_payload() is None
-        assert core.veto2_payload() is None
+        assert not core.veto_due(1)
+        assert not core.veto_due(2)
 
     @pytest.mark.parametrize("core_ref", BOTH_CORES)
     @pytest.mark.parametrize("start_round", [1, 2])
@@ -409,7 +408,7 @@ _instances = st.tuples(
     st.booleans(), st.booleans(), st.booleans(), st.booleans())
 #: Everything else a core can be put through between instances.
 _interludes = st.one_of(
-    st.tuples(st.just("stray-ballot")),    # reception before begin_instance
+    st.tuples(st.just("stray-ballot")),    # reception before step_begin
     st.tuples(st.just("save")),
     st.tuples(st.just("restore")),
     st.tuples(st.just("reset"), st.integers(0, 3)),
@@ -457,7 +456,7 @@ class TestOutputLogMatchesTwin:
         for op in schedule:
             if op[0] == "stray-ballot":
                 for core in (ref, slot):
-                    core.on_ballot_reception([Ballot("stray", 0)], False)
+                    core.step_ballot([Ballot("stray", 0)], False)
             elif op[0] == "save":
                 saved = ref.snapshot()
             elif op[0] == "restore":
@@ -471,18 +470,17 @@ class TestOutputLogMatchesTwin:
                         core.reset_to(anchor, ())
             else:
                 _, ballot_phase, *vetoes = op
-                wire = ref.begin_instance().ballot
-                slot.begin_instance()
+                wire = begin(ref).ballot
+                begin(slot)
                 received = {"leader": [wire], "silence": [], "collision": [wire],
                             "two": [Ballot("zz", wire.prev_instance), wire]}
                 ends = []
                 for core in (ref, slot):
-                    core.on_ballot_reception(received[ballot_phase],
-                                             ballot_phase == "collision")
-                    core.on_veto1_reception(vetoes[0], vetoes[1])
+                    core.step_ballot(received[ballot_phase],
+                                     ballot_phase == "collision")
+                    core.step_veto1(vetoes[0], vetoes[1])
                     try:
-                        ends.append(core.on_veto2_reception(vetoes[2],
-                                                            vetoes[3]))
+                        ends.append(end(core, vetoes[2], vetoes[3]))
                     except (KeyError, ProtocolError) as exc:
                         # A restored snapshot can leave the chain without
                         # a ballot; both cores refuse the same way and
@@ -535,10 +533,10 @@ class TestOutputLogIsWritable:
         ref, slot = _twin_cores(checkpoint, False)
         for core in (ref, slot):
             for _ in range(4):
-                wire = core.begin_instance().ballot
-                core.on_ballot_reception([wire], False)
-                core.on_veto1_reception(False, False)
-                core.on_veto2_reception(False, core.k == 2)
+                wire = begin(core).ballot
+                core.step_ballot([wire], False)
+                core.step_veto1(False, False)
+                core.step_end(False, core.k == 2)
         forged = History(5, {1: "a", 4: "b"})        # dict form
         other = (CheckpointOutput(9, ("state",), History(9, {3: "c"}))
                  if checkpoint else History(9, {}))
@@ -578,15 +576,15 @@ class TestOutputLogIsWritable:
     def test_failed_fold_logs_nothing(self):
         """The record is computed before either list grows."""
         _, slot = _twin_cores(False, False)
-        slot.begin_instance()
-        slot.on_ballot_reception([], False)           # red: no ballot kept
-        slot.on_veto1_reception(True, False)
-        slot.on_veto2_reception(True, False)
-        slot.begin_instance()
-        slot.on_ballot_reception([Ballot("x", 1)], False)   # points at it
-        slot.on_veto1_reception(False, False)
+        begin(slot)
+        slot.step_ballot([], False)           # red: no ballot kept
+        slot.step_veto1(True, False)
+        slot.step_end(True, False)
+        begin(slot)
+        slot.step_ballot([Ballot("x", 1)], False)   # points at it
+        slot.step_veto1(False, False)
         with pytest.raises(ProtocolError):
-            slot.on_veto2_reception(False, False)
+            slot.step_end(False, False)
         assert slot.outputs == [(1, BOTTOM)]
         assert slot.outputs.instances() == [1]
 

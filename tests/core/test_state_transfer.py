@@ -10,7 +10,8 @@ whenever a ``prev-instance`` chain dangles.
 
 import pytest
 
-from repro.core import Ballot, ChaCore, calculate_history
+from _cores import begin, end
+from repro.core import Ballot, ChaCore, calculate_history_reference
 from repro.core.checkpoint import CheckpointChaCore
 from repro.core.history import History
 from repro.errors import ProtocolError
@@ -19,10 +20,10 @@ from repro.types import BOTTOM, Color
 
 def drive_instance(core, *, veto1=False, veto2=False, collision=False):
     """One full instance where the core hears only its own ballot."""
-    own = core.begin_instance()
-    core.on_ballot_reception([own.ballot], collision)
-    core.on_veto1_reception(veto1, False)
-    return core.on_veto2_reception(veto2, False)
+    own = begin(core)
+    core.step_ballot([own.ballot], collision)
+    core.step_veto1(veto1, False)
+    return end(core, veto2, False)
 
 
 def count_reducer(state, k, value):
@@ -104,18 +105,18 @@ class TestSnapshotRestoreRoundTrip:
 class TestCalculateHistoryErrorPath:
     def test_chain_head_missing_ballot(self):
         with pytest.raises(ProtocolError, match="no ballot is stored"):
-            calculate_history(3, 3, {})
+            calculate_history_reference(3, 3, {})
 
     def test_mid_chain_dangling_prev_pointer(self):
         # Ballot 3 points at instance 1, whose ballot was never stored:
         # the walk must fail at 1, not fabricate a history.
         ballots = {3: Ballot("c", 1)}
         with pytest.raises(ProtocolError, match="instance 1"):
-            calculate_history(3, 3, ballots)
+            calculate_history_reference(3, 3, ballots)
 
     def test_intact_chain_still_works(self):
         ballots = {1: Ballot("a", 0), 3: Ballot("c", 1)}
-        assert calculate_history(3, 3, ballots) == History(3, {1: "a", 3: "c"})
+        assert calculate_history_reference(3, 3, ballots) == History(3, {1: "a", 3: "c"})
 
     def test_restore_of_truncated_snapshot_fails_loudly(self):
         core = ChaCore(propose=lambda k: f"v{k}")
