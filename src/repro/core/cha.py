@@ -381,6 +381,65 @@ def build_core(*, propose: Callable[[Instance], Value], tag: Any = "cha",
         pool_payloads=pool_payloads, **kwargs)
 
 
+def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
+    """The send step of CHA phase ``phase`` over ``runs`` as ``(node,
+    payload)`` pairs in node order; ``advised`` holds the advised nodes.
+
+    A run is ``(members, node ids, first)``: processes or emulation
+    replicas, in node order, that share one store, and whether the run
+    is that store's first (:func:`split_runs`).  The store's part of a
+    step is applied once; each member proposes and builds its own
+    payload."""
+    out = []
+    if phase == PHASE_BALLOT:
+        for group, nodes, first in runs:
+            core = group[0].core
+            k = core.step_begin() if first else core.k
+            for member, node in zip(group, nodes):
+                value = member.core.propose(k)
+                if advised and node in advised:
+                    out.append((node, member._ballot_payload(value)))
+        return out
+    # The veto payload producers are inert before the first instance
+    # has begun (a node powered up mid-grid sends nothing until its
+    # first ballot phase comes around).
+    for group, nodes, _ in runs:
+        if group[0].core.veto_due(phase):
+            for member, node in zip(group, nodes):
+                out.append((node, member.core.veto_payload(phase)))
+    return out
+
+
+def split_runs(members: Mapping[NodeId, Any], takers,
+               store: Any) -> tuple[list, list, list]:
+    """``(runs, shared, solo)`` for the ``takers`` (node ids in node
+    order) among ``members`` (node id -> member), after forking out every
+    member on ``store`` not among them: :func:`send_runs`'s runs (the
+    store's members between the others, each of those a run of its own)
+    and the ``(member, node)`` pairs on and off the store."""
+    if len(takers) < len(members):
+        taking = set(takers)
+        for node, member in members.items():
+            if node not in taking:
+                member.core.detach()
+    runs: list[tuple] = []
+    shared: list[tuple] = []
+    solo: list[tuple] = []
+    for node in takers:
+        member = members[node]
+        if member.core._c is not store:
+            solo.append((member, node))
+            runs.append(((member,), (node,), True))
+        elif runs and runs[-1][0][0].core._c is store:
+            runs[-1][0].append(member)
+            runs[-1][1].append(node)
+            shared.append((member, node))
+        else:
+            runs.append(([member], [node], not shared))
+            shared.append((member, node))
+    return runs, shared, solo
+
+
 class CHAProcess(Process):
     """CHAP on the canonical 3-round schedule, as a simulator process.
 
@@ -418,38 +477,9 @@ class CHAProcess(Process):
 
     def send(self, r: Round, active: bool) -> Any | None:
         self.core.detach()
-        out = self._send_runs(r, (((self,), _ALONE, True),),
-                              _ALONE if active else ())
+        out = send_runs((r - self.start_round) % self.rounds_per_instance,
+                        (((self,), _ALONE, True),), _ALONE if active else ())
         return out[0][1] if out else None
-
-    def _send_runs(self, r: Round, runs, advised) -> list[tuple[Any, Any]]:
-        """The send step of ``runs`` as ``(node, payload)`` pairs in node
-        order; ``advised`` holds the advised node ids.
-
-        A run is ``(processes, node ids, first)``: processes, in node
-        order, that share one store, and whether the run is that store's
-        first (a store split by another's member runs in several).  The
-        store's part of a step is applied once; each member calls its
-        own proposer and builds its own payload, in node order."""
-        phase = (r - self.start_round) % self.rounds_per_instance
-        out = []
-        if phase == PHASE_BALLOT:
-            for group, nodes, first in runs:
-                core = group[0].core
-                k = core.step_begin() if first else core.k
-                for proc, node in zip(group, nodes):
-                    value = proc.core.propose(k)
-                    if advised and node in advised:
-                        out.append((node, proc._ballot_payload(value)))
-            return out
-        # The veto payload producers are inert before the first instance
-        # has begun (a node powered up mid-grid sends nothing until its
-        # first ballot phase comes around).
-        for group, nodes, _ in runs:
-            if group[0].core.veto_due(phase):
-                for proc, node in zip(group, nodes):
-                    out.append((node, proc.core.veto_payload(phase)))
-        return out
 
     def _ballot_payload(self, value: Value) -> Any:
         """This node's ballot-phase wire payload for its proposal."""
@@ -615,43 +645,25 @@ class CHAEnsemble(Ensemble):
     def _split(self, members: list[NodeId]) -> tuple:
         """This sweep's ``(runs, lead, solo (process, node) pairs, nodes
         on the store, their item getter)``, after forking out every
-        member on the store that does not take part.  ``runs`` are the
-        machine's (:meth:`CHAProcess._send_runs`): the store's members
-        in runs between forked members, each forked member a run of its
-        own.  Cached while ``members`` is the same list and nobody left."""
+        member on the store that does not take part (:func:`split_runs`).
+        Cached while ``members`` is the same list and nobody left."""
         store = self._store
         last = self._last
         if last[0] is members and last[1] == len(store.members):
             return last[2]
-        procs = self.processes
-        first = self.nodes.start
-        taking = set(members)
-        for node in self.nodes:
-            if node not in taking:
-                procs[node - first].core.detach()
-        runs: list[tuple] = []
-        shared: list[NodeId] = []
-        solo: list[tuple] = []
-        for node in members:
-            proc = procs[node - first]
-            if proc.core._c is not store:
-                solo.append((proc, node))
-                runs.append(((proc,), (node,), True))
-            elif runs and runs[-1][0][0].core._c is store:
-                runs[-1][0].append(proc)
-                runs[-1][1].append(node)
-                shared.append(node)
-            else:
-                runs.append(([proc], [node], not shared))
-                shared.append(node)
-        split = (runs, procs[shared[0] - first] if shared else None, solo,
+        runs, on_store, solo = split_runs(
+            dict(zip(self.nodes, self.processes)), members, store)
+        shared = [node for _, node in on_store]
+        split = (runs, on_store[0][0] if on_store else None, solo,
                  shared, itemgetter(*shared) if len(shared) > 1 else None)
         self._last = (members, len(store.members), split)
         return split
 
     def send_round(self, r: Round, members: list[NodeId],
                    advised) -> list[tuple[NodeId, Any]]:
-        return self.processes[0]._send_runs(r, self._split(members)[0], advised)
+        lead = self.processes[0]
+        return send_runs((r - lead.start_round) % lead.rounds_per_instance,
+                         self._split(members)[0], advised)
 
     def deliver_round(self, r: Round, members: list[NodeId], delivered,
                       flags, batch: RoundBatch) -> None:

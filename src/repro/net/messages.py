@@ -40,6 +40,10 @@ NONE_SIZE = 1
 #: instead of per payload (every broadcast of a run is sized).
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
+#: Sizes of the scalar types, by exact type.
+_SCALAR_SIZES: dict[type, int] = {
+    type(None): NONE_SIZE, bool: 1, int: INT_SIZE, float: FLOAT_SIZE}
+
 
 def wire_size(payload: Any) -> int:
     """Deterministic wire-size estimate, in bytes, of a payload.
@@ -48,17 +52,28 @@ def wire_size(payload: Any) -> int:
     length-prefixed strings and containers, and dataclasses encoded as the
     tuple of their fields.  It is *not* a real serialiser; it exists so
     that "message size" is a well-defined, reproducible metric.
+    The exact type is tried first; subclasses take the ``isinstance``
+    chain.  Nothing is cached per payload (pooled payloads mutate).
     """
-    names = _FIELD_NAMES.get(type(payload))
+    kind = type(payload)
+    size = _SCALAR_SIZES.get(kind)
+    if size is not None:
+        return size
+    if kind is str or kind is bytes:
+        return CONTAINER_OVERHEAD + len(payload)
+    if kind is tuple or kind is list:
+        size = CONTAINER_OVERHEAD
+        for item in payload:
+            size += wire_size(item)
+        return size
+    names = _FIELD_NAMES.get(kind)
     if names is not None:
-        # Only a type that fell through every branch below is ever
-        # tabled, and those branches test the type alone.
+        # Only a type that fell through every branch of the chain is
+        # ever tabled, and those branches test the type alone.
         size = CONTAINER_OVERHEAD
         for name in names:
             size += wire_size(getattr(payload, name))
         return size
-    if payload is None:
-        return NONE_SIZE
     if isinstance(payload, bool):
         return 1
     if isinstance(payload, int):
@@ -74,9 +89,9 @@ def wire_size(payload: Any) -> int:
             wire_size(k) + wire_size(v) for k, v in payload.items()
         )
     if is_dataclass(payload) and not isinstance(payload, type):
-        _FIELD_NAMES[type(payload)] = tuple(f.name for f in fields(payload))
+        _FIELD_NAMES[kind] = tuple(f.name for f in fields(payload))
         return wire_size(payload)
-    raise TypeError(f"wire_size: unsupported payload type {type(payload)!r}")
+    raise TypeError(f"wire_size: unsupported payload type {kind!r}")
 
 
 @dataclass(frozen=True, slots=True)

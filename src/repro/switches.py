@@ -65,8 +65,10 @@ AXES: tuple[Axis, ...] = (
          "`tests/core/test_core_differential.py`, "
          "`tests/core/test_cohort.py` (`-m core_differential`)"),
     Axis("vi", "REPRO_REFERENCE_VI",
-         "phase-table VI emulation engine (`VIRoundEngine`)",
-         "per-device dispatch, one `Simulator.step` per real round",
+         "phase-table VI emulation engine; a site's deployed replicas "
+         "are stepped once per phase as one cohort (`VIRoundEngine`)",
+         "per-device dispatch, one `Simulator.step` per real round, "
+         "every replica stepped alone",
          "`tests/vi/test_vi_differential.py` (`-m vi_differential`)"),
 )
 

@@ -128,10 +128,12 @@ class VIDevice(Process):
             )
             self.events.append((0, f"deployed:{target.vn_id}"))
 
-        # Leaving a region tears the replica down.
+        # Leaving a region tears the replica down (off any cohort store,
+        # which holds no dead members).
         if self.replica is not None and (
                 target is None or target.vn_id != self.replica.site.vn_id):
             self.events.append((vr, f"left:{self.replica.site.vn_id}"))
+            self.replica.core.detach()
             self.replica = None
 
         # Entering a region starts (or retargets) the join protocol; being

@@ -19,6 +19,13 @@ real round then touches only the listed devices through the prebound
 ``send_at``/``deliver_at`` entry points, with the round's
 :class:`PhasePosition` computed once instead of once per device.
 
+**Replica cohorts.**  At virtual round 0 the engine puts each run of a
+site's freshly deployed replicas (consecutive in node order, slotted
+cores) on one cohort store, listed in the core phases as one cohort row
+(:class:`~repro.vi.replica.ReplicaCohort`): the store steps once per
+phase.  Joiners, rebirths and dict cores keep private stores; the
+per-device dispatch and the fallback below never form a cohort.
+
 Byte-identity with the per-device dispatch is a design constraint, not
 an aspiration (the ``vi_differential`` suite pins it):
 
@@ -57,8 +64,10 @@ by hand), or the simulator carries nodes the world does not know about.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable
 
+from ..core.slotted import form_cohort, shared_store
 from ..detectors import EventuallyAccurateDetector
 from ..net.adversary import NoAdversary
 from ..net.messages import Message
@@ -66,13 +75,15 @@ from ..net.trace import RoundRecord
 from ..types import NodeId, Round, VirtualRound
 from .device import _NO_PAYLOADS
 from .phases import PhasePosition
+from .replica import ReplicaCohort, ReplicaRuntime
 
 if TYPE_CHECKING:
     from .world import VIWorld
 
 #: One table row: ``(node, send_at, deliver_at)`` — the device's phase
-#: entry points prebound, mirroring the simulator's dispatch tables.
-Row = tuple[NodeId, Callable, Callable]
+#: entry points prebound, mirroring the simulator's dispatch tables — or
+#: a core phase's cohort row ``(nodes, send, deliver)`` (a node tuple).
+Row = tuple[NodeId | tuple[NodeId, ...], Callable, Callable]
 
 
 class PhaseTable:
@@ -85,10 +96,11 @@ class PhaseTable:
     dispatched even on a quiet reception (no messages, no collision
     flag), because silence itself is meaningful there (ballot phases
     paint red, veto-2 closes the instance, JOIN_ACK/RESET silence drives
-    the joiner state machine) — and ``recv_skippable[offset]`` — rows
-    whose quiet delivery is provably a no-op (CLIENT/VN observation,
-    veto-1, JOIN watching, and *replica* JOIN_ACK watching, which only
-    reacts to collisions).  ``contenders`` holds ``(node, cm_name)`` for
+    the joiner state machine) or a cohort row steps its members as one
+    (the CHA phases, veto-1 included) — and ``recv_skippable[offset]`` —
+    rows whose quiet delivery is provably a no-op (CLIENT/VN
+    observation, JOIN watching, and *replica* JOIN_ACK watching, which
+    only reacts to collisions).  ``contenders`` holds ``(node, cm_name)`` for
     every replica device — replicas contend for their virtual node's
     regional manager every real round.
     """
@@ -109,12 +121,18 @@ class PhaseTable:
 
     def sender_nodes(self, offset: int) -> set[NodeId]:
         """Node ids that may send at ``offset`` (introspection/tests)."""
-        return {row[0] for row in self.senders[offset]}
+        return _row_nodes(self.senders[offset])
 
     def receiver_nodes(self, offset: int) -> set[NodeId]:
         """Node ids that may receive at ``offset`` (introspection/tests)."""
-        return ({row[0] for row in self.recv_mandatory[offset]}
-                | {row[0] for row in self.recv_skippable[offset]})
+        return (_row_nodes(self.recv_mandatory[offset])
+                | _row_nodes(self.recv_skippable[offset]))
+
+
+def _row_nodes(rows: tuple[Row, ...]) -> set[NodeId]:
+    """The node ids of ``rows``, a cohort row's members included."""
+    return {node for row in rows for node in
+            (row[0] if row[0].__class__ is tuple else (row[0],))}
 
 
 class VIRoundEngine:
@@ -152,8 +170,10 @@ class VIRoundEngine:
         slot_now = vr % s
         replicas: list[Row] = []
         scheduled: list[Row] = []
-        unscheduled: list[Row] = []
+        core_sched: list[Row] = []
+        core_unsched: list[Row] = []
         by_slot: dict[int, list[Row]] = {}
+        cohort_rows = self._cohort_rows()
         joiners: list[Row] = []
         client_recv: list[Row] = []
         contenders: list[tuple[NodeId, str]] = []
@@ -172,11 +192,16 @@ class VIRoundEngine:
                 client_recv.append((node, device.send_at, device.deliver_at))
                 contenders.append((node, cm_names[vn]))
                 slot = slot_of(vn)
+                # In the core phases a cohort's members are one row, at
+                # its first member's place (``None`` at the others').
+                core_row = cohort_rows.get(node, crow)
                 if slot == slot_now:
                     scheduled.append(crow)
-                else:
-                    unscheduled.append(crow)
-                    by_slot.setdefault(slot, []).append(crow)
+                    if core_row is not None:
+                        core_sched.append(core_row)
+                elif core_row is not None:
+                    core_unsched.append(core_row)
+                    by_slot.setdefault(slot, []).append(core_row)
             else:
                 if device._join_target is not None:
                     # Joiners receive only in JOIN_ACK/RESET phases,
@@ -195,7 +220,8 @@ class VIRoundEngine:
         skippable: list[tuple[Row, ...]] = [empty] * n_offsets
         reps = tuple(replicas)
         sched = tuple(scheduled)
-        unsched = tuple(unscheduled)
+        cha_sched = tuple(core_sched)
+        unsched = tuple(core_unsched)
         joins = tuple(joiners)
         clients = tuple(client_recv)
         # CLIENT (offset 0): every device sends (housekeeping); clients
@@ -207,16 +233,17 @@ class VIRoundEngine:
         senders[1] = reps
         skippable[1] = clients
         # Scheduled CHA ballot/veto1/veto2.  Ballot silence paints the
-        # instance red and veto-2 silence still closes the instance, so
-        # those receptions are mandatory; a quiet veto-1 is a no-op.
-        senders[2] = mandatory[2] = sched
-        senders[3] = skippable[3] = sched
-        senders[4] = mandatory[4] = sched
+        # instance red and veto-2 silence still closes the instance; a
+        # quiet veto-1 is a no-op, but one a cohort row takes in its
+        # stride, so all three receptions are mandatory.
+        senders[2] = mandatory[2] = cha_sched
+        senders[3] = mandatory[3] = cha_sched
+        senders[4] = mandatory[4] = cha_sched
         # Unscheduled CHA ballots: one slot per schedule colour (the
         # current colour's slot and the two guard slots stay empty).
         for slot, rows in by_slot.items():
             senders[5 + slot] = mandatory[5 + slot] = tuple(rows)
-        senders[s + 7] = skippable[s + 7] = unsched
+        senders[s + 7] = mandatory[s + 7] = unsched
         senders[s + 8] = mandatory[s + 8] = unsched
         # JOIN: joiners request, replicas watch for join activity (a
         # quiet JOIN round leaves ``_join_activity`` untouched).
@@ -236,15 +263,47 @@ class VIRoundEngine:
         return PhaseTable(vr, senders, mandatory, skippable,
                           tuple(contenders))
 
-    def _contenders_now(self) -> tuple[tuple[NodeId, str], ...]:
-        """Contender rows from current device state (used when no valid
-        previous-round table exists, e.g. the very first virtual round)."""
-        cm_names = self._cm_names
-        return tuple(
-            (node, cm_names[device.replica.site.vn_id])
-            for node, device in self.world.devices.items()
-            if device.replica is not None
-        )
+    def _site_runs(self) -> list[list[tuple[NodeId, ReplicaRuntime]]]:
+        """The ``(node, replica)`` pairs in node order, in one-site runs."""
+        pairs = [(node, device.replica)
+                 for node, device in self.world.devices.items()
+                 if device.replica is not None]
+        return [list(run) for _, run in
+                groupby(pairs, key=lambda pair: pair[1].site.vn_id)]
+
+    def _form_cohorts(self) -> None:
+        """Put each run of a site's fresh replicas on one cohort store."""
+        for run in self._site_runs():
+            cores = [replica.core for _, replica in run]
+            if len(cores) > 1 and all(core.checkpoint_state
+                                      is cores[0].checkpoint_state
+                                      for core in cores):
+                form_cohort(cores)
+
+    def _cohort_rows(self) -> dict[NodeId, Row | None]:
+        """Core-phase rows ``(nodes, send, deliver)`` of every run of a
+        site's replicas holding a shared store, keyed by its first node
+        (``None`` at the others).  A store rows once: its members in a
+        later run, or a second store's in one run, fork out."""
+        rows: dict[NodeId, Row | None] = {}
+        used: set[int] = set()
+        for run in self._site_runs():
+            store = None
+            for _, replica in run:
+                shared = shared_store(replica.core)
+                if shared is None or shared is store:
+                    continue
+                if store is None and id(shared) not in used:
+                    store = shared
+                    used.add(id(store))
+                else:
+                    replica.core.detach()
+            if store is not None:
+                nodes = tuple(node for node, _ in run)
+                cohort = ReplicaCohort([r for _, r in run], nodes, store)
+                rows.update(dict.fromkeys(nodes))
+                rows[nodes[0]] = (nodes, cohort.send, cohort.deliver)
+        return rows
 
     # ------------------------------------------------------------------
     # Round execution
@@ -273,7 +332,11 @@ class VIRoundEngine:
             # any role, so last round's replica set is exact.
             contenders = table.contenders
         else:
-            contenders = self._contenders_now()
+            # No valid previous-round table (the first virtual round, or
+            # after a fallback): the replicas as they stand.
+            contenders = tuple((node, self._cm_names[replica.site.vn_id])
+                               for run in self._site_runs()
+                               for node, replica in run)
         positions = clock.positions_for(vr)
         self._step(first, positions[0], 0, contenders)
         contenders = self._table.contenders
@@ -367,6 +430,10 @@ class VIRoundEngine:
                     broadcasts[node] = Message(node, payload)
                     send_list.append(node)
             vr_now = pos.virtual_round
+            if vr_now == 0 and not self.world.switches.core:
+                # The deployed replicas are fresh: the one moment a
+                # site's replicas can start on one cohort store.
+                self._form_cohorts()
             slot_now = vr_now % self.schedule.length
             epoch = self._role_version[0]
             table = self._table
@@ -384,6 +451,15 @@ class VIRoundEngine:
             if not skip_senders:
                 for row in table.senders[offset]:
                     node = row[0]
+                    if node.__class__ is tuple:
+                        # A cohort row: its members that may send, as one.
+                        if not no_crashes:
+                            node = [n for n in node
+                                    if alive(n, r) and sends_in(n, r)]
+                        for node, payload in row[1](pos, node, adv):
+                            broadcasts[node] = Message(node, payload)
+                            send_list.append(node)
+                        continue
                     if not no_crashes and not (alive(node, r)
                                                and sends_in(node, r)):
                         continue
@@ -430,6 +506,9 @@ class VIRoundEngine:
         delivered_get = delivered.get
         for row in table.recv_mandatory[offset]:
             node = row[0]
+            if node.__class__ is tuple:  # a cohort row
+                row[2](pos, delivered, flags)
+                continue
             messages = delivered_get(node)
             if messages is None:
                 continue  # absent or not receiving this round

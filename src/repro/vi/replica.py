@@ -12,11 +12,13 @@ Alignment invariant: CHA instance ``k`` decides virtual round ``k - 1``
 (instances are 1-based, virtual rounds 0-based).  At the CLIENT phase of
 virtual round ``vr`` an active replica's core satisfies ``core.k == vr``.
 
-The core is driven through the step surface
-:class:`~repro.core.cha.CHAProcess` uses (``step_begin`` / ``propose``,
-``step_ballot``, ``veto_due`` / ``veto_payload``, ``step_veto1``,
-``step_end``), on the emulation's grid.  A replica's core is never in a
-cohort, so no step needs ``detach``.
+The core phases (:meth:`ReplicaRuntime.core_phase`) run one machine
+over runs of replicas: :func:`~repro.core.cha.send_runs` sends and
+:meth:`ReplicaRuntime._step_group` delivers.  All replicas of one
+program fold with one reducer (:func:`_fold`), so the phase-table engine
+can put a site's deployed replicas on one cohort store, stepped once per
+phase (:class:`ReplicaCohort`); a lone ``send_for`` / ``deliver_for`` is
+the machine over a run of one, after ``core.detach()``.
 
 Externally visible actions are gated on green (Section 3.3): a replica
 offers a VN-phase broadcast only when its most recent instance was green,
@@ -27,16 +29,26 @@ every instance is green and the virtual node speaks every round.)
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Any
 
 from ..core.ballot import BallotPayload, VetoPayload, canonical_key
-from ..core.cha import build_core
+from ..core.cha import CHAProcess, build_core, send_runs, split_runs
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, VirtualRound
 from .payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
 from .phases import Phase, PhasePosition
 from .program import VNProgram, VirtualObservation
 from .schedule import Schedule, VNSite
+
+#: A lone step's node ids: the replica's placeholder, and its advice.
+_ALONE = (0,)
+
+#: The CHA phases (ballot, veto-1, veto-2) of a scheduled and of an
+#: unscheduled virtual node's instance.
+_CHA_PHASES = ((Phase.SCHED_BALLOT, Phase.SCHED_VETO1, Phase.SCHED_VETO2),
+               (Phase.UNSCHED_BALLOT, Phase.UNSCHED_VETO1,
+                Phase.UNSCHED_VETO2))
 
 
 def observation_from_value(value: Any) -> VirtualObservation:
@@ -49,6 +61,12 @@ def observation_from_value(value: Any) -> VirtualObservation:
         return VirtualObservation.unknown()
     messages, collision, _vn_sent = value
     return VirtualObservation(tuple(messages), collision)
+
+
+def _fold(program: VNProgram, state: Any, k: Instance, value: Any) -> Any:
+    """The checkpoint reducer (instance ``k`` decides virtual round
+    ``k - 1``), bound to the program: its replicas' reducers are equal."""
+    return program.step(state, k - 1, observation_from_value(value))
 
 
 class ReplicaRuntime:
@@ -68,6 +86,7 @@ class ReplicaRuntime:
         #: extract values and never retain the payload objects.
         self.pool_payloads = pool_payloads
         self._pooled_vn_msg: VNMsg | None = None
+        self._reduce = MethodType(_fold, program)
         self.core = build_core(
             propose=self._propose, reducer=self._reduce,
             initial_state=program.init_state(), tag=self.tag,
@@ -86,14 +105,14 @@ class ReplicaRuntime:
     # Virtual-node state derivation
     # ------------------------------------------------------------------
 
-    def _reduce(self, state, k, value):
-        return self.program.step(state, k - 1, observation_from_value(value))
-
     def vn_state(self) -> Any:
         """The virtual node's state after all instances this chain covers."""
-        out = self.core.current_checkpoint_output()
+        core = self.core
+        if core.checkpoint_instance == core.k:
+            return core.checkpoint_state  # an empty suffix folds nothing
+        out = core.current_checkpoint_output()
         state = out.checkpoint_state
-        for k in range(self.core.checkpoint_instance + 1, self.core.k + 1):
+        for k in range(core.checkpoint_instance + 1, core.k + 1):
             state = self._reduce(state, k, out.suffix(k))
         return state
 
@@ -119,7 +138,6 @@ class ReplicaRuntime:
         self._obs: list[Any] = []
         self._obs_collision = False
         self._vn_sent = False
-        self._emitting: Any | None = None
         self._join_activity = False
 
     def _propose(self, k: Instance):
@@ -141,6 +159,22 @@ class ReplicaRuntime:
             object.__setattr__(msg, "payload", message)
         return msg
 
+    def core_phase(self, pos: PhasePosition) -> int | None:
+        """The CHA phase this replica's core is in at ``pos`` (0 ballot,
+        1 veto-1, 2 veto-2), or ``None`` where its core takes no step: a
+        scheduled node's instance runs in the SCHED phases, an
+        unscheduled one's in its colour's ballot slot and the UNSCHED
+        veto phases."""
+        vn = self.site.vn_id
+        scheduled = self.schedule.is_scheduled(vn, pos.virtual_round)
+        phases = _CHA_PHASES[not scheduled]
+        if pos.phase not in phases:
+            return None
+        cha = phases.index(pos.phase)
+        if cha or scheduled or pos.slot == self.schedule.slot_of(vn):
+            return cha
+        return None
+
     def send_for(self, pos: PhasePosition, active: bool) -> Any | None:
         vn = self.site.vn_id
         vr = pos.virtual_round
@@ -152,38 +186,18 @@ class ReplicaRuntime:
             return None
 
         if phase is Phase.VN:
-            message = self.vn_message(vr)
-            if message is None:
-                return None
             # Scheduled VN: only the contention-manager leader speaks.
             # Unscheduled VN choosing to ignore its schedule: every
             # replica speaks (the paper's counterintuitive rule) —
             # the resulting virtual collision is the honest outcome.
+            # Each speaker derives its own message object.
             if scheduled and not active:
                 return None
-            self._vn_sent = True
-            self._emitting = message
-            return self._make_vn_msg(vn, vr, message)
-
-        if phase is Phase.SCHED_BALLOT:
-            return self._begin(active) if scheduled else None
-
-        if phase is Phase.SCHED_VETO1:
-            return self._veto(1) if scheduled else None
-
-        if phase is Phase.SCHED_VETO2:
-            return self._veto(2) if scheduled else None
-
-        if phase is Phase.UNSCHED_BALLOT:
-            if scheduled or pos.slot != self.schedule.slot_of(vn):
+            message = self.vn_message(vr)
+            if message is None:
                 return None
-            return self._begin(active)
-
-        if phase is Phase.UNSCHED_VETO1:
-            return None if scheduled else self._veto(1)
-
-        if phase is Phase.UNSCHED_VETO2:
-            return None if scheduled else self._veto(2)
+            self._vn_sent = True
+            return self._make_vn_msg(vn, vr, message)
 
         if phase is Phase.JOIN_ACK:
             # Conditions of Section 4.3: already joined (we exist), join
@@ -197,13 +211,20 @@ class ReplicaRuntime:
                 return AlivePing(vn, vr)
             return None
 
-        return None
+        cha = self.core_phase(pos)
+        if cha is None:
+            return None
+        self.core.detach()  # a lone step leaves a shared store
+        out = send_runs(cha, (((self,), _ALONE, True),),
+                        _ALONE if active else ())
+        return out[0][1] if out else None
+
+    #: This replica's ballot-phase payload (what ``send_runs`` sends).
+    _ballot_payload = CHAProcess._ballot_payload
 
     def deliver_for(self, pos: PhasePosition, payloads: list[Any],
                     collision: bool) -> None:
         vn = self.site.vn_id
-        vr = pos.virtual_round
-        scheduled = self.schedule.is_scheduled(vn, vr)
         phase = pos.phase
 
         if phase is Phase.CLIENT:
@@ -223,27 +244,6 @@ class ReplicaRuntime:
             self._obs_collision = self._obs_collision or collision
             return
 
-        if phase is Phase.SCHED_BALLOT and scheduled:
-            self._on_ballot(payloads, collision)
-            return
-        if phase is Phase.SCHED_VETO1 and scheduled:
-            self._on_veto(payloads, collision, which=1)
-            return
-        if phase is Phase.SCHED_VETO2 and scheduled:
-            self._on_veto(payloads, collision, which=2, vr=vr)
-            return
-
-        if phase is Phase.UNSCHED_BALLOT and not scheduled:
-            if pos.slot == self.schedule.slot_of(vn):
-                self._on_ballot(payloads, collision)
-            return
-        if phase is Phase.UNSCHED_VETO1 and not scheduled:
-            self._on_veto(payloads, collision, which=1)
-            return
-        if phase is Phase.UNSCHED_VETO2 and not scheduled:
-            self._on_veto(payloads, collision, which=2, vr=vr)
-            return
-
         if phase is Phase.JOIN:
             saw_request = any(
                 isinstance(p, JoinRequest) and p.vn_id == vn for p in payloads
@@ -257,43 +257,123 @@ class ReplicaRuntime:
                 self._join_activity = True
             return
 
+        cha = self.core_phase(pos)
+        if cha is not None:
+            self.core.detach()  # a lone step, as in send_for
+            self._step_group(cha, pos.virtual_round, (self,),
+                             self._heard(cha, payloads), collision)
+
     # -- CHA plumbing -----------------------------------------------------
 
-    def _begin(self, active: bool) -> BallotPayload | None:
-        """Start the next instance; the ballot iff advised to send."""
-        core = self.core
-        value = core.propose(core.step_begin())
-        return core.ballot_payload(value) if active else None
-
-    def _veto(self, phase: int) -> VetoPayload | None:
-        """The veto payload for veto phase ``phase``, iff one is due."""
-        core = self.core
-        return core.veto_payload(phase) if core.veto_due(phase) else None
-
-    def _on_ballot(self, payloads, collision) -> None:
-        ballots = [
-            p.ballot for p in payloads
-            if isinstance(p, BallotPayload)
-            and p.tag == self.tag and p.instance == self.core.k
-        ]
-        self.core.step_ballot(ballots, collision)
-
-    def _on_veto(self, payloads, collision, *, which: int,
-                 vr: VirtualRound | None = None) -> None:
-        if not self.core.has_instance():
-            # Pre-instance veto phase (e.g. right after a reset
-            # re-anchored the core): inert until the next ballot phase
-            # begins an instance.
-            return
+    def _heard(self, cha: int, payloads) -> Any:
+        """What this replica's core hears in CHA phase ``cha``: the
+        ballots for its instance, or whether a veto was heard."""
+        tag = self.tag
+        if cha == 0:
+            k = self.core.k
+            return [p.ballot for p in payloads
+                    if isinstance(p, BallotPayload)
+                    and p.tag == tag and p.instance == k]
         # Tag-only filtering: the tag is per virtual node, and replicas
         # of one VN move through the phase grid in lockstep, so the
         # instance field carries no extra information here.
-        veto = any(
-            isinstance(p, VetoPayload) and p.tag == self.tag for p in payloads
-        )
-        if which == 1:
-            self.core.step_veto1(veto, collision)
-        else:
-            self.core.step_end(veto, collision)
-            if vr is not None:
-                self.round_colors[vr] = self.core.color_of(self.core.k)
+        return any(isinstance(p, VetoPayload) and p.tag == tag
+                   for p in payloads)
+
+    def _step_group(self, cha: int, vr: VirtualRound, group, heard: Any,
+                    collision: bool) -> None:
+        """The deliver step of CHA phase ``cha`` for ``group``: this
+        replica and every other on its core's store, all of which heard
+        ``heard`` with flag ``collision``.  The store steps once; at
+        veto-2 each member records the instance's colour."""
+        core = self.core
+        if cha == 0:
+            core.step_ballot(heard, collision)
+        elif core.has_instance():
+            # (Pre-instance veto phases, e.g. right after a reset
+            # re-anchored the core, are inert until the next ballot.)
+            if cha == 1:
+                core.step_veto1(heard, collision)
+            else:
+                core.step_end(heard, collision)
+                color = core.color_of(core.k)
+                for replica in group:
+                    replica.round_colors[vr] = color
+
+
+class ReplicaCohort:
+    """Consecutive replicas of one site, stepped once per core phase.
+
+    ``replicas`` (at ``nodes``, in node order) are the members of one
+    cohort ``store`` and any of the site's replicas off it, each stepped
+    alone in its place.  Before a step, a member that does not take part
+    (gated out of sending, absent from the reception) or whose input is
+    not the majority's (the ballots heard, by identity, as the store
+    keeps the wire ballot; the veto bit; the flag) forks off for good.
+    """
+
+    __slots__ = ("replicas", "nodes", "_store", "_last")
+
+    def __init__(self, replicas: list[ReplicaRuntime], nodes: tuple,
+                 store: Any) -> None:
+        self.replicas = replicas
+        self.nodes = nodes
+        self._store = store
+        self._last: tuple = (None, 0, None)
+
+    def _split(self, takers) -> tuple:
+        """:func:`~repro.core.cha.split_runs` over ``takers`` (node ids in
+        node order), cached while ``takers`` is the same object and
+        nobody left the store."""
+        store = self._store
+        last = self._last
+        if last[0] is takers and last[1] == len(store.members):
+            return last[2]
+        split = split_runs(dict(zip(self.nodes, self.replicas)), takers,
+                           store)
+        self._last = (takers, len(store.members), split)
+        return split
+
+    def send(self, pos: PhasePosition, takers, advised) -> list[tuple]:
+        """The send step of the members in ``takers`` (those allowed to
+        send), as ``(node, payload)`` pairs in node order."""
+        return send_runs(self.replicas[0].core_phase(pos),
+                         self._split(takers)[0], advised)
+
+    def deliver(self, pos: PhasePosition, delivered, flags) -> None:
+        """The deliver step of every member with a reception in
+        ``delivered`` (its flag in ``flags``)."""
+        cha = self.replicas[0].core_phase(pos)
+        vr = pos.virtual_round
+        takers = nodes = self.nodes
+        for node in nodes:
+            if node not in delivered:
+                takers = [node for node in nodes if node in delivered]
+                break
+        shared, solo = self._split(takers)[1:]
+
+        def heard(replica, node):  # a member's core input and flag
+            return (replica._heard(cha, [m.payload for m in delivered[node]]),
+                    flags[node])
+
+        if shared:
+            node = shared[0][1]
+            first, flag = delivered[node], flags[node]
+            # One message object per sender and round: equal receptions
+            # hold the same objects (tuple equality tries identity first).
+            if all(flags[n] == flag and delivered[n] == first
+                   for _, n in shared):
+                taken = heard(*shared[0])
+            else:
+                inputs = [heard(*pair) for pair in shared]
+                keys = [(flag, tuple(map(id, h)) if cha == 0 else h)
+                        for h, flag in inputs]
+                best = max(keys, key=keys.count)
+                for key, (replica, _) in zip(keys, shared):
+                    if key != best:
+                        replica.core.detach()
+                taken = inputs[keys.index(best)]
+                shared, solo = self._split(takers)[1:]
+            shared[0][0]._step_group(cha, vr, [r for r, _ in shared], *taken)
+        for replica, node in solo:
+            replica._step_group(cha, vr, (replica,), *heard(replica, node))

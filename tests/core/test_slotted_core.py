@@ -27,7 +27,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _cores import begin, end
+from _cores import begin, count_calls, end
 from _switches import materialised
 from repro.baselines.two_phase_cha import TwoPhaseChaProcess
 from repro.contention import LeaderElectionCM
@@ -649,17 +649,6 @@ def test_lockstep_run_is_one_cohort():
     assert len(cohorts) == 1
 
 
-def _count_calls(monkeypatch, owner, names, counts):
-    for name in names:
-        original = getattr(owner, name)
-
-        def counting(self, *args, _original=original, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
-
-
 def test_transitions_per_instance_do_not_grow_with_n(monkeypatch):
     """(e) A lockstep cohort applies each transition once: folds and
     store steps per instance are the same at n = 20 and n = 60 (a quiet
@@ -669,7 +658,7 @@ def test_transitions_per_instance_do_not_grow_with_n(monkeypatch):
     per_instance = {}
     for n in (20, 60):
         counts: dict[str, int] = {}
-        _count_calls(monkeypatch, SlottedChaCore, steps, counts)
+        count_calls(monkeypatch, SlottedChaCore, steps, counts)
         stepper = _lockstep_stepper(n, 100)
         stepper.step(3 * 10)
         counts.clear()
@@ -690,11 +679,11 @@ def test_lockstep_rounds_dispatch_the_ensemble_once(n, monkeypatch):
     from repro.core import CHAEnsemble, CHAProcess
 
     counts: dict[str, int] = {}
-    _count_calls(monkeypatch, CHAProcess, ("send", "deliver_batch", "contend"),
+    count_calls(monkeypatch, CHAProcess, ("send", "deliver_batch", "contend"),
                  counts)
-    _count_calls(monkeypatch, CHAEnsemble,
+    count_calls(monkeypatch, CHAEnsemble,
                  ("send_round", "deliver_round", "contend"), counts)
-    _count_calls(monkeypatch, SlottedChaCore, ("_fold_chain",), counts)
+    count_calls(monkeypatch, SlottedChaCore, ("_fold_chain",), counts)
     stepper = _lockstep_stepper(n, 40)
     stepper.step(1)
     counts.clear()

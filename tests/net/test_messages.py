@@ -1,10 +1,15 @@
 """Unit tests for message envelopes and wire-size accounting."""
 
+import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, strategies as st
 
+from _oracles import chained_wire_size
 from repro.core.ballot import Ballot, BallotPayload, VetoPayload
+from repro.types import Color
 from repro.net.messages import (
     CONTAINER_OVERHEAD,
     INT_SIZE,
@@ -94,6 +99,69 @@ class TestWireSize:
 
     def test_veto_payload_constant(self):
         assert wire_size(VetoPayload("t", 1, 1)) == wire_size(VetoPayload("t", 999, 2))
+
+
+class _Kind(enum.Enum):
+    A = "a"
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class _Box:
+    item: object
+    k: int = 3
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=4), st.binary(max_size=4),
+    st.integers().map(_Count), st.text(max_size=3).map(_Text),
+    st.sampled_from([Color.GREEN, Color.RED, _Kind.A]),
+    st.just(3 + 4j))  # unsupported: both sides must raise
+
+
+def _nest(children):
+    return st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.tuples(children, children).map(lambda p: _Pair(*p)),
+        st.frozensets(st.integers(), max_size=3),
+        st.dictionaries(st.text(max_size=2), children, max_size=2),
+        children.map(_Box),
+    )
+
+
+class TestWireSizeAgainstTheChain:
+    """The exact-type lookups size every payload as the ``isinstance``
+    chain they short-cut (:func:`_oracles.chained_wire_size`)."""
+
+    @given(st.recursive(_leaves, _nest, max_leaves=12))
+    def test_nested_payloads_size_as_the_chain(self, payload):
+        try:
+            expected = chained_wire_size(payload)
+        except TypeError:
+            with pytest.raises(TypeError, match="unsupported payload type"):
+                wire_size(payload)
+        else:
+            assert wire_size(payload) == expected
+
+    def test_a_pooled_payload_mutated_in_place_is_sized_afresh(self):
+        payload = BallotPayload("t", 1, Ballot(("x",), 0))
+        before = wire_size(payload)
+        object.__setattr__(payload.ballot, "value", ("x", "yz", 3))
+        assert wire_size(payload) == chained_wire_size(payload) != before
 
 
 class TestMessage:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.ballot import BallotPayload, VetoPayload
 from repro.geometry import Point
+from repro.switches import Switches
 from repro.types import BOTTOM, Color
 from repro.vi import (
     ClientMsg,
@@ -221,3 +222,73 @@ class TestSnapshotAndReset:
             ReplicaRuntime(SITE, CounterProgram(),
                            Schedule({0: 0}, length=1),
                            snapshot={}, reset_at=1)
+
+
+def folded_state(replica):
+    """The virtual node's state through the fold: the checkpoint, then
+    every suffix instance folded on top (what ``vn_state`` short-cuts
+    when the suffix is empty)."""
+    core = replica.core
+    out = core.current_checkpoint_output()
+    state = out.checkpoint_state
+    for k in range(core.checkpoint_instance + 1, core.k + 1):
+        state = replica._reduce(state, k, out.suffix(k))
+    return state
+
+
+def run_round(replica, vr, *, ballot_collision=False, veto2_collision=False):
+    """One virtual round with one client add; ``ballot_collision`` makes
+    the instance red, ``veto2_collision`` (alone) yellow."""
+    replica.send_for(pos(Phase.CLIENT, vr), False)
+    replica.deliver_for(pos(Phase.CLIENT, vr), [ClientMsg(vr, ("add", vr + 1))],
+                        False)
+    ballot = replica.send_for(pos(Phase.SCHED_BALLOT, vr), True)
+    replica.deliver_for(pos(Phase.SCHED_BALLOT, vr), [ballot], ballot_collision)
+    veto = replica.send_for(pos(Phase.SCHED_VETO1, vr), False)
+    replica.deliver_for(pos(Phase.SCHED_VETO1, vr), [veto] if veto else [],
+                        False)
+    veto = replica.send_for(pos(Phase.SCHED_VETO2, vr), False)
+    replica.deliver_for(pos(Phase.SCHED_VETO2, vr), [veto] if veto else [],
+                        veto2_collision)
+
+
+@pytest.mark.parametrize("switches", [Switches(), Switches(core=True)],
+                         ids=["slotted", "dict"])
+class TestVNStateShortcut:
+    """With an empty suffix ``vn_state`` returns the checkpoint state
+    itself; on both cores that equals the folded path, whichever colour
+    the instances before it took, and after a reset or a restore."""
+
+    def make(self, switches, **kwargs):
+        return ReplicaRuntime(SITE, CounterProgram(),
+                              Schedule({0: 0}, length=1), switches=switches,
+                              **kwargs)
+
+    def test_after_green_yellow_and_red_instances(self, switches):
+        r = self.make(switches)
+        shortcuts = []
+        for vr, colour in enumerate(["green", "yellow", "green", "red",
+                                     "red", "green", "yellow"]):
+            run_round(r, vr, ballot_collision=colour == "red",
+                      veto2_collision=colour == "yellow")
+            assert r.round_colors[vr].name.lower() == colour
+            shortcuts.append(r.core.checkpoint_instance == r.core.k)
+            assert r.vn_state() == folded_state(r)
+        # Both paths ran: the shortcut after a green instance, the fold
+        # over a non-empty suffix after the others.
+        assert shortcuts == [True, False, True, False, False, True, False]
+        # Red instances adopt no ballot; yellow ones do (the last one in
+        # the suffix).
+        assert r.vn_state() == 1 + 2 + 3 + 6 + 7
+
+    def test_after_reset_and_restore(self, switches):
+        reborn = self.make(switches, reset_at=4)
+        assert reborn.core.checkpoint_instance == reborn.core.k == 4
+        assert reborn.vn_state() == folded_state(reborn) == 0
+        source = self.make(switches)
+        run_round(source, 0)
+        run_round(source, 1, veto2_collision=True)
+        for vr in (1, 2):
+            clone = self.make(switches, snapshot=source.core.snapshot())
+            assert clone.vn_state() == folded_state(clone) == source.vn_state()
+            run_round(source, vr + 1)

@@ -42,6 +42,8 @@ from repro.net import (
     WaypointMobility,
     WindowAdversary,
 )
+from repro.apps.atomic_memory import RegisterProgram, WriterClient
+from repro.apps.tracking import TargetClient, TrackerProgram
 from repro.switches import Switches
 from repro.vi import CounterProgram, ScriptedClient, VNSite
 
@@ -92,11 +94,26 @@ def _environments(rpv: int):
     }
 
 
-def _spec_factory(schedule_length: int, env_factory):
+#: The virtual nodes' program and the out-of-region client, per app.  The
+#: counter's state is an int; the register's ``(seq, value)`` tuple comes
+#: back unchanged from most steps and the tracker's is a tuple of pairs,
+#: so a cohort's shared checkpoint state must pickle as the per-replica
+#: states do (JoinAck snapshots carry it into the trace).
+APPS = {
+    "counter": (CounterProgram, lambda: ScriptedClient(
+        {2: ("add", 7), 5: ("add", 11), 8: ("add", 13)})),
+    "register": (RegisterProgram, lambda: WriterClient(
+        {2: "x", 5: ("y", 1), 8: "z"})),
+    "tracker": (TrackerProgram, lambda: TargetClient("t", period=2)),
+}
+
+
+def _spec_factory(schedule_length: int, env_factory, app: str = "counter"):
     """A deployed world stressing every phase-table role: deployed
     replicas on two sites, an out-of-region client, a walker joiner,
     and a late-starting device that joins mid-run."""
     rpv = schedule_length + 12
+    program, client = APPS[app]
 
     def spec_factory():
         env = env_factory()
@@ -109,10 +126,7 @@ def _spec_factory(schedule_length: int, env_factory):
             DeviceSpec(mobility=Point(5.9, 0.1)),
             DeviceSpec(mobility=Point(6.1, 0.1)),
             # A client outside every region (radius r1/4 = 0.25).
-            DeviceSpec(mobility=Point(0.3, 0.0),
-                       client=ScriptedClient({2: ("add", 7),
-                                              5: ("add", 11),
-                                              8: ("add", 13)})),
+            DeviceSpec(mobility=Point(0.3, 0.0), client=client()),
             # A walker that parks inside site 0's region and joins.
             DeviceSpec(mobility=WaypointMobility(
                 Point(0.0, 3.0), [Point(0.0, 0.05)], speed=0.05),
@@ -122,8 +136,7 @@ def _spec_factory(schedule_length: int, env_factory):
                        start_round=3 * rpv),
         )
         return ExperimentSpec(
-            protocol=VIEmulation(programs={0: CounterProgram(),
-                                           1: CounterProgram()}),
+            protocol=VIEmulation(programs={0: program(), 1: program()}),
             world=DeployedWorld(sites=sites, devices=devices, rcf=rcf,
                                 min_schedule_length=schedule_length),
             environment=EnvironmentSpec(**env),
@@ -136,9 +149,12 @@ def _spec_factory(schedule_length: int, env_factory):
 
 
 def _scenarios():
-    for s in (1, 3, 7):
-        for env_name, env_factory in _environments(s + 12):
-            yield f"s{s}-{env_name}", _spec_factory(s, env_factory)
+    for app in APPS:
+        prefix = "" if app == "counter" else f"{app}-"
+        for s in (1, 3, 7):
+            for env_name, env_factory in _environments(s + 12):
+                yield (f"{prefix}s{s}-{env_name}",
+                       _spec_factory(s, env_factory, app))
     # The all-mobile world (schedule length 4): orbiting replicas and
     # roaming clients, so positions, region lookups and role tables
     # change every round.
