@@ -387,7 +387,7 @@ def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
 
     A run is ``(members, node ids, first)``: processes or emulation
     replicas, in node order, that share one store, and whether the run
-    is that store's first (:func:`split_runs`).  The store's part of a
+    is that store's first (:class:`SplitRuns`).  The store's part of a
     step is applied once; each member proposes and builds its own
     payload."""
     out = []
@@ -410,34 +410,51 @@ def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
     return out
 
 
-def split_runs(members: Mapping[NodeId, Any], takers,
-               store: Any) -> tuple[list, list, list]:
-    """``(runs, shared, solo)`` for the ``takers`` (node ids in node
-    order) among ``members`` (node id -> member), after forking out every
-    member on ``store`` not among them: :func:`send_runs`'s runs (the
-    store's members between the others, each of those a run of its own)
-    and the ``(member, node)`` pairs on and off the store."""
-    if len(takers) < len(members):
-        taking = set(takers)
-        for node, member in members.items():
-            if node not in taking:
-                member.core.detach()
-    runs: list[tuple] = []
-    shared: list[tuple] = []
-    solo: list[tuple] = []
-    for node in takers:
-        member = members[node]
-        if member.core._c is not store:
-            solo.append((member, node))
-            runs.append(((member,), (node,), True))
-        elif runs and runs[-1][0][0].core._c is store:
-            runs[-1][0].append(member)
-            runs[-1][1].append(node)
-            shared.append((member, node))
-        else:
-            runs.append(([member], [node], not shared))
-            shared.append((member, node))
-    return runs, shared, solo
+class SplitRuns:
+    """A sweep over ``members`` (node id -> member) and their ``store``:
+    called with the ``takers`` (node ids in node order), it forks out
+    every member on the store not among them and returns ``(runs,
+    shared, solo)`` — :func:`send_runs`'s runs (the store's members
+    between the others, each of those a run of its own) and the
+    ``(member, node)`` pairs on and off the store — through ``finish``
+    if given.  Cached while ``takers`` is one object and nobody left."""
+
+    __slots__ = ("members", "store", "finish", "_last")
+
+    def __init__(self, members: Mapping[NodeId, Any], store: Any,
+                 finish: Callable[[tuple], tuple] | None = None) -> None:
+        self.members, self.store, self.finish = members, store, finish
+        self._last: tuple = (None, 0, None)
+
+    def __call__(self, takers) -> tuple:
+        members, store, last = self.members, self.store, self._last
+        if last[0] is takers and last[1] == len(store.members):
+            return last[2]
+        if len(takers) < len(members):
+            taking = set(takers)
+            for node, member in members.items():
+                if node not in taking:
+                    member.core.detach()
+        runs: list[tuple] = []
+        shared: list[tuple] = []
+        solo: list[tuple] = []
+        for node in takers:
+            member = members[node]
+            if member.core._c is not store:
+                solo.append((member, node))
+                runs.append(((member,), (node,), True))
+            elif runs and runs[-1][0][0].core._c is store:
+                runs[-1][0].append(member)
+                runs[-1][1].append(node)
+                shared.append((member, node))
+            else:
+                runs.append(([member], [node], not shared))
+                shared.append((member, node))
+        split = (runs, shared, solo)
+        if self.finish is not None:
+            split = self.finish(split)
+        self._last = (takers, len(store.members), split)
+        return split
 
 
 class CHAProcess(Process):
@@ -636,28 +653,27 @@ class CHAEnsemble(Ensemble):
         form_cohort([p.core for p in procs])
         self.processes = procs
         self.nodes = range(len(procs))  # until add_ensemble sets the ids
-        self._store = procs[0].core._c
-        self._last: tuple = (None, 0, None)
+
+    @property
+    def nodes(self) -> range:
+        return self._nodes
+
+    @nodes.setter
+    def nodes(self, nodes: range) -> None:
+        self._nodes = nodes
+        self._split = SplitRuns(dict(zip(nodes, self.processes)),
+                                self.processes[0].core._c, self._project)
+
+    @staticmethod
+    def _project(split: tuple) -> tuple:
+        """``(runs, lead, solo pairs, nodes on the store, item getter)``."""
+        runs, on_store, solo = split
+        shared = [node for _, node in on_store]
+        return (runs, on_store[0][0] if on_store else None, solo,
+                shared, itemgetter(*shared) if len(shared) > 1 else None)
 
     def contend(self, r: Round) -> str | None:
         return self.processes[0].cm_name
-
-    def _split(self, members: list[NodeId]) -> tuple:
-        """This sweep's ``(runs, lead, solo (process, node) pairs, nodes
-        on the store, their item getter)``, after forking out every
-        member on the store that does not take part (:func:`split_runs`).
-        Cached while ``members`` is the same list and nobody left."""
-        store = self._store
-        last = self._last
-        if last[0] is members and last[1] == len(store.members):
-            return last[2]
-        runs, on_store, solo = split_runs(
-            dict(zip(self.nodes, self.processes)), members, store)
-        shared = [node for _, node in on_store]
-        split = (runs, on_store[0][0] if on_store else None, solo,
-                 shared, itemgetter(*shared) if len(shared) > 1 else None)
-        self._last = (members, len(store.members), split)
-        return split
 
     def send_round(self, r: Round, members: list[NodeId],
                    advised) -> list[tuple[NodeId, Any]]:

@@ -15,21 +15,21 @@ payloads can be pooled across rounds (``pool_payloads=True``), which is
 only safe when nothing retains them: the runner enables it exactly for
 ``keep_trace=False`` cluster runs.
 
-**The cohort store.**  After stabilisation every node of a cluster —
-and every replica of a virtual node — makes the same transition each
-round, so that storage — ``k`` and ``prev_instance`` included — lives in
-a :class:`_Cohort` shared by the member cores of one lockstep cohort; a
+**The cohort store.**  After stabilisation every node of a cluster, and
+every replica of a virtual node, makes the same transition each round,
+so that storage (``k`` and ``prev_instance`` included) lives in a
+:class:`_Cohort` shared by the member cores of one lockstep cohort; a
 member keeps only its proposer, ``proposals_made`` and pooled payloads.
-A shared store advances only through the ``step_*`` methods, which the
-ensemble (:class:`~repro.core.cha.CHAEnsemble`) and the VI replica
-cohort (:class:`~repro.vi.replica.ReplicaCohort`) call once per phase
-for the whole cohort after forking out every member whose input
-differs.  A step taken for one member alone (``CHAProcess.send`` /
+A shared store advances only through the ``step_*`` methods, which
+:class:`~repro.core.cha.CHAEnsemble` and the VI
+:class:`~repro.vi.replica.ReplicaCohort` call once per phase for the
+whole cohort after forking out every member whose input differs.  A
+step taken for one member alone (``CHAProcess.send`` /
 ``deliver_batch``, ``ReplicaRuntime.send_for`` / ``deliver_for``, or
-any driver) calls ``detach`` first, and a view
-write, ``restore`` or ``reset_to`` forks by itself: the member leaves
-the store for a plain copy of it (members of one store are never at
-different steps, so no undo is needed), and never rejoins.
+any driver) calls ``detach`` first, and a view write, ``restore`` or
+``reset_to`` forks by itself: the member leaves the store for a plain
+copy of it (members of one store are never at different steps, so no
+undo is needed), and never rejoins.
 ``docs/ARCHITECTURE.md`` ("The protocol core") has the whole contract.
 
 ``status``, ``ballots`` and ``outputs`` are live, writable views (tests
@@ -156,9 +156,7 @@ def form_cohort(cores: Iterable["SlottedChaCore"]) -> None:
 def shared_store(core) -> _Cohort | None:
     """The store ``core`` shares with other cores, if any."""
     c = getattr(core, "_c", None)
-    if c is not None and c.members is not None and len(c.members) > 1:
-        return c
-    return None
+    return c if c is not None and len(c.members or ()) > 1 else None
 
 
 class _View(MutableMapping):

@@ -66,7 +66,8 @@ AXES: tuple[Axis, ...] = (
          "`tests/core/test_cohort.py` (`-m core_differential`)"),
     Axis("vi", "REPRO_REFERENCE_VI",
          "phase-table VI emulation engine; a site's deployed replicas "
-         "are stepped once per phase as one cohort (`VIRoundEngine`)",
+         "are stepped once per phase as one cohort when the program's "
+         "`init_state()` hands them one object (`VIRoundEngine`)",
          "per-device dispatch, one `Simulator.step` per real round, "
          "every replica stepped alone",
          "`tests/vi/test_vi_differential.py` (`-m vi_differential`)"),

@@ -19,12 +19,13 @@ real round then touches only the listed devices through the prebound
 ``send_at``/``deliver_at`` entry points, with the round's
 :class:`PhasePosition` computed once instead of once per device.
 
-**Replica cohorts.**  At virtual round 0 the engine puts each run of a
-site's freshly deployed replicas (consecutive in node order, slotted
-cores) on one cohort store, listed in the core phases as one cohort row
-(:class:`~repro.vi.replica.ReplicaCohort`): the store steps once per
-phase.  Joiners, rebirths and dict cores keep private stores; the
-per-device dispatch and the fallback below never form a cohort.
+**Replica cohorts.**  At virtual round 0 each run of a site's fresh
+replicas (consecutive nodes, slotted cores, one initial state object)
+goes on one cohort store, a single row in the core phases
+(:class:`~repro.vi.replica.ReplicaCohort`), stepped once per phase.
+Joiners, rebirths, dict cores and a program whose ``init_state()``
+builds a fresh object per call keep private stores; the per-device
+dispatch and the fallback below form no cohort.
 
 Byte-identity with the per-device dispatch is a design constraint, not
 an aspiration (the ``vi_differential`` suite pins it):
@@ -272,12 +273,12 @@ class VIRoundEngine:
                 groupby(pairs, key=lambda pair: pair[1].site.vn_id)]
 
     def _form_cohorts(self) -> None:
-        """Put each run of a site's fresh replicas on one cohort store."""
+        """Put each run of a site's fresh replicas on one cohort store
+        if ``init_state()`` gave them one object (a store has one)."""
         for run in self._site_runs():
             cores = [replica.core for _, replica in run]
-            if len(cores) > 1 and all(core.checkpoint_state
-                                      is cores[0].checkpoint_state
-                                      for core in cores):
+            if all(core.checkpoint_state is cores[0].checkpoint_state
+                   for core in cores):
                 form_cohort(cores)
 
     def _cohort_rows(self) -> dict[NodeId, Row | None]:
@@ -332,8 +333,7 @@ class VIRoundEngine:
             # any role, so last round's replica set is exact.
             contenders = table.contenders
         else:
-            # No valid previous-round table (the first virtual round, or
-            # after a fallback): the replicas as they stand.
+            # No valid previous table (virtual round 0, or a fallback).
             contenders = tuple((node, self._cm_names[replica.site.vn_id])
                                for run in self._site_runs()
                                for node, replica in run)
@@ -431,8 +431,7 @@ class VIRoundEngine:
                     send_list.append(node)
             vr_now = pos.virtual_round
             if vr_now == 0 and not self.world.switches.core:
-                # The deployed replicas are fresh: the one moment a
-                # site's replicas can start on one cohort store.
+                # Fresh deployed replicas: the one moment a cohort forms.
                 self._form_cohorts()
             slot_now = vr_now % self.schedule.length
             epoch = self._role_version[0]

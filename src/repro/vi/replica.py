@@ -33,7 +33,7 @@ from types import MethodType
 from typing import Any
 
 from ..core.ballot import BallotPayload, VetoPayload, canonical_key
-from ..core.cha import CHAProcess, build_core, send_runs, split_runs
+from ..core.cha import CHAProcess, SplitRuns, build_core, send_runs
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, VirtualRound
 from .payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
@@ -312,27 +312,13 @@ class ReplicaCohort:
     keeps the wire ballot; the veto bit; the flag) forks off for good.
     """
 
-    __slots__ = ("replicas", "nodes", "_store", "_last")
+    __slots__ = ("replicas", "nodes", "_split")
 
     def __init__(self, replicas: list[ReplicaRuntime], nodes: tuple,
                  store: Any) -> None:
         self.replicas = replicas
         self.nodes = nodes
-        self._store = store
-        self._last: tuple = (None, 0, None)
-
-    def _split(self, takers) -> tuple:
-        """:func:`~repro.core.cha.split_runs` over ``takers`` (node ids in
-        node order), cached while ``takers`` is the same object and
-        nobody left the store."""
-        store = self._store
-        last = self._last
-        if last[0] is takers and last[1] == len(store.members):
-            return last[2]
-        split = split_runs(dict(zip(self.nodes, self.replicas)), takers,
-                           store)
-        self._last = (takers, len(store.members), split)
-        return split
+        self._split = SplitRuns(dict(zip(nodes, replicas)), store)
 
     def send(self, pos: PhasePosition, takers, advised) -> list[tuple]:
         """The send step of the members in ``takers`` (those allowed to

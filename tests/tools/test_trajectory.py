@@ -24,20 +24,23 @@ ROADMAP_14_TO_25 = {"cha-dense": 1.410, "cha-lossy": 2.549,
                     "svc-tcp": 2.202, "svc-audience": 1.543}
 
 
-def chained(**bounds) -> dict[str, float]:
-    """The last ``rounds_per_s`` chain value per workload."""
-    chains = trajectory.trajectory(trajectory.pairs_files(ROOT), **bounds)
+def chained(through: int) -> dict[str, float]:
+    """The ``rounds_per_s`` chain value per workload through PR
+    ``through``."""
+    files = [(pr, report) for pr, report in trajectory.pairs_files(ROOT)
+             if pr <= through]
+    chains = trajectory.trajectory(files)
     return {workload: chain[-1][1]
             for workload, chain in chains["rounds_per_s"].items()}
 
 
 def test_the_14_to_25_chain_reproduces_the_roadmap():
-    assert chained(first=14, last=25) == pytest.approx(ROADMAP_14_TO_25,
-                                                       abs=0.005)
+    assert trajectory.pairs_files(ROOT)[0][0] == 14
+    assert chained(25) == pytest.approx(ROADMAP_14_TO_25, abs=0.005)
 
 
 def test_the_chain_through_29_reads_vi_static_1_44():
-    assert chained(last=29)["vi-static"] == pytest.approx(1.44, abs=0.005)
+    assert chained(29)["vi-static"] == pytest.approx(1.44, abs=0.005)
 
 
 def test_every_committed_pairs_file_joins_the_chain():
@@ -65,8 +68,6 @@ def test_a_missing_metric_leaves_its_chain_as_it_was():
     chains = trajectory.trajectory(files)["a"]
     assert chains == {"w": [(1, 2.0), (2, 3.0), (3, 1.5)],
                       "v": [(1, 0.5), (3, 1.5)]}
-    assert trajectory.trajectory(files, first=2, last=2) == {
-        "a": {"w": [(2, 1.5)]}}
     # The table carries a chain over a PR that lacks it.
     assert trajectory.table("a", chains).splitlines()[1:] == [
         "PR       w       v", " 1  x2.000  x0.500", " 2  x3.000  x0.500",
@@ -74,9 +75,12 @@ def test_a_missing_metric_leaves_its_chain_as_it_was():
 
 
 def test_the_command_prints_one_table_per_metric(capsys):
-    trajectory.main(["--last", "25", "--metric", "rounds_per_s"])
+    trajectory.main(["--metric", "rounds_per_s"])
     out = capsys.readouterr().out
     assert out.count("chained median ratio") == 1
-    rows = out.strip().splitlines()
-    assert rows[1].split() == ["PR", *ROADMAP_14_TO_25]
-    assert rows[-1].split()[0] == "25"
+    rows = [row.split() for row in out.strip().splitlines()]
+    assert rows[1] == ["PR", *ROADMAP_14_TO_25]
+    # The PR-25 row reads the 14 -> 25 chain.
+    (row_25,) = [row for row in rows if row[0] == "25"]
+    assert [float(cell[1:]) for cell in row_25[1:]] == pytest.approx(
+        list(ROADMAP_14_TO_25.values()), abs=0.005)

@@ -14,7 +14,10 @@ import math
 import pytest
 
 from _cores import count_calls
+from _switches import observables, run_with
+from repro import ExperimentSpec, WorkloadSpec
 from repro.core.slotted import SlottedChaCore, shared_store
+from repro.experiment import DeployedWorld, DeviceSpec, VIEmulation
 from repro.geometry import Point
 from repro.net import Crash, CrashPoint, CrashSchedule
 from repro.switches import Switches
@@ -107,3 +110,49 @@ def test_only_the_phase_table_engine_forms_cohorts(switches):
     world.run_virtual_rounds(2)
     for site in world.sites:
         assert stores_of(world, site.vn_id) == {None}
+
+
+class FreshStateCounter(CounterProgram):
+    """The counter, its total held in a new one-item list per call."""
+
+    def init_state(self):
+        return [0]
+
+    def emit(self, state, vr):
+        return ("count", state[0])
+
+    def step(self, state, vr, observation):
+        return [super().step(state[0], vr, observation)]
+
+
+def deployed_spec(program) -> ExperimentSpec:
+    """Two sites of three deployed replicas each, ``program`` on both,
+    and a scripted client just outside site 0's region."""
+    sites = (VNSite(0, Point(0.0, 0.0)), VNSite(1, Point(6.0, 0.0)))
+    devices = tuple(DeviceSpec(mobility=Point(x + dx, 0.1))
+                    for x in (0.0, 6.0) for dx in (-0.1, 0.0, 0.1))
+    client = DeviceSpec(mobility=Point(0.3, 0.0), client=ScriptedClient(
+        {1: ("add", 5), 4: ("add", 9)}))
+    return ExperimentSpec(
+        protocol=VIEmulation(programs={0: program(), 1: program()}),
+        world=DeployedWorld(sites=sites, devices=devices + (client,)),
+        workload=WorkloadSpec(virtual_rounds=8))
+
+
+def test_a_fresh_initial_state_per_replica_forms_no_cohort():
+    """A shared store holds one checkpoint state; replicas whose
+    program builds a new initial object per call keep private stores,
+    and the run stays byte-identical to per-device dispatch."""
+    cohort = run_with(deployed_spec(CounterProgram), Switches()).world
+    assert {len(shared_store(replica.core).members)
+            for site in cohort.sites
+            for replica in cohort.replicas_of(site.vn_id).values()} == {3}
+    spec = deployed_spec(FreshStateCounter)
+    result = run_with(spec, Switches())
+    world = result.world
+    assert all(shared_store(replica.core) is None
+               for site in world.sites
+               for replica in world.replicas_of(site.vn_id).values())
+    assert world.devices[0].replica.core.checkpoint_state == [14]
+    assert observables(result) == observables(run_with(spec,
+                                                       Switches(vi=True)))

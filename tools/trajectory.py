@@ -1,6 +1,6 @@
 """The committed trajectory: each PR's paired median ratios, chained.
 
-    python tools/trajectory.py [--first N] [--last N] [--metric NAME]
+    python tools/trajectory.py [--metric NAME]
 
 Reads every committed ``BENCH_<n>_pairs.json`` (written by
 ``tools/pairs.py``) in PR order and, per workload x end-to-end metric,
@@ -34,16 +34,12 @@ def pairs_files(root: Path = REPO) -> list[tuple[int, dict]]:
     return sorted(found, key=lambda item: item[0])
 
 
-def trajectory(files: list[tuple[int, dict]], *, first: int | None = None,
-               last: int | None = None) -> dict[str, dict[str, list]]:
+def trajectory(files: list[tuple[int, dict]]) -> dict[str, dict[str, list]]:
     """``metric -> workload -> [(pr, chained ratio through pr)]`` over
-    the PRs ``first..last`` of ``files`` (both ends included).  A PR
-    whose report lacks a workload x metric leaves that chain as it was."""
+    ``files``.  A PR whose report lacks a workload x metric leaves that
+    chain as it was."""
     out: dict[str, dict[str, list]] = {}
     for pr, report in files:
-        if (first is not None and pr < first) or (last is not None
-                                                  and pr > last):
-            continue
         for workload, summary in report["workloads"].items():
             for metric, result in summary["metrics"].items():
                 chain = out.setdefault(metric, {}).setdefault(workload, [])
@@ -72,12 +68,10 @@ def table(metric: str, chains: dict[str, list]) -> str:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--first", type=int, help="first PR in the chain")
-    parser.add_argument("--last", type=int, help="last PR in the chain")
     parser.add_argument("--metric", action="append",
                         help="only this end-to-end metric (repeatable)")
     args = parser.parse_args(argv)
-    chains = trajectory(pairs_files(), first=args.first, last=args.last)
+    chains = trajectory(pairs_files())
     for metric, by_workload in chains.items():
         if args.metric is None or metric in args.metric:
             print(table(metric, by_workload), end="\n\n")
