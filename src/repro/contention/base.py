@@ -23,6 +23,12 @@ from ..types import NodeId, Round
 class ContentionManager(ABC):
     """Advises contenders whether to broadcast."""
 
+    #: The last :meth:`advise` answer is one the manager would give
+    #: again, writing no state, for the same contenders and located
+    #: positions, whatever :meth:`feedback` says in between: an engine
+    #: may reuse it while both hold.
+    settled: bool = False
+
     @abstractmethod
     def advise(self, r: Round, contenders: Sequence[NodeId]) -> frozenset[NodeId]:
         """The subset of ``contenders`` advised to be active in round ``r``.

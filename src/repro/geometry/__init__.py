@@ -7,7 +7,7 @@ from .points import (
     max_pairwise_distance,
     pairwise_distances,
 )
-from .regions import Disk, GridSpec
+from .regions import Disk, GridSpec, in_region
 
 __all__ = [
     "ORIGIN",
@@ -17,4 +17,5 @@ __all__ = [
     "pairwise_distances",
     "Disk",
     "GridSpec",
+    "in_region",
 ]

@@ -14,6 +14,13 @@ from typing import Iterator
 from .points import Point
 
 
+def in_region(center: Point, here: Point, radius: float) -> bool:
+    """Emulation-region membership, shared by role assignment and the
+    regional manager.  A ``hypot`` test: the squared :meth:`Point.within`
+    can disagree with it on the boundary."""
+    return center.distance_to(here) <= radius
+
+
 @dataclass(frozen=True, slots=True)
 class Disk:
     """A closed disk: the region within ``radius`` of ``center``."""

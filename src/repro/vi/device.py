@@ -84,6 +84,9 @@ class VIDevice(Process):
         #: engine can reuse a table across virtual rounds in steady state.
         self._role_version = role_version
         self._locate = locate
+        #: ``(located Point, site)`` of the last region lookup: sites
+        #: never move, so the same (immutable) Point has the same answer.
+        self._located_site: tuple[Point | None, VNSite | None] = (None, None)
         self.client = ClientRuntime(client) if client is not None else None
         self.replica: ReplicaRuntime | None = None
         self._initially_active = initially_active
@@ -102,7 +105,9 @@ class VIDevice(Process):
             here = self._locate()
         except KeyError:
             return None
-        return self.sites.nearest_in_region(here)
+        if self._located_site[0] is not here:
+            self._located_site = (here, self.sites.nearest_in_region(here))
+        return self._located_site[1]
 
     def _boundary_housekeeping(self, vr: VirtualRound) -> None:
         roles_before = (self.replica, self._join_target)

@@ -27,15 +27,23 @@ Joiners, rebirths, dict cores and a program whose ``init_state()``
 builds a fresh object per call keep private stores; the per-device
 dispatch and the fallback below form no cohort.
 
+**Contention.**  Contenders are grouped per manager once per contender
+tuple (an equal tuple keeps the groups).  With no crash schedule, no
+location re-observed, last round's groups and every manager ``settled``
+(the regional manager's sitting-leader rule), a round reuses last
+round's advice and asks no manager.  Feedback goes to every manager that
+overrides it.
+
 Byte-identity with the per-device dispatch is a design constraint, not
 an aspiration (the ``vi_differential`` suite pins it):
 
 * The engine mirrors ``Simulator._step_batched`` stage by stage — the
-  same mobility/liveness block, the same contention-manager
-  advise/feedback call sequences, the same adversary/detector RNG
-  stream (collision flags and delivered tuples are still computed for
-  *every* present node, so round records, traces and wire metrics are
-  identical object graphs), the same round-record bookkeeping.
+  same mobility/liveness block, the same contention advice (a skipped
+  advise/feedback call is one that cannot differ), the same
+  adversary/detector RNG stream (collision flags and delivered tuples
+  are still computed for *every* present node, so round records,
+  traces and wire metrics are identical object graphs), the same
+  round-record bookkeeping.
 * Phase rows are *supersets* of the devices that act: a listed device
   whose state machine declines (a joiner not in ``WANT_JOIN`` at JOIN,
   a replica with nothing to veto) runs the same no-op it would have run
@@ -68,6 +76,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import TYPE_CHECKING, Callable
 
+from ..contention import ContentionManager
 from ..core.slotted import form_cohort, shared_store
 from ..detectors import EventuallyAccurateDetector
 from ..net.adversary import NoAdversary
@@ -80,6 +89,8 @@ from .replica import ReplicaCohort, ReplicaRuntime
 
 if TYPE_CHECKING:
     from .world import VIWorld
+
+_NO_FEEDBACK = ContentionManager.feedback
 
 #: One table row: ``(node, send_at, deliver_at)`` — the device's phase
 #: entry points prebound, mirroring the simulator's dispatch tables — or
@@ -130,6 +141,15 @@ class PhaseTable:
                 | _row_nodes(self.recv_skippable[offset]))
 
 
+def _group(rows) -> tuple[tuple[str, tuple[NodeId, ...]], ...]:
+    """``(node, cm_name)`` rows as ``(cm_name, nodes)`` in name order."""
+    groups: dict[str, list[NodeId]] = {}
+    for node, cm_name in rows:
+        groups.setdefault(cm_name, []).append(node)
+    return tuple(sorted((name, tuple(nodes))
+                        for name, nodes in groups.items()))
+
+
 def _row_nodes(rows: tuple[Row, ...]) -> set[NodeId]:
     """The node ids of ``rows``, a cohort row's members included."""
     return {node for row in rows for node in
@@ -156,6 +176,10 @@ class VIRoundEngine:
         self._role_version = world.role_version
         self._table_epoch = -1
         self._table_slot = -1
+        self._group_rows = self._groups = ()  # contender rows, grouped
+        #: ``(groups, advice, advised)`` of the last round, if every
+        #: manager's answer was settled (reset by the fallback below).
+        self._settled_advice: tuple | None = None
 
     # ------------------------------------------------------------------
     # Table construction
@@ -323,7 +347,7 @@ class VIRoundEngine:
             # cursor sits mid-virtual-round (externally stepped), or the
             # simulator carries nodes this world did not register: the
             # per-device dispatch is always safe, so use it.
-            self._table = None
+            self._table = self._settled_advice = None
             for _ in range(rpv):
                 sim.step()
             return
@@ -377,7 +401,8 @@ class VIRoundEngine:
 
         # -- mobility & liveness ---------------------------------------
         present, positions, unchanged = sim._positions_batched(r)
-        if not (unchanged and sim.locations.staleness_bound == 0):
+        relocated = not (unchanged and sim.locations.staleness_bound == 0)
+        if relocated:
             # see Simulator._step_batched
             sim.locations.observe(r, positions)
             sim._positions_observed = True
@@ -391,24 +416,37 @@ class VIRoundEngine:
         # needed; with one, the aliveness + sends_in gates match the
         # batched engine's candidate filtering exactly.
         cms = sim.cms
-        contenders: dict[str, list[NodeId]] = {}
+        if no_crashes:
+            # Regrouped only for another contender tuple; an equal one
+            # (a rebuilt table's) keeps the groups object.
+            if contender_rows is not self._group_rows \
+                    and contender_rows != self._group_rows:
+                self._groups = _group(contender_rows)
+            self._group_rows = contender_rows
+            groups = self._groups
+        else:
+            groups = _group([row for row in contender_rows
+                             if alive(row[0], r) and sends_in(row[0], r)])
         advice: dict[str, frozenset[NodeId]] | None = None
         advised: set[NodeId] | None = None
-        for node, cm_name in contender_rows:
-            if not no_crashes and not (alive(node, r) and sends_in(node, r)):
-                continue
-            bucket = contenders.get(cm_name)
-            if bucket is None:
-                contenders[cm_name] = [node]
-            else:
-                bucket.append(node)
-        if contenders:
+        last = self._settled_advice
+        if (no_crashes and not relocated and last is not None
+                and last[0] is groups):
+            # Every manager's last answer was settled, and neither its
+            # inputs nor any manager's state has changed since.
+            _, advice, advised = last
+        elif groups:
             advice = {}
             advised = set()
-            for cm_name, cnodes in sorted(contenders.items()):
-                granted = cms[cm_name].advise(r, cnodes).intersection(cnodes)
+            settled = no_crashes
+            for cm_name, cnodes in groups:
+                cm = cms[cm_name]
+                granted = cm.advise(r, cnodes).intersection(cnodes)
                 advice[cm_name] = granted
                 advised.update(granted)
+                settled = settled and cm.settled
+            self._settled_advice = ((groups, advice, advised) if settled
+                                    else None)
 
         # -- send --------------------------------------------------------
         broadcasts: dict[NodeId, Message] = {}
@@ -528,13 +566,14 @@ class VIRoundEngine:
                 # else: provably no-op delivery in this phase — skipped
 
         # -- contention feedback -----------------------------------------
-        if contenders:
-            flags_get = flags.get
-            for cm_name, cnodes in sorted(contenders.items()):
+        # Only to managers that override it: the base method is a no-op.
+        flags_get = flags.get
+        for cm_name, cnodes in groups:
+            cm = cms[cm_name]
+            if type(cm).feedback is not _NO_FEEDBACK:
                 collided = any_flag and any(
                     flags_get(node, False) for node in cnodes)
-                cms[cm_name].feedback(
-                    r, active=advice[cm_name], collided=collided)
+                cm.feedback(r, active=advice[cm_name], collided=collided)
 
         # -- record ------------------------------------------------------
         if no_crashes:

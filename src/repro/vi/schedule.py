@@ -19,7 +19,7 @@ from typing import Iterable
 import networkx as nx
 
 from ..errors import ConfigurationError, ScheduleError
-from ..geometry import Point
+from ..geometry import Point, in_region
 from ..net.index import SpatialGridIndex
 from ..types import VirtualRound
 
@@ -54,10 +54,10 @@ class SiteIndex:
         self._grid = SpatialGridIndex(2.0 * region_radius)
         self._grid.update({vn_id: site.location
                            for vn_id, site in self._by_id.items()})
-        #: The grid only preselects; membership stays the rounded
-        #: ``distance_to(...) <= region_radius``, which can admit a site
-        #: an ulp or two beyond the radius.  The cell cover is taken
-        #: wider than that so it cannot miss one.  (The grid's own
+        #: The grid only preselects; membership stays ``in_region`` (a
+        #: rounded ``hypot``), which can admit a site an ulp or two
+        #: beyond the radius.  The cell cover is taken wider than that
+        #: so it cannot miss one.  (The grid's own
         #: squared-distance ``neighbors_within`` is not the same
         #: predicate: it and ``hypot`` can disagree on the boundary.)
         self._reach = region_radius * (1.0 + 1e-9)
@@ -68,8 +68,8 @@ class SiteIndex:
     def nearest_in_region(self, here: Point) -> VNSite | None:
         """The site whose region contains ``here``, if any.
 
-        ``site.location.distance_to(here) <= region_radius``; where
-        regions overlap, the minimum by ``(distance, vn_id)``.
+        ``in_region(site.location, here, region_radius)``; where regions
+        overlap, the minimum by ``(distance, vn_id)``.
         """
         radius = self.region_radius
         by_id = self._by_id
@@ -79,10 +79,10 @@ class SiteIndex:
                                                         self._reach):
             for vn_id in bucket:
                 site = by_id[vn_id]
-                dist = site.location.distance_to(here)
-                if dist <= radius and (best is None
-                                       or (dist, vn_id) < best_key):
-                    best, best_key = site, (dist, vn_id)
+                if in_region(site.location, here, radius):
+                    key = (site.location.distance_to(here), vn_id)
+                    if best is None or key < best_key:
+                        best, best_key = site, key
         return best
 
 

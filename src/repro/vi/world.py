@@ -120,7 +120,6 @@ class VIWorld:
                 location=site.location,
                 region_radius=self.region_radius,
                 locate=self.sim.locations.locate,
-                tenure=2 * (schedule.length + 10),
                 stable_round=cm_stable_round,
             ))
         self.devices: dict[NodeId, VIDevice] = {}

@@ -3,10 +3,13 @@
 ``vi_orbit_spec`` is the one kept-trace world in which every device
 moves: the golden suite pins its trace (positions included, so the
 motion kernel's floats are pinned bit for bit) and the vi-differential
-suite runs it across the switch matrix.
+suite runs it across the switch matrix.  ``static_world`` is one in
+which no device moves, for the VI suites that count steady-state work.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro import ExperimentSpec, WorkloadSpec
 from repro.experiment import (
@@ -17,7 +20,7 @@ from repro.experiment import (
 )
 from repro.geometry import Point
 from repro.net import OrbitMobility, RandomWaypointMobility
-from repro.vi import CounterProgram, ScriptedClient, VNSite
+from repro.vi import CounterProgram, ScriptedClient, VIWorld, VNSite
 
 #: 2x2 sites this far apart all conflict (0.7 * sqrt(2) < R1 + 2*R2 = 4),
 #: so the schedule has length 4, while their R1/4 = 0.25 regions stay
@@ -68,3 +71,23 @@ def vi_orbit_spec() -> ExperimentSpec:
         metrics=MetricsSpec(metrics=("availability", "emulation_gaps"),
                             invariants=("replica_consistency",)),
     )
+
+
+def static_world(replicas_per_site: int, **world_kwargs) -> VIWorld:
+    """``vi-static``'s shape at 2 x 2: far-apart sites (schedule length
+    1), static replicas on a small circle in each region, and a client on
+    site 0's first replica.  ``world_kwargs`` go to :class:`VIWorld`."""
+    sites = [VNSite(i, Point((i % 2) * 6.0, (i // 2) * 6.0))
+             for i in range(4)]
+    world = VIWorld(sites, {site.vn_id: CounterProgram() for site in sites},
+                    **world_kwargs)
+    script = {vr: ("add", vr + 1) for vr in range(0, 40, 3)}
+    for site in sites:
+        for j in range(replicas_per_site):
+            angle = 2.0 * math.pi * j / replicas_per_site
+            client = (ScriptedClient(script)
+                      if site.vn_id == 0 and j == 0 else None)
+            world.add_device(Point(site.location.x + 0.12 * math.cos(angle),
+                                   site.location.y + 0.12 * math.sin(angle)),
+                             client=client)
+    return world

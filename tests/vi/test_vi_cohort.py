@@ -9,12 +9,11 @@ replicas or four.  Under per-replica stepping they run once per replica.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from _cores import count_calls
 from _switches import observables, run_with
+from _worlds import static_world
 from repro import ExperimentSpec, WorkloadSpec
 from repro.core.slotted import SlottedChaCore, shared_store
 from repro.experiment import DeployedWorld, DeviceSpec, VIEmulation
@@ -25,27 +24,6 @@ from repro.vi import CounterProgram, ScriptedClient, VIWorld, VNSite
 
 #: The steps a lockstep site takes once per virtual round.
 STEPS = ("step_begin", "step_ballot", "step_end")
-
-
-def static_world(replicas_per_site: int, *, crashes=None,
-                 switches=None) -> VIWorld:
-    """``vi-static``'s shape at 2 x 2: far-apart sites (schedule length
-    1), static replicas on a small circle in each region, and a client on
-    site 0's first replica."""
-    sites = [VNSite(i, Point((i % 2) * 6.0, (i // 2) * 6.0))
-             for i in range(4)]
-    world = VIWorld(sites, {site.vn_id: CounterProgram() for site in sites},
-                    crashes=crashes, switches=switches)
-    script = {vr: ("add", vr + 1) for vr in range(0, 40, 3)}
-    for site in sites:
-        for j in range(replicas_per_site):
-            angle = 2.0 * math.pi * j / replicas_per_site
-            client = (ScriptedClient(script)
-                      if site.vn_id == 0 and j == 0 else None)
-            world.add_device(Point(site.location.x + 0.12 * math.cos(angle),
-                                   site.location.y + 0.12 * math.sin(angle)),
-                             client=client)
-    return world
 
 
 def stores_of(world: VIWorld, vn_id: int) -> set:

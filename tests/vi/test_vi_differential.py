@@ -111,13 +111,16 @@ APPS = {
 def _spec_factory(schedule_length: int, env_factory, app: str = "counter"):
     """A deployed world stressing every phase-table role: deployed
     replicas on two sites, an out-of-region client, a walker joiner,
-    and a late-starting device that joins mid-run."""
+    and a late-starting device that joins mid-run.  The environment's
+    ``rcf``, ``cm_stable_round`` and extra ``devices`` go to the world."""
     rpv = schedule_length + 12
     program, client = APPS[app]
 
     def spec_factory():
         env = env_factory()
         rcf = env.pop("rcf", 0)
+        stable_round = env.pop("cm_stable_round", 0)
+        extra_devices = env.pop("devices", ())
         sites = (VNSite(0, Point(0.0, 0.0)), VNSite(1, Point(6.0, 0.0)))
         devices = (
             # Two deployed replicas per site.
@@ -134,10 +137,11 @@ def _spec_factory(schedule_length: int, env_factory, app: str = "counter"):
             # A late arrival inside site 0's region: must join too.
             DeviceSpec(mobility=Point(0.05, 0.05),
                        start_round=3 * rpv),
-        )
+        ) + extra_devices
         return ExperimentSpec(
             protocol=VIEmulation(programs={0: program(), 1: program()}),
             world=DeployedWorld(sites=sites, devices=devices, rcf=rcf,
+                                cm_stable_round=stable_round,
                                 min_schedule_length=schedule_length),
             environment=EnvironmentSpec(**env),
             workload=WorkloadSpec(virtual_rounds=12),
@@ -155,6 +159,18 @@ def _scenarios():
             for env_name, env_factory in _environments(s + 12):
                 yield (f"{prefix}s{s}-{env_name}",
                        _spec_factory(s, env_factory, app))
+    # The regional managers stabilise mid virtual round 1: the engine
+    # must not reuse a pre-stability answer (every in-region contender
+    # granted), and must ask anew in the first stable round.
+    yield "s3-stable-mid-round", _spec_factory(
+        3, lambda: {"cm_stable_round": 5 * 15 + 7})
+    # A deployed replica at site 0's centre is elected, then drifts out
+    # of the region mid virtual round 1 and parks outside it: the round
+    # it leaves must re-elect, though its settled grant came the round
+    # before and no role has changed yet.
+    yield "s3-leader-walks-out", _spec_factory(3, lambda: {"devices": (
+        DeviceSpec(mobility=WaypointMobility(
+            Point(0.0, 0.0), [Point(0.0, -0.4)], speed=0.01)),)})
     # The all-mobile world (schedule length 4): orbiting replicas and
     # roaming clients, so positions, region lookups and role tables
     # change every round.
