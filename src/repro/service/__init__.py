@@ -15,8 +15,8 @@ between them (``attach_world``), and idle unpinned worlds retire after
 a grace window.  Two read models
 narrow a session's stream: ``watch_instance`` (every state transition
 of one instance) and ``subscribe_prefix`` (decisions whose value
-matches a prefix) — both per-session publish-time filters, so they
-never stall a world's clock.
+matches a prefix) — both groups the world's event bus indexes and fans
+out to at publish time, so they never stall a world's clock.
 
 Determinism is the design invariant: client traffic only lands
 proposals in the :class:`~.driver.ProposalLedger` before each instance

@@ -10,19 +10,25 @@ Three pieces, composed by :class:`~repro.service.server.ConsensusService`:
   ``proposer_factory`` — which is how the differential suite proves a
   served world and a batch :func:`repro.run` are byte-identical.
 * :class:`EventBus` / :class:`SessionQueue` — per-session bounded fan-out
-  with a drop-oldest slow-consumer policy.  Events are stamped with a
-  per-session ``seq`` at enqueue, so consumers detect drops as gaps.
-  Each subscription may carry an **event filter** — the hook the read
-  models (``watch_instance``, ``subscribe_prefix``) hang off: filters
-  run synchronously at publish, *before* enqueue, so a filtered-out
-  event costs a subscriber nothing and a slow consumer still drops
-  rather than stalls the world's clock.
+  with a drop-oldest slow-consumer policy.  The bus fans out **by filter
+  class**, not per session: the read models (``watch_instance``,
+  ``subscribe_prefix``) are groups it indexes — an instance's watchers,
+  a value prefix's subscribers — so a publish costs one lookup per
+  instance-state event and one ``startswith`` per distinct prefix per
+  decision, *before* enqueue; a filtered-out event costs a subscriber
+  nothing and a slow consumer still drops rather than stalls the world's
+  clock.  A queue holds the shared published event and stamps the
+  per-session ``seq`` **when the event is read**, on the reader's own
+  copy, so consumers detect drops as gaps and an event dropped unread
+  is never copied.
 * :class:`WorldDriver` — owns an :class:`~repro.experiment.runner.ExperimentStepper`
   and advances it ``rounds_per_tick`` rounds per tick, publishing
   ``instance-state`` transitions (pending → running → decided) and
   harvesting newly decided instances into ``decision`` events (each
   carrying a live agreement verdict from
-  :func:`repro.core.spec.check_agreement`).  Many drivers — one per
+  :func:`repro.core.spec.check_agreement`).  The harvest reads each
+  decision **once per cohort store** (the nodes that share one log the
+  same record), not once per node.  Many drivers — one per
   registered world — share one asyncio loop; each carries its world
   ``name`` and ``spec_hash`` so every event says which world it is
   from.
@@ -40,6 +46,7 @@ from typing import Any, Callable, Iterable
 
 from ..core.cha import ROUNDS_PER_INSTANCE
 from ..core.runner import default_proposer
+from ..core.slotted import shared_store
 from ..core.spec import check_agreement
 from ..errors import ConfigurationError, ServiceError, SpecViolation
 from ..experiment.result import OK, ExperimentResult
@@ -50,10 +57,6 @@ from .registry import spec_hash as _spec_hash
 
 Value = Any
 Instance = int
-
-#: A per-subscription event filter: called at publish time, before
-#: enqueue; ``False`` means "this subscriber does not want this event".
-EventFilter = Callable[[dict], bool]
 
 #: ``(instance, node, value)`` rows; ``node is None`` means "any node
 #: without its own assignment proposes this value".
@@ -145,10 +148,14 @@ class SessionQueue:
 
     ``put`` is synchronous and never blocks the publisher: a full queue
     evicts its oldest event and bumps :attr:`dropped` — the slow
-    consumer, not the world clock, pays.  Every event is stamped with a
-    monotonically increasing per-session ``seq`` at enqueue, so a
+    consumer, not the world clock, pays.  Events are numbered with a
+    monotonically increasing per-session ``seq`` in ``put`` order, so a
     consumer that sees ``seq`` jump knows exactly how many events it
-    lost.
+    lost.  The queue holds the published event itself, shared with every
+    other session it reached; a read makes this session's private copy
+    and stamps it (the queue holds the newest ``len(queue)`` of
+    :attr:`seq` events put, so its oldest is number ``seq - len(queue)``).
+    An event evicted unread is never copied.
     """
 
     def __init__(self, limit: int) -> None:
@@ -165,67 +172,126 @@ class SessionQueue:
         return len(self._items)
 
     def put(self, event: dict) -> None:
-        stamped = dict(event)
-        stamped["seq"] = self.seq
-        self.seq += 1
-        if len(self._items) >= self.limit:
-            self._items.popleft()
+        items = self._items
+        if len(items) >= self.limit:
+            items.popleft()
             self.dropped += 1
-        self._items.append(stamped)
+        items.append(event)
+        self.seq += 1
         self._wakeup.set()
 
-    def get_nowait(self) -> dict | None:
-        if not self._items:
-            return None
+    def _pop(self) -> dict:
+        items = self._items
+        event = dict(items[0], seq=self.seq - len(items))
+        items.popleft()
         self.delivered += 1
-        return self._items.popleft()
+        return event
+
+    def get_nowait(self) -> dict | None:
+        return self._pop() if self._items else None
 
     async def get(self) -> dict:
         while not self._items:
             self._wakeup.clear()
             await self._wakeup.wait()
-        self.delivered += 1
-        return self._items.popleft()
+        return self._pop()
 
 
 class EventBus:
-    """Fan-out of world events to per-session queues.
+    """Fan-out of world events to per-session queues, by filter class.
 
-    A subscription optionally carries an :data:`EventFilter`; the read
-    models are exactly such filters (the session owns the mutable watch
-    set / prefix the filter consults).  :meth:`attach` re-binds an
-    *existing* queue — how ``attach_world`` moves a session to another
-    world's bus without resetting its ``seq`` stream.
+    The read models are data the bus indexes, not callables it calls:
+    an ``instance-state`` event reaches the watchers of its instance
+    only; a ``decision`` event reaches the sessions without a value
+    prefix and the group of each distinct prefix its value — a ``str``
+    — starts with (one ``startswith`` per prefix, not per session); any
+    other event reaches every session.  Each group keeps subscription
+    order.  The bus is the one holder of the watch sets.  Published
+    events are shared by every queue they reach and must not be mutated
+    after :meth:`publish`.
+
+    :meth:`attach` subscribes an *existing* queue — how
+    ``attach_world`` moves a session to another world's bus without
+    resetting its ``seq`` stream; :meth:`unsubscribe` drops the
+    session's watches with it.
     """
 
     def __init__(self) -> None:
-        self._queues: dict[str, tuple[SessionQueue, EventFilter | None]] = {}
+        #: Every subscriber, in subscription order.
+        self._queues: dict[str, SessionQueue] = {}
+        #: Value prefix -> the sessions it filters decisions for
+        #: (``None``: the sessions without one).
+        self._feeds: dict[str | None, dict[str, SessionQueue]] = {}
+        #: Instance -> the sessions watching it.
+        self._watchers: dict[Instance, dict[str, SessionQueue]] = {}
 
     @property
     def subscribers(self) -> int:
         return len(self._queues)
 
-    def subscribe(self, session_id: str, limit: int,
-                  event_filter: EventFilter | None = None) -> SessionQueue:
-        if session_id in self._queues:
-            raise ServiceError(f"session {session_id!r} already subscribed")
-        queue = SessionQueue(limit)
-        self._queues[session_id] = (queue, event_filter)
-        return queue
-
     def attach(self, session_id: str, queue: SessionQueue,
-               event_filter: EventFilter | None = None) -> None:
+               prefix: str | None = None) -> None:
         """Subscribe an existing queue (``seq`` continues uninterrupted)."""
         if session_id in self._queues:
             raise ServiceError(f"session {session_id!r} already subscribed")
-        self._queues[session_id] = (queue, event_filter)
+        self._queues[session_id] = queue
+        self._join(self._feeds, prefix, session_id)
 
     def unsubscribe(self, session_id: str) -> None:
-        self._queues.pop(session_id, None)
+        if self._queues.pop(session_id, None) is None:
+            return
+        for groups in (self._feeds, self._watchers):
+            for key in [key for key, group in groups.items()
+                        if session_id in group]:
+                self._leave(groups, key, session_id)
+
+    def set_prefix(self, session_id: str, prefix: str | None) -> None:
+        """Filter ``session_id``'s decisions by ``prefix`` (``None``: none)."""
+        current = next(key for key, group in self._feeds.items()
+                       if session_id in group)
+        if current != prefix:
+            self._leave(self._feeds, current, session_id)
+            self._join(self._feeds, prefix, session_id)
+
+    def watch(self, session_id: str, instance: Instance) -> None:
+        if session_id not in self._watchers.get(instance, ()):
+            self._join(self._watchers, instance, session_id)
+
+    def unwatch(self, session_id: str, instance: Instance) -> None:
+        if session_id in self._watchers.get(instance, ()):
+            self._leave(self._watchers, instance, session_id)
+
+    def watched(self, session_id: str) -> int:
+        """How many instances ``session_id`` watches."""
+        return sum(session_id in group for group in self._watchers.values())
+
+    def _join(self, groups: dict, key: Any, session_id: str) -> None:
+        group = groups.setdefault(key, {})
+        group[session_id] = self._queues[session_id]
+        if session_id != next(reversed(self._queues)):
+            # Not the newest subscriber: restore subscription order.
+            groups[key] = {sid: queue for sid, queue in self._queues.items()
+                           if sid in group}
+
+    def _leave(self, groups: dict, key: Any, session_id: str) -> None:
+        group = groups[key]
+        del group[session_id]
+        if not group:
+            del groups[key]
 
     def publish(self, event: dict) -> None:
-        for queue, event_filter in self._queues.values():
-            if event_filter is None or event_filter(event):
+        kind = event.get("type")
+        if kind == "instance-state":
+            groups = [self._watchers.get(event["instance"], {})]
+        elif kind == "decision":
+            value = event.get("value")
+            text = isinstance(value, str)
+            groups = [group for prefix, group in self._feeds.items()
+                      if prefix is None or text and value.startswith(prefix)]
+        else:
+            groups = [self._queues]
+        for group in groups:
+            for queue in group.values():
                 queue.put(event)
 
 
@@ -349,7 +415,9 @@ class WorldDriver:
         transitions for instances whose proposals froze this tick,
         ``decision`` events for newly harvested instances, then their
         ``decided`` transitions.  The transition events only reach
-        sessions whose filters want them (i.e. watchers).
+        the watchers of their instance.  The returned events are the
+        published ones, shared with the session queues: do not mutate
+        them.
         """
         if self.complete:
             return []
@@ -393,23 +461,35 @@ class WorldDriver:
     # -- harvesting ----------------------------------------------------
 
     def _harvest(self) -> list[dict]:
-        logs = [(node, proc.outputs)
-                for node, proc in self.stepper.processes.items()]
-        ready = min((len(log) for _, log in logs), default=0)
+        # One group per cohort store, a forked or unshared node being
+        # its own: members log the same record, so a group is read once,
+        # counted by its size, and is one ``check_agreement`` row under
+        # its lowest-numbered member (a node that disagrees has such a
+        # store-mate, no later in node order, so the verdict is the
+        # per-node one).
+        stores: dict[Any, list] = {}
+        for node, proc in self.stepper.processes.items():
+            key = shared_store(getattr(proc, "core", None)) or node
+            if key in stores:
+                stores[key][2] += 1
+            else:
+                stores[key] = [node, proc.outputs, 1]
+        groups = list(stores.values())
+        ready = min((len(log) for _, log, _ in groups), default=0)
         events = []
-        # One row per node, refilled per instance: the shape
+        # One row per group, refilled per instance: the shape
         # ``check_agreement`` takes, without a fresh dict of lists each.
-        rows = {node: [None] for node, _ in logs}
+        rows = {node: [None] for node, _, _ in groups}
         for idx in range(self._harvested, ready):
-            instance = logs[0][1][idx][0]
-            speaker = value = None  # lowest-numbered decided node's h(k)
+            spoken = None  # the lowest-numbered decided node's output
             decided = 0
-            for node, log in logs:
+            for node, log, size in groups:
                 _, out = rows[node][0] = log[idx]
                 if out is not BOTTOM:
-                    decided += 1
-                    if speaker is None or node < speaker:
-                        speaker, value = node, out(instance)
+                    decided += size
+                    if spoken is None:
+                        spoken = out
+            instance = rows[groups[0][0]][0][0]
             try:
                 check_agreement(rows, switches=self.stepper.switches)
             except SpecViolation as exc:
@@ -421,9 +501,9 @@ class WorldDriver:
                 "world": self.name,
                 "instance": instance,
                 "round": self.current_round,
-                "value": value,
+                "value": None if spoken is None else spoken(instance),
                 "decided": decided,
-                "bottom": len(logs) - decided,
+                "bottom": self.nodes - decided,
                 "agreement": verdict,
             })
         if events:

@@ -2,7 +2,7 @@
 
 Requests travel client → service as one JSON object per line carrying an
 ``op`` field; events travel service → client as one JSON object per line
-carrying a ``type`` field and a per-session ``seq`` stamped at enqueue
+carrying a ``type`` field and a per-session ``seq`` numbered at enqueue
 time (so a gap in ``seq`` is the documented signal that the slow-consumer
 drop policy fired).  Encoding is canonical — sorted keys, compact
 separators — so byte-level comparisons of event streams are meaningful
@@ -437,7 +437,7 @@ def catalog() -> dict:
         "envelope": {
             "request": "one JSON object per line with an 'op' field",
             "event": "one JSON object per line with a 'type' field and a "
-                     "per-session 'seq' stamped at enqueue (a seq gap "
+                     "per-session 'seq' numbered at enqueue (a seq gap "
                      "means the drop-oldest policy fired)",
         },
         "ops": {name: {"doc": spec.doc, "fields": rows(spec.fields),

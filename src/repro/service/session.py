@@ -1,19 +1,20 @@
 """Sessions: one client's window onto one named world.
 
 A :class:`Session` owns exactly one :class:`~repro.service.driver.SessionQueue`
-subscribed — through the session's own :meth:`~Session.event_filter` —
-to the event bus of the world it is bound to, plus the request dispatch
-shared by every transport.  The filter is where the read models live:
-``watch_instance`` adds to the session's watch set (``instance-state``
-events pass only for watched instances) and ``subscribe_prefix`` narrows
-the ``decision`` feed to matching values.  Filters run at publish time,
-before enqueue, so they cost non-watchers nothing and never stall a
-world's clock.
+subscribed to the event bus of the world it is bound to, plus the
+request dispatch shared by every transport.  The read models are what
+the session tells that :class:`~repro.service.driver.EventBus`:
+``watch_instance`` / ``unwatch_instance`` edit the bus's watch set
+(``instance-state`` events reach watchers of their instance only) and
+``subscribe_prefix`` moves the session to the bus's group for that value
+prefix (``decision`` events reach the groups whose prefix they match).
+The bus fans out per group at publish time, before enqueue, so the read
+models cost non-watchers nothing and never stall a world's clock.
 
 ``attach_world`` re-binds a session: the queue moves to the new world's
-bus with its ``seq`` stream intact, instance watches are cleared
-(instance numbers are world-local), and the value-prefix filter
-persists.
+bus with its ``seq`` stream intact, instance watches end with the old
+subscription (instance numbers are world-local), and the value-prefix
+filter persists.
 
 :class:`SessionManager` is the registry — open, close, drain — and the
 only holder of strong references: closing a session unsubscribes its
@@ -57,7 +58,6 @@ class Session:
         self.proposals_accepted = 0
         self._entry = entry
         self._registry = registry
-        self._watched: set[int] = set()
         self._prefix: str | None = None
 
     @property
@@ -72,24 +72,6 @@ class Session:
     def _driver(self) -> WorldDriver:
         return self._entry.driver
 
-    # -- the read models ----------------------------------------------
-
-    def event_filter(self, event: dict) -> bool:
-        """Publish-time gate for this session's queue.
-
-        ``instance-state`` events pass only for watched instances;
-        ``decision`` events pass the value-prefix filter (an all-bottom
-        decision's ``value`` is ``None``, which no non-empty prefix
-        matches); everything else always passes.
-        """
-        kind = event.get("type")
-        if kind == "instance-state":
-            return event["instance"] in self._watched
-        if kind == "decision" and self._prefix is not None:
-            value = event.get("value")
-            return isinstance(value, str) and value.startswith(self._prefix)
-        return True
-
     def stats(self) -> dict:
         return {
             "session": self.session_id,
@@ -101,7 +83,7 @@ class Session:
             "events_delivered": self.queue.delivered,
             "events_dropped": self.queue.dropped,
             "events_pending": len(self.queue),
-            "watched_instances": len(self._watched),
+            "watched_instances": self._driver.bus.watched(self.session_id),
             "value_prefix": self._prefix,
         }
 
@@ -144,19 +126,20 @@ class Session:
                                         request_id=request_id))
         elif op == "watch_instance":
             instance = request["instance"]
-            self._watched.add(instance)
+            self._driver.bus.watch(self.session_id, instance)
             self.queue.put(watching_event(
                 world=self._entry.name,
                 state=self._driver.instance_state(instance),
                 request_id=request_id,
             ))
         elif op == "unwatch_instance":
-            self._watched.discard(request["instance"])
+            self._driver.bus.unwatch(self.session_id, request["instance"])
             self.queue.put(unwatched_event(instance=request["instance"],
                                            request_id=request_id))
         elif op == "subscribe_prefix":
             # "" clears the filter; the ack echoes what is now active.
             self._prefix = request["prefix"] or None
+            self._driver.bus.set_prefix(self.session_id, self._prefix)
             self.queue.put(subscribed_event(prefix=self._prefix,
                                             request_id=request_id))
         elif op == "bye":
@@ -202,11 +185,10 @@ class Session:
         previous.driver.bus.unsubscribe(self.session_id)
         self._registry.detach(previous.name)
         self._entry = self._registry.attach(target.name)
-        # Watches are world-local instance numbers; the prefix filter is
-        # about values and survives the move.
-        self._watched.clear()
+        # Watches are world-local instance numbers and ended with the old
+        # subscription; the prefix filter is about values and survives.
         self._entry.driver.bus.attach(self.session_id, self.queue,
-                                      self.event_filter)
+                                      self._prefix)
         self.queue.put(world_attached_event(
             snapshot=self._entry.driver.snapshot(), request_id=request_id))
 
@@ -258,7 +240,7 @@ class SessionManager:
         queue = SessionQueue(self._queue_limit)
         session = Session(session_id, entry, queue,
                           registry=self._registry, client=client)
-        entry.driver.bus.attach(session_id, queue, session.event_filter)
+        entry.driver.bus.attach(session_id, queue)
         self._sessions[session_id] = session
         self.peak = max(self.peak, len(self._sessions))
         queue.put(welcome_event(session=session_id,

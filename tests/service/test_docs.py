@@ -13,12 +13,14 @@ rides along so the docs job catches dead cross-references too.
 from __future__ import annotations
 
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.service import events
+from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
+from repro.service import ConsensusService, events
 
 pytestmark = [pytest.mark.fast, pytest.mark.docs]
 
@@ -125,6 +127,46 @@ def test_every_event_table_matches_the_catalog():
                 f"event {name!r}, field {field['name']!r}: doc drifted"
         assert section["doc"] == spec["doc"], \
             f"event {name!r}: section prose drifted from events.EVENTS"
+
+
+def test_example_exchanges_replay_in_process():
+    """The "Example exchanges" transcripts are what an in-process
+    session on the CLI's default world really receives — ``seq`` from
+    0, the session id, and a tick's event order included.  A
+    ``spec_hash`` shortened to ``"abcd..."`` matches by prefix."""
+    text = WIRE_DOC.read_text()
+    region = text[text.index("## Example exchanges"):]
+    lines: list[str] = []
+    for block in re.findall(r"```text\n(.*?)```", region, re.DOTALL):
+        for line in block.splitlines():
+            if line.startswith("   "):
+                lines[-1] += line.strip()
+            else:
+                lines.append(line)
+    service = ConsensusService(ExperimentSpec(
+        protocol=CHA(), world=ClusterWorld(n=24, rcf=0),
+        workload=WorkloadSpec(instances=1000), keep_trace=False))
+    client = None
+    for line in lines:
+        direction, message = line[0], json.loads(line[2:])
+        if direction == ">":
+            if message["op"] == "hello":
+                client = service.connect(client=message["client"],
+                                         world=message["world"])
+            else:
+                client.request(message)
+            continue
+        event = client.next_event_nowait()
+        if event is None:  # the transcript's one tick
+            service.driver.tick()
+            event = client.next_event_nowait()
+        event = json.loads(events.encode_event(event))
+        shortened = message.get("spec_hash", "")
+        if shortened.endswith("..."):
+            assert event["spec_hash"].startswith(shortened[:-3]), line
+            message["spec_hash"] = event["spec_hash"]
+        assert event == message, line
+    assert client.next_event_nowait() is None
 
 
 def test_reference_switch_table_matches_the_axis_table():

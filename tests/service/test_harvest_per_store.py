@@ -1,0 +1,167 @@
+"""The served harvest reads each decision once per cohort store.
+
+Nodes that share one cohort store log the same record, so
+``WorldDriver._harvest`` reads a store's record through its
+lowest-numbered member and counts it for every member.  Two pins:
+
+* the count gate — a 24-node lockstep CHA world builds one output per
+  harvested instance (one store), not one per node;
+* equivalence — on worlds that fork (seeded loss before ``rcf``, a
+  crash wave, and outputs overwritten through the log view so stores
+  split and some nodes disagree or output ⊥), every ``decision`` event
+  equals what the per-node loop below — the harvest as it was before
+  stores were grouped — builds from the same state.
+"""
+
+from __future__ import annotations
+
+import pytest
+from _cores import count_calls
+
+from repro import (
+    CHA,
+    ClusterWorld,
+    EnvironmentSpec,
+    ExperimentSpec,
+    MetricsSpec,
+    TwoPhaseCHA,
+    WorkloadSpec,
+)
+from repro.core.history import History
+from repro.core.slotted import SlottedChaCore, shared_store
+from repro.core.spec import check_agreement
+from repro.errors import SpecViolation
+from repro.faults import CrashWave, plan
+from repro.net import RandomLossAdversary
+from repro.service.driver import WorldDriver
+from repro.types import BOTTOM
+
+pytestmark = pytest.mark.fast
+
+
+def _serve(driver: WorldDriver) -> list[dict]:
+    events = []
+    while not driver.complete:
+        events.extend(driver.tick())
+    return [event for event in events if event["type"] == "decision"]
+
+
+def test_harvest_reads_each_decision_once_per_store(monkeypatch):
+    driver = WorldDriver(ExperimentSpec(
+        protocol=CHA(), world=ClusterWorld(n=24),
+        workload=WorkloadSpec(instances=30),
+        metrics=MetricsSpec(invariants=()),
+        keep_trace=False,
+    ))
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, SlottedChaCore, ("_output_of",), counts)
+    harvest = WorldDriver._harvest
+    in_harvest = []
+
+    def counted_harvest(self):
+        before = counts.get("_output_of", 0)
+        events = harvest(self)
+        stores = {id(shared_store(proc.core))
+                  for proc in self.stepper.processes.values()}
+        in_harvest.append((counts.get("_output_of", 0) - before,
+                           len(events), len(stores)))
+        return events
+
+    monkeypatch.setattr(WorldDriver, "_harvest", counted_harvest)
+    decisions = _serve(driver)
+    assert len(decisions) == 30
+    assert all(d["decided"] == 24 and d["bottom"] == 0 for d in decisions)
+    assert all(d["agreement"] == "ok" for d in decisions)
+    # One store throughout, read once per harvested instance.
+    assert {stores for _, _, stores in in_harvest} == {1}
+    assert sum(calls for calls, _, _ in in_harvest) == 30
+    assert all(calls == harvested for calls, harvested, _ in in_harvest)
+
+
+def _per_node_decisions(driver: WorldDriver, start: int,
+                        ready: int) -> list[dict]:
+    """The harvest's decision events as it built them node by node."""
+    logs = [(node, proc.outputs)
+            for node, proc in driver.stepper.processes.items()]
+    events = []
+    rows = {node: [None] for node, _ in logs}
+    for idx in range(start, ready):
+        instance = logs[0][1][idx][0]
+        speaker = value = None
+        decided = 0
+        for node, log in logs:
+            _, out = rows[node][0] = log[idx]
+            if out is not BOTTOM:
+                decided += 1
+                if speaker is None or node < speaker:
+                    speaker, value = node, out(instance)
+        try:
+            check_agreement(rows, switches=driver.stepper.switches)
+        except SpecViolation as exc:
+            verdict = f"violated: {exc}"
+        else:
+            verdict = "ok"
+        events.append({
+            "type": "decision", "world": driver.name, "instance": instance,
+            "round": driver.current_round, "value": value,
+            "decided": decided, "bottom": len(logs) - decided,
+            "agreement": verdict,
+        })
+    return events
+
+
+def _tamper(driver: WorldDriver, idx: int) -> None:
+    """Overwrite some nodes' output at log position ``idx`` through the
+    view (which forks each out of its store): one outputs ⊥, one a
+    history that disagrees at instance 1, by the position's residue."""
+    procs = driver.stepper.processes
+    n = len(procs)
+    k, out = procs[0].outputs[idx]
+    if idx % 3 == 1:
+        procs[(5 * idx) % n].outputs[idx] = (k, BOTTOM)
+    if idx % 4 == 2 and out is not BOTTOM:
+        forged = History(out.length, {**dict(out.items()), 1: "forged"})
+        procs[(7 * idx + 1) % n].outputs[idx] = (k, forged)
+
+
+@pytest.mark.parametrize("protocol", [CHA(), TwoPhaseCHA()],
+                         ids=["cha", "two-phase"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_per_store_harvest_equals_the_per_node_loop(monkeypatch, protocol,
+                                                    seed):
+    driver = WorldDriver(ExperimentSpec(
+        protocol=protocol, world=ClusterWorld(n=12, rcf=60),
+        environment=EnvironmentSpec(
+            adversary=RandomLossAdversary(p_drop=0.005, seed=seed)),
+        workload=WorkloadSpec(instances=40),
+        faults=plan(CrashWave(fraction=0.1, horizon=100), seed=seed),
+        metrics=MetricsSpec(invariants=()),
+        keep_trace=False,
+    ))
+    harvest = WorldDriver._harvest
+    compared = []
+    groupings = set()
+
+    def checked_harvest(self):
+        start = self._harvested
+        ready = min(len(proc.outputs)
+                    for proc in self.stepper.processes.values())
+        for idx in range(start, ready):
+            _tamper(self, idx)
+        expected = _per_node_decisions(self, start, ready)
+        groupings.add(len({id(shared_store(proc.core) or proc)
+                           for proc in self.stepper.processes.values()}))
+        events = harvest(self)
+        assert events == expected
+        compared.extend(events)
+        return events
+
+    monkeypatch.setattr(WorldDriver, "_harvest", checked_harvest)
+    decisions = _serve(driver)
+    assert decisions == compared
+    # The run exercised shared stores, forks, split counts and
+    # violated verdicts, not just the lockstep case.
+    assert max(groupings) > 1 and min(groupings) < 12
+    assert any(0 < d["bottom"] < 12 for d in compared)
+    assert any(d["agreement"].startswith("violated") for d in compared)
+    assert any(d["agreement"] == "ok" for d in compared)

@@ -278,3 +278,47 @@ def test_totals_aggregate_open_sessions():
     totals = service.sessions.totals()
     assert totals["active"] == 2 and totals["peak"] == 2
     assert totals["events_dropped"] > 0  # tiny queues, nobody reading
+
+
+# ----------------------------------------------------------------------
+# Read-time stamping: queues share the published event until it is read
+# ----------------------------------------------------------------------
+
+def test_each_reader_gets_a_private_copy_of_a_shared_event():
+    service = _service(instances=4)
+    clients = [service.connect() for _ in range(3)]
+    for client in clients:
+        client.drain()
+    service.driver.tick()
+    recent = [dict(d) for d in service.driver.snapshot()["recent_decisions"]]
+    assert [d["instance"] for d in recent] == [1]
+    first, second, third = ([e for e in client.drain()
+                             if e["type"] == "decision"][0]
+                            for client in clients)
+    assert first == second == third and first is not second
+    first["value"] = "tampered"
+    first["agreement"] = "tampered"
+    del first["seq"]
+    assert second["value"] == third["value"] == recent[0]["value"]
+    assert second["seq"] == third["seq"] == 1
+    assert service.driver.snapshot()["recent_decisions"] == recent
+    assert all("seq" not in d
+               for d in service.driver.snapshot()["recent_decisions"])
+
+
+def test_a_stalled_reader_drains_a_contiguous_seq_tail_and_exact_drops():
+    service = _service(instances=12, queue_limit=5)
+    stalled = service.connect()
+    reader = service.connect()
+    while not service.driver.complete:
+        service.driver.tick()
+        reader.drain()
+    # welcome + 12 decisions + world-complete were put: 14 events.
+    assert stalled.session.queue.seq == 14
+    backlog = stalled.drain()
+    assert [e["seq"] for e in backlog] == list(range(9, 14))
+    assert stalled.dropped == 9
+    assert [e["instance"] for e in backlog[:-1]] == [9, 10, 11, 12]
+    assert backlog[-1]["type"] == "world-complete"
+    # Reading again finds nothing: the tail was handed out exactly once.
+    assert stalled.drain() == [] and stalled.dropped == 9
