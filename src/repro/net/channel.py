@@ -33,11 +33,11 @@ The record.  The reception rule never asks *which* senders a node could
 hear past four facts: none, exactly one (who?) or more than one within
 ``R2``, and whether any of them is within ``R1``.  So the indexed path
 keeps, per receiver some sender reached, one of three forms of
-``(sole R2 sender's message, some R2 sender is inside R1)`` — a node no
+``(sole R2 sender's reception, some R2 sender is inside R1)`` — a node no
 sender reached has no entry:
 
-* ``(m, near)`` — one sender so far, its message ``m``, inside ``R1`` or
-  not;
+* ``(clean, near)`` — one sender so far, ``clean`` the undisturbed
+  :class:`Reception` of its message, inside ``R1`` or not;
 * ``(None, False)`` — two or more, none inside ``R1`` yet (contended);
 * ``(None, True)`` — two or more, one of them inside ``R1``: **final**.
 
@@ -56,12 +56,31 @@ O(receivers + senders x overlapped cells), not O(senders x receivers).
 Before ``rcf`` the same record yields the tentative-delivery map the
 adversary is shown (at most one message per receiver: its own, or the
 sole ``R2`` sender's when that one is within ``R1``), and a drop can only
-matter by dooming that one message.
+matter by dooming that one message.  That map gives every receiver its
+own tuple; the adversary may keep it.
+
+The reach memo.  Who a sender reaches, and which of them lie inside
+``R1``, depends only on positions, so the indexed path remembers each
+sender's walk (:meth:`Channel._reach_of`) until its spatial index next
+reports a change.  Past ``rcf`` a contention-managed cluster is one
+leader broadcasting to a static cluster, round after round: the leader
+measures its distances once.  A world that moves rebuilds each reach
+once per round; a silent round does not sync the index, so the next
+audible round does, and clears the memo if anything moved.
+
+The aliasing rule.  Within one round, receivers whose delivered messages
+come from the same sender hold the *same* tuple object, on both paths
+(a transmitter's own reception included): the reference path keeps the
+first tuple built per sender key, the indexed path hands out one clean
+:class:`Reception` per sender.  Trace pickles record that sharing, so
+it is part of the byte-identity contract below.
 
 The two paths are guaranteed to produce *identical* reception maps — the
 randomized differential suite (``tests/net/test_differential.py``)
 asserts equality over geometries, radii, adversaries, and mobility, and
-byte-identical trace pickles end to end.  The ``channel`` axis of
+byte-identical trace pickles end to end
+(``tests/net/test_channel_sharing.py`` pins the aliasing rule and the
+memo's invalidation).  The ``channel`` axis of
 :class:`~repro.switches.Switches` (``REPRO_REFERENCE_CHANNEL=1`` in the
 environment) re-runs anything on the reference path when debugging.
 """
@@ -105,8 +124,12 @@ _LOST_BOTH = Reception(messages=(), lost_within_r1=True, lost_within_r2=True)
 #: ``(sole R2 sender's message, some R2 sender is inside R1)``: two or
 #: more senders within R2, so no sole sender any more.  ``_FINAL`` is
 #: absorbing.
-_CONTENDED: tuple[Message | None, bool] = (None, False)
-_FINAL: tuple[Message | None, bool] = (None, True)
+_CONTENDED: tuple[Reception | None, bool] = (None, False)
+_FINAL: tuple[Reception | None, bool] = (None, True)
+
+#: A sender's walk: ``(cell key, population, [(node, within R1), ...])``
+#: per overlapped cell holding a node within R2 (:meth:`Channel._reach_of`).
+_Reach = list[tuple[tuple[int, int], int, list[tuple[NodeId, bool]]]]
 
 
 @dataclass(frozen=True)
@@ -144,7 +167,10 @@ class Channel:
         #: of every receiver some sender reached (module docstring).  It
         #: never escapes ``deliver``, so one dict is cleared and refilled
         #: every round instead of reallocated.
-        self._heard: dict[NodeId, tuple[Message | None, bool]] = {}
+        self._heard: dict[NodeId, tuple[Reception | None, bool]] = {}
+        #: Each sender's walk (:meth:`_reach_of`), kept while the index
+        #: reports no change.
+        self._reach: dict[NodeId, _Reach] = {}
 
     def deliver(self, r: Round,
                 positions: Mapping[NodeId, Point],
@@ -229,6 +255,9 @@ class Channel:
         if r < self.spec.rcf:
             dropped = self.adversary.drops(r, tentative)
 
+        # Receivers that got the same senders' messages share one tuple
+        # (the first built): one delivered tuple per sender per round.
+        canon: dict[tuple[NodeId, ...], tuple[Message, ...]] = {}
         receptions: dict[NodeId, Reception] = {}
         for receiver in positions:
             doomed = dropped.get(receiver, frozenset())
@@ -236,6 +265,8 @@ class Channel:
                 m for m in tentative[receiver] if m.sender not in doomed
             )
             got = {m.sender for m in delivered}
+            delivered = canon.setdefault(tuple(m.sender for m in delivered),
+                                         delivered)
             missing_r1 = [s for s in in_r1[receiver] if s not in got]
             missing_r2 = [s for s in in_r2[receiver] if s not in got]
             receptions[receiver] = Reception(
@@ -248,6 +279,34 @@ class Channel:
     # ------------------------------------------------------------------
     # Indexed fast path
     # ------------------------------------------------------------------
+
+    def _reach_of(self, s: NodeId) -> _Reach:
+        """``s``'s walk: ``(cell key, population, [(node, within R1)])``
+        for every overlapped cell holding a node within ``R2`` of ``s``
+        (``s`` itself included), nodes in the order the cell stores them.
+
+        Remembered until the index next reports a change, so a sender
+        measures its distances once while nothing moves.
+        """
+        reach = self._reach.get(s)
+        if reach is None:
+            index = self._index
+            sx, sy = index.coords_of(s)
+            r1_sq = self.spec.r1 * self.spec.r1
+            r2_sq = self.spec.r2 * self.spec.r2
+            reach = []
+            for key, cell in index.buckets_overlapping(sx, sy, self.spec.r2):
+                reached = []
+                for node, nx, ny in cell.values():
+                    dx = nx - sx
+                    dy = ny - sy
+                    dd = dx * dx + dy * dy
+                    if dd <= r2_sq:
+                        reached.append((node, dd <= r1_sq))
+                if reached:
+                    reach.append((key, len(cell), reached))
+            self._reach[s] = reach
+        return reach
 
     def _deliver_indexed(self, r: Round,
                          positions: Mapping[NodeId, Point],
@@ -265,7 +324,6 @@ class Channel:
         the tentative deliveries first and its drops are applied on top.
         """
         spec = self.spec
-        index = self._index
         if not senders:
             # Silent round: nobody to resolve, so the (possibly costly)
             # index sync is deferred — but an unsynced index must not
@@ -279,12 +337,10 @@ class Channel:
                 self.adversary.drops(r, dict.fromkeys(positions, ()))
             return dict.fromkeys(positions, _SILENCE)
         if not (positions_unchanged and self._index_synced):
-            index.update(positions)
+            if self._index.update(positions):
+                self._reach.clear()
             self._index_synced = True
 
-        r2 = spec.r2
-        r1_sq = spec.r1 * spec.r1
-        r2_sq = r2 * r2
         Rec = Reception
         if len(senders) == 1 and r >= spec.rcf:
             # Single audible sender past stabilisation — the dominant
@@ -294,51 +350,40 @@ class Channel:
             # needed (measured: walking it costs svc-tcp 7 % of its
             # throughput; CHANGES.md, PR 21).
             s = senders[0]
-            message = broadcasts[s]
-            sx, sy = index.coords_of(s)
+            clean = Rec((broadcasts[s],), False, False)
             receptions = dict.fromkeys(positions, _SILENCE)
-            for _, cell in index.buckets_overlapping(sx, sy, r2):
-                for node, nx, ny in cell.values():
-                    dx = nx - sx
-                    dy = ny - sy
-                    dd = dx * dx + dy * dy
-                    if dd <= r2_sq:
-                        receptions[node] = (Rec((message,), False, False)
-                                            if dd <= r1_sq else _LOST_R2_ONLY)
+            for _, _, reached in self._reach_of(s):
+                for node, near in reached:
+                    receptions[node] = clean if near else _LOST_R2_ONLY
             return receptions
         heard = self._heard
         heard.clear()
         heard_get = heard.get
         final_in: dict[tuple[int, int], int] = {}
         final_get = final_in.get
-        coords_of = index.coords_of
-        buckets_overlapping = index.buckets_overlapping
+        reach_of = self._reach_of
+        clean_of = {s: Rec((broadcasts[s],), False, False) for s in senders}
         unsettled = len(positions)
         for s in senders:
             if not unsettled:
                 break
-            sx, sy = coords_of(s)
-            message = broadcasts[s]
-            for key, cell in buckets_overlapping(sx, sy, r2):
-                if final_get(key) == len(cell):
+            clean = clean_of[s]
+            for key, population, reached in reach_of(s):
+                if final_get(key) == population:
                     continue
-                for node, nx, ny in cell.values():
+                for node, near in reached:
                     if node == s:
                         continue
-                    dx = nx - sx
-                    dy = ny - sy
-                    dd = dx * dx + dy * dy
-                    if dd <= r2_sq:
-                        state = heard_get(node)
-                        if state is None:
-                            heard[node] = (message, dd <= r1_sq)
-                        elif state is not _FINAL:
-                            if state[1] or dd <= r1_sq:
-                                heard[node] = _FINAL
-                                final_in[key] = final_get(key, 0) + 1
-                                unsettled -= 1
-                            elif state is not _CONTENDED:
-                                heard[node] = _CONTENDED
+                    state = heard_get(node)
+                    if state is None:
+                        heard[node] = (clean, near)
+                    elif state is not _FINAL:
+                        if state[1] or near:
+                            heard[node] = _FINAL
+                            final_in[key] = final_get(key, 0) + 1
+                            unsettled -= 1
+                        elif state is not _CONTENDED:
+                            heard[node] = _CONTENDED
 
         dropped: dict[NodeId, frozenset[NodeId]] = {}
         if r < spec.rcf:
@@ -348,19 +393,19 @@ class Channel:
             tentative: dict[NodeId, tuple[Message, ...]] = dict.fromkeys(positions, ())
             for receiver, (sole, near) in heard.items():
                 if near and sole is not None:
-                    tentative[receiver] = (sole,)
+                    tentative[receiver] = (sole.messages[0],)
             for s in senders:
                 tentative[s] = (broadcasts[s],)
             dropped = self.adversary.drops(r, tentative)
 
         # Receivers out of range of every sender share one silent
-        # Reception, contended ones one per flag pair (all value-equal to
-        # what the reference path builds); each delivered message still
-        # gets its own fresh tuple, matching that path's object graph.
+        # Reception, contended ones one per flag pair, a sender's sole
+        # receivers its clean one (all value-equal to what the reference
+        # path builds, and its tuples shared the same way).
         receptions: dict[NodeId, Reception] = dict.fromkeys(positions, _SILENCE)
         for receiver, (sole, near) in heard.items():
             if near and sole is not None:
-                receptions[receiver] = Rec((sole,), False, False)
+                receptions[receiver] = sole
             else:
                 receptions[receiver] = _LOST_BOTH if near else _LOST_R2_ONLY
         for s in senders:
@@ -368,8 +413,9 @@ class Channel:
             # made of its record); concurrent in-range transmissions
             # count as losses at it.
             state = heard_get(s)
-            receptions[s] = (Rec((broadcasts[s],), False, False) if state is None
-                             else Rec((broadcasts[s],), state[1], True))
+            clean = clean_of[s]
+            receptions[s] = (clean if state is None
+                             else Rec(clean.messages, state[1], True))
         for receiver, doomed in dropped.items():
             # A receiver holds at most one message: its own broadcast, or
             # the sole R2 sender's.  Losing a neighbour's is an R1 loss.

@@ -466,16 +466,22 @@ class WorldDriver:
         # counted by its size, and is one ``check_agreement`` row under
         # its lowest-numbered member (a node that disagrees has such a
         # store-mate, no later in node order, so the verdict is the
-        # per-node one).
+        # per-node one).  A crashed node stops logging, so a shorter log
+        # holds ``ready`` back only while its group has a live member,
+        # and an instance's rows come from the groups that logged it.
         stores: dict[Any, list] = {}
         for node, proc in self.stepper.processes.items():
             key = shared_store(getattr(proc, "core", None)) or node
             if key in stores:
-                stores[key][2] += 1
+                stores[key][2].append(node)
             else:
-                stores[key] = [node, proc.outputs, 1]
+                stores[key] = [node, proc.outputs, [node]]
         groups = list(stores.values())
-        ready = min((len(log) for _, log, _ in groups), default=0)
+        longest = max((len(log) for _, log, _ in groups), default=0)
+        alive = self.stepper.simulator.alive
+        ready = min((len(log) for _, log, members in groups
+                     if len(log) < longest and any(map(alive, members))),
+                    default=longest)
         events = []
         # One row per group, refilled per instance: the shape
         # ``check_agreement`` takes, without a fresh dict of lists each.
@@ -483,13 +489,16 @@ class WorldDriver:
         for idx in range(self._harvested, ready):
             spoken = None  # the lowest-numbered decided node's output
             decided = 0
-            for node, log, size in groups:
-                _, out = rows[node][0] = log[idx]
+            for node, log, members in groups:
+                if idx >= len(log):
+                    # Crashed: logs no later instance either.
+                    rows.pop(node, None)
+                    continue
+                instance, out = rows[node][0] = log[idx]
                 if out is not BOTTOM:
-                    decided += size
+                    decided += len(members)
                     if spoken is None:
                         spoken = out
-            instance = rows[groups[0][0]][0][0]
             try:
                 check_agreement(rows, switches=self.stepper.switches)
             except SpecViolation as exc:

@@ -11,6 +11,10 @@ lowest-numbered member and counts it for every member.  Two pins:
   split and some nodes disagree or output ⊥), every ``decision`` event
   equals what the per-node loop below — the harvest as it was before
   stores were grouped — builds from the same state.
+
+A crashed node stops logging, so the harvest waits only for the live
+nodes: a served crash wave publishes every instance, and what it
+publishes matches the batch replay's outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.core.history import History
 from repro.core.slotted import SlottedChaCore, shared_store
 from repro.core.spec import check_agreement
 from repro.errors import SpecViolation
+from repro.experiment.runner import run
 from repro.faults import CrashWave, plan
 from repro.net import RandomLossAdversary
 from repro.service.driver import WorldDriver
@@ -78,19 +83,27 @@ def test_harvest_reads_each_decision_once_per_store(monkeypatch):
     assert all(calls == harvested for calls, harvested, _ in in_harvest)
 
 
+def _per_node_ready(driver: WorldDriver) -> int:
+    """How far every live node has logged: a crashed node stops logging."""
+    sim = driver.stepper.simulator
+    return min(len(proc.outputs)
+               for node, proc in driver.stepper.processes.items()
+               if sim.alive(node))
+
+
 def _per_node_decisions(driver: WorldDriver, start: int,
                         ready: int) -> list[dict]:
-    """The harvest's decision events as it built them node by node."""
+    """The harvest's decision events as it built them node by node, each
+    instance's rows from the nodes that logged it."""
     logs = [(node, proc.outputs)
             for node, proc in driver.stepper.processes.items()]
     events = []
-    rows = {node: [None] for node, _ in logs}
     for idx in range(start, ready):
-        instance = logs[0][1][idx][0]
+        rows = {node: [log[idx]] for node, log in logs if idx < len(log)}
+        instance = next(iter(rows.values()))[0][0]
         speaker = value = None
         decided = 0
-        for node, log in logs:
-            _, out = rows[node][0] = log[idx]
+        for node, ((_, out),) in rows.items():
             if out is not BOTTOM:
                 decided += 1
                 if speaker is None or node < speaker:
@@ -115,13 +128,13 @@ def _tamper(driver: WorldDriver, idx: int) -> None:
     view (which forks each out of its store): one outputs ⊥, one a
     history that disagrees at instance 1, by the position's residue."""
     procs = driver.stepper.processes
-    n = len(procs)
     k, out = procs[0].outputs[idx]
+    logged = [node for node, proc in procs.items() if idx < len(proc.outputs)]
     if idx % 3 == 1:
-        procs[(5 * idx) % n].outputs[idx] = (k, BOTTOM)
+        procs[logged[(5 * idx) % len(logged)]].outputs[idx] = (k, BOTTOM)
     if idx % 4 == 2 and out is not BOTTOM:
         forged = History(out.length, {**dict(out.items()), 1: "forged"})
-        procs[(7 * idx + 1) % n].outputs[idx] = (k, forged)
+        procs[logged[(7 * idx + 1) % len(logged)]].outputs[idx] = (k, forged)
 
 
 @pytest.mark.parametrize("protocol", [CHA(), TwoPhaseCHA()],
@@ -144,8 +157,7 @@ def test_per_store_harvest_equals_the_per_node_loop(monkeypatch, protocol,
 
     def checked_harvest(self):
         start = self._harvested
-        ready = min(len(proc.outputs)
-                    for proc in self.stepper.processes.values())
+        ready = _per_node_ready(self)
         for idx in range(start, ready):
             _tamper(self, idx)
         expected = _per_node_decisions(self, start, ready)
@@ -165,3 +177,52 @@ def test_per_store_harvest_equals_the_per_node_loop(monkeypatch, protocol,
     assert any(0 < d["bottom"] < 12 for d in compared)
     assert any(d["agreement"].startswith("violated") for d in compared)
     assert any(d["agreement"] == "ok" for d in compared)
+
+
+def _crash_wave(protocol) -> ExperimentSpec:
+    return ExperimentSpec(
+        protocol=protocol, world=ClusterWorld(n=12),
+        workload=WorkloadSpec(instances=40),
+        faults=plan(CrashWave(fraction=0.1, horizon=30), seed=1),
+        metrics=MetricsSpec(invariants=()),
+        keep_trace=False,
+    )
+
+
+@pytest.mark.parametrize("protocol", [CHA(), TwoPhaseCHA()],
+                         ids=["cha", "two-phase"])
+def test_served_crash_wave_publishes_what_the_batch_replay_decides(protocol):
+    """A crashed node stops logging; the served world must still publish
+    every instance, each with what the batch replay's outputs say."""
+    spec = _crash_wave(protocol)
+    served = [(d["instance"], d["value"], d["decided"],
+               d["agreement"].split(":")[0])
+              for d in _serve(WorldDriver(spec))]
+    outputs = run(spec).outputs
+    assert any(len(log) < 40 for log in outputs.values()), "nobody crashed"
+    replayed = []
+    for k in range(1, 41):
+        rows = {node: [row for row in log if row[0] == k]
+                for node, log in outputs.items()}
+        said = [out for node in sorted(rows) for _, out in rows[node]
+                if out is not BOTTOM]
+        try:
+            check_agreement(rows)
+        except SpecViolation:
+            verdict = "violated"
+        else:
+            verdict = "ok"
+        replayed.append((k, said[0](k) if said else None, len(said), verdict))
+    assert served == replayed
+
+
+def test_a_live_short_log_holds_the_harvest_back(monkeypatch):
+    """Only liveness lets the harvest pass a short log: were the crashed
+    node alive, the instances it has not logged would still be open."""
+    driver = WorldDriver(_crash_wave(CHA()))
+    monkeypatch.setattr(driver.stepper.simulator, "alive",
+                        lambda node, r=None: True)
+    decisions = _serve(driver)
+    shortest = min(len(proc.outputs)
+                   for proc in driver.stepper.processes.values())
+    assert len(decisions) == shortest < 40
