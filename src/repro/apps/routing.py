@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
-
 from ..geometry import Point
 from ..types import VirtualRound
 from ..vi.client import ClientProgram
 from ..vi.program import MailboxProgram, VirtualObservation
-from ..vi.schedule import VNSite
+from ..vi.schedule import VNSite, proximity_graph
 
 
 class DeliveringMailboxProgram(MailboxProgram):
@@ -69,29 +67,35 @@ class DeliveringMailboxProgram(MailboxProgram):
         return (inbox, outbox)
 
 
-def overlay_graph(sites: list[VNSite], *, virtual_range: float) -> nx.Graph:
-    """The overlay: virtual nodes joined when within mutual virtual range."""
-    g = nx.Graph()
-    g.add_nodes_from(site.vn_id for site in sites)
-    for i, a in enumerate(sites):
-        for b in sites[i + 1:]:
-            if a.location.within(b.location, virtual_range):
-                g.add_edge(a.vn_id, b.vn_id)
-    return g
+def overlay_graph(sites: list[VNSite], *, virtual_range: float
+                  ) -> dict[int, list[int]]:
+    """The overlay: ``{vn_id: [ids of the sites within mutual virtual
+    range]}``, the keys and every neighbour list in site order."""
+    return proximity_graph(sites, virtual_range)
 
 
 def build_routing_programs(sites: list[VNSite], *, virtual_range: float = 0.5,
                            ) -> dict[int, DeliveringMailboxProgram]:
-    """One mailbox program per site, with shortest-path next-hop tables."""
-    g = overlay_graph(sites, virtual_range=virtual_range)
+    """One mailbox program per site, with shortest-path next-hop tables.
+
+    Each table comes from a level-order BFS that visits neighbours in
+    site order — the order in which networkx's
+    ``single_source_shortest_path`` discovers them — so ties between
+    equal-length paths break the same way.
+    """
+    adjacency = overlay_graph(sites, virtual_range=virtual_range)
     programs = {}
     for site in sites:
+        source = site.vn_id
         table: dict[int, int] = {}
-        paths = nx.single_source_shortest_path(g, site.vn_id)
-        for dest, path in paths.items():
-            if dest != site.vn_id and len(path) >= 2:
-                table[dest] = path[1]
-        programs[site.vn_id] = DeliveringMailboxProgram(site.vn_id, table)
+        frontier = [source]
+        for node in frontier:           # grows as it goes: a FIFO queue
+            for neighbour in adjacency[node]:
+                if neighbour != source and neighbour not in table:
+                    table[neighbour] = (neighbour if node == source
+                                        else table[node])
+                    frontier.append(neighbour)
+        programs[source] = DeliveringMailboxProgram(source, table)
     return programs
 
 

@@ -1,11 +1,13 @@
 """Unit tests for virtual-node broadcast schedules (Section 4.1)."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import scan_nearest_in_region
+from _worlds import vi_orbit_spec
 from repro.errors import ConfigurationError, ScheduleError
 from repro.geometry import GridSpec, Point
 from repro.vi import (
@@ -30,22 +32,105 @@ class TestConflictGraph:
     def test_close_sites_conflict(self):
         sites = [VNSite(0, Point(0, 0)), VNSite(1, Point(3.0, 0))]
         g = conflict_graph(sites, r1=R1, r2=R2)
-        assert g.has_edge(0, 1)
+        assert g[0] == [1] and g[1] == [0]
 
     def test_boundary_distance_conflicts(self):
         sites = [VNSite(0, Point(0, 0)), VNSite(1, Point(CONFLICT, 0))]
         g = conflict_graph(sites, r1=R1, r2=R2)
-        assert g.has_edge(0, 1)  # paper requires strictly greater distance
+        assert 1 in g[0]  # paper requires strictly greater distance
 
     def test_distant_sites_do_not_conflict(self):
         sites = [VNSite(0, Point(0, 0)), VNSite(1, Point(CONFLICT + 0.01, 0))]
         g = conflict_graph(sites, r1=R1, r2=R2)
-        assert not g.has_edge(0, 1)
+        assert 1 not in g[0]
 
     def test_all_sites_are_nodes(self):
         sites = grid_sites(2, 2, 100.0)
         g = conflict_graph(sites, r1=R1, r2=R2)
-        assert set(g.nodes) == {0, 1, 2, 3}
+        assert set(g) == {0, 1, 2, 3}
+
+    def test_keys_and_neighbours_in_site_order(self):
+        sites = [VNSite(vn_id, Point(x, 0.0))
+                 for vn_id, x in ((7, 0.0), (2, 1.0), (9, 2.0), (4, 9.0))]
+        assert list(conflict_graph(sites, r1=R1, r2=R2).items()) == [
+            (7, [2, 9]), (2, [7, 9]), (9, [7, 2]), (4, [])]
+
+
+def random_sites(rng, count, side):
+    """``count`` sites with shuffled ids, uniform over a ``side`` square."""
+    ids = rng.sample(range(10 * count), count)
+    return [VNSite(vn_id, Point(rng.uniform(0, side), rng.uniform(0, side)))
+            for vn_id in ids]
+
+
+def slot_map(schedule, sites):
+    return {site.vn_id: schedule.slot_of(site.vn_id) for site in sites}
+
+
+class TestGreedyColouring:
+    """``build_schedule`` is a largest-first greedy colouring, slot for
+    slot the one ``networkx.greedy_color(G, "largest_first")`` gives."""
+
+    def _check_greedy(self, sites, min_length=1):
+        schedule = build_schedule(sites, r1=R1, r2=R2, min_length=min_length)
+        g = conflict_graph(sites, r1=R1, r2=R2)
+        slots = slot_map(schedule, sites)
+        # Degree-descending, ties in site order (``sorted`` is stable).
+        order = sorted(g, key=lambda v: len(g[v]), reverse=True)
+        coloured = set()
+        for vn_id in order:
+            assert all(slots[n] != slots[vn_id] for n in g[vn_id])
+            before = {slots[n] for n in g[vn_id] if n in coloured}
+            assert slots[vn_id] == min(set(range(len(before) + 1)) - before)
+            coloured.add(vn_id)
+        assert schedule.length == max(max(slots.values()) + 1, min_length)
+        return slots
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           count=st.integers(min_value=1, max_value=30),
+           side=st.sampled_from([2.0, 6.0, 15.0, 40.0]),
+           min_length=st.integers(min_value=1, max_value=8))
+    def test_greedy_properties(self, seed, count, side, min_length):
+        sites = random_sites(random.Random(seed), count, side)
+        self._check_greedy(sites, min_length)
+
+    def test_orbit_world_sites(self):
+        sites = list(vi_orbit_spec().world.sites)
+        schedule = build_schedule(sites, r1=R1, r2=R2)
+        assert schedule.length == 4
+        assert slot_map(schedule, sites) == {0: 0, 1: 1, 2: 2, 3: 3}
+
+    def test_perfbench_grid(self):
+        # vi-static / vi-mobile: an 8x8 grid at spacing 6, no conflicts.
+        sites = [VNSite(i, Point((i % 8) * 6.0, (i // 8) * 6.0))
+                 for i in range(64)]
+        schedule = build_schedule(sites, r1=R1, r2=R2)
+        assert schedule.length == 1
+        assert set(slot_map(schedule, sites).values()) == {0}
+
+    def test_dense_grid_slot_map(self):
+        sites = grid_sites(3, 3, 2.0)
+        schedule = build_schedule(sites, r1=R1, r2=R2)
+        assert schedule.length == 6
+        assert self._check_greedy(sites) == {
+            0: 3, 1: 1, 2: 2, 3: 2, 4: 0, 5: 3, 6: 1, 7: 4, 8: 5}
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for seed in range(250):
+            rng = random.Random(seed)
+            sites = random_sites(rng, rng.randint(1, 40),
+                                 rng.choice([2.0, 6.0, 15.0, 40.0]))
+            g = nx.Graph()
+            g.add_nodes_from(site.vn_id for site in sites)
+            for i, a in enumerate(sites):
+                for b in sites[i + 1:]:
+                    if a.location.within(b.location, CONFLICT):
+                        g.add_edge(a.vn_id, b.vn_id)
+            want = nx.coloring.greedy_color(g, strategy="largest_first")
+            schedule = build_schedule(sites, r1=R1, r2=R2)
+            assert slot_map(schedule, sites) == want, seed
+            assert schedule.length == max(want.values()) + 1
 
 
 class TestBuildSchedule:
