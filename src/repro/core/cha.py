@@ -385,25 +385,36 @@ def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
     """The send step of CHA phase ``phase`` over ``runs`` as ``(node,
     payload)`` pairs in node order; ``advised`` holds the advised nodes.
 
-    A run is ``(members, node ids, first)``: processes or emulation
-    replicas, in node order, that share one store, and whether the run
-    is that store's first (:class:`SplitRuns`).  The store's part of a
-    step is applied once; each member proposes and builds its own
-    payload."""
+    A run is ``(members, node ids, first, sweep)``: processes or
+    emulation replicas, in node order, that share one store, whether the
+    run is that store's first, and — for a long run — the members'
+    prebound ``(proposer, proposals_made)`` pairs and members by node
+    (:class:`SplitRuns`).  The store's part of a step is applied once;
+    each member proposes (:meth:`ChaCore.propose`, unrolled through the
+    pairs) and each advised one builds its own payload."""
     out = []
     if phase == PHASE_BALLOT:
-        for group, nodes, first in runs:
+        for group, nodes, first, sweep in runs:
             core = group[0].core
             k = core.step_begin() if first else core.k
-            for member, node in zip(group, nodes):
-                value = member.core.propose(k)
-                if advised and node in advised:
-                    out.append((node, member._ballot_payload(value)))
+            if sweep is None:
+                for member, node in zip(group, nodes):
+                    value = member.core.propose(k)
+                    if advised and node in advised:
+                        out.append((node, member._ballot_payload(value)))
+                continue
+            proposers, by_node = sweep
+            for propose, made in proposers:
+                made[k] = propose(k)
+            for node in sorted(by_node.keys() & advised):  # advised only
+                member = by_node[node]
+                out.append((node, member._ballot_payload(
+                    member.core.proposals_made[k])))
         return out
     # The veto payload producers are inert before the first instance
     # has begun (a node powered up mid-grid sends nothing until its
     # first ballot phase comes around).
-    for group, nodes, _ in runs:
+    for group, nodes, _, _ in runs:
         if group[0].core.veto_due(phase):
             for member, node in zip(group, nodes):
                 out.append((node, member.core.veto_payload(phase)))
@@ -417,7 +428,8 @@ class SplitRuns:
     shared, solo)`` — :func:`send_runs`'s runs (the store's members
     between the others, each of those a run of its own) and the
     ``(member, node)`` pairs on and off the store — through ``finish``
-    if given.  Cached while ``takers`` is one object and nobody left."""
+    if given.  Cached, with the runs' prebound proposers, while
+    ``takers`` is one object and nobody left."""
 
     __slots__ = ("members", "store", "finish", "_last")
 
@@ -450,6 +462,10 @@ class SplitRuns:
             else:
                 runs.append(([member], [node], not shared))
                 shared.append((member, node))
+        # Prebinding does not pay on a VI site's four replicas.
+        runs = [(group, nodes, first, None if len(group) < 5 else (
+            [(m.core._propose, m.core.proposals_made) for m in group],
+            dict(zip(nodes, group)))) for group, nodes, first in runs]
         split = (runs, shared, solo)
         if self.finish is not None:
             split = self.finish(split)
@@ -495,7 +511,8 @@ class CHAProcess(Process):
     def send(self, r: Round, active: bool) -> Any | None:
         self.core.detach()
         out = send_runs((r - self.start_round) % self.rounds_per_instance,
-                        (((self,), _ALONE, True),), _ALONE if active else ())
+                        (((self,), _ALONE, True, None),),
+                        _ALONE if active else ())
         return out[0][1] if out else None
 
     def _ballot_payload(self, value: Value) -> Any:
@@ -685,7 +702,7 @@ class CHAEnsemble(Ensemble):
                       flags, batch: RoundBatch) -> None:
         split = self._split(members)
         shared, get = split[3], split[4]
-        if get is not None:
+        if get is not None and not batch.uniform:
             nb = len(batch.broadcasts)
             heard = get(flags)
             if ((True in heard and False in heard)

@@ -68,6 +68,15 @@ measures its distances once.  A world that moves rebuilds each reach
 once per round; a silent round does not sync the index, so the next
 audible round does, and clears the memo if anything moved.
 
+Coverage classes.  A silent round, and a single-sender round past
+``rcf``, give whole classes of receivers one :class:`Reception`:
+silence, the sender's clean one (its node list inside ``R1``, kept with
+its walk), or lost-within-``R2`` (its list beyond).  Those rounds are
+built with ``dict.fromkeys`` per class, and :attr:`Channel.coverage`
+hands the round engine the ``(nodes, reception)`` pairs (the first over
+every receiver, later ones overriding it; ``None`` on other rounds).
+One class makes a *uniform* round: all heard all, with one flag.
+
 The aliasing rule.  Within one round, receivers whose delivered messages
 come from the same sender hold the *same* tuple object, on both paths
 (a transmitter's own reception included): the reference path keeps the
@@ -128,8 +137,10 @@ _CONTENDED: tuple[Reception | None, bool] = (None, False)
 _FINAL: tuple[Reception | None, bool] = (None, True)
 
 #: A sender's walk: ``(cell key, population, [(node, within R1), ...])``
-#: per overlapped cell holding a node within R2 (:meth:`Channel._reach_of`).
-_Reach = list[tuple[tuple[int, int], int, list[tuple[NodeId, bool]]]]
+#: per overlapped cell holding a node within R2; then its nodes within
+#: R1 and those beyond (:meth:`Channel._reach_of`).
+_Reach = tuple[list[tuple[tuple[int, int], int, list[tuple[NodeId, bool]]]],
+               list[NodeId], list[NodeId]]
 
 
 @dataclass(frozen=True)
@@ -168,9 +179,11 @@ class Channel:
         #: never escapes ``deliver``, so one dict is cleared and refilled
         #: every round instead of reallocated.
         self._heard: dict[NodeId, tuple[Reception | None, bool]] = {}
-        #: Each sender's walk (:meth:`_reach_of`), kept while the index
-        #: reports no change.
+        #: Each sender's walk and coverage classes (:meth:`_reach_of`),
+        #: kept while the index reports no change.
         self._reach: dict[NodeId, _Reach] = {}
+        #: The last round's coverage classes, if any (module docstring).
+        self.coverage: tuple[tuple[object, Reception], ...] | None = None
 
     def deliver(self, r: Round,
                 positions: Mapping[NodeId, Point],
@@ -207,6 +220,7 @@ class Channel:
         channel, letting the indexed path skip re-synchronising its
         spatial index (the batched engine asserts this from its caches).
         """
+        self.coverage = None
         if self._reference:
             return self._deliver_reference(r, positions, broadcasts, senders)
         return self._deliver_indexed(r, positions, broadcasts, senders,
@@ -283,18 +297,20 @@ class Channel:
     def _reach_of(self, s: NodeId) -> _Reach:
         """``s``'s walk: ``(cell key, population, [(node, within R1)])``
         for every overlapped cell holding a node within ``R2`` of ``s``
-        (``s`` itself included), nodes in the order the cell stores them.
+        (``s`` itself included), nodes in the order the cell stores them;
+        then those nodes within ``R1`` and those beyond, as two lists.
 
         Remembered until the index next reports a change, so a sender
         measures its distances once while nothing moves.
         """
-        reach = self._reach.get(s)
-        if reach is None:
+        known = self._reach.get(s)
+        if known is None:
             index = self._index
             sx, sy = index.coords_of(s)
             r1_sq = self.spec.r1 * self.spec.r1
             r2_sq = self.spec.r2 * self.spec.r2
             reach = []
+            near, far = [], []
             for key, cell in index.buckets_overlapping(sx, sy, self.spec.r2):
                 reached = []
                 for node, nx, ny in cell.values():
@@ -302,11 +318,13 @@ class Channel:
                     dy = ny - sy
                     dd = dx * dx + dy * dy
                     if dd <= r2_sq:
-                        reached.append((node, dd <= r1_sq))
+                        inside = dd <= r1_sq
+                        reached.append((node, inside))
+                        (near if inside else far).append(node)
                 if reached:
                     reach.append((key, len(cell), reached))
-            self._reach[s] = reach
-        return reach
+            known = self._reach[s] = (reach, near, far)
+        return known
 
     def _deliver_indexed(self, r: Round,
                          positions: Mapping[NodeId, Point],
@@ -335,6 +353,7 @@ class Channel:
                 # path (stateful RNG streams must advance identically);
                 # with nothing tentatively delivered it can doom nobody.
                 self.adversary.drops(r, dict.fromkeys(positions, ()))
+            self.coverage = ((positions, _SILENCE),)
             return dict.fromkeys(positions, _SILENCE)
         if not (positions_unchanged and self._index_synced):
             if self._index.update(positions):
@@ -345,16 +364,22 @@ class Channel:
         if len(senders) == 1 and r >= spec.rcf:
             # Single audible sender past stabilisation — the dominant
             # round shape of every contention-managed cluster protocol.
-            # No contention can exist, so each reached receiver's
-            # reception is decided on the spot and the record is never
-            # needed (measured: walking it costs svc-tcp 7 % of its
-            # throughput; CHANGES.md, PR 21).
+            # No contention can exist, so the sender's remembered
+            # coverage classes decide every reception and the record is
+            # never needed (measured: walking it costs svc-tcp 7 % of
+            # its throughput; CHANGES.md, PR 21).
             s = senders[0]
+            _, near, far = self._reach_of(s)
             clean = Rec((broadcasts[s],), False, False)
-            receptions = dict.fromkeys(positions, _SILENCE)
-            for _, _, reached in self._reach_of(s):
-                for node, near in reached:
-                    receptions[node] = clean if near else _LOST_R2_ONLY
+            if len(near) == len(positions):  # the index holds just them
+                coverage = ((positions, clean),)
+            else:
+                coverage = ((positions, _SILENCE), (near, clean),
+                            (far, _LOST_R2_ONLY))
+            self.coverage = coverage
+            receptions = dict.fromkeys(positions, coverage[0][1])
+            for nodes, reception in coverage[1:]:
+                receptions.update(dict.fromkeys(nodes, reception))
             return receptions
         heard = self._heard
         heard.clear()
@@ -368,7 +393,7 @@ class Channel:
             if not unsettled:
                 break
             clean = clean_of[s]
-            for key, population, reached in reach_of(s):
+            for key, population, reached in reach_of(s)[0]:
                 if final_get(key) == population:
                     continue
                 for node, near in reached:

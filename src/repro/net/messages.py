@@ -135,11 +135,14 @@ class RoundBatch:
     built for is a bug.
     """
 
-    __slots__ = ("broadcasts", "_uniform_tag", "memo")
+    __slots__ = ("broadcasts", "_uniform_tag", "memo", "uniform")
 
     def __init__(self, broadcasts: "dict[NodeId, Message]") -> None:
         self.broadcasts = broadcasts
         self._uniform_tag: Any = _UNRESOLVED
+        #: Set by the round engine: every receiver heard all of
+        #: ``broadcasts`` with one flag (:attr:`Channel.coverage`).
+        self.uniform = False
         #: Free-form per-round scratch space for receivers.  Reception
         #: work that depends only on what was broadcast — not on who is
         #: receiving — is computed by the round's first receiver and

@@ -83,11 +83,12 @@ class Ensemble(ABC):
     / ``deliver_batch``, at its first member's position in each
     node-ordered sweep; ``members`` are the member node ids, ascending,
     that take part in that sweep (present, and still sending or
-    receiving).  Everything around the calls — the contention managers,
-    the channel, the adversary and the detector, ``flags``,
-    ``delivered`` and the round record — stays per node.  The reference
-    engine ignores ensembles and calls every process on its own, so an
-    ensemble must leave its processes correct when stepped alone.
+    receiving).  The contention managers, the adversary, the detector
+    and the round record stay per node; ``flags`` and ``delivered`` too,
+    but a round the channel resolved per coverage class fills them per
+    class.  The reference engine ignores ensembles and calls every
+    process on its own, so an ensemble must leave its processes correct
+    when stepped alone.
     """
 
     #: The members' processes, in node order.

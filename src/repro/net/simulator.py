@@ -47,9 +47,9 @@ of :class:`~repro.switches.Switches`:
   contention bookkeeping is skipped entirely when no node can ever
   contend, and an :class:`~repro.net.node.Ensemble` registered with
   :meth:`Simulator.add_ensemble` is called once per sweep for all its
-  members (a lockstep cohort steps once per round; proposers, flags,
-  receptions and the record stay per node).  The reference loop ignores
-  ensembles.
+  members (a lockstep cohort steps once per round; a round the channel
+  resolved per coverage class fills flags and deliveries per class, not
+  per node).  The reference loop ignores ensembles.
 
 The differential suite pins the two engines byte-identical (traces,
 outputs, metrics, verdicts) across every protocol family and switch
@@ -614,11 +614,25 @@ class Simulator:
         deliver_fns = self._deliver_fns
         batch_fns = self._deliver_batch_fns
         any_flag = False
+        coverage = self.channel.coverage
+        if not (benign and fast_detect and no_crashes):
+            coverage = None
+        elif coverage is not None:
+            # Every flag is its reception's, and the channel gave whole
+            # coverage classes: fill both maps per class (the first is
+            # every present node, in order); only lone units go per node.
+            for nodes, reception in coverage:
+                flag = reception.lost_within_r2
+                flags.update(dict.fromkeys(nodes, flag))
+                delivered.update(dict.fromkeys(nodes, reception.messages))
+                any_flag = any_flag or (flag and len(nodes) > 0)
+            batch.uniform = len(coverage) == 1
         for ensemble, group in (units if units is not None else self._units(
                 [node for node in present if crashes.receives_in(node, r)])):
-            # An ensemble's members are detected one by one, in node
-            # order, then delivered to in one call.
-            for node in group:
+            # An ensemble's members are detected one by one (unless per
+            # class), in node order, then delivered to in one call.
+            for node in (group if ensemble is None or coverage is None
+                         else ()):
                 reception = receptions[node]
                 spurious = False if benign else false_collision(r, node)
                 flag = (reception.lost_within_r2 if fast_detect

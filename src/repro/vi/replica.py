@@ -215,7 +215,7 @@ class ReplicaRuntime:
         if cha is None:
             return None
         self.core.detach()  # a lone step leaves a shared store
-        out = send_runs(cha, (((self,), _ALONE, True),),
+        out = send_runs(cha, (((self,), _ALONE, True, None),),
                         _ALONE if active else ())
         return out[0][1] if out else None
 

@@ -25,18 +25,21 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _cores import count_calls
 from _switches import materialised
-from repro import ClusterWorld, ExperimentSpec, Switches, WorkloadSpec, run
+from repro import CHA, ClusterWorld, ExperimentSpec, Switches, WorkloadSpec, run
 from repro.baselines.naive_rsm import NaiveRSMProcess
 from repro.baselines.two_phase_cha import TwoPhaseChaProcess
+from repro.contention import ScriptedCM
 from repro.core import CHAEnsemble, CHAProcess
 from repro.core.ballot import Ballot, BallotPayload
 from repro.core.checkpoint import CheckpointCHAProcess
 from repro.core.history import new_chain_generation
 from repro.core.slotted import SlottedChaCore, form_cohort
+from repro.detectors import EventuallyAccurateDetector
 from repro.errors import ProtocolError
-from repro.experiment import CheckpointCHA
-from repro.net import Message, RoundBatch
+from repro.experiment import CheckpointCHA, EnvironmentSpec
+from repro.net import Message, RoundBatch, ScriptedAdversary
 from repro.types import Color
 
 pytestmark = [pytest.mark.fast, pytest.mark.core_differential]
@@ -290,6 +293,45 @@ def test_a_lone_step_forks_first_and_the_ensemble_steps_it_alone():
     twins[3].core.status[1] = Color.RED
     assert store.members == [members[i].core for i in (0, 2)]
     _all_same(members, twins)
+
+
+def test_the_proposal_sweep_keeps_the_proposer_contract(monkeypatch):
+    """Line 15 through the prebound sweep: an ensemble of 6 whose
+    advised member changes every ballot until the contention manager
+    settles on node 0 (round 12), and member 4 forked at the end of
+    instance 6 (a spurious collision at its veto-2).  Every member's
+    proposer runs once per instance, in node order, and a ballot payload
+    is built for the advised member only — alike whether the ensemble or
+    the per-node engine dispatches the members."""
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, SlottedChaCore, ("ballot_payload",), counts)
+    leaders = {0: [3], 3: [5], 6: [1], 9: [2]}
+    leaders.update({r: [0] for r in range(12, 30, 3)})
+
+    def run_once(switches):
+        log = []
+        counts.clear()
+        result = run(ExperimentSpec(
+            protocol=CHA(proposer_factory=lambda node: lambda k: (
+                log.append((node, k)) or f"v{node}.{k}")),
+            world=ClusterWorld(n=6),
+            environment=EnvironmentSpec(
+                cm=ScriptedCM(leaders),
+                adversary=ScriptedAdversary(false_script={(17, 4)}),
+                detector=EventuallyAccurateDetector(racc=18)),
+            workload=WorkloadSpec(instances=10), switches=switches))
+        senders = [sorted(rec.broadcasts) for rec in result.trace
+                   if rec.round % 3 == 0]
+        return log, counts["ballot_payload"], senders, result
+
+    log, built, senders, result = run_once(Switches())
+    assert log == [(node, k) for k in range(1, 11) for node in range(6)]
+    assert built == 10
+    assert senders == [[3], [5], [1], [2]] + [[0]] * 6
+    cores = [p.core for p in result.processes.values()]
+    assert [core._c is cores[0]._c for core in cores] == [True] * 4 + [
+        False, True]
+    assert run_once(Switches(engine=True))[:3] == (log, built, senders)
 
 
 def test_a_crashed_member_is_forked_before_the_next_step():

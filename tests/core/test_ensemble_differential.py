@@ -10,7 +10,11 @@ metrics, verdicts), for every cluster class that forms a cohort, with
 worlds that push members off the common path: crashes before and after
 sending, seeded losses before ``rcf``, spurious collisions before the
 detector's accuracy round, a node powering on late and a node added
-mid-run (neither is a member).
+mid-run (neither is a member).  Two worlds spread the cluster over a
+circle of radius 0.6: every pair is within ``R2`` but some are beyond
+``R1``, so at the leader's ballot its far receivers get a flag and fork
+while the near ones stay on the store; in the second a late node (a
+lone unit) sits in the leader's far class too.
 
 Marked ``core_differential`` so the PR pre-gate runs it with the rest of
 the slotted core's byte-identity gate.
@@ -88,15 +92,19 @@ def _run(kind: str, world: str, n: int, engine: bool, keep_trace: bool):
     protocol, rpi, joiner = _KINDS[kind]
     switches = Switches(engine=engine)
     env, rcf = _environment(world, n)
-    spec = ExperimentSpec(protocol=protocol, world=ClusterWorld(n=n, rcf=rcf),
+    wide = world.startswith("wide")
+    spec = ExperimentSpec(protocol=protocol,
+                          world=ClusterWorld(n=n, rcf=rcf, cluster_radius=(
+                              0.6 if wide else None)),
                           environment=env, workload=WorkloadSpec(instances=8),
                           keep_trace=keep_trace, switches=switches)
     late = []
 
     def instrument(sim):
-        if world == "late-start":
+        if world.endswith("late-start"):
+            # On the wide circle the leader, node 0, sits at (0.6, 0).
             late.append(sim.process_of(sim.add_node(
-                joiner(switches, 3 * rpi), Point(0.0, 0.0),
+                joiner(switches, 3 * rpi), Point(-0.6 if wide else 0.0, 0.0),
                 start_round=3 * rpi)))
 
     stepper = ExperimentStepper(spec, instrument=instrument)
@@ -113,7 +121,7 @@ def _run(kind: str, world: str, n: int, engine: bool, keep_trace: bool):
 
 @pytest.mark.parametrize("world", ["lockstep", "before-send", "after-send",
                                    "lossy", "false-collisions", "late-start",
-                                   "mid-run-join"])
+                                   "mid-run-join", "wide", "wide-late-start"])
 @pytest.mark.parametrize("n", [2, 3, 20])
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_ensemble_matches_per_node_dispatch(kind, n, world):

@@ -15,6 +15,8 @@ Two contracts of :class:`repro.net.Channel`, pinned on both paths:
    position map can change under a remembered reach (a move after a
    silent round, a node joining, an unhinted call after hinted ones, a
    move inside one grid cell) still matches the reference round by round.
+   A sender's coverage classes (its nodes inside ``R1`` and beyond) are
+   built exactly when its walk is, and dropped with it.
 """
 
 from __future__ import annotations
@@ -178,11 +180,29 @@ def test_shared_tuples_change_no_value(seed):
 # 2. Reach memo
 # ----------------------------------------------------------------------
 
+def _classes_of(known):
+    """The coverage classes a remembered walk implies: its nodes inside
+    ``R1`` and those beyond, in walk order."""
+    pairs = [pair for _, _, reached in known[0] for pair in reached]
+    return ([node for node, inside in pairs if inside],
+            [node for node, inside in pairs if not inside])
+
+
 def test_static_cluster_walks_each_sender_once(monkeypatch):
-    """Count gate: the grid is asked once per distinct sender."""
+    """Count gate: the grid is asked once per distinct sender, and each
+    walk's coverage classes are built with it, never again."""
     counts: dict[str, int] = {}
     count_calls(monkeypatch, SpatialGridIndex, ("buckets_overlapping",),
                 counts)
+    built: dict[tuple[int, int, int], tuple] = {}
+    reach_of = Channel._reach_of
+
+    def remembering(self, s):
+        known = reach_of(self, s)
+        built.setdefault(tuple(map(id, known)), known)
+        return known
+
+    monkeypatch.setattr(Channel, "_reach_of", remembering)
     senders: set[int] = set()
     rounds = [0]
     deliver_batch = Channel.deliver_batch
@@ -202,12 +222,18 @@ def test_static_cluster_walks_each_sender_once(monkeypatch):
     assert set(result.metrics["decided_instances"].values()) == {20}
     assert rounds[0] >= 60 and senders
     assert counts["buckets_overlapping"] <= len(senders) < rounds[0]
+    assert len(built) == len({key[0] for key in built}) == \
+        counts["buckets_overlapping"]
+    assert all(list(known[1:]) == list(_classes_of(known))
+               for known in built.values())
 
 
 def _lockstep(rounds, spec=RadioSpec(r1=1.0, r2=1.5)):
     """Feed both paths the same ``(positions, broadcasts, hint)`` rounds
-    (``hint`` None: unhinted :meth:`Channel.deliver`) and compare each."""
+    (``hint`` None: unhinted :meth:`Channel.deliver`) and compare each;
+    returns the indexed path's remembered walks after every round."""
     fast, ref = _both(spec)
+    memos = []
     for r, (positions, broadcasts, hint) in enumerate(rounds):
         want = ref.deliver(r, positions, broadcasts)
         if hint is None:
@@ -217,6 +243,8 @@ def _lockstep(rounds, spec=RadioSpec(r1=1.0, r2=1.5)):
                                      sorted(broadcasts),
                                      positions_unchanged=hint)
         assert list(got.items()) == list(want.items()), r
+        memos.append(dict(fast._reach))
+    return memos
 
 
 def _line(n=8, gap=0.6):
@@ -245,9 +273,14 @@ def test_move_within_one_cell_rebuilds_the_reach():
     positions = {0: Point(0.1, 0.1), 1: Point(0.9, 0.1), 2: Point(2.2, 0.1)}
     say = {0: Message(0, "x")}
     inside = {**positions, 1: Point(1.4, 1.4)}
-    _lockstep([(positions, say, False), (positions, say, True),
-               (inside, say, False), (inside, say, True),
-               (inside, {2: Message(2, "y")}, True)])
+    memos = _lockstep([(positions, say, False), (positions, say, True),
+                       (inside, say, False), (inside, say, True),
+                       (inside, {2: Message(2, "y")}, True)])
+    # Node 0's walk and classes: kept while static, rebuilt on the move.
+    walks = [memo[0] for memo in memos[:4]]
+    assert walks[0] is walks[1] and walks[2] is walks[3]
+    assert walks[1] is not walks[2]
+    assert [walk[1:] for walk in walks[1:3]] == [([0, 1], []), ([0], [])]
 
 
 class _Beacon:
@@ -267,15 +300,23 @@ class _Beacon:
 
 
 def test_add_node_within_a_remembered_reach():
+    walks = []
+
     def records(switches):
         sim = Simulator(spec=RadioSpec(r1=1.0, r2=1.5), switches=switches)
         for i in range(4):
             sim.add_node(_Beacon(i), Point(0.5 * i, 0.0))
         out = [pickle.dumps(sim.step()) for _ in range(4)]
+        walks.append(sim.channel._reach.get(0))
         sim.add_node(_Beacon(4), Point(0.2, 0.3), start_round=4)
         out += [pickle.dumps(sim.step()) for _ in range(4)]
+        walks.append(sim.channel._reach.get(0))
         return out
 
     fast, ref = records(INDEXED), records(ALL_PAIRS)
     assert fast == ref
     assert all(len(pickle.loads(rec).positions) == 5 for rec in fast[4:])
+    # The beacon's classes were rebuilt with its walk when node 4 joined.
+    before, after = walks[:2]
+    assert after is not before
+    assert (before[1:], after[1:]) == (([0, 1, 2], [3]), ([0, 1, 2, 4], [3]))

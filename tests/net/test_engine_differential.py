@@ -67,6 +67,9 @@ def _result_bytes(spec_factory, switches: Switches) -> bytes:
 
 def _environments():
     yield "benign", lambda: {}
+    # Every pair within R2, some beyond R1: the leader's far receivers
+    # get a flag, the near ones its ballot.
+    yield "benign-wide", lambda: {"cluster_radius": 0.6}
     yield "lossy", lambda: {
         "rcf": 60,
         "adversary": WindowAdversary(
@@ -86,10 +89,12 @@ def _cluster_factory(protocol_factory, env_factory):
     def spec_factory():
         env = env_factory()
         rcf = env.pop("rcf", 0)
+        world = ClusterWorld(n=7, rcf=rcf,
+                             cluster_radius=env.pop("cluster_radius", None))
         if protocol_factory is MajorityRSM:
             return ExperimentSpec(
                 protocol=MajorityRSM(),
-                world=ClusterWorld(n=7, rcf=rcf),
+                world=world,
                 environment=EnvironmentSpec(**env),
                 workload=WorkloadSpec(rounds=45),
                 metrics=MetricsSpec(metrics=("rounds", "total_broadcasts",
@@ -101,7 +106,7 @@ def _cluster_factory(protocol_factory, env_factory):
             protocol = protocol_factory()
         return ExperimentSpec(
             protocol=protocol,
-            world=ClusterWorld(n=7, rcf=rcf),
+            world=world,
             environment=EnvironmentSpec(**env),
             workload=WorkloadSpec(instances=15),
             metrics=MetricsSpec(metrics=("rounds", "total_broadcasts"),
