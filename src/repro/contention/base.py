@@ -23,11 +23,12 @@ from ..types import NodeId, Round
 class ContentionManager(ABC):
     """Advises contenders whether to broadcast."""
 
-    #: The last :meth:`advise` answer is one the manager would give
-    #: again, writing no state, for the same contenders and located
-    #: positions, whatever :meth:`feedback` says in between: an engine
-    #: may reuse it while both hold.
-    settled: bool = False
+    #: Through this round the last :meth:`advise` answer is one the
+    #: manager would give again, writing no state, for the same
+    #: contenders, however they move and whatever :meth:`feedback` says.
+    #: At or past its own round the answer is also *settled*: given again
+    #: for the same contenders and located positions, at any round.
+    settled_through: Round | float = -1
 
     @abstractmethod
     def advise(self, r: Round, contenders: Sequence[NodeId]) -> frozenset[NodeId]:

@@ -13,10 +13,19 @@ and prefers, among in-region contenders, the one closest to ``ℓ`` (a node
 near the centre stays inside longest under the ``vmax`` bound); on loss
 of the leader a new one is elected immediately.  Region membership is
 role assignment's own predicate, :func:`~repro.geometry.in_region`.
+
+Tenure under ``vmax``: a retained leader's answer holds for the same
+contenders while it is located in region.  Located at distance ``d``
+from ``ℓ`` in the snapshot of round ``t0``, at most ``v`` per round
+(its model's ``max_speed()``), it is through round
+``t0 + ⌊(ρ − d − ε) / (v + ε)⌋`` (forever at ``v`` = 0; ``ε`` covers
+the rounding of ``hypot`` and of the models' steps), which
+:attr:`RegionalCM.settled_through` reports.
 """
 
 from __future__ import annotations
 
+from math import floor, inf
 from typing import Callable, Sequence
 
 from ..errors import ConfigurationError
@@ -26,16 +35,25 @@ from .base import ContentionManager
 
 
 class RegionalCM(ContentionManager):
-    """Location-aware leader election for one virtual-node region."""
+    """Location-aware leader election for one virtual-node region;
+    tenure horizons need ``max_speed(node)`` and ``located_at()`` (the
+    round of the snapshot ``locate`` answers from)."""
 
     def __init__(self, *, location: Point, region_radius: float,
                  locate: Callable[[NodeId], Point],
+                 max_speed: Callable[[NodeId], float] | None = None,
+                 located_at: Callable[[], Round] | None = None,
                  stable_round: Round = 0) -> None:
         if region_radius <= 0:
             raise ConfigurationError("region_radius must be positive")
         self.location = location
         self.region_radius = region_radius
         self._locate = locate
+        self._max_speed = max_speed
+        self._located_at = located_at
+        # ε (module docstring), relative to the region's coordinates.
+        self._eps = 1e-9 * (1 + region_radius
+                            + abs(location.x) + abs(location.y))
         self.stable_round = stable_round
         self._leader: NodeId | None = None
         self._leader_set: frozenset[NodeId] = frozenset()
@@ -58,14 +76,14 @@ class RegionalCM(ContentionManager):
         # Sitting-leader rule: a leader that is still contending and
         # still in-region is retained regardless of the other contenders,
         # so their region checks are skipped.  The answer depends only on
-        # the contenders and the located positions and writes no state,
-        # which ``settled`` reports.
+        # the contenders and the leader's located position and writes no
+        # state, so it holds through the leader's tenure horizon.
         leader = self._leader
         if leader is not None and r >= self.stable_round \
                 and leader in contenders and self._in_region(leader):
-            self.settled = True
+            self.settled_through = self._tenure_end(leader, r)
             return self._leader_set
-        self.settled = False
+        self.settled_through = -1
         eligible = [node for node in sorted(contenders) if self._in_region(node)]
         if not eligible:
             self._leader = None
@@ -83,6 +101,18 @@ class RegionalCM(ContentionManager):
         self._elected_at = r
         self._leader_set = frozenset({self._leader})
         return self._leader_set
+
+    def _tenure_end(self, leader: NodeId, r: Round) -> Round | float:
+        """Through when ``leader``, in region now, stays located in it."""
+        if self._max_speed is None or self._located_at is None:
+            return r
+        speed = self._max_speed(leader)
+        if speed == 0:
+            return inf
+        eps = self._eps
+        d = self.location.distance_to(self._locate(leader))
+        return max(r, self._located_at()
+                   + floor((self.region_radius - d - eps) / (speed + eps)))
 
     @property
     def leader(self) -> NodeId | None:

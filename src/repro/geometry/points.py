@@ -14,12 +14,20 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
-    """An immutable point (or displacement vector) in the plane."""
+    """An immutable point (or displacement vector) in the plane.
+
+    ``__init__`` fills the slots through their member descriptors (the
+    generated one makes two ``object.__setattr__`` calls); all else is
+    the frozen dataclass's own, pickles included."""
 
     x: float
     y: float
+
+    def __init__(self, x: float, y: float) -> None:
+        _set_x(self, x)
+        _set_y(self, y)
 
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance between two points."""
@@ -93,6 +101,9 @@ class Point:
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
+
+_set_x = Point.x.__set__
+_set_y = Point.y.__set__
 
 ORIGIN = Point(0.0, 0.0)
 

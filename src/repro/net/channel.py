@@ -59,14 +59,18 @@ sole ``R2`` sender's when that one is within ``R1``), and a drop can only
 matter by dooming that one message.  That map gives every receiver its
 own tuple; the adversary may keep it.
 
-The reach memo.  Who a sender reaches, and which of them lie inside
-``R1``, depends only on positions, so the indexed path remembers each
-sender's walk (:meth:`Channel._reach_of`) until its spatial index next
-reports a change.  Past ``rcf`` a contention-managed cluster is one
-leader broadcasting to a static cluster, round after round: the leader
-measures its distances once.  A world that moves rebuilds each reach
-once per round; a silent round does not sync the index, so the next
-audible round does, and clears the memo if anything moved.
+The reach memo (a Verlet list with skin ``s`` = :data:`_SKIN`).  The
+index holds snapshots: a node is re-snapshotted when it is new, evicted,
+or more than ``s/2`` from its snapshot.  Each sender remembers its
+candidates, the nodes within ``R2 + s`` of its snapshot (by cell): while
+both stay within ``s/2`` of their snapshots no other node can come
+within ``R2``.  A re-snapshot drops the memos of the node and of the
+senders within ``R2 + s`` of its old or new snapshot.  A sender's walk
+(:meth:`Channel._reach_of`) applies today's exact predicate to its
+candidates' live coordinates, again only once a position changed.  So
+a leader broadcasting to a static cluster measures its distances once,
+and a moving world re-tests a few candidates per sender, not the grid.
+A silent round does not sync the index; the next audible round does.
 
 Coverage classes.  A silent round, and a single-sender round past
 ``rcf``, give whole classes of receivers one :class:`Reception`:
@@ -137,10 +141,16 @@ _CONTENDED: tuple[Reception | None, bool] = (None, False)
 _FINAL: tuple[Reception | None, bool] = (None, True)
 
 #: A sender's walk: ``(cell key, population, [(node, within R1), ...])``
-#: per overlapped cell holding a node within R2; then its nodes within
-#: R1 and those beyond (:meth:`Channel._reach_of`).
+#: per cell holding a node within R2; then its nodes within R1 and those
+#: beyond (:meth:`Channel._reach_of`).  A population can only change in
+#: an index sync that also makes every walk be derived again.
 _Reach = tuple[list[tuple[tuple[int, int], int, list[tuple[NodeId, bool]]]],
                list[NodeId], list[NodeId]]
+
+#: The reach memo's skin ``s``, in units of ``R2`` (module docstring).
+_SKIN = 1.0
+#: Relative float margin of the candidate disk; its grid query is wider.
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -174,14 +184,18 @@ class Channel:
         self._reference = switches.channel
         self._index = SpatialGridIndex(cell_size=spec.r2)
         self._index_synced = False
+        self._skin = _SKIN * spec.r2
+        self._cand_sq = (spec.r2 + self._skin) ** 2 * (1.0 + _MARGIN)
+        self._cand_radius = (spec.r2 + self._skin) * (1.0 + 1e3 * _MARGIN)
+        #: Bumped by each index sync that saw a move (walks re-derive).
+        self._stamp = 0
         #: Per-round scratch of the indexed path: the saturating record
         #: of every receiver some sender reached (module docstring).  It
         #: never escapes ``deliver``, so one dict is cleared and refilled
         #: every round instead of reallocated.
         self._heard: dict[NodeId, tuple[Reception | None, bool]] = {}
-        #: Each sender's walk and coverage classes (:meth:`_reach_of`),
-        #: kept while the index reports no change.
-        self._reach: dict[NodeId, _Reach] = {}
+        #: Each sender's ``[candidates, stamp, walk]`` (:meth:`_reach_of`).
+        self._reach: dict[NodeId, list] = {}
         #: The last round's coverage classes, if any (module docstring).
         self.coverage: tuple[tuple[object, Reception], ...] | None = None
 
@@ -294,37 +308,72 @@ class Channel:
     # Indexed fast path
     # ------------------------------------------------------------------
 
-    def _reach_of(self, s: NodeId) -> _Reach:
+    def _reach_of(self, s: NodeId, positions: Mapping[NodeId, Point]) -> _Reach:
         """``s``'s walk: ``(cell key, population, [(node, within R1)])``
-        for every overlapped cell holding a node within ``R2`` of ``s``
-        (``s`` itself included), nodes in the order the cell stores them;
-        then those nodes within ``R1`` and those beyond, as two lists.
+        for every cell holding a node within ``R2`` of ``s`` (``s`` itself
+        included), nodes in the order the cell stores them; then those
+        nodes within ``R1`` and those beyond, as two lists.
 
-        Remembered until the index next reports a change, so a sender
-        measures its distances once while nothing moves.
+        Derived from ``s``'s candidates, again only after a move.
         """
-        known = self._reach.get(s)
-        if known is None:
-            index = self._index
-            sx, sy = index.coords_of(s)
+        memo = self._reach.get(s)
+        if memo is None:
+            memo = self._reach[s] = [self._candidates_of(s), -1, None]
+        if memo[1] != self._stamp:
+            memo[1] = self._stamp
+            here = positions[s]
+            sx, sy = here.x, here.y
             r1_sq = self.spec.r1 * self.spec.r1
             r2_sq = self.spec.r2 * self.spec.r2
-            reach = []
+            walk = []
             near, far = [], []
-            for key, cell in index.buckets_overlapping(sx, sy, self.spec.r2):
+            for key, cell, nodes in memo[0]:
                 reached = []
-                for node, nx, ny in cell.values():
-                    dx = nx - sx
-                    dy = ny - sy
+                for node in nodes:
+                    there = positions[node]
+                    dx = there.x - sx
+                    dy = there.y - sy
                     dd = dx * dx + dy * dy
                     if dd <= r2_sq:
                         inside = dd <= r1_sq
                         reached.append((node, inside))
                         (near if inside else far).append(node)
                 if reached:
-                    reach.append((key, len(cell), reached))
-            known = self._reach[s] = (reach, near, far)
-        return known
+                    walk.append((key, len(cell), reached))
+            memo[2] = (walk, near, far)
+        return memo[2]
+
+    def _candidates_of(self, s: NodeId) -> list:
+        """``s``'s candidates: the nodes near its snapshot, by cell."""
+        return list(self._near_snapshot(*self._index.coords_of(s)))
+
+    def _near_snapshot(self, x: float, y: float):
+        """``(cell key, cell, [node, ...])`` per cell holding a node
+        whose snapshot lies within ``R2 + s`` of ``(x, y)``."""
+        cand_sq = self._cand_sq
+        for key, cell in self._index.buckets_overlapping(x, y,
+                                                         self._cand_radius):
+            nodes = [node for node, nx, ny in cell.values()
+                     if (nx - x) * (nx - x) + (ny - y) * (ny - y) <= cand_sq]
+            if nodes:
+                yield key, cell, nodes
+
+    def _forget_near(self, resnapped: list) -> None:
+        """Drop the memos re-snapshots can change: each node's own and
+        those near its old or new snapshot (the candidate predicate)."""
+        reach = self._reach
+        if 2 * len(resnapped) >= len(reach):
+            reach.clear()  # cheaper than looking around each of them
+            return
+        for node, x, y in resnapped:
+            reach.pop(node, None)
+            spots = [] if x is None else [(x, y)]
+            if node in self._index:
+                spots.append(self._index.coords_of(node))
+            for spot in spots:
+                for _, _, nodes in self._near_snapshot(*spot):
+                    for other in nodes:
+                        reach.pop(other, None)
 
     def _deliver_indexed(self, r: Round,
                          positions: Mapping[NodeId, Point],
@@ -356,8 +405,12 @@ class Channel:
             self.coverage = ((positions, _SILENCE),)
             return dict.fromkeys(positions, _SILENCE)
         if not (positions_unchanged and self._index_synced):
-            if self._index.update(positions):
-                self._reach.clear()
+            resnapped: list = []
+            if self._index.update(positions, skin=self._skin,
+                                  resnapped=resnapped):
+                self._stamp += 1
+                if resnapped and self._reach:
+                    self._forget_near(resnapped)
             self._index_synced = True
 
         Rec = Reception
@@ -369,7 +422,7 @@ class Channel:
             # never needed (measured: walking it costs svc-tcp 7 % of
             # its throughput; CHANGES.md, PR 21).
             s = senders[0]
-            _, near, far = self._reach_of(s)
+            _, near, far = self._reach_of(s, positions)
             clean = Rec((broadcasts[s],), False, False)
             if len(near) == len(positions):  # the index holds just them
                 coverage = ((positions, clean),)
@@ -393,7 +446,7 @@ class Channel:
             if not unsettled:
                 break
             clean = clean_of[s]
-            for key, population, reached in reach_of(s)[0]:
+            for key, population, reached in reach_of(s, positions)[0]:
                 if final_get(key) == population:
                     continue
                 for node, near in reached:

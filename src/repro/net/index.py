@@ -23,6 +23,10 @@ Updates are incremental: :meth:`SpatialGridIndex.update` diffs the new
 position map against the previous round and touches only nodes that
 appeared, vanished, or actually moved, so static (and slow-mobility)
 worlds pay a dict-lookup sweep instead of a rebuild.
+
+A node is bucketed at its *snapshot*.  By default any move re-places it;
+with a ``skin`` only a drift past ``skin / 2`` does, and a caller widens
+its queries by the skin (the channel's reach memo).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ _CellKey = tuple[int, int]
 class SpatialGridIndex:
     """Uniform-grid index over node positions, incrementally maintained."""
 
-    __slots__ = ("_cell", "_inv_cell", "_cells", "_where")
+    __slots__ = ("_cell", "_inv_cell", "_cells", "_where", "_live")
 
     def __init__(self, cell_size: float) -> None:
         if cell_size <= 0:
@@ -54,8 +58,10 @@ class SpatialGridIndex:
         #: (cx, cy) -> {node: (node, x, y)} — the value tuples carry the
         #: coordinates so candidate scans never re-hash into ``_where``.
         self._cells: dict[_CellKey, dict[NodeId, _Entry]] = {}
-        #: node -> (x, y, cx, cy) of its current bucket.
+        #: node -> (x, y, cx, cy): its snapshot and the snapshot's bucket.
         self._where: dict[NodeId, tuple[float, float, int, int]] = {}
+        #: node -> the live position of the last update.
+        self._live: dict[NodeId, Point] = {}
 
     def __len__(self) -> int:
         return len(self._where)
@@ -67,50 +73,73 @@ class SpatialGridIndex:
     # Maintenance
     # ------------------------------------------------------------------
 
-    def update(self, positions: Mapping[NodeId, Point]) -> int:
+    def update(self, positions: Mapping[NodeId, Point], *,
+               skin: float = 0.0,
+               resnapped: list | None = None) -> int:
         """Synchronise the index with ``positions``; returns nodes moved.
 
         Nodes absent from ``positions`` are evicted, new nodes inserted,
-        and nodes whose coordinates changed re-bucketed.  A static world
-        costs one dict lookup and tuple compare per node and allocates
-        nothing.
+        and nodes more than ``skin / 2`` from their snapshot (any move,
+        at 0) re-snapshotted; the count includes every position change.
+        ``resnapped`` gets ``(node, old x, old y)`` for each of those
+        (``None, None`` for an arrival).  A static world costs one dict
+        lookup and identity test per node and allocates nothing.
         """
         where = self._where
         cells = self._cells
+        live = self._live
         known_before = len(where)
         inv = self._inv_cell
+        half_sq = 0.25 * skin * skin * (1.0 - 1e-9)  # with a float margin
         moved = 0
         seen_known = 0
-        where_get = where.get
+        live_get = live.get
         for node, point in positions.items():
-            x, y = point.x, point.y
-            prev = where_get(node)
-            if prev is not None:
+            last = live_get(node)
+            if last is not None:
                 seen_known += 1
-                if prev[0] == x and prev[1] == y:
+                if last is point:
                     continue
+                x, y = point.x, point.y
+                live[node] = point
+                if last.x == x and last.y == y:
+                    continue
+                moved += 1
+                prev = where[node]
+                dx = x - prev[0]
+                dy = y - prev[1]
+                if half_sq and dx * dx + dy * dy <= half_sq:
+                    continue
+                if resnapped is not None:
+                    resnapped.append((node, prev[0], prev[1]))
                 cx, cy = floor(x * inv), floor(y * inv)
                 if prev[2] == cx and prev[3] == cy:
                     # Moved within its cell: refresh coordinates in place.
                     where[node] = (x, y, cx, cy)
                     cells[cx, cy][node] = (node, x, y)
-                    moved += 1
                     continue
                 old = cells[prev[2], prev[3]]
                 del old[node]
                 if not old:
                     del cells[prev[2], prev[3]]
             else:
+                x, y = point.x, point.y
+                live[node] = point
+                moved += 1
+                if resnapped is not None:
+                    resnapped.append((node, None, None))
                 cx, cy = floor(x * inv), floor(y * inv)
             where[node] = (x, y, cx, cy)
             bucket = cells.get((cx, cy))
             if bucket is None:
                 bucket = cells[cx, cy] = {}
             bucket[node] = (node, x, y)
-            moved += 1
         if seen_known < known_before:
             # Some previously bucketed nodes are absent from ``positions``.
             for node in [n for n in where if n not in positions]:
+                if resnapped is not None:
+                    x, y = where[node][:2]
+                    resnapped.append((node, x, y))
                 self._evict(node)
                 moved += 1
         return moved
@@ -118,8 +147,10 @@ class SpatialGridIndex:
     def clear(self) -> None:
         self._cells.clear()
         self._where.clear()
+        self._live.clear()
 
     def _evict(self, node: NodeId) -> None:
+        del self._live[node]
         x, y, cx, cy = self._where.pop(node)
         bucket = self._cells[cx, cy]
         del bucket[node]
@@ -184,6 +215,6 @@ class SpatialGridIndex:
         return len(self._cells)
 
     def coords_of(self, node: NodeId) -> tuple[float, float]:
-        """Unboxed coordinates of a bucketed node."""
+        """Unboxed snapshot coordinates of a bucketed node."""
         entry = self._where[node]
         return entry[0], entry[1]

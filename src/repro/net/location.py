@@ -49,6 +49,12 @@ class LocationService:
         return lambda: self.locate(node)
 
     @property
+    def snapshot_round(self) -> Round:
+        """Round of the last full snapshot (a later arrival's fix is
+        newer)."""
+        return self._snapshot_round
+
+    @property
     def staleness_bound(self) -> int:
         """Maximum rounds by which a reported position may lag the truth."""
         return self._period - 1

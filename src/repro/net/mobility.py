@@ -40,8 +40,10 @@ class MobilityModel(ABC):
     def max_speed(self) -> float:
         """Upper bound on per-round displacement (``vmax`` contribution).
 
-        Models override this when they can promise a tighter bound; the
-        default is conservative and only used by diagnostics.
+        Load-bearing: regional managers keep a sitting leader's advice
+        for as long as this bound keeps it in region
+        (:mod:`repro.contention.regional`), so under-reporting it breaks
+        that horizon.  The default (unbounded) is always safe.
         """
         return float("inf")
 

@@ -87,8 +87,9 @@ class _NodeEntry:
     process: Process
     mobility: MobilityModel
     start_round: Round
-    #: Resolved once for provably immobile nodes (``max_speed() == 0``);
-    #: ``None`` means the mobility model must be consulted every round.
+    #: Resolved once for :class:`StaticMobility` nodes only (the same
+    #: ``Point`` object every round, which a cache must keep); ``None``:
+    #: the model is consulted every round, even at ``max_speed() == 0``.
     static_position: Point | None = None
 
 
@@ -154,6 +155,9 @@ class Simulator:
         #: copied from when nothing joined, crashed, or moved.
         self._batch_prev: tuple[Round, list[NodeId],
                                 dict[NodeId, Point]] | None = None
+        #: The dirty-set sweep (:meth:`_movers_of`) and the ``present``
+        #: list it was built for.
+        self._movers: tuple[list[NodeId], list[tuple]] | None = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -220,7 +224,7 @@ class Simulator:
         self._steady_positions = None
         # New nodes invalidate the positions-unchanged caches.
         self._last_present = None
-        self._batch_prev = None
+        self._batch_prev = self._movers = None
         return node_id
 
     def add_ensemble(self, ensemble: Ensemble) -> None:
@@ -426,7 +430,9 @@ class Simulator:
                 unchanged = self._positions_observed
             positions: dict[NodeId, Point] = self._steady_positions.copy()
         else:
-            if no_crashes:
+            if steady:
+                present = self._node_list
+            elif no_crashes:
                 present = [
                     node for node in self._node_list
                     if nodes[node].start_round <= r
@@ -443,16 +449,16 @@ class Simulator:
                 # from its map and rebuild only the moved entries (the
                 # models' identity promise keeps the skip invisible,
                 # pickles included).
+                movers = self._movers
+                if movers is None or movers[0] is not prev[1]:
+                    movers = (present, self._movers_of(present))
+                self._movers = (present, movers[1])
                 positions = prev[2].copy()
                 clean = True
-                for node in present:
-                    entry = nodes[node]
-                    if entry.static_position is not None:
+                for node, position_at, moved_in in movers[1]:
+                    if moved_in is not None and not moved_in(r):
                         continue
-                    mobility = entry.mobility
-                    if not mobility.moved_in(r):
-                        continue
-                    p = mobility.position_at(r)
+                    p = position_at(r)
                     if p is not positions[node]:
                         positions[node] = p
                         clean = False
@@ -471,6 +477,22 @@ class Simulator:
                              and present == self._last_present
                              and self._positions_observed)
         return present, positions, unchanged
+
+    def _movers_of(self, present: list[NodeId]) -> list[tuple]:
+        """``(node, position_at, moved_in or None)`` per non-static node:
+        ``None`` for the base ``moved_in`` (by ``__func__``: a wrapper may
+        set ``moved_in`` on the instance)."""
+        movers = []
+        base = MobilityModel.moved_in
+        for node in present:
+            entry = self._nodes[node]
+            if entry.static_position is None:
+                mobility = entry.mobility
+                moved_in = mobility.moved_in
+                if getattr(moved_in, "__func__", None) is base:
+                    moved_in = None
+                movers.append((node, mobility.position_at, moved_in))
+        return movers
 
     def _step_batched(self) -> RoundRecord:
         """The batched dispatch engine (the default round loop).

@@ -28,11 +28,11 @@ builds a fresh object per call keep private stores; the per-device
 dispatch and the fallback below form no cohort.
 
 **Contention.**  Contenders are grouped per manager once per contender
-tuple (an equal tuple keeps the groups).  With no crash schedule, no
-location re-observed, last round's groups and every manager ``settled``
-(the regional manager's sitting-leader rule), a round reuses last
-round's advice and asks no manager.  Feedback goes to every manager that
-overrides it.
+tuple (an equal tuple keeps the groups).  With no crash schedule and
+last round's groups, a round reuses the last advice and asks no manager
+up to every manager's ``settled_through`` (a sitting leader's
+speed-bound tenure), or past it if nobody was located anew and every
+answer was settled.  Feedback goes to every manager that overrides it.
 
 Byte-identity with the per-device dispatch is a design constraint, not
 an aspiration (the ``vi_differential`` suite pins it):
@@ -177,8 +177,8 @@ class VIRoundEngine:
         self._table_epoch = -1
         self._table_slot = -1
         self._group_rows = self._groups = ()  # contender rows, grouped
-        #: ``(groups, advice, advised)`` of the last round, if every
-        #: manager's answer was settled (reset by the fallback below).
+        #: ``(groups, advice, advised, min settled_through)`` of the last
+        #: advised round (reset by the fallback below).
         self._settled_advice: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -430,23 +430,22 @@ class VIRoundEngine:
         advice: dict[str, frozenset[NodeId]] | None = None
         advised: set[NodeId] | None = None
         last = self._settled_advice
-        if (no_crashes and not relocated and last is not None
-                and last[0] is groups):
-            # Every manager's last answer was settled, and neither its
-            # inputs nor any manager's state has changed since.
-            _, advice, advised = last
+        if (no_crashes and last is not None and last[0] is groups
+                and (r <= last[3] or (last[3] >= 0 and not relocated))):
+            # Every manager's answer holds (module docstring).
+            _, advice, advised, _ = last
         elif groups:
             advice = {}
             advised = set()
-            settled = no_crashes
+            through = float("inf")
             for cm_name, cnodes in groups:
                 cm = cms[cm_name]
                 granted = cm.advise(r, cnodes).intersection(cnodes)
                 advice[cm_name] = granted
                 advised.update(granted)
-                settled = settled and cm.settled
-            self._settled_advice = ((groups, advice, advised) if settled
-                                    else None)
+                # An attribute, so a forwarding proxy reads the same.
+                through = min(through, cm.settled_through)
+            self._settled_advice = (groups, advice, advised, through)
 
         # -- send --------------------------------------------------------
         broadcasts: dict[NodeId, Message] = {}

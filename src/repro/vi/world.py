@@ -115,11 +115,14 @@ class VIWorld:
             crashes=crashes,
             switches=switches,
         )
+        locations, nodes = self.sim.locations, self.sim._nodes
         for site in sites:
             self.sim.add_cm(f"vn{site.vn_id}", RegionalCM(
                 location=site.location,
                 region_radius=self.region_radius,
-                locate=self.sim.locations.locate,
+                locate=locations.locate,
+                max_speed=lambda node: nodes[node].mobility.max_speed(),
+                located_at=lambda: locations.snapshot_round,
                 stable_round=cm_stable_round,
             ))
         self.devices: dict[NodeId, VIDevice] = {}

@@ -1,10 +1,14 @@
 """Unit tests for the regional contention manager of Section 4.2."""
 
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.contention import RegionalCM
 from repro.errors import ConfigurationError
-from repro.geometry import Point
+from repro.geometry import Point, in_region
+from repro.net import LinearMobility
 from repro.vi import SiteIndex, VNSite
 
 
@@ -113,7 +117,8 @@ class TestSettledMemo:
         return memo, plain
 
     def advise_both(self, twins, r, contenders):
-        answers = [(cm.advise(r, contenders), cm.settled) for cm in twins]
+        answers = [(cm.advise(r, contenders), cm.settled_through >= r)
+                   for cm in twins]
         assert answers[0] == answers[1]
         return answers[0]
 
@@ -147,8 +152,67 @@ class TestSettledMemo:
         cm = make_cm(positions, stable_round=2)
         for r in (0, 1):
             assert cm.advise(r, [0, 1]) == frozenset({0, 1})
-            assert not cm.settled
+            assert cm.settled_through < r
         assert cm.advise(2, [0, 1]) == frozenset({0})
-        assert not cm.settled
+        assert cm.settled_through < 2
         assert cm.advise(3, [0, 1]) == frozenset({0})
-        assert cm.settled
+        assert cm.settled_through == 3
+
+
+class TestTenureHorizon:
+    """``settled_through`` of a retained leader: its located position
+    stays in region through that round under its speed bound."""
+
+    def seated(self, positions, speed, located_at=0, **kwargs):
+        cm = make_cm(positions, max_speed=lambda node: speed,
+                     located_at=lambda: located_at, **kwargs)
+        cm.advise(0, [0])
+        return cm
+
+    def test_horizon_counts_whole_rounds_of_slack(self):
+        # 0.25 - 0.05 = 0.2 of slack at 0.03 per round: 6 rounds.
+        cm = self.seated({0: Point(0.05, 0)}, 0.03)
+        assert cm.advise(1, [0]) == frozenset({0})
+        assert cm.settled_through == 6
+
+    def test_horizon_counts_from_the_snapshot_round(self):
+        cm = self.seated({0: Point(0.05, 0)}, 0.03, located_at=4)
+        cm.advise(5, [0])
+        assert cm.settled_through == 4 + 6
+
+    def test_an_immobile_leader_is_settled_forever(self):
+        cm = self.seated({0: Point(0.2, 0)}, 0.0)
+        cm.advise(1, [0])
+        assert cm.settled_through == math.inf
+
+    def test_without_a_speed_bound_only_this_round(self):
+        cm = make_cm({0: Point(0.05, 0)})
+        cm.advise(0, [0])
+        cm.advise(1, [0])
+        assert cm.settled_through == 1
+
+    def test_a_leader_on_the_edge_is_settled_through_its_own_round(self):
+        cm = self.seated({0: Point(0.25, 0)}, 0.01, located_at=7)
+        cm.advise(9, [0])
+        assert cm.settled_through == 9
+
+    @given(d=st.floats(0.0, 0.25), angle=st.floats(0.0, 2 * math.pi),
+           speed=st.floats(1e-3, 0.3), t0=st.integers(0, 5))
+    def test_a_leader_moving_at_its_bound_stays_in_region(self, d, angle,
+                                                          speed, t0):
+        """Straight out at full speed from the located position of round
+        ``t0``: located in region at every round through the horizon."""
+        ux, uy = math.cos(angle), math.sin(angle)
+        start = Point(d * ux, d * uy)
+        if not in_region(Point(0, 0), start, 0.25):
+            return
+        model = LinearMobility(start, Point(speed * ux, speed * uy))
+        model_speed = model.max_speed()
+        positions = {0: start}
+        cm = make_cm(positions, max_speed=lambda node: model_speed,
+                     located_at=lambda: t0)
+        cm.advise(t0, [0])
+        cm.advise(t0, [0])
+        horizon = cm.settled_through
+        for k in range(horizon - t0 + 1):
+            assert in_region(Point(0, 0), model.position_at(k), 0.25), k

@@ -1,6 +1,8 @@
 """Unit tests for plane-geometry primitives."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -178,3 +180,43 @@ def test_moved_toward_matches_composed_definition_off_grid(here, target, step):
     assert (got is target) == (want is target)
     assert bits(got) == bits(want)
     assert (type(got.x), type(got.y)) == (type(want.x), type(want.y))
+
+
+class TestPointConstructor:
+    """``Point`` writes its own ``__init__`` (slots set through their
+    member descriptors); everything else is the frozen dataclass's."""
+
+    #: ``pickle.dumps(Point(1.5, -2.0), protocol=4)`` as the generated
+    #: dataclass ``__init__`` built it.
+    PICKLED = (b"\x80\x04\x95=\x00\x00\x00\x00\x00\x00\x00\x8c\x15"
+               b"repro.geometry.points\x94\x8c\x05Point\x94\x93\x94)\x81"
+               b"\x94]\x94(G?\xf8\x00\x00\x00\x00\x00\x00G\xc0\x00\x00"
+               b"\x00\x00\x00\x00\x00eb.")
+
+    def test_pickles_to_the_same_bytes(self):
+        assert pickle.dumps(Point(1.5, -2.0), protocol=4) == self.PICKLED
+        assert pickle.loads(self.PICKLED) == Point(1.5, -2.0)
+
+    def test_keyword_construction(self):
+        assert Point(y=-2.0, x=1.5) == Point(1.5, -2.0)
+        with pytest.raises(TypeError):
+            Point(1.0)
+
+    def test_replace(self):
+        moved = dataclasses.replace(Point(1.5, -2.0), y=4.0)
+        assert type(moved) is Point and moved == Point(1.5, 4.0)
+
+    def test_assignment_is_refused(self):
+        p = Point(1.5, -2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.y
+        assert p == Point(1.5, -2.0) and not hasattr(p, "__dict__")
+
+    def test_equal_points_hash_equal(self):
+        a, b = Point(1.5, -2.0), Point(1.5, -2.0)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != Point(-2.0, 1.5)
+        assert repr(a) == "Point(x=1.5, y=-2.0)"
+        assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]

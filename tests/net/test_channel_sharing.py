@@ -9,14 +9,17 @@ Two contracts of :class:`repro.net.Channel`, pinned on both paths:
    both follow it.  The values are the ones the all-pairs scan always
    built: a copy of it that allocates a fresh tuple per receiver gives
    equal maps.
-2. **Reach memo** — the indexed path remembers each sender's walk while
-   its spatial index reports no change: a static CHA cluster queries the
-   grid once per distinct sender, not once per round, and every way a
-   position map can change under a remembered reach (a move after a
-   silent round, a node joining, an unhinted call after hinted ones, a
-   move inside one grid cell) still matches the reference round by round.
-   A sender's coverage classes (its nodes inside ``R1`` and beyond) are
-   built exactly when its walk is, and dropped with it.
+2. **Reach memo** — the indexed path remembers each sender's
+   candidates (the nodes whose snapshots lie within ``R2 + s`` of its
+   own) and the walk they give: a static CHA cluster queries the grid
+   once per distinct sender, not once per round, and derives each walk
+   once.  Every way a position map can change under a remembered reach
+   (a move after a silent round, a node joining, an unhinted call after
+   hinted ones, a move inside one grid cell, drift inside the skin,
+   drift that accumulates past it, a teleport, a node walking in from
+   beyond the candidate disk) still matches the reference round by
+   round.  A sender's coverage classes (its nodes inside ``R1`` and
+   beyond) are derived exactly when its walk is.
 """
 
 from __future__ import annotations
@@ -189,16 +192,17 @@ def _classes_of(known):
 
 
 def test_static_cluster_walks_each_sender_once(monkeypatch):
-    """Count gate: the grid is asked once per distinct sender, and each
-    walk's coverage classes are built with it, never again."""
+    """Count gate: the grid is asked once per distinct sender (its
+    candidates), each walk is derived once, and its coverage classes
+    are built with it, never again."""
     counts: dict[str, int] = {}
     count_calls(monkeypatch, SpatialGridIndex, ("buckets_overlapping",),
                 counts)
     built: dict[tuple[int, int, int], tuple] = {}
     reach_of = Channel._reach_of
 
-    def remembering(self, s):
-        known = reach_of(self, s)
+    def remembering(self, s, positions):
+        known = reach_of(self, s, positions)
         built.setdefault(tuple(map(id, known)), known)
         return known
 
@@ -231,7 +235,8 @@ def test_static_cluster_walks_each_sender_once(monkeypatch):
 def _lockstep(rounds, spec=RadioSpec(r1=1.0, r2=1.5)):
     """Feed both paths the same ``(positions, broadcasts, hint)`` rounds
     (``hint`` None: unhinted :meth:`Channel.deliver`) and compare each;
-    returns the indexed path's remembered walks after every round."""
+    returns the indexed path's memo after every round, as
+    ``{sender: (candidates, walk)}`` — the very objects it holds."""
     fast, ref = _both(spec)
     memos = []
     for r, (positions, broadcasts, hint) in enumerate(rounds):
@@ -243,7 +248,8 @@ def _lockstep(rounds, spec=RadioSpec(r1=1.0, r2=1.5)):
                                      sorted(broadcasts),
                                      positions_unchanged=hint)
         assert list(got.items()) == list(want.items()), r
-        memos.append(dict(fast._reach))
+        memos.append({s: (memo[0], memo[2])
+                      for s, memo in fast._reach.items()})
     return memos
 
 
@@ -276,11 +282,15 @@ def test_move_within_one_cell_rebuilds_the_reach():
     memos = _lockstep([(positions, say, False), (positions, say, True),
                        (inside, say, False), (inside, say, True),
                        (inside, {2: Message(2, "y")}, True)])
-    # Node 0's walk and classes: kept while static, rebuilt on the move.
-    walks = [memo[0] for memo in memos[:4]]
-    assert walks[0] is walks[1] and walks[2] is walks[3]
-    assert walks[1] is not walks[2]
-    assert [walk[1:] for walk in walks[1:3]] == [([0, 1], []), ([0], [])]
+    # Node 0's candidates, walk and classes: kept while static; node 1
+    # moves more than s/2 = 0.75, so it is re-snapshotted and node 0's
+    # candidates are gathered anew with its walk.
+    kept = [memo[0] for memo in memos[:4]]
+    assert kept[0] == kept[1] and kept[2] == kept[3]
+    assert all(a is b for a, b in zip(kept[0], kept[1]))
+    assert all(a is b for a, b in zip(kept[2], kept[3]))
+    assert kept[1][0] is not kept[2][0] and kept[1][1] is not kept[2][1]
+    assert [walk[1:] for _, walk in kept[1:3]] == [([0, 1], []), ([0], [])]
 
 
 class _Beacon:
@@ -307,16 +317,93 @@ def test_add_node_within_a_remembered_reach():
         for i in range(4):
             sim.add_node(_Beacon(i), Point(0.5 * i, 0.0))
         out = [pickle.dumps(sim.step()) for _ in range(4)]
-        walks.append(sim.channel._reach.get(0))
+        walks.append(sim.channel._reach.get(0, [None] * 3)[::2])
         sim.add_node(_Beacon(4), Point(0.2, 0.3), start_round=4)
         out += [pickle.dumps(sim.step()) for _ in range(4)]
-        walks.append(sim.channel._reach.get(0))
+        walks.append(sim.channel._reach.get(0, [None] * 3)[::2])
         return out
 
     fast, ref = records(INDEXED), records(ALL_PAIRS)
     assert fast == ref
     assert all(len(pickle.loads(rec).positions) == 5 for rec in fast[4:])
-    # The beacon's classes were rebuilt with its walk when node 4 joined.
-    before, after = walks[:2]
-    assert after is not before
+    # The beacon's candidates were gathered anew when node 4 joined
+    # (an arrival is a snapshot), and its walk and classes with them.
+    (cands_before, before), (cands_after, after) = walks[:2]
+    assert cands_after is not cands_before and after is not before
     assert (before[1:], after[1:]) == (([0, 1, 2], [3]), ([0, 1, 2, 4], [3]))
+
+
+# Skin cases: R2 = 1.5, so the skin s is 1.5 and a node is re-snapshotted
+# once it lies more than 0.75 from its snapshot; the candidate disk has
+# radius R2 + s = 3.
+
+
+def test_drift_inside_the_skin_keeps_the_candidates():
+    """Node 1 drifts 0.3 a round, 0.6 in all: never re-snapshotted, so
+    node 0 keeps its candidate list, but leaves R1 and the classes are
+    derived anew from the live positions."""
+    say = {0: Message(0, "x")}
+    worlds = [{0: Point(0.0, 0.0), 1: Point(0.8 + 0.3 * k, 0.0),
+               2: Point(0.0, 0.5)} for k in range(3)]
+    memos = _lockstep([(world, say, False) for world in worlds])
+    cands = [memo[0][0] for memo in memos]
+    walks = [memo[0][1] for memo in memos]
+    assert cands[0] is cands[1] is cands[2]
+    assert walks[0] is not walks[1] is not walks[2]
+    assert [walk[1:] for walk in walks] == [
+        ([0, 1, 2], []), ([0, 2], [1]), ([0, 2], [1])]
+
+
+def test_drift_past_half_the_skin_drops_only_nearby_memos():
+    """Three clusters 10 apart, one sender each.  Node 11 drifts 0.3 a
+    round; the third step takes it 0.9 from its snapshot, which drops
+    cluster 1's memo and no other."""
+    def world(k):
+        out = {}
+        for c in range(3):
+            out[10 * c] = Point(10.0 * c, 0.0)
+            out[10 * c + 1] = Point(10.0 * c + 0.5, 0.0)
+        out[11] = Point(10.5 + 0.3 * k, 0.0)
+        return out
+
+    say = {0: Message(0, "a"), 10: Message(10, "b"), 20: Message(20, "c")}
+    memos = _lockstep([(world(k), say, False) for k in range(4)]
+                      + [(world(3), say, True)])
+    cands = [{s: memo[s][0] for s in say} for memo in memos]
+    for k in (1, 2):
+        assert all(cands[k][s] is cands[0][s] for s in say)
+    assert cands[3][0] is cands[0][0] and cands[3][20] is cands[0][20]
+    assert cands[3][10] is not cands[0][10]
+    assert cands[4][10] is cands[3][10]
+
+
+def test_teleport_is_re_snapshotted_at_once():
+    """A listener jumps from one sender's cluster to the other's: both
+    memos go, and both senders' receptions match the reference."""
+    home = {0: Point(0.0, 0.0), 1: Point(0.4, 0.0),
+            10: Point(10.0, 0.0), 11: Point(10.4, 0.0)}
+    away = {**home, 1: Point(10.2, 0.3)}
+    say = {0: Message(0, "a"), 10: Message(10, "b")}
+    memos = _lockstep([(home, say, False), (home, say, True),
+                       (away, say, False), (away, say, True),
+                       (home, say, None)])
+    assert memos[2][0][0] is not memos[1][0][0]
+    assert memos[2][10][0] is not memos[1][10][0]
+    assert memos[3][10][1][1:] == ([10, 11, 1], [])
+
+
+def test_node_walks_in_from_beyond_the_candidate_disk():
+    """Node 1 starts 4 from the sender, outside its candidate disk, and
+    walks in 0.2 a round: it is re-snapshotted every fourth step and
+    must be heard, then inside R1, on exactly the reference's rounds."""
+    say = {0: Message(0, "x")}
+    rounds = [({0: Point(0.0, 0.0), 1: Point(4.0 - 0.2 * k, 0.1),
+                2: Point(-1.0, 0.0)}, say, False) for k in range(18)]
+    memos = _lockstep(rounds)
+    candidates = [{node for _, _, nodes in memo[0][0] for node in nodes}
+                  for memo in memos]
+    classes = [memo[0][1][1:] for memo in memos]
+    assert candidates[0] == {0, 2} and 1 in candidates[-1]
+    assert sorted(classes[0][0]) == [0, 2] and not classes[0][1]
+    assert 1 in classes[-1][0]
+    assert any(1 in far for _, far in classes)

@@ -9,6 +9,7 @@ from _oracles import bits, orbit_position
 from repro.geometry import Point
 from repro.net.mobility import (
     LinearMobility,
+    MobilityModel,
     OrbitMobility,
     RandomWaypointMobility,
     StaticMobility,
@@ -305,3 +306,57 @@ class TestDirtySetEngineIntegration:
         sim.add_node(Quiet(), model)
         sim.run(10)
         assert model.position_calls == 10
+
+
+# ----------------------------------------------------------------------
+# The speed bound is a contract
+# ----------------------------------------------------------------------
+
+def _models_in_src() -> set[type]:
+    """Every concrete MobilityModel subclass the library defines."""
+    found, todo = set(), [MobilityModel]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.add(sub)
+    return found
+
+
+_coord = st.floats(min_value=-50.0, max_value=50.0)
+_point = st.builds(Point, _coord, _coord)
+_speed = st.floats(min_value=0.0, max_value=2.0)
+
+#: A strategy per model; a model added to the library without one fails
+#: ``test_every_model_has_a_speed_strategy``.
+MODEL_STRATEGIES = {
+    StaticMobility: st.builds(StaticMobility, _point),
+    LinearMobility: st.builds(LinearMobility, _point,
+                              st.builds(Point, st.floats(-2.0, 2.0),
+                                        st.floats(-2.0, 2.0))),
+    WaypointMobility: st.builds(
+        lambda start, points, speed: WaypointMobility(start, points, speed,
+                                                      horizon=400),
+        _point, st.lists(_point, max_size=4), _speed),
+    RandomWaypointMobility: st.builds(
+        lambda start, speed, seed: RandomWaypointMobility(
+            start, arena=(-20.0, -20.0, 20.0, 20.0), speed=speed, seed=seed),
+        _point, _speed, st.integers(0, 1 << 20)),
+    OrbitMobility: st.builds(OrbitMobility, _point,
+                             st.floats(min_value=0.01, max_value=10.0),
+                             _speed),
+}
+
+
+def test_every_model_has_a_speed_strategy():
+    assert _models_in_src() == set(MODEL_STRATEGIES)
+
+
+@given(model=st.one_of(*MODEL_STRATEGIES.values()),
+       r=st.integers(min_value=0, max_value=300))
+def test_no_model_moves_faster_than_its_max_speed(model, r):
+    """``max_speed()`` bounds every per-round displacement, up to float
+    slop: the regional managers' tenure horizons rely on it."""
+    here, there = model.position_at(r), model.position_at(r + 1)
+    slop = 1e-9 * (1.0 + abs(here.x) + abs(here.y))
+    assert here.distance_to(there) <= model.max_speed() + slop

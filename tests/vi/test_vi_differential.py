@@ -37,7 +37,9 @@ from repro.net import (
     Crash,
     CrashPoint,
     CrashSchedule,
+    LinearMobility,
     NoiseBurstAdversary,
+    OrbitMobility,
     RandomLossAdversary,
     WaypointMobility,
     WindowAdversary,
@@ -45,7 +47,7 @@ from repro.net import (
 from repro.apps.atomic_memory import RegisterProgram, WriterClient
 from repro.apps.tracking import TargetClient, TrackerProgram
 from repro.switches import Switches
-from repro.vi import CounterProgram, ScriptedClient, VNSite
+from repro.vi import CounterProgram, ScriptedClient, VIWorld, VNSite
 
 pytestmark = [pytest.mark.fast, pytest.mark.vi_differential]
 
@@ -209,3 +211,63 @@ def test_vi_pooled_run_matches_traced_run():
                              result.invariants, result.violation_context))
 
     assert observables(False) == observables(True)
+
+
+# ----------------------------------------------------------------------
+# Tenure horizons running out
+# ----------------------------------------------------------------------
+
+def _horizon_world(extra, switches: Switches, period: int = 1) -> bytes:
+    """Two far-apart sites with two static replicas each and a client
+    outside every region, plus the ``extra`` movers, for ten virtual
+    rounds; the trace and the outcomes, pickled.  ``period`` is the
+    location service's update period (set on the simulator's service:
+    the deployed world has no knob for it)."""
+    sites = [VNSite(0, Point(0.0, 0.0)), VNSite(1, Point(6.0, 0.0))]
+    world = VIWorld(sites, {0: CounterProgram(), 1: CounterProgram()},
+                    switches=switches)
+    world.sim.locations._period = period
+    for where in (Point(-0.1, 0.1), Point(0.1, 0.1),
+                  Point(5.9, 0.1), Point(6.1, 0.1)):
+        world.add_device(where)
+    world.add_device(Point(0.3, 0.0),
+                     client=ScriptedClient({1: ("add", 3), 4: ("add", 5)}))
+    for mobility in extra():
+        world.add_device(mobility)
+    world.run_virtual_rounds(10)
+    return pickle.dumps((world.sim.trace, world.outcomes))
+
+
+#: ``(extra movers, location update period)`` per row.  Each row seats a
+#: moving leader whose tenure horizon runs out while it moves.
+HORIZON_ROWS = {
+    # The orbit's top edge runs through site 0's centre, so the leader
+    # it carries (nearest the centre when elected) leaves the region
+    # straight out at full speed: its located distance grows by exactly
+    # the speed bound per round, the horizon's floor is tight, and the
+    # leader is out of region the round after it runs out.  At this
+    # speed and start the float slop is what keeps the horizon exact.
+    "orbit-edge-exit": (lambda: [OrbitMobility(Point(0.05 - 0.3, -0.3),
+                                               radius=0.3, speed=0.025)], 1),
+    # A roamer passing site 0's replicas leaves their R1, then their R2:
+    # the channel's skin-kept reach sees it cross both.
+    "roamer-crosses-r1-r2": (lambda: [
+        LinearMobility(Point(0.0, 0.5), Point(0.0, 0.06))], 1),
+    # A walker elected near site 0's centre walks 0.2 out and parks in
+    # the region: its horizon runs out while it walks, and again once
+    # it stands still (its model keeps its 0.01 bound), when nobody is
+    # located anew and the settled advice is reused past it.
+    "waypoint-parks-in-region": (lambda: [WaypointMobility(
+        Point(0.0, 0.1), [Point(0.0, -0.2)], speed=0.01)], 1),
+    # Snapshots every fourth round: the leader's located position is up
+    # to three rounds stale, and its horizon counts from the snapshot.
+    "stale-snapshots": (lambda: [OrbitMobility(Point(-0.3, -0.3),
+                                               radius=0.3, speed=0.017)], 4),
+}
+
+
+@pytest.mark.parametrize("row", list(HORIZON_ROWS))
+def test_expiring_horizons_match_per_device_dispatch(row):
+    extra, period = HORIZON_ROWS[row]
+    assert (_horizon_world(extra, Switches(), period)
+            == _horizon_world(extra, Switches(vi=True), period))

@@ -12,6 +12,8 @@ asked anew.
 
 from __future__ import annotations
 
+import math
+
 from _cores import count_calls
 from _worlds import static_world
 from repro.contention import ContentionManager, RegionalCM
@@ -76,7 +78,7 @@ class NewestContender(ContentionManager):
     contenders alone, so every answer is settled.  It logs its feedback,
     which must arrive whether or not its advice was reused."""
 
-    settled = True
+    settled_through = math.inf
 
     def __init__(self, log: list) -> None:
         self.log = log
