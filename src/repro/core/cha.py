@@ -435,8 +435,12 @@ class SplitRuns:
 
     def __init__(self, members: Mapping[NodeId, Any], store: Any,
                  finish: Callable[[tuple], tuple] | None = None) -> None:
-        self.members, self.store, self.finish = members, store, finish
-        self._last: tuple = (None, 0, None)
+        self.members, self.finish = members, finish
+        self.rebind(store)
+
+    def rebind(self, store: Any) -> None:
+        """Sweep over ``store`` from now on (a merge may have moved it)."""
+        self.store, self._last = store, (None, 0, None)
 
     def __call__(self, takers) -> tuple:
         members, store, last = self.members, self.store, self._last
@@ -652,8 +656,10 @@ class CHAEnsemble(Ensemble):
     machine runs once over the members still on it.  Before a step, a
     member that does not take part (a crash, ``AFTER_SEND`` included),
     hears less than the whole broadcast set or gets the minority's
-    collision flag is forked out to a private store; it never rejoins,
-    and is stepped on its own, in its place in node order.
+    collision flag is forked out to a private store, and is stepped on
+    its own, in its place in node order.  At the end of an instance in
+    which every member's input was equal, the forked members whose state
+    is the store's rejoin it (:func:`~repro.core.slotted.rejoin`).
     """
 
     def __init__(self, processes: Iterable[CHAProcess]) -> None:
@@ -669,6 +675,7 @@ class CHAEnsemble(Ensemble):
                              "class and schedule")
         form_cohort([p.core for p in procs])
         self.processes = procs
+        self._odd = -1  # the last round some member's input differed
         self.nodes = range(len(procs))  # until add_ensemble sets the ids
 
     @property
@@ -683,11 +690,12 @@ class CHAEnsemble(Ensemble):
 
     @staticmethod
     def _project(split: tuple) -> tuple:
-        """``(runs, lead, solo pairs, nodes on the store, item getter)``."""
+        """``(runs, lead, solo pairs, nodes on the store, takers' getter)``."""
         runs, on_store, solo = split
         shared = [node for _, node in on_store]
+        takers = shared + [node for _, node in solo]
         return (runs, on_store[0][0] if on_store else None, solo,
-                shared, itemgetter(*shared) if len(shared) > 1 else None)
+                shared, itemgetter(*takers) if len(takers) > 1 else None)
 
     def contend(self, r: Round) -> str | None:
         return self.processes[0].cm_name
@@ -707,6 +715,7 @@ class CHAEnsemble(Ensemble):
             heard = get(flags)
             if ((True in heard and False in heard)
                     or (nb and min(map(len, get(delivered))) < nb)):
+                self._odd = r
                 self._fork_odd(shared, delivered, flags, nb)
                 split = self._split(members)
         lead, solo, shared = split[1], split[2], split[3]
@@ -715,6 +724,23 @@ class CHAEnsemble(Ensemble):
             lead._deliver_group(r, delivered[node], flags[node], batch)
         for proc, node in solo:
             proc._deliver_group(r, delivered[node], flags[node], batch)
+        if solo:
+            first = self.processes[0]
+            phase = (r - first.start_round) % first.rounds_per_instance
+            if (phase == first.rounds_per_instance - 1
+                    and self._odd < r - phase):
+                self._rejoin(members)
+
+    def _rejoin(self, members: list[NodeId]) -> None:
+        """Merge the takers whose state is the store's back into it (into
+        the first taker's, which becomes the store, if none is on it)."""
+        from .slotted import rejoin
+
+        procs, first, split = self.processes, self.nodes.start, self._split
+        cores = [procs[node - first].core for node in members]
+        lead = next((c for c in cores if c._c is split.store), cores[0])
+        if rejoin(lead, cores):
+            split.rebind(lead._c)
 
     def _fork_odd(self, shared: list[NodeId], delivered, flags,
                   nb: int) -> None:

@@ -29,7 +29,10 @@ step taken for one member alone (``CHAProcess.send`` /
 any driver) calls ``detach`` first, and a view write, ``restore`` or
 ``reset_to`` forks by itself: the member leaves the store for a plain
 copy of it (members of one store are never at different steps, so no
-undo is needed), and never rejoins.
+undo is needed).  It rejoins (:func:`rejoin`) at an instance boundary
+where its live state is the store's, keeping its own frozen prefix
+below the merge floor; a step whose fold would read below the floor
+forks every prefixed member first, so the merge is exact.
 ``docs/ARCHITECTURE.md`` ("The protocol core") has the whole contract.
 
 ``status``, ``ballots`` and ``outputs`` are live, writable views (tests
@@ -77,7 +80,8 @@ class _Cohort:
 
     __slots__ = ("status", "vals", "prevs", "objs", "cache", "out_ks",
                  "out_recs", "status_count", "ballot_count", "ck_inst",
-                 "ck_state", "gc_floor", "k", "prev", "members")
+                 "ck_state", "gc_floor", "k", "prev", "members", "floor",
+                 "anchor")
 
     def __init__(self) -> None:
         self.clear(1)
@@ -88,6 +92,8 @@ class _Cohort:
         self.k: Instance = NO_INSTANCE
         self.prev: Instance = NO_INSTANCE
         self.members: list[SlottedChaCore] | None = None
+        #: The merge floor and its anchor (:func:`rejoin`).
+        self.floor = self.anchor = 0
 
     def clear(self, length: int) -> None:
         # Index 0 is the NO_INSTANCE slot: normally empty, but reachable
@@ -159,6 +165,42 @@ def shared_store(core) -> _Cohort | None:
     return c if c is not None and len(c.members or ()) > 1 else None
 
 
+def _clean(c: _Cohort) -> bool:
+    """Nothing stored above ``k`` (only a view write puts it there)."""
+    start = c.k + 1
+    return (all(s < 0 for s in c.status[start:])
+            and all(v is _ABSENT for v in c.vals[start:])
+            and all(x is None for x in c.cache[start:]))
+
+
+def rejoin(lead: "SlottedChaCore", cores: Iterable["SlottedChaCore"]) -> int:
+    """At an instance boundary, merge into ``lead``'s store every private
+    core of ``cores`` whose merge key is lead's (ints equal, as an int's
+    identity is unobservable; the rest identical); returns how many."""
+    store = lead._c
+    key = lead._merge_key()
+    if key is None or not _clean(store):
+        return 0
+    joining = [core for core in cores if core._c is not store
+               and core._pre is None and len(core._c.members or ()) < 2
+               and _clean(core._c) and _alike(core._merge_key(), key)]
+    for core in joining:
+        c = core._c
+        core._pre = (c, store.k, len(store.out_ks), c.status_count
+                     - store.status_count, c.ballot_count - store.ballot_count)
+        core._c, c.members = store, None
+    if joining:
+        store.members = (store.members or [lead]) + joining
+        store.floor, store.anchor = store.k, store.prev
+    return len(joining)
+
+
+def _alike(key: tuple | None, other: tuple) -> bool:
+    return key is not None and all(
+        x is y or type(x) is type(y) is int and x == y
+        for x, y in zip(key, other))
+
+
 class _View(MutableMapping):
     """A live dict view over one of a slotted core's arrays."""
 
@@ -181,7 +223,7 @@ class _StatusView(_View):
     __slots__ = ()
 
     def __getitem__(self, k: Instance) -> Color:
-        arr = self._core._c.status
+        arr = self._core._at(k).status
         if isinstance(k, int) and 0 <= k < len(arr):
             code = arr[k]
             if code >= 0:
@@ -207,11 +249,11 @@ class _StatusView(_View):
         raise KeyError(k)
 
     def __iter__(self) -> Iterator[Instance]:
-        arr = self._core._c.status
+        arr = self._core._array("status")
         return (k for k in range(len(arr)) if arr[k] >= 0)
 
     def __len__(self) -> int:
-        return self._core._c.status_count
+        return self._core._counts()[0]
 
 
 class _BallotView(_View):
@@ -225,7 +267,7 @@ class _BallotView(_View):
     __slots__ = ()
 
     def __getitem__(self, k: Instance) -> Ballot:
-        c = self._core._c
+        c = self._core._at(k)
         vals = c.vals
         if isinstance(k, int) and 0 <= k < len(vals):
             value = vals[k]
@@ -255,11 +297,11 @@ class _BallotView(_View):
         raise KeyError(k)
 
     def __iter__(self) -> Iterator[Instance]:
-        vals = self._core._c.vals
+        vals = self._core._array("vals")
         return (k for k in range(len(vals)) if vals[k] is not _ABSENT)
 
     def __len__(self) -> int:
-        return self._core._c.ballot_count
+        return self._core._counts()[1]
 
 
 class _OutputLog(MutableSequence):
@@ -277,23 +319,23 @@ class _OutputLog(MutableSequence):
         self._core = core
 
     def __len__(self) -> int:
-        return len(self._core._c.out_ks)
+        return self._core._log_len()
 
     def __getitem__(self, i):
         core = self._core
-        c = core._c
         if isinstance(i, slice):
+            ks, recs = core._log()
             output = core._output_of
             return [(k, output(k, record)) for k, record
-                    in zip(c.out_ks[i], c.out_recs[i])]
+                    in zip(ks[i], recs[i])]
+        c, i = core._log_at(i)
         k = c.out_ks[i]
         return k, core._output_of(k, c.out_recs[i])
 
     def __iter__(self) -> Iterator[tuple[Instance, Any]]:
         core = self._core
-        c = core._c
         output = core._output_of
-        for k, record in zip(c.out_ks, c.out_recs):
+        for k, record in zip(*core._log()):
             yield k, output(k, record)
 
     def __setitem__(self, i, item) -> None:
@@ -322,13 +364,12 @@ class _OutputLog(MutableSequence):
 
     def instances(self) -> list[Instance]:
         """The logged instance numbers, in log order (no output built)."""
-        return list(self._core._c.out_ks)
+        return list(self._core._log()[0])
 
     def bottoms(self) -> int:
         """How many logged outputs are ⊥ (no output built)."""
         bottom = self._core._BOTTOM_RECORD
-        return sum(1 for record in self._core._c.out_recs
-                   if record is bottom)
+        return sum(1 for record in self._core._log()[1] if record is bottom)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, _OutputLog)):
@@ -373,7 +414,7 @@ class SlottedChaCore:
     __slots__ = (
         "_propose", "tag", "reference_history", "pool_payloads",
         "proposals_made", "_c", "_status_view", "_ballot_view",
-        "_pooled_ballot_payload", "_pooled_vetoes",
+        "_pooled_ballot_payload", "_pooled_vetoes", "_pre",
     )
 
     def __init__(self, *, propose: Callable[[Instance], Value],
@@ -390,6 +431,8 @@ class SlottedChaCore:
         self.proposals_made: dict[Instance, Value] = {}
         #: The cohort store: private, or shared by a lockstep cohort.
         self._c = _Cohort()
+        #: Once merged: (own store, floor, log mark, count offsets).
+        self._pre: tuple | None = None
         self._status_view = _StatusView(self)
         self._ballot_view = _BallotView(self)
         self._pooled_ballot_payload: BallotPayload | None = None
@@ -405,10 +448,19 @@ class SlottedChaCore:
 
     def detach(self) -> None:
         """Prepare a lone step: a member stepped or written on its own
-        leaves a shared store for a copy of it."""
+        leaves a shared store for a copy of it (its prefix below a merge
+        floor, the store's from there up)."""
         c = self._c
         members = c.members
-        if members is not None and len(members) > 1:
+        if self._pre is not None:
+            members.remove(self)
+            new = c.copy()
+            for name in ("status", "vals", "prevs", "objs", "cache"):
+                setattr(new, name, self._array(name))
+            new.out_ks, new.out_recs = self._log()
+            new.status_count, new.ballot_count = self._counts()
+            self._c, self._pre = new, None
+        elif members is not None and len(members) > 1:
             members.remove(self)
             self._c = c.copy()
 
@@ -427,6 +479,69 @@ class SlottedChaCore:
     # ------------------------------------------------------------------
     # Storage plumbing
     # ------------------------------------------------------------------
+
+    def _at(self, k: Instance) -> _Cohort:
+        """The storage holding this member's slot ``k``."""
+        pre = self._pre
+        return (pre[0] if pre is not None and isinstance(k, int)
+                and k < pre[1] else self._c)
+
+    def _array(self, name: str) -> list:
+        """This member's whole array ``name`` (stitched after a merge)."""
+        arr, pre = getattr(self._c, name), self._pre
+        return arr if pre is None else (
+            getattr(pre[0], name)[:pre[1]] + arr[pre[1]:])
+
+    def _counts(self) -> tuple[int, int]:
+        """This member's status and ballot entry counts."""
+        c, (ds, db) = self._c, self._pre[3:] if self._pre else (0, 0)
+        return c.status_count + ds, c.ballot_count + db
+
+    def _log(self) -> tuple[list, list]:
+        """This member's output log as (instances, records) lists (a
+        stitched copy after a merge)."""
+        c, pre = self._c, self._pre
+        if pre is None:
+            return c.out_ks, c.out_recs
+        return (pre[0].out_ks + c.out_ks[pre[2]:],
+                pre[0].out_recs + c.out_recs[pre[2]:])
+
+    def _log_len(self) -> int:
+        n, pre = len(self._c.out_ks), self._pre
+        return n if pre is None else n + len(pre[0].out_ks) - pre[2]
+
+    def _log_at(self, i: int) -> tuple[_Cohort, int]:
+        """Where this member's log entry ``i`` is: (storage, index)."""
+        pre = self._pre
+        if pre is None:
+            return self._c, i
+        own = len(pre[0].out_ks)
+        i = i + self._log_len() if i < 0 else i
+        if i < 0:
+            raise IndexError("list index out of range")
+        return (pre[0], i) if i < own else (self._c, i - own + pre[2])
+
+    def log_shared_from(self) -> int | None:
+        """The index from which this member's output log is its store's,
+        entry for entry: 0 unless merged, None if a merge shifted it."""
+        pre = self._pre
+        return 0 if pre is None else (
+            pre[2] if len(pre[0].out_ks) == pre[2] else None)
+
+    def _merge_key(self) -> tuple | None:
+        """What another core must match to share this one's store from
+        ``k`` up (:func:`rejoin`): slot ``k``, the checkpoint and the
+        chain head every later fold stops at (None: no head, or a GC
+        sweep would reach below ``k``)."""
+        c = self._c
+        k, prev = c.k, c.prev
+        head = (ROOT_CHAIN if prev <= c.ck_inst else
+                c.cache[prev] if prev < len(c.cache) else None)
+        if (head is None or k >= len(c.status)
+                or self._CHECKPOINTED and c.gc_floor != k):
+            return None
+        return (k, prev, head, c.status[k], c.vals[k], c.prevs[k], c.objs[k],
+                c.cache[k], c.ck_inst, c.ck_state)
 
     def _ensure(self, k: Instance) -> None:
         self._c.grow(k)  # a view is about to write slot ``k``
@@ -563,6 +678,14 @@ class SlottedChaCore:
                 c.status_count += 1
             arr[k] = _RED
             return
+        if c.floor and 0 < best.prev_instance <= c.floor and (
+                best.prev_instance != c.anchor):
+            # A fold would read below the floor (slot ``floor``'s row may
+            # lead there unless it is the anchor): prefixed members fork.
+            for member in [m for m in c.members or () if m._pre is not None]:
+                member.detach()
+                member.step_ballot([best], False)
+            c.floor = 0
         vals = c.vals
         if k >= len(vals):
             c.grow(k)
@@ -756,7 +879,7 @@ class SlottedChaCore:
 
     def color_of(self, k: Instance) -> Color:
         """Colour this node assigns instance ``k`` (green if untouched)."""
-        arr = self._c.status
+        arr = self._at(k).status
         if 0 <= k < len(arr):
             code = arr[k]
             if code >= 0:
@@ -767,8 +890,7 @@ class SlottedChaCore:
 
     def resident_entries(self) -> int:
         """Stored ballot + status entries (space metric for experiment E9)."""
-        c = self._c
-        return c.ballot_count + c.status_count
+        return sum(self._counts())
 
     # ------------------------------------------------------------------
     # State transfer (used by the emulation's join protocol)

@@ -33,6 +33,9 @@ from .messages import Message
 class Adversary(ABC):
     """Decides message drops and spurious collision indications."""
 
+    #: :meth:`false_collision` is always False, advancing no state.
+    spurious_free = False
+
     @abstractmethod
     def drops(self, r: Round,
               tentative: Mapping[NodeId, tuple[Message, ...]]) -> dict[NodeId, frozenset[NodeId]]:
@@ -52,6 +55,8 @@ class Adversary(ABC):
 class NoAdversary(Adversary):
     """The benign environment: no drops, no false collisions."""
 
+    spurious_free = True
+
     def drops(self, r, tentative):  # noqa: D102 - interface documented above
         return {}
 
@@ -64,7 +69,8 @@ class RandomLossAdversary(Adversary):
 
     Each dropped delivery is also a candidate false-collision trigger; in
     addition, ``p_false`` injects collision indications out of thin air to
-    stress eventual accuracy.
+    stress eventual accuracy.  With ``p_false == 0`` it is spurious-free:
+    it skips its own false-collision stream, where no draw falls below 0.
     """
 
     def __init__(self, *, p_drop: float, p_false: float = 0.0, seed: int = 0) -> None:
@@ -76,6 +82,7 @@ class RandomLossAdversary(Adversary):
         # Independent stream for false collisions so that drop decisions do
         # not perturb false-collision decisions across configurations.
         self._rng_false = Random(seed ^ 0x5F5E_100)
+        self.spurious_free = p_false == 0
 
     def drops(self, r, tentative):
         out: dict[NodeId, frozenset[NodeId]] = {}
@@ -90,7 +97,8 @@ class RandomLossAdversary(Adversary):
         return out
 
     def false_collision(self, r, node):
-        return self._rng_false.random() < self._p_false
+        return (not self.spurious_free
+                and self._rng_false.random() < self._p_false)
 
 
 class ScriptedAdversary(Adversary):

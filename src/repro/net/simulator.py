@@ -621,10 +621,10 @@ class Simulator:
         flags: dict[NodeId, bool] = {}
         delivered: dict[NodeId, tuple[Message, ...]] = {}
         adversary = self.adversary
-        # NoAdversary.false_collision is stateless-False, so skipping the
-        # call is unobservable; stateful adversaries are always consulted
+        # A spurious-free adversary's false_collision is stateless-False,
+        # so skipping the call is unobservable; others are always consulted
         # (their RNG streams must advance exactly as in the seed loop).
-        benign = type(adversary) is NoAdversary
+        benign = adversary.spurious_free
         false_collision = adversary.false_collision
         detector = self.detector
         # Past its accuracy round the paper's detector is a pure function

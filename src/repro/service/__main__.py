@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import sys
 
 from ..core.cha import ROUNDS_PER_INSTANCE
 from ..experiment.spec import (
@@ -104,6 +105,8 @@ async def _serve(spec: ExperimentSpec, config: ServiceConfig) -> dict:
         "decisions": decisions,
         "invariants": {name: dict(result.invariants)
                        for name, result in results.items()},
+        "failed": {entry.name: entry.driver.failed["error"]
+                   for entry in service.registry if entry.driver.failed},
         "sessions": totals,
     }
 
@@ -170,7 +173,10 @@ def main(argv: list[str] | None = None) -> int:
           f"served {summary['sessions']['opened']} session(s) "
           f"(peak {summary['sessions']['peak']}), invariants "
           f"{summary['invariants']}")
-    return 0
+    if summary["failed"]:
+        print(f"repro.service: world(s) failed: {summary['failed']}",
+              file=sys.stderr)
+    return 1 if summary["failed"] else 0
 
 
 def _run(spec: ExperimentSpec, config: ServiceConfig) -> dict:

@@ -41,6 +41,7 @@ world.
 from __future__ import annotations
 
 import asyncio
+import logging
 from collections import deque
 from typing import Any, Callable, Iterable
 
@@ -57,6 +58,7 @@ from .registry import spec_hash as _spec_hash
 
 Value = Any
 Instance = int
+_log = logging.getLogger(__name__)
 
 #: ``(instance, node, value)`` rows; ``node is None`` means "any node
 #: without its own assignment proposes this value".
@@ -337,6 +339,8 @@ class WorldDriver:
         self.stepper = ExperimentStepper(spec, instrument=instrument)
         self.bus = EventBus()
         self.result: ExperimentResult | None = None
+        #: The ``world-failed`` event, once a tick raised.
+        self.failed: dict | None = None
         self.decisions_published = 0
         self._decision_log: deque[dict] = deque(maxlen=decision_log_limit)
         #: instance -> its event in ``_decision_log``, pruned as the
@@ -356,7 +360,7 @@ class WorldDriver:
 
     @property
     def complete(self) -> bool:
-        return self.result is not None
+        return self.result is not None or self.failed is not None
 
     def snapshot(self) -> dict:
         """The catch-up view a newly attached session receives."""
@@ -443,19 +447,27 @@ class WorldDriver:
             events.append(self._finalize())
         return events
 
-    async def run(self) -> ExperimentResult:
-        """Tick until the workload is exhausted.
+    async def run(self) -> ExperimentResult | None:
+        """Tick until the workload is exhausted (None: a tick raised).
 
         ``tick_interval`` is the real-time pacing; zero yields to the
-        loop between ticks but otherwise runs flat out.
+        loop between ticks but otherwise runs flat out.  A tick that
+        raises ends this world alone, with a ``world-failed`` event.
         """
         while not self.complete:
             if self.tick_interval > 0:
                 await asyncio.sleep(self.tick_interval)
             else:
                 await asyncio.sleep(0)
-            self.tick()
-        assert self.result is not None
+            try:
+                self.tick()
+            except Exception as exc:
+                _log.error("world %s failed at round %d", self.name,
+                           self.current_round, exc_info=exc)
+                self.failed = {"type": "world-failed", "world": self.name,
+                               "round": self.current_round,
+                               "error": f"{type(exc).__name__}: {exc}"}
+                self.bus.publish(self.failed)
         return self.result
 
     # -- harvesting ----------------------------------------------------
@@ -471,7 +483,12 @@ class WorldDriver:
         # and an instance's rows come from the groups that logged it.
         stores: dict[Any, list] = {}
         for node, proc in self.stepper.processes.items():
-            key = shared_store(getattr(proc, "core", None)) or node
+            core = getattr(proc, "core", None)
+            key = shared_store(core) or node
+            if key is not node:
+                start = core.log_shared_from()
+                if start is None or start > self._harvested:
+                    key = node  # rejoined: until its log is the store's
             if key in stores:
                 stores[key][2].append(node)
             else:

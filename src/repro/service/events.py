@@ -410,6 +410,15 @@ EVENTS: dict[str, EventSpec] = {
                       "final invariant verdicts"),
         ),
     ),
+    "world-failed": EventSpec(
+        doc="The session's world raised while stepping and stopped; its "
+            "sibling worlds run on.  Broadcast to every session of that "
+            "world; the traceback goes to the `repro.service.driver` "
+            "logger, and `python -m repro.service` exits 1.",
+        fields=(FieldSpec("world", "str", True, "the failed world"),
+                FieldSpec("round", "int", True, "round reached"),
+                FieldSpec("error", "str", True, "the exception raised")),
+    ),
     "shutdown": EventSpec(
         doc="The service is stopping; the stream ends after this event.",
         fields=(

@@ -148,13 +148,16 @@ class ConsensusService:
     async def run_world(self) -> ExperimentResult:
         """Release the clocks and wait for the *default* world."""
         results = await self.run_worlds()
+        if self.driver.failed is not None:
+            raise ServiceError(f"world failed: {self.driver.failed['error']}")
         return results[self.default_world]
 
     async def run_worlds(self) -> dict[str, ExperimentResult]:
         """Release the clocks and wait for every live world to complete.
 
         Worlds created while waiting are waited on too.  Returns the
-        completed results by world name (evicted worlds excluded).
+        completed results by world name (evicted worlds excluded, and
+        failed ones: their driver's ``failed`` holds the event).
         """
         self.start_world()
         while True:

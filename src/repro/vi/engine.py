@@ -79,7 +79,6 @@ from typing import TYPE_CHECKING, Callable
 from ..contention import ContentionManager
 from ..core.slotted import form_cohort, shared_store
 from ..detectors import EventuallyAccurateDetector
-from ..net.adversary import NoAdversary
 from ..net.messages import Message
 from ..net.trace import RoundRecord
 from ..types import NodeId, Round, VirtualRound
@@ -518,7 +517,7 @@ class VIRoundEngine:
         flags: dict[NodeId, bool] = {}
         delivered: dict[NodeId, tuple[Message, ...]] = {}
         adversary = sim.adversary
-        benign = type(adversary) is NoAdversary
+        benign = adversary.spurious_free
         false_collision = adversary.false_collision
         detector = sim.detector
         fast_detect = (type(detector) is EventuallyAccurateDetector

@@ -75,6 +75,13 @@ def _same(member, twin) -> None:
     assert member.has_instance() == twin.has_instance()
     log = list(member.outputs)
     assert log == twin.outputs
+    # Indexed reads too: after a merge they resolve prefix or store.
+    outputs = member.outputs
+    assert len(outputs) == len(log)
+    assert [outputs[i] for i in range(-len(log), len(log))] == log + log
+    for i in (len(log), -len(log) - 1):
+        with pytest.raises(IndexError):
+            outputs[i]
     assert pickle.dumps(log) == pickle.dumps(twin.outputs)
     assert dict(member.status) == dict(twin.status)
     assert dict(member.ballots) == dict(twin.ballots)
@@ -252,7 +259,11 @@ def test_lockstep_members_share_one_store_and_step_once(kind, monkeypatch):
 
 def test_members_off_the_common_path_fork_into_private_stores():
     """A member with a partial reception or the minority's collision
-    flag is forked out before the step; the rest stay one store."""
+    flag is forked out before the step; the rest stay one store.  The
+    forked ones rejoin it at the first instance boundary where their
+    state is the store's: instance 4 (rounds 9-11) had odd inputs, so
+    not at its end; the veto its red members sent left every member
+    orange, so all are alike after instance 5 (rounds 12-14)."""
     ens, members, twins = _world("cha", 6)
     _lockstep(ens, members, twins, 9)
     store = members[0].core._c
@@ -262,8 +273,35 @@ def test_members_off_the_common_path_fork_into_private_stores():
     _round(9, ens, members, twins, set(range(6)), set(), plans, False)
     assert store.members == [members[i].core for i in (0, 1, 3, 5)]
     assert len({id(p.core._c) for p in members}) == 3
-    _lockstep(ens, members, twins, 9, start=10)
+    _lockstep(ens, members, twins, 2, start=10)
     assert store.members == [members[i].core for i in (0, 1, 3, 5)]
+    _all_same(members, twins)
+    _lockstep(ens, members, twins, 3, start=12)
+    assert store.members == [members[i].core for i in (0, 1, 3, 5, 2, 4)]
+    _all_same(members, twins)
+    _lockstep(ens, members, twins, 4, start=15)
+    assert len({id(p.core._c) for p in members}) == 1
+    _all_same(members, twins)
+
+
+def test_a_checkpoint_member_rejoins_only_after_a_green_instance():
+    """Member 2 misses instance 2's ballot (forked; its veto makes the
+    instance bad for all), and instance 3 is red everywhere with equal
+    input.  Its live state is then the store's, but the GC floor still
+    lies below ``k``: the next green instance's sweep would reach below
+    the merge floor, so it rejoins only after that instance."""
+    ens, members, twins = _world("checkpoint-cha", 3)
+    _lockstep(ens, members, twins, 3)
+    plans = [("ensemble", "all", False)] * 3
+    plans[2] = ("ensemble", "none", False)
+    _round(3, ens, members, twins, {0, 1, 2}, set(), plans, False)
+    _lockstep(ens, members, twins, 2, start=4)
+    _lockstep(ens, members, twins, 3, start=6, flag=True)
+    store = members[0].core._c
+    assert store.members == [members[0].core, members[1].core]
+    _all_same(members, twins)
+    _lockstep(ens, members, twins, 3, start=9)
+    assert store.members == [member.core for member in members]
     _all_same(members, twins)
 
 
@@ -288,10 +326,12 @@ def test_a_lone_step_forks_first_and_the_ensemble_steps_it_alone():
     calls.clear()
     _lockstep(ens, members, twins, 6, start=4)
     assert calls == [0, 1, 2, 3] * 2
+    # Alike again at the end of instance 2 (round 5): member 1 rejoined.
+    assert store.members == [members[i].core for i in (0, 2, 3, 1)]
     _all_same(members, twins)
     members[3].core.status[1] = Color.RED       # a write forks first, too
     twins[3].core.status[1] = Color.RED
-    assert store.members == [members[i].core for i in (0, 2)]
+    assert store.members == [members[i].core for i in (0, 2, 1)]
     _all_same(members, twins)
 
 
@@ -329,8 +369,10 @@ def test_the_proposal_sweep_keeps_the_proposer_contract(monkeypatch):
     assert built == 10
     assert senders == [[3], [5], [1], [2]] + [[0]] * 6
     cores = [p.core for p in result.processes.values()]
-    assert [core._c is cores[0]._c for core in cores] == [True] * 4 + [
-        False, True]
+    # Member 4 forked, then rejoined with its own prefix of the log.
+    assert [core._c is cores[0]._c for core in cores] == [True] * 6
+    assert [core._pre is not None for core in cores] == [False] * 4 + [
+        True, False]
     assert run_once(Switches(engine=True))[:3] == (log, built, senders)
 
 

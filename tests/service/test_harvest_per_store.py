@@ -31,6 +31,7 @@ from repro import (
     TwoPhaseCHA,
     WorkloadSpec,
 )
+from repro.core import slotted
 from repro.core.history import History
 from repro.core.slotted import SlottedChaCore, shared_store
 from repro.core.spec import check_agreement
@@ -226,3 +227,76 @@ def test_a_live_short_log_holds_the_harvest_back(monkeypatch):
     shortest = min(len(proc.outputs)
                    for proc in driver.stepper.processes.values())
     assert len(decisions) == shortest < 40
+
+
+@pytest.mark.parametrize("tamper", [False, True],
+                         ids=["plain", "tampered-prefix"])
+@pytest.mark.parametrize("protocol", [CHA(), TwoPhaseCHA()],
+                         ids=["cha", "two-phase"])
+def test_a_world_that_rejoins_harvests_as_its_batch_replay(monkeypatch,
+                                                           protocol, tamper):
+    """Seeded loss until ``rcf`` forks every node; past it they rejoin
+    one store, each with its own log prefix.  Every tick's decisions
+    equal the per-node loop's, and the whole run equals what the batch
+    replay's outputs say (decided / ⊥ counts, agreement rows).  With
+    ``tamper``, a member about to rejoin first has its last output
+    overwritten with ⊥, so its prefix differs from the store's log where
+    the harvest has not read it yet (no batch replay then)."""
+    def spec():  # a fresh adversary: a run consumes its stream
+        return ExperimentSpec(
+            protocol=protocol, world=ClusterWorld(n=12, rcf=45),
+            environment=EnvironmentSpec(
+                adversary=RandomLossAdversary(p_drop=0.1, seed=3)),
+            workload=WorkloadSpec(instances=40),
+            metrics=MetricsSpec(invariants=()),
+            keep_trace=False,
+        )
+
+    driver = WorldDriver(spec())
+    harvest = WorldDriver._harvest
+    merged = []
+
+    def checked_harvest(self):
+        expected = _per_node_decisions(self, self._harvested,
+                                       _per_node_ready(self))
+        events = harvest(self)
+        assert events == expected
+        merged.append(sum(proc.core._pre is not None
+                          for proc in self.stepper.processes.values()))
+        return events
+
+    monkeypatch.setattr(WorldDriver, "_harvest", checked_harvest)
+    rejoin = slotted.rejoin
+
+    def tampering_rejoin(lead, cores):
+        for core in cores:
+            if core._c is not lead._c and len(core.outputs):
+                core.outputs[-1] = (core.outputs[-1][0], BOTTOM)
+        return rejoin(lead, cores)
+
+    if tamper:
+        monkeypatch.setattr(slotted, "rejoin", tampering_rejoin)
+    served = [(d["instance"], d["value"], d["decided"], d["bottom"],
+               d["agreement"]) for d in _serve(driver)]
+    assert max(merged) >= 6, "the world must rejoin one store"
+    if tamper:
+        assert any(0 < bottom < 12 for *_, bottom, _ in served)
+        return
+    outputs = run(spec()).outputs
+    replayed = []
+    for k in range(1, 41):
+        rows = {node: [row for row in log if row[0] == k]
+                for node, log in outputs.items()}
+        said = [out for node in sorted(rows) for _, out in rows[node]
+                if out is not BOTTOM]
+        try:
+            check_agreement(rows)
+        except SpecViolation as exc:
+            verdict = f"violated: {exc}"
+        else:
+            verdict = "ok"
+        replayed.append((k, said[0](k) if said else None, len(said),
+                         12 - len(said), verdict))
+    assert served == replayed
+    # Lossy instances output ⊥ everywhere, the rest decide everywhere.
+    assert {bottom for *_, bottom, _ in served} == {0, 12}

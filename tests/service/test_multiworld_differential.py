@@ -13,6 +13,8 @@ engine/channel/history/core reference-switch matrix.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from _switches import corners, observables
@@ -181,3 +183,40 @@ def test_lazily_created_world_replays_batch():
         protocol__proposer_factory=ProposalLedger.scripted(
             late.driver.ledger.schedule()))
     assert observables(late.driver.result) == observables(run(batch_spec))
+
+
+def test_a_failing_world_ends_alone_and_its_siblings_equal_batch():
+    """A tick that raises ends its own world with a ``world-failed``
+    event; the sibling worlds run to completion, each equal to its
+    batch replay."""
+    spec_factory = _spec_factory()
+
+    async def scenario():
+        service = ConsensusService(spec_factory(),
+                                   ServiceConfig(rounds_per_tick=3, worlds=3))
+        watcher = service.connect(client="watcher", world="w2")
+        watcher.drain()
+        failing = service.registry.get("w2").driver
+        step = failing.stepper.step
+
+        def step_until_round_9(rounds):
+            if failing.current_round >= 9:
+                raise RuntimeError("boom")
+            return step(rounds)
+
+        failing.stepper.step = step_until_round_9
+        results = await service.run_worlds()
+        events = watcher.drain()
+        drivers = {entry.name: entry.driver for entry in service.registry}
+        await service.shutdown()
+        return results, events, drivers
+
+    results, events, drivers = asyncio.run(scenario())
+    assert sorted(results) == ["w1", "w3"]
+    last = {key: value for key, value in events[-1].items() if key != "seq"}
+    assert last == {"type": "world-failed", "world": "w2", "round": 9,
+                    "error": "RuntimeError: boom"}
+    assert drivers["w2"].complete and drivers["w2"].result is None
+    for name in ("w1", "w3"):
+        assert observables(results[name]) == _batch(
+            spec_factory, drivers[name].ledger.schedule()), name

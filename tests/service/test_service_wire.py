@@ -10,6 +10,7 @@ import pytest
 
 from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.experiment import MetricsSpec
+from repro.experiment.runner import ExperimentStepper
 from repro.service import (
     MAX_LINE_BYTES,
     ConsensusService,
@@ -346,3 +347,26 @@ def test_cli_serves_a_world_to_completion(capsys):
     out = capsys.readouterr().out
     assert "serving 1 x 4-node CHA world(s)" in out
     assert "1 world(s) complete after 9 total rounds" in out
+
+
+def test_cli_reports_a_failing_world_and_exits_nonzero(monkeypatch, capsys,
+                                                       caplog):
+    """A world whose tick raises ends alone; the CLI logs the traceback,
+    names the failed world and exits 1, while its sibling completes."""
+    step, first = ExperimentStepper.step, []
+
+    def step_or_fail(self, ticks=1):
+        first[:] = first or [self]  # the first world to tick fails
+        if self is first[0] and self.simulator.current_round >= 3:
+            raise RuntimeError("boom")
+        return step(self, ticks)
+
+    monkeypatch.setattr(ExperimentStepper, "step", step_or_fail)
+    assert service_main(["--nodes", "4", "--instances", "3", "--worlds", "2",
+                         "--tick-interval", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert "1 world(s) complete after 9 total rounds" in out
+    assert "world(s) failed: {'w1': 'RuntimeError: boom'}" in err
+    [record] = [r for r in caplog.records if r.name == "repro.service.driver"]
+    assert record.getMessage() == "world w1 failed at round 3"
+    assert record.exc_info[0] is RuntimeError
