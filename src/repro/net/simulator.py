@@ -32,24 +32,24 @@ of :class:`~repro.switches.Switches`:
   positions from the crash schedule and the mobility models, re-observes
   the location service, consults every present node for contention, and
   runs the detector on every reception.  It has no caches.
-* :meth:`Simulator._step_batched` — the default.  It caches what cannot
-  change between rounds (positions of provably static nodes are resolved
-  once, the location service skips re-snapshotting when no position
-  changed, crash bookkeeping short-circuits when no crash schedule
-  exists) and is organised round-at-a-time: one pass over prebound send
-  methods collects every sender's payload, the channel gets the whole
-  batch in one :meth:`~repro.net.channel.Channel.deliver_batch` call,
-  the round's position map comes from the mobility dirty-set protocol
-  (:meth:`~repro.net.mobility.MobilityModel.moved_in` — untouched nodes
-  never rebuild their position entries), one decoded
-  :class:`~repro.net.messages.RoundBatch` is shared across every
-  receiver's :meth:`~repro.net.node.Process.deliver_batch`,
-  contention bookkeeping is skipped entirely when no node can ever
-  contend, and an :class:`~repro.net.node.Ensemble` registered with
-  :meth:`Simulator.add_ensemble` is called once per sweep for all its
-  members (a lockstep cohort steps once per round; a round the channel
-  resolved per coverage class fills flags and deliveries per class, not
-  per node).  The reference loop ignores ensembles.
+* :meth:`Simulator._step_batched` — the default: the one round
+  pipeline (:meth:`Simulator.run_round`) the VI emulation's phase-table
+  engine (:mod:`repro.vi.engine`) runs too, each supplying who contends,
+  sends and is delivered to.  It caches what cannot change between
+  rounds (positions of provably static nodes, the location snapshot
+  while nothing moved, crash bookkeeping without a crash schedule) and
+  works round-at-a-time: the position map follows the mobility
+  dirty-set protocol (:meth:`~repro.net.mobility.MobilityModel.moved_in`),
+  the channel gets the whole batch in one
+  :meth:`~repro.net.channel.Channel.deliver_batch` call, and a round it
+  resolved per coverage class is detected per class.  The batched
+  engine's handlers are the *unit sweep*: prebound per-node methods, one
+  :class:`~repro.net.messages.RoundBatch` shared by every receiver's
+  :meth:`~repro.net.node.Process.deliver_batch`, no contention
+  bookkeeping when no node can contend, and each
+  :class:`~repro.net.node.Ensemble` (:meth:`Simulator.add_ensemble`)
+  called once per sweep for all its members.  The reference loop
+  ignores ensembles.
 
 The differential suite pins the two engines byte-identical (traces,
 outputs, metrics, verdicts) across every protocol family and switch
@@ -80,6 +80,9 @@ RoundObserver = Callable[[RoundRecord], None]
 
 #: The advice of a round in which nobody contended.
 _NOBODY: frozenset[NodeId] = frozenset()
+
+#: The base :meth:`ContentionManager.feedback`, a no-op nobody need call.
+_NO_FEEDBACK = ContentionManager.feedback
 
 
 @dataclass
@@ -399,17 +402,9 @@ class Simulator:
 
     def _positions_batched(self, r: Round) -> tuple[
             list[NodeId], dict[NodeId, Point], bool]:
-        """The batched engine's mobility & liveness block.
-
-        Returns ``(present, positions, unchanged)`` for round ``r``
-        exactly as :meth:`_step_batched` computes them (steady-state
-        cache, dirty-set protocol, identical mobility call sequences).
-        Factored out of :meth:`_step_batched` so the VI round engine
-        (:mod:`repro.vi.engine`) derives its position map with
-        byte-identical semantics; callers are responsible for the follow-up
-        ``locations.observe`` / ``_last_present`` / ``_batch_prev``
-        bookkeeping.
-        """
+        """The pipeline's mobility & liveness block: ``(present,
+        positions, unchanged)`` for round ``r`` (steady-state cache,
+        dirty-set protocol); :meth:`run_round` keeps the caches."""
         nodes = self._nodes
         # With no crash schedule, "alive" reduces to the start_round
         # check, and every present node both sends and receives.
@@ -495,36 +490,36 @@ class Simulator:
         return movers
 
     def _step_batched(self) -> RoundRecord:
-        """The batched dispatch engine (the default round loop).
+        """The batched engine: :meth:`run_round` with the unit sweep.
 
         Observably identical to :meth:`_step_reference` — same component
         call sequences (contention managers, adversary and detector RNG
         streams, process methods) and identical round-record object
-        graphs — but organised round-at-a-time instead of node-at-a-time:
+        graphs — but organised round-at-a-time (module docstring).
+        """
+        return self.run_round(self._contend_units, self._send_units,
+                              self._deliver_units)[0]
 
-        * the position map is maintained through the mobility dirty-set
-          protocol (copy last round's map, touch only nodes whose model
-          reports movement) instead of n ``position_at`` dispatches;
-        * payload collection runs over prebound send methods and hands
-          the channel the whole batch (with its already-sorted sender
-          list) in one call;
-        * deliveries share a single per-round :class:`RoundBatch`, so
-          protocols with a ``deliver_batch`` override decode the round's
-          broadcasts once for all receivers;
-        * contention bookkeeping is skipped outright when no registered
-          process can ever contend;
-        * an ensemble's members are swept as one unit, at the first
-          member's position (:meth:`add_ensemble`).
+    def run_round(self, contend: Callable, send: Callable,
+                  deliver: Callable) -> tuple[RoundRecord, bool]:
+        """One round of the pipeline; returns its record and whether it
+        carried traffic (a broadcast or a collision flag).
+
+        The round engine's three handlers pick the processes:
+
+        * ``contend(r, present, relocated)`` → ``(groups, advice,
+          advised)``: ``(cm_name, contenders)`` pairs in name order and
+          their :meth:`advise`, or ``((), None, None)``; ``relocated``:
+          the location service took a snapshot this round;
+        * ``send(r, present, advised)`` → ``(broadcasts, senders)``;
+        * ``deliver(r, present, broadcasts, delivered, flags, uniform)``
+          (``uniform``: every receiver heard all, with one flag).
         """
         r = self._round
-        nodes = self._nodes
-        crashes = self.crashes
-        no_crashes = not len(crashes)
-        steady = no_crashes and self._max_start <= r
-
         # -- mobility & liveness ---------------------------------------
         present, positions, unchanged = self._positions_batched(r)
-        if not (unchanged and self.locations.staleness_bound == 0):
+        relocated = not (unchanged and self.locations.staleness_bound == 0)
+        if relocated:
             # Otherwise nothing moved and the service re-snapshots every
             # round: the current snapshot already equals ``positions``
             # element for element, so re-observing would be a no-op copy.
@@ -533,165 +528,112 @@ class Simulator:
         self._last_present = present
         self._batch_prev = (r, present, positions)
 
-        # -- sweep units -----------------------------------------------
-        # Lone nodes one by one, each ensemble once (add_ensemble).  When
-        # every present node both sends and receives, one sweep serves
-        # all three phases; in steady state it is built once.
-        if steady:
-            if self._steady_units is None:
-                self._steady_units = (self._units(self._node_list),
-                                      self._units(self._contenders_possible))
-            units, possible_units = self._steady_units
-        elif no_crashes:
-            units = self._units(present)
-        else:
-            units = None
-
-        # -- contention ------------------------------------------------
-        cms = self.cms
-        possible = self._contenders_possible
-        contenders: dict[str, list[NodeId]] | None = None
-        advice: dict[str, frozenset[NodeId]] | None = None
-        advised: set[NodeId] | None = None
-        if possible:
-            # Nodes inheriting the base Process.contend can never contend
-            # (it is stateless and returns None), so only nodes overriding
-            # it are consulted; order matches the sorted ``present`` sweep.
-            if steady:
-                candidate_units = possible_units
-            elif len(possible) == len(nodes) and units is not None:
-                candidate_units = units
-            elif no_crashes:
-                candidate_units = self._units(
-                    [node for node in possible if nodes[node].start_round <= r])
-            else:
-                candidate_units = self._units(
-                    [node for node in possible
-                     if self.alive(node, r) and crashes.sends_in(node, r)])
-            contenders = {}
-            contend_fns = self._contend_fns
-            for ensemble, group in candidate_units:
-                cm_name = (contend_fns[group[0]](r) if ensemble is None
-                           else ensemble.contend(r))
-                if cm_name is None:
-                    continue
-                if cm_name not in cms:
-                    raise SimulationError(
-                        f"node {group[0]} contended for unknown manager {cm_name!r}"
-                    )
-                bucket = contenders.get(cm_name)
-                if bucket is None:
-                    contenders[cm_name] = list(group)
-                else:
-                    bucket.extend(group)
-            if contenders:
-                advice = {}
-                advised = set()
-                for cm_name, cnodes in sorted(contenders.items()):
-                    # Same clip as the reference's `& frozenset(cnodes)`
-                    # without materialising the n-element operand.
-                    granted = cms[cm_name].advise(r, cnodes).intersection(cnodes)
-                    advice[cm_name] = granted
-                    advised.update(granted)
-
-        # -- send --------------------------------------------------------
-        broadcasts: dict[NodeId, Message] = {}
-        senders: list[NodeId] = []
-        send_fns = self._send_fns
-        chosen = advised if advised else _NOBODY
-        for ensemble, group in (units if units is not None else self._units(
-                [node for node in present if crashes.sends_in(node, r)])):
-            if ensemble is None:
-                node = group[0]
-                payload = send_fns[node](r, node in chosen)
-                if payload is not None:
-                    broadcasts[node] = Message(node, payload)
-                    senders.append(node)
-            else:
-                for node, payload in ensemble.send_round(r, group, chosen):
-                    broadcasts[node] = Message(node, payload)
-                    senders.append(node)
-
-        # -- channel -----------------------------------------------------
+        groups, advice, advised = contend(r, present, relocated)
+        broadcasts, senders = send(r, present,
+                                   advised if advised else _NOBODY)
         receptions = self.channel.deliver_batch(
             r, positions, broadcasts, senders,
             positions_unchanged=unchanged)
+        flags, delivered, any_flag, uniform = self._detect(
+            r, present, receptions)
+        deliver(r, present, broadcasts, delivered, flags, uniform)
 
-        # -- detect & deliver ---------------------------------------------
-        flags: dict[NodeId, bool] = {}
-        delivered: dict[NodeId, tuple[Message, ...]] = {}
+        # -- contention feedback ------------------------------------------
+        # Only to managers that override it: the base method is a no-op.
+        # A collision-free round (the overwhelmingly common one) needs no
+        # per-contender flag scan: any() over any subset of an all-False
+        # map is False.
+        cms = self.cms
+        flags_get = flags.get
+        for cm_name, cnodes in groups:
+            cm = cms[cm_name]
+            if type(cm).feedback is not _NO_FEEDBACK:
+                collided = any_flag and any(
+                    flags_get(node, False) for node in cnodes)
+                cm.feedback(r, active=advice[cm_name], collided=collided)
+
+        record = self._record(r, positions, broadcasts, delivered, flags,
+                              advised)
+        return record, bool(broadcasts) or any_flag
+
+    def advise(self, r: Round, groups) -> tuple[
+            dict[str, frozenset[NodeId]], set[NodeId]]:
+        """Each manager's advice to its ``(cm_name, contenders)`` group,
+        clipped to them (Property 3(3)): ``(advice, advised)``."""
+        cms = self.cms
+        advice: dict[str, frozenset[NodeId]] = {}
+        advised: set[NodeId] = set()
+        for cm_name, cnodes in groups:
+            # Same clip as the reference's `& frozenset(cnodes)` without
+            # materialising the n-element operand.
+            granted = cms[cm_name].advise(r, cnodes).intersection(cnodes)
+            advice[cm_name] = granted
+            advised.update(granted)
+        return advice, advised
+
+    def _detect(self, r: Round, present: list[NodeId], receptions) -> tuple[
+            dict[NodeId, bool], dict[NodeId, tuple[Message, ...]], bool, bool]:
+        """The detect stage: ``(flags, delivered, any_flag, uniform)`` for
+        every receiving present node, in node order, so the adversary's
+        and the detector's call sequences (their RNG streams) are the
+        reference loop's."""
         adversary = self.adversary
         # A spurious-free adversary's false_collision is stateless-False,
         # so skipping the call is unobservable; others are always consulted
         # (their RNG streams must advance exactly as in the seed loop).
         benign = adversary.spurious_free
-        false_collision = adversary.false_collision
         detector = self.detector
         # Past its accuracy round the paper's detector is a pure function
         # of the reception's R2 ground truth; inline it.
         fast_detect = (type(detector) is EventuallyAccurateDetector
                        and r >= detector.racc)
-        indicate = detector.indicate
-        batch = RoundBatch(broadcasts)
-        deliver_fns = self._deliver_fns
-        batch_fns = self._deliver_batch_fns
-        any_flag = False
+        crashes = self.crashes
+        no_crashes = not len(crashes)
         coverage = self.channel.coverage
-        if not (benign and fast_detect and no_crashes):
-            coverage = None
-        elif coverage is not None:
+        if coverage is not None and benign and fast_detect and no_crashes:
             # Every flag is its reception's, and the channel gave whole
-            # coverage classes: fill both maps per class (the first is
-            # every present node, in order); only lone units go per node.
-            for nodes, reception in coverage:
+            # coverage classes: build both maps per class (the first is
+            # every present node, in order; later ones override it).
+            nodes, reception = coverage[0]
+            any_flag = reception.lost_within_r2 and len(nodes) > 0
+            flags = dict.fromkeys(nodes, reception.lost_within_r2)
+            delivered = dict.fromkeys(nodes, reception.messages)
+            for nodes, reception in coverage[1:]:
                 flag = reception.lost_within_r2
                 flags.update(dict.fromkeys(nodes, flag))
                 delivered.update(dict.fromkeys(nodes, reception.messages))
                 any_flag = any_flag or (flag and len(nodes) > 0)
-            batch.uniform = len(coverage) == 1
-        for ensemble, group in (units if units is not None else self._units(
-                [node for node in present if crashes.receives_in(node, r)])):
-            # An ensemble's members are detected one by one (unless per
-            # class), in node order, then delivered to in one call.
-            for node in (group if ensemble is None or coverage is None
-                         else ()):
-                reception = receptions[node]
-                spurious = False if benign else false_collision(r, node)
-                flag = (reception.lost_within_r2 if fast_detect
-                        else indicate(r, node, reception, spurious))
-                flags[node] = flag
-                if flag:
-                    any_flag = True
-                messages = reception.messages
-                delivered[node] = messages
-                if ensemble is None:
-                    bfn = batch_fns[node]
-                    if bfn is not None:
-                        bfn(r, messages, flag, batch)
-                    else:
-                        deliver_fns[node](r, messages, flag)
-            if ensemble is not None:
-                ensemble.deliver_round(r, group, delivered, flags, batch)
+            return flags, delivered, any_flag, len(coverage) == 1
+        flags: dict[NodeId, bool] = {}
+        delivered: dict[NodeId, tuple[Message, ...]] = {}
+        any_flag = False
+        false_collision = adversary.false_collision
+        indicate = detector.indicate
+        receives_in = crashes.receives_in
+        for node in present:
+            if not no_crashes and not receives_in(node, r):
+                continue
+            reception = receptions[node]
+            spurious = False if benign else false_collision(r, node)
+            flag = (reception.lost_within_r2 if fast_detect
+                    else indicate(r, node, reception, spurious))
+            flags[node] = flag
+            if flag:
+                any_flag = True
+            delivered[node] = reception.messages
+        return flags, delivered, any_flag, False
 
-        # -- contention feedback ------------------------------------------
-        if contenders:
-            flags_get = flags.get
-            for cm_name, cnodes in sorted(contenders.items()):
-                # A collision-free round (the overwhelmingly common one)
-                # needs no per-contender flag scan: any() over any
-                # subset of an all-False map is False.
-                collided = any_flag and any(
-                    flags_get(node, False) for node in cnodes)
-                cms[cm_name].feedback(
-                    r, active=advice[cm_name], collided=collided
-                )
-
-        if no_crashes:
+    def _record(self, r: Round, positions, broadcasts, delivered, flags,
+                advised) -> RoundRecord:
+        """The record stage: the round's crash set and
+        :class:`RoundRecord`, the trace, the observers, the cursor."""
+        if not len(self.crashes):
             # Without a crash schedule, aliveness can only flip at a
             # node's start_round boundary, which never satisfies
             # ``start_round <= r`` — so nobody crashed this round.
             crashed_now: frozenset[NodeId] = frozenset()
         else:
+            nodes = self._nodes
             crashed_now = frozenset(
                 node for node in sorted(nodes)
                 if self.alive(node, r) != self.alive(node, r + 1)
@@ -712,6 +654,91 @@ class Simulator:
             observer(record)
         self._round += 1
         return record
+
+    # -- the unit sweep: the batched engine's three handlers -------------
+
+    def _sweep(self, r: Round, present: list[NodeId],
+               takes_part: Callable[[NodeId, Round], bool],
+               contenders: bool = False) -> list[tuple]:
+        """The units over the present nodes (or the possible
+        ``contenders``) that ``takes_part`` in round ``r``.  In steady
+        state — ``present`` is the node list itself: no crash schedule,
+        every node started — the sweep is built once."""
+        if present is not self._node_list:
+            nodes = self._contenders_possible if contenders else present
+            return self._units([node for node in nodes
+                                if takes_part(node, r)])
+        if self._steady_units is None:
+            self._steady_units = (self._units(self._node_list),
+                                  self._units(self._contenders_possible))
+        return self._steady_units[contenders]
+
+    def _contend_units(self, r: Round, present: list[NodeId],
+                       relocated: bool) -> tuple:
+        # Nodes inheriting the base Process.contend can never contend (it
+        # is stateless and returns None), so only nodes overriding it are
+        # consulted, in node order.
+        if not self._contenders_possible:
+            return (), None, None
+        cms = self.cms
+        contenders: dict[str, list[NodeId]] = {}
+        contend_fns = self._contend_fns
+        for ensemble, group in self._sweep(
+                r, present, lambda node, r: self.alive(node, r)
+                and self.crashes.sends_in(node, r), contenders=True):
+            cm_name = (contend_fns[group[0]](r) if ensemble is None
+                       else ensemble.contend(r))
+            if cm_name is None:
+                continue
+            if cm_name not in cms:
+                raise SimulationError(
+                    f"node {group[0]} contended for unknown manager {cm_name!r}"
+                )
+            bucket = contenders.get(cm_name)
+            if bucket is None:
+                contenders[cm_name] = list(group)
+            else:
+                bucket.extend(group)
+        if not contenders:
+            return (), None, None
+        groups = sorted(contenders.items())
+        return (groups, *self.advise(r, groups))
+
+    def _send_units(self, r: Round, present: list[NodeId],
+                    advised) -> tuple[dict[NodeId, Message], list[NodeId]]:
+        broadcasts: dict[NodeId, Message] = {}
+        senders: list[NodeId] = []
+        send_fns = self._send_fns
+        for ensemble, group in self._sweep(r, present, self.crashes.sends_in):
+            if ensemble is None:
+                node = group[0]
+                payload = send_fns[node](r, node in advised)
+                if payload is not None:
+                    broadcasts[node] = Message(node, payload)
+                    senders.append(node)
+            else:
+                for node, payload in ensemble.send_round(r, group, advised):
+                    broadcasts[node] = Message(node, payload)
+                    senders.append(node)
+        return broadcasts, senders
+
+    def _deliver_units(self, r: Round, present: list[NodeId], broadcasts,
+                       delivered, flags, uniform: bool) -> None:
+        batch = RoundBatch(broadcasts)
+        batch.uniform = uniform
+        deliver_fns = self._deliver_fns
+        batch_fns = self._deliver_batch_fns
+        for ensemble, group in self._sweep(r, present,
+                                           self.crashes.receives_in):
+            if ensemble is not None:
+                ensemble.deliver_round(r, group, delivered, flags, batch)
+                continue
+            node = group[0]
+            bfn = batch_fns[node]
+            if bfn is not None:
+                bfn(r, delivered[node], flags[node], batch)
+            else:
+                deliver_fns[node](r, delivered[node], flags[node])
 
     def run(self, rounds: int) -> Trace:
         """Execute ``rounds`` rounds and return the accumulated trace."""

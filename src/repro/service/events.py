@@ -508,6 +508,10 @@ def parse_request(line: bytes | str) -> dict:
         obj = json.loads(line)
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireError(f"request is not valid JSON: {exc}") from None
+    except RecursionError:
+        # Nesting deep enough to exhaust the decoder's stack fits in a
+        # line well under the ceiling (50 000 ``[``).
+        raise WireError("request nests too deeply") from None
     return validate_request(obj)
 
 

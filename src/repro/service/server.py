@@ -45,6 +45,7 @@ from ..experiment.runner import Instrument
 from ..experiment.spec import ExperimentSpec
 from .driver import WorldDriver
 from .events import (
+    MAX_LINE_BYTES,
     WireError,
     encode_event,
     error_event,
@@ -203,7 +204,8 @@ class ConsensusService:
 
     async def serve_tcp(self) -> asyncio.AbstractServer:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+            self._handle_connection, self.config.host, self.config.port,
+            limit=MAX_LINE_BYTES)
         return self._server
 
     @property
@@ -217,10 +219,16 @@ class ConsensusService:
         self._conn_tasks.add(asyncio.current_task())
         session: Session | None = None
         pump: asyncio.Task | None = None
-        graceful = False
+        graceful = overlong = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the reader's limit, the line ceiling: torn
+                    # down, not parsed (docs/WIRE_PROTOCOL.md).
+                    overlong = True
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -276,6 +284,11 @@ class ConsensusService:
                 with contextlib.suppress(asyncio.CancelledError,
                                          ConnectionError):
                     await pump
+            if overlong:
+                writer.write(encode_event(dict(error_event(
+                    f"request line exceeds {MAX_LINE_BYTES} bytes"), seq=-1)))
+                with contextlib.suppress(ConnectionError):
+                    await writer.drain()
             if session is not None:
                 self.sessions.close(session)
             writer.close()

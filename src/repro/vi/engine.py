@@ -32,18 +32,16 @@ tuple (an equal tuple keeps the groups).  With no crash schedule and
 last round's groups, a round reuses the last advice and asks no manager
 up to every manager's ``settled_through`` (a sitting leader's
 speed-bound tenure), or past it if nobody was located anew and every
-answer was settled.  Feedback goes to every manager that overrides it.
+answer was settled.
 
 Byte-identity with the per-device dispatch is a design constraint, not
 an aspiration (the ``vi_differential`` suite pins it):
 
-* The engine mirrors ``Simulator._step_batched`` stage by stage — the
-  same mobility/liveness block, the same contention advice (a skipped
-  advise/feedback call is one that cannot differ), the same
-  adversary/detector RNG stream (collision flags and delivered tuples
-  are still computed for *every* present node, so round records,
-  traces and wire metrics are identical object graphs), the same
-  round-record bookkeeping.
+* The engine supplies three handlers — who contends, sends and is
+  delivered to — to the simulator's one round pipeline
+  (:meth:`~repro.net.simulator.Simulator.run_round`), which owns the
+  rest: mobility, the channel, detect for *every* present node (the
+  adversary/detector RNG streams, the round records), feedback.
 * Phase rows are *supersets* of the devices that act: a listed device
   whose state machine declines (a joiner not in ``WANT_JOIN`` at JOIN,
   a replica with nothing to veto) runs the same no-op it would have run
@@ -52,7 +50,7 @@ an aspiration (the ``vi_differential`` suite pins it):
 * Mid-virtual-round role changes cannot happen (housekeeping is the
   only writer of ``device.replica``/``_join_target``), so a table built
   at the CLIENT round stays valid for the whole virtual round.  The
-  CLIENT round itself sends through *all* registered devices
+  CLIENT round itself sends through *every* present device
   (housekeeping must run everywhere — that is where joins activate,
   resets rebirth and region exits tear replicas down) and only then
   rebuilds the table; its contention stage reuses the previous virtual
@@ -76,11 +74,8 @@ from __future__ import annotations
 from itertools import groupby
 from typing import TYPE_CHECKING, Callable
 
-from ..contention import ContentionManager
 from ..core.slotted import form_cohort, shared_store
-from ..detectors import EventuallyAccurateDetector
 from ..net.messages import Message
-from ..net.trace import RoundRecord
 from ..types import NodeId, Round, VirtualRound
 from .device import _NO_PAYLOADS
 from .phases import PhasePosition
@@ -88,8 +83,6 @@ from .replica import ReplicaCohort, ReplicaRuntime
 
 if TYPE_CHECKING:
     from .world import VIWorld
-
-_NO_FEEDBACK = ContentionManager.feedback
 
 #: One table row: ``(node, send_at, deliver_at)`` — the device's phase
 #: entry points prebound, mirroring the simulator's dispatch tables — or
@@ -179,6 +172,11 @@ class VIRoundEngine:
         #: ``(groups, advice, advised, min settled_through)`` of the last
         #: advised round (reset by the fallback below).
         self._settled_advice: tuple | None = None
+        #: The round the handlers are called for (run_virtual_round).
+        self._rows: tuple[tuple[NodeId, str], ...] = ()
+        self._pos: PhasePosition | None = None
+        self._offset = 0
+        self._skip_senders = False
 
     # ------------------------------------------------------------------
     # Table construction
@@ -341,7 +339,7 @@ class VIRoundEngine:
         first = clock.first_round_of(vr)
         if (sim.switches.engine
                 or sim.current_round != first
-                or len(self.world.devices) != len(sim._node_list)):
+                or len(self.world.devices) != len(sim.node_ids)):
             # The simulator is pinned to its own reference loop, the
             # cursor sits mid-virtual-round (externally stepped), or the
             # simulator carries nodes this world did not register: the
@@ -354,15 +352,13 @@ class VIRoundEngine:
         if table is not None and table.virtual_round == vr - 1:
             # CLIENT-round contention runs before housekeeping can change
             # any role, so last round's replica set is exact.
-            contenders = table.contenders
+            self._rows = table.contenders
         else:
             # No valid previous table (virtual round 0, or a fallback).
-            contenders = tuple((node, self._cm_names[replica.site.vn_id])
+            self._rows = tuple((node, self._cm_names[replica.site.vn_id])
                                for run in self._site_runs()
                                for node, replica in run)
         positions = clock.positions_for(vr)
-        self._step(first, positions[0], 0, contenders)
-        contenders = self._table.contenders
         # Quiet-join fast path: replicas answer in JOIN_ACK only when the
         # JOIN round set ``_join_activity`` (a join request delivered or a
         # collision flagged), and ping in RESET only likewise (JOIN_ACK
@@ -371,100 +367,91 @@ class VIRoundEngine:
         # JOIN_ACK send sweep, and a quiet JOIN_ACK on top of that an
         # all-``None`` RESET sweep — so those sender loops are skipped.
         quiet_join = quiet_ack = False
-        for offset in range(1, rpv):
-            skip_senders = (quiet_join if offset == rpv - 2
-                            else quiet_join and quiet_ack)
-            traffic = self._step(first + offset, positions[offset], offset,
-                                 contenders, skip_senders=skip_senders)
-            if offset == rpv - 3:
+        for offset in range(rpv):
+            self._pos = positions[offset]
+            self._offset = offset
+            self._skip_senders = (quiet_join if offset == rpv - 2
+                                  else quiet_join and quiet_ack)
+            _, traffic = sim.run_round(self._contend, self._send,
+                                       self._deliver)
+            if offset == 0:
+                self._rows = self._table.contenders
+            elif offset == rpv - 3:
                 quiet_join = not traffic
             elif offset == rpv - 2:
                 quiet_ack = not traffic
 
-    def _step(self, r: Round, pos: PhasePosition, offset: int,
-              contender_rows: tuple[tuple[NodeId, str], ...], *,
-              skip_senders: bool = False) -> bool:
-        """One real round, mirroring ``Simulator._step_batched`` stage by
-        stage with phase-filtered send/deliver dispatch.
+    # -- the three handlers of Simulator.run_round ------------------------
 
-        Returns whether the round carried any traffic (a broadcast or a
-        collision flag) — the quiet-join fast path's signal.
-        ``skip_senders`` omits the sender sweep when the caller has
-        proved every send would return ``None`` (quiet-join rounds)."""
+    def _contend(self, r: Round, present, relocated: bool) -> tuple:
+        """The table's replica contenders, grouped per manager; with no
+        crash schedule the last advice while it is settled (module
+        docstring)."""
         sim = self.sim
-        nodes = sim._nodes
         crashes = sim.crashes
-        no_crashes = not len(crashes)
-        alive = sim.alive
-        sends_in = crashes.sends_in
-
-        # -- mobility & liveness ---------------------------------------
-        present, positions, unchanged = sim._positions_batched(r)
-        relocated = not (unchanged and sim.locations.staleness_bound == 0)
-        if relocated:
-            # see Simulator._step_batched
-            sim.locations.observe(r, positions)
-            sim._positions_observed = True
-        sim._last_present = present
-        sim._batch_prev = (r, present, positions)
-
-        # -- contention ------------------------------------------------
-        # Every table contender was present when its role was assigned
-        # (roles only change in housekeeping, which only runs on present
-        # devices), so with no crash schedule no per-round gate is
-        # needed; with one, the aliveness + sends_in gates match the
-        # batched engine's candidate filtering exactly.
-        cms = sim.cms
-        if no_crashes:
+        rows = self._rows
+        if not len(crashes):
+            # Every table contender was present when its role was
+            # assigned (roles only change in housekeeping, which only runs
+            # on present devices), so no per-round gate is needed.
             # Regrouped only for another contender tuple; an equal one
             # (a rebuilt table's) keeps the groups object.
-            if contender_rows is not self._group_rows \
-                    and contender_rows != self._group_rows:
-                self._groups = _group(contender_rows)
-            self._group_rows = contender_rows
+            if rows is not self._group_rows and rows != self._group_rows:
+                self._groups = _group(rows)
+            self._group_rows = rows
             groups = self._groups
+            last = self._settled_advice
+            if (last is not None and last[0] is groups
+                    and (r <= last[3] or (last[3] >= 0 and not relocated))):
+                return groups, last[1], last[2]
         else:
-            groups = _group([row for row in contender_rows
+            # The batched engine's candidate filtering, exactly.
+            alive = sim.alive
+            sends_in = crashes.sends_in
+            groups = _group([row for row in rows
                              if alive(row[0], r) and sends_in(row[0], r)])
-        advice: dict[str, frozenset[NodeId]] | None = None
-        advised: set[NodeId] | None = None
-        last = self._settled_advice
-        if (no_crashes and last is not None and last[0] is groups
-                and (r <= last[3] or (last[3] >= 0 and not relocated))):
-            # Every manager's answer holds (module docstring).
-            _, advice, advised, _ = last
-        elif groups:
-            advice = {}
-            advised = set()
-            through = float("inf")
-            for cm_name, cnodes in groups:
-                cm = cms[cm_name]
-                granted = cm.advise(r, cnodes).intersection(cnodes)
-                advice[cm_name] = granted
-                advised.update(granted)
-                # An attribute, so a forwarding proxy reads the same.
-                through = min(through, cm.settled_through)
-            self._settled_advice = (groups, advice, advised, through)
+        if not groups:
+            return groups, None, None
+        advice, advised = sim.advise(r, groups)
+        # An attribute, so a forwarding proxy reads the same.
+        through = min(sim.cms[name].settled_through for name, _ in groups)
+        self._settled_advice = (groups, advice, advised, through)
+        return groups, advice, advised
 
-        # -- send --------------------------------------------------------
+    def _send(self, r: Round, present, advised) -> tuple[dict, list]:
+        """The phase's sender rows.  At the CLIENT round every present
+        device sends — boundary housekeeping must execute everywhere —
+        and the table for this virtual round is then rebuilt from the
+        resulting roles, before anything is delivered."""
         broadcasts: dict[NodeId, Message] = {}
-        send_list: list[NodeId] = []
-        adv = advised if advised else ()
-        if offset == 0:
-            # CLIENT round: every registered device runs its send step —
-            # boundary housekeeping must execute everywhere — and the
-            # table for this virtual round is rebuilt from the resulting
-            # roles before anything is delivered.
-            for node, device in self.world.devices.items():
-                if no_crashes:
-                    if nodes[node].start_round > r:
-                        continue
-                elif not (alive(node, r) and sends_in(node, r)):
-                    continue
-                payload = device.send_at(pos, node in adv)
-                if payload is not None:
+        senders: list[NodeId] = []
+        pos = self._pos
+        alive = self.sim.alive
+        sends_in = self.sim.crashes.sends_in
+        gated = len(self.sim.crashes) > 0
+        if self._offset == 0:
+            devices = self.world.devices
+            rows = [(node, devices[node].send_at) for node in present]
+        else:
+            rows = () if self._skip_senders else self._table.senders[
+                self._offset]
+        for row in rows:
+            node = row[0]
+            if node.__class__ is tuple:
+                # A cohort row: its members that may send, as one.
+                if gated:
+                    node = [n for n in node if alive(n, r) and sends_in(n, r)]
+                for node, payload in row[1](pos, node, advised):
                     broadcasts[node] = Message(node, payload)
-                    send_list.append(node)
+                    senders.append(node)
+                continue
+            if gated and not (alive(node, r) and sends_in(node, r)):
+                continue
+            payload = row[1](pos, node in advised)
+            if payload is not None:
+                broadcasts[node] = Message(node, payload)
+                senders.append(node)
+        if self._offset == 0:
             vr_now = pos.virtual_round
             if vr_now == 0 and not self.world.switches.core:
                 # Fresh deployed replicas: the one moment a cohort forms.
@@ -478,66 +465,18 @@ class VIRoundEngine:
                 # previous table is exact for this virtual round too.
                 table.virtual_round = vr_now
             else:
-                table = self._table = self.build_table(vr_now)
+                self._table = self.build_table(vr_now)
                 self._table_epoch = epoch
                 self._table_slot = slot_now
-        else:
-            table = self._table
-            if not skip_senders:
-                for row in table.senders[offset]:
-                    node = row[0]
-                    if node.__class__ is tuple:
-                        # A cohort row: its members that may send, as one.
-                        if not no_crashes:
-                            node = [n for n in node
-                                    if alive(n, r) and sends_in(n, r)]
-                        for node, payload in row[1](pos, node, adv):
-                            broadcasts[node] = Message(node, payload)
-                            send_list.append(node)
-                        continue
-                    if not no_crashes and not (alive(node, r)
-                                               and sends_in(node, r)):
-                        continue
-                    payload = row[1](pos, node in adv)
-                    if payload is not None:
-                        broadcasts[node] = Message(node, payload)
-                        send_list.append(node)
+        return broadcasts, senders
 
-        # -- channel -----------------------------------------------------
-        receptions = sim.channel.deliver_batch(
-            r, positions, broadcasts, send_list,
-            positions_unchanged=unchanged)
-
-        # -- detect ------------------------------------------------------
-        # Flags and delivered tuples are computed for every present node
-        # in node order — the adversary/detector call sequences (their
-        # RNG streams) and the round record must match the per-device
-        # dispatch exactly; only the protocol *dispatch* below is
-        # phase-filtered.
-        flags: dict[NodeId, bool] = {}
-        delivered: dict[NodeId, tuple[Message, ...]] = {}
-        adversary = sim.adversary
-        benign = adversary.spurious_free
-        false_collision = adversary.false_collision
-        detector = sim.detector
-        fast_detect = (type(detector) is EventuallyAccurateDetector
-                       and r >= detector.racc)
-        indicate = detector.indicate
-        receives_in = crashes.receives_in
-        any_flag = False
-        for node in present:
-            if not no_crashes and not receives_in(node, r):
-                continue
-            reception = receptions[node]
-            spurious = False if benign else false_collision(r, node)
-            flag = (reception.lost_within_r2 if fast_detect
-                    else indicate(r, node, reception, spurious))
-            flags[node] = flag
-            if flag:
-                any_flag = True
-            delivered[node] = reception.messages
-
-        # -- deliver (phase-filtered) ------------------------------------
+    def _deliver(self, r: Round, present, broadcasts, delivered, flags,
+                 uniform: bool) -> None:
+        """The phase's receiver rows: mandatory ones always, skippable
+        ones unless their reception is quiet."""
+        pos = self._pos
+        offset = self._offset
+        table = self._table
         delivered_get = delivered.get
         for row in table.recv_mandatory[offset]:
             node = row[0]
@@ -562,38 +501,3 @@ class VIRoundEngine:
                 if flag:
                     row[2](pos, _NO_PAYLOADS, flag)
                 # else: provably no-op delivery in this phase — skipped
-
-        # -- contention feedback -----------------------------------------
-        # Only to managers that override it: the base method is a no-op.
-        flags_get = flags.get
-        for cm_name, cnodes in groups:
-            cm = cms[cm_name]
-            if type(cm).feedback is not _NO_FEEDBACK:
-                collided = any_flag and any(
-                    flags_get(node, False) for node in cnodes)
-                cm.feedback(r, active=advice[cm_name], collided=collided)
-
-        # -- record ------------------------------------------------------
-        if no_crashes:
-            crashed_now: frozenset[NodeId] = frozenset()
-        else:
-            crashed_now = frozenset(
-                node for node in sorted(nodes)
-                if alive(node, r) != alive(node, r + 1)
-                and nodes[node].start_round <= r
-            )
-        record = RoundRecord(
-            round=r,
-            positions=positions,
-            broadcasts=broadcasts,
-            receptions=delivered,
-            collisions=flags,
-            advised_active=frozenset(advised) if advised else frozenset(),
-            crashed=crashed_now,
-        )
-        if sim.record_trace:
-            sim.trace.append(record)
-        for observer in sim._observers:
-            observer(record)
-        sim._round += 1
-        return bool(broadcasts) or any_flag

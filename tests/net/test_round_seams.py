@@ -3,12 +3,16 @@
 Three contracts that more than one caller relies on, each checked here
 against ground truth rather than only through whole-run byte identity:
 
-1. :meth:`Simulator._positions_batched` — the mobility & liveness block
-   the batched engine and the VI round engine (:mod:`repro.vi.engine`)
-   both derive their position maps from.  Its map must hold exactly the
-   present nodes, in node order, at each model's ``position_at(r)``; and
-   its ``unchanged`` flag is a promise the channel acts on, so it may
-   only be raised when the map is object-for-object last round's.
+1. The one round pipeline (:meth:`Simulator.run_round`): the batched
+   engine and the VI round engine (:mod:`repro.vi.engine`) supply only
+   who contends, sends and receives; mobility, detect and the record
+   are the pipeline's.  Every round of a cluster run and of a VI run
+   goes through its detect and record stages, and its mobility &
+   liveness block (:meth:`Simulator._positions_batched`) must hold
+   exactly the present nodes, in node order, at each model's
+   ``position_at(r)``; its ``unchanged`` flag is a promise the channel
+   acts on, so it may only be raised when the map is object-for-object
+   last round's.
 2. :meth:`Channel.deliver_batch` with ``positions_unchanged=True`` — the
    indexed channel skips re-synchronising its spatial index on that
    promise.  Hinted deliveries, including across silent rounds (which
@@ -28,9 +32,12 @@ import random
 import pytest
 
 from _switches import corners
+from _worlds import vi_orbit_spec
+from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
 from repro.contention import LeaderElectionCM
 from repro.core.cha import CHAProcess
 from repro.core.history import new_chain_generation
+from repro.experiment.runner import ExperimentStepper
 from repro.geometry import Point
 from repro.net import (
     Channel,
@@ -69,7 +76,7 @@ class Chatter:
 
 
 # ----------------------------------------------------------------------
-# 1. Simulator._positions_batched
+# 1. The round pipeline: Simulator._positions_batched, detect, record
 # ----------------------------------------------------------------------
 
 def _static(i):
@@ -159,6 +166,41 @@ def test_positions_batched_matches_mobility_truth(name):
             assert all(positions[n] is previous[2][n] for n in present), r
         previous = (r, present, positions)
     assert any(call[3] for call in calls) == expects_unchanged
+
+
+@pytest.mark.vi_differential
+@pytest.mark.core_differential
+@pytest.mark.parametrize("family", ["cluster", "vi"])
+def test_every_round_goes_through_the_shared_pipeline(family):
+    spec = (vi_orbit_spec() if family == "vi" else ExperimentSpec(
+        protocol=CHA(), world=ClusterWorld(n=6, rcf=9),
+        workload=WorkloadSpec(instances=6)))
+    stepper = ExperimentStepper(spec)
+    sim = stepper.simulator
+    detected, recorded, stepped = [], [], []
+
+    def spy(name, log, round_of):
+        original = getattr(sim, name)
+
+        def stage(*args):
+            out = original(*args)
+            log.append(round_of(args, out))
+            return out
+        setattr(sim, name, stage)
+
+    spy("_detect", detected, lambda args, out: args[0])
+    spy("_record", recorded, lambda args, out: out)
+    spy("step", stepped, lambda args, out: out.round)
+    stepper.step(stepper.total_ticks)
+
+    rounds = list(range(sim.current_round))
+    assert rounds and detected == rounds
+    assert [record.round for record in recorded] == rounds
+    assert len(sim.trace) == len(rounds)
+    assert all(a is b for a, b in zip(recorded, sim.trace))
+    # The VI run takes the phase-table engine, never the per-round
+    # fallback; the cluster run steps the batched engine every round.
+    assert stepped == ([] if family == "vi" else rounds)
 
 
 # ----------------------------------------------------------------------

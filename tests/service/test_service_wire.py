@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -53,6 +54,7 @@ pytestmark = pytest.mark.fast
     (b'{"op": "unwatch_instance", "instance": "x"}', "must be int"),
     (b'{"op": "subscribe_prefix"}', "needs a 'prefix' field"),
     (b'{"op": "subscribe_prefix", "prefix": 1}', "must be str"),
+    (b"[" * 50_000, "nests too deeply"),
 ])
 def test_parse_request_rejects_malformed(line, message):
     with pytest.raises(WireError, match=message):
@@ -229,6 +231,66 @@ def test_tcp_abrupt_disconnect_cleans_up():
         await service.shutdown()
 
     asyncio.run(scenario())
+
+
+def _asyncio_errors(caplog) -> list[str]:
+    return [record.getMessage() for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR]
+
+
+def test_tcp_deeply_nested_request_is_an_error_event(caplog):
+    caplog.set_level(logging.ERROR, logger="asyncio")
+
+    async def scenario():
+        service = ConsensusService(_spec(), ServiceConfig())
+        await service.serve_tcp()
+        client = await _TcpClient.open(service)
+        await client.send(op="hello")
+        await client.recv_type("welcome")
+        # 50 000 ``[`` fit under the ceiling but exhaust the decoder.
+        client.writer.write(b"[" * 50_000 + b"\n")
+        await client.writer.drain()
+        event = await client.recv()
+        assert event["type"] == "error"
+        assert event["reason"] == "request nests too deeply"
+        assert event["seq"] == 1  # the session's own stream, still open
+        await client.send(op="ping")
+        assert (await client.recv())["type"] == "pong"
+        assert service.sessions.active == 1
+        await client.close()
+        await service.shutdown()
+
+    asyncio.run(scenario())
+    assert _asyncio_errors(caplog) == []
+
+
+def test_tcp_line_over_the_ceiling_is_an_error_then_a_clean_close(caplog):
+    caplog.set_level(logging.ERROR, logger="asyncio")
+
+    async def scenario():
+        service = ConsensusService(_spec(), ServiceConfig())
+        await service.serve_tcp()
+        client = await _TcpClient.open(service)
+        await client.send(op="hello")
+        await client.recv_type("welcome")
+        pad = "x" * (MAX_LINE_BYTES + 100)
+        await client.send(op="ping", pad=pad)
+        assert await client.recv() == {
+            "type": "error", "seq": -1,
+            "reason": f"request line exceeds {MAX_LINE_BYTES} bytes"}
+        try:  # then the connection ends
+            assert await client.reader.readline() == b""
+        except ConnectionResetError:
+            pass
+        for _ in range(50):
+            if service.sessions.active == 0:
+                break
+            await asyncio.sleep(0.01)
+        assert service.sessions.active == 0
+        await service.shutdown()
+
+    asyncio.run(scenario())
+    assert _asyncio_errors(caplog) == []
 
 
 def test_tcp_shutdown_notifies_connected_sessions():
