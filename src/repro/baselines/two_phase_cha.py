@@ -40,7 +40,6 @@ class TwoPhaseChaProcess(CHAProcess):
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  cm_name: str = "C", tag: Any = "2pc-cha",
-                 switches: Switches | None = None,
-                 pool_payloads: bool = False) -> None:
+                 switches: Switches | None = None) -> None:
         super().__init__(propose=propose, cm_name=cm_name, tag=tag,
-                         switches=switches, pool_payloads=pool_payloads)
+                         switches=switches)

@@ -359,14 +359,14 @@ class ChaCore:
 
 
 def build_core(*, propose: Callable[[Instance], Value], tag: Any = "cha",
-               switches: Switches | None = None, pool_payloads: bool = False,
+               switches: Switches | None = None,
                reducer: Callable[[Any, Instance, Value], Any] | None = None,
                initial_state: Any = None):
     """The protocol core a process or emulation replica runs.
 
-    ``switches.core`` picks the dict core (the reference twin, which has
-    no pooled mode) over the slotted one; a ``reducer`` picks the
-    checkpoint variant of Section 3.5, folding from ``initial_state``.
+    ``switches.core`` picks the dict core (the reference twin) over the
+    slotted one; a ``reducer`` picks the checkpoint variant of Section
+    3.5, folding from ``initial_state``.
     """
     from .checkpoint import CheckpointChaCore
     from .slotted import SlottedChaCore, SlottedCheckpointChaCore
@@ -378,7 +378,7 @@ def build_core(*, propose: Callable[[Instance], Value], tag: Any = "cha",
     if switches.core:
         return (ChaCore if reducer is None else CheckpointChaCore)(**kwargs)
     return (SlottedChaCore if reducer is None else SlottedCheckpointChaCore)(
-        pool_payloads=pool_payloads, **kwargs)
+        **kwargs)
 
 
 def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
@@ -489,10 +489,8 @@ class CHAProcess(Process):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: Round = 0,
-                 switches: Switches | None = None,
-                 pool_payloads: bool = False) -> None:
-        self.core = build_core(propose=propose, tag=tag, switches=switches,
-                               pool_payloads=pool_payloads)
+                 switches: Switches | None = None) -> None:
+        self.core = build_core(propose=propose, tag=tag, switches=switches)
         self.cm_name = cm_name
         self.start_round = start_round
 

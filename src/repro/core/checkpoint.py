@@ -207,11 +207,10 @@ class CheckpointCHAProcess(CHAProcess):
                  reducer: Reducer, initial_state: Any,
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: int = 0,
-                 switches: Switches | None = None,
-                 pool_payloads: bool = False) -> None:
+                 switches: Switches | None = None) -> None:
         self.core = build_core(
             propose=propose, reducer=reducer, initial_state=initial_state,
-            tag=tag, switches=switches, pool_payloads=pool_payloads)
+            tag=tag, switches=switches)
         self.cm_name = cm_name
         self.start_round = start_round
 

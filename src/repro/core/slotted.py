@@ -5,21 +5,20 @@ The same observable protocol as the dict-based
 the ``core`` axis of :class:`~repro.switches.Switches`; the differential
 suites pin the two byte-identical), in flat storage: colours in a
 ``list[int]`` indexed by instance (``-1`` = absent), adopted ballots as
-parallel ``(value, prev_instance)`` rows (the ``Ballot`` object
-materialised only at wire/snapshot boundaries, or the wire object kept
-when a trace may hold it), the fold cache as a parallel list, and the
+parallel ``(value, prev_instance)`` rows beside the adopted wire
+``Ballot`` itself (kept, as the reference keeps it, so snapshots share
+what the reference shares), the fold cache as a parallel list, and the
 output log as parallel instance / record lists: a green instance's
 record is the interned :class:`~repro.core.history.HistoryChain` link
 (the checkpoint core's, the checkpoint state), ⊥ a sentinel.  Wire
-payloads can be pooled across rounds (``pool_payloads=True``), which is
-only safe when nothing retains them: the runner enables it exactly for
-``keep_trace=False`` cluster runs.
+objects are immutable: every payload is built fresh and never mutated,
+so keeping a trace changes nothing about which code runs.
 
 **The cohort store.**  After stabilisation every node of a cluster, and
 every replica of a virtual node, makes the same transition each round,
 so that storage (``k`` and ``prev_instance`` included) lives in a
 :class:`_Cohort` shared by the member cores of one lockstep cohort; a
-member keeps only its proposer, ``proposals_made`` and pooled payloads.
+member keeps only its proposer and ``proposals_made``.
 A shared store advances only through the ``step_*`` methods, which
 :class:`~repro.core.cha.CHAEnsemble` and the VI
 :class:`~repro.vi.replica.ReplicaCohort` call once per phase for the
@@ -146,7 +145,7 @@ def form_cohort(cores: Iterable["SlottedChaCore"]) -> None:
         return
 
     def build(core):  # what members must share: class and configuration
-        return (type(core), core.tag, core.reference_history, core.pool_payloads,
+        return (type(core), core.tag, core.reference_history,
                 getattr(core, "_reducer", None), id(core._c.ck_state))
 
     if any(build(core) != build(cores[0]) or core._c.members is not None
@@ -259,9 +258,10 @@ class _StatusView(_View):
 class _BallotView(_View):
     """The ballot rows as ``{instance: Ballot}``.
 
-    Reads materialise (and cache) ``Ballot`` objects on demand; in
-    unpooled runs the cached object is the exact wire ballot the core
-    adopted, so snapshots preserve the reference core's object sharing.
+    Reads return the exact wire ballot the core adopted (as the
+    reference core keeps it, so snapshots preserve its object sharing),
+    or materialise (and cache) one where a restore or a view write left
+    only the row.
     """
 
     __slots__ = ()
@@ -409,25 +409,21 @@ class SlottedChaCore:
     the same methods and quirks (pre-instance ballot receptions still
     create an entry at instance 0; missing-ballot chains still raise)
     and byte-identical outputs, from flat arrays that the members of one
-    :class:`_Cohort` share, with optional wire-payload pooling."""
+    :class:`_Cohort` share; every wire payload it builds is fresh and
+    immutable, and it keeps the adopted wire ballot as the reference does."""
 
     __slots__ = (
-        "_propose", "tag", "reference_history", "pool_payloads",
-        "proposals_made", "_c", "_status_view", "_ballot_view",
-        "_pooled_ballot_payload", "_pooled_vetoes", "_pre",
+        "_propose", "tag", "reference_history",
+        "proposals_made", "_c", "_status_view", "_ballot_view", "_pre",
     )
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  tag: Any = "cha",
-                 switches: Switches | None = None,
-                 pool_payloads: bool = False) -> None:
+                 switches: Switches | None = None) -> None:
         self._propose = propose
         self.tag = tag
         switches = Switches.resolve(switches)
         self.reference_history = switches.history
-        #: Reuse one BallotPayload/Ballot and one VetoPayload per phase
-        #: across rounds.  Only safe when no trace retains wire objects.
-        self.pool_payloads = pool_payloads
         self.proposals_made: dict[Instance, Value] = {}
         #: The cohort store: private, or shared by a lockstep cohort.
         self._c = _Cohort()
@@ -435,9 +431,6 @@ class SlottedChaCore:
         self._pre: tuple | None = None
         self._status_view = _StatusView(self)
         self._ballot_view = _BallotView(self)
-        self._pooled_ballot_payload: BallotPayload | None = None
-        #: This member's pooled veto payloads, by veto phase (1 and 2).
-        self._pooled_vetoes: list[VetoPayload | None] = [None, None, None]
 
     # ------------------------------------------------------------------
     # The cohort store: a lone step or a write forks first
@@ -632,27 +625,16 @@ class SlottedChaCore:
     propose = ChaCore.propose
 
     def ballot_payload(self, value: Value) -> BallotPayload:
-        """This member's ballot-phase payload for its proposal
-        ``value``: the pooled one, rewritten, when pooling is on."""
+        """This member's ballot-phase payload for its proposal ``value``."""
         c = self._c
-        payload = self._pooled_ballot_payload
-        if payload is None or not self.pool_payloads:
-            payload = BallotPayload(self.tag, c.k, Ballot(value, c.prev))
-            if self.pool_payloads:
-                self._pooled_ballot_payload = payload
-            return payload
-        ballot = payload.ballot
-        object.__setattr__(ballot, "value", value)
-        object.__setattr__(ballot, "prev_instance", c.prev)
-        object.__setattr__(payload, "instance", c.k)
-        return payload
+        return BallotPayload(self.tag, c.k, Ballot(value, c.prev))
 
     def step_ballot(self, ballots: Iterable[Ballot], collision: bool) -> None:
         """Ballot-phase reception: adopt ``min(M)``, or paint red.
 
         Matches the reference's ``sorted(...)[0]`` including its stable
         tie-break: the *first* minimal wire ballot is the one adopted
-        (and retained, when wire objects may outlive the round).
+        and retained.
         """
         c = self._c
         k = c.k
@@ -693,9 +675,7 @@ class SlottedChaCore:
             c.ballot_count += 1
         vals[k] = best.value
         c.prevs[k] = best.prev_instance
-        # Pooled wire ballots are mutated next round; only retain the
-        # object when the run may hold it (trace/snapshot sharing).
-        c.objs[k] = None if self.pool_payloads else best
+        c.objs[k] = best
 
     # ------------------------------------------------------------------
     # Veto phases
@@ -723,18 +703,8 @@ class SlottedChaCore:
         return code == _RED if phase == 1 else 0 <= code <= _ORANGE
 
     def veto_payload(self, phase: int) -> VetoPayload:
-        """This member's veto payload for veto phase ``phase`` (pooled
-        when pooling is on)."""
-        k = self._c.k
-        if not self.pool_payloads:
-            return VetoPayload(self.tag, k, phase)
-        pooled = self._pooled_vetoes
-        payload = pooled[phase]
-        if payload is None:
-            payload = pooled[phase] = VetoPayload(self.tag, k, phase)
-        else:
-            object.__setattr__(payload, "instance", k)
-        return payload
+        """This member's veto payload for veto phase ``phase``."""
+        return VetoPayload(self.tag, self._c.k, phase)
 
     def step_veto1(self, veto_seen: bool, collision: bool) -> None:
         """Veto-1 reception: downgrade green to orange."""
@@ -938,10 +908,8 @@ class SlottedCheckpointChaCore(SlottedChaCore):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  reducer: Reducer, initial_state: Any,
                  tag: Any = "cha",
-                 switches: Switches | None = None,
-                 pool_payloads: bool = False) -> None:
-        super().__init__(propose=propose, tag=tag, switches=switches,
-                         pool_payloads=pool_payloads)
+                 switches: Switches | None = None) -> None:
+        super().__init__(propose=propose, tag=tag, switches=switches)
         self._reducer = reducer
         self._c.ck_state = initial_state
 

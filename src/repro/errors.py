@@ -49,7 +49,3 @@ class ServiceError(ReproError):
     translate it into an ``error`` event rather than tearing the
     connection down.
     """
-
-
-class CrashedNodeError(ReproError):
-    """An operation was attempted on a node that has crashed."""

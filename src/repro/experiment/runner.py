@@ -538,11 +538,6 @@ class _ClusterExecution(_Execution):
         positions = cluster_positions(world.n, radius=radius)
         proposer_factory = getattr(protocol, "proposer_factory", None) or default_proposer
 
-        # Wire-payload pooling is only safe when nothing retains wire
-        # objects across rounds; dropping the trace is exactly that
-        # promise (see repro.core.slotted).  The reference core ignores
-        # the flag.
-        pool_payloads = not spec.keep_trace
         processes: dict[NodeId, Any] = {}
         # The processes built here: one lockstep ensemble.
         cohort: list[Any] = []
@@ -555,8 +550,7 @@ class _ClusterExecution(_Execution):
                         propose=proposer_factory(node_id), cm_name="C")
                 else:
                     proc = CHAProcess(propose=proposer_factory(node_id),
-                                      cm_name="C", switches=switches,
-                                      pool_payloads=pool_payloads)
+                                      cm_name="C", switches=switches)
                     cohort.append(proc)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, CheckpointCHA):
@@ -565,20 +559,17 @@ class _ClusterExecution(_Execution):
                     reducer=protocol.reducer,
                     initial_state=protocol.initial_state,
                     cm_name="C", switches=switches,
-                    pool_payloads=pool_payloads,
                 )
                 cohort.append(proc)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, NaiveRSM):
                 proc = NaiveRSMProcess(propose=proposer_factory(node_id),
-                                       cm_name="C", switches=switches,
-                                       pool_payloads=pool_payloads)
+                                       cm_name="C", switches=switches)
                 cohort.append(proc)
                 rpi = ROUNDS_PER_INSTANCE
             elif isinstance(protocol, TwoPhaseCHA):
                 proc = TwoPhaseChaProcess(propose=proposer_factory(node_id),
-                                          switches=switches,
-                                          pool_payloads=pool_payloads)
+                                          switches=switches)
                 cohort.append(proc)
                 rpi = TWO_PHASE_ROUNDS
             elif isinstance(protocol, MajorityRSM):
@@ -663,10 +654,6 @@ class _EmulationExecution(_Execution):
             min_schedule_length=world_spec.min_schedule_length,
             schedule=world_spec.schedule,
             switches=switches,
-            # Pooled wire payloads are only safe when nothing retains
-            # the broadcast objects across rounds (mirrors the cluster
-            # executor's gate).
-            pool_payloads=not spec.keep_trace,
         )
         world.sim.record_trace = spec.keep_trace
         wire = WireStatsObserver()

@@ -53,7 +53,8 @@ def wire_size(payload: Any) -> int:
     tuple of their fields.  It is *not* a real serialiser; it exists so
     that "message size" is a well-defined, reproducible metric.
     The exact type is tried first; subclasses take the ``isinstance``
-    chain.  Nothing is cached per payload (pooled payloads mutate).
+    chain.  Wire objects are immutable (frozen dataclasses, built fresh
+    and never mutated), so one payload object always has one size.
     """
     kind = type(payload)
     size = _SCALAR_SIZES.get(kind)

@@ -90,10 +90,6 @@ class ProposalLedger:
         """The lowest instance still accepting proposals."""
         return self.frozen_through + 1
 
-    @property
-    def accepted_count(self) -> int:
-        return len(self._accepted)
-
     def submit(self, value: Value, *, instance: Instance | None = None,
                node: NodeId | None = None) -> Instance:
         """Record one proposal; returns the instance it landed in."""

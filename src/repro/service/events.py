@@ -598,8 +598,3 @@ def unwatched_event(*, instance: int,
 def subscribed_event(*, prefix: str | None,
                      request_id: str | None = None) -> dict:
     return _with_id({"type": "subscribed", "prefix": prefix}, request_id)
-
-
-def instance_state_event(*, world: str, round_: int, state: dict) -> dict:
-    return {"type": "instance-state", "world": world, "round": round_,
-            **state}

@@ -60,7 +60,8 @@ AXES: tuple[Axis, ...] = (
          "`tests/core/test_history_differential.py` (`-m fast`)"),
     Axis("core", "REPRO_REFERENCE_CORE",
          "slotted array core over a cohort store, one per lockstep "
-         "cluster, with pooled payloads (`SlottedChaCore`)",
+         "cluster, keeping the adopted wire ballot as the reference "
+         "does (`SlottedChaCore`)",
          "dict-based seed core (`ChaCore`), one per node",
          "`tests/core/test_core_differential.py`, "
          "`tests/core/test_cohort.py` (`-m core_differential`)"),

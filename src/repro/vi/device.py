@@ -58,7 +58,6 @@ class VIDevice(Process):
                  client: ClientProgram | None = None,
                  initially_active: bool = False,
                  switches: Switches | None = None,
-                 pool_payloads: bool = False,
                  role_version: list[int] | None = None) -> None:
         #: The deployment's sites by id and by place.  A world hands all
         #: its devices one index; a bare site list gets a private one.
@@ -72,13 +71,6 @@ class VIDevice(Process):
         #: Handed on untouched to every replica runtime this device
         #: builds (deployment, join, reset).
         self.switches = switches
-        #: Reuse one mutable wire payload per payload kind instead of
-        #: allocating fresh ones each virtual round.  Only safe when the
-        #: run keeps no trace: receivers extract values immediately and
-        #: never retain the payload objects, but a retained trace would
-        #: alias every round's broadcasts to the same (mutated) object.
-        self.pool_payloads = pool_payloads
-        self._pooled_client_msg: ClientMsg | None = None
         #: Shared counter box bumped whenever this device's table-visible
         #: roles (active replica, join target) change, so the phase-table
         #: engine can reuse a table across virtual rounds in steady state.
@@ -129,7 +121,6 @@ class VIDevice(Process):
             self.replica = ReplicaRuntime(
                 target, self.programs[target.vn_id], self.schedule,
                 switches=self.switches,
-                pool_payloads=self.pool_payloads,
             )
             self.events.append((0, f"deployed:{target.vn_id}"))
 
@@ -183,7 +174,7 @@ class VIDevice(Process):
             if self.client is not None:
                 payload = self.client.begin_virtual_round(pos.virtual_round)
                 if payload is not None:
-                    out = self._client_msg(pos.virtual_round, payload)
+                    out = ClientMsg(pos.virtual_round, payload)
             if self.replica is not None:
                 self.replica.send_for(pos, False)  # scratch reset only
             return out
@@ -194,17 +185,6 @@ class VIDevice(Process):
         if self.replica is not None:
             return self.replica.send_for(pos, active)
         return None
-
-    def _client_msg(self, vr: VirtualRound, payload: Any) -> ClientMsg:
-        if not self.pool_payloads:
-            return ClientMsg(vr, payload)
-        msg = self._pooled_client_msg
-        if msg is None:
-            msg = self._pooled_client_msg = ClientMsg(vr, payload)
-        else:
-            object.__setattr__(msg, "virtual_round", vr)
-            object.__setattr__(msg, "payload", payload)
-        return msg
 
     def deliver(self, r: Round, messages: tuple[Message, ...],
                 collision: bool) -> None:
@@ -270,7 +250,6 @@ class VIDevice(Process):
                     self.sites[vn], self.programs[vn], self.schedule,
                     snapshot=acks[0].snapshot,
                     switches=self.switches,
-                    pool_payloads=self.pool_payloads,
                 )
                 self.events.append((vr, f"acked:{vn}"))
             elif collision:
@@ -296,7 +275,6 @@ class VIDevice(Process):
                     self.sites[vn], self.programs[vn], self.schedule,
                     reset_at=vr + 1,
                     switches=self.switches,
-                    pool_payloads=self.pool_payloads,
                 )
                 self.events.append((vr, f"reset:{vn}"))
             return

@@ -75,22 +75,16 @@ class ReplicaRuntime:
     def __init__(self, site: VNSite, program: VNProgram, schedule: Schedule,
                  *, snapshot: dict | None = None,
                  reset_at: Instance | None = None,
-                 switches: Switches | None = None,
-                 pool_payloads: bool = False) -> None:
+                 switches: Switches | None = None) -> None:
         self.site = site
         self.program = program
         self.schedule = schedule
         self.tag = ("vn", site.vn_id)
-        #: Pool VI wire payloads (and the core's ballot/veto payloads)
-        #: across virtual rounds.  Trace-free runs only: receivers
-        #: extract values and never retain the payload objects.
-        self.pool_payloads = pool_payloads
-        self._pooled_vn_msg: VNMsg | None = None
         self._reduce = MethodType(_fold, program)
         self.core = build_core(
             propose=self._propose, reducer=self._reduce,
             initial_state=program.init_state(), tag=self.tag,
-            switches=switches, pool_payloads=pool_payloads)
+            switches=switches)
         if snapshot is not None and reset_at is not None:
             raise ValueError("pass either a snapshot or a reset anchor, not both")
         if snapshot is not None:
@@ -148,17 +142,6 @@ class ReplicaRuntime:
     # Phase handlers (called by the owning device)
     # ------------------------------------------------------------------
 
-    def _make_vn_msg(self, vn: int, vr: VirtualRound, message: Any) -> VNMsg:
-        if not self.pool_payloads:
-            return VNMsg(vn, vr, message)
-        msg = self._pooled_vn_msg
-        if msg is None:
-            msg = self._pooled_vn_msg = VNMsg(vn, vr, message)
-        else:
-            object.__setattr__(msg, "virtual_round", vr)
-            object.__setattr__(msg, "payload", message)
-        return msg
-
     def core_phase(self, pos: PhasePosition) -> int | None:
         """The CHA phase this replica's core is in at ``pos`` (0 ballot,
         1 veto-1, 2 veto-2), or ``None`` where its core takes no step: a
@@ -197,7 +180,7 @@ class ReplicaRuntime:
             if message is None:
                 return None
             self._vn_sent = True
-            return self._make_vn_msg(vn, vr, message)
+            return VNMsg(vn, vr, message)
 
         if phase is Phase.JOIN_ACK:
             # Conditions of Section 4.3: already joined (we exist), join

@@ -75,8 +75,7 @@ class VIWorld:
                  cm_stable_round: int = 0,
                  min_schedule_length: int = 1,
                  schedule: Schedule | None = None,
-                 switches: Switches | None = None,
-                 pool_payloads: bool = False) -> None:
+                 switches: Switches | None = None) -> None:
         if set(programs) != {site.vn_id for site in sites}:
             raise ConfigurationError(
                 "programs must be keyed exactly by the site vn_ids"
@@ -90,9 +89,6 @@ class VIWorld:
         #: (one ``sim.step()`` per real round) instead of the
         #: phase-table engine (:mod:`repro.vi.engine`).
         self.switches = switches
-        #: Reuse mutable wire payloads across virtual rounds.  Only safe
-        #: on trace-free runs (the runner passes ``not keep_trace``).
-        self.pool_payloads = pool_payloads
         self.region_radius = r1 / 4.0
         #: Built once, shared by every device (sites never move).
         self.site_index = SiteIndex(self.sites, self.region_radius)
@@ -162,7 +158,6 @@ class VIWorld:
             client=client,
             initially_active=initially_active,
             switches=self.switches,
-            pool_payloads=self.pool_payloads,
             role_version=self.role_version,
         )
         node_id = self.sim.add_node(device, mobility, start_round=start_round)

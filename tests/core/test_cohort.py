@@ -474,5 +474,4 @@ def test_only_fresh_alike_processes_form_an_ensemble():
     with pytest.raises(ValueError):
         form_cohort([plain, checkpoint])
     with pytest.raises(ValueError):
-        CHAEnsemble([CHAProcess(propose=str, pool_payloads=pooled)
-                     for pooled in (True, False)])
+        CHAEnsemble([CHAProcess(propose=str, tag=tag) for tag in ("a", "b")])

@@ -62,17 +62,18 @@ def test_core_switch_byte_identical_full_matrix(name):
             assert got == baseline, (name, core_ref, history_ref, engine_ref)
 
 
-def test_pooled_run_matches_reference_core():
-    """``keep_trace=False`` switches payload pooling on (the runner's
-    safety rule); the pooled slotted core must still produce the exact
-    observables of the reference core."""
-    def pooled(core_ref):
-        spec = dataclasses.replace(_cha_spec(), keep_trace=False)
+def test_trace_free_run_matches_traced_run_and_reference_core():
+    """``keep_trace`` decides only whether a trace is recorded: a
+    trace-free slotted run produces the exact observables of the
+    reference core's, and of its own traced run, trace aside."""
+    def trace_free(core_ref, keep_trace=False):
+        spec = dataclasses.replace(_cha_spec(), keep_trace=keep_trace)
         result = run_with(spec, Switches(core=core_ref))
-        assert result.trace is None
-        return observables(result)
+        assert (result.trace is None) is not keep_trace
+        return observables(dataclasses.replace(result, trace=None))
 
-    assert pooled(False) == pooled(True)
+    assert trace_free(False) == trace_free(True)
+    assert trace_free(False) == trace_free(False, keep_trace=True)
 
 
 def test_spec_switch_reaches_every_process():

@@ -16,7 +16,7 @@ circle of radius 0.6: every pair is within ``R2`` but some are beyond
 while the near ones stay on the store; in the second a late node (a
 lone unit) sits in the leader's far class too.
 
-The ``lossy-*`` worlds run 20 pooled (``keep_trace=False``) instances
+The ``lossy-*`` worlds run 20 trace-free (``keep_trace=False``) instances
 with every glass-box invariant requested, so forked members rejoin the
 store after ``rcf`` and the checkers read their stitched views:
 ``lossy-long`` has a long post-``rcf`` tail, ``lossy-then-spurious``
@@ -168,8 +168,8 @@ def test_ensemble_matches_per_node_dispatch(kind, n, world):
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_trace_pickles_identically(kind):
-    """With ``keep_trace=True`` the wire objects are not pooled: the
-    trace pickles alike whichever engine dispatched the members."""
+    """The kept trace pickles alike whichever engine dispatched the
+    members."""
     fast = _run(kind, "lockstep", 5, False, True)[1]
     reference = _run(kind, "lockstep", 5, True, True)[1]
     assert pickle.dumps(fast.trace) == pickle.dumps(reference.trace)

@@ -1,6 +1,9 @@
-"""Unit tests for message envelopes and wire-size accounting."""
+"""Unit tests for message envelopes and wire-size accounting, and the
+sentinel that every wire object a kept trace reaches is frozen."""
 
+import dataclasses
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -8,7 +11,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import chained_wire_size
+from _worlds import vi_orbit_spec
+from repro import (ClusterWorld, EnvironmentSpec, ExperimentSpec,
+                   WorkloadSpec, run)
+from repro.baselines.majority_rsm import Ack, Commit, Propose
+from repro.baselines.naive_rsm import NaiveBallotPayload
 from repro.core.ballot import Ballot, BallotPayload, VetoPayload
+from repro.experiment import (CHA, CheckpointCHA, MajorityRSM, NaiveRSM,
+                              TwoPhaseCHA)
+from repro.geometry import Point
+from repro.net import RandomLossAdversary
+from repro.net.trace import RoundRecord
+from repro.vi.payloads import AlivePing, ClientMsg, JoinAck, JoinRequest, VNMsg
 from repro.types import Color
 from repro.net.messages import (
     CONTAINER_OVERHEAD,
@@ -157,12 +171,6 @@ class TestWireSizeAgainstTheChain:
         else:
             assert wire_size(payload) == expected
 
-    def test_a_pooled_payload_mutated_in_place_is_sized_afresh(self):
-        payload = BallotPayload("t", 1, Ballot(("x",), 0))
-        before = wire_size(payload)
-        object.__setattr__(payload.ballot, "value", ("x", "yz", 3))
-        assert wire_size(payload) == chained_wire_size(payload) != before
-
 
 class TestMessage:
     def test_size_property_matches_wire_size(self):
@@ -173,3 +181,77 @@ class TestMessage:
         m = Message(sender=0, payload="p")
         with pytest.raises(Exception):
             m.payload = "q"  # type: ignore[misc]
+
+
+# ----------------------------------------------------------------------
+# Immutability: every wire object a trace reaches is frozen
+# ----------------------------------------------------------------------
+
+
+def _fold(state, k, value):
+    return state + 1
+
+
+def _cluster(protocol):
+    """Four nodes, six instances; losses before ``rcf`` make vetoes."""
+    return ExperimentSpec(
+        protocol=protocol, world=ClusterWorld(n=4, rcf=9),
+        environment=EnvironmentSpec(
+            adversary=RandomLossAdversary(p_drop=0.3, seed=1)),
+        workload=WorkloadSpec(instances=6))
+
+
+#: One small traced world per protocol family, and the dataclasses its
+#: trace must reach (so an empty walk cannot pass).  The VI world's
+#: roamers join, so its trace carries join acks whose snapshots hold the
+#: ballots a replica's core kept.
+_FAMILIES = {
+    "cha": (lambda: _cluster(CHA()), {BallotPayload, Ballot, VetoPayload}),
+    "checkpoint-cha": (
+        lambda: _cluster(CheckpointCHA(reducer=_fold, initial_state=0)),
+        {BallotPayload, Ballot, VetoPayload}),
+    "two-phase-cha": (lambda: _cluster(TwoPhaseCHA()),
+                      {BallotPayload, Ballot, VetoPayload}),
+    "naive-rsm": (lambda: _cluster(NaiveRSM()),
+                  {NaiveBallotPayload, Ballot, VetoPayload}),
+    "majority-rsm": (lambda: _cluster(MajorityRSM()), {Propose, Ack, Commit}),
+    "vi-join": (vi_orbit_spec,
+                {ClientMsg, VNMsg, JoinRequest, JoinAck, AlivePing,
+                 BallotPayload, Ballot}),
+}
+
+
+def _reachable_dataclasses(root) -> set[type]:
+    """The classes of every dataclass instance reachable from ``root``
+    through dataclass fields and containers."""
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            found.add(type(obj))
+            stack.extend(getattr(obj, field.name)
+                         for field in dataclasses.fields(obj))
+        elif isinstance(obj, Mapping):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+    return found
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_every_dataclass_a_trace_reaches_is_frozen(family):
+    """Wire objects are immutable: every dataclass instance a kept trace
+    reaches (records, messages, payloads, ballots, positions) is of a
+    ``frozen=True`` dataclass, so sharing one between receivers, rounds
+    or members cannot change what any of them reads."""
+    spec_factory, expected = _FAMILIES[family]
+    trace = run(spec_factory()).trace
+    found = _reachable_dataclasses(list(trace))
+    assert expected | {RoundRecord, Message, Point} <= found, found
+    mutable = sorted(cls.__qualname__ for cls in found
+                     if not cls.__dataclass_params__.frozen)
+    assert mutable == []

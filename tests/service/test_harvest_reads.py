@@ -24,6 +24,7 @@ from repro import (
     MetricsSpec,
     WorkloadSpec,
 )
+from repro.core.ballot import Ballot
 from repro.core.history import (
     ROOT_CHAIN,
     History,
@@ -189,18 +190,22 @@ def test_served_world_holds_its_tracked_objects_flat():
     """The ROADMAP memory item's plateau, for what a served world can
     bound: 24 nodes in one cohort store, 20 000 instances, a bounded
     decision log.  A plain
-    CHA core keeps one interned chain link per instance by definition
-    (it never collects), so the count is taken net of that one shared
-    spine — measured here, not assumed — and everything else (per-node
-    logs, the driver's decision log and index, the bus, the ledger) must
-    stay within ±5 % between instance 5 000 and instance 20 000."""
+    CHA core keeps, by definition (it never collects), one interned
+    chain link and the adopted wire ballot per instance (as the
+    reference core does), so the count is taken net of that one shared
+    spine and those ballots — measured here, not assumed — and
+    everything else (per-node logs, the driver's decision log and index,
+    the bus, the ledger) must stay within ±5 % between instance 5 000
+    and instance 20 000."""
     new_chain_generation()
     before = _tracked()
     link = ROOT_CHAIN
+    ballots = []
     for k in range(1, 1001):
         link = link.child(k, f"v{k:06d}")
-    per_link = (_tracked() - before) / 1000
-    del link
+        ballots.append(Ballot(f"v{k:06d}", k - 1))
+    per_instance = (_tracked() - before) / 1000
+    del link, ballots
 
     driver = WorldDriver(ExperimentSpec(
         protocol=CHA(), world=ClusterWorld(n=24),
@@ -218,8 +223,8 @@ def test_served_world_holds_its_tracked_objects_flat():
     assert len(driver.snapshot()["recent_decisions"]) == 64
     assert all(len(proc.outputs) >= 19_990
                for proc in driver.stepper.processes.values())
-    assert abs(late - grown * per_link - early) <= 0.05 * early, (
-        early, late, per_link)
+    assert abs(late - grown * per_instance - early) <= 0.05 * early, (
+        early, late, per_instance)
     # The 24 lockstep cores keep one cohort store.
     cohorts = {id(proc.core._c) for proc in driver.stepper.processes.values()}
     assert len(cohorts) == 1

@@ -200,9 +200,10 @@ def test_vi_orbit_world_roams():
         assert any(e.startswith("left:") for e in events), events
 
 
-def test_vi_pooled_run_matches_traced_run():
-    """A trace-free run pools VI payloads; its outputs, metrics and
-    verdicts must still match the traced (unpooled) run exactly."""
+def test_vi_trace_free_run_matches_traced_run():
+    """``keep_trace`` decides only whether a trace is recorded: a
+    trace-free run's outputs, metrics and verdicts match the traced
+    run's exactly."""
     _, spec_factory = next(_scenarios())
 
     def observables(keep_trace: bool) -> bytes:
