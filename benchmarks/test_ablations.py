@@ -9,8 +9,9 @@ shows ballots never land — the decoupling argument of §1.1.
 """
 
 import repro
+from repro import scenario
 from repro.contention import LeaderElectionCM
-from repro.core import check_agreement, check_validity, run_cha
+from repro.core import check_agreement, check_validity
 from repro.detectors import CompleteOnlyDetector, EventuallyAccurateDetector
 from repro.errors import SpecViolation
 from repro.net import Crash, CrashPoint, CrashSchedule, ScriptedAdversary
@@ -38,7 +39,7 @@ def a1_run():
                 crashes=CrashSchedule([Crash(0, 2, CrashPoint.BEFORE_SEND)]),
             ),
             workload=repro.WorkloadSpec(instances=4),
-        )).cha_run
+        ))
         check_agreement(run.outputs)
     except SpecViolation:
         violations_2p += 1
@@ -46,12 +47,11 @@ def a1_run():
 
     violations_3p = 0
     try:
-        run = run_cha(
-            2, 4,
-            adversary=ScriptedAdversary(false_script=[(1, 1)]),
-            detector=EventuallyAccurateDetector(racc=100),
-            crashes=CrashSchedule([Crash(0, 3, CrashPoint.BEFORE_SEND)]),
-        )
+        run = (scenario().nodes(2).instances(4).cha()
+               .adversary(ScriptedAdversary(false_script=[(1, 1)]))
+               .detector(EventuallyAccurateDetector(racc=100))
+               .crashes(CrashSchedule([Crash(0, 3, CrashPoint.BEFORE_SEND)]))
+               .run())
         check_agreement(run.outputs)
     except SpecViolation:
         violations_3p += 1
@@ -82,7 +82,7 @@ def a2_run():
         ("complete-only, 30% false+", CompleteOnlyDetector(p_false=0.3, seed=1)),
         ("complete-only, 80% false+", CompleteOnlyDetector(p_false=0.8, seed=1)),
     ):
-        run = run_cha(n=4, instances=60, detector=detector)
+        run = scenario().nodes(4).instances(60).cha().detector(detector).run()
         check_validity(run.outputs, run.proposals)
         check_agreement(run.outputs)
         decided = sum(
@@ -117,7 +117,7 @@ def a3_run():
         ("none: all contenders broadcast",
          LeaderElectionCM(stable_round=10**9, chaos="all")),
     ):
-        run = run_cha(n=5, instances=40, cm=cm)
+        run = scenario().nodes(5).instances(40).cha().contention(cm).run()
         check_agreement(run.outputs)
         decided = sum(out is not BOTTOM for _, out in run.outputs[0])
         rows.append((name, decided / 40, True))

@@ -35,7 +35,7 @@ def run_pattern(pattern):
         script.append((4, VICTIM))
     if not v2_ok:
         script.append((5, VICTIM))
-    result = (
+    run = (
         scenario()
         .nodes(3).instances(4)
         .cha()
@@ -43,7 +43,6 @@ def run_pattern(pattern):
         .detector(EventuallyAccurateDetector(racc=100))
         .run()
     )
-    run = result.cha_run
     color = run.colors_at(2)[VICTIM]
     output = dict(run.outputs[VICTIM])[2]
     return color, output, run

@@ -5,9 +5,8 @@ message size.  CHAP must stay flat in both dimensions; the naive
 full-history baseline must grow linearly with the execution.
 """
 
+from repro import scenario
 from repro.analysis import message_size_stats
-from repro.baselines import NaiveRSMProcess
-from repro.core import run_cha
 
 LENGTHS = [10, 50, 200, 500]
 SIZES_N = [2, 5, 10]
@@ -16,9 +15,8 @@ SIZES_N = [2, 5, 10]
 def sweep():
     by_length = []
     for instances in LENGTHS:
-        chap = run_cha(n=4, instances=instances)
-        naive = run_cha(n=4, instances=instances,
-                        process_factory=NaiveRSMProcess)
+        chap = scenario().nodes(4).instances(instances).cha().run()
+        naive = scenario().nodes(4).instances(instances).naive_rsm().run()
         by_length.append((
             instances,
             message_size_stats(chap.trace).max,
@@ -26,7 +24,7 @@ def sweep():
         ))
     by_n = []
     for n in SIZES_N:
-        chap = run_cha(n=n, instances=50)
+        chap = scenario().nodes(n).instances(50).cha().run()
         by_n.append((n, message_size_stats(chap.trace).max))
     return by_length, by_n
 

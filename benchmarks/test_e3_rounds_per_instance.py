@@ -5,17 +5,17 @@ ensemble sizes and execution lengths: the constant 3, independent of n —
 the headline contrast with quorum protocols whose cost grows with n.
 """
 
+from repro import scenario
 from repro.analysis import rounds_per_decided_instance
-from repro.core import run_cha
 
 
 def sweep():
     rows = []
     for n in (1, 3, 6, 12, 24):
-        run = run_cha(n=n, instances=60)
+        run = scenario().nodes(n).instances(60).cha().run()
         rows.append((n, 60, rounds_per_decided_instance(run, 0)))
     for instances in (20, 200, 800):
-        run = run_cha(n=4, instances=instances)
+        run = scenario().nodes(4).instances(instances).cha().run()
         rows.append((4, instances, rounds_per_decided_instance(run, 0)))
     return rows
 

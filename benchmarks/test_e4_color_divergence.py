@@ -6,9 +6,9 @@ The paper's invariant: the histogram's support is contained in {0, 1};
 a healthy reproduction also *hits* 1 (otherwise the check is vacuous).
 """
 
+from repro import scenario
 from repro.analysis import color_divergence_histogram
 from repro.contention import LeaderElectionCM
-from repro.core import run_cha
 from repro.detectors import EventuallyAccurateDetector
 from repro.net import RandomLossAdversary
 
@@ -19,13 +19,14 @@ INSTANCES = 40
 def soak():
     total: dict[int, int] = {}
     for seed in range(SEEDS):
-        run = run_cha(
-            n=5, instances=INSTANCES,
-            adversary=RandomLossAdversary(p_drop=0.4, p_false=0.25, seed=seed),
-            detector=EventuallyAccurateDetector(racc=90),
-            cm=LeaderElectionCM(stable_round=90, chaos="random", seed=seed),
-            rcf=90,
-        )
+        run = (scenario().nodes(5).instances(INSTANCES).cha()
+               .adversary(RandomLossAdversary(p_drop=0.4, p_false=0.25,
+                                              seed=seed))
+               .detector(EventuallyAccurateDetector(racc=90))
+               .contention(LeaderElectionCM(stable_round=90, chaos="random",
+                                            seed=seed))
+               .radio(rcf=90)
+               .run())
         for spread, count in color_divergence_histogram(run).items():
             total[spread] = total.get(spread, 0) + count
     return total

@@ -7,9 +7,10 @@ also reports how often outputs were bottom, showing the checks bite on
 genuinely turbulent executions rather than clean ones.
 """
 
+from repro import scenario
 from repro.analysis import check_all_invariants
 from repro.contention import LeaderElectionCM
-from repro.core import check_agreement, check_validity, run_cha
+from repro.core import check_agreement, check_validity
 from repro.detectors import EventuallyAccurateDetector
 from repro.errors import SpecViolation
 from repro.faults import CrashWave
@@ -24,19 +25,19 @@ def soak():
     bottoms = 0
     outputs_total = 0
     for seed in range(SEEDS):
-        run = run_cha(
-            n=5, instances=30,
-            adversary=RandomLossAdversary(
-                p_drop=0.35 + 0.02 * (seed % 5),
-                p_false=0.25, seed=seed,
-            ),
-            detector=EventuallyAccurateDetector(racc=70),
-            cm=LeaderElectionCM(stable_round=70, chaos="random", seed=seed),
-            crashes=CrashSchedule(CrashWave(
-                fraction=0.4, horizon=60, spare=frozenset({4}),
-            ).crashes(5, seed)),
-            rcf=70,
-        )
+        run = (scenario().nodes(5).instances(30).cha()
+               .adversary(RandomLossAdversary(
+                   p_drop=0.35 + 0.02 * (seed % 5),
+                   p_false=0.25, seed=seed,
+               ))
+               .detector(EventuallyAccurateDetector(racc=70))
+               .contention(LeaderElectionCM(stable_round=70, chaos="random",
+                                            seed=seed))
+               .crashes(CrashSchedule(CrashWave(
+                   fraction=0.4, horizon=60, spare=frozenset({4}),
+               ).crashes(5, seed)))
+               .radio(rcf=70)
+               .run())
         try:
             check_validity(run.outputs, run.proposals)
             check_agreement(run.outputs)

@@ -6,9 +6,9 @@ that point the ensemble needs before every node decides every instance —
 the paper's claim is a small constant, independent of n.
 """
 
+from repro import scenario
 from repro.analysis import convergence_instance
 from repro.contention import LeaderElectionCM
-from repro.core import run_cha
 from repro.detectors import EventuallyAccurateDetector
 from repro.net import RandomLossAdversary
 
@@ -22,15 +22,17 @@ def sweep():
         for intensity, p_drop in (("moderate", 0.3), ("heavy", 0.6)):
             lags = []
             for seed in range(10):
-                run = run_cha(
-                    n=n, instances=STABILIZE_INSTANCE + 15,
-                    adversary=RandomLossAdversary(
+                run = (
+                    scenario().nodes(n).instances(STABILIZE_INSTANCE + 15)
+                    .cha()
+                    .adversary(RandomLossAdversary(
                         p_drop=p_drop, p_false=p_drop / 2, seed=seed,
-                    ),
-                    detector=EventuallyAccurateDetector(racc=STABILIZE_ROUND),
-                    cm=LeaderElectionCM(stable_round=STABILIZE_ROUND,
-                                        chaos="random", seed=seed),
-                    rcf=STABILIZE_ROUND,
+                    ))
+                    .detector(EventuallyAccurateDetector(racc=STABILIZE_ROUND))
+                    .contention(LeaderElectionCM(stable_round=STABILIZE_ROUND,
+                                                 chaos="random", seed=seed))
+                    .radio(rcf=STABILIZE_ROUND)
+                    .run()
                 )
                 kst = convergence_instance(run)
                 assert kst is not None, "never converged"

@@ -6,18 +6,14 @@ execution; checkpoint-CHA's stay bounded while the execution is stable
 distance to the last green instance during instability.
 """
 
+from repro import scenario
 from repro.contention import LeaderElectionCM
-from repro.core import CheckpointCHAProcess, run_cha
 from repro.detectors import EventuallyAccurateDetector
 from repro.net import RandomLossAdversary
 
 
-def checkpoint_factory(*, propose, cm_name):
-    return CheckpointCHAProcess(
-        propose=propose, cm_name=cm_name,
-        reducer=lambda state, k, value: state + (value is not None),
-        initial_state=0,
-    )
+def count_reducer(state, k, value):
+    return state + (value is not None)
 
 
 def resident(run):
@@ -27,20 +23,23 @@ def resident(run):
 def sweep():
     rows = []
     for instances in (25, 100, 400):
-        plain = run_cha(n=3, instances=instances)
-        gc = run_cha(n=3, instances=instances,
-                     process_factory=checkpoint_factory)
+        plain = scenario().nodes(3).instances(instances).cha().run()
+        gc = (scenario().nodes(3).instances(instances)
+              .checkpoint_cha(reducer=count_reducer, initial_state=0)
+              .run())
         rows.append(("stable", instances, resident(plain), resident(gc)))
     # Unstable prefix: greens are rare before stabilisation, so the GC'd
     # core temporarily holds more, then collapses after stabilising.
     stabilize = 300
-    unstable = run_cha(
-        n=3, instances=120,
-        adversary=RandomLossAdversary(p_drop=0.5, p_false=0.3, seed=4),
-        detector=EventuallyAccurateDetector(racc=stabilize),
-        cm=LeaderElectionCM(stable_round=stabilize, chaos="random", seed=4),
-        rcf=stabilize,
-        process_factory=checkpoint_factory,
+    unstable = (
+        scenario().nodes(3).instances(120)
+        .checkpoint_cha(reducer=count_reducer, initial_state=0)
+        .adversary(RandomLossAdversary(p_drop=0.5, p_false=0.3, seed=4))
+        .detector(EventuallyAccurateDetector(racc=stabilize))
+        .contention(LeaderElectionCM(stable_round=stabilize, chaos="random",
+                                     seed=4))
+        .radio(rcf=stabilize)
+        .run()
     )
     rows.append(("unstable->stable", 120, "-", resident(unstable)))
     return rows

@@ -39,14 +39,13 @@ def main() -> None:
         .run()
     )
     result.assert_ok()
-    run = result.cha_run
     print("safety: validity ✓  agreement ✓ (checked over every output)")
 
     print("\ninstance | colours (6 nodes)            | node-0 output")
     for k in range(1, 41):
-        colors = run.colors_at(k)
+        colors = result.colors_at(k)
         cell = " ".join(c.name[0] for _, c in sorted(colors.items()))
-        out = dict(run.outputs[0]).get(k, BOTTOM)
+        out = dict(result.outputs[0]).get(k, BOTTOM)
         out_text = "⊥" if out is BOTTOM else f"history(len={out.length})"
         marker = "  <- stabilised" if k == 21 else ""
         print(f"  {k:6d} | {cell:28s} | {out_text}{marker}")

@@ -50,9 +50,6 @@ or, fully declaratively::
     )
     result = repro.run(spec)
     points = repro.sweep(spec, {"world__n": (3, 5, 9)}, workers=4)
-
-The classic entrypoints (:func:`run_cha`, :class:`repro.vi.VIWorld`)
-remain as thin shims over the same machinery.
 """
 
 from .core import (
@@ -68,7 +65,6 @@ from .core import (
     check_liveness,
     check_validity,
     find_liveness_point,
-    run_cha,
 )
 from .experiment import (
     CHA,
@@ -142,7 +138,6 @@ __all__ = [
     "find_liveness_point",
     "net",
     "run",
-    "run_cha",
     "scenario",
     "service",
     "sweep",

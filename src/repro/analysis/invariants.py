@@ -8,15 +8,17 @@ pointers, and detector behaviour.  Each checker raises
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from ..core.runner import ChaRun
 from ..core.spec import log_instances
 from ..errors import SpecViolation
 from ..types import BOTTOM, Color, Instance, NodeId
 
+if TYPE_CHECKING:  # pragma: no cover - repro.experiment sits above this
+    from ..experiment.result import ExperimentResult
 
-def check_property4(run: ChaRun) -> None:
+
+def check_property4(run: ExperimentResult) -> None:
     """No two nodes' colours for an instance differ by more than a shade."""
     for k in range(1, run.instances + 1):
         colors = run.colors_at(k)
@@ -34,7 +36,7 @@ def check_property4(run: ChaRun) -> None:
             )
 
 
-def check_lemma5(run: ChaRun) -> None:
+def check_lemma5(run: ExperimentResult) -> None:
     """Green implies everyone green/yellow; red implies everyone red/orange."""
     for k in range(1, run.instances + 1):
         colors = run.colors_at(k).values()
@@ -52,7 +54,7 @@ def check_lemma5(run: ChaRun) -> None:
             )
 
 
-def check_lemma6(run: ChaRun) -> None:
+def check_lemma6(run: ExperimentResult) -> None:
     """No output history includes an instance any surviving node holds red.
 
     (The lemma quantifies over all nodes; crashed nodes' final colours
@@ -76,7 +78,7 @@ def check_lemma6(run: ChaRun) -> None:
                 )
 
 
-def check_lemma9(run: ChaRun) -> None:
+def check_lemma9(run: ExperimentResult) -> None:
     """Every green instance is included in every later output history."""
     greens = [
         k for k in range(1, run.instances + 1)
@@ -97,7 +99,7 @@ def check_lemma9(run: ChaRun) -> None:
                     )
 
 
-def check_prev_pointer_discipline(run: ChaRun) -> None:
+def check_prev_pointer_discipline(run: ExperimentResult) -> None:
     """``prev-instance`` points at the node's latest *completed* good
     instance.
 
@@ -121,7 +123,7 @@ def check_prev_pointer_discipline(run: ChaRun) -> None:
             )
 
 
-def check_all_invariants(run: ChaRun) -> None:
+def check_all_invariants(run: ExperimentResult) -> None:
     """All glass-box lemma checks in one call (used by soak tests)."""
     check_property4(run)
     check_lemma5(run)
@@ -142,13 +144,13 @@ GLASS_BOX_CHECKERS = {
 }
 
 
-def collect_violations(run: ChaRun) -> dict[str, SpecViolation]:
+def collect_violations(run: ExperimentResult) -> dict[str, SpecViolation]:
     """Run every glass-box checker, returning *all* failures (not just
     the first) keyed by checker name.
 
     Unlike :func:`check_all_invariants` this never raises — handy when
-    debugging a :class:`~repro.core.runner.ChaRun` by hand, where the
-    complete violation set with each
+    debugging an :class:`~repro.experiment.ExperimentResult` by hand,
+    where the complete violation set with each
     :attr:`~repro.errors.SpecViolation.context` intact (violating
     instance, nodes, colours) beats dying on the first failure.
     """
@@ -161,7 +163,7 @@ def collect_violations(run: ChaRun) -> dict[str, SpecViolation]:
     return violations
 
 
-def first_violation(run: ChaRun) -> SpecViolation | None:
+def first_violation(run: ExperimentResult) -> SpecViolation | None:
     """The first glass-box violation in checker order, or ``None``."""
     for exc in collect_violations(run).values():
         return exc

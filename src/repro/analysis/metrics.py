@@ -8,12 +8,14 @@ measurement code here (and under unit test) keeps the benchmarks thin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..core.runner import ChaRun
 from ..core.spec import log_bottoms
 from ..net.trace import Trace
 from ..types import Color, Instance, NodeId
+
+if TYPE_CHECKING:  # pragma: no cover - repro.experiment sits above this
+    from ..experiment.result import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -44,29 +46,29 @@ def message_size_stats(trace: Trace, *, first_round: int = 0,
     return SizeStats.of(sizes)
 
 
-def decided_instances(run: ChaRun, node: NodeId) -> int:
+def decided_instances(run: ExperimentResult, node: NodeId) -> int:
     """Instances for which ``node`` output a history (not bottom)."""
     log = run.processes[node].outputs
     return len(log) - log_bottoms(log)
 
 
-def decision_throughput(run: ChaRun, node: NodeId) -> float:
+def decision_throughput(run: ExperimentResult, node: NodeId) -> float:
     """Decided instances per real communication round."""
-    rounds = len(run.trace)
+    rounds = run.simulator.current_round
     if rounds == 0:
         return 0.0
     return decided_instances(run, node) / rounds
 
 
-def rounds_per_decided_instance(run: ChaRun, node: NodeId) -> float:
+def rounds_per_decided_instance(run: ExperimentResult, node: NodeId) -> float:
     """Real rounds spent per decided instance (inverse throughput)."""
     decided = decided_instances(run, node)
     if decided == 0:
         return float("inf")
-    return len(run.trace) / decided
+    return run.simulator.current_round / decided
 
 
-def color_divergence_histogram(run: ChaRun) -> dict[int, int]:
+def color_divergence_histogram(run: ExperimentResult) -> dict[int, int]:
     """Instances binned by the maximum shade distance across nodes.
 
     Property 4 asserts the support of this histogram is ``{0, 1}``.
@@ -81,7 +83,7 @@ def color_divergence_histogram(run: ChaRun) -> dict[int, int]:
     return histogram
 
 
-def bottom_rate(run: ChaRun, node: NodeId) -> float:
+def bottom_rate(run: ExperimentResult, node: NodeId) -> float:
     """Fraction of instances for which ``node`` output bottom."""
     log = run.processes[node].outputs
     if not log:
@@ -89,7 +91,7 @@ def bottom_rate(run: ChaRun, node: NodeId) -> float:
     return log_bottoms(log) / len(log)
 
 
-def convergence_instance(run: ChaRun) -> Instance | None:
+def convergence_instance(run: ExperimentResult) -> Instance | None:
     """The liveness point of the surviving nodes, if any."""
     from ..core.spec import find_liveness_point
 
@@ -99,7 +101,7 @@ def convergence_instance(run: ChaRun) -> Instance | None:
     return find_liveness_point(outs, alive=survivors)
 
 
-def green_fraction_by_window(run: ChaRun, window: int) -> list[float]:
+def green_fraction_by_window(run: ExperimentResult, window: int) -> list[float]:
     """Per-window fraction of instances any node designated green.
 
     Visualises the instability -> stability transition for experiment E6.

@@ -17,7 +17,6 @@ from .checkpoint import (
     CheckpointOutput,
 )
 from .history import EMPTY_HISTORY, History, HistoryChain
-from .runner import ChaRun, cluster_positions, default_proposer, run_cha
 from .slotted import SlottedChaCore, SlottedCheckpointChaCore
 from .spec import (
     check_agreement,
@@ -33,7 +32,6 @@ __all__ = [
     "CHAEnsemble",
     "CHAProcess",
     "ChaCore",
-    "ChaRun",
     "CheckpointCHAProcess",
     "CheckpointChaCore",
     "CheckpointOutput",
@@ -53,8 +51,5 @@ __all__ = [
     "check_all",
     "check_liveness",
     "check_validity",
-    "cluster_positions",
-    "default_proposer",
     "find_liveness_point",
-    "run_cha",
 ]

@@ -26,6 +26,8 @@ from .spec import (
     TwoPhaseCHA,
     VIEmulation,
     WorkloadSpec,
+    cluster_positions,
+    default_proposer,
 )
 from .sweep import SweepPoint, expand_grid, sweep
 
@@ -49,6 +51,8 @@ __all__ = [
     "VIEmulation",
     "WireStatsObserver",
     "WorkloadSpec",
+    "cluster_positions",
+    "default_proposer",
     "expand_grid",
     "run",
     "scenario",

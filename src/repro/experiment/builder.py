@@ -235,10 +235,8 @@ class ScenarioBuilder:
         self._protocol = protocol
         return self
 
-    def cha(self, *, proposer_factory: ProposerFactory | None = None,
-            process_factory: Callable[..., Any] | None = None) -> "ScenarioBuilder":
-        return self.protocol(CHA(proposer_factory=proposer_factory,
-                                 process_factory=process_factory))
+    def cha(self, *, proposer_factory: ProposerFactory | None = None) -> "ScenarioBuilder":
+        return self.protocol(CHA(proposer_factory=proposer_factory))
 
     def checkpoint_cha(self, *, reducer: Callable[[Any, Instance, Value], Any],
                        initial_state: Any,

@@ -3,9 +3,12 @@
 Whatever the protocol — a CHAP ensemble, a baseline, the off-channel 3PC
 comparator, or a whole virtual-infrastructure deployment — running a spec
 yields one :class:`ExperimentResult` carrying the requested metrics, the
-invariant verdicts, and protocol-appropriate handles (the
-:class:`~repro.core.runner.ChaRun`, the :class:`~repro.vi.world.VIWorld`,
-the live client programs, ...) for deeper inspection.
+invariant verdicts, and protocol-appropriate handles (the simulator and
+the per-node processes, the :class:`~repro.vi.world.VIWorld`, the live
+client programs, ...) for deeper inspection.  The CHAP families' glass-box
+reads (:meth:`~ExperimentResult.colors_at`,
+:meth:`~ExperimentResult.history_of`, ...) are what the
+:mod:`repro.analysis` metrics and lemma checkers consume.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..core.runner import ChaRun
+from ..core.history import History
 from ..core.spec import OutputLog
 from ..errors import ConfigurationError
 from ..net import Simulator, Trace
-from ..types import Instance, NodeId, Value
+from ..types import Color, Instance, NodeId, Value
 from ..vi.client import ClientProgram
 from ..vi.world import VIWorld
 from .spec import ExperimentSpec
@@ -49,8 +52,8 @@ class ExperimentResult:
     #: The execution trace (None when keep_trace=False or off-channel).
     trace: Trace | None = None
     simulator: Simulator | None = None
-    #: The classic run handle for CHA-family protocols.
-    cha_run: ChaRun | None = None
+    #: Agreement instances the workload ran (cluster worlds; else None).
+    instances: Instance | None = None
     #: The deployment handle for VI emulations.
     world: VIWorld | None = None
     processes: dict[NodeId, Any] = field(default_factory=dict)
@@ -93,6 +96,25 @@ class ExperimentResult:
                 f"no client device named {name!r}; known: "
                 f"{sorted(self.named_clients)}"
             ) from None
+
+    def surviving_nodes(self) -> list[NodeId]:
+        """Nodes alive at the end of the execution."""
+        return [node for node in self.processes
+                if self.simulator.alive(node)]
+
+    def colors_at(self, k: Instance) -> dict[NodeId, Color]:
+        """Colour each *surviving* node assigned to instance ``k``
+        (CHAP families)."""
+        alive = self.simulator.alive
+        return {
+            node: proc.core.color_of(k)
+            for node, proc in self.processes.items()
+            if alive(node)
+        }
+
+    def history_of(self, node: NodeId) -> History | None:
+        """The history ``node`` last decided (CHAP families)."""
+        return self.processes[node].core.decided_history()
 
     def summary(self) -> dict[str, Any]:
         """The picklable core of the result (what sweep workers return)."""

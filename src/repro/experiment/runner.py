@@ -8,13 +8,14 @@ into a uniform :class:`~repro.experiment.result.ExperimentResult`.
 
 Metric and invariant names are resolved against per-family registries;
 asking for a metric a protocol cannot produce is a configuration error,
-not a silent ``None``.
+not a silent ``None``.  Every extractor reads the result plus the
+family's observer: the :class:`WireStatsObserver` on the channel, or
+the off-channel 3PC transaction itself (its phase log).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
@@ -31,7 +32,6 @@ from ..contention import LeaderElectionCM
 from ..core.cha import CHAEnsemble, CHAProcess, ROUNDS_PER_INSTANCE
 from ..core.checkpoint import CheckpointCHAProcess
 from ..core.history import activate_chain_generation, new_chain_generation
-from ..core.runner import ChaRun, cluster_positions, default_proposer
 from ..core.spec import (
     check_agreement,
     check_liveness,
@@ -57,131 +57,117 @@ from .spec import (
     ThreePhaseCommit,
     TwoPhaseCHA,
     VIEmulation,
+    cluster_positions,
+    default_proposer,
 )
 
+#: The full-history cluster family: every output is an ``(instance,
+#: History | BOTTOM)`` row (the service drives exactly these).
+FULL_HISTORY_PROTOCOLS = (CHA, NaiveRSM, TwoPhaseCHA)
+#: Every family whose nodes run a CHAP core: outputs, proposals, colours.
+CHA_PROTOCOLS = FULL_HISTORY_PROTOCOLS + (CheckpointCHA,)
 
-@dataclass
-class _RunContext:
-    """Everything metric/invariant extractors may consult."""
 
-    spec: ExperimentSpec
-    #: The stepper's resolved switches (never re-read from the
-    #: environment after the world was built).
-    switches: Switches
-    rounds_run: int = 0
-    wire: WireStatsObserver | None = None
-    sim: Simulator | None = None
-    cha_run: ChaRun | None = None
-    processes: dict[NodeId, Any] = field(default_factory=dict)
-    world: VIWorld | None = None
-    decision: Any = None
-    participants: list[Participant] = field(default_factory=list)
-    txn_log: tuple[str, ...] = ()
+def rounds_per_instance(protocol: Any, n: int) -> int:
+    """Real rounds one agreement instance takes on an ``n``-node cluster."""
+    if isinstance(protocol, TwoPhaseCHA):
+        return TWO_PHASE_ROUNDS
+    if isinstance(protocol, MajorityRSM):
+        return n + 2
+    return ROUNDS_PER_INSTANCE
 
 
 # ----------------------------------------------------------------------
 # Metric registries
 # ----------------------------------------------------------------------
 
-def _wire(ctx: _RunContext) -> WireStatsObserver:
-    assert ctx.wire is not None
-    return ctx.wire
+#: ``(result, observer) -> value``.
+Extractor = Callable[[ExperimentResult, Any], Any]
 
-
-_WIRE_METRICS: dict[str, Callable[[_RunContext], Any]] = {
-    "rounds": lambda ctx: _wire(ctx).rounds,
-    "total_broadcasts": lambda ctx: _wire(ctx).total_broadcasts,
-    "max_message_size": lambda ctx: _wire(ctx).max_message_size,
-    "mean_message_size": lambda ctx: _wire(ctx).mean_message_size,
-    "collision_flags": lambda ctx: dict(_wire(ctx).collision_flags),
+_WIRE_METRICS: dict[str, Extractor] = {
+    "rounds": lambda r, wire: wire.rounds,
+    "total_broadcasts": lambda r, wire: wire.total_broadcasts,
+    "max_message_size": lambda r, wire: wire.max_message_size,
+    "mean_message_size": lambda r, wire: wire.mean_message_size,
+    "collision_flags": lambda r, wire: dict(wire.collision_flags),
 }
 
 
-def _decided_by_node(ctx: _RunContext) -> dict[NodeId, int]:
-    run = ctx.cha_run
-    assert run is not None
+def _decided_by_node(r: ExperimentResult, wire: Any) -> dict[NodeId, int]:
     return {
         node: len(log) - log_bottoms(log)
-        for node, log in run.outputs.items()
+        for node, log in r.outputs.items()
     }
 
 
-def _throughput_by_node(ctx: _RunContext) -> dict[NodeId, float]:
-    rounds = ctx.rounds_run
+def _throughput_by_node(r: ExperimentResult, wire: Any) -> dict[NodeId, float]:
+    rounds = r.simulator.current_round
     return {
         node: (decided / rounds if rounds else 0.0)
-        for node, decided in _decided_by_node(ctx).items()
+        for node, decided in _decided_by_node(r, wire).items()
     }
 
 
-def _bottom_rate_by_node(ctx: _RunContext) -> dict[NodeId, float]:
-    run = ctx.cha_run
-    assert run is not None
+def _bottom_rate_by_node(r: ExperimentResult, wire: Any) -> dict[NodeId, float]:
     return {
         node: (log_bottoms(log) / len(log) if log else 0.0)
-        for node, log in run.outputs.items()
+        for node, log in r.outputs.items()
     }
 
 
-def _color_divergence(ctx: _RunContext) -> dict[int, int]:
+def _color_divergence(r: ExperimentResult, wire: Any) -> dict[int, int]:
     from ..analysis.metrics import color_divergence_histogram
 
-    assert ctx.cha_run is not None
-    return color_divergence_histogram(ctx.cha_run)
+    return color_divergence_histogram(r)
 
 
-def _convergence_instance(ctx: _RunContext) -> Any:
+def _convergence_instance(r: ExperimentResult, wire: Any) -> Any:
     from ..analysis.metrics import convergence_instance
 
-    assert ctx.cha_run is not None
-    return convergence_instance(ctx.cha_run)
+    return convergence_instance(r)
 
 
-def _resident_entries(ctx: _RunContext) -> dict[NodeId, int]:
-    return {
-        node: proc.core.resident_entries()
-        for node, proc in ctx.processes.items()
-    }
-
-
-_CHA_METRICS: dict[str, Callable[[_RunContext], Any]] = {
+_CHA_METRICS: dict[str, Extractor] = {
     **_WIRE_METRICS,
     "decided_instances": _decided_by_node,
     "decision_throughput": _throughput_by_node,
     "bottom_rate": _bottom_rate_by_node,
     "color_divergence": _color_divergence,
     "convergence_instance": _convergence_instance,
-    "resident_entries": _resident_entries,
-}
-
-_MAJORITY_METRICS: dict[str, Callable[[_RunContext], Any]] = {
-    **_WIRE_METRICS,
-    "decided_instances": lambda ctx: {
-        node: proc.decided_count for node, proc in ctx.processes.items()
+    "resident_entries": lambda r, wire: {
+        node: proc.core.resident_entries()
+        for node, proc in r.processes.items()
     },
 }
 
-_VI_METRICS: dict[str, Callable[[_RunContext], Any]] = {
+_MAJORITY_METRICS: dict[str, Extractor] = {
     **_WIRE_METRICS,
-    "availability": lambda ctx: {
-        site.vn_id: ctx.world.availability(site.vn_id)
-        for site in ctx.world.sites
+    "decided_instances": lambda r, wire: {
+        node: proc.decided_count for node, proc in r.processes.items()
     },
-    "emulation_gaps": lambda ctx: {
-        site.vn_id: ctx.world.emulation_gaps(site.vn_id)
-        for site in ctx.world.sites
+}
+
+_VI_METRICS: dict[str, Extractor] = {
+    **_WIRE_METRICS,
+    "availability": lambda r, wire: {
+        site.vn_id: r.world.availability(site.vn_id)
+        for site in r.world.sites
     },
-    "schedule_length": lambda ctx: ctx.world.schedule.length,
-    "rounds_per_virtual_round": lambda ctx: (
-        ctx.rounds_run / ctx.world.virtual_rounds_run
-        if ctx.world.virtual_rounds_run else 0.0
+    "emulation_gaps": lambda r, wire: {
+        site.vn_id: r.world.emulation_gaps(site.vn_id)
+        for site in r.world.sites
+    },
+    "schedule_length": lambda r, wire: r.world.schedule.length,
+    "rounds_per_virtual_round": lambda r, wire: (
+        r.simulator.current_round / r.world.virtual_rounds_run
+        if r.world.virtual_rounds_run else 0.0
     ),
 }
 
-_3PC_METRICS: dict[str, Callable[[_RunContext], Any]] = {
-    "decision": lambda ctx: ctx.decision.value,
-    "state_spread": lambda ctx: state_spread(ctx.participants),
-    "log": lambda ctx: ctx.txn_log,
+_3PC_METRICS: dict[str, Extractor] = {
+    "decision": lambda r, txn: r.decision.value,
+    "state_spread": lambda r, txn: state_spread(r.participants),
+    "log": lambda r, txn: tuple(txn.log),
 }
 
 
@@ -189,48 +175,47 @@ _3PC_METRICS: dict[str, Callable[[_RunContext], Any]] = {
 # Invariant registries
 # ----------------------------------------------------------------------
 
-def _inv_validity(ctx: _RunContext) -> None:
-    check_validity(ctx.cha_run.outputs, ctx.cha_run.proposals)
+def _inv_validity(r: ExperimentResult, wire: Any) -> None:
+    check_validity(r.outputs, r.proposals)
 
 
-def _inv_agreement(ctx: _RunContext) -> None:
-    check_agreement(ctx.cha_run.outputs, switches=ctx.switches)
+def _inv_agreement(r: ExperimentResult, wire: Any) -> None:
+    check_agreement(r.outputs, switches=r.simulator.switches)
 
 
-def _inv_liveness(ctx: _RunContext) -> None:
-    by = ctx.spec.metrics.liveness_by
+def _inv_liveness(r: ExperimentResult, wire: Any) -> None:
+    by = r.spec.metrics.liveness_by
     if by is None:
         raise ConfigurationError(
             "the liveness invariant needs MetricsSpec.liveness_by"
         )
-    run = ctx.cha_run
-    survivors = run.surviving_nodes()
-    outputs = run.outputs
+    survivors = r.surviving_nodes()
+    outputs = r.outputs
     check_liveness(
         {node: outputs[node] for node in survivors},
         by_instance=by, alive=survivors,
     )
 
 
-def _inv_replica_consistency(ctx: _RunContext) -> None:
-    for site in ctx.world.sites:
+def _inv_replica_consistency(r: ExperimentResult, wire: Any) -> None:
+    for site in r.world.sites:
         try:
-            ctx.world.check_replica_consistency(site.vn_id)
+            r.world.check_replica_consistency(site.vn_id)
         except AssertionError as exc:
             raise SpecViolation(str(exc)) from None
 
 
-def _inv_vi_liveness(ctx: _RunContext) -> None:
+def _inv_vi_liveness(r: ExperimentResult, wire: Any) -> None:
     """Every virtual node is live in every virtual round from
     ``liveness_by`` (a virtual-round index) onward."""
-    by = ctx.spec.metrics.liveness_by
+    by = r.spec.metrics.liveness_by
     if by is None:
         raise ConfigurationError(
             "the liveness invariant needs MetricsSpec.liveness_by "
             "(a virtual-round index for emulations)"
         )
-    for site in ctx.world.sites:
-        outcomes = ctx.world.outcomes[site.vn_id]
+    for site in r.world.sites:
+        outcomes = r.world.outcomes[site.vn_id]
         tail = outcomes[by:]
         if not tail:
             raise SpecViolation(
@@ -247,14 +232,14 @@ def _inv_vi_liveness(ctx: _RunContext) -> None:
                 )
 
 
-_FULL_HISTORY_INVARIANTS: dict[str, Callable[[_RunContext], None]] = {
+_FULL_HISTORY_INVARIANTS: dict[str, Extractor] = {
     "validity": _inv_validity,
     "agreement": _inv_agreement,
     "liveness": _inv_liveness,
     # The glass-box lemma checkers come from the analysis registry, the
-    # single source of truth shared with ad-hoc ChaRun debugging
+    # single source of truth shared with ad-hoc debugging of a result
     # (repro.analysis.collect_violations).
-    **{name: (lambda ctx, checker=checker: checker(ctx.cha_run))
+    **{name: (lambda r, wire, checker=checker: checker(r))
        for name, checker in GLASS_BOX_CHECKERS.items()},
 }
 
@@ -265,14 +250,14 @@ _CHECKPOINT_INVARIANTS = {
     for name in ("property4", "lemma5", "prev_pointer")
 }
 
-_VI_INVARIANTS: dict[str, Callable[[_RunContext], None]] = {
+_VI_INVARIANTS: dict[str, Extractor] = {
     "replica_consistency": _inv_replica_consistency,
     "liveness": _inv_vi_liveness,
 }
 
 
 def _registries_for(protocol) -> tuple[dict, dict]:
-    if isinstance(protocol, (CHA, NaiveRSM, TwoPhaseCHA)):
+    if isinstance(protocol, FULL_HISTORY_PROTOCOLS):
         return _CHA_METRICS, _FULL_HISTORY_INVARIANTS
     if isinstance(protocol, CheckpointCHA):
         return _CHA_METRICS, _CHECKPOINT_INVARIANTS
@@ -285,45 +270,42 @@ def _registries_for(protocol) -> tuple[dict, dict]:
     raise ConfigurationError(f"unknown protocol spec {protocol!r}")
 
 
-def _extract(ctx: _RunContext) -> tuple[dict[str, Any], dict[str, str],
-                                        dict[str, dict[str, Any]]]:
-    metric_registry, invariant_registry = _registries_for(ctx.spec.protocol)
-    metrics: dict[str, Any] = {}
-    for name in ctx.spec.metrics.metrics:
+def _extract(r: ExperimentResult, observer: Any) -> None:
+    """Fill ``r``'s metrics and invariant verdicts from the registries."""
+    spec = r.spec
+    metric_registry, invariant_registry = _registries_for(spec.protocol)
+    for name in spec.metrics.metrics:
         if name not in metric_registry:
             raise ConfigurationError(
                 f"metric {name!r} is not available for "
-                f"{type(ctx.spec.protocol).__name__}; known: "
+                f"{type(spec.protocol).__name__}; known: "
                 f"{sorted(metric_registry)}"
             )
-        metrics[name] = metric_registry[name](ctx)
+        r.metrics[name] = metric_registry[name](r, observer)
 
-    wanted = list(ctx.spec.metrics.invariants)
+    wanted = list(spec.metrics.invariants)
     if "all" in wanted:
         expanded = [n for n in sorted(invariant_registry)
-                    if n != "liveness" or ctx.spec.metrics.liveness_by is not None]
+                    if n != "liveness" or spec.metrics.liveness_by is not None]
         wanted = [n for n in wanted if n != "all"] + [
             n for n in expanded if n not in wanted
         ]
-    verdicts: dict[str, str] = {}
-    contexts: dict[str, dict[str, Any]] = {}
     for name in wanted:
         if name not in invariant_registry:
             raise ConfigurationError(
                 f"invariant {name!r} is not available for "
-                f"{type(ctx.spec.protocol).__name__}; known: "
+                f"{type(spec.protocol).__name__}; known: "
                 f"{sorted(invariant_registry)}"
             )
         try:
-            invariant_registry[name](ctx)
+            invariant_registry[name](r, observer)
         except SpecViolation as exc:
-            verdicts[name] = f"violated: {exc}"
+            r.invariants[name] = f"violated: {exc}"
             # The checker's reproduction context (violating instance,
             # nodes, colours) feeds the shrinker's horizon heuristics.
-            contexts[name] = dict(exc.context)
+            r.violation_context[name] = dict(exc.context)
         else:
-            verdicts[name] = OK
-    return metrics, verdicts, contexts
+            r.invariants[name] = OK
 
 
 # ----------------------------------------------------------------------
@@ -342,9 +324,8 @@ def run(spec: ExperimentSpec, *,
     """Run one declarative experiment and return its uniform result.
 
     The spec's environment components (adversary, detector, contention
-    manager, clients, mobility models) are used *directly*, exactly as
-    the classic per-protocol runners did — handles the caller kept stay
-    live for post-run inspection.  A stateful spec therefore describes
+    manager, clients, mobility models) are used *directly* — handles the
+    caller kept stay live for post-run inspection.  A stateful spec therefore describes
     one run; :func:`repro.experiment.sweep.sweep` copies the spec per
     grid point, so sweeps are repeatable by construction.
 
@@ -379,6 +360,11 @@ class ExperimentStepper:
     The identity suite pins stepped and one-shot executions to identical
     results (traces, outputs, metrics, verdicts).
 
+    Each protocol family supplies only a build (``_build_cluster``,
+    ``_build_emulation``, ``_build_three_phase``: the result's handles,
+    the family's observer, its advance and its tick count); the tick
+    bookkeeping lives here once.
+
     ``timings`` has the keys :func:`run` documents.  ``wall_s``
     accumulates only *active* execution time (construction, stepping,
     extraction), so a stepper driven on a slow external clock still
@@ -407,54 +393,53 @@ class ExperimentStepper:
         # generation exactly as an uninterrupted run would.
         self.generation = new_chain_generation()
         self._active_s = 0.0
-        self._result: ExperimentResult | None = None
+        self.finished = False
+        self.ticks_run = 0
         started = time.perf_counter()
         protocol = spec.protocol
         if isinstance(protocol, ThreePhaseCommit):
-            build = _ThreePhaseExecution
+            build = _build_three_phase
         elif isinstance(protocol, VIEmulation):
-            build = _EmulationExecution
+            build = _build_emulation
         else:
-            build = _ClusterExecution
-        self._exec: _Execution = build(spec, self.switches, instrument)
+            build = _build_cluster
+        #: The result being filled: its handles exist from here on, its
+        #: metrics and verdicts once :meth:`finish` extracted them.
+        self._result, self._observer, self._advance, self.total_ticks = (
+            build(spec, self.switches, instrument))
         self._active_s += time.perf_counter() - started
         self.spec = spec
 
     # -- introspection -------------------------------------------------
 
     @property
-    def total_ticks(self) -> int:
-        """Ticks the workload prescribes (rounds / virtual rounds / 1)."""
-        return self._exec.total_ticks
-
-    @property
-    def ticks_run(self) -> int:
-        return self._exec.ticks_run
-
-    @property
     def remaining(self) -> int:
-        return self._exec.total_ticks - self._exec.ticks_run
-
-    @property
-    def finished(self) -> bool:
-        return self._result is not None
+        return self.total_ticks - self.ticks_run
 
     @property
     def simulator(self) -> Simulator | None:
         """The live simulator (None for the off-channel comparator)."""
-        return self._exec.simulator
+        return self._result.simulator
 
     @property
     def processes(self) -> Mapping[NodeId, Any]:
-        """The live per-node processes (empty for the comparator)."""
-        return self._exec.processes
+        """A read-only view of the live per-node processes (empty for
+        the comparator)."""
+        return MappingProxyType(self._result.processes)
 
     # -- execution -----------------------------------------------------
+
+    def _run(self, ticks: int) -> int:
+        ran = min(ticks, self.remaining)
+        if ran:
+            self._advance(ran)
+        self.ticks_run += ran
+        return ran
 
     def step(self, ticks: int = 1) -> int:
         """Advance up to ``ticks`` ticks; returns how many actually ran
         (fewer once the workload is exhausted)."""
-        if self._result is not None:
+        if self.finished:
             raise ConfigurationError(
                 "this stepper already finished; build a new one to re-run"
             )
@@ -463,7 +448,7 @@ class ExperimentStepper:
         started = time.perf_counter()
         previous = activate_chain_generation(self.generation)
         try:
-            ran = self._exec.step(ticks)
+            ran = self._run(ticks)
         finally:
             activate_chain_generation(previous)
         self._active_s += time.perf_counter() - started
@@ -474,13 +459,24 @@ class ExperimentStepper:
 
         Idempotent: subsequent calls return the same result object.
         """
-        if self._result is not None:
-            return self._result
+        result = self._result
+        if self.finished:
+            return result
         started = time.perf_counter()
         previous = activate_chain_generation(self.generation)
         try:
-            self._exec.step(self.remaining)
-            result = self._exec.finalize()
+            self._run(self.remaining)
+            protocol = self.spec.protocol
+            if isinstance(protocol, VIEmulation):
+                # Device membership can grow mid-run (joins); re-read it.
+                result.processes = dict(result.world.devices)
+            elif isinstance(protocol, CHA_PROTOCOLS):
+                processes = result.processes
+                result.outputs = {node: proc.outputs
+                                  for node, proc in processes.items()}
+                result.proposals = {node: proc.proposals_made
+                                    for node, proc in processes.items()}
+            _extract(result, self._observer)
         finally:
             activate_chain_generation(previous)
         self._active_s += time.perf_counter() - started
@@ -490,265 +486,168 @@ class ExperimentStepper:
             result.timings["rounds"] = rounds
             result.timings["rounds_per_sec"] = (
                 rounds / self._active_s if self._active_s > 0 else 0.0)
-        self._result = result
+        self.finished = True
         return result
 
 
-class _Execution:
-    """One protocol family's build/step/extract machinery."""
-
-    total_ticks: int
-    ticks_run: int = 0
-    simulator: Simulator | None = None
-    #: Read-only: a class-level default is shared by every execution
-    #: that never assigns its own (the off-channel comparator).
-    processes: Mapping[NodeId, Any] = MappingProxyType({})
-
-    def step(self, ticks: int) -> int:
-        raise NotImplementedError
-
-    def finalize(self) -> ExperimentResult:
-        raise NotImplementedError
+#: A family's build: ``(spec, switches, instrument) -> (result handles,
+#: observer, advance(ticks), total ticks)``.
+_Built = tuple[ExperimentResult, Any, Callable[[int], None], int]
 
 
-class _ClusterExecution(_Execution):
-    def __init__(self, spec: ExperimentSpec, switches: Switches,
-                 instrument: Instrument | None = None) -> None:
-        self.spec = spec
-        self.switches = switches
-        world: ClusterWorld = spec.world
-        env = spec.environment
-        protocol = spec.protocol
-        sim = Simulator(
-            spec=RadioSpec(r1=world.r1, r2=world.r2, rcf=world.rcf),
-            adversary=env.adversary,
-            detector=env.detector if env.detector is not None
-            else EventuallyAccurateDetector(),
-            cms={"C": env.cm if env.cm is not None
-                 else LeaderElectionCM(stable_round=0)},
-            crashes=env.crashes,
-            record_trace=spec.keep_trace,
-            switches=switches,
-        )
-        wire = WireStatsObserver()
-        sim.add_observer(wire)
+def _build_cluster(spec: ExperimentSpec, switches: Switches,
+                   instrument: Instrument | None) -> _Built:
+    world: ClusterWorld = spec.world
+    env = spec.environment
+    protocol = spec.protocol
+    sim = Simulator(
+        spec=RadioSpec(r1=world.r1, r2=world.r2, rcf=world.rcf),
+        adversary=env.adversary,
+        detector=env.detector if env.detector is not None
+        else EventuallyAccurateDetector(),
+        cms={"C": env.cm if env.cm is not None
+             else LeaderElectionCM(stable_round=0)},
+        crashes=env.crashes,
+        record_trace=spec.keep_trace,
+        switches=switches,
+    )
+    wire = WireStatsObserver()
+    sim.add_observer(wire)
 
-        radius = (world.cluster_radius if world.cluster_radius is not None
-                  else world.r1 / 4.0)
-        positions = cluster_positions(world.n, radius=radius)
-        proposer_factory = getattr(protocol, "proposer_factory", None) or default_proposer
-
-        processes: dict[NodeId, Any] = {}
-        # The processes built here: one lockstep ensemble.
-        cohort: list[Any] = []
-        for node_id, position in enumerate(positions):
-            if isinstance(protocol, CHA):
-                if protocol.process_factory is not None:
-                    # Custom factories keep their seed signature; the
-                    # switches only drive the built-in process classes.
-                    proc = protocol.process_factory(
-                        propose=proposer_factory(node_id), cm_name="C")
-                else:
-                    proc = CHAProcess(propose=proposer_factory(node_id),
-                                      cm_name="C", switches=switches)
-                    cohort.append(proc)
-                rpi = ROUNDS_PER_INSTANCE
-            elif isinstance(protocol, CheckpointCHA):
-                proc = CheckpointCHAProcess(
-                    propose=proposer_factory(node_id),
-                    reducer=protocol.reducer,
-                    initial_state=protocol.initial_state,
-                    cm_name="C", switches=switches,
-                )
-                cohort.append(proc)
-                rpi = ROUNDS_PER_INSTANCE
-            elif isinstance(protocol, NaiveRSM):
-                proc = NaiveRSMProcess(propose=proposer_factory(node_id),
-                                       cm_name="C", switches=switches)
-                cohort.append(proc)
-                rpi = ROUNDS_PER_INSTANCE
-            elif isinstance(protocol, TwoPhaseCHA):
-                proc = TwoPhaseChaProcess(propose=proposer_factory(node_id),
-                                          switches=switches)
-                cohort.append(proc)
-                rpi = TWO_PHASE_ROUNDS
-            elif isinstance(protocol, MajorityRSM):
-                proc = MajorityRSMProcess(
-                    my_index=node_id, n=world.n, is_leader=node_id == 0,
-                    propose=lambda k, idx=node_id: f"m{idx}.{k:06d}",
-                )
-                rpi = world.n + 2
-            else:  # pragma: no cover - validate() rejects this earlier
-                raise ConfigurationError(f"unsupported cluster protocol {protocol!r}")
-            assigned = sim.add_node(proc, position)
-            if assigned != node_id:
-                raise SimulationError(
-                    f"simulator assigned node id {assigned}, expected {node_id}"
-                )
-            processes[assigned] = proc
-        if not switches.core and len(cohort) > 1:
-            # Lockstep nodes share one store and the batched engine steps
-            # them once per round (repro.core.cha.CHAEnsemble); the dict
-            # cores stay per node.
-            sim.add_ensemble(CHAEnsemble(cohort))
-
-        rounds = (spec.workload.rounds if spec.workload.rounds is not None
-                  else spec.workload.instances * rpi)
-        if instrument is not None:
-            instrument(sim)
-        self.simulator = sim
-        self.processes = processes
-        self.wire = wire
-        self.rpi = rpi
-        self.total_ticks = rounds
-
-    def step(self, ticks: int) -> int:
-        ran = min(ticks, self.total_ticks - self.ticks_run)
-        sim = self.simulator
-        for _ in range(ran):
-            sim.step()
-        self.ticks_run += ran
-        return ran
-
-    def finalize(self) -> ExperimentResult:
-        spec, sim, processes = self.spec, self.simulator, self.processes
-        protocol, rounds = spec.protocol, self.total_ticks
-        trace = sim.trace
-        ctx = _RunContext(spec=spec, switches=self.switches,
-                          rounds_run=rounds, wire=self.wire,
-                          sim=sim, processes=processes)
-        cha_run = None
-        outputs = proposals = None
-        if not isinstance(protocol, MajorityRSM):
-            instances = (spec.workload.instances
-                         if spec.workload.instances is not None
-                         else rounds // self.rpi)
-            cha_run = ChaRun(simulator=sim, processes=processes, trace=trace,
-                             instances=instances)
-            ctx.cha_run = cha_run
-            outputs, proposals = cha_run.outputs, cha_run.proposals
-        metrics, verdicts, contexts = _extract(ctx)
-        return ExperimentResult(
-            spec=spec, metrics=metrics, invariants=verdicts,
-            violation_context=contexts,
-            outputs=outputs, proposals=proposals,
-            trace=trace if spec.keep_trace else None,
-            simulator=sim, cha_run=cha_run, processes=processes,
-        )
-
-
-class _EmulationExecution(_Execution):
-    def __init__(self, spec: ExperimentSpec, switches: Switches,
-                 instrument: Instrument | None = None) -> None:
-        self.spec = spec
-        self.switches = switches
-        world_spec: DeployedWorld = spec.world
-        protocol: VIEmulation = spec.protocol
-        env = spec.environment
-        world = VIWorld(
-            list(world_spec.sites), dict(protocol.programs),
-            r1=world_spec.r1, r2=world_spec.r2, rcf=world_spec.rcf,
-            adversary=env.adversary, detector=env.detector,
-            crashes=env.crashes,
-            cm_stable_round=world_spec.cm_stable_round,
-            min_schedule_length=world_spec.min_schedule_length,
-            schedule=world_spec.schedule,
-            switches=switches,
-        )
-        world.sim.record_trace = spec.keep_trace
-        wire = WireStatsObserver()
-        world.sim.add_observer(wire)
-
-        clients: dict[NodeId, Any] = {}
-        named: dict[str, Any] = {}
-        for device in world_spec.devices:
-            node_id = world.add_device(
-                device.mobility, client=device.client,
-                start_round=device.start_round,
-                initially_active=device.initially_active,
+    radius = (world.cluster_radius if world.cluster_radius is not None
+              else world.r1 / 4.0)
+    positions = cluster_positions(world.n, radius=radius)
+    processes: dict[NodeId, Any] = {}
+    for node_id, position in enumerate(positions):
+        proc = _cluster_process(protocol, node_id, world.n, switches)
+        assigned = sim.add_node(proc, position)
+        if assigned != node_id:
+            raise SimulationError(
+                f"simulator assigned node id {assigned}, expected {node_id}"
             )
-            if device.client is not None:
-                clients[node_id] = device.client
-                if device.name is not None:
-                    named[device.name] = device.client
+        processes[assigned] = proc
+    if (isinstance(protocol, CHA_PROTOCOLS) and not switches.core
+            and len(processes) > 1):
+        # Lockstep nodes share one store and the batched engine steps
+        # them once per round (repro.core.cha.CHAEnsemble); the dict
+        # cores stay per node.
+        sim.add_ensemble(CHAEnsemble(list(processes.values())))
 
-        if instrument is not None:
-            instrument(world.sim)
-        self.world = world
-        self.wire = wire
-        self.clients = clients
-        self.named = named
-        self.simulator = world.sim
-        self.processes = dict(world.devices)
-        self.total_ticks = spec.workload.virtual_rounds
+    workload = spec.workload
+    rpi = rounds_per_instance(protocol, world.n)
+    rounds = (workload.rounds if workload.rounds is not None
+              else workload.instances * rpi)
+    if instrument is not None:
+        instrument(sim)
 
-    def step(self, ticks: int) -> int:
-        ran = min(ticks, self.total_ticks - self.ticks_run)
-        if ran:
-            self.world.run_virtual_rounds(ran)
-        self.ticks_run += ran
-        return ran
+    def advance(ticks: int) -> None:
+        step = sim.step
+        for _ in range(ticks):
+            step()
 
-    def finalize(self) -> ExperimentResult:
-        spec, world = self.spec, self.world
-        # Device membership can grow mid-run (joins); re-read it here.
-        self.processes = dict(world.devices)
-        ctx = _RunContext(spec=spec, switches=self.switches,
-                          rounds_run=world.sim.current_round,
-                          wire=self.wire, sim=world.sim, world=world,
-                          processes=dict(world.devices))
-        metrics, verdicts, contexts = _extract(ctx)
-        return ExperimentResult(
-            spec=spec, metrics=metrics, invariants=verdicts,
-            violation_context=contexts,
-            trace=world.sim.trace if spec.keep_trace else None,
-            simulator=world.sim, world=world,
-            processes=dict(world.devices),
-            clients=self.clients, named_clients=self.named,
+    result = ExperimentResult(
+        spec=spec, metrics={}, invariants={},
+        trace=sim.trace if spec.keep_trace else None,
+        simulator=sim, processes=processes,
+        instances=(workload.instances if workload.instances is not None
+                   else rounds // rpi),
+    )
+    return result, wire, advance, rounds
+
+
+def _cluster_process(protocol: Any, node_id: NodeId, n: int,
+                     switches: Switches) -> Any:
+    """Node ``node_id``'s process for a cluster protocol."""
+    if isinstance(protocol, MajorityRSM):
+        return MajorityRSMProcess(
+            my_index=node_id, n=n, is_leader=node_id == 0,
+            propose=lambda k, idx=node_id: f"m{idx}.{k:06d}",
         )
-
-
-class _ThreePhaseExecution(_Execution):
-    #: The whole off-channel transaction is one tick.
-    total_ticks = 1
-
-    def __init__(self, spec: ExperimentSpec, switches: Switches,
-                 instrument: Instrument | None = None) -> None:
-        if instrument is not None:
-            raise ConfigurationError(
-                "the 3PC comparator runs off-channel: there is no "
-                "simulator to instrument"
-            )
-        self.spec = spec
-        self.switches = switches
-        protocol: ThreePhaseCommit = spec.protocol
-        self.participants = [
-            Participant(pid=i, vote_yes=vote)
-            for i, vote in enumerate(protocol.votes)
-        ]
-        self.txn = ThreePhaseCommitTxn(
-            self.participants,
-            lossy=protocol.lossy,
-            crash_coordinator_after=protocol.crash_coordinator_after,
+    propose = (protocol.proposer_factory or default_proposer)(node_id)
+    if isinstance(protocol, CheckpointCHA):
+        return CheckpointCHAProcess(
+            propose=propose, reducer=protocol.reducer,
+            initial_state=protocol.initial_state,
+            cm_name="C", switches=switches,
         )
-        self.decision = None
+    if isinstance(protocol, TwoPhaseCHA):
+        return TwoPhaseChaProcess(propose=propose, switches=switches)
+    if isinstance(protocol, NaiveRSM):
+        return NaiveRSMProcess(propose=propose, cm_name="C",
+                               switches=switches)
+    if isinstance(protocol, CHA):
+        return CHAProcess(propose=propose, cm_name="C", switches=switches)
+    raise ConfigurationError(  # pragma: no cover - validate() rejects it
+        f"unsupported cluster protocol {protocol!r}")
 
-    def step(self, ticks: int) -> int:
-        ran = min(ticks, self.total_ticks - self.ticks_run)
-        if ran:
-            self.decision = self.txn.run()
-        self.ticks_run += ran
-        return ran
 
-    def finalize(self) -> ExperimentResult:
-        spec = self.spec
-        ctx = _RunContext(spec=spec, switches=self.switches,
-                          decision=self.decision,
-                          participants=self.participants,
-                          txn_log=tuple(self.txn.log))
-        metrics, verdicts, contexts = _extract(ctx)
-        return ExperimentResult(
-            spec=spec, metrics=metrics, invariants=verdicts,
-            violation_context=contexts,
-            decision=self.decision, participants=self.participants,
+def _build_emulation(spec: ExperimentSpec, switches: Switches,
+                     instrument: Instrument | None) -> _Built:
+    world_spec: DeployedWorld = spec.world
+    protocol: VIEmulation = spec.protocol
+    env = spec.environment
+    world = VIWorld(
+        list(world_spec.sites), dict(protocol.programs),
+        r1=world_spec.r1, r2=world_spec.r2, rcf=world_spec.rcf,
+        adversary=env.adversary, detector=env.detector,
+        crashes=env.crashes,
+        cm_stable_round=world_spec.cm_stable_round,
+        min_schedule_length=world_spec.min_schedule_length,
+        schedule=world_spec.schedule,
+        switches=switches,
+    )
+    world.sim.record_trace = spec.keep_trace
+    wire = WireStatsObserver()
+    world.sim.add_observer(wire)
+
+    clients: dict[NodeId, Any] = {}
+    named: dict[str, Any] = {}
+    for device in world_spec.devices:
+        node_id = world.add_device(
+            device.mobility, client=device.client,
+            start_round=device.start_round,
+            initially_active=device.initially_active,
         )
+        if device.client is not None:
+            clients[node_id] = device.client
+            if device.name is not None:
+                named[device.name] = device.client
+
+    if instrument is not None:
+        instrument(world.sim)
+    result = ExperimentResult(
+        spec=spec, metrics={}, invariants={},
+        trace=world.sim.trace if spec.keep_trace else None,
+        simulator=world.sim, world=world,
+        processes=dict(world.devices),
+        clients=clients, named_clients=named,
+    )
+    return (result, wire, world.run_virtual_rounds,
+            spec.workload.virtual_rounds)
+
+
+def _build_three_phase(spec: ExperimentSpec, switches: Switches,
+                       instrument: Instrument | None) -> _Built:
+    if instrument is not None:
+        raise ConfigurationError(
+            "the 3PC comparator runs off-channel: there is no "
+            "simulator to instrument"
+        )
+    protocol: ThreePhaseCommit = spec.protocol
+    participants = [
+        Participant(pid=i, vote_yes=vote)
+        for i, vote in enumerate(protocol.votes)
+    ]
+    txn = ThreePhaseCommitTxn(
+        participants,
+        lossy=protocol.lossy,
+        crash_coordinator_after=protocol.crash_coordinator_after,
+    )
+    result = ExperimentResult(spec=spec, metrics={}, invariants={},
+                              participants=participants)
+
+    def advance(ticks: int) -> None:
+        # The whole off-channel transaction is one tick.
+        result.decision = txn.run()
+
+    return result, txn, advance, 1

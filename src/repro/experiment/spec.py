@@ -18,6 +18,7 @@ Construct specs directly, or fluently with
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -61,6 +62,37 @@ class ClusterWorld:
             raise ConfigurationError("cluster world needs at least one node")
         if self.r2 < self.r1:
             raise ConfigurationError("quasi-unit-disk model needs r2 >= r1")
+
+
+def cluster_positions(n: int, *, center: Point = Point(0.0, 0.0),
+                      radius: float = 0.25) -> list[Point]:
+    """``n`` positions on a circle of ``radius`` around ``center``.
+
+    ``radius <= R1/2`` keeps every pair within ``R1`` of each other, the
+    Section 3 precondition; the default is ``R1/4`` for the default
+    ``R1 = 1``.  A circle (rather than a single point) keeps positions
+    distinct so geometry bugs cannot hide.
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
+    positions = []
+    for i in range(n):
+        angle = 2.0 * math.pi * i / n
+        positions.append(Point(
+            center.x + radius * math.cos(angle),
+            center.y + radius * math.sin(angle),
+        ))
+    return positions
+
+
+def default_proposer(node: NodeId) -> Callable[[Instance], Value]:
+    """Distinct, totally-ordered string proposals: ``v<node>.<instance>``.
+
+    Values are fixed-width (the paper's domain ``V`` has constant-size
+    elements), so that message-size measurements are not polluted by the
+    decimal width of the instance number.
+    """
+    return lambda k: f"v{node}.{k:06d}"
 
 
 @dataclass(frozen=True)
@@ -109,8 +141,6 @@ class CHA:
     """Plain CHAP on the canonical 3-round schedule (Figure 1)."""
 
     proposer_factory: ProposerFactory | None = None
-    #: Escape hatch for ablations: builds the per-node process.
-    process_factory: Callable[..., Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -158,9 +188,6 @@ class VIEmulation:
     programs: Mapping[int, VNProgram] = field(default_factory=dict)
 
 
-#: Protocols that run on a :class:`ClusterWorld`.
-CLUSTER_PROTOCOLS = (CHA, CheckpointCHA, NaiveRSM, TwoPhaseCHA, MajorityRSM)
-
 ProtocolSpec = (CHA | CheckpointCHA | NaiveRSM | TwoPhaseCHA | MajorityRSM
                 | ThreePhaseCommit | VIEmulation)
 
@@ -175,8 +202,7 @@ class EnvironmentSpec:
 
     ``None`` fields take the benign defaults run-time (no adversary, an
     immediately-accurate detector, an immediately-stable leader-election
-    contention manager, no crashes) — matching the classic ``run_cha``
-    defaults.  The contention manager is ignored by deployed worlds,
+    contention manager, no crashes).  The contention manager is ignored by deployed worlds,
     which build one :class:`~repro.contention.RegionalCM` per site.
     """
 

@@ -35,6 +35,7 @@ from ..experiment.spec import (
     VIEmulation,
     WorkloadSpec,
 )
+from ..experiment.runner import rounds_per_instance
 from .plan import NEVER, FaultPlan
 
 #: Slack instances run after the plan's stabilisation round so liveness
@@ -65,14 +66,11 @@ def liveness_deadline(plan: FaultPlan, instances: int, *,
 
 def _cluster_spec(protocol: Any, plan: FaultPlan, n: int,
                   instances: int) -> ExperimentSpec:
-    from ..baselines.two_phase_cha import TWO_PHASE_ROUNDS
-
     # liveness_by arms the liveness invariant inside the "all" expansion
     # for the full-history protocols (ignored where not applicable).
     # The deadline must be measured in the protocol's own instance
     # cadence, or it lands inside the hostile window.
-    rpi = (TWO_PHASE_ROUNDS if isinstance(protocol, TwoPhaseCHA)
-           else ROUNDS_PER_INSTANCE)
+    rpi = rounds_per_instance(protocol, n)
     return ExperimentSpec(
         protocol=protocol,
         world=ClusterWorld(n=n),

@@ -46,13 +46,16 @@ from collections import deque
 from typing import Any, Callable, Iterable
 
 from ..core.cha import ROUNDS_PER_INSTANCE
-from ..core.runner import default_proposer
 from ..core.slotted import shared_store
 from ..core.spec import check_agreement
 from ..errors import ConfigurationError, ServiceError, SpecViolation
 from ..experiment.result import OK, ExperimentResult
-from ..experiment.runner import ExperimentStepper, Instrument
-from ..experiment.spec import CHA, ExperimentSpec, NaiveRSM, TwoPhaseCHA
+from ..experiment.runner import (
+    FULL_HISTORY_PROTOCOLS,
+    ExperimentStepper,
+    Instrument,
+)
+from ..experiment.spec import ExperimentSpec, default_proposer
 from ..types import BOTTOM, NodeId
 from .registry import spec_hash as _spec_hash
 
@@ -304,9 +307,8 @@ class WorldDriver:
     happen, never *what* they compute.
     """
 
-    #: Protocols the service can drive: the full-history cluster family,
-    #: whose outputs are ``(instance, History | BOTTOM)`` rows.
-    SERVABLE = (CHA, NaiveRSM, TwoPhaseCHA)
+    #: Protocols the service can drive: the full-history cluster family.
+    SERVABLE = FULL_HISTORY_PROTOCOLS
 
     def __init__(self, spec: ExperimentSpec, *,
                  name: str = "w1",

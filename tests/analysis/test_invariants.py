@@ -10,8 +10,8 @@ from repro.analysis import (
     check_prev_pointer_discipline,
     check_property4,
 )
+from repro import scenario
 from repro.contention import LeaderElectionCM
-from repro.core import run_cha
 from repro.detectors import EventuallyAccurateDetector
 from repro.errors import SpecViolation
 from repro.net import RandomLossAdversary
@@ -23,13 +23,15 @@ def runs():
     """A batch of adversarial executions for soak-checking."""
     out = []
     for seed in range(6):
-        out.append(run_cha(
-            n=5, instances=25,
-            adversary=RandomLossAdversary(p_drop=0.4, p_false=0.25, seed=seed),
-            detector=EventuallyAccurateDetector(racc=45),
-            cm=LeaderElectionCM(stable_round=45, chaos="random", seed=seed),
-            rcf=45,
-        ))
+        out.append(
+            scenario().nodes(5).instances(25).cha()
+            .adversary(RandomLossAdversary(p_drop=0.4, p_false=0.25,
+                                           seed=seed))
+            .detector(EventuallyAccurateDetector(racc=45))
+            .contention(LeaderElectionCM(stable_round=45, chaos="random",
+                                         seed=seed))
+            .radio(rcf=45)
+            .run())
     return out
 
 
@@ -62,7 +64,7 @@ class TestCheckersDetectViolations:
     """Corrupt a finished run's state and confirm each checker fires."""
 
     def make_run(self):
-        return run_cha(n=3, instances=5)
+        return scenario().nodes(3).instances(5).cha().run()
 
     def test_property4_fires_on_two_shade_gap(self):
         run = self.make_run()
@@ -104,10 +106,10 @@ class TestCheckersDetectViolations:
 
 
 class TestCollectViolations:
-    """The non-raising enumeration used for ad-hoc ChaRun debugging."""
+    """The non-raising enumeration used for ad-hoc debugging of a result."""
 
     def make_run(self):
-        return run_cha(n=3, instances=5)
+        return scenario().nodes(3).instances(5).cha().run()
 
     def test_clean_run_yields_nothing(self):
         from repro.analysis import collect_violations, first_violation

@@ -13,26 +13,26 @@ from repro.analysis import (
     message_size_stats,
     rounds_per_decided_instance,
 )
+from repro import scenario
 from repro.contention import LeaderElectionCM
-from repro.core import run_cha
 from repro.detectors import EventuallyAccurateDetector
 from repro.net import RandomLossAdversary
 
 
 @pytest.fixture(scope="module")
 def stable_run():
-    return run_cha(n=4, instances=20)
+    return scenario().nodes(4).instances(20).cha().run()
 
 
 @pytest.fixture(scope="module")
 def unstable_run():
-    return run_cha(
-        n=4, instances=30,
-        adversary=RandomLossAdversary(p_drop=0.4, p_false=0.25, seed=1),
-        detector=EventuallyAccurateDetector(racc=45),
-        cm=LeaderElectionCM(stable_round=45, chaos="random", seed=1),
-        rcf=45,
-    )
+    return (scenario().nodes(4).instances(30).cha()
+            .adversary(RandomLossAdversary(p_drop=0.4, p_false=0.25, seed=1))
+            .detector(EventuallyAccurateDetector(racc=45))
+            .contention(LeaderElectionCM(stable_round=45, chaos="random",
+                                         seed=1))
+            .radio(rcf=45)
+            .run())
 
 
 class TestSizeStats:
@@ -71,13 +71,12 @@ class TestDecisionMetrics:
     def test_no_decisions_gives_infinite_cost(self, unstable_run):
         # Construct a node view with zero decisions by slicing: use a run
         # where everything is bottom early; simplest: check the guard.
-        run = run_cha(
-            n=3, instances=3,
-            adversary=RandomLossAdversary(p_drop=1.0, seed=0),
-            detector=EventuallyAccurateDetector(racc=100),
-            cm=LeaderElectionCM(stable_round=100, chaos="none"),
-            rcf=100,
-        )
+        run = (scenario().nodes(3).instances(3).cha()
+               .adversary(RandomLossAdversary(p_drop=1.0, seed=0))
+               .detector(EventuallyAccurateDetector(racc=100))
+               .contention(LeaderElectionCM(stable_round=100, chaos="none"))
+               .radio(rcf=100)
+               .run())
         assert rounds_per_decided_instance(run, 0) == float("inf")
         assert decision_throughput(run, 0) == 0.0
 

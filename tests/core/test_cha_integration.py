@@ -6,6 +6,7 @@ including the footnote-2 decide-and-crash scenario and Property 4.
 
 import pytest
 
+from repro import scenario
 from repro.contention import LeaderElectionCM
 from repro.core import (
     ROUNDS_PER_INSTANCE,
@@ -14,7 +15,6 @@ from repro.core import (
     check_liveness,
     check_validity,
     find_liveness_point,
-    run_cha,
 )
 from repro.detectors import EventuallyAccurateDetector
 from repro.net import (
@@ -30,51 +30,51 @@ from repro.types import BOTTOM, Color
 
 class TestStableExecution:
     def test_all_green_from_first_instance(self):
-        run = run_cha(n=4, instances=10)
+        run = scenario().nodes(4).instances(10).cha().run()
         kst = check_all(run.outputs, run.proposals, liveness_by=1)
         assert kst == 1
 
     def test_every_node_outputs_every_instance(self):
-        run = run_cha(n=3, instances=7)
+        run = scenario().nodes(3).instances(7).cha().run()
         for log in run.outputs.values():
             assert [k for k, _ in log] == list(range(1, 8))
 
     def test_single_node_ensemble(self):
-        run = run_cha(n=1, instances=5)
+        run = scenario().nodes(1).instances(5).cha().run()
         assert check_all(run.outputs, run.proposals, liveness_by=1) == 1
 
     def test_histories_identical_across_nodes(self):
-        run = run_cha(n=5, instances=6)
+        run = scenario().nodes(5).instances(6).cha().run()
         finals = {run.history_of(node) for node in run.processes}
         assert len(finals) == 1
 
     def test_leader_value_wins(self):
         # The stable leader is node 0 (min id): its proposals fill history.
-        run = run_cha(n=4, instances=5)
+        run = scenario().nodes(4).instances(5).cha().run()
         h = run.history_of(0)
         assert all(h(k) == f"v0.{k:06d}" for k in range(1, 6))
 
     def test_three_rounds_per_instance(self):
-        run = run_cha(n=4, instances=9)
+        run = scenario().nodes(4).instances(9).cha().run()
         assert len(run.trace) == 9 * ROUNDS_PER_INSTANCE
 
 
 class TestTheorem14Overhead:
     def test_message_size_constant_over_execution(self):
-        short = run_cha(n=4, instances=5)
-        long = run_cha(n=4, instances=200)
+        short = scenario().nodes(4).instances(5).cha().run()
+        long = scenario().nodes(4).instances(200).cha().run()
         assert short.trace.max_message_size() == long.trace.max_message_size()
 
     def test_message_size_independent_of_n(self):
-        small = run_cha(n=2, instances=20)
-        big = run_cha(n=12, instances=20)
+        small = scenario().nodes(2).instances(20).cha().run()
+        big = scenario().nodes(12).instances(20).cha().run()
         assert small.trace.max_message_size() == big.trace.max_message_size()
 
 
 class TestCrashTolerance:
     def test_survivors_converge_after_crashes(self):
         crashes = CrashSchedule.of({0: 10, 1: 20})
-        run = run_cha(n=5, instances=30, crashes=crashes)
+        run = scenario().nodes(5).instances(30).cha().crashes(crashes).run()
         survivors = run.surviving_nodes()
         assert set(survivors) == {2, 3, 4}
         check_validity(run.outputs, run.proposals)
@@ -86,7 +86,7 @@ class TestCrashTolerance:
         # Node 0 is the stable leader; it crashes mid-execution and node 1
         # must take over, keeping liveness.
         crashes = CrashSchedule.of({0: 9})  # start of instance 4
-        run = run_cha(n=3, instances=20, crashes=crashes)
+        run = scenario().nodes(3).instances(20).cha().crashes(crashes).run()
         outs = {n: run.outputs[n] for n in (1, 2)}
         check_agreement(run.outputs)
         kst = find_liveness_point(outs)
@@ -98,7 +98,7 @@ class TestCrashTolerance:
         # Node 0 (leader) completes instance 2 (rounds 3-5) and crashes
         # right after broadcasting in the last round of that instance.
         crashes = CrashSchedule([Crash(0, 5, CrashPoint.AFTER_SEND)])
-        run = run_cha(n=4, instances=10, crashes=crashes)
+        run = scenario().nodes(4).instances(10).cha().crashes(crashes).run()
         # The crashed node's outputs (including any decided history) must
         # agree with everything the survivors ever output.
         check_agreement(run.outputs)
@@ -108,7 +108,7 @@ class TestCrashTolerance:
 
     def test_all_but_one_crash(self):
         crashes = CrashSchedule.of({0: 6, 1: 6, 2: 6})
-        run = run_cha(n=4, instances=20, crashes=crashes)
+        run = scenario().nodes(4).instances(20).cha().crashes(crashes).run()
         check_agreement(run.outputs)
         outs = {3: run.outputs[3]}
         assert find_liveness_point(outs) is not None
@@ -116,13 +116,14 @@ class TestCrashTolerance:
 
 class TestUnstablePeriod:
     def make_unstable_run(self, *, seed, instances=40, n=5, stabilize_at=60):
-        return run_cha(
-            n=n, instances=instances,
-            adversary=RandomLossAdversary(p_drop=0.4, p_false=0.25, seed=seed),
-            detector=EventuallyAccurateDetector(racc=stabilize_at),
-            cm=LeaderElectionCM(stable_round=stabilize_at, chaos="random", seed=seed),
-            rcf=stabilize_at,
-        )
+        return (scenario().nodes(n).instances(instances).cha()
+                .adversary(RandomLossAdversary(p_drop=0.4, p_false=0.25,
+                                               seed=seed))
+                .detector(EventuallyAccurateDetector(racc=stabilize_at))
+                .contention(LeaderElectionCM(stable_round=stabilize_at,
+                                             chaos="random", seed=seed))
+                .radio(rcf=stabilize_at)
+                .run())
 
     @pytest.mark.parametrize("seed", range(8))
     def test_safety_holds_throughout_instability(self, seed):
@@ -179,13 +180,12 @@ class TestScriptedDisagreement:
     def test_partitioned_nodes_stay_safe(self):
         """Two groups that cannot hear each other never split history."""
         adv = PartitionAdversary([[0, 1], [2, 3]], until_round=30)
-        run = run_cha(
-            n=4, instances=30,
-            adversary=adv,
-            detector=EventuallyAccurateDetector(racc=30),
-            cm=LeaderElectionCM(stable_round=0),
-            rcf=30,
-        )
+        run = (scenario().nodes(4).instances(30).cha()
+               .adversary(adv)
+               .detector(EventuallyAccurateDetector(racc=30))
+               .contention(LeaderElectionCM(stable_round=0))
+               .radio(rcf=30)
+               .run())
         check_agreement(run.outputs)
         check_validity(run.outputs, run.proposals)
         # After the partition heals the ensemble converges.
@@ -199,11 +199,10 @@ class TestScriptedDisagreement:
         # Round 2 is instance 1's veto-2 phase.  A false collision at node
         # 1 only (detector accuracy starts at round 100).
         adv = ScriptedAdversary(false_script=[(2, 1)])
-        run = run_cha(
-            n=3, instances=4,
-            adversary=adv,
-            detector=EventuallyAccurateDetector(racc=100),
-        )
+        run = (scenario().nodes(3).instances(4).cha()
+               .adversary(adv)
+               .detector(EventuallyAccurateDetector(racc=100))
+               .run())
         colors = run.colors_at(1)
         assert colors[0] is Color.GREEN
         assert colors[1] is Color.YELLOW

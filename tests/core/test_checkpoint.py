@@ -3,8 +3,8 @@
 import pytest
 
 from _cores import begin, end
+from repro import scenario
 from repro.contention import LeaderElectionCM
-from repro.core import CheckpointCHAProcess, run_cha
 from repro.core.ballot import Ballot
 from repro.core.checkpoint import CheckpointChaCore, CheckpointOutput
 from repro.core.history import HistoryChain
@@ -100,16 +100,10 @@ class TestCoreFolding:
 
 
 class TestEnsemble:
-    def make_factory(self):
-        def factory(*, propose, cm_name):
-            return CheckpointCHAProcess(
-                propose=propose, cm_name=cm_name,
-                reducer=tuple_reducer, initial_state=(),
-            )
-        return factory
-
     def test_checkpoint_states_agree_across_nodes(self):
-        run = run_cha(n=4, instances=15, process_factory=self.make_factory())
+        run = (scenario().nodes(4).instances(15)
+               .checkpoint_cha(reducer=tuple_reducer, initial_state=())
+               .run())
         finals = set()
         for proc in run.processes.values():
             cp = proc.checkpoint
@@ -117,14 +111,14 @@ class TestEnsemble:
         assert len(finals) == 1
 
     def test_checkpoint_states_prefix_consistent_under_adversity(self):
-        run = run_cha(
-            n=4, instances=40,
-            process_factory=self.make_factory(),
-            adversary=RandomLossAdversary(p_drop=0.4, p_false=0.2, seed=11),
-            detector=EventuallyAccurateDetector(racc=75),
-            cm=LeaderElectionCM(stable_round=75, chaos="random", seed=11),
-            rcf=75,
-        )
+        run = (scenario().nodes(4).instances(40)
+               .checkpoint_cha(reducer=tuple_reducer, initial_state=())
+               .adversary(RandomLossAdversary(p_drop=0.4, p_false=0.2, seed=11))
+               .detector(EventuallyAccurateDetector(racc=75))
+               .contention(LeaderElectionCM(stable_round=75, chaos="random",
+                                            seed=11))
+               .radio(rcf=75)
+               .run())
         # With the tuple reducer the checkpoint state is the decided
         # history: all states must be prefix-ordered.
         states = sorted(
@@ -135,8 +129,10 @@ class TestEnsemble:
             assert b[:len(a)] == a
 
     def test_space_advantage_over_plain_cha(self):
-        plain = run_cha(n=3, instances=60)
-        gc = run_cha(n=3, instances=60, process_factory=self.make_factory())
+        plain = scenario().nodes(3).instances(60).cha().run()
+        gc = (scenario().nodes(3).instances(60)
+              .checkpoint_cha(reducer=tuple_reducer, initial_state=())
+              .run())
         plain_resident = plain.processes[0].core.resident_entries()
         gc_resident = gc.processes[0].core.resident_entries()
         assert gc_resident < plain_resident
@@ -144,7 +140,9 @@ class TestEnsemble:
         assert gc_resident <= 4       # bounded
 
     def test_outputs_are_checkpoint_outputs(self):
-        run = run_cha(n=2, instances=3, process_factory=self.make_factory())
+        run = (scenario().nodes(2).instances(3)
+               .checkpoint_cha(reducer=tuple_reducer, initial_state=())
+               .run())
         for _, out in run.outputs[0]:
             assert out is BOTTOM or isinstance(out, CheckpointOutput)
 

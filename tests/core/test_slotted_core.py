@@ -36,7 +36,7 @@ from repro.core.ballot import Ballot, VetoPayload
 from repro.core.cha import CHAProcess
 from repro.core.checkpoint import CheckpointCHAProcess, CheckpointOutput
 from repro.core.history import History, new_chain_generation
-from repro.core.runner import cluster_positions, default_proposer
+from repro.experiment import cluster_positions, default_proposer
 from repro.core.slotted import SlottedChaCore, SlottedCheckpointChaCore
 from repro.net import Simulator
 from repro.net.channel import RadioSpec

@@ -1,17 +1,19 @@
-"""Unit tests for the CHA ensemble runner helpers."""
+"""Unit tests for the cluster-world helpers and the result's CHAP reads."""
 
 import pytest
 
-from repro.core import cluster_positions, default_proposer, run_cha
-from repro.core.runner import DEFAULT_R1
+from repro import scenario
+from repro.experiment import ClusterWorld, cluster_positions, default_proposer
 from repro.geometry import Point, max_pairwise_distance
+from repro.net import CrashSchedule
+from repro.types import BOTTOM
 
 
 class TestClusterPositions:
     def test_all_within_r1_of_each_other(self):
         # The Section 3 precondition: every pair can communicate.
         positions = cluster_positions(12)
-        assert max_pairwise_distance(positions) <= DEFAULT_R1
+        assert max_pairwise_distance(positions) <= ClusterWorld.r1
 
     def test_positions_distinct(self):
         positions = cluster_positions(8)
@@ -42,22 +44,27 @@ class TestDefaultProposer:
         assert propose(1) < propose(2)  # zero-padding keeps string order
 
 
-class TestChaRunHelpers:
+class TestResultAccessors:
     def test_surviving_nodes_without_crashes(self):
-        run = run_cha(n=3, instances=2)
-        assert run.surviving_nodes() == [0, 1, 2]
+        result = scenario().nodes(3).instances(2).cha().run()
+        assert result.surviving_nodes() == [0, 1, 2]
 
     def test_outputs_and_proposals_cover_all_nodes(self):
-        run = run_cha(n=4, instances=3)
-        assert set(run.outputs) == set(run.proposals) == {0, 1, 2, 3}
+        result = scenario().nodes(4).instances(3).cha().run()
+        assert set(result.outputs) == set(result.proposals) == {0, 1, 2, 3}
+        assert result.instances == 3
 
     def test_colors_at_only_survivors(self):
-        from repro.net import CrashSchedule
-        run = run_cha(n=3, instances=5, crashes=CrashSchedule.of({1: 4}))
-        assert set(run.colors_at(5)) == {0, 2}
+        result = (scenario().nodes(3).instances(5).cha()
+                  .crashes(CrashSchedule.of({1: 4})).run())
+        assert set(result.colors_at(5)) == {0, 2}
 
     def test_history_of_matches_outputs(self):
-        from repro.types import BOTTOM
-        run = run_cha(n=2, instances=6)
-        last_output = [out for _, out in run.outputs[0] if out is not BOTTOM][-1]
-        assert run.history_of(0) == last_output
+        result = scenario().nodes(2).instances(6).cha().run()
+        last_output = [out for _, out in result.outputs[0]
+                       if out is not BOTTOM][-1]
+        assert result.history_of(0) == last_output
+
+    def test_instances_from_a_round_budget(self):
+        result = scenario().nodes(3).rounds(10).two_phase_cha().run()
+        assert result.instances == 5

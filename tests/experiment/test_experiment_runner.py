@@ -2,9 +2,7 @@
 
 import pytest
 
-import repro
 from repro import run, scenario
-from repro.core import ROUNDS_PER_INSTANCE
 from repro.errors import ConfigurationError
 from repro.experiment import (
     CHA,
@@ -24,17 +22,6 @@ def count_reducer(state, k, value):
 
 
 class TestClusterProtocols:
-    def test_plain_cha_matches_run_cha_shim(self):
-        spec = ExperimentSpec(
-            protocol=CHA(), world=ClusterWorld(n=4),
-            workload=WorkloadSpec(instances=6),
-        )
-        result = run(spec)
-        shim = repro.run_cha(n=4, instances=6)
-        assert result.outputs == shim.outputs
-        assert result.proposals == shim.proposals
-        assert len(result.trace) == 6 * ROUNDS_PER_INSTANCE
-
     def test_explicit_node_ids(self):
         result = run(ExperimentSpec(protocol=CHA(), world=ClusterWorld(n=3),
                                     workload=WorkloadSpec(instances=2)))
@@ -99,13 +86,13 @@ class TestClusterProtocols:
                   .metrics("decided_instances").run())
         # 6 rounds per instance at n=4.
         assert result.metrics["decided_instances"][1] == 10
-        assert result.cha_run is None
+        assert result.outputs is None
 
     def test_crashes_flow_through(self):
         result = (scenario().nodes(3).instances(5).cha()
                   .crashes(CrashSchedule.of({1: 4}))
                   .run())
-        assert result.cha_run.surviving_nodes() == [0, 2]
+        assert result.surviving_nodes() == [0, 2]
 
 
 class TestOffChannelAndEmulation:

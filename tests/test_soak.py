@@ -21,8 +21,9 @@ import os
 
 import pytest
 
+from repro import scenario
 from repro.contention import ExponentialBackoffCM
-from repro.core import check_agreement, check_validity, find_liveness_point, run_cha
+from repro.core import check_agreement, check_validity, find_liveness_point
 from repro.faults import (
     CrashWave,
     DetectorNoise,
@@ -133,10 +134,9 @@ def test_emulation_fault_soak(seed):
 def _check_backoff_execution(seed):
     """A randomised exponential-backoff CM (no oracle) still yields a
     correct, eventually-live execution."""
-    run = run_cha(
-        n=5, instances=60,
-        cm=ExponentialBackoffCM(seed=seed),
-    )
+    run = (scenario().nodes(5).instances(60).cha()
+           .contention(ExponentialBackoffCM(seed=seed))
+           .run())
     check_validity(run.outputs, run.proposals)
     check_agreement(run.outputs)
     kst = find_liveness_point(run.outputs)
