@@ -6,7 +6,7 @@ The protocol is factored in two layers:
   the ``prev-instance`` pointer and ``calculate-history``.  It is driven
   explicitly through the step surface every core shares: ``step_begin``
   and ``propose`` (with ``ballot_payload``), ``step_ballot``,
-  ``veto_due`` / ``veto_payload`` and ``step_veto1``, then ``step_end``
+  ``veto_due`` and ``step_veto1``, then ``step_end``
   (``step_end_single`` for the two-phase ablation), plus
   ``has_instance`` and ``detach``.  :func:`build_core` picks the core
   a process or emulation replica runs.  The virtual-infrastructure
@@ -41,7 +41,7 @@ from ..net.node import Ensemble, Process
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, NodeId, Round, Sentinel, Value
 from .ballot import Ballot, BallotPayload, VetoPayload
-from .history import History, HistoryChain, ROOT_CHAIN
+from .history import History, HistoryChain, ROOT_CHAIN, _intern_key
 
 #: Rounds per CHA instance in the canonical schedule (Theorem 14's constant).
 ROUNDS_PER_INSTANCE = 3
@@ -214,10 +214,6 @@ class ChaCore:
             return status is Color.RED
         return status is not None and status <= Color.ORANGE
 
-    def veto_payload(self, phase: int) -> VetoPayload:
-        """The veto payload for veto phase ``phase``."""
-        return VetoPayload(self.tag, self.k, phase)
-
     def step_veto1(self, veto_seen: bool, collision: bool) -> None:
         """Veto-1 reception (lines 33-35): downgrade green to orange."""
         if veto_seen or collision:
@@ -381,8 +377,37 @@ def build_core(*, propose: Callable[[Instance], Value], tag: Any = "cha",
         **kwargs)
 
 
-def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
-    """The send step of CHA phase ``phase`` over ``runs`` as ``(node,
+#: The veto intern of :func:`send_runs`: the round its payloads belong
+#: to, and the round's one payload per ``(tag, instance, phase)``.
+_veto_round: Any = None
+_vetoes: dict[tuple, VetoPayload] = {}
+
+
+def _veto(r: Any, tag: Any, k: Instance, phase: int) -> VetoPayload:
+    """Round ``r``'s one veto payload for ``(tag, k, phase)``.
+
+    Every veto payload is built here, so equal ones of a round are one
+    object on every path (wire objects are immutable, so sharing is
+    invisible but in pickles, and the paths share alike).  The tag is
+    keyed type-exactly (``1`` and ``True`` never share), by identity if
+    it is not internable.  The table holds one round's entries."""
+    global _veto_round
+    if r != _veto_round:
+        _vetoes.clear()
+        _veto_round = r
+    try:
+        key = (_intern_key(tag), k, phase)
+    except TypeError:
+        key = (id(tag), k, phase)  # its entry keeps the tag alive
+    payload = _vetoes.get(key)
+    if payload is None:
+        payload = _vetoes[key] = VetoPayload(tag, k, phase)
+    return payload
+
+
+def send_runs(r: Any, phase: int, runs, advised) -> list[tuple[Any, Any]]:
+    """The send step of CHA phase ``phase`` in round ``r`` (a real round,
+    or the emulation's phase position) over ``runs`` as ``(node,
     payload)`` pairs in node order; ``advised`` holds the advised nodes.
 
     A run is ``(members, node ids, first, sweep)``: processes or
@@ -391,7 +416,9 @@ def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
     prebound ``(proposer, proposals_made)`` pairs and members by node
     (:class:`SplitRuns`).  The store's part of a step is applied once;
     each member proposes (:meth:`ChaCore.propose`, unrolled through the
-    pairs) and each advised one builds its own payload."""
+    pairs) and each advised one builds its own ballot payload.  Every
+    vetoing member sends the round's one veto payload (:func:`_veto`),
+    looked up again only for a run whose ``k`` or tag object differs."""
     out = []
     if phase == PHASE_BALLOT:
         for group, nodes, first, sweep in runs:
@@ -414,10 +441,15 @@ def send_runs(phase: int, runs, advised) -> list[tuple[Any, Any]]:
     # The veto payload producers are inert before the first instance
     # has begun (a node powered up mid-grid sends nothing until its
     # first ballot phase comes around).
+    payload = tag = None
     for group, nodes, _, _ in runs:
-        if group[0].core.veto_due(phase):
-            for member, node in zip(group, nodes):
-                out.append((node, member.core.veto_payload(phase)))
+        core = group[0].core
+        if core.veto_due(phase):
+            if (payload is None or core.tag is not tag
+                    or core.k != payload.instance):
+                tag = core.tag
+                payload = _veto(r, tag, core.k, phase)
+            out += [(node, payload) for node in nodes]
     return out
 
 
@@ -512,7 +544,7 @@ class CHAProcess(Process):
 
     def send(self, r: Round, active: bool) -> Any | None:
         self.core.detach()
-        out = send_runs((r - self.start_round) % self.rounds_per_instance,
+        out = send_runs(r, (r - self.start_round) % self.rounds_per_instance,
                         (((self,), _ALONE, True, None),),
                         _ALONE if active else ())
         return out[0][1] if out else None
@@ -591,11 +623,13 @@ class CHAProcess(Process):
         else:
             k = core.k
             tag = core.tag
-            veto = any(
-                isinstance(m.payload, VetoPayload)
-                and m.payload.tag == tag and m.payload.instance == k
-                for m in messages
-            )
+            veto = False
+            for m in messages:
+                p = m.payload
+                if (isinstance(p, VetoPayload) and p.tag == tag
+                        and p.instance == k):
+                    veto = True
+                    break
         # Veto phases are inert before the first instance has begun (a
         # mid-grid power-up); a quiet veto-1 reception changes nothing.
         if phase != self.rounds_per_instance - 1:
@@ -701,7 +735,7 @@ class CHAEnsemble(Ensemble):
     def send_round(self, r: Round, members: list[NodeId],
                    advised) -> list[tuple[NodeId, Any]]:
         lead = self.processes[0]
-        return send_runs((r - lead.start_round) % lead.rounds_per_instance,
+        return send_runs(r, (r - lead.start_round) % lead.rounds_per_instance,
                          self._split(members)[0], advised)
 
     def deliver_round(self, r: Round, members: list[NodeId], delivered,

@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..switches import Switches
 from ..types import BOTTOM, Color, Instance, NO_INSTANCE, Sentinel, Value
-from .ballot import Ballot, BallotPayload, VetoPayload
+from .ballot import Ballot, BallotPayload
 from .cha import ChaCore, _InstanceMap, calculate_history_reference
 from .checkpoint import CheckpointChaCore, CheckpointOutput, Reducer
 from .history import History, HistoryChain, ROOT_CHAIN
@@ -701,10 +701,6 @@ class SlottedChaCore:
             return False
         code = arr[k]
         return code == _RED if phase == 1 else 0 <= code <= _ORANGE
-
-    def veto_payload(self, phase: int) -> VetoPayload:
-        """This member's veto payload for veto phase ``phase``."""
-        return VetoPayload(self.tag, self._c.k, phase)
 
     def step_veto1(self, veto_seen: bool, collision: bool) -> None:
         """Veto-1 reception: downgrade green to orange."""

@@ -10,12 +10,21 @@ re-scanning the whole trace after the fact.
 
 from __future__ import annotations
 
+from ..net.messages import wire_size
 from ..net.trace import RoundRecord
 from ..types import NodeId
 
+#: No payload: the first broadcast of a round is always sized.
+_UNSIZED = object()
+
 
 class WireStatsObserver:
-    """Accumulates the trace-level wire metrics online."""
+    """Accumulates the trace-level wire metrics online.
+
+    A payload is sized only when it is not the previous broadcast's
+    object: a veto round's equal payloads are one object
+    (:func:`~repro.core.cha.send_runs`), and wire objects are immutable,
+    so one object always has one size."""
 
     def __init__(self) -> None:
         self.rounds = 0
@@ -27,11 +36,14 @@ class WireStatsObserver:
     def __call__(self, record: RoundRecord) -> None:
         self.rounds += 1
         self.total_broadcasts += len(record.broadcasts)
+        last = _UNSIZED
         for message in record.broadcasts.values():
-            size = message.size
+            if message.payload is not last:
+                last = message.payload
+                size = wire_size(last)
+                if size > self.max_message_size:
+                    self.max_message_size = size
             self._size_sum += size
-            if size > self.max_message_size:
-                self.max_message_size = size
         collisions = record.collisions
         if any(collisions.values()):  # most rounds raise no flag at all
             counts = self.collision_flags

@@ -75,11 +75,12 @@ A silent round does not sync the index; the next audible round does.
 Coverage classes.  A silent round, and a single-sender round past
 ``rcf``, give whole classes of receivers one :class:`Reception`:
 silence, the sender's clean one (its node list inside ``R1``, kept with
-its walk), or lost-within-``R2`` (its list beyond).  Those rounds are
-built with ``dict.fromkeys`` per class, and :attr:`Channel.coverage`
-hands the round engine the ``(nodes, reception)`` pairs (the first over
-every receiver, later ones overriding it; ``None`` on other rounds).
-One class makes a *uniform* round: all heard all, with one flag.
+its walk), or lost-within-``R2`` (its list beyond).  On those rounds
+:meth:`Channel.deliver_batch` returns the ``(nodes, reception)`` pairs
+alone (the first over every receiver, later ones overriding it), which
+the round engine reads per class; :func:`receptions_of` expands them
+to the per-node map where one is read (:meth:`Channel.deliver`).  One
+class makes a *uniform* round: all heard all, with one flag.
 
 The aliasing rule.  Within one round, receivers whose delivered messages
 come from the same sender hold the *same* tuple object, on both paths
@@ -127,6 +128,19 @@ class Reception:
 #: and compared by value, so sharing one instance is invisible to callers
 #: while sparing the fast path an allocation per idle receiver per round.
 _SILENCE = Reception(messages=(), lost_within_r1=False, lost_within_r2=False)
+
+#: A round's coverage classes: ``(nodes, reception)`` pairs, the first
+#: over every receiver, later ones overriding it (module docstring).
+Coverage = tuple[tuple[object, Reception], ...]
+
+
+def receptions_of(coverage: Coverage) -> dict[NodeId, Reception]:
+    """The per-node reception map of a round's coverage classes."""
+    nodes, reception = coverage[0]
+    receptions = dict.fromkeys(nodes, reception)
+    for nodes, reception in coverage[1:]:
+        receptions.update(dict.fromkeys(nodes, reception))
+    return receptions
 
 #: Shared receptions for "nothing delivered, something within R2 lost":
 #: no audible sender inside R1 / at least one inside R1.
@@ -196,8 +210,6 @@ class Channel:
         self._heard: dict[NodeId, tuple[Reception | None, bool]] = {}
         #: Each sender's ``[candidates, stamp, walk]`` (:meth:`_reach_of`).
         self._reach: dict[NodeId, list] = {}
-        #: The last round's coverage classes, if any (module docstring).
-        self.coverage: tuple[tuple[object, Reception], ...] | None = None
 
     def deliver(self, r: Round,
                 positions: Mapping[NodeId, Point],
@@ -213,14 +225,18 @@ class Channel:
         for s in senders:
             if s not in positions:
                 raise ConfigurationError(f"broadcaster {s} has no position")
-        return self.deliver_batch(r, positions, broadcasts, senders)
+        out = self.deliver_batch(r, positions, broadcasts, senders)
+        return receptions_of(out) if out.__class__ is tuple else out
 
     def deliver_batch(self, r: Round,
                       positions: Mapping[NodeId, Point],
                       broadcasts: Mapping[NodeId, Message],
                       senders: list[NodeId],
-                      *, positions_unchanged: bool = False) -> dict[NodeId, Reception]:
-        """Batched-engine entrypoint: :meth:`deliver` minus re-derivation.
+                      *, positions_unchanged: bool = False,
+                      ) -> dict[NodeId, Reception] | Coverage:
+        """Batched-engine entrypoint: :meth:`deliver` minus re-derivation,
+        and a round resolved per coverage class is returned as its
+        classes (module docstring; :func:`receptions_of` expands them).
 
         ``senders`` is the already-ascending broadcaster list the round
         engine produced while collecting payloads (its send sweep walks
@@ -234,7 +250,6 @@ class Channel:
         channel, letting the indexed path skip re-synchronising its
         spatial index (the batched engine asserts this from its caches).
         """
-        self.coverage = None
         if self._reference:
             return self._deliver_reference(r, positions, broadcasts, senders)
         return self._deliver_indexed(r, positions, broadcasts, senders,
@@ -379,16 +394,18 @@ class Channel:
                          positions: Mapping[NodeId, Point],
                          broadcasts: Mapping[NodeId, Message],
                          senders: list[NodeId],
-                         positions_unchanged: bool = False) -> dict[NodeId, Reception]:
+                         positions_unchanged: bool = False,
+                         ) -> dict[NodeId, Reception] | Coverage:
         """Sender-centric delivery via the spatial grid.
 
         A silent round and a single-sender round past ``rcf`` are
-        answered on the spot.  Otherwise one walk — each sender visits
-        the cells its ``R2`` disk overlaps and advances the saturating
-        record (module docstring) of every node it reaches, skipping
-        cells whose residents are all final — then one resolution: the
-        record decides each reception; before ``rcf`` the adversary sees
-        the tentative deliveries first and its drops are applied on top.
+        answered on the spot, by their coverage classes.  Otherwise one
+        walk — each sender visits the cells its ``R2`` disk overlaps and
+        advances the saturating record (module docstring) of every node
+        it reaches, skipping cells whose residents are all final — then
+        one resolution: the record decides each reception; before
+        ``rcf`` the adversary sees the tentative deliveries first and
+        its drops are applied on top.
         """
         spec = self.spec
         if not senders:
@@ -402,8 +419,7 @@ class Channel:
                 # path (stateful RNG streams must advance identically);
                 # with nothing tentatively delivered it can doom nobody.
                 self.adversary.drops(r, dict.fromkeys(positions, ()))
-            self.coverage = ((positions, _SILENCE),)
-            return dict.fromkeys(positions, _SILENCE)
+            return ((positions, _SILENCE),)
         if not (positions_unchanged and self._index_synced):
             resnapped: list = []
             if self._index.update(positions, skin=self._skin,
@@ -425,15 +441,9 @@ class Channel:
             _, near, far = self._reach_of(s, positions)
             clean = Rec((broadcasts[s],), False, False)
             if len(near) == len(positions):  # the index holds just them
-                coverage = ((positions, clean),)
-            else:
-                coverage = ((positions, _SILENCE), (near, clean),
-                            (far, _LOST_R2_ONLY))
-            self.coverage = coverage
-            receptions = dict.fromkeys(positions, coverage[0][1])
-            for nodes, reception in coverage[1:]:
-                receptions.update(dict.fromkeys(nodes, reception))
-            return receptions
+                return ((positions, clean),)
+            return ((positions, _SILENCE), (near, clean),
+                    (far, _LOST_R2_ONLY))
         heard = self._heard
         heard.clear()
         heard_get = heard.get

@@ -53,8 +53,8 @@ def wire_size(payload: Any) -> int:
     tuple of their fields.  It is *not* a real serialiser; it exists so
     that "message size" is a well-defined, reproducible metric.
     The exact type is tried first; subclasses take the ``isinstance``
-    chain.  Wire objects are immutable (frozen dataclasses, built fresh
-    and never mutated), so one payload object always has one size.
+    chain.  Wire objects are immutable (frozen dataclasses, never
+    mutated), so one payload object always has one size.
     """
     kind = type(payload)
     size = _SCALAR_SIZES.get(kind)
@@ -142,7 +142,7 @@ class RoundBatch:
         self.broadcasts = broadcasts
         self._uniform_tag: Any = _UNRESOLVED
         #: Set by the round engine: every receiver heard all of
-        #: ``broadcasts`` with one flag (:attr:`Channel.coverage`).
+        #: ``broadcasts`` with one flag (a round of one coverage class).
         self.uniform = False
         #: Free-form per-round scratch space for receivers.  Reception
         #: work that depends only on what was broadcast — not on who is

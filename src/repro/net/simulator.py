@@ -68,7 +68,7 @@ from ..geometry import Point
 from ..switches import Switches
 from ..types import NodeId, Round
 from .adversary import Adversary, NoAdversary
-from .channel import Channel, RadioSpec
+from .channel import Channel, RadioSpec, receptions_of
 from .location import LocationService
 from .messages import Message, RoundBatch
 from .mobility import MobilityModel, StaticMobility
@@ -589,21 +589,22 @@ class Simulator:
                        and r >= detector.racc)
         crashes = self.crashes
         no_crashes = not len(crashes)
-        coverage = self.channel.coverage
-        if coverage is not None and benign and fast_detect and no_crashes:
-            # Every flag is its reception's, and the channel gave whole
-            # coverage classes: build both maps per class (the first is
-            # every present node, in order; later ones override it).
-            nodes, reception = coverage[0]
-            any_flag = reception.lost_within_r2 and len(nodes) > 0
-            flags = dict.fromkeys(nodes, reception.lost_within_r2)
-            delivered = dict.fromkeys(nodes, reception.messages)
-            for nodes, reception in coverage[1:]:
-                flag = reception.lost_within_r2
-                flags.update(dict.fromkeys(nodes, flag))
-                delivered.update(dict.fromkeys(nodes, reception.messages))
-                any_flag = any_flag or (flag and len(nodes) > 0)
-            return flags, delivered, any_flag, len(coverage) == 1
+        if receptions.__class__ is tuple:  # the channel's coverage classes
+            if benign and fast_detect and no_crashes:
+                # Every flag is its reception's: build both maps per
+                # class (the first is every present node, in order;
+                # later ones override it).
+                nodes, reception = receptions[0]
+                any_flag = reception.lost_within_r2 and len(nodes) > 0
+                flags = dict.fromkeys(nodes, reception.lost_within_r2)
+                delivered = dict.fromkeys(nodes, reception.messages)
+                for nodes, reception in receptions[1:]:
+                    flag = reception.lost_within_r2
+                    flags.update(dict.fromkeys(nodes, flag))
+                    delivered.update(dict.fromkeys(nodes, reception.messages))
+                    any_flag = any_flag or (flag and len(nodes) > 0)
+                return flags, delivered, any_flag, len(receptions) == 1
+            receptions = receptions_of(receptions)
         flags: dict[NodeId, bool] = {}
         delivered: dict[NodeId, tuple[Message, ...]] = {}
         any_flag = False

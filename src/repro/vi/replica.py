@@ -198,7 +198,7 @@ class ReplicaRuntime:
         if cha is None:
             return None
         self.core.detach()  # a lone step leaves a shared store
-        out = send_runs(cha, (((self,), _ALONE, True, None),),
+        out = send_runs(pos, cha, (((self,), _ALONE, True, None),),
                         _ALONE if active else ())
         return out[0][1] if out else None
 
@@ -306,7 +306,7 @@ class ReplicaCohort:
     def send(self, pos: PhasePosition, takers, advised) -> list[tuple]:
         """The send step of the members in ``takers`` (those allowed to
         send), as ``(node, payload)`` pairs in node order."""
-        return send_runs(self.replicas[0].core_phase(pos),
+        return send_runs(pos, self.replicas[0].core_phase(pos),
                          self._split(takers)[0], advised)
 
     def deliver(self, pos: PhasePosition, delivered, flags) -> None:

@@ -26,15 +26,17 @@ pytestmark = [pytest.mark.fast, pytest.mark.core_differential]
 
 #: The step surface.  Its writing names (``step_*``, ``propose``,
 #: ``detach``) are the only way a core changes state; ``has_instance``,
-#: ``veto_due`` and the two ``*_payload`` builders only read it.
+#: ``veto_due`` and ``ballot_payload`` only read it.  A veto payload is
+#: not a core's to build: ``send_runs`` interns one per round and key.
 SURFACE = ("step_begin", "propose", "ballot_payload", "veto_due",
-           "veto_payload", "step_ballot", "step_veto1", "step_end",
+           "step_ballot", "step_veto1", "step_end",
            "step_end_single", "has_instance", "detach")
 
 #: Spellings the surface replaced.
 RETIRED = ("begin_instance", "begin_instance_send", "on_ballot_reception",
            "on_veto1_reception", "on_veto2_reception", "end_instance",
            "wants_veto1", "wants_veto2", "veto1_payload", "veto2_payload",
+           "veto_payload",
            "finish_instance_single_veto", "end_instance_single_veto")
 
 #: Each dict core with its slotted twin.

@@ -1,17 +1,18 @@
 """The simulator's per-round observer hook and trace-retention switch."""
 
 from repro.core import CHAProcess, ROUNDS_PER_INSTANCE
+from repro.core.ballot import VetoPayload
 from repro.contention import LeaderElectionCM
 from repro.experiment import WireStatsObserver
-from repro.net import RadioSpec, Simulator
+from repro.net import RadioSpec, RandomLossAdversary, Simulator
 from repro.net.trace import RoundRecord
 from repro.geometry import Point
 
 
-def build_sim(**kwargs):
-    sim = Simulator(spec=RadioSpec(r1=1.0, r2=1.5),
+def build_sim(n=3, rcf=0, **kwargs):
+    sim = Simulator(spec=RadioSpec(r1=1.0, r2=1.5, rcf=rcf),
                     cms={"C": LeaderElectionCM(stable_round=0)}, **kwargs)
-    for i in range(3):
+    for i in range(n):
         sim.add_node(CHAProcess(propose=lambda k, i=i: f"v{i}.{k}",
                                 cm_name="C"),
                      Point(0.05 * i, 0.0))
@@ -60,6 +61,20 @@ class TestRecordTraceSwitch:
         wire = WireStatsObserver()
         sim = build_sim(observers=[wire])
         sim.run(9)
+        assert wire.total_broadcasts == sim.trace.total_broadcasts()
+        assert wire.max_message_size == sim.trace.max_message_size()
+        assert wire.mean_message_size == sim.trace.mean_message_size()
+
+    def test_wire_stats_equal_trace_derived_stats_on_a_lossy_world(self):
+        """Before ``rcf`` several nodes veto in one round: one shared
+        payload, sized once, still counts once per broadcast."""
+        wire = WireStatsObserver()
+        sim = build_sim(n=6, rcf=12, observers=[wire],
+                        adversary=RandomLossAdversary(p_drop=0.4, seed=4))
+        sim.run(18)
+        assert max(sum(isinstance(m.payload, VetoPayload)
+                       for m in record.broadcasts.values())
+                   for record in sim.trace) >= 3
         assert wire.total_broadcasts == sim.trace.total_broadcasts()
         assert wire.max_message_size == sim.trace.max_message_size()
         assert wire.mean_message_size == sim.trace.mean_message_size()

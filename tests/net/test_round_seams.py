@@ -52,6 +52,7 @@ from repro.net import (
     Simulator,
     WaypointMobility,
 )
+from repro.net.channel import receptions_of
 from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
@@ -250,6 +251,8 @@ def test_positions_unchanged_hint_matches_reference(seed, adversary):
         senders = sorted(broadcasts)
         got = fast.deliver_batch(r, positions, broadcasts, senders,
                                  positions_unchanged=hint)
+        if got.__class__ is tuple:  # a round's coverage classes
+            got = receptions_of(got)
         want = ref.deliver_batch(r, positions, broadcasts, senders)
         assert list(got.items()) == list(want.items()), (seed, r)
 
