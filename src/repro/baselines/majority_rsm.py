@@ -94,18 +94,15 @@ class MajorityRSMProcess(Process):
             return Commit(self._instance, self._current_value)
         return None
 
-    def deliver_batch(self, r: Round, messages: tuple[Message, ...],
-                      collision: bool, batch) -> None:
-        """Batched delivery — :meth:`deliver` without the intermediate
-        payload list, and with the no-op shapes short-circuited: empty
-        receptions update no state (per-instance bookkeeping lives in
-        :meth:`send`), and only the leader reads ack slots.  Keep in
-        lockstep with :meth:`deliver`."""
+    def deliver(self, r: Round, messages: tuple[Message, ...],
+                collision: bool) -> None:
+        # An empty reception updates no state (per-instance bookkeeping
+        # lives in :meth:`send`), and only the leader reads ack slots.
         if not messages:
             return
         phase = self._phase(r)
+        instance = self._instance
         if phase == 0:
-            instance = self._instance
             for m in messages:
                 p = m.payload
                 if isinstance(p, Propose) and p.instance == instance:
@@ -113,35 +110,14 @@ class MajorityRSMProcess(Process):
                     self._current_value = p.value
         elif phase <= self.n:
             if self.is_leader:
-                instance = self._instance
                 for m in messages:
                     p = m.payload
                     if isinstance(p, Ack) and p.instance == instance:
                         self._acks_heard += 1
         else:
-            instance = self._instance
             for m in messages:
                 p = m.payload
                 if isinstance(p, Commit) and p.instance == instance:
-                    self.decided.append((p.instance, p.value))
-
-    def deliver(self, r: Round, messages: tuple[Message, ...],
-                collision: bool) -> None:
-        phase = self._phase(r)
-        payloads = [m.payload for m in messages]
-        if phase == 0:
-            for p in payloads:
-                if isinstance(p, Propose) and p.instance == self._instance:
-                    self._got_proposal = True
-                    self._current_value = p.value
-        elif 1 <= phase <= self.n:
-            if self.is_leader:
-                for p in payloads:
-                    if isinstance(p, Ack) and p.instance == self._instance:
-                        self._acks_heard += 1
-        else:
-            for p in payloads:
-                if isinstance(p, Commit) and p.instance == self._instance:
                     self.decided.append((p.instance, p.value))
 
     @property

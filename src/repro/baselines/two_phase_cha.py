@@ -40,6 +40,6 @@ class TwoPhaseChaProcess(CHAProcess):
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  cm_name: str = "C", tag: Any = "2pc-cha",
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         super().__init__(propose=propose, cm_name=cm_name, tag=tag,
                          switches=switches)

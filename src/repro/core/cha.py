@@ -133,10 +133,9 @@ class ChaCore:
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  tag: Any = "cha",
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         self._propose = propose
         self.tag = tag
-        switches = Switches.resolve(switches)
         #: Pin this core to the seed re-walking fold (the incremental
         #: chain engine is the default).
         self.reference_history = switches.history
@@ -355,7 +354,7 @@ class ChaCore:
 
 
 def build_core(*, propose: Callable[[Instance], Value], tag: Any = "cha",
-               switches: Switches | None = None,
+               switches: Switches = Switches(),
                reducer: Callable[[Any, Instance, Value], Any] | None = None,
                initial_state: Any = None):
     """The protocol core a process or emulation replica runs.
@@ -367,7 +366,6 @@ def build_core(*, propose: Callable[[Instance], Value], tag: Any = "cha",
     from .checkpoint import CheckpointChaCore
     from .slotted import SlottedChaCore, SlottedCheckpointChaCore
 
-    switches = Switches.resolve(switches)
     kwargs: dict[str, Any] = dict(propose=propose, tag=tag, switches=switches)
     if reducer is not None:
         kwargs.update(reducer=reducer, initial_state=initial_state)
@@ -521,7 +519,7 @@ class CHAProcess(Process):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: Round = 0,
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         self.core = build_core(propose=propose, tag=tag, switches=switches)
         self.cm_name = cm_name
         self.start_round = start_round
@@ -537,7 +535,7 @@ class CHAProcess(Process):
 
     # -- the phase machine, over runs of processes -----------------------
     #
-    # ``send`` / ``deliver_batch`` run it over this process alone (a lone
+    # ``send`` / ``deliver`` run it over this process alone (a lone
     # step: a slotted core leaves a shared store first); the ensemble
     # (:class:`CHAEnsemble`) runs it once per round over its members, a
     # lockstep cohort's store stepped once for all of them.
@@ -554,14 +552,9 @@ class CHAProcess(Process):
         return self.core.ballot_payload(value)
 
     def deliver(self, r: Round, messages: tuple[Message, ...], collision: bool) -> None:
-        # The reference engine's entry point: one body, over a private batch.
-        self.deliver_batch(r, messages, collision,
-                           RoundBatch(dict(enumerate(messages))))
-
-    def deliver_batch(self, r: Round, messages: tuple[Message, ...],
-                      collision: bool, batch) -> None:
         self.core.detach()
-        self._deliver_group(r, messages, collision, batch)
+        self._deliver_group(r, messages, collision,
+                            RoundBatch(dict(enumerate(messages))))
 
     def _deliver_group(self, r: Round, messages: tuple[Message, ...],
                        collision: bool, batch) -> None:
@@ -750,12 +743,18 @@ class CHAEnsemble(Ensemble):
                 self._odd = r
                 self._fork_odd(shared, delivered, flags, nb)
                 split = self._split(members)
-        lead, solo, shared = split[1], split[2], split[3]
-        if lead is not None:
-            node = shared[0]
-            lead._deliver_group(r, delivered[node], flags[node], batch)
+        lead, solo = split[1], split[2]
+        # Node order: the store is stepped at its first member's place
+        # among the forked members, so a step that raises leaves the
+        # same members unstepped as the per-node loop would.
+        at = split[3][0] if lead is not None else None
         for proc, node in solo:
+            if at is not None and node > at:
+                lead._deliver_group(r, delivered[at], flags[at], batch)
+                at = None
             proc._deliver_group(r, delivered[node], flags[node], batch)
+        if at is not None:
+            lead._deliver_group(r, delivered[at], flags[at], batch)
         if solo:
             first = self.processes[0]
             phase = (r - first.start_round) % first.rounds_per_instance

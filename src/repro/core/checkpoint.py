@@ -57,7 +57,7 @@ class CheckpointChaCore(ChaCore):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  reducer: Reducer, initial_state: Any,
                  tag: Any = "cha",
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         super().__init__(propose=propose, tag=tag, switches=switches)
         self._reducer = reducer
         self.checkpoint_instance: Instance = NO_INSTANCE
@@ -207,7 +207,7 @@ class CheckpointCHAProcess(CHAProcess):
                  reducer: Reducer, initial_state: Any,
                  cm_name: str = "C", tag: Any = "cha",
                  start_round: int = 0,
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         self.core = build_core(
             propose=propose, reducer=reducer, initial_state=initial_state,
             tag=tag, switches=switches)

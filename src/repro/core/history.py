@@ -33,10 +33,9 @@ link that was asked.  ``docs/ARCHITECTURE.md`` tabulates what each read
 costs.
 
 The ``history`` axis of :class:`~repro.switches.Switches`
-(``REPRO_REFERENCE_HISTORY=1`` in the environment) pins every protocol
-core to the seed fold; the differential suite
-(``tests/core/test_history_differential.py``) asserts both engines are
-byte-identical end to end.
+(``spec.switches``) pins every protocol core to the seed fold; the
+differential suite (``tests/core/test_history_differential.py``)
+asserts both engines are byte-identical end to end.
 """
 
 from __future__ import annotations

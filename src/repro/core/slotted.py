@@ -24,7 +24,7 @@ A shared store advances only through the ``step_*`` methods, which
 :class:`~repro.vi.replica.ReplicaCohort` call once per phase for the
 whole cohort after forking out every member whose input differs.  A
 step taken for one member alone (``CHAProcess.send`` /
-``deliver_batch``, ``ReplicaRuntime.send_for`` / ``deliver_for``, or
+``deliver``, ``ReplicaRuntime.send_for`` / ``deliver_for``, or
 any driver) calls ``detach`` first, and a view write, ``restore`` or
 ``reset_to`` forks by itself: the member leaves the store for a plain
 copy of it (members of one store are never at different steps, so no
@@ -419,10 +419,9 @@ class SlottedChaCore:
 
     def __init__(self, *, propose: Callable[[Instance], Value],
                  tag: Any = "cha",
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         self._propose = propose
         self.tag = tag
-        switches = Switches.resolve(switches)
         self.reference_history = switches.history
         self.proposals_made: dict[Instance, Value] = {}
         #: The cohort store: private, or shared by a lockstep cohort.
@@ -904,7 +903,7 @@ class SlottedCheckpointChaCore(SlottedChaCore):
     def __init__(self, *, propose: Callable[[Instance], Value],
                  reducer: Reducer, initial_state: Any,
                  tag: Any = "cha",
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         super().__init__(propose=propose, tag=tag, switches=switches)
         self._reducer = reducer
         self._c.ck_state = initial_state

@@ -93,7 +93,7 @@ def check_validity(outputs: Mapping[NodeId, OutputLog],
 
 def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
                     exhaustive: bool = False,
-                    switches: Switches | None = None) -> None:
+                    switches: Switches = Switches()) -> None:
     """Raise :class:`SpecViolation` on any common-prefix disagreement.
 
     The default check compares every history against a maximal-instance
@@ -103,10 +103,10 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
     ``exhaustive=True`` performs the O(m²) pairwise comparison (useful in
     unit tests of the checker itself).
 
-    The ``history`` axis of ``switches`` (default: the environment's)
-    pins the agreement relation to the seed prefix-rebuild derivation
-    instead of the chain-identity short circuit — the two are pinned
-    together by the differential suite.
+    The ``history`` axis of ``switches`` pins the agreement relation to
+    the seed prefix-rebuild derivation instead of the chain-identity
+    short circuit — the two are pinned together by the differential
+    suite.
 
     The witness comparison walks the witness's spine once, down to the
     shortest history's length, and places every history on it by
@@ -114,7 +114,7 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
     there agrees.  Identity is only a positive witness, so anything else
     falls back to :meth:`History.agrees_with`.
     """
-    reference = Switches.resolve(switches).history
+    reference = switches.history
     agrees = (History.agrees_with_reference if reference
               else History.agrees_with)
     histories: list[tuple[NodeId, Instance, History]] = []

@@ -379,11 +379,9 @@ class ExperimentStepper:
             from ..faults.compile import apply_faults
 
             spec = apply_faults(spec)
-        #: The reference switches of this execution, resolved here once
-        #: (whole-value precedence: the spec's, else the environment's)
-        #: and handed down to every layer; never written back into the
-        #: spec, so ``result.spec`` stays independent of the environment.
-        self.switches = Switches.resolve(spec.switches)
+        #: The reference switches of this execution, handed down to
+        #: every layer.
+        self.switches = spec.switches
         # One execution = one chain-interning generation: a prior run's
         # uncollected chains must never satisfy this run's interning
         # probes (see core.history.new_chain_generation).  The stepper

@@ -264,11 +264,8 @@ class ExperimentSpec:
     #: this off: every registry metric is computed online via observers.
     keep_trace: bool = True
     #: The reference switches of this run, as one value (see
-    #: :mod:`repro.switches`).  ``None`` defers, whole, to
-    #: :meth:`Switches.from_env`; a value given here ignores the
-    #: environment.  Resolved once by the stepper and never written back,
-    #: so specs and results stay independent of the environment.
-    switches: Switches | None = None
+    #: :mod:`repro.switches`); the default is the production stack.
+    switches: Switches = Switches()
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on inconsistent combinations."""

@@ -87,9 +87,12 @@ class RandomLossAdversary(Adversary):
     def drops(self, r, tentative):
         out: dict[NodeId, frozenset[NodeId]] = {}
         for receiver in sorted(tentative):
+            messages = tentative[receiver]
+            if not messages:  # no draw to make
+                continue
             doomed = frozenset(
                 msg.sender
-                for msg in tentative[receiver]
+                for msg in messages
                 if self._rng.random() < self._p_drop
             )
             if doomed:

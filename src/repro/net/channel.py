@@ -95,8 +95,8 @@ asserts equality over geometries, radii, adversaries, and mobility, and
 byte-identical trace pickles end to end
 (``tests/net/test_channel_sharing.py`` pins the aliasing rule and the
 memo's invalidation).  The ``channel`` axis of
-:class:`~repro.switches.Switches` (``REPRO_REFERENCE_CHANNEL=1`` in the
-environment) re-runs anything on the reference path when debugging.
+:class:`~repro.switches.Switches` (``spec.switches``) re-runs anything
+on the reference path when debugging.
 """
 
 from __future__ import annotations
@@ -191,10 +191,9 @@ class Channel:
     """Computes per-receiver deliveries for one synchronous round."""
 
     def __init__(self, spec: RadioSpec, adversary: Adversary | None = None,
-                 *, switches: Switches | None = None) -> None:
+                 *, switches: Switches = Switches()) -> None:
         self.spec = spec
         self.adversary = adversary if adversary is not None else NoAdversary()
-        switches = Switches.resolve(switches)
         self._reference = switches.channel
         self._index = SpatialGridIndex(cell_size=spec.r2)
         self._index_synced = False

@@ -127,10 +127,10 @@ class RoundBatch:
     """A shared, per-round decoded view of one round's broadcasts.
 
     The batched round engine builds exactly one ``RoundBatch`` per round
-    and hands it to every receiver's
-    :meth:`~repro.net.node.Process.deliver_batch`, so work that depends
+    and hands it to every ensemble's
+    :meth:`~repro.net.node.Ensemble.deliver_round`, so work that depends
     only on *what was broadcast* — not on who received it — happens once
-    per round instead of once per receiver.  All derived views are lazy:
+    per round instead of once per receiving store.  All derived views are lazy:
     a round whose receivers never consult the batch pays one attribute
     store.  Batches are round-scoped; holding one past the round it was
     built for is a bug.

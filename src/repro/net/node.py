@@ -55,22 +55,6 @@ class Process(ABC):
     def deliver(self, r: Round, messages: tuple[Message, ...], collision: bool) -> None:
         """Receive round ``r``'s messages and collision indication."""
 
-    def deliver_batch(self, r: Round, messages: tuple[Message, ...],
-                      collision: bool, batch: "RoundBatch") -> None:
-        """Batched-engine delivery: :meth:`deliver` plus a shared
-        per-round :class:`~repro.net.messages.RoundBatch`.
-
-        ``batch`` carries the round's broadcasts decoded *once* for all
-        receivers, so overrides can skip per-receiver attribute scans
-        (e.g. tag filtering) whose outcome the batch already knows.  An
-        override must update state exactly as :meth:`deliver` would —
-        the differential suite pins the two paths byte-identical.  The
-        default simply forwards; the simulator samples the override at
-        :meth:`Simulator.add_node` time (like :meth:`contend`, gaining a
-        ``deliver_batch`` attribute after registration is unsupported).
-        """
-        self.deliver(r, messages, collision)
-
 
 class Ensemble(ABC):
     """Processes the batched round engine steps as one.
@@ -80,7 +64,7 @@ class Ensemble(ABC):
     :meth:`~repro.net.simulator.Simulator.add_ensemble` finds and sets —
     that may share state: a lockstep cohort.  The batched engine calls it
     once per round in place of its members' own ``contend`` / ``send``
-    / ``deliver_batch``, at its first member's position in each
+    / ``deliver``, at its first member's position in each
     node-ordered sweep; ``members`` are the member node ids, ascending,
     that take part in that sweep (present, and still sending or
     receiving).  The contention managers, the adversary, the detector
@@ -112,7 +96,10 @@ class Ensemble(ABC):
                       flags: Mapping[NodeId, bool],
                       batch: RoundBatch) -> None:
         """Deliver round ``r`` to the members: each member's messages
-        are ``delivered[node]`` and its collision flag ``flags[node]``."""
+        are ``delivered[node]`` and its collision flag ``flags[node]``;
+        ``batch`` is the round's broadcasts, shared by every ensemble,
+        where reception work that depends only on what was sent is
+        done once."""
 
 
 class CrashPoint(enum.Enum):

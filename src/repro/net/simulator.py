@@ -43,13 +43,12 @@ of :class:`~repro.switches.Switches`:
   the channel gets the whole batch in one
   :meth:`~repro.net.channel.Channel.deliver_batch` call, and a round it
   resolved per coverage class is detected per class.  The batched
-  engine's handlers are the *unit sweep*: prebound per-node methods, one
-  :class:`~repro.net.messages.RoundBatch` shared by every receiver's
-  :meth:`~repro.net.node.Process.deliver_batch`, no contention
-  bookkeeping when no node can contend, and each
+  engine's handlers are the *unit sweep*: prebound per-node methods, no
+  contention bookkeeping when no node can contend, and each
   :class:`~repro.net.node.Ensemble` (:meth:`Simulator.add_ensemble`)
-  called once per sweep for all its members.  The reference loop
-  ignores ensembles.
+  called once per sweep for all its members, with one
+  :class:`~repro.net.messages.RoundBatch` shared by every ensemble.
+  The reference loop ignores ensembles.
 
 The differential suite pins the two engines byte-identical (traces,
 outputs, metrics, verdicts) across every protocol family and switch
@@ -104,22 +103,20 @@ class Simulator:
                  detector: CollisionDetector | None = None,
                  cms: dict[str, ContentionManager] | None = None,
                  crashes: CrashSchedule | None = None,
-                 location_update_period: int = 1,
                  observers: Iterable[RoundObserver] = (),
                  record_trace: bool = True,
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         self.spec = spec
         self.adversary = adversary if adversary is not None else NoAdversary()
-        switches = Switches.resolve(switches)
-        #: The resolved reference switches: this simulator reads
-        #: ``engine`` and its channel ``channel``; the VI round engine
+        #: The reference switches: this simulator reads ``engine`` and
+        #: its channel ``channel``; the VI round engine
         #: (:mod:`repro.vi.engine`) reads ``engine`` here too.
         self.switches = switches
         self.channel = Channel(spec, self.adversary, switches=switches)
         self.detector = detector if detector is not None else EventuallyAccurateDetector()
         self.cms: dict[str, ContentionManager] = dict(cms or {})
         self.crashes = crashes if crashes is not None else CrashSchedule()
-        self.locations = LocationService(update_period=location_update_period)
+        self.locations = LocationService()
         self.trace = Trace()
         self.record_trace = record_trace
         self._observers: list[RoundObserver] = list(observers)
@@ -139,12 +136,9 @@ class Simulator:
         self._contenders_possible: list[NodeId] = []
         self._steady_positions: dict[NodeId, Point] | None = None
         #: Batched-engine dispatch tables, indexed by (sequential) node
-        #: id: prebound send/deliver methods, and the process's
-        #: ``deliver_batch`` override (``None`` when it would just
-        #: forward to ``deliver``, sparing the extra frame).
+        #: id: prebound send/deliver/contend methods.
         self._send_fns: list[Callable] = []
         self._deliver_fns: list[Callable] = []
-        self._deliver_batch_fns: list[Callable | None] = []
         self._contend_fns: list[Callable] = []
         #: Ensemble dispatch (:meth:`add_ensemble`): each node's
         #: ensemble (``None`` for a lone node), each lone node's sweep
@@ -209,18 +203,9 @@ class Simulator:
         if (type(process).contend is not Process.contend
                 or "contend" in getattr(process, "__dict__", {})):
             self._contenders_possible.append(node_id)
-        # Batched-engine dispatch tables.  ``deliver_batch`` is sampled
-        # like ``contend`` above: overriding it (on the class or the
-        # instance) after add_node is unsupported.
         self._send_fns.append(process.send)
         self._deliver_fns.append(process.deliver)
         self._contend_fns.append(process.contend)
-        batch_impl = getattr(type(process), "deliver_batch", None)
-        if ((batch_impl is not None and batch_impl is not Process.deliver_batch)
-                or "deliver_batch" in getattr(process, "__dict__", {})):
-            self._deliver_batch_fns.append(process.deliver_batch)
-        else:
-            self._deliver_batch_fns.append(None)
         self._ensemble_of.append(None)
         self._lone_units.append((None, (node_id,)))
         self._steady_units = None
@@ -518,11 +503,11 @@ class Simulator:
         r = self._round
         # -- mobility & liveness ---------------------------------------
         present, positions, unchanged = self._positions_batched(r)
-        relocated = not (unchanged and self.locations.staleness_bound == 0)
+        relocated = not unchanged
         if relocated:
-            # Otherwise nothing moved and the service re-snapshots every
-            # round: the current snapshot already equals ``positions``
-            # element for element, so re-observing would be a no-op copy.
+            # Otherwise nothing moved: the service's snapshot (it takes
+            # one every round) already equals ``positions`` element for
+            # element, so re-observing would be a no-op copy.
             self.locations.observe(r, positions)
             self._positions_observed = True
         self._last_present = present
@@ -728,18 +713,13 @@ class Simulator:
         batch = RoundBatch(broadcasts)
         batch.uniform = uniform
         deliver_fns = self._deliver_fns
-        batch_fns = self._deliver_batch_fns
         for ensemble, group in self._sweep(r, present,
                                            self.crashes.receives_in):
-            if ensemble is not None:
-                ensemble.deliver_round(r, group, delivered, flags, batch)
-                continue
-            node = group[0]
-            bfn = batch_fns[node]
-            if bfn is not None:
-                bfn(r, delivered[node], flags[node], batch)
-            else:
+            if ensemble is None:
+                node = group[0]
                 deliver_fns[node](r, delivered[node], flags[node])
+            else:
+                ensemble.deliver_round(r, group, delivered, flags, batch)
 
     def run(self, rounds: int) -> Trace:
         """Execute ``rounds`` rounds and return the accumulated trace."""

@@ -1,25 +1,21 @@
-"""The reference switches: one frozen value, one resolver.
+"""The reference switches: one frozen value, one spelling.
 
 Every optimised subsystem ships beside a deliberately simple *reference
 twin* that the differential suites pin it byte-identical against.  A
-:class:`Switches` value says, per axis, which of the two runs.  It is
-resolved **once** per execution (:meth:`Switches.resolve`:
-``ExperimentSpec.switches`` if the spec carries one, else
-:meth:`Switches.from_env`) and then handed down
-whole: every layer that builds another layer passes the same value on,
-and a leaf reads the one field it consumes.  Precedence is whole-value:
-a spec that carries a ``Switches`` ignores the environment entirely.
+:class:`Switches` value says, per axis, which of the two runs.  A run
+takes it from ``ExperimentSpec.switches`` (default: ``Switches()``, the
+production stack) and hands it down whole: every layer that builds
+another layer passes the same value on, and a leaf reads the one field
+it consumes.  A component built by hand takes the same ``switches=``
+argument, with the same default.
 
-:data:`AXES` is the single declarative table of the axes; it drives
-:meth:`Switches.from_env`, the table in ``docs/REFERENCE_SWITCHES.md``
-(under the ``-m docs`` drift gate) and the table-driven switch tests.
-:meth:`Switches.from_env` is the only function in the library that
-reads a ``REPRO_REFERENCE_*`` variable.
+:data:`AXES` is the single declarative table of the axes; it drives the
+table in ``docs/REFERENCE_SWITCHES.md`` (under the ``-m docs`` drift
+gate) and the table-driven switch tests.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,8 +26,6 @@ class Axis:
 
     #: The :class:`Switches` field.
     name: str
-    #: The environment variable :meth:`Switches.from_env` reads.
-    env: str
     #: The optimised path (the default).
     fast: str
     #: The reference twin it is pinned against.
@@ -41,11 +35,11 @@ class Axis:
 
 
 AXES: tuple[Axis, ...] = (
-    Axis("channel", "REPRO_REFERENCE_CHANNEL",
+    Axis("channel",
          "spatial-grid neighbour index (`Channel._deliver_indexed`)",
          "all-pairs scan (`Channel._deliver_reference`)",
          "`tests/net/test_differential.py` (`-m fast`)"),
-    Axis("engine", "REPRO_REFERENCE_ENGINE",
+    Axis("engine",
          "batched round dispatch with its position/contender caches, "
          "a lockstep cohort stepped once per round as one ensemble "
          "(`Simulator._step_batched`)",
@@ -54,18 +48,18 @@ AXES: tuple[Axis, ...] = (
          "`tests/net/test_engine_differential.py` (`-m fast`), "
          "`tests/core/test_ensemble_differential.py` "
          "(`-m core_differential`)"),
-    Axis("history", "REPRO_REFERENCE_HISTORY",
+    Axis("history",
          "interned incremental history chains (`HistoryChain`)",
          "re-walking fold (`calculate_history_reference`)",
          "`tests/core/test_history_differential.py` (`-m fast`)"),
-    Axis("core", "REPRO_REFERENCE_CORE",
+    Axis("core",
          "slotted array core over a cohort store, one per lockstep "
          "cluster, keeping the adopted wire ballot as the reference "
          "does (`SlottedChaCore`)",
          "dict-based seed core (`ChaCore`), one per node",
          "`tests/core/test_core_differential.py`, "
          "`tests/core/test_cohort.py` (`-m core_differential`)"),
-    Axis("vi", "REPRO_REFERENCE_VI",
+    Axis("vi",
          "phase-table VI emulation engine; a site's deployed replicas "
          "are stepped once per phase as one cohort when the program's "
          "`init_state()` hands them one object (`VIRoundEngine`)",
@@ -93,28 +87,14 @@ class Switches:
     #: fast-path ratio test and the differential suites compare against.
     REFERENCE: ClassVar["Switches"]
 
-    @classmethod
-    def resolve(cls, given: "Switches | None") -> "Switches":
-        """``given`` if there is one, else :meth:`from_env`: the
-        whole-value precedence rule, in its one place."""
-        return given if given is not None else cls.from_env()
-
-    @classmethod
-    def from_env(cls) -> "Switches":
-        """The switches the process environment selects: an axis is on
-        for any value of its variable except ``""``/``"0"``."""
-        return cls(**{axis.name: os.environ.get(axis.env, "") not in ("", "0")
-                      for axis in AXES})
-
 
 Switches.REFERENCE = Switches(**{axis.name: True for axis in AXES})
 
 
 def markdown_table() -> str:
     """The :data:`AXES` table as ``docs/REFERENCE_SWITCHES.md`` carries it."""
-    rows = ["| axis | env var | fast path | reference twin "
-            "| differential suite |",
-            "| --- | --- | --- | --- | --- |"]
-    rows += [f"| `{a.name}` | `{a.env}` | {a.fast} | {a.twin} | {a.suite} |"
+    rows = ["| axis | fast path | reference twin | differential suite |",
+            "| --- | --- | --- | --- |"]
+    rows += [f"| `{a.name}` | {a.fast} | {a.twin} | {a.suite} |"
              for a in AXES]
     return "\n".join(rows)

@@ -57,7 +57,7 @@ class VIDevice(Process):
                  locate: Callable[[], Point],
                  client: ClientProgram | None = None,
                  initially_active: bool = False,
-                 switches: Switches | None = None,
+                 switches: Switches = Switches(),
                  role_version: list[int] | None = None) -> None:
         #: The deployment's sites by id and by place.  A world hands all
         #: its devices one index; a bare site list gets a private one.
@@ -67,7 +67,6 @@ class VIDevice(Process):
         self.schedule = schedule
         self.clock = clock
         self.region_radius = region_radius
-        switches = Switches.resolve(switches)
         #: Handed on untouched to every replica runtime this device
         #: builds (deployment, join, reset).
         self.switches = switches
@@ -188,14 +187,9 @@ class VIDevice(Process):
 
     def deliver(self, r: Round, messages: tuple[Message, ...],
                 collision: bool) -> None:
-        self.deliver_at(self.clock.position(r),
-                        [m.payload for m in messages], collision)
-
-    def deliver_batch(self, r: Round, messages: tuple[Message, ...],
-                      collision: bool, batch) -> None:
-        """Batched delivery: silent rounds (the common case away from a
-        device's own phase slots) share one empty payload sequence
-        instead of building a fresh list per receiver."""
+        """Silent rounds (the common case away from a device's own phase
+        slots) share one empty payload sequence instead of building a
+        fresh list per receiver."""
         payloads = [m.payload for m in messages] if messages else _NO_PAYLOADS
         self.deliver_at(self.clock.position(r), payloads, collision)
 

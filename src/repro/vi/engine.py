@@ -61,8 +61,8 @@ an aspiration (the ``vi_differential`` suite pins it):
   rebuild picks them up.
 
 The seed per-device dispatch survives verbatim behind the ``vi`` axis
-of :class:`~repro.switches.Switches` (``REPRO_REFERENCE_VI=1`` in the
-environment).  The engine also steps aside — per
+of :class:`~repro.switches.Switches` (``spec.switches``).  The engine
+also steps aside — per
 virtual round, falling back to plain ``Simulator.step`` — whenever the
 simulator itself is pinned to its reference engine, the round cursor is
 misaligned with a virtual-round boundary (someone drove ``sim.step()``

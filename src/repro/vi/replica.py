@@ -75,7 +75,7 @@ class ReplicaRuntime:
     def __init__(self, site: VNSite, program: VNProgram, schedule: Schedule,
                  *, snapshot: dict | None = None,
                  reset_at: Instance | None = None,
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         self.site = site
         self.program = program
         self.schedule = schedule

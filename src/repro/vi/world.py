@@ -75,14 +75,13 @@ class VIWorld:
                  cm_stable_round: int = 0,
                  min_schedule_length: int = 1,
                  schedule: Schedule | None = None,
-                 switches: Switches | None = None) -> None:
+                 switches: Switches = Switches()) -> None:
         if set(programs) != {site.vn_id for site in sites}:
             raise ConfigurationError(
                 "programs must be keyed exactly by the site vn_ids"
             )
         self.sites = list(sites)
         self.programs = dict(programs)
-        switches = Switches.resolve(switches)
         #: Handed on untouched to the simulator and every device; this
         #: world itself reads ``vi``, which pins
         #: :meth:`run_virtual_rounds` to the seed per-device dispatch

@@ -139,15 +139,15 @@ def _round(r, ens, members, twins, live, dying, plans, two_advised):
     receivers = [i for i in senders if i not in dying]
     flags = {i: plans[i][2] for i in receivers}
     delivered, batch = _deliveries(twin_sent, plans, receivers)
-    twin_delivered, twin_batch = _deliveries(twin_sent, plans, receivers)
+    twin_delivered = _deliveries(twin_sent, plans, receivers)[0]
     for i in receivers:
         if plans[i][0] == "alone":
-            members[i].deliver_batch(r, delivered[i], flags[i], batch)
+            members[i].deliver(r, delivered[i], flags[i])
     taking = [i for i in receivers if plans[i][0] != "alone"]
     if taking:
         ens.deliver_round(r, taking, delivered, flags, batch)
     for i in receivers:
-        twins[i].deliver_batch(r, twin_delivered[i], flags[i], twin_batch)
+        twins[i].deliver(r, twin_delivered[i], flags[i])
 
 
 _plan = st.tuples(
@@ -392,6 +392,37 @@ def test_a_crashed_member_is_forked_before_the_next_step():
 
 
 @pytest.mark.parametrize("kind", ["cha", "checkpoint-cha"])
+def test_a_forked_member_before_the_store_steps_first(kind):
+    """Node order holds between the store and its forked members.
+    Member 3 crashes after its ballot send (round 3) and misses the
+    ballot; after round 4 its snapshot is restored on member 0, which
+    forks it out of the store ahead of members 1, 2 and 4.  At the
+    veto-2 round (5) member 0's fold raises.  The per-node loop raises
+    at member 0 before stepping anyone else, so the ensemble must step
+    member 0 before the store: members 1, 2 and 4 log nothing either."""
+    ens, members, twins = _world(kind, 5)
+    _lockstep(ens, members, twins, 3)
+    plans = [("ensemble", "all", False)] * 5
+    _round(3, ens, members, twins, set(range(5)), {3}, plans, False)
+    saved = twins[3].core.snapshot()
+    live = [0, 1, 2, 4]
+    _round(4, ens, members, twins, set(live), set(), plans, False)
+    for proc in (members[0], twins[0]):
+        proc.core.restore(saved)
+    sent = dict(ens.send_round(5, live, {0}))
+    assert sent == {i: p for i in live
+                    if (p := twins[i].send(5, i == 0)) is not None}
+    delivered, batch = _deliveries(sent, plans, live)
+    with pytest.raises((ProtocolError, KeyError)):
+        ens.deliver_round(5, live, delivered, dict.fromkeys(live, False),
+                          batch)
+    with pytest.raises((ProtocolError, KeyError)):
+        for i in live:
+            twins[i].deliver(5, delivered[i], False)
+    _all_same(members, twins)
+
+
+@pytest.mark.parametrize("kind", ["cha", "checkpoint-cha"])
 def test_failed_fold_logs_nothing_per_member(kind):
     """A fold that reaches a missing ballot raises before anything is
     logged, on the shared store and on every twin."""
@@ -406,7 +437,7 @@ def test_failed_fold_logs_nothing_per_member(kind):
     ens.deliver_round(6, [0, 1, 2], heard, quiet, batch)
     for twin in twins:
         twin.send(6, False)
-        twin.deliver_batch(6, heard[0], False, batch)
+        twin.deliver(6, heard[0], False)
     for r in (7, 8):
         ens.send_round(r, [0, 1, 2], set())
         for twin in twins:
@@ -418,12 +449,12 @@ def test_failed_fold_logs_nothing_per_member(kind):
                                   quiet, silent)
             for twin in twins:
                 with pytest.raises((ProtocolError, KeyError)):
-                    twin.deliver_batch(r, (), False, silent)
+                    twin.deliver(r, (), False)
         else:
             ens.deliver_round(r, [0, 1, 2], dict.fromkeys(range(3), ()),
                               quiet, silent)
             for twin in twins:
-                twin.deliver_batch(r, (), False, silent)
+                twin.deliver(r, (), False)
     for member in members:
         assert len(member.outputs) == 2
     _all_same(members, twins)

@@ -2,7 +2,7 @@
 
 PR 7 rebuilt the CHA-family hot state as flat parallel arrays
 (:mod:`repro.core.slotted`) behind the ``core`` reference switch
-(``REPRO_REFERENCE_CORE``).  This suite is the
+(``Switches(core=True)``).  This suite is the
 regression gate for that core: for every protocol family the pickled
 observables of a faulty run must be byte-for-byte identical across the
 **full switch matrix** — core × history engine × simulation engine

@@ -212,7 +212,7 @@ def _scripted(outside: dict, forked_from: int | None,
     rejoined at the end of instance 3) and forks at round
     ``forked_from``.  ``edit`` is applied to member 3 and its twin at
     round 5, while member 3 is off the store."""
-    def build(switches=None):
+    def build(switches=Switches()):
         return [CHAProcess(propose=lambda k, i=i: f"v{i}.{k}",
                            switches=switches) for i in range(4)]
 
@@ -231,8 +231,7 @@ def _scripted(outside: dict, forked_from: int | None,
         ens.deliver_round(r, [0, 1, 2, 3], delivered, dict.fromkeys(
             range(4), False), RoundBatch(dict(enumerate(every))))
         for i in range(4):
-            twins[i].deliver_batch(r, delivered[i], False,
-                                   RoundBatch(dict(enumerate(every))))
+            twins[i].deliver(r, delivered[i], False)
         if r == 5 and edit is not None:
             edit(members[3])
             edit(twins[3])

@@ -40,7 +40,7 @@ from repro.experiment import cluster_positions, default_proposer
 from repro.core.slotted import SlottedChaCore, SlottedCheckpointChaCore
 from repro.net import Simulator
 from repro.net.channel import RadioSpec
-from repro.net.messages import Message, RoundBatch
+from repro.net.messages import Message
 from repro.switches import Switches
 from repro.errors import ProtocolError
 from repro.types import BOTTOM, Color
@@ -181,7 +181,7 @@ class TestPreInstanceInertness:
         assert proc.send(0, True) is None
         stray = Message(1, VetoPayload("cha", 3, 1))
         proc.deliver(0, (stray,), False)
-        proc.deliver_batch(0, (stray,), False, RoundBatch({1: stray}))
+        proc.deliver(0, (stray,), False)
         assert proc.outputs == []
         assert not proc.core.has_instance()
 
@@ -211,8 +211,7 @@ class TestPreInstanceInertness:
 
 class TestInstanceScopedVetoes:
     @pytest.mark.parametrize("core_ref", BOTH_CORES)
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_stale_veto_is_ignored(self, core_ref, batched):
+    def test_stale_veto_is_ignored(self, core_ref):
         """A veto for another instance (a shifted-grid ensemble's, or a
         stale one) must not demote the current instance."""
         proc = CHAProcess(propose=default_proposer(0),
@@ -221,17 +220,10 @@ class TestInstanceScopedVetoes:
         proc.deliver(0, (Message(0, payload),), False)
         proc.send(1, False)
         stale = Message(1, VetoPayload("cha", 99, 1))
-
-        def deliver(r, msg):
-            if batched:
-                proc.deliver_batch(r, (msg,), False, RoundBatch({1: msg}))
-            else:
-                proc.deliver(r, (msg,), False)
-
-        deliver(1, stale)
+        proc.deliver(1, (stale,), False)
         assert proc.core.color_of(1) is Color.GREEN
         proc.send(2, False)
-        deliver(2, Message(1, VetoPayload("cha", 99, 2)))
+        proc.deliver(2, (Message(1, VetoPayload("cha", 99, 2)),), False)
         assert proc.core.color_of(1) is Color.GREEN
         (k, out), = proc.outputs
         assert k == 1 and out is not BOTTOM  # decided despite the noise
@@ -632,13 +624,13 @@ def test_transitions_per_instance_do_not_grow_with_n(monkeypatch):
 @pytest.mark.parametrize("n", [20, 60])
 def test_lockstep_rounds_dispatch_the_ensemble_once(n, monkeypatch):
     """(f) Ensemble dispatch: after round 0, a lockstep run calls no
-    process's own ``send`` / ``deliver_batch`` / ``contend``, and the
+    process's own ``send`` / ``deliver`` / ``contend``, and the
     ensemble once per round for each; the history folds once per
     instance.  Per-node dispatch reads n calls of each per round."""
     from repro.core import CHAEnsemble, CHAProcess
 
     counts: dict[str, int] = {}
-    count_calls(monkeypatch, CHAProcess, ("send", "deliver_batch", "contend"),
+    count_calls(monkeypatch, CHAProcess, ("send", "deliver", "contend"),
                  counts)
     count_calls(monkeypatch, CHAEnsemble,
                  ("send_round", "deliver_round", "contend"), counts)

@@ -45,6 +45,29 @@ class TestRandomLoss:
         b = RandomLossAdversary(p_drop=0.5, seed=9)
         assert [a.drops(r, t) for r in range(10)] == [b.drops(r, t) for r in range(10)]
 
+    def test_empty_receptions_draw_nothing(self):
+        """Receivers whose tentative tuple is empty are skipped: the drops
+        and the RNG stream are those of a loop that visits them all."""
+        def visiting_every_receiver(adv, tentative):
+            out = {}
+            for receiver in sorted(tentative):
+                doomed = frozenset(
+                    msg.sender for msg in tentative[receiver]
+                    if adv._rng.random() < adv._p_drop)
+                if doomed:
+                    out[receiver] = doomed
+            return out
+
+        mixed = {r: tuple(Message(s, f"m{s}") for s in range(r % 4))
+                 for r in range(12)}
+        adv = RandomLossAdversary(p_drop=0.4, seed=3)
+        old = RandomLossAdversary(p_drop=0.4, seed=3)
+        for r in range(5):
+            drops = adv.drops(r, mixed)
+            assert drops == visiting_every_receiver(old, mixed)
+            assert adv._rng.getstate() == old._rng.getstate()
+        assert drops and all(mixed[receiver] for receiver in drops)
+
     def test_false_collisions_rate(self):
         adv = RandomLossAdversary(p_drop=0.0, p_false=1.0, seed=4)
         assert adv.false_collision(0, 0)

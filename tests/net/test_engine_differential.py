@@ -6,9 +6,8 @@ must be *byte-identical* to the seed per-node loop
 invariant verdicts all pickle to the same bytes — across every protocol
 family, under fault plans, and in every combination with the channel and
 history reference switches.  This suite is the regression gate for any
-change to the engine's dispatch, its dirty-set position cache, the
-``RoundBatch`` decode sharing, or any protocol ``deliver_batch``
-override.
+change to the engine's dispatch, its dirty-set position cache, or the
+ensembles' ``RoundBatch`` decode sharing.
 """
 
 from __future__ import annotations

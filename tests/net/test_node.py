@@ -1,8 +1,13 @@
-"""Unit tests for crash schedules and crash-point semantics."""
+"""Unit tests for crash schedules and crash-point semantics, and for the
+shape of a process's receive step."""
 
 import pytest
 
+import repro.baselines  # noqa: F401  (registers the baseline processes)
+import repro.core  # noqa: F401
+import repro.vi  # noqa: F401
 from repro.net import Crash, CrashPoint, CrashSchedule
+from repro.net.node import Ensemble, Process
 
 
 class TestCrashSchedule:
@@ -50,3 +55,20 @@ class TestCrashSchedule:
         cs = CrashSchedule([crash])
         assert cs.crash_for(3) == crash
         assert cs.crash_for(4) is None
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_a_process_has_one_receive_step():
+    """A process receives a round through ``deliver`` alone; only an
+    ensemble is handed the round's batch (``deliver_round``)."""
+    procs = list(_subclasses(Process))
+    names = {cls.__name__ for cls in procs}
+    assert {"CHAProcess", "VIDevice", "MajorityRSMProcess"} <= names
+    assert [cls.__name__ for cls in procs
+            if hasattr(cls, "deliver_batch")] == []
+    assert all(hasattr(cls, "deliver_round") for cls in _subclasses(Ensemble))

@@ -12,7 +12,6 @@ links that grows linearly with the number of instances.
 from __future__ import annotations
 
 import gc
-import os
 
 import pytest
 
@@ -33,7 +32,7 @@ from repro.core.history import (
 )
 from repro.net import RandomLossAdversary
 from repro.service.driver import WorldDriver
-from repro.switches import AXES
+from repro.switches import Switches
 from repro.types import BOTTOM
 
 pytestmark = pytest.mark.fast
@@ -41,7 +40,8 @@ pytestmark = pytest.mark.fast
 NODES = 6
 
 
-def _driver(instances: int, *, lossy: bool = False) -> WorldDriver:
+def _driver(instances: int, *, lossy: bool = False,
+            switches: Switches = Switches()) -> WorldDriver:
     environment = EnvironmentSpec()
     world = ClusterWorld(n=NODES)
     if lossy:  # ⊥ outputs and gaps until the channel stabilises
@@ -52,7 +52,7 @@ def _driver(instances: int, *, lossy: bool = False) -> WorldDriver:
         protocol=CHA(), world=world, environment=environment,
         workload=WorkloadSpec(instances=instances),
         metrics=MetricsSpec(invariants=("agreement", "validity")),
-        keep_trace=False,
+        keep_trace=False, switches=switches,
     ))
 
 
@@ -137,48 +137,25 @@ def test_harvest_visits_links_linearly_in_instances(monkeypatch):
     assert at_k <= 30 * (NODES + 2)
 
 
-class _RecordingEnviron(dict):
-    """An ``os.environ`` stand-in that remembers which keys were read."""
-
-    def __init__(self, base) -> None:
-        super().__init__(base)
-        self.reads: list[str] = []
-
-    def get(self, key, default=None):
-        self.reads.append(key)
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.reads.append(key)
-        return super().__getitem__(key)
-
-
 def test_served_verdicts_stay_on_the_twin_the_world_was_built_on(
         monkeypatch):
-    """The per-decision agreement checker runs on the stepper's resolved
-    switches.  Flipping ``REPRO_REFERENCE_HISTORY`` after the first tick
-    must neither move the verdicts onto the other history twin nor cost
-    an environment read per decision."""
-    for axis in AXES:
-        monkeypatch.delenv(axis.env, raising=False)
-    driver = _driver(12)
-    events = driver.tick()
-
-    environ = _RecordingEnviron(os.environ)
-    environ["REPRO_REFERENCE_HISTORY"] = "1"
-    monkeypatch.setattr(os, "environ", environ)
-    reference_calls = []
+    """The per-decision agreement checker runs on the stepper's switches:
+    a world whose spec names the reference history twin gets every
+    verdict from ``agrees_with_reference``; a default world never calls
+    it."""
+    calls = []
     monkeypatch.setattr(
         History, "agrees_with_reference",
-        lambda self, other: reference_calls.append(self) or True)
-    while not driver.complete:
-        events.extend(driver.tick())
-
-    decisions = [e for e in events if e["type"] == "decision"]
-    assert len(decisions) == 12
-    assert all(d["agreement"] == "ok" for d in decisions)
-    assert reference_calls == []
-    assert [key for key in environ.reads if key.startswith("REPRO_")] == []
+        lambda self, other: calls.append(self) or True)
+    for switches, called in ((Switches(), False),
+                             (Switches(history=True), True)):
+        calls.clear()
+        driver = _driver(12, switches=switches)
+        events = _serve(driver)
+        decisions = [e for e in events if e["type"] == "decision"]
+        assert len(decisions) == 12
+        assert all(d["agreement"] == "ok" for d in decisions)
+        assert len(calls) >= 12 if called else calls == []
 
 
 def _tracked() -> int:

@@ -1,11 +1,10 @@
-"""The switch value, its one resolver, and its one table.
+"""The switch value and its one table.
 
 Table-driven over :data:`repro.switches.AXES`, so an axis added there is
-covered here without a new test: the environment form of every axis,
-whole-value precedence of ``spec.switches`` over the environment, which
-twin a hand-built component lands on, stability of the value across
-processes, and a source scan proving :meth:`Switches.from_env` is the
-only place the library reads a switch variable.
+covered here without a new test: which twin a hand-built component
+lands on, which twins a spec's value reaches, stability of the value
+across processes, and a source scan proving the library reads no
+environment variable (``spec.switches`` is the one spelling).
 """
 
 from __future__ import annotations
@@ -35,11 +34,6 @@ RADIO = RadioSpec(r1=1.0, r2=1.5)
 AXIS_IDS = [axis.name for axis in AXES]
 
 
-def _on(axis) -> tuple[str, Switches]:
-    """The env text that turns ``axis`` on, and the value it selects."""
-    return "1", Switches(**{axis.name: True})
-
-
 def _vi_world(**kwargs) -> VIWorld:
     return VIWorld([VNSite(0, Point(0.0, 0.0))], {0: CounterProgram()},
                    **kwargs)
@@ -56,12 +50,6 @@ BARE = {
 }
 
 
-@pytest.fixture(autouse=True)
-def clean_environment(monkeypatch):
-    for axis in AXES:
-        monkeypatch.delenv(axis.env, raising=False)
-
-
 def _spec(**kwargs) -> repro.ExperimentSpec:
     return repro.ExperimentSpec(
         protocol=repro.CHA(), world=repro.ClusterWorld(n=3),
@@ -71,42 +59,27 @@ def _spec(**kwargs) -> repro.ExperimentSpec:
 def test_table_covers_every_field_and_reference_is_every_twin():
     fields = [f.name for f in dataclasses.fields(Switches)]
     assert [axis.name for axis in AXES] == fields
-    assert len({axis.env for axis in AXES}) == len(AXES)
-    assert Switches.from_env() == Switches()
     assert Switches.REFERENCE == Switches(**{name: True for name in fields})
     assert set(BARE) == set(fields)
 
 
 @pytest.mark.parametrize("axis", AXES, ids=AXIS_IDS)
-def test_environment_alone_selects_the_axis(axis, monkeypatch):
-    raw, selected = _on(axis)
-    default = getattr(Switches(), axis.name)
-    assert BARE[axis.name]() == default
-    for off in ("", "0"):
-        monkeypatch.setenv(axis.env, off)
-        assert Switches.from_env() == Switches()
-
-    monkeypatch.setenv(axis.env, raw)
-    assert Switches.from_env() == selected
-    # ... for a hand-built component, and for a world built by the runner.
-    assert BARE[axis.name]() == getattr(selected, axis.name)
-    stepper = ExperimentStepper(_spec())
-    assert stepper.switches == selected
-    assert stepper.simulator.switches is stepper.switches
-    assert stepper.spec.switches is None  # never written back
+def test_a_hand_built_component_lands_on_the_twin_named(axis):
+    assert BARE[axis.name]() is False
+    assert BARE[axis.name](switches=Switches()) is False
+    assert BARE[axis.name](switches=Switches(**{axis.name: True})) is True
+    assert ExperimentStepper(_spec()).switches == Switches()
 
 
 @pytest.mark.parametrize("axis", AXES, ids=AXIS_IDS)
-def test_spec_switches_beat_the_environment_whole(axis, monkeypatch):
-    raw, selected = _on(axis)
-    monkeypatch.setenv(axis.env, raw)
-    assert BARE[axis.name](switches=Switches()) \
-        == getattr(Switches(), axis.name)
-    # Whole-value: a spec naming *another* axis still ignores this one.
-    other = Switches(history=True) if axis.name != "history" \
-        else Switches(core=True)
-    for given in (Switches(), other):
-        assert ExperimentStepper(_spec(switches=given)).switches == given
+def test_a_leftover_environment_variable_selects_nothing(axis, monkeypatch):
+    """The retired ``REPRO_REFERENCE_<AXIS>`` form is inert: with it set,
+    a hand-built component and a runner-built world stay on the default."""
+    monkeypatch.setenv(f"REPRO_REFERENCE_{axis.name.upper()}", "1")
+    assert BARE[axis.name]() is False
+    stepper = ExperimentStepper(_spec())
+    assert stepper.switches == Switches()
+    assert stepper.simulator.switches is stepper.spec.switches
 
 
 def test_switch_values_reach_the_twins_they_name():
@@ -155,28 +128,15 @@ def test_switches_pickle_and_hash_stably_across_processes():
     assert len({Switches(), Switches(), Switches.REFERENCE}) == 2
 
 
-def test_only_from_env_reads_a_switch_variable():
-    """No module but ``repro/switches.py`` names a switch variable in
-    code (docstrings may mention them), and inside it only
-    ``Switches.from_env`` touches the process environment."""
-    variables = {axis.env for axis in AXES}
-
-    def env_reads(tree):
-        return [node for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute)
-                and node.attr in ("environ", "getenv")]
-
+def test_no_module_reads_the_environment():
+    """No module in ``src/repro`` reads ``os.environ`` or calls
+    ``getenv``: a run's switches come from its spec alone."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        if path == SRC / "repro" / "switches.py":
-            resolvers = [node for node in ast.walk(tree)
-                         if isinstance(node, ast.FunctionDef)
-                         and node.name == "from_env"]
-            assert len(resolvers) == 1
-            assert len(env_reads(tree)) == len(env_reads(resolvers[0])) >= 1
-            continue
         offenders += [f"{path}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Constant)
-                      and node.value in variables]
+                      if (isinstance(node, ast.Attribute)
+                          and node.attr in ("environ", "getenv"))
+                      or (isinstance(node, ast.alias)
+                          and node.name in ("environ", "getenv"))]
     assert offenders == []
