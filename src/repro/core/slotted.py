@@ -371,6 +371,17 @@ class _OutputLog(MutableSequence):
         bottom = self._core._BOTTOM_RECORD
         return sum(1 for record in self._core._log()[1] if record is bottom)
 
+    def records(self) -> list[tuple[Instance, Any]]:
+        """The logged ``(instance, record)`` pairs, in log order: a
+        chain-form entry is its ``HistoryChain`` link (no history is
+        built), ⊥ is ⊥, and any other record the output a read returns."""
+        core = self._core
+        output, bottom = core._output_of, core._BOTTOM_RECORD
+        return [(k, BOTTOM if record is bottom
+                 else record if type(record) is HistoryChain
+                 else output(k, record))
+                for k, record in zip(*core._log())]
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, _OutputLog)):
             return list(self) == list(other)

@@ -19,7 +19,8 @@ measurement rather than a pass/fail property.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Mapping, Sequence
 
 from ..errors import SpecViolation
 from ..switches import Switches
@@ -29,7 +30,8 @@ from .history import History, HistoryChain
 #: The per-node output sequence type: (instance, History or BOTTOM) pairs.
 #: A log is any sequence of such pairs and may be a live view: the
 #: slotted cores hand out one that builds each pair when it is read, so
-#: readers that only count go through the two helpers below.
+#: readers that only count, and the validity and agreement checkers, go
+#: through the three helpers below.
 OutputLog = Sequence[tuple[Instance, History | None]]
 
 
@@ -51,6 +53,28 @@ def log_bottoms(log: OutputLog) -> int:
     return sum(out is BOTTOM for _, out in log)
 
 
+def log_records(log: OutputLog) -> Sequence[tuple[Instance, Any]]:
+    """The ``(instance, record)`` pairs of ``log``, in log order.
+
+    A view answers a chain-form output as its :class:`HistoryChain`
+    link, building no :class:`History` (``records()``); every other
+    record, and every pair of a plain list, is the output itself.
+    """
+    records = getattr(log, "records", None)
+    return records() if records is not None else log
+
+
+def _as_history(k: Instance, record: Any) -> Any:
+    """The output a record stands for at instance ``k``."""
+    return (History._from_chain(k, record) if type(record) is HistoryChain
+            else record)
+
+
+def _as_chain(record: Any) -> HistoryChain:
+    """The fold chain of a record (a link, or a history's own)."""
+    return record if type(record) is HistoryChain else record._as_chain()
+
+
 def check_validity(outputs: Mapping[NodeId, OutputLog],
                    proposals: Mapping[NodeId, Mapping[Instance, Value]]) -> None:
     """Raise :class:`SpecViolation` on any non-proposed history value.
@@ -58,7 +82,9 @@ def check_validity(outputs: Mapping[NodeId, OutputLog],
     Outputs are visited in log order and each output's entries ascending,
     so the violation reported is the first one in that order.  Chain-form
     histories share their spine, so each link is checked once: a link
-    enters ``valid`` only after every entry of its fold passed.
+    enters ``valid`` only after every entry of its fold passed.  A log
+    view's chain-form outputs are read as their links
+    (:func:`log_records`), so none is built.
     """
     proposed_at: dict[Instance, set[Value]] = {}
     for node_proposals in proposals.values():
@@ -66,17 +92,19 @@ def check_validity(outputs: Mapping[NodeId, OutputLog],
             proposed_at.setdefault(k, set()).add(v)
     valid: set[HistoryChain] = set()
     for node, log in outputs.items():
-        for k, out in log:
+        for k, out in log_records(log):
             if out is BOTTOM:
                 continue
-            fresh = []
-            link = out._chain
+            link = out if type(out) is HistoryChain else out._chain
             if link is None:
-                entries = out.items()
+                fresh, entries = (), out.items()
             else:
+                fresh = []
                 while link.parent is not None and link not in valid:
                     fresh.append(link)
                     link = link.parent
+                if not fresh:
+                    continue
                 fresh.reverse()
                 entries = ((new.anchor, new.value) for new in fresh)
             for k_prime, value in entries:
@@ -109,19 +137,22 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
     suite.
 
     The witness comparison walks the witness's spine once, down to the
-    shortest history's length, and places every history on it by
-    bisecting the anchors; a history whose own chain *is* the link found
+    shortest history's length, and places every output on it by
+    bisecting the anchors; an output whose own chain *is* the link found
     there agrees.  Identity is only a positive witness, so anything else
-    falls back to :meth:`History.agrees_with`.
+    is built as a :class:`History` and falls back to
+    :meth:`History.agrees_with`; a log view's chain-form outputs are
+    read as their links (:func:`log_records`), so an output on the spine
+    builds nothing.
     """
     reference = switches.history
     agrees = (History.agrees_with_reference if reference
               else History.agrees_with)
-    histories: list[tuple[NodeId, Instance, History]] = []
+    histories: list[tuple[NodeId, Instance, Any]] = []
     for node, log in outputs.items():
-        for k, out in log:
+        for k, out in log_records(log):
             if out is not BOTTOM:
-                if out.length != k:
+                if type(out) is not HistoryChain and out.length != k:
                     raise SpecViolation(
                         f"agreement: node {node} output a history of length "
                         f"{out.length} for instance {k}",
@@ -147,6 +178,9 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
                      "diverging": diverging},
         )
 
+    if exhaustive or reference:
+        histories = [(node, k, _as_history(k, out))
+                     for node, k, out in histories]
     if exhaustive:
         for i in range(len(histories)):
             for j in range(i + 1, len(histories)):
@@ -154,23 +188,25 @@ def check_agreement(outputs: Mapping[NodeId, OutputLog], *,
                     _fail(histories[i], histories[j])
         return
 
-    witness = max(histories, key=lambda item: item[1])
+    node_w, k_w, out_w = max(histories, key=itemgetter(1))
+    spine = None
     if not reference:
-        # Every k below is that history's length: at most the witness's,
+        # Every k below is that output's length: at most the witness's,
         # and at least its own chain's anchor.
-        shortest = min(k for _, k, _ in histories)
-        link = witness[2]._as_chain()
+        shortest = min(map(itemgetter(1), histories))
+        link = _as_chain(out_w)
         spine = [link]
         while link.anchor > shortest:
             link = link.parent
             spine.append(link)
         spine.reverse()
         anchors = [link.anchor for link in spine]
-        histories = [
-            (node, k, history) for node, k, history in histories
-            if history._as_chain() is not spine[bisect_right(anchors, k) - 1]
-        ]
-    for item in histories:
+    for node, k, out in histories:
+        if (spine is not None and _as_chain(out)
+                is spine[bisect_right(anchors, k) - 1]):
+            continue
+        item = (node, k, _as_history(k, out))
+        witness = (node_w, k_w, _as_history(k_w, out_w))
         if not agrees(item[2], witness[2]):
             _fail(item, witness)
 

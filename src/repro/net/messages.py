@@ -126,8 +126,9 @@ MIXED_TAGS = Sentinel(__name__, "MIXED_TAGS")
 class RoundBatch:
     """A shared, per-round decoded view of one round's broadcasts.
 
-    The batched round engine builds exactly one ``RoundBatch`` per round
-    and hands it to every ensemble's
+    The batched round engine builds one ``RoundBatch`` per round that
+    reaches an ensemble (none for a sweep of plain processes) and hands
+    it to every ensemble's
     :meth:`~repro.net.node.Ensemble.deliver_round`, so work that depends
     only on *what was broadcast* — not on who received it — happens once
     per round instead of once per receiving store.  All derived views are lazy:

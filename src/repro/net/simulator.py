@@ -47,7 +47,8 @@ of :class:`~repro.switches.Switches`:
   contention bookkeeping when no node can contend, and each
   :class:`~repro.net.node.Ensemble` (:meth:`Simulator.add_ensemble`)
   called once per sweep for all its members, with one
-  :class:`~repro.net.messages.RoundBatch` shared by every ensemble.
+  :class:`~repro.net.messages.RoundBatch` shared by every ensemble
+  (built when the sweep reaches the round's first ensemble).
   The reference loop ignores ensembles.
 
 The differential suite pins the two engines byte-identical (traces,
@@ -710,8 +711,7 @@ class Simulator:
 
     def _deliver_units(self, r: Round, present: list[NodeId], broadcasts,
                        delivered, flags, uniform: bool) -> None:
-        batch = RoundBatch(broadcasts)
-        batch.uniform = uniform
+        batch = None
         deliver_fns = self._deliver_fns
         for ensemble, group in self._sweep(r, present,
                                            self.crashes.receives_in):
@@ -719,6 +719,9 @@ class Simulator:
                 node = group[0]
                 deliver_fns[node](r, delivered[node], flags[node])
             else:
+                if batch is None:
+                    batch = RoundBatch(broadcasts)
+                    batch.uniform = uniform
                 ensemble.deliver_round(r, group, delivered, flags, batch)
 
     def run(self, rounds: int) -> Trace:

@@ -8,7 +8,9 @@ executions, including ones no protocol run produces: corrupted values
 and lengths, dropped and duplicated rows, histories in chain form, dict
 form and on private non-interned spines side by side, ``True``/``1``/
 ``1.0`` (equal values, distinct interned links) and histories that
-something already materialised.
+something already materialised.  The validity and agreement checkers
+read each log through ``log_records``, so each execution is also checked
+through a log with a record read, as a slotted core's view answers one.
 
 The definitions below work on plain ``(length, {instance: value})``
 twins of the generated histories and never touch :class:`History`.
@@ -190,6 +192,22 @@ def executions(draw):
     return outputs, plain, proposals
 
 
+class RecordLog(list):
+    """A plain log with a slotted view's record read: a chain-form
+    history of its own instance's length answers its link, and ⊥ and
+    every other entry answer the output itself."""
+
+    def records(self):
+        return [(k, out._chain if isinstance(out, History)
+                 and out._chain is not None and out.length == k else out)
+                for k, out in self]
+
+
+#: The two log shapes the validity and agreement checkers read.
+LOGS = pytest.mark.parametrize("log", [list, RecordLog],
+                               ids=["pairs", "records"])
+
+
 def _outcome(fn, *args, **kwargs):
     """Comparable result; ``repr`` of the context keeps ``True`` ≠ ``1``."""
     try:
@@ -198,18 +216,22 @@ def _outcome(fn, *args, **kwargs):
         return ("violation", str(exc), repr(exc.context))
 
 
+@LOGS
 @settings(max_examples=300, deadline=None)
 @given(executions())
-def test_validity_matches_the_definition(execution):
+def test_validity_matches_the_definition(log, execution):
     outputs, plain, proposals = execution
+    outputs = {node: log(rows) for node, rows in outputs.items()}
     assert (_outcome(check_validity, outputs, proposals)
             == _outcome(brute_validity, plain, proposals))
 
 
+@LOGS
 @settings(max_examples=300, deadline=None)
 @given(executions(), st.booleans())
-def test_agreement_matches_the_definition(execution, exhaustive):
+def test_agreement_matches_the_definition(log, execution, exhaustive):
     outputs, plain, _ = execution
+    outputs = {node: log(rows) for node, rows in outputs.items()}
     want = _outcome(brute_agreement, plain, exhaustive=exhaustive)
     assert _outcome(check_agreement, outputs, exhaustive=exhaustive,
                     switches=Switches()) == want

@@ -12,7 +12,8 @@ against ground truth rather than only through whole-run byte identity:
    exactly the present nodes, in node order, at each model's
    ``position_at(r)``; its ``unchanged`` flag is a promise the channel
    acts on, so it may only be raised when the map is object-for-object
-   last round's.
+   last round's.  A round builds its :class:`RoundBatch` only when the
+   unit sweep reaches an ensemble, which is the batch's only reader.
 2. :meth:`Channel.deliver_batch` with ``positions_unchanged=True`` — the
    indexed channel skips re-synchronising its spatial index on that
    promise.  Hinted deliveries, including across silent rounds (which
@@ -31,9 +32,11 @@ import random
 
 import pytest
 
+from _cores import count_calls
 from _switches import corners
 from _worlds import vi_orbit_spec
-from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
+import repro
+from repro import CHA, ClusterWorld, ExperimentSpec, MajorityRSM, WorkloadSpec
 from repro.contention import LeaderElectionCM
 from repro.core.cha import CHAProcess
 from repro.core.history import new_chain_generation
@@ -49,6 +52,7 @@ from repro.net import (
     RadioSpec,
     RandomLossAdversary,
     RandomWaypointMobility,
+    RoundBatch,
     Simulator,
     WaypointMobility,
 )
@@ -202,6 +206,24 @@ def test_every_round_goes_through_the_shared_pipeline(family):
     # The VI run takes the phase-table engine, never the per-round
     # fallback; the cluster run steps the batched engine every round.
     assert stepped == ([] if family == "vi" else rounds)
+
+
+@pytest.mark.parametrize("protocol, rounds, batches", [
+    # A MajorityRSM cluster (n + 2 rounds an instance) has no ensemble:
+    # its sweep reaches no unit that reads a round batch.
+    (MajorityRSM(), 50 * 22, 0),
+    # A CHAP cluster is one ensemble: one batch per round.
+    (CHA(), 50 * 3, 50 * 3),
+])
+def test_a_round_builds_its_batch_only_for_an_ensemble(monkeypatch, protocol,
+                                                      rounds, batches):
+    counts = {}
+    count_calls(monkeypatch, RoundBatch, ["__init__"], counts)
+    result = repro.run(ExperimentSpec(
+        protocol=protocol, world=ClusterWorld(n=20),
+        workload=WorkloadSpec(instances=50)))
+    assert result.simulator.current_round == rounds
+    assert counts.get("__init__", 0) == batches
 
 
 # ----------------------------------------------------------------------
