@@ -41,30 +41,10 @@ class DeliveringMailboxProgram(MailboxProgram):
         inbox, outbox = state
         emitted = self.emit(state, vr)
         if emitted is not None and emitted[0] == "deliver":
-            state = (inbox[1:], outbox)
-        inbox, outbox = state
-        if emitted is not None and emitted[0] == "relay":
+            inbox = inbox[1:]
+        elif emitted is not None:
             outbox = outbox[1:]
-
-        def accept(dest, body):
-            nonlocal inbox, outbox
-            if dest == self.vn_id:
-                inbox = inbox + ((dest, body),)
-            elif dest in self.next_hop:
-                outbox = outbox + ((dest, body),)
-
-        for item in observation.messages:
-            if item[0] == "cl":
-                payload = item[1]
-                if (isinstance(payload, tuple) and len(payload) == 4
-                        and payload[0] == "send" and payload[1] == self.vn_id):
-                    accept(payload[2], payload[3])
-            elif item[0] == "vn":
-                payload = item[2]
-                if (isinstance(payload, tuple) and len(payload) == 4
-                        and payload[0] == "relay" and payload[1] == self.vn_id):
-                    accept(payload[2], payload[3])
-        return (inbox, outbox)
+        return self._receive(inbox, outbox, observation)
 
 
 def overlay_graph(sites: list[VNSite], *, virtual_range: float

@@ -34,7 +34,7 @@ costs.
 
 The ``history`` axis of :class:`~repro.switches.Switches`
 (``spec.switches``) pins every protocol core to the seed fold; the
-differential suite (``tests/core/test_history_differential.py``)
+core differential suite (``tests/core/test_core_differential.py``)
 asserts both engines are byte-identical end to end.
 """
 

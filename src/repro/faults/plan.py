@@ -167,7 +167,7 @@ class Partition(FaultPrimitive):
             Random(seed).shuffle(nodes)
             k = min(self.n_groups, max(len(nodes), 1))
             groups = [nodes[i::k] for i in range(k)]
-        return PartitionAdversary(groups, until_round=self.until)
+        return WindowAdversary(PartitionAdversary(groups), until=self.until)
 
     def shrink_variants(self) -> Iterator[FaultPrimitive]:
         if self.until > 2:
@@ -239,8 +239,8 @@ class SenderSuppression(FaultPrimitive):
         return self._window_end(self.until)
 
     def adversary(self, n: int, seed: int) -> Adversary:
-        return TargetedDropAdversary(self.senders, start=self.start,
-                                     until=self.until)
+        return WindowAdversary(TargetedDropAdversary(self.senders),
+                               start=self.start, until=self.until)
 
     def shrink_variants(self) -> Iterator[FaultPrimitive]:
         if len(self.senders) > 1:
@@ -269,8 +269,9 @@ class DetectorNoise(FaultPrimitive):
         return self._window_end(self.until)
 
     def adversary(self, n: int, seed: int) -> Adversary:
-        return NoiseBurstAdversary(p_false=self.p_false, start=self.start,
-                                   until=self.until, seed=seed)
+        return WindowAdversary(NoiseBurstAdversary(p_false=self.p_false,
+                                                   seed=seed),
+                               start=self.start, until=self.until)
 
     def shrink_variants(self) -> Iterator[FaultPrimitive]:
         if self.until is not None and self.until - self.start > 4:

@@ -143,24 +143,21 @@ class ScriptedAdversary(Adversary):
 class PartitionAdversary(Adversary):
     """Splits the nodes into groups that cannot hear each other.
 
-    While ``r < until_round``, a message crossing group boundaries is
-    dropped.  This reproduces the footnote-2 scenario of the paper: two
-    replicas that temporarily cannot exchange messages, one of which may
-    decide and crash.
+    A message crossing group boundaries is dropped; wrap it in a
+    :class:`WindowAdversary` to heal the partition.  This reproduces the
+    footnote-2 scenario of the paper: two replicas that temporarily
+    cannot exchange messages, one of which may decide and crash.
     """
 
-    def __init__(self, groups: Iterable[Iterable[NodeId]], *, until_round: Round) -> None:
+    def __init__(self, groups: Iterable[Iterable[NodeId]]) -> None:
         self._group_of: dict[NodeId, int] = {}
         for idx, group in enumerate(groups):
             for node in group:
                 if node in self._group_of:
                     raise ValueError(f"node {node} appears in two partition groups")
                 self._group_of[node] = idx
-        self._until = until_round
 
     def drops(self, r, tentative):
-        if r >= self._until:
-            return {}
         out: dict[NodeId, frozenset[NodeId]] = {}
         for receiver, msgs in tentative.items():
             rg = self._group_of.get(receiver)
@@ -179,24 +176,16 @@ class PartitionAdversary(Adversary):
 class TargetedDropAdversary(Adversary):
     """Suppresses every delivery from a fixed set of senders.
 
-    While ``start <= r < until``, any message whose sender is in
-    ``senders`` is destroyed at every receiver — the "jam one node's
-    transmitter" attack.  With ``until=None`` the suppression never ends
-    on its own (the channel still stops honouring it at ``rcf``).
+    Any message whose sender is in ``senders`` is destroyed at every
+    receiver — the "jam one node's transmitter" attack — until the
+    channel stops honouring drops at ``rcf`` (or a
+    :class:`WindowAdversary` around it closes).
     """
 
-    def __init__(self, senders: Iterable[NodeId], *,
-                 start: Round = 0, until: Round | None = None) -> None:
+    def __init__(self, senders: Iterable[NodeId]) -> None:
         self._senders = frozenset(senders)
-        self._start = start
-        self._until = until
-
-    def _active(self, r: Round) -> bool:
-        return r >= self._start and (self._until is None or r < self._until)
 
     def drops(self, r, tentative):
-        if not self._active(r):
-            return {}
         out: dict[NodeId, frozenset[NodeId]] = {}
         for receiver, msgs in tentative.items():
             doomed = frozenset(
@@ -213,19 +202,17 @@ class TargetedDropAdversary(Adversary):
 class NoiseBurstAdversary(Adversary):
     """Pure detector noise: seeded false-collision bursts, no drops.
 
-    While ``start <= r < until``, each node independently receives a
-    spurious collision indication with probability ``p_false`` per round.
-    Owns a private :class:`random.Random` keyed by ``(seed, node)`` so the
-    per-node streams are independent of visitation order.
+    Each node independently receives a spurious collision indication
+    with probability ``p_false`` per round (a :class:`WindowAdversary`
+    around it bounds the burst).  Owns a private :class:`random.Random`
+    keyed by ``(seed, node)`` so the per-node streams are independent of
+    visitation order.
     """
 
-    def __init__(self, *, p_false: float, start: Round = 0,
-                 until: Round | None = None, seed: int = 0) -> None:
+    def __init__(self, *, p_false: float, seed: int = 0) -> None:
         if not 0.0 <= p_false <= 1.0:
             raise ValueError("p_false must lie in [0, 1]")
         self._p_false = p_false
-        self._start = start
-        self._until = until
         self._seed = seed
         self._rngs: dict[NodeId, Random] = {}
 
@@ -233,8 +220,6 @@ class NoiseBurstAdversary(Adversary):
         return {}
 
     def false_collision(self, r, node):
-        if r < self._start or (self._until is not None and r >= self._until):
-            return False
         rng = self._rngs.get(node)
         if rng is None:
             rng = self._rngs[node] = Random((self._seed << 20) ^ (node + 1))

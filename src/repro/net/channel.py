@@ -91,10 +91,11 @@ it is part of the byte-identity contract below.
 
 The two paths are guaranteed to produce *identical* reception maps — the
 randomized differential suite (``tests/net/test_differential.py``)
-asserts equality over geometries, radii, adversaries, and mobility, and
-byte-identical trace pickles end to end
-(``tests/net/test_channel_sharing.py`` pins the aliasing rule and the
-memo's invalidation).  The ``channel`` axis of
+asserts equality over geometries, radii, adversaries, and mobility, the
+engine differential suite (``tests/net/test_engine_differential.py``)
+byte-identical observables end to end, and
+``tests/net/test_channel_sharing.py`` the aliasing rule and the memo's
+invalidation.  The ``channel`` axis of
 :class:`~repro.switches.Switches` (``spec.switches``) re-runs anything
 on the reference path when debugging.
 """

@@ -243,12 +243,7 @@ class ConsensusService:
                         writer.write(encode_event(dict(event, seq=-1)))
                         await writer.drain()
                     continue
-                if request["op"] == "hello":
-                    if session is not None:
-                        session.queue.put(error_event(
-                            "session already open; 'hello' is a "
-                            "connection greeting"))
-                        continue
+                if request["op"] == "hello" and session is None:
                     try:
                         session = self.sessions.open(
                             client=request.get("client"),

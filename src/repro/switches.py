@@ -38,7 +38,9 @@ AXES: tuple[Axis, ...] = (
     Axis("channel",
          "spatial-grid neighbour index (`Channel._deliver_indexed`)",
          "all-pairs scan (`Channel._deliver_reference`)",
-         "`tests/net/test_differential.py` (`-m fast`)"),
+         "`tests/net/test_differential.py` (channel level), "
+         "`tests/net/test_engine_differential.py` (whole runs) "
+         "(`-m fast`)"),
     Axis("engine",
          "batched round dispatch with its position/contender caches, "
          "a lockstep cohort stepped once per round as one ensemble "
@@ -51,7 +53,8 @@ AXES: tuple[Axis, ...] = (
     Axis("history",
          "interned incremental history chains (`HistoryChain`)",
          "re-walking fold (`calculate_history_reference`)",
-         "`tests/core/test_history_differential.py` (`-m fast`)"),
+         "`tests/core/test_core_differential.py` "
+         "(`-m core_differential`)"),
     Axis("core",
          "slotted array core over a cohort store, one per lockstep "
          "cluster, keeping the adopted wire ballot as the reference "

@@ -182,7 +182,12 @@ class MailboxProgram(ScheduleAware, VNProgram):
         inbox, outbox = state
         if self.emit(state, vr) is not None:
             outbox = outbox[1:]
+        return self._receive(inbox, outbox, observation)
 
+    def _receive(self, inbox, outbox, observation):
+        """``(inbox, outbox)`` with this round's accepted items appended:
+        a client's ``send`` naming this node as ingress, or a relay
+        naming it as next hop, filed by destination."""
         def accept(dest, body):
             nonlocal inbox, outbox
             if dest == self.vn_id:

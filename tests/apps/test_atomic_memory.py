@@ -1,11 +1,9 @@
 """Tests for the atomic register over a virtual node."""
 
-import pytest
-
 from repro.apps import ReaderClient, RegisterProgram, WriterClient
 from repro.geometry import Point
 from repro.net import CrashSchedule
-from repro.vi import VIWorld, VNSite
+from repro.vi import VIWorld
 from repro.workloads import single_region
 
 

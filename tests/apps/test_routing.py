@@ -12,7 +12,7 @@ from repro.apps import (
     overlay_graph,
 )
 from repro.geometry import GridSpec, Point
-from repro.vi import VIWorld, VNSite, VirtualObservation
+from repro.vi import MailboxProgram, VIWorld, VNSite, VirtualObservation
 from repro.workloads import vn_line
 
 
@@ -101,6 +101,19 @@ class TestDeliveringMailbox:
         assert p.emit(s, 1)[0] == "deliver"
         s = p.step(s, 1, VirtualObservation((), False))
         assert p.emit(s, 2) == ("relay", 1, 9, "remote")
+
+    def test_accepts_what_a_plain_mailbox_accepts(self):
+        obs = VirtualObservation((
+            ("cl", ("send", 0, 0, "mine")), ("cl", ("send", 1, 0, "other")),
+            ("cl", ("send", 0, 9, "remote")), ("cl", ("send", 0, 7, "lost")),
+            ("vn", 3, ("relay", 0, 9, "hop")), ("vn", 3, ("relay", 4, 0, "no")),
+            ("vn", 3, ("deliver", 3, "x")), ("cl", "junk"),
+        ), False)
+        plain = MailboxProgram(0, next_hop={9: 1})
+        delivering = DeliveringMailboxProgram(0, next_hop={9: 1})
+        assert (delivering.step(delivering.init_state(), 0, obs)
+                == plain.step(plain.init_state(), 0, obs)
+                == (((0, "mine"),), ((9, "remote"), (9, "hop"))))
 
 
 class TestEndToEndRouting:

@@ -1,11 +1,9 @@
 """Tests for the tracking service over a virtual-node line."""
 
-import pytest
-
 from repro.apps import TargetClient, TrackerProgram, estimate_position, last_seen_map
 from repro.geometry import Point
 from repro.net import WaypointMobility
-from repro.vi import VIWorld, VNSite, VirtualObservation
+from repro.vi import VIWorld, VirtualObservation
 from repro.workloads import vn_line
 
 

@@ -24,6 +24,7 @@ from repro.net import (
     PartitionAdversary,
     RandomLossAdversary,
     ScriptedAdversary,
+    WindowAdversary,
 )
 from repro.types import BOTTOM, Color
 
@@ -179,7 +180,8 @@ class TestUnstablePeriod:
 class TestScriptedDisagreement:
     def test_partitioned_nodes_stay_safe(self):
         """Two groups that cannot hear each other never split history."""
-        adv = PartitionAdversary([[0, 1], [2, 3]], until_round=30)
+        adv = WindowAdversary(PartitionAdversary([[0, 1], [2, 3]]),
+                              until=30)
         run = (scenario().nodes(4).instances(30).cha()
                .adversary(adv)
                .detector(EventuallyAccurateDetector(racc=30))

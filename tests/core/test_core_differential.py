@@ -1,14 +1,19 @@
-"""Differential verification of the slotted protocol core.
+"""Differential verification of the slotted protocol core and the
+history engines.
 
-PR 7 rebuilt the CHA-family hot state as flat parallel arrays
-(:mod:`repro.core.slotted`) behind the ``core`` reference switch
-(``Switches(core=True)``).  This suite is the
-regression gate for that core: for every protocol family the pickled
-observables of a faulty run must be byte-for-byte identical across the
-**full switch matrix** — core × history engine × simulation engine
-(the engine switch also flips the channel, PR 3's pairing) — against
-the all-reference corner.  It reuses the exact specs of
-``test_history_differential``, so the two gates pin the same workloads.
+The CHA-family hot state lives in flat parallel arrays
+(:mod:`repro.core.slotted`) behind the ``core`` reference switch, and
+each output log is an interned incremental chain behind the ``history``
+switch (the seed re-walking fold is the twin).  This suite is the
+regression gate for both: for every protocol family (plain, checkpoint,
+the two-phase ablation, the naive full-history RSM) and the VI
+emulation, the pickled observables of a faulty run — the full wire
+trace, every node's output log, proposals, metrics and invariant
+verdicts — must be byte-for-byte identical across the **full switch
+matrix**, core × history engine × simulation engine (the engine switch
+also flips the channel), against the all-reference corner.  The naive
+RSM puts the *entire computed history* in every ballot, so there the
+history engines differ on the wire, not just in outputs.
 
 Marked ``core_differential`` so PR CI can run just this gate quickly
 (``pytest -m core_differential``).
@@ -19,47 +24,58 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from _switches import observables, run_with
-from test_history_differential import (
-    MODES,
-    SPECS,
-    _cha_spec,
-    _vi_spec,
-    stack,
-)
+from _switches import assert_corners_agree, corners, observables, run_with
+from _worlds import ENVIRONMENTS, VI_METRICS, cluster_spec, vi_spec
 
 from repro.core import ChaCore, CheckpointChaCore
 from repro.core.slotted import SlottedChaCore, SlottedCheckpointChaCore
+from repro.experiment import MetricsSpec
+from repro.net import Crash, CrashPoint, CrashSchedule
 from repro.switches import Switches
 
 pytestmark = [pytest.mark.fast, pytest.mark.core_differential]
 
-#: core_reference — the third axis on top of test_history_differential's
-#: (history_reference, engine_reference) modes.
-CORES = [True, False]
+
+def _cluster(family, **kwargs):
+    def make():
+        return cluster_spec(family, **ENVIRONMENTS["windowed-loss+crash"](),
+                            **kwargs)
+    return make
 
 
-def _observables(spec_factory, *, core_ref: bool, history_ref: bool,
-                 engine_ref: bool) -> bytes:
-    return observables(run_with(
-        spec_factory(),
-        stack(history=history_ref, engine=engine_ref, core=core_ref)))
+def _vi():
+    return vi_spec(8, metrics=VI_METRICS, crashes=CrashSchedule(
+        [Crash(1, 40, CrashPoint.AFTER_SEND)]))
+
+
+_AGREEMENT = ("validity", "agreement")
+
+SPECS = {
+    "cha": _cluster("cha", n=6, rcf=24, instances=14, metrics=MetricsSpec(
+        metrics=("decided_instances", "bottom_rate"), invariants=_AGREEMENT)),
+    "checkpoint-cha": _cluster(
+        "checkpoint-cha", n=5, rcf=18, instances=14, metrics=MetricsSpec(
+            metrics=("decided_instances",),
+            invariants=("lemma5", "prev_pointer"))),
+    "two-phase-cha": _cluster(
+        "two-phase-cha", n=5, rcf=12, instances=14, metrics=MetricsSpec(
+            metrics=("decided_instances",), invariants=_AGREEMENT)),
+    "naive-rsm": _cluster(
+        "naive-rsm", n=5, rcf=12, instances=12, metrics=MetricsSpec(
+            metrics=("max_message_size",), invariants=_AGREEMENT)),
+    "vi": _vi,
+}
+
+#: Every (core, history, engine) corner, the engine switch flipping the
+#: channel with it; the all-reference corner is the anchor.
+CORNERS = [dataclasses.replace(s, channel=s.engine)
+           for s in reversed(corners("core", "history", "engine"))]
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_core_switch_byte_identical_full_matrix(name):
     """All eight switch corners produce byte-identical observables."""
-    spec_factory = SPECS[name]
-    baseline = _observables(spec_factory, core_ref=True,
-                            history_ref=True, engine_ref=True)
-    for core_ref in CORES:
-        for history_ref, engine_ref in MODES:
-            if core_ref and history_ref and engine_ref:
-                continue  # the baseline itself
-            got = _observables(spec_factory, core_ref=core_ref,
-                               history_ref=history_ref,
-                               engine_ref=engine_ref)
-            assert got == baseline, (name, core_ref, history_ref, engine_ref)
+    assert_corners_agree(SPECS[name], CORNERS)
 
 
 def test_trace_free_run_matches_traced_run_and_reference_core():
@@ -67,7 +83,7 @@ def test_trace_free_run_matches_traced_run_and_reference_core():
     trace-free slotted run produces the exact observables of the
     reference core's, and of its own traced run, trace aside."""
     def trace_free(core_ref, keep_trace=False):
-        spec = dataclasses.replace(_cha_spec(), keep_trace=keep_trace)
+        spec = dataclasses.replace(SPECS["cha"](), keep_trace=keep_trace)
         result = run_with(spec, Switches(core=core_ref))
         assert (result.trace is None) is not keep_trace
         return observables(dataclasses.replace(result, trace=None))
@@ -76,29 +92,26 @@ def test_trace_free_run_matches_traced_run_and_reference_core():
     assert trace_free(False) == trace_free(False, keep_trace=True)
 
 
-def test_spec_switch_reaches_every_process():
-    """The spec's ``core`` switch pins each constructed core; the
-    default builds the slotted core everywhere."""
-    for core_ref, base_cls, ckpt_cls in (
-            (True, ChaCore, CheckpointChaCore),
-            (False, SlottedChaCore, SlottedCheckpointChaCore)):
-        switches = Switches(core=core_ref)
-        from test_history_differential import (
-            _checkpoint_spec,
-            _two_phase_spec,
-        )
-        for factory in (_cha_spec, _two_phase_spec):
-            spec = dataclasses.replace(factory(), keep_trace=False)
-            result = run_with(spec, switches)
-            assert all(type(proc.core) is base_cls
-                       for proc in result.processes.values())
-        spec = dataclasses.replace(_checkpoint_spec(), keep_trace=False)
-        result = run_with(spec, switches)
-        assert all(type(proc.core) is ckpt_cls
-                   for proc in result.processes.values())
-        vi = dataclasses.replace(_vi_spec(), keep_trace=False)
-        result = run_with(vi, switches)
-        replicas = [dev.replica for dev in result.processes.values()
-                    if dev.replica is not None]
-        assert replicas
-        assert all(type(rep.core) is ckpt_cls for rep in replicas)
+@pytest.mark.parametrize("switches", [Switches(), Switches(core=True),
+                                      Switches(history=True)],
+                         ids=["default", "reference-core",
+                              "reference-history"])
+def test_spec_switches_reach_every_core(switches):
+    """The spec's ``core`` switch pins each constructed core's class
+    (the slotted core by default) and its ``history`` switch each core's
+    fold, on every cluster family and every VI replica."""
+    plain, checkpoint = ((ChaCore, CheckpointChaCore) if switches.core else
+                         (SlottedChaCore, SlottedCheckpointChaCore))
+    for name, cls in (("cha", plain), ("two-phase-cha", plain),
+                      ("checkpoint-cha", checkpoint), ("vi", checkpoint)):
+        spec = dataclasses.replace(SPECS[name](), keep_trace=False)
+        processes = run_with(spec, switches).processes.values()
+        if name == "vi":
+            cores = [dev.replica.core for dev in processes
+                     if dev.replica is not None]
+        else:
+            cores = [proc.core for proc in processes]
+        assert cores
+        assert all(type(core) is cls for core in cores), name
+        assert all(core.reference_history is switches.history
+                   for core in cores), name

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from _cores import begin, end
 from repro.core import (Ballot, History, calculate_history_reference,

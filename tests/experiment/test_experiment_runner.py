@@ -6,10 +6,8 @@ from repro import run, scenario
 from repro.errors import ConfigurationError
 from repro.experiment import (
     CHA,
-    CheckpointCHA,
     ClusterWorld,
     ExperimentSpec,
-    MetricsSpec,
     WorkloadSpec,
 )
 from repro.geometry import Point

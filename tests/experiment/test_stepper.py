@@ -6,22 +6,18 @@ finish, rejection of post-finish stepping) must hold."""
 
 from __future__ import annotations
 
+import functools
 import math
-import pickle
 import time
 
 import pytest
 
+from _switches import assert_corners_agree
+from _worlds import cluster_spec
 from repro import (
-    CHA,
-    CheckpointCHA,
-    ClusterWorld,
     ExperimentSpec,
-    MajorityRSM,
     MetricsSpec,
-    NaiveRSM,
     ThreePhaseCommit,
-    TwoPhaseCHA,
     VIEmulation,
     WorkloadSpec,
 )
@@ -36,18 +32,9 @@ pytestmark = pytest.mark.fast
 
 
 def _cha_spec(**over) -> ExperimentSpec:
-    spec = ExperimentSpec(
-        protocol=CHA(),
-        world=ClusterWorld(n=6, rcf=9),
-        workload=WorkloadSpec(instances=10),
-        metrics=MetricsSpec(
-            metrics=("rounds", "total_broadcasts", "decided_instances"),
-            invariants=("validity", "agreement"),
-        ),
-    )
-    if over:
-        spec = spec.override(**over)
-    return spec
+    return cluster_spec("cha", n=6, rcf=9, instances=10, metrics=MetricsSpec(
+        metrics=("rounds", "total_broadcasts", "decided_instances"),
+        invariants=("validity", "agreement"))).override(**over)
 
 
 def _vi_spec() -> ExperimentSpec:
@@ -65,49 +52,37 @@ def _vi_spec() -> ExperimentSpec:
     )
 
 
-def _observable(result) -> bytes:
-    return pickle.dumps((result.trace, result.outputs, result.proposals,
-                         result.metrics, result.invariants,
-                         result.violation_context))
-
-
-def _stepped(spec_factory, chunk: int) -> bytes:
+def _stepped(spec_factory, chunk: int | None):
+    """One run of ``spec_factory()``: one-shot for ``chunk=None``, else
+    stepped ``chunk`` ticks at a time."""
+    if chunk is None:
+        return run(spec_factory())
     stepper = ExperimentStepper(spec_factory())
     while stepper.remaining:
         ran = stepper.step(chunk)
         assert ran == min(chunk, stepper.total_ticks) or ran <= chunk
-    return _observable(stepper.finish())
+    return stepper.finish()
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_cha_stepped_equals_one_shot(chunk):
-    one_shot = _observable(run(_cha_spec()))
-    assert _stepped(_cha_spec, chunk) == one_shot
+#: (spec factory, chunk sizes) per stepped world.
+STEPPED = {
+    "cha": (_cha_spec, (1, 7)),
+    "cha-lossy": (lambda: _cha_spec(
+        world__rcf=12,
+        environment__adversary=RandomLossAdversary(p_drop=0.2, seed=3)),
+        (1,)),
+    "majority-rsm": (lambda: cluster_spec(
+        "majority-rsm", n=5, rounds=30,
+        metrics=MetricsSpec(metrics=("rounds", "decided_instances"))), (4,)),
+    "vi": (_vi_spec, (1, 4)),
+}
 
 
-def test_cha_stepped_equals_one_shot_under_loss():
-    def spec():
-        return _cha_spec(
-            world__rcf=12,
-            environment__adversary=RandomLossAdversary(p_drop=0.2, seed=3),
-        )
-    assert _stepped(spec, 1) == _observable(run(spec()))
-
-
-def test_majority_stepped_equals_one_shot():
-    def spec():
-        return ExperimentSpec(
-            protocol=MajorityRSM(),
-            world=ClusterWorld(n=5),
-            workload=WorkloadSpec(rounds=30),
-            metrics=MetricsSpec(metrics=("rounds", "decided_instances")),
-        )
-    assert _stepped(spec, 4) == _observable(run(spec()))
-
-
-def test_emulation_stepped_equals_one_shot():
-    assert _stepped(_vi_spec, 1) == _observable(run(_vi_spec()))
-    assert _stepped(_vi_spec, 4) == _observable(run(_vi_spec()))
+@pytest.mark.parametrize("name,chunk", [
+    pytest.param(name, chunk, id=f"{name}-{chunk}")
+    for name, (_, chunks) in STEPPED.items() for chunk in chunks])
+def test_stepped_equals_one_shot(name, chunk):
+    assert_corners_agree(STEPPED[name][0], (None, chunk), run=_stepped)
 
 
 def test_three_phase_commit_goes_through_the_stepper():
@@ -161,20 +136,13 @@ def test_timings_present_on_stepped_runs():
     assert result.timings["rounds_per_sec"] > 0.0
 
 
-def _cluster_spec(protocol, **workload) -> ExperimentSpec:
-    return ExperimentSpec(protocol=protocol, world=ClusterWorld(n=4),
-                          workload=WorkloadSpec(**workload), keep_trace=False)
-
-
 #: One small spec per protocol family the stepper builds.
 FAMILIES = {
-    "cha": lambda: _cluster_spec(CHA(), instances=5),
-    "checkpoint-cha": lambda: _cluster_spec(
-        CheckpointCHA(reducer=lambda s, k, v: s + 1, initial_state=0),
-        instances=5),
-    "two-phase-cha": lambda: _cluster_spec(TwoPhaseCHA(), instances=5),
-    "naive-rsm": lambda: _cluster_spec(NaiveRSM(), instances=5),
-    "majority-rsm": lambda: _cluster_spec(MajorityRSM(), rounds=12),
+    **{family: functools.partial(cluster_spec, family, n=4, instances=5,
+                                 keep_trace=False)
+       for family in ("cha", "checkpoint-cha", "two-phase-cha", "naive-rsm")},
+    "majority-rsm": functools.partial(cluster_spec, "majority-rsm", n=4,
+                                      rounds=12, keep_trace=False),
     "vi-emulation": _vi_spec,
     "three-phase-commit": lambda: ExperimentSpec(
         protocol=ThreePhaseCommit(votes=(True, True, False))),

@@ -1,7 +1,5 @@
 """Compilation of fault plans into environment components and specs."""
 
-import dataclasses
-
 import pytest
 
 import repro

@@ -17,7 +17,7 @@ from repro.faults import (
     plan,
     subseed,
 )
-from repro.net import CrashPoint
+from repro.net import CrashPoint, Message
 
 ALL_PRIMITIVES = plan(
     CrashWave(fraction=0.4, horizon=25),
@@ -115,12 +115,32 @@ class TestPartition:
     def test_random_groups_cover_all_nodes(self):
         adv = Partition(until=10, n_groups=3).adversary(9, 4)
         # All 9 nodes belong to some group (none dropped from the split).
-        assert sorted(adv._group_of) == list(range(9))
-        assert len(set(adv._group_of.values())) == 3
+        assert sorted(adv._inner._group_of) == list(range(9))
+        assert len(set(adv._inner._group_of.values())) == 3
 
     def test_single_group_rejected(self):
         with pytest.raises(ValueError):
             Partition(n_groups=1)
+
+
+def _interferes(adversary, r: int) -> bool:
+    """Whether ``adversary`` drops node 2's message or fakes a collision."""
+    tentative = {0: (Message(2, "x"),), 1: (Message(2, "x"),)}
+    return bool(adversary.drops(r, tentative)) or any(
+        adversary.false_collision(r, node) for node in range(3))
+
+
+@pytest.mark.parametrize("primitive", [
+    Partition(until=10, groups=((0, 1), (2,))),
+    MessageStorm(detector_noise=1.0, start=5, until=10),
+    SenderSuppression(senders=(2,), start=5, until=10),
+    DetectorNoise(p_false=1.0, start=5, until=10),
+], ids=lambda primitive: type(primitive).__name__)
+def test_adversary_acts_only_inside_its_window(primitive):
+    adversary = primitive.adversary(3, 0)
+    start = getattr(primitive, "start", 0)
+    assert ([_interferes(adversary, r) for r in range(14)]
+            == [start <= r < 10 for r in range(14)])
 
 
 class TestShrinkVariants:

@@ -21,183 +21,49 @@ from pathlib import Path
 
 import pytest
 
-from _worlds import vi_orbit_spec
-from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
-from repro.experiment import (
-    CheckpointCHA,
-    DeployedWorld,
-    DeviceSpec,
-    EnvironmentSpec,
-    MajorityRSM,
-    NaiveRSM,
-    TwoPhaseCHA,
-    VIEmulation,
-)
+from _worlds import cluster_spec, vi_join_reset_spec, vi_orbit_spec, vi_spec
 from repro.experiment.runner import run
-from repro.geometry import Point
 from repro.net import (
     Crash,
     CrashPoint,
     CrashSchedule,
     NoiseBurstAdversary,
     RandomLossAdversary,
-    WaypointMobility,
     WindowAdversary,
     canonical_dump,
 )
 from repro.switches import Switches
-from repro.vi.client import ScriptedClient
-from repro.vi.program import CounterProgram
-from repro.vi.schedule import VNSite
 
 pytestmark = pytest.mark.fast
 
 GOLDEN_DIR = Path(__file__).parent
 
 
-def _count_reducer(state, k, value):
-    return (state or 0) + 1
-
-
-def _cha_spec():
-    return ExperimentSpec(
-        protocol=CHA(),
-        world=ClusterWorld(n=5, rcf=9),
-        environment=EnvironmentSpec(
-            adversary=RandomLossAdversary(p_drop=0.3, p_false=0.2, seed=11),
-            crashes=CrashSchedule([Crash(4, 14, CrashPoint.AFTER_SEND)]),
-        ),
-        workload=WorkloadSpec(instances=8),
-    )
-
-
-def _checkpoint_spec():
-    return ExperimentSpec(
-        protocol=CheckpointCHA(reducer=_count_reducer, initial_state=0),
-        world=ClusterWorld(n=4),
-        workload=WorkloadSpec(instances=8),
-    )
-
-
-def _two_phase_spec():
-    return ExperimentSpec(
-        protocol=TwoPhaseCHA(),
-        world=ClusterWorld(n=4, rcf=6),
-        environment=EnvironmentSpec(
-            adversary=WindowAdversary(
-                RandomLossAdversary(p_drop=0.4, seed=3), until=6),
-        ),
-        workload=WorkloadSpec(instances=8),
-    )
-
-
-def _naive_rsm_spec():
-    return ExperimentSpec(
-        protocol=NaiveRSM(),
-        world=ClusterWorld(n=4),
-        environment=EnvironmentSpec(
-            adversary=NoiseBurstAdversary(p_false=0.3, until=12, seed=21),
-        ),
-        workload=WorkloadSpec(instances=8),
-    )
-
-
-def _majority_spec():
-    return ExperimentSpec(
-        protocol=MajorityRSM(),
-        world=ClusterWorld(n=5),
-        workload=WorkloadSpec(rounds=30),
-    )
-
-
-def _spread_spec():
-    """A spread-out ring: the small-scale golden twin of the bench
-    matrix's ``cha-1k-spread`` scenario.  Adjacent nodes sit within R1
-    but second neighbours are beyond R2, so the run exercises the
-    multi-cell grid index and partial-connectivity CHA dynamics (red
-    and orange instances away from the contention manager's leader)
-    rather than the single-region happy path."""
-    return ExperimentSpec(
-        protocol=CHA(),
-        world=ClusterWorld(n=16, cluster_radius=2.2),
-        workload=WorkloadSpec(instances=6),
-    )
-
-
-def _vi_spec():
-    sites = (VNSite(0, Point(0.0, 0.0)), VNSite(1, Point(0.5, 0.0)))
-    devices = tuple(
-        DeviceSpec(mobility=Point(site.location.x + dx, 0.1 * (j + 1)))
-        for site in sites
-        for j, dx in enumerate((-0.1, 0.1))
-    )
-    return ExperimentSpec(
-        protocol=VIEmulation(programs={0: CounterProgram(),
-                                       1: CounterProgram()}),
-        world=DeployedWorld(sites=sites, devices=devices),
-        workload=WorkloadSpec(virtual_rounds=6),
-    )
-
-
-def _vi_join_reset_spec():
-    """The phase-table engine's churn golden: a larger grid whose trace
-    crosses every table invalidation — a walker joins mid-run, a crash
-    wave kills both of site 0's replicas so the walker's JOIN_ACK goes
-    silent and it reruns the RESET rebirth, and a late device joins the
-    reborn node — all under windowed loss."""
-    rpv = 2 + 12  # min_schedule_length + the 12 fixed phase rounds
-    sites = (VNSite(0, Point(0.0, 0.0)), VNSite(1, Point(6.0, 0.0)),
-             VNSite(2, Point(12.0, 0.0)))
-    devices = (
-        # Two deployed replicas per site; site 0's pair (nodes 0 and 1)
-        # is the crash wave's target.
-        DeviceSpec(mobility=Point(-0.1, 0.1)),
-        DeviceSpec(mobility=Point(0.1, 0.1)),
-        DeviceSpec(mobility=Point(5.9, 0.1)),
-        DeviceSpec(mobility=Point(6.1, 0.1)),
-        DeviceSpec(mobility=Point(11.9, 0.1)),
-        DeviceSpec(mobility=Point(12.1, 0.1)),
-        # A client just outside site 0's region (radius 0.25).
-        DeviceSpec(mobility=Point(0.6, 0.4),
-                   client=ScriptedClient({2: ("add", 5), 6: ("add", 8)})),
-        # A walker that parks inside site 0's region and joins — then
-        # must reset the node once the crash wave has silenced it.
-        DeviceSpec(mobility=WaypointMobility(
-            Point(0.0, 3.0), [Point(0.0, 0.05)], speed=0.05),
-            initially_active=False),
-        # A late arrival that joins the reborn virtual node.
-        DeviceSpec(mobility=Point(0.05, -0.05), start_round=5 * rpv),
-    )
-    return ExperimentSpec(
-        protocol=VIEmulation(programs={0: CounterProgram(),
-                                       1: CounterProgram(),
-                                       2: CounterProgram()}),
-        world=DeployedWorld(sites=sites, devices=devices, rcf=12,
-                            min_schedule_length=2),
-        environment=EnvironmentSpec(
-            adversary=WindowAdversary(
-                RandomLossAdversary(p_drop=0.2, p_false=0.15, seed=17),
-                until=20),
-            crashes=CrashSchedule([
-                Crash(0, 3 * rpv, CrashPoint.AFTER_SEND),
-                Crash(1, 3 * rpv, CrashPoint.BEFORE_SEND),
-            ]),
-        ),
-        workload=WorkloadSpec(virtual_rounds=12),
-    )
-
-
 SCENARIOS = {
-    "cha": _cha_spec,
-    "cha-spread": _spread_spec,
-    "checkpoint-cha": _checkpoint_spec,
-    "two-phase-cha": _two_phase_spec,
-    "naive-rsm": _naive_rsm_spec,
-    "majority-rsm": _majority_spec,
-    "vi": _vi_spec,
-    "vi-join-reset": _vi_join_reset_spec,
-    # Every device moves (tests/_worlds.py): the trace carries positions,
-    # so this file pins the motion kernel's floats bit for bit.
+    "cha": lambda: cluster_spec(
+        "cha", n=5, rcf=9, instances=8,
+        adversary=RandomLossAdversary(p_drop=0.3, p_false=0.2, seed=11),
+        crashes=CrashSchedule([Crash(4, 14, CrashPoint.AFTER_SEND)])),
+    # A spread-out ring, the small-scale twin of the bench matrix's
+    # ``cha-1k-spread`` scenario: adjacent nodes sit within R1 but second
+    # neighbours are beyond R2, so the run exercises the multi-cell grid
+    # index and partial-connectivity CHA dynamics (red and orange
+    # instances away from the contention manager's leader).
+    "cha-spread": lambda: cluster_spec("cha", n=16, cluster_radius=2.2,
+                                       instances=6),
+    "checkpoint-cha": lambda: cluster_spec("checkpoint-cha", n=4,
+                                           instances=8),
+    "two-phase-cha": lambda: cluster_spec(
+        "two-phase-cha", n=4, rcf=6, instances=8, adversary=WindowAdversary(
+            RandomLossAdversary(p_drop=0.4, seed=3), until=6)),
+    "naive-rsm": lambda: cluster_spec(
+        "naive-rsm", n=4, instances=8, adversary=WindowAdversary(
+            NoiseBurstAdversary(p_false=0.3, seed=21), until=12)),
+    "majority-rsm": lambda: cluster_spec("majority-rsm", n=5, rounds=30),
+    "vi": lambda: vi_spec(6),
+    "vi-join-reset": vi_join_reset_spec,
+    # Every device moves: the trace carries positions, so this file pins
+    # the motion kernel's floats bit for bit.
     "vi-orbit": vi_orbit_spec,
 }
 

@@ -9,6 +9,7 @@ from repro.net import (
     PartitionAdversary,
     RandomLossAdversary,
     ScriptedAdversary,
+    WindowAdversary,
 )
 
 
@@ -101,25 +102,25 @@ class TestScripted:
 
 class TestPartition:
     def test_cross_group_messages_dropped(self):
-        adv = PartitionAdversary([[0, 1], [2, 3]], until_round=10)
+        adv = PartitionAdversary([[0, 1], [2, 3]])
         t = {0: (Message(1, "a"), Message(2, "b"))}
         assert adv.drops(0, t) == {0: frozenset({2})}
 
-    def test_partition_heals_at_until_round(self):
-        adv = PartitionAdversary([[0], [1]], until_round=5)
+    def test_partition_heals_when_its_window_closes(self):
+        adv = WindowAdversary(PartitionAdversary([[0], [1]]), until=5)
         t = {0: (Message(1, "a"),)}
         assert adv.drops(5, t) == {}
         assert adv.drops(4, t) == {0: frozenset({1})}
 
     def test_unknown_nodes_form_their_own_group(self):
-        adv = PartitionAdversary([[0]], until_round=10)
+        adv = PartitionAdversary([[0]])
         t = {0: (Message(9, "a"),)}
         # Node 9 is in no group: treated as a different group from node 0.
         assert adv.drops(0, t) == {0: frozenset({9})}
 
     def test_duplicate_membership_rejected(self):
         with pytest.raises(ValueError):
-            PartitionAdversary([[0, 1], [1, 2]], until_round=1)
+            PartitionAdversary([[0, 1], [1, 2]])
 
 
 class TestComposed:

@@ -89,17 +89,16 @@ ADVERSARIES = [
     ("random-loss", lambda seed: RandomLossAdversary(
         p_drop=1.0, p_false=1.0, seed=seed)),
     ("scripted", lambda seed: aggressive_script()),
-    ("partition", lambda seed: PartitionAdversary(
-        [[0], [1, 2, 3]], until_round=HORIZON)),
-    ("targeted-drop", lambda seed: TargetedDropAdversary([0], until=None)),
-    ("noise-burst", lambda seed: NoiseBurstAdversary(
-        p_false=1.0, until=None, seed=seed)),
+    ("partition", lambda seed: WindowAdversary(PartitionAdversary(
+        [[0], [1, 2, 3]]), until=HORIZON)),
+    ("targeted-drop", lambda seed: TargetedDropAdversary([0])),
+    ("noise-burst", lambda seed: NoiseBurstAdversary(p_false=1.0, seed=seed)),
     ("windowed-loss", lambda seed: WindowAdversary(
         RandomLossAdversary(p_drop=1.0, p_false=1.0, seed=seed),
         until=None)),
     ("composed", lambda seed: ComposedAdversary(
-        TargetedDropAdversary([0], until=None),
-        NoiseBurstAdversary(p_false=1.0, until=None, seed=seed),
+        TargetedDropAdversary([0]),
+        NoiseBurstAdversary(p_false=1.0, seed=seed),
         RandomLossAdversary(p_drop=0.5, p_false=0.5, seed=seed),
     )),
     ("compiled-fault-plan", lambda seed: materialize(

@@ -31,7 +31,7 @@ from collections import defaultdict
 import pytest
 
 from _cores import count_calls
-from test_differential import _random_world, _saturated_world
+from _worlds import random_channel_world, saturated_channel_world
 from repro import CHA, ClusterWorld, ExperimentSpec, MetricsSpec, WorkloadSpec
 from repro.experiment.runner import run
 from repro.geometry import Point
@@ -42,6 +42,7 @@ from repro.net import (
     RandomLossAdversary,
     Simulator,
     TargetedDropAdversary,
+    WindowAdversary,
 )
 from repro.net.channel import Reception, receptions_of
 from repro.net.index import SpatialGridIndex
@@ -85,7 +86,7 @@ def test_single_sender_past_rcf_shares_one_tuple():
 
 
 def test_contending_senders_and_transmitters_share_per_sender():
-    positions, lone, rng = _saturated_world()
+    positions, lone, rng = saturated_channel_world()
     senders = [0, 9, 17, 30, lone]
     broadcasts = {s: Message(s, ("p", s)) for s in senders}
     for channel in _both(RadioSpec(r1=1.0, r2=1.5)):
@@ -105,7 +106,7 @@ def test_contending_senders_and_transmitters_share_per_sender():
 
 @pytest.mark.parametrize("make_adversary", [
     lambda: RandomLossAdversary(p_drop=0.3, seed=4),
-    lambda: TargetedDropAdversary([3, 8], start=0, until=4),
+    lambda: WindowAdversary(TargetedDropAdversary([3, 8]), until=4),
 ], ids=["random-loss", "targeted"])
 def test_pre_rcf_drops_keep_one_tuple_per_sender(make_adversary):
     rng = random.Random(8)
@@ -166,7 +167,7 @@ def _fresh_tuple_reference(channel: Channel, r, positions, broadcasts):
 def test_shared_tuples_change_no_value(seed):
     rng = random.Random(seed)
     for trial in range(20):
-        spec, positions, broadcasts = _random_world(rng)
+        spec, positions, broadcasts = random_channel_world(rng)
 
         def loss():
             return RandomLossAdversary(p_drop=0.4, seed=seed * 97 + trial)

@@ -1,18 +1,16 @@
-"""Differential verification: fast paths are byte-identical to reference.
+"""Differential verification of the channel: the indexed path is
+byte-identical to the reference all-pairs path.
 
-The headline guarantee of the performance layer.  Two levels:
-
-1. **Channel** — randomized geometries, radii, broadcast sets and
-   adversaries; the indexed path must produce a Reception map equal to
-   the reference all-pairs path, key set and all.
-2. **Simulator** — whole protocol executions (CHA family, baselines)
-   under mobility churn, crashes and every adversary class; the batched
-   engine + indexed channel must produce byte-identical Trace pickles
-   against the seed loop + reference channel, in every corner of the
-   ``engine`` × ``channel`` switches.
+Randomized geometries, radii, broadcast sets and adversaries; the
+indexed path must produce a Reception map equal to the reference
+path's, key set and all, and hand the adversary the same tentative
+maps.  Whole runs over the channel, every protocol family under every
+adversary class and mobility churn, are
+``test_engine_differential.py``'s, in the same ``engine`` × ``channel``
+corners.
 
 Everything here is marked ``fast``: this suite is the regression gate
-for any future change to the channel or engine internals.
+for any future change to the channel internals.
 """
 
 from __future__ import annotations
@@ -24,22 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _switches import corners, run_with
-from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
-from repro.experiment import EnvironmentSpec, MajorityRSM, NaiveRSM, TwoPhaseCHA
+from _worlds import random_channel_world, saturated_channel_world
 from repro.geometry import Point
 from repro.net import (
     Adversary,
     Channel,
-    Crash,
-    CrashPoint,
-    CrashSchedule,
     Message,
     NoiseBurstAdversary,
     RadioSpec,
     RandomLossAdversary,
-    RandomWaypointMobility,
-    ScriptedAdversary,
     Simulator,
     TargetedDropAdversary,
     WindowAdversary,
@@ -57,24 +48,6 @@ ALL_PAIRS = Switches(channel=True)
 # Channel level
 # ----------------------------------------------------------------------
 
-def _random_world(rng: random.Random):
-    n = rng.randint(1, 40)
-    r1 = rng.uniform(0.05, 3.0)
-    r2 = r1 * rng.uniform(1.0, 2.5)
-    rcf = rng.choice([0, 0, 3, 50])
-    spec = RadioSpec(r1=r1, r2=r2, rcf=rcf)
-    span = rng.choice([1.0, 4.0, 20.0])
-    positions = {
-        i: Point(rng.uniform(-span, span), rng.uniform(-span, span))
-        for i in range(n)
-    }
-    broadcasts = {
-        i: Message(i, f"m{i}")
-        for i in range(n) if rng.random() < rng.choice([0.05, 0.3, 0.9])
-    }
-    return spec, positions, broadcasts
-
-
 def _adversary_pair(kind: str, seed: int):
     """Two independent, identically seeded adversaries (stateful RNGs
     must not be shared between the two paths)."""
@@ -87,7 +60,7 @@ def _adversary_pair(kind: str, seed: int):
             return WindowAdversary(
                 RandomLossAdversary(p_drop=0.5, seed=seed), start=1, until=3)
         if kind == "targeted":
-            return TargetedDropAdversary([0, 1], start=0, until=4)
+            return WindowAdversary(TargetedDropAdversary([0, 1]), until=4)
         if kind == "noise":
             return NoiseBurstAdversary(p_false=0.5, seed=seed)
         raise AssertionError(kind)
@@ -100,7 +73,7 @@ def _adversary_pair(kind: str, seed: int):
 def test_channel_differential_randomized(seed, adversary_kind):
     rng = random.Random(hash((seed, adversary_kind)) & 0xFFFF_FFFF)
     for trial in range(20):
-        spec, positions, broadcasts = _random_world(rng)
+        spec, positions, broadcasts = random_channel_world(rng)
         adv_fast, adv_ref = _adversary_pair(adversary_kind, seed * 31 + trial)
         fast = Channel(spec, adv_fast, switches=INDEXED)
         ref = Channel(spec, adv_ref, switches=ALL_PAIRS)
@@ -205,24 +178,6 @@ def _doom_everything(r, tentative):
     return {receiver: senders for receiver in tentative if receiver % 3}
 
 
-def _saturated_world():
-    """Clusters of eight nodes in three adjacent grid cells and one far
-    one (cell size R2 = 1.5), plus a lone sender with one neighbour
-    inside R1 and two in its R1-R2 annulus."""
-    rng = random.Random(21)
-    positions = {}
-    for cx, cy in [(0, 0), (1, 0), (0, 1), (6, 6)]:
-        for _ in range(8):
-            positions[len(positions)] = Point((cx + rng.random()) * 1.5,
-                                              (cy + rng.random()) * 1.5)
-    lone = len(positions)
-    for dx in (0.0, 0.5, 1.2, -1.4):
-        positions[len(positions)] = Point(-20.0 + dx, -20.0)
-    shuffled = list(positions.items())
-    rng.shuffle(shuffled)  # key order is part of the contract
-    return dict(shuffled), lone, rng
-
-
 @pytest.mark.parametrize("policy", [_doom_own, _doom_absent, _doom_everything],
                          ids=lambda f: f.__name__)
 def test_adversary_sees_identical_tentative_maps(policy):
@@ -230,7 +185,7 @@ def test_adversary_sees_identical_tentative_maps(policy):
     the same order, same tuples — once per pre-``rcf`` round, and odd
     doomed sets (a broadcaster's own id, ids the receiver never heard)
     resolve as on the reference path."""
-    positions, lone, rng = _saturated_world()
+    positions, lone, rng = saturated_channel_world()
     rcf = 6
     fast_adv, ref_adv = _RecordingAdversary(policy), _RecordingAdversary(policy)
     fast = Channel(RadioSpec(r1=1.0, r2=1.5, rcf=rcf), fast_adv, switches=INDEXED)
@@ -268,126 +223,8 @@ def test_channel_positions_unchanged_hint():
 
 
 # ----------------------------------------------------------------------
-# Simulator level: byte-identical traces
+# Simulator level
 # ----------------------------------------------------------------------
-
-def _spec_for(protocol, n, instances, environment):
-    return ExperimentSpec(
-        protocol=protocol,
-        world=ClusterWorld(n=n, rcf=environment.pop("rcf", 0)),
-        environment=EnvironmentSpec(**environment),
-        workload=WorkloadSpec(instances=instances),
-    )
-
-
-def _trace_bytes(spec_factory, switches: Switches) -> bytes:
-    return pickle.dumps(run_with(spec_factory(), switches).trace)
-
-
-#: Every (engine, channel) corner; the last — seed loop over the
-#: all-pairs channel — is the anchor the others must match.
-*_MODES, _ANCHOR = corners("engine", "channel")
-
-
-def _environments():
-    yield "benign", lambda: {}
-    yield "lossy", lambda: {
-        "rcf": 60,
-        "adversary": WindowAdversary(
-            RandomLossAdversary(p_drop=0.3, p_false=0.3, seed=5), until=40),
-    }
-    yield "targeted+noise", lambda: {
-        "rcf": 30,
-        "adversary": TargetedDropAdversary([1], until=20),
-        "crashes": CrashSchedule([
-            Crash(0, 10, CrashPoint.AFTER_SEND),
-            Crash(2, 17, CrashPoint.BEFORE_SEND),
-        ]),
-    }
-    yield "bursty", lambda: {
-        "adversary": NoiseBurstAdversary(p_false=0.4, until=25, seed=9),
-    }
-
-
-@pytest.mark.parametrize("protocol_factory",
-                         [CHA, TwoPhaseCHA, NaiveRSM, MajorityRSM],
-                         ids=lambda f: f.__name__)
-@pytest.mark.parametrize("env_name,env_factory", list(_environments()),
-                         ids=[name for name, _ in _environments()])
-def test_simulator_traces_byte_identical(protocol_factory, env_name,
-                                         env_factory):
-    def spec_factory():
-        if protocol_factory is MajorityRSM:
-            return ExperimentSpec(
-                protocol=MajorityRSM(),
-                world=ClusterWorld(n=7, rcf=env_factory().pop("rcf", 0)),
-                environment=EnvironmentSpec(**{
-                    k: v for k, v in env_factory().items() if k != "rcf"
-                }),
-                workload=WorkloadSpec(rounds=45),
-            )
-        return _spec_for(protocol_factory(), 7, 15, env_factory())
-
-    reference = _trace_bytes(spec_factory, _ANCHOR)
-    for switches in _MODES:
-        assert _trace_bytes(spec_factory, switches) == reference, switches
-
-
-def test_simulator_traces_byte_identical_under_mobility():
-    """Mobility churn: waypoint-roaming nodes join late and crash."""
-    def build(switches: Switches) -> bytes:
-        sim = Simulator(
-            spec=RadioSpec(r1=1.0, r2=1.5, rcf=10),
-            adversary=RandomLossAdversary(p_drop=0.25, seed=3),
-            crashes=CrashSchedule.of({2: 25}),
-            switches=switches,
-        )
-
-        class Chatter:
-            """Minimal process: broadcasts its id every few rounds."""
-            def __init__(self, me): self.me = me
-            def contend(self, r): return None
-            def send(self, r, active):
-                return ("chat", self.me, r) if (r + self.me) % 3 == 0 else None
-            def deliver(self, r, messages, collision): pass
-
-        for i in range(12):
-            mobility = RandomWaypointMobility(
-                Point(i * 0.3 - 2.0, 0.0), arena=(-3, -3, 3, 3),
-                speed=0.15, seed=100 + i,
-            )
-            sim.add_node(Chatter(i), mobility, start_round=0 if i < 9 else 5)
-        sim.run(40)
-        return pickle.dumps(sim.trace)
-
-    reference = build(_ANCHOR)
-    for switches in _MODES:
-        assert build(switches) == reference, switches
-
-
-def test_vi_emulation_traces_byte_identical():
-    from repro.experiment import DeployedWorld, DeviceSpec, VIEmulation
-    from repro.vi.program import CounterProgram
-    from repro.vi.schedule import VNSite
-
-    def spec_factory():
-        sites = (VNSite(0, Point(0.0, 0.0)), VNSite(1, Point(0.5, 0.0)))
-        devices = tuple(
-            DeviceSpec(mobility=Point(site.location.x + dx, 0.1 * (j + 1)))
-            for site in sites
-            for j, dx in enumerate((-0.1, 0.1))
-        )
-        return ExperimentSpec(
-            protocol=VIEmulation(programs={0: CounterProgram(),
-                                           1: CounterProgram()}),
-            world=DeployedWorld(sites=sites, devices=devices),
-            workload=WorkloadSpec(virtual_rounds=8),
-        )
-
-    reference = _trace_bytes(spec_factory, _ANCHOR)
-    for switches in _MODES:
-        assert _trace_bytes(spec_factory, switches) == reference, switches
-
 
 def test_instance_level_contend_override_matches_reference():
     """A process that gains contend() as an *instance* attribute must be
@@ -418,7 +255,7 @@ def test_instance_level_contend_override_matches_reference():
         sim.run(6)
         return pickle.dumps(sim.trace), [p.active_rounds for p in procs]
 
-    ref_bytes, ref_active = build(_ANCHOR)
+    ref_bytes, ref_active = build(Switches(engine=True, channel=True))
     fast_bytes, fast_active = build(Switches())
     assert fast_bytes == ref_bytes
     assert fast_active == ref_active

@@ -11,14 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import chained_wire_size
-from _worlds import vi_orbit_spec
-from repro import (ClusterWorld, EnvironmentSpec, ExperimentSpec,
-                   WorkloadSpec, run)
+from _worlds import cluster_spec, vi_orbit_spec
+from repro import run
 from repro.baselines.majority_rsm import Ack, Commit, Propose
 from repro.baselines.naive_rsm import NaiveBallotPayload
 from repro.core.ballot import Ballot, BallotPayload, VetoPayload
-from repro.experiment import (CHA, CheckpointCHA, MajorityRSM, NaiveRSM,
-                              TwoPhaseCHA)
 from repro.geometry import Point
 from repro.net import RandomLossAdversary
 from repro.net.trace import RoundRecord
@@ -188,17 +185,11 @@ class TestMessage:
 # ----------------------------------------------------------------------
 
 
-def _fold(state, k, value):
-    return state + 1
-
-
-def _cluster(protocol):
+def _cluster(family):
     """Four nodes, six instances; losses before ``rcf`` make vetoes."""
-    return ExperimentSpec(
-        protocol=protocol, world=ClusterWorld(n=4, rcf=9),
-        environment=EnvironmentSpec(
-            adversary=RandomLossAdversary(p_drop=0.3, seed=1)),
-        workload=WorkloadSpec(instances=6))
+    return lambda: cluster_spec(
+        family, n=4, rcf=9, instances=6,
+        adversary=RandomLossAdversary(p_drop=0.3, seed=1))
 
 
 #: One small traced world per protocol family, and the dataclasses its
@@ -206,15 +197,14 @@ def _cluster(protocol):
 #: roamers join, so its trace carries join acks whose snapshots hold the
 #: ballots a replica's core kept.
 _FAMILIES = {
-    "cha": (lambda: _cluster(CHA()), {BallotPayload, Ballot, VetoPayload}),
-    "checkpoint-cha": (
-        lambda: _cluster(CheckpointCHA(reducer=_fold, initial_state=0)),
-        {BallotPayload, Ballot, VetoPayload}),
-    "two-phase-cha": (lambda: _cluster(TwoPhaseCHA()),
+    "cha": (_cluster("cha"), {BallotPayload, Ballot, VetoPayload}),
+    "checkpoint-cha": (_cluster("checkpoint-cha"),
+                       {BallotPayload, Ballot, VetoPayload}),
+    "two-phase-cha": (_cluster("two-phase-cha"),
                       {BallotPayload, Ballot, VetoPayload}),
-    "naive-rsm": (lambda: _cluster(NaiveRSM()),
+    "naive-rsm": (_cluster("naive-rsm"),
                   {NaiveBallotPayload, Ballot, VetoPayload}),
-    "majority-rsm": (lambda: _cluster(MajorityRSM()), {Propose, Ack, Commit}),
+    "majority-rsm": (_cluster("majority-rsm"), {Propose, Ack, Commit}),
     "vi-join": (vi_orbit_spec,
                 {ClientMsg, VNMsg, JoinRequest, JoinAck, AlivePing,
                  BallotPayload, Ballot}),

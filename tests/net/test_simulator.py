@@ -12,7 +12,6 @@ from repro.net import (
     CrashSchedule,
     Ensemble,
     LinearMobility,
-    Message,
     Process,
     RadioSpec,
     Simulator,

@@ -17,7 +17,6 @@ from repro.errors import ServiceError
 from repro.service import (
     ConsensusService,
     ServiceConfig,
-    WorldRegistry,
     spec_hash,
 )
 

@@ -17,9 +17,9 @@ import asyncio
 
 import pytest
 
-from _switches import corners, observables
-from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
-from repro.experiment import EnvironmentSpec, MetricsSpec
+from _switches import MODE_IDS, MODES, observables, replay
+from _worlds import cluster_spec
+from repro.experiment import MetricsSpec
 from repro.experiment.runner import run
 from repro.net import RandomLossAdversary, WindowAdversary
 from repro.service import ConsensusService, ProposalLedger, ServiceConfig
@@ -27,30 +27,19 @@ from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
 
-#: Every (engine, channel) corner — the same switch matrix as
-#: tests/net/test_engine_differential.py and the single-world suite.
-MODES = corners("engine", "channel")
-MODE_IDS = ["default", "ref-channel", "ref-engine", "ref-both"]
-
 WORLDS = 8
 INSTANCES = 10
 
 
 def _spec_factory(switches: Switches = Switches()):
-    def make() -> ExperimentSpec:
-        return ExperimentSpec(
-            protocol=CHA(),
-            world=ClusterWorld(n=5, rcf=24),
-            environment=EnvironmentSpec(adversary=WindowAdversary(
-                RandomLossAdversary(p_drop=0.25, p_false=0.15, seed=9),
-                until=16)),
-            workload=WorkloadSpec(instances=INSTANCES),
+    def make():
+        return cluster_spec(
+            "cha", n=5, rcf=24, instances=INSTANCES, switches=switches,
+            adversary=WindowAdversary(RandomLossAdversary(
+                p_drop=0.25, p_false=0.15, seed=9), until=16),
             metrics=MetricsSpec(
                 metrics=("rounds", "total_broadcasts", "decided_instances"),
-                invariants=("all",),
-            ),
-            switches=switches,
-        )
+                invariants=("all",)))
     return make
 
 
@@ -111,13 +100,6 @@ def _serve_worlds(spec_factory, *, worlds: int = WORLDS,
     return served, schedules
 
 
-def _batch(spec_factory, schedule) -> bytes:
-    """The equivalent batch run: one world's accepted schedule replayed."""
-    spec = spec_factory().override(
-        protocol__proposer_factory=ProposalLedger.scripted(schedule))
-    return observables(run(spec))
-
-
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 def test_eight_worlds_each_equal_batch_across_switches(mode):
     spec_factory = _spec_factory(mode)
@@ -128,7 +110,7 @@ def test_eight_worlds_each_equal_batch_across_switches(mode):
     assert len(set(schedules.values())) > 1
     for name in served:
         assert schedules[name], f"{name}: the script must land proposals"
-        assert served[name] == _batch(spec_factory, schedules[name]), name
+        assert served[name] == replay(spec_factory, schedules[name]), name
 
 
 @pytest.mark.parametrize(
@@ -141,7 +123,7 @@ def test_worlds_equal_batch_with_history_and_core_switches(
                                           core=core_ref))
     served, schedules = _serve_worlds(spec_factory, worlds=4)
     for name in served:
-        assert served[name] == _batch(spec_factory, schedules[name]), name
+        assert served[name] == replay(spec_factory, schedules[name]), name
 
 
 def test_interleaved_worlds_match_a_solo_served_world():
@@ -218,5 +200,5 @@ def test_a_failing_world_ends_alone_and_its_siblings_equal_batch():
                     "error": "RuntimeError: boom"}
     assert drivers["w2"].complete and drivers["w2"].result is None
     for name in ("w1", "w3"):
-        assert observables(results[name]) == _batch(
+        assert observables(results[name]) == replay(
             spec_factory, drivers[name].ledger.schedule()), name

@@ -17,50 +17,37 @@ so the accepted schedule is reproducible.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
 
 import pytest
 
-from _switches import corners, observables
-from repro import CHA, ClusterWorld, ExperimentSpec, WorkloadSpec
-from repro.experiment import EnvironmentSpec, MetricsSpec, TwoPhaseCHA
-from repro.experiment.runner import run
+from _switches import (MODE_IDS, MODES, assert_corners_agree, observables,
+                       replay)
+from _worlds import cluster_spec
+from repro.experiment import MetricsSpec
 from repro.net import RandomLossAdversary, WindowAdversary
-from repro.service import ConsensusService, ProposalLedger, ServiceConfig
+from repro.service import ConsensusService, ServiceConfig
 from repro.switches import Switches
 
 pytestmark = pytest.mark.fast
 
-#: Every (engine, channel) corner — the switch matrix of
-#: tests/net/test_engine_differential.py, production stack first.
-MODES = corners("engine", "channel")
-MODE_IDS = ["default", "ref-channel", "ref-engine", "ref-both"]
-
 INSTANCES = 12
 
 
-def _spec_factory(env_name: str, *, switches: Switches = Switches(),
-                  protocol_factory=CHA):
-    def make() -> ExperimentSpec:
-        if env_name == "lossy":
-            environment = EnvironmentSpec(adversary=WindowAdversary(
-                RandomLossAdversary(p_drop=0.3, p_false=0.2, seed=5),
-                until=20))
-            rcf = 30
-        else:
-            environment = EnvironmentSpec()
-            rcf = 0
-        return ExperimentSpec(
-            protocol=protocol_factory(),
-            world=ClusterWorld(n=6, rcf=rcf),
-            environment=environment,
-            workload=WorkloadSpec(instances=INSTANCES),
-            metrics=MetricsSpec(
-                metrics=("rounds", "total_broadcasts", "decided_instances"),
-                invariants=("all",),
-            ),
-            switches=switches,
-        )
+@functools.cache
+def _spec_factory(env_name: str, *, family: str = "cha"):
+    def make():
+        environment = {} if env_name == "benign" else {
+            "rcf": 30, "adversary": WindowAdversary(RandomLossAdversary(
+                p_drop=0.3, p_false=0.2, seed=5), until=20)}
+        return cluster_spec(family, n=6, instances=INSTANCES,
+                            metrics=MetricsSpec(
+                                metrics=("rounds", "total_broadcasts",
+                                         "decided_instances"),
+                                invariants=("all",)),
+                            **environment)
     return make
 
 
@@ -155,39 +142,42 @@ def _serve_crowd(spec_factory, seed: int) -> tuple[bytes, tuple, int]:
     return observables(driver.result), driver.ledger.schedule(), reconnects
 
 
-def _batch(spec_factory, schedule) -> bytes:
-    """The equivalent batch run: the accepted schedule replayed."""
-    spec = spec_factory().override(
-        protocol__proposer_factory=ProposalLedger.scripted(schedule))
-    return observables(run(spec))
+@functools.cache
+def _served_schedule(spec_factory, switches: Switches):
+    """Serve the world under ``switches`` (once per world and corner),
+    check it against its batch replay, and return the accepted schedule."""
+    def switched():
+        return dataclasses.replace(spec_factory(), switches=switches)
 
-
-@pytest.mark.parametrize("env_name", ["benign", "lossy"])
-@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
-def test_served_equals_batch_across_switches(env_name, mode):
-    spec_factory = _spec_factory(env_name, switches=mode)
-    served, schedule = _serve(spec_factory)
+    served, schedule = _serve(switched)
     assert schedule, "the script must actually land proposals"
-    assert served == _batch(spec_factory, schedule)
+    assert served == replay(switched, schedule)
+    return schedule
 
 
-def test_served_schedule_invariant_under_switches():
-    """The reference switches change *how* rounds are computed, never
-    what decides — so the scripted population must land the identical
-    proposal schedule whichever stack serves it."""
-    schedules = {
-        _serve(_spec_factory("lossy", switches=mode))[1] for mode in MODES
-    }
-    assert len(schedules) == 1
+#: Each served world's switch corners: every (engine, channel) corner,
+#: and the reference history on the lossy world.
+SERVED_CORNERS = {"benign": dict(zip(MODE_IDS, MODES)), "lossy": {
+    **dict(zip(MODE_IDS, MODES)), "ref-history": Switches(history=True)}}
 
 
-@pytest.mark.parametrize("history_ref", [False, True],
-                         ids=["chain-history", "reference-history"])
-def test_served_equals_batch_with_history_switch(history_ref):
-    spec_factory = _spec_factory("lossy",
-                                 switches=Switches(history=history_ref))
-    served, schedule = _serve(spec_factory)
-    assert served == _batch(spec_factory, schedule)
+@pytest.mark.parametrize("env_name,corner", [
+    pytest.param(env_name, corner, id=f"{corner}-{env_name}")
+    for env_name, corners in SERVED_CORNERS.items() for corner in corners])
+def test_served_equals_batch_across_switches(env_name, corner):
+    """Each corner's served world equals its batch replay."""
+    _served_schedule(_spec_factory(env_name),
+                     SERVED_CORNERS[env_name][corner])
+
+
+@pytest.mark.parametrize("env_name", list(SERVED_CORNERS))
+def test_served_schedule_invariant_under_switches(env_name):
+    """The scripted population lands the identical proposal schedule
+    whichever stack serves it: the reference switches change *how*
+    rounds are computed, never what decides."""
+    assert_corners_agree(_spec_factory(env_name),
+                         list(SERVED_CORNERS[env_name].values()),
+                         run=_served_schedule, read=tuple)
 
 
 @pytest.mark.parametrize("rounds_per_tick", [1, 3, 7])
@@ -197,7 +187,7 @@ def test_served_equals_batch_across_tick_granularity(rounds_per_tick):
     still replays byte-identically against its own accepted schedule."""
     spec_factory = _spec_factory("benign")
     served, schedule = _serve(spec_factory, rounds_per_tick=rounds_per_tick)
-    assert served == _batch(spec_factory, schedule)
+    assert served == replay(spec_factory, schedule)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -206,14 +196,14 @@ def test_churny_flash_crowd_is_seeded_and_replays_batch(seed):
     served, schedule, reconnects = _serve_crowd(spec_factory, seed)
     assert reconnects > 0
     assert _serve_crowd(spec_factory, seed)[1:] == (schedule, reconnects)
-    assert served == _batch(spec_factory, schedule)
+    assert served == replay(spec_factory, schedule)
 
 
 def test_served_equals_batch_two_phase_cha():
     """The ablation protocol (2 rounds/instance) serves identically."""
-    spec_factory = _spec_factory("benign", protocol_factory=TwoPhaseCHA)
+    spec_factory = _spec_factory("benign", family="two-phase-cha")
     served, schedule = _serve(spec_factory)
-    assert served == _batch(spec_factory, schedule)
+    assert served == replay(spec_factory, schedule)
 
 
 def test_detach_and_slow_consumers_do_not_perturb_the_world():
@@ -246,4 +236,4 @@ def test_detach_and_slow_consumers_do_not_perturb_the_world():
                serve_with(slow_consumer)}
     assert len(results) == 1
     # ... and the no-client serve matches the plain batch run too.
-    assert results == {_batch(spec_factory, ())}
+    assert results == {replay(spec_factory, ())}

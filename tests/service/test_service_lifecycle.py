@@ -144,6 +144,18 @@ def test_bye_closes_in_process_session():
     assert [e["type"] for e in client.drain()] == ["bye"]
 
 
+def test_second_hello_in_a_session_is_an_error_not_a_session():
+    """The in-process twin of the TCP case in ``test_service_wire.py``."""
+    service = _service()
+    client = service.connect()
+    client.drain()
+    client.request({"op": "hello"})
+    [event] = client.drain()
+    assert event["type"] == "error" and "already open" in event["reason"]
+    assert not client.closed
+    assert service.sessions.active == service.sessions.opened == 1
+
+
 def test_session_limit_enforced_and_freed_by_detach():
     service = _service(max_sessions=2)
     a = service.connect()

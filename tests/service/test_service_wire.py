@@ -159,6 +159,15 @@ class _TcpClient:
         await self.writer.wait_closed()
 
 
+async def _eventually(predicate, polls: int = 50) -> bool:
+    """Whether ``predicate()`` holds within ``polls`` 10 ms sleeps."""
+    for _ in range(polls):
+        if predicate():
+            return True
+        await asyncio.sleep(0.01)
+    return bool(predicate())
+
+
 def test_tcp_session_full_conversation():
     async def scenario():
         service = ConsensusService(_spec(), ServiceConfig())
@@ -223,11 +232,7 @@ def test_tcp_abrupt_disconnect_cleans_up():
         await client.recv_type("welcome")
         assert service.sessions.active == 1
         await client.close()  # no bye: the death of a client
-        for _ in range(50):
-            if service.sessions.active == 0:
-                break
-            await asyncio.sleep(0.01)
-        assert service.sessions.active == 0
+        assert await _eventually(lambda: service.sessions.active == 0)
         await service.shutdown()
 
     asyncio.run(scenario())
@@ -282,11 +287,45 @@ def test_tcp_line_over_the_ceiling_is_an_error_then_a_clean_close(caplog):
             assert await client.reader.readline() == b""
         except ConnectionResetError:
             pass
-        for _ in range(50):
-            if service.sessions.active == 0:
-                break
-            await asyncio.sleep(0.01)
+        assert await _eventually(lambda: service.sessions.active == 0)
+        await service.shutdown()
+
+    asyncio.run(scenario())
+    assert _asyncio_errors(caplog) == []
+
+
+@pytest.mark.parametrize("hangup", ["close", "abort"])
+@pytest.mark.parametrize("in_session", [False, True],
+                         ids=["before-hello", "in-session"])
+def test_tcp_half_a_line_then_hangup_leaves_nothing_open(caplog, in_session,
+                                                         hangup):
+    """A client writes half a request line, then closes or aborts: the
+    server keeps no session and no connection task, logs nothing at
+    ERROR, and a new client is still welcomed and acked."""
+    caplog.set_level(logging.ERROR, logger="asyncio")
+
+    async def scenario():
+        service = ConsensusService(_spec(), ServiceConfig())
+        await service.serve_tcp()
+        client = await _TcpClient.open(service)
+        if in_session:
+            await client.send(op="hello")
+            await client.recv_type("welcome")
+        client.writer.write(b'{"op": "propose", "val')
+        await client.writer.drain()
+        assert await _eventually(lambda: service._conn_tasks)
+        if hangup == "close":
+            await client.close()
+        else:
+            client.writer.transport.abort()
+        assert await _eventually(lambda: not service._conn_tasks)
         assert service.sessions.active == 0
+        fresh = await _TcpClient.open(service)
+        await fresh.send(op="hello")
+        await fresh.recv_type("welcome")
+        await fresh.send(op="propose", value="after", id="p1")
+        assert (await fresh.recv_type("ack"))["id"] == "p1"
+        await fresh.close()
         await service.shutdown()
 
     asyncio.run(scenario())

@@ -1,4 +1,5 @@
-"""``src/`` imports only the standard library.
+"""``src/`` imports only the standard library, and no test module
+imports another.
 
 ``pip install .`` declares no dependencies, so a third-party import
 anywhere under ``repro`` breaks ``import repro`` on a clean interpreter,
@@ -8,10 +9,15 @@ and makes every process (a benchmark pass, a sweep worker,
 (``__main__`` modules aside: importing one runs it) and checks what that
 loaded — even a third-party package that happens to be installed here
 fails the gate.
+
+A test module that imports another ties its worlds to that file's
+tests, so renaming or deleting one suite breaks another: shared worlds
+live in ``tests/_worlds.py`` and shared helpers in ``tests/_switches.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -21,7 +27,8 @@ import pytest
 
 pytestmark = pytest.mark.fast
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 PROBE = """
 import importlib, json, pkgutil, sys
@@ -49,3 +56,19 @@ def test_src_imports_only_the_standard_library():
     foreign = [name for name in report["loaded"]
                if name != "repro" and name not in sys.stdlib_module_names]
     assert foreign == [], f"repro imports non-stdlib modules: {foreign}"
+
+
+def test_no_test_module_imports_another():
+    offenders = []
+    for path in sorted(TESTS.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.relative_to(TESTS)}: {name}"
+                          for name in names
+                          if name.rpartition(".")[2].startswith("test_")]
+    assert offenders == []

@@ -1,7 +1,5 @@
 """Unit tests for the device process: role management and dispatch."""
 
-import pytest
-
 from repro.geometry import Point
 from repro.vi import (
     CounterProgram,

@@ -7,15 +7,11 @@ overhead, and behaviour under crashes and adversarial channels.
 
 import math
 
-import pytest
-
 from repro.detectors import EventuallyAccurateDetector
 from repro.geometry import Point
 from repro.net import CrashSchedule, RandomLossAdversary, WaypointMobility
-from repro.types import Color
 from repro.vi import (
     CounterProgram,
-    EchoProgram,
     ScriptedClient,
     SilentClient,
     SilentProgram,

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.geometry import Point
 from repro.net import CrashSchedule, StaticMobility, WaypointMobility
 from repro.vi import CounterProgram, JoinState, ScriptedClient, SilentProgram, VIWorld, VNSite

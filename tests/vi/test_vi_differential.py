@@ -21,14 +21,13 @@ import pickle
 
 import pytest
 
-from _switches import observables, run_with
-from _worlds import vi_orbit_spec
+from _switches import assert_corners_agree
+from _worlds import ENVIRONMENTS, VI_METRICS, vi_orbit_spec
 from repro import ExperimentSpec, WorkloadSpec
 from repro.experiment import (
     DeployedWorld,
     DeviceSpec,
     EnvironmentSpec,
-    MetricsSpec,
     VIEmulation,
 )
 from repro.experiment.runner import run
@@ -40,7 +39,6 @@ from repro.net import (
     LinearMobility,
     NoiseBurstAdversary,
     OrbitMobility,
-    RandomLossAdversary,
     WaypointMobility,
     WindowAdversary,
 )
@@ -52,16 +50,12 @@ from repro.vi import CounterProgram, ScriptedClient, VIWorld, VNSite
 pytestmark = [pytest.mark.fast, pytest.mark.vi_differential]
 
 
-def _result_bytes(spec_factory, switches: Switches) -> bytes:
-    return observables(run_with(spec_factory(), switches))
-
-
-#: The production stack, then each axis flipped alone; the all-reference
-#: stack is the anchor everything else must match.  The phase-table
-#: engine falls back to per-round stepping when the simulator itself is
-#: pinned to its seed loop (``engine`` on, ``vi`` off), so that row
-#: exercises the fallback path.
-MODES = [
+#: Each axis flipped alone, the production stack first; the
+#: all-reference stack is the anchor everything else must match.  The
+#: phase-table engine falls back to per-round stepping when the
+#: simulator itself is pinned to its seed loop (``engine`` on, ``vi``
+#: off), so that row exercises the fallback path.
+FLIPS = [
     Switches(),
     Switches(vi=True),
     Switches(engine=True),
@@ -75,20 +69,16 @@ def _environments(rpv: int):
     """Environment kwarg *factories* per scenario (adversaries carry RNG
     state, so every run needs a fresh one), scaled to the virtual round
     length so crashes land at virtual-round-relevant moments."""
-    yield "benign", lambda: {}
-    yield "lossy", lambda: {
-        "rcf": 60,
-        "adversary": WindowAdversary(
-            RandomLossAdversary(p_drop=0.3, p_false=0.3, seed=5),
-            until=40),
-    }
+    yield "benign", ENVIRONMENTS["benign"]
+    yield "lossy", ENVIRONMENTS["lossy"]
     # Kills both of site 0's deployed replicas just after virtual round
     # 2: the walker that parked in the region must observe JOIN_ACK
     # silence, probe RESET, and rebirth the virtual node (Section 4.3) —
     # the join/reset storm case, under detector noise.
     yield "crash-wave", lambda: {
         "rcf": 30,
-        "adversary": NoiseBurstAdversary(p_false=0.4, until=25, seed=9),
+        "adversary": WindowAdversary(
+            NoiseBurstAdversary(p_false=0.4, seed=9), until=25),
         "crashes": CrashSchedule([
             Crash(0, 2 * rpv, CrashPoint.AFTER_SEND),
             Crash(1, 2 * rpv + 3, CrashPoint.BEFORE_SEND),
@@ -147,8 +137,7 @@ def _spec_factory(schedule_length: int, env_factory, app: str = "counter"):
                                 min_schedule_length=schedule_length),
             environment=EnvironmentSpec(**env),
             workload=WorkloadSpec(virtual_rounds=12),
-            metrics=MetricsSpec(metrics=("availability", "emulation_gaps"),
-                                invariants=("replica_consistency",)),
+            metrics=VI_METRICS,
         )
 
     return spec_factory
@@ -182,9 +171,7 @@ def _scenarios():
 @pytest.mark.parametrize("name,spec_factory", list(_scenarios()),
                          ids=[name for name, _ in _scenarios()])
 def test_vi_byte_identical_across_switch_matrix(name, spec_factory):
-    anchor = _result_bytes(spec_factory, Switches.REFERENCE)
-    for switches in MODES:
-        assert _result_bytes(spec_factory, switches) == anchor, switches
+    assert_corners_agree(spec_factory, [Switches.REFERENCE, *FLIPS])
 
 
 def test_vi_orbit_world_roams():
